@@ -6,7 +6,6 @@ from .census import family_experiment, run_census, seed_check
 from .characters import (
     DirichletChar,
     MuValue,
-    char_eval,
     char_from_model,
     count_all_primitive,
     count_order_ell_exact,
@@ -25,7 +24,7 @@ from .curves import (
     numerator_divides,
     zeta_numerator,
 )
-from .cyclo import CycInt, SqrtExt, conjugate, mu_embed
+from .cyclo import CycInt, conjugate, mu_embed
 from .density import empirical_density, excluded_primes, local_factor, truncated_density
 from .errors import (
     CacheCorrupt,
@@ -46,7 +45,6 @@ from .ffield import Field, FieldElem, extend_field, make_field, primitive_root
 from .lfunction import (
     LPoly,
     central_value_is_zero,
-    dual_char,
     l_polynomial,
     strip_trivial_factor,
 )
@@ -69,19 +67,16 @@ __all__ = [
     "Poly",
     "RationalMap",
     "ResourceLimit",
-    "SqrtExt",
     "SuperellError",
     "SuperellipticModel",
     "ZetaNum",
     "base_change",
     "central_value_is_zero",
-    "char_eval",
     "char_from_model",
     "conjugate",
     "count_all_primitive",
     "count_order_ell_exact",
     "count_points",
-    "dual_char",
     "empirical_density",
     "enumerate_order_ell",
     "excluded_primes",

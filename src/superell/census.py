@@ -16,10 +16,9 @@ runtime statistics.
 
 from __future__ import annotations
 
-import itertools
 import time
 
-from .characters import DirichletChar, char_from_model, count_order_ell_exact
+from .characters import DirichletChar, char_from_model, conductor_characters, count_order_ell_exact
 from .curves import (
     SuperellipticModel,
     base_change,
@@ -32,7 +31,7 @@ from .curves import (
     zeta_numerator,
 )
 from .errors import CacheCorrupt, InputError, InvariantViolation
-from .families import generate_family
+from .families import generate_family, twist_class_index
 from .ffield import Field, make_field
 from .lfunction import (
     LCache,
@@ -43,7 +42,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly, factor, squarefree_monics
+from .polyring import Poly
 
 SCHEMA_VERSION = 1
 
@@ -126,15 +125,6 @@ class CensusReport:
         return "\n".join(lines) + "\n"
 
 
-def _conductor_characters(F: Field, ell: int, d: int):
-    """All primitive order-ell characters with conductor degree exactly d, in
-    canonical order, together with their assignment tuples."""
-    for f in squarefree_monics(F, d):
-        primes = [P for P, _ in factor(f).factors]
-        for assignment in itertools.product(range(1, ell), repeat=len(primes)):
-            yield DirichletChar(F, ell, list(zip(primes, assignment)))
-
-
 def run_census(
     p: int,
     e: int,
@@ -147,6 +137,8 @@ def run_census(
     from . import limits
     from .errors import ResourceLimit
 
+    if max_degree < 1:
+        raise InputError(f"max_degree must be at least 1, got {max_degree}")
     F = make_field(p, e)
     q = F.q
     if q**max_degree > limits.limit_census():
@@ -178,7 +170,7 @@ def run_census(
         vanish_keys: set = set()
         keys_seen: set = set()
         count_a = 0
-        for chi in _conductor_characters(F, ell, d):
+        for chi in conductor_characters(F, ell, d):
             count_a += 1
             L = _l_poly_cached(chi, cache)
             stripped, _k = strip_trivial_factor(L, chi)
@@ -339,17 +331,7 @@ def seed_check_f25twist(p: int) -> SeedReport:
             b0 = z
             break
     # cube-class representatives: minimal index per coset of (F^*)^3
-    cubes = sorted({F.index(F.pow(F.elem_at(i), 3)) for i in range(1, q)})
-    reps: list[int] = []
-    covered: set[int] = set()
-    for i in range(1, q):
-        if i in covered:
-            continue
-        reps.append(i)
-        for c in cubes:
-            covered.add(F.index(F.mul(F.elem_at(i), F.elem_at(c))))
-        if len(reps) == 3:
-            break
+    reps = sorted({twist_class_index(F, F.elem_at(i), 3) for i in range(1, q)})
     target = (1, -2 * p, p * p)
     candidates = []
     found = None

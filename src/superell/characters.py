@@ -33,7 +33,8 @@ from .polyring import (
     squarefree_monics,
 )
 
-_ZERO_SENTINEL = -(10**6)
+# symbol-table entry for residues divisible by P; real entries lie in 0..ell-1
+_ZERO_SENTINEL = -1
 
 
 class MuValue:
@@ -360,10 +361,6 @@ def char_from_model(model) -> DirichletChar:
     return DirichletChar(model.field, model.ell, exponent_map)
 
 
-def char_eval(chi: DirichletChar, g: Poly) -> MuValue:
-    return chi.eval(g)
-
-
 # -- bulk character sums -----------------------------------------------------------
 
 
@@ -413,10 +410,11 @@ def char_value_counts(chi: DirichletChar, degree: int) -> tuple[list[int], int]:
                 tot = 0
                 for i in range(nprimes):
                     hi, d0 = base[i]
-                    r2 = hi + add_tab[d0][sc0[i][a]]
-                    tot += exps[i] * s0s[i][r2]
-                if tot < 0:
-                    zeros += 1
+                    s = s0s[i][hi + add_tab[d0][sc0[i][a]]]
+                    if s < 0:
+                        zeros += 1
+                        break
+                    tot += exps[i] * s
                 else:
                     counts[tot % ell] += 1
             return
@@ -476,17 +474,23 @@ def count_order_ell_exact(q: int, ell: int, d: int) -> int:
     return coeffs[d]
 
 
+def conductor_characters(F: Field, ell: int, d: int):
+    """All primitive order-ell characters with conductor degree exactly d, in
+    canonical order: exponent assignments over squarefree monic conductors
+    (equivalently, the component tuples (D_1, ..., D_{ell-1}) of
+    superelliptic models)."""
+    for f in squarefree_monics(F, d):
+        primes = [P for P, _ in factor(f).factors]
+        for assignment in itertools.product(range(1, ell), repeat=len(primes)):
+            yield DirichletChar(F, ell, list(zip(primes, assignment)))
+
+
 def enumerate_order_ell(F: Field, ell: int, n: int) -> list[DirichletChar]:
-    """All primitive order-ell characters with conductor degree <= n, realised as
-    exponent assignments over squarefree monic conductors (equivalently, as the
-    component tuples (D_1, ..., D_{ell-1}) of superelliptic models)."""
+    """All primitive order-ell characters with conductor degree <= n."""
     char_context(F, ell)  # validates q = 1 mod ell
     if F.q**n > limits.limit_census():
         raise ResourceLimit(f"enumeration at degree {n} over {F} exceeds the census limit")
     out: list[DirichletChar] = []
     for d in range(1, n + 1):
-        for f in squarefree_monics(F, d):
-            primes = [P for P, _ in factor(f).factors]
-            for assignment in itertools.product(range(1, ell), repeat=len(primes)):
-                out.append(DirichletChar(F, ell, list(zip(primes, assignment))))
+        out.extend(conductor_characters(F, ell, d))
     return out

@@ -38,12 +38,24 @@ def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -
         fh.write("\n")
 
 
-def _parse_caps(raw: "str | None"):
+def _json_arg(flag: str, raw: str):
+    try:
+        return json.loads(raw)
+    except ValueError as exc:
+        raise InputError(f"{flag}: malformed JSON ({exc})") from None
+
+
+def _parse_caps(flag: str, raw: "str | None"):
     if raw is None:
         return None
-    if raw.startswith("{"):
-        return {int(k): v for k, v in json.loads(raw).items()}
-    return int(raw)
+    try:
+        if raw.startswith("{"):
+            return {int(k): v for k, v in _json_arg(flag, raw).items()}
+        return int(raw)
+    except ValueError:
+        raise InputError(
+            f"{flag}: expected an int or a JSON dict keyed by deg h, got {raw!r}"
+        ) from None
 
 
 def _model_from_args(args) -> SuperellipticModel:
@@ -53,10 +65,10 @@ def _model_from_args(args) -> SuperellipticModel:
         if raw.startswith("@"):
             with open(raw[1:], encoding="utf-8") as fh:
                 raw = fh.read()
-        return SuperellipticModel.from_json(F, json.loads(raw))
+        return SuperellipticModel.from_json(F, _json_arg("--base", raw))
     if args.components is None or args.ell is None:
         raise InputError("density needs either --base or both --ell and --components")
-    comps = [poly_from_json(F, c) for c in json.loads(args.components)]
+    comps = [poly_from_json(F, c) for c in _json_arg("--components", args.components)]
     twist = F.from_int(args.twist)
     return SuperellipticModel(args.ell, F, twist, comps)
 
@@ -156,8 +168,10 @@ def _dispatch(args) -> int:
             args.n,
             p=args.p,
             verify_vanishing=args.verify_vanishing,
-            max_pairs_per_degree=_parse_caps(args.max_pairs_per_degree),
-            max_members_per_degree=_parse_caps(args.max_members_per_degree),
+            max_pairs_per_degree=_parse_caps("--max-pairs-per-degree", args.max_pairs_per_degree),
+            max_members_per_degree=_parse_caps(
+                "--max-members-per-degree", args.max_members_per_degree
+            ),
         )
         _write_out(out, args.out)
         return 0
@@ -177,7 +191,8 @@ def _dispatch(args) -> int:
     if args.command == "lpoly":
         F = make_field(args.p, args.e)
         pairs = [
-            (poly_from_json(F, pj), int(e)) for pj, e in json.loads(args.conductor_factors)
+            (poly_from_json(F, pj), int(e))
+            for pj, e in _json_arg("--conductor-factors", args.conductor_factors)
         ]
         chi = DirichletChar(F, args.ell, pairs)
         L = l_polynomial(chi)

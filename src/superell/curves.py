@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import limits
+from .cyclo import central_sum_is_zero
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .ffield import Field, FieldElem, extend_field, factorize_int, is_prime, log_table
 from .polyring import Poly, elem_from_json, elem_to_json, is_squarefree, poly_from_json, poly_to_json
@@ -377,15 +378,7 @@ def is_supersingular_np(P: ZetaNum, p: int, e: int) -> bool:
 
 def has_central_eigenvalue(P: ZetaNum) -> bool:
     """Exact test that (1 - sqrt(q) T) divides P, i.e. Z(C, q^{-1/2}) = 0."""
-    fac = factorize_int(P.q)
-    (p, e), = fac.items()
-    deg = len(P.coeffs) - 1
-    if e % 2 == 0:
-        s = p ** (e // 2)
-        return sum(c * s ** (deg - i) for i, c in enumerate(P.coeffs)) == 0
-    A = sum(c * P.q ** ((deg - i) // 2) for i, c in enumerate(P.coeffs) if (deg - i) % 2 == 0)
-    B = sum(c * P.q ** ((deg - i - 1) // 2) for i, c in enumerate(P.coeffs) if (deg - i) % 2 == 1)
-    return A == 0 and B == 0
+    return central_sum_is_zero(P.coeffs, P.q)
 
 
 def default_extension_bound(g: int) -> int:

@@ -1,18 +1,18 @@
-"""Exact arithmetic in Z[zeta_ell] for an odd prime ell, and in its quadratic
-extension by an adjoined square root.
+"""Exact arithmetic in Z[zeta_ell] for an odd prime ell, and the exact
+central-point test for polynomials with coefficients in Z[zeta_ell].
 
 Elements are stored in the power basis {1, zeta, ..., zeta^{ell-2}} so that
 equality and the zero test are coordinatewise; coordinates are plain Python
-ints and therefore unbounded.  The adjoined radicand q must be coprime to ell
-in the characteristic sense (p != ell), which keeps {1, sqrt(q)} linearly
-independent over Q(zeta_ell): the only quadratic subfield of Q(zeta_ell) is
-Q(sqrt(+-ell)).
+ints and therefore unbounded.  The central test splits a value along 1 and
+sqrt(q), q = p^e; the split is exact when p != ell, which keeps {1, sqrt(q)}
+linearly independent over Q(zeta_ell): the only quadratic subfield of
+Q(zeta_ell) is Q(sqrt(+-ell)).
 """
 
 from __future__ import annotations
 
 from .errors import InputError
-from .ffield import is_prime
+from .ffield import factorize_int, is_prime
 
 
 class CycInt:
@@ -124,61 +124,23 @@ def conjugate(x: CycInt) -> CycInt:
     return out
 
 
-def is_zero(x: CycInt) -> bool:
-    return x.is_zero()
+def central_sum_is_zero(coeffs, q: int) -> bool:
+    """Exact decision whether sum c_n sqrt(q)^(deg - n) = 0 for coefficients
+    c_0..c_deg that are ints or CycInts, and q = p^e.
 
-
-class SqrtExt:
-    """a + b*sqrt(radicand) with a, b in Z[zeta_ell].
-
-    Only constructed with radicand q = p^e where p != ell, so equality is
-    componentwise.
+    Horner's rule runs on the pair (A, B) with value A + B sqrt(q).  For e
+    even, sqrt(q) = p^(e/2) and the value is the single element A + B p^(e/2);
+    for e odd, A and B must vanish separately, since {1, sqrt(q)} is linearly
+    independent over Q(zeta_ell) whenever p != ell.
     """
-
-    __slots__ = ("a", "b", "radicand")
-
-    def __init__(self, a: CycInt, b: CycInt, radicand: int):
-        if radicand <= 0:
-            raise InputError("radicand must be positive")
-        if a.ell != b.ell:
-            raise InputError("mixed cyclotomic orders")
-        self.a = a
-        self.b = b
-        self.radicand = radicand
-
-    def _check(self, other: "SqrtExt"):
-        if self.radicand != other.radicand or self.a.ell != other.a.ell:
-            raise InputError("mixed quadratic extensions")
-
-    def __add__(self, other: "SqrtExt") -> "SqrtExt":
-        self._check(other)
-        return SqrtExt(self.a + other.a, self.b + other.b, self.radicand)
-
-    def __mul__(self, other: "SqrtExt") -> "SqrtExt":
-        self._check(other)
-        q = self.radicand
-        return SqrtExt(
-            self.a * other.a + self.b * other.b * q,
-            self.a * other.b + self.b * other.a,
-            q,
-        )
-
-    def is_zero(self) -> bool:
-        return self.a.is_zero() and self.b.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, SqrtExt):
-            return NotImplemented
-        return (
-            self.radicand == other.radicand and self.a == other.a and self.b == other.b
-        )
-
-    def __repr__(self):
-        return f"SqrtExt({self.a!r} + {self.b!r}*sqrt({self.radicand}))"
-
-
-def sqrt_ext_for(ell: int, p: int, a: CycInt, b: CycInt, radicand: int) -> SqrtExt:
-    """Guarded constructor: refuses p == ell, where independence would fail."""
-    if p == ell:
-        raise InputError("sqrt(q) with p == ell is not independent of Q(zeta_ell)")
-    return SqrtExt(a, b, radicand)
+    fac = factorize_int(q)
+    if len(fac) != 1:
+        raise InputError(f"{q} is not a prime power")
+    (p, e), = fac.items()
+    a = coeffs[0]
+    b = a * 0  # the zero of the coefficient type, int or CycInt
+    for c in coeffs[1:]:
+        a, b = b * q + c, a
+    if e % 2 == 0:
+        return a + b * p ** (e // 2) == 0
+    return a == 0 and b == 0

@@ -148,11 +148,14 @@ def twist_class_index(F: Field, c: FieldElem, ell: int) -> int:
     reps = F._cache.setdefault("twist_reps", {}).get(ell)
     if reps is None:
         q = F.q
-        cubes = sorted({F.index(F.pow(F.elem_at(i), ell)) for i in range(1, q)})
+        powers = {F.index(F.pow(F.elem_at(i), ell)) for i in range(1, q)}
         reps = [0] * q
+        # ascending scan: the first index met in a coset is its minimum
         for i in range(1, q):
-            e = F.elem_at(i)
-            reps[i] = min(F.index(F.mul(e, F.elem_at(j))) for j in cubes)
+            if reps[i] == 0:
+                e = F.elem_at(i)
+                for j in powers:
+                    reps[F.index(F.mul(e, F.elem_at(j)))] = i
         F._cache["twist_reps"][ell] = reps
     return reps[F.index(c)]
 

@@ -297,101 +297,14 @@ class Field:
         return self.pow(a, self.q - 2)
 
 
-# -- polynomial helpers over an arbitrary Field (used for modulus search) ----
-
-
-def _vec_trim(v: list) -> list:
-    while v and v[-1].is_zero():
-        v.pop()
-    return v
-
-
-def _vec_mulmod(F: Field, a: list, b: list, mod: list) -> list:
-    prod = [F.zero()] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            prod[i + j] = prod[i + j] + x * y
-    return _vec_divmod(F, prod, mod)[1]
-
-
-def _vec_divmod(F: Field, a: list, b: list) -> tuple[list, list]:
-    a = list(a)
-    _vec_trim(a)
-    db = len(b) - 1
-    inv_lead = b[-1].inverse()
-    q = [F.zero()] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        k = len(a) - 1 - db
-        c = a[-1] * inv_lead
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] = a[k + j] - c * b[j]
-        _vec_trim(a)
-    return q, a
-
-
-def _vec_gcd_is_one(F: Field, a: list, b: list) -> bool:
-    a, b = list(a), list(b)
-    _vec_trim(a)
-    _vec_trim(b)
-    while b:
-        a, b = b, _vec_divmod(F, a, b)[1]
-    return len(a) == 1
-
-
-def _vec_powmod_x(F: Field, npow: int, mod: list) -> list:
-    """t^npow mod `mod`, square-and-multiply on the exponent."""
-    result = [F.one()]
-    base_poly = [F.zero(), F.one()]
-    if len(mod) - 1 == 1:
-        base_poly = _vec_divmod(F, base_poly, mod)[1]
-    while npow:
-        if npow & 1:
-            result = _vec_mulmod(F, result, base_poly, mod)
-        base_poly = _vec_mulmod(F, base_poly, base_poly, mod)
-        npow >>= 1
-    return result
-
-
-def _is_irreducible_vec(F: Field, mod: list) -> bool:
-    """Rabin test for a monic polynomial given as a coefficient vector over F."""
-    n = len(mod) - 1
-    if n == 1:
-        return True
-    Q = F.q
-    # t^{Q^n} == t mod f
-    xq = _vec_powmod_x(F, Q**n, mod)
-    x = _vec_divmod(F, [F.zero(), F.one()], mod)[1]
-    if xq != x:
-        return False
-    for r in factorize_int(n):
-        h = _vec_powmod_x(F, Q ** (n // r), mod)
-        diff = list(h)
-        while len(diff) < 2:
-            diff.append(F.zero())
-        diff[1] = diff[1] - F.one()
-        _vec_trim(diff)
-        if not diff:
-            return False
-        if not _vec_gcd_is_one(F, diff, mod):
-            return False
-    return True
-
-
 def _canonical_modulus(F: Field, n: int) -> tuple:
     """Smallest monic irreducible of degree n over F in canonical vector order."""
-    Q = F.q
-    for j in range(Q**n):
-        cs = []
-        k = j
-        for _ in range(n):
-            cs.append(F.elem_at(k % Q))
-            k //= Q
-        cand = cs + [F.one()]
-        if _is_irreducible_vec(F, cand):
-            return tuple(cand)
+    from .polyring import Poly, is_irreducible  # polyring imports this module
+
+    for j in range(F.q**n):
+        cand = Poly.from_index(F, n, j)
+        if is_irreducible(cand):
+            return cand.coeffs
     raise AssertionError("no irreducible of requested degree found")  # pragma: no cover
 
 

@@ -9,10 +9,8 @@ which the degree bookkeeping deg L* = deg f - 2 and the zeta-function
 decomposition both hold.  The factor is unique because the quotient's inverse
 roots all have absolute value sqrt(q), never 1.
 
-The central point is u = q^{-1/2}.  When the exponent e of q = p^e is even
-this is 1/p^{e/2} and the decision is a single integer-vector zero test in
-Z[zeta_ell]; when e is odd the value is split into components along 1 and
-sqrt(q), which are independent over Q(zeta_ell) since p != ell.
+The central point is u = q^{-1/2}; the decision is `cyclo.central_sum_is_zero`,
+the same test `curves.has_central_eigenvalue` applies to zeta numerators.
 """
 
 from __future__ import annotations
@@ -20,9 +18,8 @@ from __future__ import annotations
 import json
 
 from .characters import DirichletChar, char_context, char_sum
-from .cyclo import CycInt, mu_embed
-from .errors import InputError, InvariantViolation
-from .ffield import factorize_int
+from .cyclo import CycInt, central_sum_is_zero, mu_embed
+from .errors import CacheCorrupt, InputError, InvariantViolation
 from .polyring import poly_to_json
 
 
@@ -66,11 +63,6 @@ class LPoly:
                 out[i + j] = out[i + j] + a * b
         return LPoly(self.ell, self.q, out)
 
-    def conjugate_coeffs(self) -> "LPoly":
-        from .cyclo import conjugate
-
-        return LPoly(self.ell, self.q, [conjugate(c) for c in self.coeffs])
-
     def to_json(self) -> dict:
         return {
             "q": self.q,
@@ -101,11 +93,6 @@ def l_polynomial(chi: DirichletChar, *, verify_orthogonality: bool = False) -> L
                 "orthogonality", f"degree-{degf} character sum is {extra!r}, not 0"
             )
     return LPoly(chi.ell, chi.field.q, coeffs, char_ref=chi.to_json())
-
-
-def dual_char(chi: DirichletChar) -> DirichletChar:
-    """The conjugate character: every conductor exponent e goes to ell - e."""
-    return chi.dual()
 
 
 def _divide_unit_root(L: LPoly, k: int) -> "LPoly | None":
@@ -171,33 +158,14 @@ def central_value_is_zero(L: LPoly) -> bool:
     """Exact decision whether L(q^{-1/2}) = 0.
 
     Clearing denominators by q^{deg/2}, the value is sum c_n (sqrt q)^{deg-n}.
-    For q = p^e with e even this is a single Z[zeta_ell] sum; for e odd it
-    splits into A + B sqrt(q) whose components must vanish separately.
+    An L-polynomial may come from a cache file, so p != ell, which the split
+    along 1 and sqrt(q) needs, is checked here rather than assumed.
     """
-    fac = factorize_int(L.q)
-    if len(fac) != 1:
-        raise InputError(f"{L.q} is not a prime power")
-    (p, e), = fac.items()
-    deg = L.degree
-    if e % 2 == 0:
-        s = p ** (e // 2)
-        acc = CycInt.from_int(L.ell, 0)
-        for n, c in enumerate(L.coeffs):
-            acc = acc + c * s ** (deg - n)
-        return acc.is_zero()
-    from .cyclo import SqrtExt, sqrt_ext_for
-
-    a = CycInt.from_int(L.ell, 0)
-    b = CycInt.from_int(L.ell, 0)
-    q = L.q
-    for n, c in enumerate(L.coeffs):
-        m = deg - n
-        if m % 2 == 0:
-            a = a + c * q ** (m // 2)
-        else:
-            b = b + c * q ** ((m - 1) // 2)
-    value: SqrtExt = sqrt_ext_for(L.ell, p, a, b, q)  # validates independence (p != ell)
-    return value.is_zero()
+    if L.q % L.ell == 0:
+        raise InputError(
+            f"q = {L.q} is divisible by ell = {L.ell}; sqrt(q) is not independent of Q(zeta_ell)"
+        )
+    return central_sum_is_zero(L.coeffs, L.q)
 
 
 # -- append-only cache -----------------------------------------------------------
@@ -205,6 +173,12 @@ def central_value_is_zero(L: LPoly) -> bool:
 
 def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(key: str, value: dict) -> str:
+    import hashlib  # imported here so runs without a cache do not pay for it
+
+    return hashlib.sha256(_canon({"key": key, "value": value}).encode()).hexdigest()
 
 
 def cache_key(chi: DirichletChar) -> str:
@@ -220,14 +194,12 @@ def cache_key(chi: DirichletChar) -> str:
 class LCache:
     """Append-only JSON-lines cache of L-polynomials keyed by character.
 
-    Every line carries a sha256 checksum of its canonical payload; a mismatch
-    raises CacheCorrupt so the caller can rebuild.
+    Every line carries a sha256 checksum of its canonical payload; a mismatch,
+    or a line that does not decode (a torn append), raises CacheCorrupt so the
+    caller can rebuild.
     """
 
     def __init__(self, path):
-        import hashlib
-
-        self._hashlib = hashlib
         self.path = path
         self.table: dict[str, dict] = {}
         self.hits = 0
@@ -241,14 +213,14 @@ class LCache:
                 line = line.strip()
                 if not line:
                     continue
-                rec = json.loads(line)
-                body = {"key": rec["key"], "value": rec["value"]}
-                digest = self._hashlib.sha256(_canon(body).encode()).hexdigest()
-                if digest != rec.get("checksum"):
-                    from .errors import CacheCorrupt
-
+                try:
+                    rec = json.loads(line)
+                    key, value, checksum = rec["key"], rec["value"], rec["checksum"]
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise CacheCorrupt(f"undecodable line in {path}") from exc
+                if _checksum(key, value) != checksum:
                     raise CacheCorrupt(f"bad checksum in {path}")
-                self.table[rec["key"]] = rec["value"]
+                self.table[key] = value
 
     def get(self, chi: DirichletChar) -> "LPoly | None":
         val = self.table.get(cache_key(chi))
@@ -264,7 +236,5 @@ class LCache:
             return
         value = L.to_json()
         self.table[key] = value
-        body = {"key": key, "value": value}
-        digest = self._hashlib.sha256(_canon(body).encode()).hexdigest()
         with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_canon({"key": key, "value": value, "checksum": digest}) + "\n")
+            fh.write(_canon({"key": key, "value": value, "checksum": _checksum(key, value)}) + "\n")

@@ -8,6 +8,8 @@ and enumeration sizes in the census paths).
 
 import os
 
+from .errors import InputError
+
 # largest field the constructor will build (q = p^e)
 FIELD_SIZE_LIMIT = 2**40
 
@@ -28,7 +30,10 @@ def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"environment variable {name} must be an integer, got {raw!r}") from None
 
 
 def limit_points() -> int:

@@ -284,11 +284,6 @@ class Factorization:
     def num_prime_factors(self) -> int:
         return len(self.factors)
 
-    def mobius(self) -> int:
-        if any(e > 1 for _, e in self.factors):
-            return 0
-        return -1 if len(self.factors) % 2 else 1
-
 
 def _pth_root(f: Poly) -> Poly:
     """Inverse Frobenius on a polynomial with vanishing derivative: f = g(t^p)."""

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -48,6 +49,17 @@ def test_census_cache_corruption_rebuilds(tmp_path):
         fh.write(text.replace('"checksum":"', '"checksum":"ff'))
     rep = run_census(7, 1, 3, 1, sample_decomp=2, cache_path=path)
     assert rep.cache_stats.get("rebuilt") is True
+
+
+def test_census_cache_torn_line_rebuilds(tmp_path):
+    path = str(tmp_path / "lcache.jsonl")
+    clean = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    # a crash during append leaves a partial last line
+    with open(path, "r+b") as fh:
+        fh.truncate(os.path.getsize(path) - 40)
+    rep = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    assert rep.cache_stats.get("rebuilt") is True
+    assert rep.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
 
 
 def test_model_from_char_roundtrip(F7):
@@ -194,6 +206,36 @@ def test_cli_lpoly(capsys):
 def test_cli_exit_codes(capsys):
     assert cli_main(["lpoly", "--p", "6", "--ell", "3", "--conductor-factors", "[[[0,1],1]]"]) == 2
     assert cli_main(["census", "--p", "7", "--ell", "3", "--max-degree", "12"]) == 3
+
+
+_FAMILY = ["family", "--seed-kind", "f25twist", "--p", "5", "--n", "3"]
+_DENSITY = ["density", "--p", "7", "--deg-max", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, env, named",
+    [
+        (["census", "--p", "7", "--ell", "3", "--max-degree", "0"], {}, "max_degree"),
+        (["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[0,1],1]"], {},
+         "--conductor-factors"),
+        (_DENSITY + ["--ell", "3", "--components", "[[0,6,0,1],"], {}, "--components"),
+        (_DENSITY + ["--base", "{not json"], {}, "--base"),
+        (_FAMILY + ["--max-pairs-per-degree", "{1: 30}"], {}, "--max-pairs-per-degree"),
+        (_FAMILY + ["--max-members-per-degree", '{"1": 5'], {}, "--max-members-per-degree"),
+        (_FAMILY + ["--max-members-per-degree", "five"], {}, "--max-members-per-degree"),
+        (["census", "--p", "7", "--ell", "3", "--max-degree", "1"],
+         {"SUPERELL_LIMIT_CENSUS": "abc"}, "SUPERELL_LIMIT_CENSUS"),
+        (["seed-check", "--kind", "thm41", "--p", "5"],
+         {"SUPERELL_LIMIT_POINTS": "1e9"}, "SUPERELL_LIMIT_POINTS"),
+        (["seed-check", "--kind", "thm41", "--p", "5"],
+         {"SUPERELL_ZECH_LIMIT": ""}, "SUPERELL_ZECH_LIMIT"),
+    ],
+)
+def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli_main(argv) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.slow

@@ -9,6 +9,7 @@ from superell import (
     count_order_ell_exact,
     enumerate_order_ell,
     factor,
+    make_field,
     residue_symbol,
 )
 from superell.characters import MuValue, char_context, char_sum, char_value_counts
@@ -209,6 +210,21 @@ def test_char_value_counts_total(F7):
     for d in range(4):
         counts, zeros = char_value_counts(chi, d)
         assert sum(counts) + zeros == 7**d
+
+
+def test_char_value_counts_zeros_at_large_ell():
+    # with (ell - 1)^2 >= 10^6 the exponent sum of the other prime can be large;
+    # a g divisible by one conductor prime must still count as a zero
+    F = make_field(2027, 1)
+    t = Poly.x(F)
+    one = Poly.one(F)
+    chi = DirichletChar(F, 1013, [(t, 1), (t - one, 1012)])
+    counts, zeros = char_value_counts(chi, 2)
+    # monic quadratics vanishing at 0 or at 1: q + q - 1 of them
+    assert zeros == 2 * F.q - 1
+    assert sum(counts) + zeros == F.q**2
+    for g in (t * t, t * (t - one), (t - one) * (t + one)):
+        assert chi.eval(g).is_zero()
 
 
 def test_char_sum_matches_direct_eval(F25):

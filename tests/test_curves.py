@@ -148,6 +148,8 @@ def test_central_eigenvalue_examples():
     assert not has_central_eigenvalue(ZetaNum(5, (1, 0, 5)))
     assert not has_central_eigenvalue(ZetaNum(25, (1, 0, 25)))
     assert has_central_eigenvalue(ZetaNum(25, (1, -10, 25)))  # (1 - 5T)^2
+    with pytest.raises(InputError):
+        has_central_eigenvalue(ZetaNum(15, (1, 0, 15)))  # q not a prime power
 
 
 def test_find_central_extension_examples():

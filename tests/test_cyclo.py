@@ -1,7 +1,6 @@
 import pytest
 
-from superell import CycInt, InputError, SqrtExt, conjugate, mu_embed
-from superell.cyclo import sqrt_ext_for
+from superell import CycInt, InputError, conjugate, mu_embed
 
 
 def test_mu_embed_examples():
@@ -65,26 +64,6 @@ def test_zeta_ell_power_is_one():
         for _ in range(ell):
             out = out * acc
         assert out == CycInt.from_int(ell, 1)
-
-
-def test_sqrt_ext_multiplication_against_integers(rng):
-    # radicand 49 is a perfect square, so a + b sqrt(49) evaluates in Z
-    q, s = 49, 7
-    for _ in range(100):
-        a, b, c, d = (rng.randrange(-9, 10) for _ in range(4))
-        A = SqrtExt(CycInt.from_int(3, a), CycInt.from_int(3, b), q)
-        B = SqrtExt(CycInt.from_int(3, c), CycInt.from_int(3, d), q)
-        C = A * B
-        assert C.a.as_int() + C.b.as_int() * s == (a + b * s) * (c + d * s)
-        D = A + B
-        assert D.a.as_int() == a + c and D.b.as_int() == b + d
-
-
-def test_sqrt_ext_guard():
-    a = CycInt.from_int(3, 1)
-    with pytest.raises(InputError):
-        sqrt_ext_for(3, 3, a, a, 27)
-    assert sqrt_ext_for(3, 5, a, a, 5).radicand == 5
 
 
 def test_json_roundtrip():

@@ -50,6 +50,19 @@ def test_canonical_modulus_f343_matches_oracle():
     assert [F7.index(c) for c in F343.modulus] == [F7.index(c) for c in oracle.coeffs]
 
 
+@pytest.mark.parametrize(
+    "p, degrees",
+    [(2, (2, 2)), (2, (2, 3)), (2, (2, 2, 2)), (3, (2, 2)), (3, (3, 2)), (3, (2, 2, 2))],
+)
+def test_canonical_modulus_towers_match_oracle(p, degrees):
+    F = make_field(p, 1)
+    for n in degrees:
+        E = extend_field(F, n)
+        oracle = brute_canonical_modulus(F, n)
+        assert [F.index(c) for c in E.modulus] == [F.index(c) for c in oracle.coeffs]
+        F = E
+
+
 def test_make_field_errors():
     with pytest.raises(InputError):
         make_field(6, 1)

@@ -3,9 +3,9 @@ import pytest
 from superell import (
     CycInt,
     DirichletChar,
+    InputError,
     InvariantViolation,
     central_value_is_zero,
-    dual_char,
     l_polynomial,
     mu_embed,
     strip_trivial_factor,
@@ -117,11 +117,18 @@ def test_central_value_examples():
     assert not central_value_is_zero(LPoly(3, 5, cyc(3, 1, 1, 5, 1)))
 
 
+def test_central_value_guard_p_equals_ell():
+    # over q = 3^3 with ell = 3, sqrt(q) = 3 sqrt(3) lies in Q(zeta_3, sqrt(3)),
+    # so the split along 1 and sqrt(q) would not decide vanishing
+    with pytest.raises(InputError):
+        central_value_is_zero(LPoly(3, 27, cyc(3, 1, 0, -27)))
+
+
 def test_dual_coefficients_are_conjugate(F7):
     t = Poly.x(F7)
     chi = DirichletChar(F7, 3, [(t, 1), (t**2 + poly(F7, 2), 2)])
     L = l_polynomial(chi)
-    Ld = l_polynomial(dual_char(chi))
+    Ld = l_polynomial(chi.dual())
     assert [conjugate(c) for c in L.coeffs] == list(Ld.coeffs)
 
 
