@@ -18,7 +18,13 @@ from __future__ import annotations
 
 import time
 
-from .characters import DirichletChar, char_from_model, conductor_characters, count_order_ell_exact
+from .characters import (
+    DirichletChar,
+    char_context,
+    char_from_model,
+    conductor_groups,
+    count_order_ell_exact,
+)
 from .curves import (
     SuperellipticModel,
     base_change,
@@ -38,6 +44,8 @@ from .lfunction import (
     LPoly,
     central_value_is_zero,
     l_polynomial,
+    l_polynomials,
+    repair_cache,
     rescale_by_root,
     strip_trivial_factor,
     twist_exponent,
@@ -64,10 +72,9 @@ def decomposition_check(model: SuperellipticModel, *, cache: "LCache | None" = N
         raise InputError("the zeta/L decomposition is asserted for normalized models only")
     chi = char_from_model(model)
     kc = twist_exponent(model)
+    powers = [chi.power(j) for j in range(1, model.ell)]
     prod = None
-    for j in range(1, model.ell):
-        chij = chi if j == 1 else chi.power(j)
-        L = _l_poly_cached(chij, cache)
+    for j, (chij, L) in enumerate(zip(powers, _l_polys_cached(powers, cache)), start=1):
         L = rescale_by_root(L, (j * kc) % model.ell)
         stripped, _ = strip_trivial_factor(L, chij)
         prod = stripped if prod is None else prod * stripped
@@ -76,15 +83,19 @@ def decomposition_check(model: SuperellipticModel, *, cache: "LCache | None" = N
     return ints == list(P.coeffs)
 
 
-def _l_poly_cached(chi: DirichletChar, cache: "LCache | None") -> LPoly:
-    if cache is not None:
-        hit = cache.get(chi)
-        if hit is not None:
-            return hit
-    L = l_polynomial(chi)
-    if cache is not None:
-        cache.put(chi, L)
-    return L
+def _l_polys_cached(chars: list, cache: "LCache | None") -> list[LPoly]:
+    """L-polynomials of characters on one conductor.  Every character is looked
+    up first; the misses are then computed together and stored, so a conductor
+    answered from the cache touches no residue-symbol table."""
+    if cache is None:
+        return l_polynomials(chars)
+    found = [cache.get(chi) for chi in chars]
+    missing = [i for i, L in enumerate(found) if L is None]
+    if missing:
+        for i, L in zip(missing, l_polynomials([chars[i] for i in missing])):
+            cache.put(chars[i], L)
+            found[i] = L
+    return found
 
 
 class CensusReport:
@@ -141,20 +152,24 @@ def run_census(
         raise InputError(f"max_degree must be at least 1, got {max_degree}")
     F = make_field(p, e)
     q = F.q
-    if q**max_degree > limits.limit_census():
+    limit = limits.limit_census()
+    if q**max_degree > limit:
         raise ResourceLimit(
-            f"census at conductor degree {max_degree} over q={q} exceeds SUPERELL_LIMIT_CENSUS"
+            f"census at conductor degree {max_degree} over q={q} needs "
+            f"SUPERELL_LIMIT_CENSUS >= {q**max_degree}, it is {limit}"
         )
+    ctx = char_context(F, ell)
     report = CensusReport(q, p, e, ell, max_degree)
     cache = None
     if cache_path is not None:
         try:
             cache = LCache(cache_path)
         except CacheCorrupt:
-            # rebuild from scratch: truncate and start a fresh cache
-            open(cache_path, "w").close()
-            cache = LCache(cache_path)
+            # keep every verified line; only the bad ones are recomputed
+            report.cache_stats["bad_lines"] = repair_cache(cache_path)
             report.cache_stats["rebuilt"] = True
+            cache = LCache(cache_path)
+    total_counts = dict.fromkeys(("conductors", *ctx.counts), 0)
     t0 = time.monotonic()
     decomp_done = 0
     decomp_ok = True
@@ -168,30 +183,30 @@ def run_census(
         td = time.monotonic()
         vanishing: list[dict] = []
         vanish_keys: set = set()
-        keys_seen: set = set()
         count_a = 0
-        for chi in conductor_characters(F, ell, d):
-            count_a += 1
-            L = _l_poly_cached(chi, cache)
-            stripped, _k = strip_trivial_factor(L, chi)
-            if chi.even and stripped.degree != chi.degree - 2:
-                raise InvariantViolation(
-                    "degree-law", f"stripped degree {stripped.degree} != {chi.degree - 2}"
-                )
-            if not chi.even and L.degree != chi.degree - 1:
-                raise InvariantViolation(
-                    "degree-law", f"odd L degree {L.degree} != {chi.degree - 1}"
-                )
-            key = chi.key()
-            keys_seen.add(key)
-            if central_value_is_zero(stripped):
-                vanish_keys.add(key)
-                vanishing.append(chi.to_json())
-            if chi.even and decomp_done < decomp_budget:
-                model = model_from_char(chi)
-                if not decomposition_check(model, cache=cache):
-                    decomp_ok = False
-                decomp_done += 1
+        conductors = 0
+        counts_before = dict(ctx.counts)
+        for chars in conductor_groups(F, ell, d):
+            conductors += 1
+            for chi, L in zip(chars, _l_polys_cached(chars, cache)):
+                count_a += 1
+                stripped, _k = strip_trivial_factor(L, chi)
+                if chi.even and stripped.degree != chi.degree - 2:
+                    raise InvariantViolation(
+                        "degree-law", f"stripped degree {stripped.degree} != {chi.degree - 2}"
+                    )
+                if not chi.even and L.degree != chi.degree - 1:
+                    raise InvariantViolation(
+                        "degree-law", f"odd L degree {L.degree} != {chi.degree - 1}"
+                    )
+                if central_value_is_zero(stripped):
+                    vanish_keys.add(chi.key())
+                    vanishing.append(chi.to_json())
+                if chi.even and decomp_done < decomp_budget:
+                    model = model_from_char(chi)
+                    if not decomposition_check(model, cache=cache):
+                        decomp_ok = False
+                    decomp_done += 1
         expected = count_order_ell_exact(q, ell, d)
         if count_a != expected:
             raise InvariantViolation(
@@ -212,11 +227,18 @@ def run_census(
             }
         )
         report.runtime_stats[f"degree_{d}_seconds"] = round(time.monotonic() - td, 3)
+        counts = {"conductors": conductors}
+        counts.update((k, n - counts_before[k]) for k, n in ctx.counts.items())
+        report.runtime_stats[f"degree_{d}_counts"] = counts
+        for k, n in counts.items():
+            total_counts[k] += n
     report.decomposition = {"sampled": decomp_done, "all_match": decomp_ok}
     if not decomp_ok:
         raise InvariantViolation("zeta-decomposition", "a sampled model failed the product identity")
     report.runtime_stats["total_seconds"] = round(time.monotonic() - t0, 3)
+    report.runtime_stats["total_counts"] = total_counts
     if cache is not None:
+        report.cache_stats.setdefault("bad_lines", 0)
         report.cache_stats.update({"path": cache_path, "hits": cache.hits, "misses": cache.misses})
     return report
 

@@ -112,7 +112,8 @@ class CharContext:
         self._symtab_entries = 0
         self._symtab_budget = 4 * 10**6  # total cached table entries before eviction
         self._sc: dict[tuple, list[list[int]]] = {}
-        self._addtab = None
+        # work done through this context, for runtime statistics
+        self.counts = dict.fromkeys(("histogram_passes", "monics_scanned", "symbol_tables_built"), 0)
 
     # residue index of a polynomial of degree < deg P
     def _residue_index(self, f: Poly) -> int:
@@ -129,7 +130,9 @@ class CharContext:
         if tab is None:
             F = self.field
             if F.q > 2048:
-                raise ResourceLimit(f"index add table for {F} too large")
+                raise ResourceLimit(
+                    f"the index add table has a fixed cap of q <= 2048; {F} has q = {F.q}"
+                )
             elems = [F.elem_at(i) for i in range(F.q)]
             tab = [[F.index(F.add(a, b)) for b in elems] for a in elems]
             F._cache["add_idx"] = tab
@@ -149,7 +152,10 @@ class CharContext:
         F = self.field
         size = F.q**P.degree
         if size > limits.SYMBOL_TABLE_LIMIT:
-            raise ResourceLimit(f"symbol table for |P| = {size} exceeds the limit")
+            raise ResourceLimit(
+                f"symbol table for |P| = {size} exceeds SYMBOL_TABLE_LIMIT = "
+                f"{limits.SYMBOL_TABLE_LIMIT} (superell.limits); it needs at least {size}"
+            )
         m = size - 1
         # generator of the cyclic group (A/P)^*
         cof = [m // r for r in factorize_int(m)]
@@ -203,6 +209,7 @@ class CharContext:
             self._symtab_entries -= len(old)
         self._symtabs[key] = tab
         self._symtab_entries += size
+        self.counts["symbol_tables_built"] += 1
         return tab
 
     def _residue_poly(self, idx: int, degree: int) -> Poly:
@@ -375,71 +382,92 @@ def _full_add(r: int, s: int, q: int, add_tab) -> int:
     return out
 
 
+def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
+    """Joint histogram of the residue symbols of the monic g of the given
+    degree modulo the primes P_1..P_r.
+
+    For each g, s_i is the exponent k of (g/P_i) = zeta^k, or -1 when P_i | g.
+    The tuple (s_1..s_r) is coded as sum_i (s_i + 1) (ell + 1)^(i-1), so a zero
+    digit marks a prime dividing g; hist[code] is the number of g with that
+    tuple.  One residue odometer over the coefficients of g serves every
+    character on the conductor P_1 ... P_r: `project_counts` reads the value
+    counts of one exponent assignment from it.
+    """
+    F = primes[0].field
+    ctx = char_context(F, ell)
+    q = F.q
+    limit = limits.limit_census()
+    if q**degree > limit:
+        raise ResourceLimit(
+            f"a character-sum pass over {q}^{degree} monics exceeds SUPERELL_LIMIT_CENSUS = "
+            f"{limit}; set it to at least {q**degree}"
+        )
+    ctx.counts["histogram_passes"] += 1
+    ctx.counts["monics_scanned"] += q**degree
+    weights = [(ell + 1) ** i for i in range(len(primes))]
+    # the odometer adds s_i * weight; the +1 of every digit is added at the end
+    offset = sum(weights)
+    if degree == 0:
+        return {offset: 1}  # g = 1, whose every symbol is zeta^0
+    add_tab = ctx.add_table()
+    tables = [(ctx.symbol_table(P), w) for P, w in zip(primes, weights)]
+    # scaled[j][i][a] = residue index of a * t^j mod P_i
+    scaled = [[ctx.scaled_power_residues(P, j) for P in primes] for j in range(degree + 1)]
+    hist: dict[int, int] = {}
+    get = hist.get
+
+    def descend(level: int, res: list[int]):
+        if level == 0:
+            # innermost: only the constant digit a of each residue moves, and
+            # the residue of a is a itself, so one add-table row walks all of g
+            codes = [0] * q
+            for (s0, w), r in zip(tables, res):
+                hi = r - r % q
+                codes = [c + w * s0[hi + x] for c, x in zip(codes, add_tab[r % q])]
+            for c in codes:
+                hist[c] = get(c, 0) + 1
+            return
+        row = scaled[level]
+        descend(level - 1, res)
+        for a in range(1, q):
+            descend(level - 1, [_full_add(r, sc[a], q, add_tab) for r, sc in zip(res, row)])
+
+    descend(degree - 1, [sc[1] for sc in scaled[degree]])  # residues of t^degree
+    return {code + offset: n for code, n in hist.items()}
+
+
+def project_counts(hist: dict[int, int], exponents, ell: int) -> tuple[list[int], int]:
+    """(counts, zeros) of the character with the given exponents on the primes
+    of a `symbol_histogram`: each bin adds its count to counts[sum e_i s_i mod
+    ell], or to zeros when it marks a prime dividing g."""
+    base = ell + 1
+    esum = sum(exponents)  # the codes carry s_i + 1
+    counts = [0] * ell
+    zeros = 0
+    for code, n in hist.items():
+        tot = 0
+        for e in exponents:
+            code, d = divmod(code, base)
+            if not d:
+                zeros += n
+                break
+            tot += e * d
+        else:
+            counts[(tot - esum) % ell] += n
+    return counts, zeros
+
+
 def char_value_counts(chi: DirichletChar, degree: int) -> tuple[list[int], int]:
     """Over monic g of the given degree: counts[k] = #{g : chi(g) = zeta^k},
     plus the number of g with chi(g) = 0.  Exact, by residue tracking."""
-    ctx = char_context(chi.field, chi.ell)
-    q = chi.field.q
-    ell = chi.ell
-    if q**degree > limits.limit_census():
-        raise ResourceLimit(f"{q}^{degree} character evaluations exceed the census limit")
-    add_tab = ctx.add_table()
-    primes = []
-    for P, e in chi.exponent_map:
-        s0 = ctx.symbol_table(P)
-        sc = [ctx.scaled_power_residues(P, j) for j in range(degree + 1)]
-        primes.append((s0, e, sc))
-    counts = [0] * ell
-    zeros = 0
-    if degree == 0:
-        counts[0] = 1
-        return counts, zeros
-    nprimes = len(primes)
-    init = tuple(primes[i][2][degree][1] for i in range(nprimes))  # residue of t^degree
-
-    sc0 = [primes[i][2][0] for i in range(nprimes)]
-    s0s = [primes[i][0] for i in range(nprimes)]
-    exps = [primes[i][1] for i in range(nprimes)]
-
-    def descend(level: int, res: tuple):
-        nonlocal zeros
-        if level == 0:
-            # innermost: only the constant digit of each residue moves
-            base = [(r - r % q, r % q) for r in res]
-            for a in range(q):
-                tot = 0
-                for i in range(nprimes):
-                    hi, d0 = base[i]
-                    s = s0s[i][hi + add_tab[d0][sc0[i][a]]]
-                    if s < 0:
-                        zeros += 1
-                        break
-                    tot += exps[i] * s
-                else:
-                    counts[tot % ell] += 1
-            return
-        for a in range(q):
-            if a == 0:
-                descend(level - 1, res)
-            else:
-                nxt = tuple(
-                    _full_add(res[i], primes[i][2][level][a], q, add_tab)
-                    for i in range(nprimes)
-                )
-                descend(level - 1, nxt)
-
-    descend(degree - 1, init)
-    return counts, zeros
+    primes = [P for P, _ in chi.exponent_map]
+    exponents = [e for _, e in chi.exponent_map]
+    return project_counts(symbol_histogram(primes, chi.ell, degree), exponents, chi.ell)
 
 
 def char_sum(chi: DirichletChar, degree: int) -> CycInt:
     """Sum of chi(g) over monic g of exactly the given degree, in Z[zeta_ell]."""
-    counts, _ = char_value_counts(chi, degree)
-    out = CycInt.from_int(chi.ell, 0)
-    for k, c in enumerate(counts):
-        if c:
-            out = out + mu_embed(chi.ell, k) * c
-    return out
+    return CycInt.from_counts(chi.ell, char_value_counts(chi, degree)[0])
 
 
 # -- counting formulas ----------------------------------------------------------------
@@ -474,22 +502,34 @@ def count_order_ell_exact(q: int, ell: int, d: int) -> int:
     return coeffs[d]
 
 
-def conductor_characters(F: Field, ell: int, d: int):
+def conductor_groups(F: Field, ell: int, d: int):
     """All primitive order-ell characters with conductor degree exactly d, in
-    canonical order: exponent assignments over squarefree monic conductors
-    (equivalently, the component tuples (D_1, ..., D_{ell-1}) of
-    superelliptic models)."""
+    canonical order, one list per squarefree monic conductor: the exponent
+    assignments over its primes (equivalently, the component tuples
+    (D_1, ..., D_{ell-1}) of superelliptic models)."""
     for f in squarefree_monics(F, d):
         primes = [P for P, _ in factor(f).factors]
-        for assignment in itertools.product(range(1, ell), repeat=len(primes)):
-            yield DirichletChar(F, ell, list(zip(primes, assignment)))
+        yield [
+            DirichletChar(F, ell, list(zip(primes, assignment)))
+            for assignment in itertools.product(range(1, ell), repeat=len(primes))
+        ]
+
+
+def conductor_characters(F: Field, ell: int, d: int):
+    """The characters of `conductor_groups`, one at a time."""
+    for chars in conductor_groups(F, ell, d):
+        yield from chars
 
 
 def enumerate_order_ell(F: Field, ell: int, n: int) -> list[DirichletChar]:
     """All primitive order-ell characters with conductor degree <= n."""
     char_context(F, ell)  # validates q = 1 mod ell
-    if F.q**n > limits.limit_census():
-        raise ResourceLimit(f"enumeration at degree {n} over {F} exceeds the census limit")
+    limit = limits.limit_census()
+    if F.q**n > limit:
+        raise ResourceLimit(
+            f"enumeration at degree {n} over {F} needs SUPERELL_LIMIT_CENSUS >= {F.q**n}, "
+            f"it is {limit}"
+        )
     out: list[DirichletChar] = []
     for d in range(1, n + 1):
         out.extend(conductor_characters(F, ell, d))

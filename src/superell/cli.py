@@ -45,6 +45,17 @@ def _json_arg(flag: str, raw: str):
         raise InputError(f"{flag}: malformed JSON ({exc})") from None
 
 
+def _expect(flag: str, ok: bool, shape: str, data) -> None:
+    """Reject JSON that parsed but does not have the shape the flag takes."""
+    if not ok:
+        raise InputError(f"{flag}: expected {shape}, got {json.dumps(data)}")
+
+
+def _is_coeffs(f) -> bool:
+    """A coefficient list: ints, or for an extension field lists of them."""
+    return isinstance(f, list) and all(isinstance(c, int) or _is_coeffs(c) for c in f)
+
+
 def _parse_caps(flag: str, raw: "str | None"):
     if raw is None:
         return None
@@ -65,10 +76,24 @@ def _model_from_args(args) -> SuperellipticModel:
         if raw.startswith("@"):
             with open(raw[1:], encoding="utf-8") as fh:
                 raw = fh.read()
-        return SuperellipticModel.from_json(F, _json_arg("--base", raw))
+        data = _json_arg("--base", raw)
+        _expect(
+            "--base",
+            isinstance(data, dict)
+            and isinstance(data.get("ell"), int)
+            and (isinstance(data.get("twist"), int) or _is_coeffs(data.get("twist")))
+            and isinstance(data.get("components"), list)
+            and all(_is_coeffs(c) for c in data["components"]),
+            '{"ell": int, "twist": coefficient, "components": [coefficient list, ...]}',
+            data,
+        )
+        return SuperellipticModel.from_json(F, data)
     if args.components is None or args.ell is None:
         raise InputError("density needs either --base or both --ell and --components")
-    comps = [poly_from_json(F, c) for c in _json_arg("--components", args.components)]
+    data = _json_arg("--components", args.components)
+    _expect("--components", isinstance(data, list) and all(_is_coeffs(c) for c in data),
+            "a list of coefficient lists", data)
+    comps = [poly_from_json(F, c) for c in data]
     twist = F.from_int(args.twist)
     return SuperellipticModel(args.ell, F, twist, comps)
 
@@ -190,10 +215,16 @@ def _dispatch(args) -> int:
 
     if args.command == "lpoly":
         F = make_field(args.p, args.e)
-        pairs = [
-            (poly_from_json(F, pj), int(e))
-            for pj, e in _json_arg("--conductor-factors", args.conductor_factors)
-        ]
+        data = _json_arg("--conductor-factors", args.conductor_factors)
+        _expect(
+            "--conductor-factors",
+            isinstance(data, list)
+            and all(isinstance(pe, list) and len(pe) == 2 and _is_coeffs(pe[0])
+                    and isinstance(pe[1], int) for pe in data),
+            "[[coefficient list, exponent], ...]",
+            data,
+        )
+        pairs = [(poly_from_json(F, pj), e) for pj, e in data]
         chi = DirichletChar(F, args.ell, pairs)
         L = l_polynomial(chi)
         stripped, k = strip_trivial_factor(L, chi)

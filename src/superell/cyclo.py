@@ -31,6 +31,13 @@ class CycInt:
     def from_int(cls, ell: int, n: int) -> "CycInt":
         return cls(ell, (n,) + (0,) * (ell - 2))
 
+    @classmethod
+    def from_counts(cls, ell: int, counts) -> "CycInt":
+        """sum_k counts[k] zeta^k, for a list of ell counts: zeta^{ell-1} is
+        -(1 + zeta + ... + zeta^{ell-2})."""
+        top = counts[ell - 1]
+        return cls(ell, (c - top for c in counts[: ell - 1]))
+
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 

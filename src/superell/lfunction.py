@@ -16,8 +16,9 @@ the same test `curves.has_central_eigenvalue` applies to zeta numerators.
 from __future__ import annotations
 
 import json
+import os
 
-from .characters import DirichletChar, char_context, char_sum
+from .characters import DirichletChar, char_context, char_sum, project_counts, symbol_histogram
 from .cyclo import CycInt, central_sum_is_zero, mu_embed
 from .errors import CacheCorrupt, InputError, InvariantViolation
 from .polyring import poly_to_json
@@ -81,18 +82,35 @@ class LPoly:
         )
 
 
+def l_polynomials(chars) -> list[LPoly]:
+    """L(u, chi) for characters on one conductor, by direct character sums:
+    c_n = sum of chi(g) over monic g of degree n, for n below the conductor
+    degree.  Every character reads them from the same symbol histograms, one
+    per degree."""
+    primes = [P for P, _ in chars[0].exponent_map]
+    ell = chars[0].ell
+    keys = [P.key() for P in primes]
+    hists = [symbol_histogram(primes, ell, n) for n in range(chars[0].degree)]
+    out = []
+    for chi in chars:
+        if chi.ell != ell or [P.key() for P, _ in chi.exponent_map] != keys:
+            raise InputError(f"{chi!r} is not on the conductor of {chars[0]!r}")
+        exponents = [e for _, e in chi.exponent_map]
+        coeffs = [CycInt.from_counts(ell, project_counts(h, exponents, ell)[0]) for h in hists]
+        out.append(LPoly(ell, chi.field.q, coeffs, char_ref=chi.to_json()))
+    return out
+
+
 def l_polynomial(chi: DirichletChar, *, verify_orthogonality: bool = False) -> LPoly:
-    """L(u, chi) by direct character sums: c_n = sum of chi(g) over monic g of
-    degree n, for n = 0 .. deg(conductor) - 1."""
-    degf = chi.degree
-    coeffs = [char_sum(chi, n) for n in range(degf)]
+    """L(u, chi) of one character; see `l_polynomials`."""
+    (L,) = l_polynomials([chi])
     if verify_orthogonality:
-        extra = char_sum(chi, degf)
+        extra = char_sum(chi, chi.degree)
         if not extra.is_zero():
             raise InvariantViolation(
-                "orthogonality", f"degree-{degf} character sum is {extra!r}, not 0"
+                "orthogonality", f"degree-{chi.degree} character sum is {extra!r}, not 0"
             )
-    return LPoly(chi.ell, chi.field.q, coeffs, char_ref=chi.to_json())
+    return L
 
 
 def _divide_unit_root(L: LPoly, k: int) -> "LPoly | None":
@@ -191,36 +209,65 @@ def cache_key(chi: DirichletChar) -> str:
     )
 
 
+def _read_cache(path) -> tuple[dict, list[str], int]:
+    """(key -> value table, verified lines, number of bad lines) of a cache
+    file; a missing file is an empty cache.  A line is bad when it does not
+    decode (a torn append) or its checksum does not match."""
+    table: dict[str, dict] = {}
+    good: list[str] = []
+    bad = 0
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return table, good, bad
+    with fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                key, value, checksum = rec["key"], rec["value"], rec["checksum"]
+                ok = _checksum(key, value) == checksum
+            except (ValueError, KeyError, TypeError):
+                ok = False
+            if not ok:
+                bad += 1
+                continue
+            table[key] = value
+            good.append(line)
+    return table, good, bad
+
+
+def repair_cache(path) -> int:
+    """Rewrite a cache file with only its verified lines, and return how many
+    lines were dropped.  The new file is written in full and synced before it
+    replaces the old one, so a crash during the rewrite loses nothing."""
+    _, good, bad = _read_cache(path)
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.writelines(line + "\n" for line in good)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    return bad
+
+
 class LCache:
     """Append-only JSON-lines cache of L-polynomials keyed by character.
 
     Every line carries a sha256 checksum of its canonical payload; a mismatch,
     or a line that does not decode (a torn append), raises CacheCorrupt so the
-    caller can rebuild.
+    caller can `repair_cache` and reload.
     """
 
     def __init__(self, path):
         self.path = path
-        self.table: dict[str, dict] = {}
         self.hits = 0
         self.misses = 0
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    rec = json.loads(line)
-                    key, value, checksum = rec["key"], rec["value"], rec["checksum"]
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise CacheCorrupt(f"undecodable line in {path}") from exc
-                if _checksum(key, value) != checksum:
-                    raise CacheCorrupt(f"bad checksum in {path}")
-                self.table[key] = value
+        self.table, _, bad = _read_cache(path)
+        if bad:
+            raise CacheCorrupt(f"{bad} undecodable or bad-checksum line(s) in {path}")
 
     def get(self, chi: DirichletChar) -> "LPoly | None":
         val = self.table.get(cache_key(chi))

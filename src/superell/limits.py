@@ -2,8 +2,8 @@
 
 Defaults keep every exhaustive loop honest at desk scale. The two documented
 environment overrides are SUPERELL_LIMIT_POINTS (elements scanned per point
-count) and SUPERELL_LIMIT_CENSUS (character-sum evaluations per L-polynomial,
-and enumeration sizes in the census paths).
+count) and SUPERELL_LIMIT_CENSUS (monics scanned per character-sum histogram
+pass, and enumeration sizes in the census paths).
 """
 
 import os
@@ -16,7 +16,7 @@ FIELD_SIZE_LIMIT = 2**40
 # elements enumerated per point count (one projective line scan)
 DEFAULT_LIMIT_POINTS = 10**9
 
-# character evaluations per L-polynomial / census enumeration size
+# monics per character-sum histogram pass / census enumeration size
 DEFAULT_LIMIT_CENSUS = 2 * 10**7
 
 # largest field for which discrete-log tables are materialised

@@ -60,6 +60,28 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
     rep = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert rep.cache_stats.get("rebuilt") is True
     assert rep.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
+    # only the torn line is dropped, so only its character is computed again
+    assert rep.cache_stats["bad_lines"] == 1
+    assert rep.cache_stats["misses"] == 1
+    again = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    assert again.cache_stats["misses"] == 0 and again.cache_stats["bad_lines"] == 0
+
+
+def test_census_runtime_counts(tmp_path):
+    # a cold cache: one histogram pass per conductor and degree below its
+    # degree, 1 + 7 + ... + 7^(d-1) monics each; the sampled decompositions
+    # then read every L-polynomial from the cache
+    cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=str(tmp_path / "cold.jsonl"))
+    total = cold.runtime_stats["total_counts"]
+    assert total["conductors"] == 7 + 42 + 294 + 2058
+    assert total["histogram_passes"] == 9205
+    assert total["monics_scanned"] == 840301
+    path = str(tmp_path / "lcache.jsonl")
+    run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    warm = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path).runtime_stats
+    assert warm["total_counts"]["histogram_passes"] == 0
+    assert warm["total_counts"]["symbol_tables_built"] == 0
+    assert warm["degree_2_counts"]["conductors"] == 42
 
 
 def test_model_from_char_roundtrip(F7):
@@ -229,6 +251,10 @@ _DENSITY = ["density", "--p", "7", "--deg-max", "1"]
          {"SUPERELL_LIMIT_POINTS": "1e9"}, "SUPERELL_LIMIT_POINTS"),
         (["seed-check", "--kind", "thm41", "--p", "5"],
          {"SUPERELL_ZECH_LIMIT": ""}, "SUPERELL_ZECH_LIMIT"),
+        (["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[1]"], {},
+         "--conductor-factors"),
+        (_DENSITY + ["--base", "[1]"], {}, "--base"),
+        (_DENSITY + ["--ell", "3", "--components", "[1]"], {}, "--components"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):
@@ -236,6 +262,16 @@ def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):
         monkeypatch.setenv(name, value)
     assert cli_main(argv) == 2
     assert named in capsys.readouterr().err
+
+
+def test_cli_census_limit_names_its_variable(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", "10")
+    # a degree-3 conductor needs 7^2 = 49 evaluations at degree 2
+    argv = ["lpoly", "--p", "7", "--ell", "3",
+            "--conductor-factors", "[[[0,1],1],[[6,1],2],[[5,1],1]]"]
+    assert cli_main(argv) == 3
+    err = capsys.readouterr().err
+    assert "SUPERELL_LIMIT_CENSUS" in err and "49" in err
 
 
 @pytest.mark.slow

@@ -12,7 +12,15 @@ from superell import (
     make_field,
     residue_symbol,
 )
-from superell.characters import MuValue, char_context, char_sum, char_value_counts
+from superell.characters import (
+    MuValue,
+    char_context,
+    char_sum,
+    char_value_counts,
+    conductor_groups,
+    project_counts,
+    symbol_histogram,
+)
 from superell.polyring import Poly, gcd, irreducibles, is_squarefree, monics
 
 from conftest import poly, rand_poly
@@ -244,3 +252,41 @@ def test_char_json_roundtrip(F7):
     chi = DirichletChar(F7, 3, [(t, 1), (t**2 + poly(F7, 2), 2)])
     back = DirichletChar.from_json(F7, chi.to_json())
     assert back == chi
+
+
+def _brute_value_counts(chi, degree, symbols):
+    """Value counts of chi over monic g of the given degree, by the definition
+    chi(g) = prod (g/P)^e with every symbol by square-and-multiply; `symbols`
+    memoises them, since many conductors share a prime."""
+    counts = [0] * chi.ell
+    zeros = 0
+    for g in monics(chi.field, degree):
+        v = MuValue.root(chi.ell, 0)
+        for P, e in chi.exponent_map:
+            key = (g.key(), P.key())
+            if key not in symbols:
+                symbols[key] = residue_symbol(g, P, chi.ell)
+            v = v * symbols[key] ** e
+        if v.is_zero():
+            zeros += 1
+        else:
+            counts[v.k] += 1
+    return counts, zeros
+
+
+@pytest.mark.parametrize("p, e, max_degree", [(7, 1, 3), (2, 2, 2), (5, 2, 2)])
+def test_symbol_histogram_projection_matches_brute_force(p, e, max_degree):
+    # every exponent assignment on every conductor, projected from one
+    # histogram per degree, against the direct value of chi on every monic
+    F = make_field(p, e)
+    symbols: dict = {}
+    for d in range(1, max_degree + 1):
+        for chars in conductor_groups(F, 3, d):
+            primes = [P for P, _ in chars[0].exponent_map]
+            for n in range(d):
+                hist = symbol_histogram(primes, 3, n)
+                assert sum(hist.values()) == F.q**n
+                for chi in chars:
+                    exponents = [e for _, e in chi.exponent_map]
+                    got = project_counts(hist, exponents, 3)
+                    assert got == _brute_value_counts(chi, n, symbols)
