@@ -65,16 +65,23 @@ def model_from_char(chi: DirichletChar) -> SuperellipticModel:
     return SuperellipticModel(chi.ell, F, F.one(), comps)
 
 
-def decomposition_check(model: SuperellipticModel, *, cache: "LCache | None" = None) -> bool:
+def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = None) -> bool:
     """Exact identity P(T) = prod over j of the stripped L(u, chi^j), with the
-    twist acting as the coefficient rotation u -> zeta^{k_c} u."""
+    twist acting as the coefficient rotation u -> zeta^{k_c} u.  `l_polys`
+    may hold the untwisted L(u, chi^j) already at hand, keyed by character
+    key (the census passes those of the conductor it has just computed);
+    otherwise they are computed here."""
     if not model.normalized:
         raise InputError("the zeta/L decomposition is asserted for normalized models only")
     chi = char_from_model(model)
     kc = twist_exponent(model)
     powers = [chi.power(j) for j in range(1, model.ell)]
+    if l_polys is None:
+        Ls = l_polynomials(powers)
+    else:
+        Ls = [l_polys[chij.key()] for chij in powers]
     prod = None
-    for j, (chij, L) in enumerate(zip(powers, _l_polys_cached(powers, cache)), start=1):
+    for j, (chij, L) in enumerate(zip(powers, Ls), start=1):
         L = rescale_by_root(L, (j * kc) % model.ell)
         stripped, _ = strip_trivial_factor(L, chij)
         prod = stripped if prod is None else prod * stripped
@@ -92,9 +99,10 @@ def _l_polys_cached(chars: list, cache: "LCache | None") -> list[LPoly]:
     found = [cache.get(chi) for chi in chars]
     missing = [i for i, L in enumerate(found) if L is None]
     if missing:
-        for i, L in zip(missing, l_polynomials([chars[i] for i in missing])):
-            cache.put(chars[i], L)
+        computed = l_polynomials([chars[i] for i in missing])
+        for i, L in zip(missing, computed):
             found[i] = L
+        cache.put([(chars[i], L) for i, L in zip(missing, computed)])
     return found
 
 
@@ -188,7 +196,8 @@ def run_census(
         counts_before = dict(ctx.counts)
         for chars in conductor_groups(F, ell, d):
             conductors += 1
-            for chi, L in zip(chars, _l_polys_cached(chars, cache)):
+            l_polys = _l_polys_cached(chars, cache)
+            for chi, L in zip(chars, l_polys):
                 count_a += 1
                 stripped, _k = strip_trivial_factor(L, chi)
                 if chi.even and stripped.degree != chi.degree - 2:
@@ -203,8 +212,9 @@ def run_census(
                     vanish_keys.add(chi.key())
                     vanishing.append(chi.to_json())
                 if chi.even and decomp_done < decomp_budget:
-                    model = model_from_char(chi)
-                    if not decomposition_check(model, cache=cache):
+                    # chi's powers are the other characters on its conductor
+                    known = {c.key(): Lc for c, Lc in zip(chars, l_polys)}
+                    if not decomposition_check(model_from_char(chi), l_polys=known):
                         decomp_ok = False
                     decomp_done += 1
         expected = count_order_ell_exact(q, ell, d)

@@ -10,23 +10,28 @@ what matters here.
 
 A character is an exponent map over the distinct monic irreducible factors of
 its (squarefree) conductor.  Bulk evaluation goes through per-prime residue
-symbol tables built from a discrete log over (A/P)^*; the tables are checked
-against the direct square-and-multiply symbol in the test suite.
+symbol tables built from a discrete log over (A/P)^*.  The discrete log is a
+walk through the powers of a generator on integer residue indices, where
+multiplication by the generator is an F_p-linear map on base-p digits applied
+by table lookups; candidates whose walk returns to 1 early are skipped.  The
+tables are checked against the direct square-and-multiply symbol in the test
+suite.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from . import limits
 from .cyclo import CycInt, mu_embed
 from .errors import InputError, InvariantViolation, ResourceLimit
-from .ffield import Field, factorize_int, is_prime, primitive_root
+from .ffield import Field, is_prime, primitive_root
 from .polyring import (
     Poly,
     factor,
-    gcd,
     irreducible_count,
+    is_irreducible,
     poly_from_json,
     poly_to_json,
     powmod,
@@ -35,6 +40,10 @@ from .polyring import (
 
 # symbol-table entry for residues divisible by P; real entries lie in 0..ell-1
 _ZERO_SENTINEL = -1
+
+# generator candidates walked before the modulus is tested for irreducibility;
+# a reducible modulus has no generator, so every candidate would fail
+_GENERATOR_TRIES = 8
 
 
 class MuValue:
@@ -86,6 +95,59 @@ class MuValue:
         return f"MuValue({'0' if self.k is None else f'zeta^{self.k}'})"
 
 
+# -- integer-coded F_p-linear maps on residue indices ------------------------------
+
+
+class _SpreadCoding:
+    """Residue indices with `dim` base-p digits, split into a low half of
+    dim // 2 digits and a high half, and their spread codes: the same digits
+    in radix 2p - 1.  Two spread codes with digits below p add without
+    carries; norm_lo[s] + norm_hi[s'] turns the low and high halves s, s' of
+    such a sum back into a base-p index with every digit reduced mod p, and
+    red_lo, red_hi into a spread code.  The tables are per (p, dim), with
+    (2p - 1)^(dim - dim // 2) entries each."""
+
+    def __init__(self, p: int, dim: int):
+        radix = 2 * p - 1
+        n_lo = dim // 2
+        norm, red = [0], [0]
+        for i in range(dim - n_lo):
+            w, v = p**i, radix**i
+            norm = [x + (c % p) * w for c in range(radix) for x in norm]
+            red = [x + (c % p) * v for c in range(radix) for x in red]
+        self.p, self.radix, self.n_lo = p, radix, n_lo
+        self.p_lo, self.b_lo = p**n_lo, radix**n_lo
+        self.norm_lo, self.norm_hi = norm, [x * self.p_lo for x in norm]
+        self.red_lo, self.red_hi = red, [x * self.b_lo for x in red]
+
+    def spread(self, r: int) -> int:
+        """The spread code of the base-p index r."""
+        code, w = 0, 1
+        while r:
+            r, a = divmod(r, self.p)
+            code += a * w
+            w *= self.radix
+        return code
+
+    def half_tables(self, images: list[int]) -> tuple[list[int], list[int]]:
+        """(lo, hi) for the spread codes images[i] of the images of the unit
+        vectors under a linear map: lo[r] is the spread code of the image of
+        the low-half index r (the sum of r_i images[i] over its digits r_i),
+        hi[r] that of the high-half index r, whose digits are r_(n_lo + i)."""
+        p, b_lo, red_lo, red_hi = self.p, self.b_lo, self.red_lo, self.red_hi
+        out = []
+        for part in (images[: self.n_lo], images[self.n_lo :]):
+            codes = [0]
+            for img in part:
+                mults = [0]  # spread codes of c * img, c = 0..p-1
+                for _ in range(p - 1):
+                    z = mults[-1] + img
+                    mults.append(red_lo[z % b_lo] + red_hi[z // b_lo])
+                codes = [red_lo[(z := a + b) % b_lo] + red_hi[z // b_lo] for b in mults for a in codes]
+            out.append(codes)
+        return out[0], out[1]
+
+
 # -- per-(field, ell) context ---------------------------------------------------
 
 
@@ -112,8 +174,18 @@ class CharContext:
         self._symtab_entries = 0
         self._symtab_budget = 4 * 10**6  # total cached table entries before eviction
         self._sc: dict[tuple, list[list[int]]] = {}
+        self._codings: dict[int, _SpreadCoding] = {}
         # work done through this context, for runtime statistics
-        self.counts = dict.fromkeys(("histogram_passes", "monics_scanned", "symbol_tables_built"), 0)
+        self.counts = dict.fromkeys(
+            (
+                "histogram_passes",
+                "monics_scanned",
+                "symbol_tables_built",
+                "generator_candidates",
+                "walk_steps",
+            ),
+            0,
+        )
 
     # residue index of a polynomial of degree < deg P
     def _residue_index(self, f: Poly) -> int:
@@ -141,8 +213,15 @@ class CharContext:
     def symbol_table(self, P: Poly) -> list[int]:
         """s0[residue index] = exponent k with (r/P) = zeta^k; sentinel for P | r.
 
-        Built from a discrete log over (A/P)^*: (r/P) = r^((|P|-1)/ell) lands in
-        mu_ell(F_q) because q = 1 mod ell, so the exponent is k0 * dlog(r) mod ell.
+        (r/P) = r^(m/ell) with m = |P| - 1 lands in mu_ell(F_q) because
+        q = 1 mod ell, so for a generator g of (A/P)^* and r = g^k the exponent
+        is k0 * k mod ell, where zeta^k0 = g^(m/ell).  Neither depends on which
+        generator is used.  Candidates g are walked through their powers on
+        integer residue indices (see `_walk`); the first whose walk returns to
+        1 only after m steps is a generator, and its walk is the discrete log.
+        Such a walk also proves P irreducible.  After `_GENERATOR_TRIES` failed
+        candidates P is tested once, and a reducible P raises
+        InvariantViolation.
         """
         key = P.key()
         tab = self._symtabs.get(key)
@@ -157,53 +236,32 @@ class CharContext:
                 f"{limits.SYMBOL_TABLE_LIMIT} (superell.limits); it needs at least {size}"
             )
         m = size - 1
-        # generator of the cyclic group (A/P)^*
-        cof = [m // r for r in factorize_int(m)]
-        gen = None
-        one = Poly.one(F)
-        for j in range(1, size):
-            cand = self._residue_poly(j, P.degree)
-            if (cand % P).is_zero() or gcd(cand, P).degree != 0:
-                continue
-            if all(powmod(cand, c, P) != one for c in cof):
-                gen = cand
+        steps = array("q", [-1]) * size  # steps[r] = k with g^k = r
+        order = 0
+        # neither 1 nor, when deg P > 1, any constant generates (A/P)^*
+        for tries, j in enumerate(range(F.q if P.degree > 1 else 2, size)):
+            if tries == _GENERATOR_TRIES and not is_irreducible(P):
                 break
-        if gen is None:  # pragma: no cover - P must then be reducible
-            raise InvariantViolation("residue-symbol-modulus", f"{P!r} has no generator; reducible?")
-        zp = powmod(gen, m // self.ell, P)
-        if zp.degree > 0:
+            self.counts["generator_candidates"] += 1
+            order = self._walk(self._residue_poly(j, P.degree), P, steps, m)
+            self.counts["walk_steps"] += order or m  # no return to 1: all m steps
+            if order == m:
+                break
+        if order != m:
+            raise InvariantViolation("residue-symbol-modulus", f"{P!r} is reducible: no generator")
+        # zeta' = g^(m/ell) must be the constant zeta^k0; steps[0] is skipped,
+        # since a failed walk through a zero divisor may have reached 0
+        zp = steps.index(m // self.ell, 1)
+        if zp >= F.q:
             raise InvariantViolation("symbol-constant", f"{P!r}: zeta' not constant; P reducible?")
-        k0 = self.zeta_pow_index.get(F.index(zp.coeffs[0]) if zp.coeffs else 0)
+        k0 = self.zeta_pow_index.get(zp)
         if k0 is None:  # pragma: no cover
             raise InvariantViolation("symbol-root", f"{P!r}: zeta' outside mu_ell")
-        tab = [_ZERO_SENTINEL] * size
         ell = self.ell
-        # enumerate powers of gen in the residue-index domain: multiplication
-        # by the fixed gen is F_q-linear, so it folds over precomputed digit maps
-        q = F.q
-        add_tab = self.add_table()
-        x = Poly.x(F)
-        mg = []  # mg[j][a] = index of a * t^j * gen mod P
-        tj_gen = gen % P
-        for _ in range(P.degree):
-            row = [0] * q
-            for a in range(1, q):
-                row[a] = self._residue_index((tj_gen * F.elem_at(a)) % P)
-            mg.append(row)
-            tj_gen = (tj_gen * x) % P
-        cur = 1  # index of the residue 1
-        for dlog in range(m):
-            tab[cur] = (k0 * dlog) % ell
-            nxt = 0
-            rem = cur
-            j = 0
-            while rem:
-                d = rem % q
-                if d:
-                    nxt = _full_add(nxt, mg[j][d], q, add_tab)
-                rem //= q
-                j += 1
-            cur = nxt
+        # filled in place: a list built by a comprehension is over-allocated
+        tab = [_ZERO_SENTINEL] * size
+        tab[1:] = [(k0 * k) % ell for k in steps[1:]]
+        del steps
         while self._symtabs and self._symtab_entries + size > self._symtab_budget:
             _, old = self._symtabs.popitem(last=False)
             self._symtab_entries -= len(old)
@@ -211,6 +269,40 @@ class CharContext:
         self._symtab_entries += size
         self.counts["symbol_tables_built"] += 1
         return tab
+
+    def _walk(self, g: Poly, P: Poly, steps, m: int) -> int:
+        """Walk g^0 = 1, g, g^2, ... mod P for at most m steps, setting
+        steps[g^k] = k, and return the order of g; 0 when the walk does not
+        come back to 1 (g is then a zero divisor and P reducible).
+
+        Multiplication by g is F_p-linear on the base-p digits of the residue
+        index, so one step is two half-table lookups, a carry-free add and
+        two normalising lookups (see `_SpreadCoding`).
+        """
+        F = self.field
+        p = F.p
+        dim = P.degree * F.e
+        coding = self._codings.get(dim)
+        if coding is None:
+            coding = self._codings[dim] = _SpreadCoding(p, dim)
+        # images of the unit vectors p^(j e + i), the residues u_i t^j
+        units = [F.elem_at(p**i) for i in range(F.e)]
+        images = []
+        x = Poly.x(F)
+        tj_g = g
+        for _ in range(P.degree):
+            images.extend(coding.spread(self._residue_index(tj_g * u)) for u in units)
+            tj_g = (tj_g * x) % P
+        lo_tab, hi_tab = coding.half_tables(images)
+        p_lo, b_lo, norm_lo, norm_hi = coding.p_lo, coding.b_lo, coding.norm_lo, coding.norm_hi
+        cur = 1
+        for k in range(m):
+            steps[cur] = k
+            s = lo_tab[cur % p_lo] + hi_tab[cur // p_lo]
+            cur = norm_lo[s % b_lo] + norm_hi[s // b_lo]
+            if cur == 1:
+                return k + 1
+        return 0
 
     def _residue_poly(self, idx: int, degree: int) -> Poly:
         F = self.field

@@ -19,7 +19,7 @@ from .density import empirical_density, product_form, truncated_density
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .ffield import make_field
 from .lfunction import central_value_is_zero, l_polynomial, strip_trivial_factor
-from .polyring import poly_from_json
+from .polyring import is_irreducible, poly_from_json, poly_to_json
 
 
 def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -> None:
@@ -226,6 +226,9 @@ def _dispatch(args) -> int:
         )
         pairs = [(poly_from_json(F, pj), e) for pj, e in data]
         chi = DirichletChar(F, args.ell, pairs)
+        for P, _ in chi.exponent_map:
+            if not is_irreducible(P):
+                raise InputError(f"--conductor-factors: {poly_to_json(P)} is reducible over {F}")
         L = l_polynomial(chi)
         stripped, k = strip_trivial_factor(L, chi)
         payload = {

@@ -277,11 +277,17 @@ class LCache:
         self.hits += 1
         return LPoly.from_json(val)
 
-    def put(self, chi: DirichletChar, L: LPoly) -> None:
-        key = cache_key(chi)
-        if key in self.table:
-            return
-        value = L.to_json()
-        self.table[key] = value
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(_canon({"key": key, "value": value, "checksum": _checksum(key, value)}) + "\n")
+    def put(self, pairs) -> None:
+        """Store the (chi, L) pairs not yet cached, typically those of one
+        conductor, appending their lines to the file in a single write."""
+        lines = []
+        for chi, L in pairs:
+            key = cache_key(chi)
+            if key in self.table:
+                continue
+            value = L.to_json()
+            self.table[key] = value
+            lines.append(_canon({"key": key, "value": value, "checksum": _checksum(key, value)}) + "\n")
+        if lines:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                fh.write("".join(lines))

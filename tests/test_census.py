@@ -70,12 +70,17 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
 def test_census_runtime_counts(tmp_path):
     # a cold cache: one histogram pass per conductor and degree below its
     # degree, 1 + 7 + ... + 7^(d-1) monics each; the sampled decompositions
-    # then read every L-polynomial from the cache
+    # then reuse the L-polynomials of their conductor, with or without a cache
     cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=str(tmp_path / "cold.jsonl"))
     total = cold.runtime_stats["total_counts"]
     assert total["conductors"] == 7 + 42 + 294 + 2058
     assert total["histogram_passes"] == 9205
     assert total["monics_scanned"] == 840301
+    assert total["generator_candidates"] >= total["symbol_tables_built"]
+    assert total["walk_steps"] >= total["generator_candidates"]
+    bare = run_census(7, 1, 3, 4, sample_decomp=25)
+    assert bare.runtime_stats["total_counts"]["histogram_passes"] == 9205
+    assert bare.to_json(include_runtime=False) == cold.to_json(include_runtime=False)
     path = str(tmp_path / "lcache.jsonl")
     run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     warm = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path).runtime_stats
@@ -255,6 +260,8 @@ _DENSITY = ["density", "--p", "7", "--deg-max", "1"]
          "--conductor-factors"),
         (_DENSITY + ["--base", "[1]"], {}, "--base"),
         (_DENSITY + ["--ell", "3", "--components", "[1]"], {}, "--components"),
+        (["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[1,0,0,0,1],1]]"], {},
+         "--conductor-factors"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):

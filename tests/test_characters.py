@@ -3,16 +3,20 @@ import pytest
 from superell import (
     DirichletChar,
     InputError,
+    InvariantViolation,
     SuperellipticModel,
     char_from_model,
     count_all_primitive,
     count_order_ell_exact,
     enumerate_order_ell,
+    extend_field,
     factor,
     make_field,
     residue_symbol,
 )
 from superell.characters import (
+    _GENERATOR_TRIES,
+    CharContext,
     MuValue,
     char_context,
     char_sum,
@@ -92,17 +96,57 @@ def test_residue_symbol_requires_congruence(F5):
 
 
 def test_symbol_table_matches_direct_symbol(F7):
-    ctx = char_context(F7, 3)
+    """Every residue of the tables against square-and-multiply: all primes of
+    degree <= 2 over F_7, and the first and last primes of each degree for
+    p = 2 (spread radix 3), towers of depth 1 and 2, and ell = 5 and 7."""
+    F4 = make_field(2, 2)
+    cases = [
+        (F7, 3, 3),
+        (F4, 3, 3),
+        (make_field(5, 2), 3, 2),
+        (extend_field(F4, 2), 5, 2),
+        (make_field(11, 1), 5, 2),
+        (make_field(29, 1), 7, 2),
+    ]
+    for F, ell, dmax in cases:
+        ctx = char_context(F, ell)
+        for d in range(1, dmax + 1):
+            primes = irreducibles(F, d)
+            if not (F is F7 and d <= 2):
+                primes = (primes[0], primes[-1])
+            for P in primes:
+                tab = ctx.symbol_table(P)
+                assert len(tab) == F.q**d
+                for j in range(F.q**d):
+                    r = ctx._residue_poly(j, d)
+                    direct = residue_symbol(r, P, ell) if not r.is_zero() else MuValue.zero(ell)
+                    if direct.is_zero():
+                        assert tab[j] < 0
+                    else:
+                        assert tab[j] == direct.k, (F, ell, P, j)
+
+
+def test_symbol_table_rejects_reducible_modulus(F7):
+    t = Poly.x(F7)
+    one = Poly.one(F7)
+    for P in (t**2, t**2 + t, t**3 + t, t**4 + one, t**4 + t**3):
+        ctx = CharContext(F7, 3)  # fresh counts
+        with pytest.raises(InvariantViolation) as exc:
+            ctx.symbol_table(P)
+        assert exc.value.invariant == "residue-symbol-modulus"
+        assert 0 < ctx.counts["generator_candidates"] <= _GENERATOR_TRIES
+        assert ctx.counts["symbol_tables_built"] == 0
+
+
+def test_symbol_table_walk_counts(F7):
+    ctx = CharContext(F7, 3)  # fresh counts and tables
     for d in (1, 2):
         for P in irreducibles(F7, d):
-            tab = ctx.symbol_table(P)
-            for j in range(F7.q**d):
-                r = ctx._residue_poly(j, d)
-                direct = residue_symbol(r, P, 3) if not r.is_zero() else MuValue.zero(3)
-                if direct.is_zero():
-                    assert tab[j] < 0
-                else:
-                    assert tab[j] == direct.k
+            ctx.symbol_table(P)
+    assert ctx.counts["symbol_tables_built"] == 7 + 21
+    assert ctx.counts["generator_candidates"] >= 7 + 21
+    # each table needs one walk of all |P| - 1 units, failed candidates add more
+    assert ctx.counts["walk_steps"] >= 7 * 6 + 21 * 48
 
 
 def test_mu_value_algebra():

@@ -172,7 +172,7 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     cache = LCache(str(path))
     assert cache.get(chi) is None
     L = l_polynomial(chi)
-    cache.put(chi, L)
+    cache.put([(chi, L)])
     cache2 = LCache(str(path))
     assert cache2.get(chi) == L
     # corrupt the line
