@@ -50,7 +50,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly
+from .polyring import Poly, factor_table
 
 SCHEMA_VERSION = 1
 
@@ -177,7 +177,8 @@ def run_census(
             report.cache_stats["bad_lines"] = repair_cache(cache_path)
             report.cache_stats["rebuilt"] = True
             cache = LCache(cache_path)
-    total_counts = dict.fromkeys(("conductors", *ctx.counts), 0)
+    table = factor_table(F)
+    total_counts = dict.fromkeys(("conductors", "factor_table_entries", *ctx.counts), 0)
     t0 = time.monotonic()
     decomp_done = 0
     decomp_ok = True
@@ -194,6 +195,7 @@ def run_census(
         count_a = 0
         conductors = 0
         counts_before = dict(ctx.counts)
+        entries_before = table.entries
         for chars in conductor_groups(F, ell, d):
             conductors += 1
             l_polys = _l_polys_cached(chars, cache)
@@ -237,7 +239,8 @@ def run_census(
             }
         )
         report.runtime_stats[f"degree_{d}_seconds"] = round(time.monotonic() - td, 3)
-        counts = {"conductors": conductors}
+        # monics the factor table classified; 0 when an earlier run built the level
+        counts = {"conductors": conductors, "factor_table_entries": table.entries - entries_before}
         counts.update((k, n - counts_before[k]) for k, n in ctx.counts.items())
         report.runtime_stats[f"degree_{d}_counts"] = counts
         for k, n in counts.items():

@@ -26,16 +26,16 @@ from array import array
 from . import limits
 from .cyclo import CycInt, mu_embed
 from .errors import InputError, InvariantViolation, ResourceLimit
-from .ffield import Field, is_prime, primitive_root
+from .ffield import Field, SpreadCoding, is_prime, primitive_root
 from .polyring import (
     Poly,
     factor,
+    factor_table,
     irreducible_count,
     is_irreducible,
     poly_from_json,
     poly_to_json,
     powmod,
-    squarefree_monics,
 )
 
 # symbol-table entry for residues divisible by P; real entries lie in 0..ell-1
@@ -95,59 +95,6 @@ class MuValue:
         return f"MuValue({'0' if self.k is None else f'zeta^{self.k}'})"
 
 
-# -- integer-coded F_p-linear maps on residue indices ------------------------------
-
-
-class _SpreadCoding:
-    """Residue indices with `dim` base-p digits, split into a low half of
-    dim // 2 digits and a high half, and their spread codes: the same digits
-    in radix 2p - 1.  Two spread codes with digits below p add without
-    carries; norm_lo[s] + norm_hi[s'] turns the low and high halves s, s' of
-    such a sum back into a base-p index with every digit reduced mod p, and
-    red_lo, red_hi into a spread code.  The tables are per (p, dim), with
-    (2p - 1)^(dim - dim // 2) entries each."""
-
-    def __init__(self, p: int, dim: int):
-        radix = 2 * p - 1
-        n_lo = dim // 2
-        norm, red = [0], [0]
-        for i in range(dim - n_lo):
-            w, v = p**i, radix**i
-            norm = [x + (c % p) * w for c in range(radix) for x in norm]
-            red = [x + (c % p) * v for c in range(radix) for x in red]
-        self.p, self.radix, self.n_lo = p, radix, n_lo
-        self.p_lo, self.b_lo = p**n_lo, radix**n_lo
-        self.norm_lo, self.norm_hi = norm, [x * self.p_lo for x in norm]
-        self.red_lo, self.red_hi = red, [x * self.b_lo for x in red]
-
-    def spread(self, r: int) -> int:
-        """The spread code of the base-p index r."""
-        code, w = 0, 1
-        while r:
-            r, a = divmod(r, self.p)
-            code += a * w
-            w *= self.radix
-        return code
-
-    def half_tables(self, images: list[int]) -> tuple[list[int], list[int]]:
-        """(lo, hi) for the spread codes images[i] of the images of the unit
-        vectors under a linear map: lo[r] is the spread code of the image of
-        the low-half index r (the sum of r_i images[i] over its digits r_i),
-        hi[r] that of the high-half index r, whose digits are r_(n_lo + i)."""
-        p, b_lo, red_lo, red_hi = self.p, self.b_lo, self.red_lo, self.red_hi
-        out = []
-        for part in (images[: self.n_lo], images[self.n_lo :]):
-            codes = [0]
-            for img in part:
-                mults = [0]  # spread codes of c * img, c = 0..p-1
-                for _ in range(p - 1):
-                    z = mults[-1] + img
-                    mults.append(red_lo[z % b_lo] + red_hi[z // b_lo])
-                codes = [red_lo[(z := a + b) % b_lo] + red_hi[z // b_lo] for b in mults for a in codes]
-            out.append(codes)
-        return out[0], out[1]
-
-
 # -- per-(field, ell) context ---------------------------------------------------
 
 
@@ -174,7 +121,7 @@ class CharContext:
         self._symtab_entries = 0
         self._symtab_budget = 4 * 10**6  # total cached table entries before eviction
         self._sc: dict[tuple, list[list[int]]] = {}
-        self._codings: dict[int, _SpreadCoding] = {}
+        self._codings: dict[int, SpreadCoding] = {}
         # work done through this context, for runtime statistics
         self.counts = dict.fromkeys(
             (
@@ -186,15 +133,6 @@ class CharContext:
             ),
             0,
         )
-
-    # residue index of a polynomial of degree < deg P
-    def _residue_index(self, f: Poly) -> int:
-        F = self.field
-        q = F.q
-        out = 0
-        for c in reversed(f.coeffs):
-            out = out * q + F.index(c)
-        return out
 
     def add_table(self):
         """q x q table of element-index addition (cached per field)."""
@@ -277,21 +215,21 @@ class CharContext:
 
         Multiplication by g is F_p-linear on the base-p digits of the residue
         index, so one step is two half-table lookups, a carry-free add and
-        two normalising lookups (see `_SpreadCoding`).
+        two normalising lookups (see `ffield.SpreadCoding`).
         """
         F = self.field
         p = F.p
         dim = P.degree * F.e
         coding = self._codings.get(dim)
         if coding is None:
-            coding = self._codings[dim] = _SpreadCoding(p, dim)
+            coding = self._codings[dim] = SpreadCoding(p, dim)
         # images of the unit vectors p^(j e + i), the residues u_i t^j
         units = [F.elem_at(p**i) for i in range(F.e)]
         images = []
         x = Poly.x(F)
         tj_g = g
         for _ in range(P.degree):
-            images.extend(coding.spread(self._residue_index(tj_g * u)) for u in units)
+            images.extend(coding.spread((tj_g * u).vector_index()) for u in units)
             tj_g = (tj_g * x) % P
         lo_tab, hi_tab = coding.half_tables(images)
         p_lo, b_lo, norm_lo, norm_hi = coding.p_lo, coding.b_lo, coding.norm_lo, coding.norm_hi
@@ -319,7 +257,7 @@ class CharContext:
         if sc is None:
             F = self.field
             tj = powmod(Poly.x(F), j, P) if j > 0 else Poly.one(F) % P
-            sc = [self._residue_index(tj * F.elem_at(a)) for a in range(F.q)]
+            sc = [(tj * F.elem_at(a)).vector_index() for a in range(F.q)]
             self._sc[key] = sc
         return sc
 
@@ -598,9 +536,10 @@ def conductor_groups(F: Field, ell: int, d: int):
     """All primitive order-ell characters with conductor degree exactly d, in
     canonical order, one list per squarefree monic conductor: the exponent
     assignments over its primes (equivalently, the component tuples
-    (D_1, ..., D_{ell-1}) of superelliptic models)."""
-    for f in squarefree_monics(F, d):
-        primes = [P for P, _ in factor(f).factors]
+    (D_1, ..., D_{ell-1}) of superelliptic models).  The conductors and their
+    primes are read from the field's factor table in index order; no
+    conductor is factored or built as a polynomial."""
+    for primes in factor_table(F).squarefree_primes(d):
         yield [
             DirichletChar(F, ell, list(zip(primes, assignment)))
             for assignment in itertools.product(range(1, ell), repeat=len(primes))

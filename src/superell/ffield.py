@@ -421,3 +421,61 @@ def log_table(F: Field) -> LogTable:
         tab = LogTable(F)
         F._cache["logtable"] = tab
     return tab
+
+
+# -- integer-coded F_p-linear maps on base-p digit vectors ----------------------
+
+
+class SpreadCoding:
+    """Indices with `dim` base-p digits (an element index, or the index of a
+    polynomial over F_{p^e}, both read as vectors over F_p), split into a low
+    half of dim // 2 digits and a high half, and their spread codes: the same
+    digits in radix 2p - 1.  Two spread codes with digits below p add without
+    carries; norm_lo[s] + norm_hi[s'] turns the low and high halves s, s' of
+    such a sum back into a base-p index with every digit reduced mod p, and
+    red_lo, red_hi into a spread code.  The tables are per (p, dim), with
+    (2p - 1)^(dim - dim // 2) entries each."""
+
+    def __init__(self, p: int, dim: int):
+        radix = 2 * p - 1
+        n_lo = dim // 2
+        norm, red = [0], [0]
+        for i in range(dim - n_lo):
+            w, v = p**i, radix**i
+            norm = [x + (c % p) * w for c in range(radix) for x in norm]
+            red = [x + (c % p) * v for c in range(radix) for x in red]
+        self.p, self.radix, self.n_lo = p, radix, n_lo
+        self.p_lo, self.b_lo = p**n_lo, radix**n_lo
+        self.norm_lo, self.norm_hi = norm, [x * self.p_lo for x in norm]
+        self.red_lo, self.red_hi = red, [x * self.b_lo for x in red]
+
+    def spread(self, r: int) -> int:
+        """The spread code of the base-p index r."""
+        code, w = 0, 1
+        while r:
+            r, a = divmod(r, self.p)
+            code += a * w
+            w *= self.radix
+        return code
+
+    def half_tables(self, images: list[int], offset: int = 0) -> tuple[list[int], list[int]]:
+        """(lo, hi) for the spread codes images[i] of the images of the unit
+        vectors under a linear map from n = len(images) base-p digits: lo[r]
+        is the spread code of offset plus the image of the low-half index r
+        (the sum of r_i images[i] over its n // 2 digits r_i), hi[r] that of
+        the image of the high-half index r, whose digits are r_(n // 2 + i).
+        The image of an index r is then lo[r % p^(n // 2)] + hi[r // p^(n // 2)],
+        normalised; a nonzero spread code `offset` makes the map affine."""
+        p, b_lo, red_lo, red_hi = self.p, self.b_lo, self.red_lo, self.red_hi
+        split = len(images) // 2
+        out = []
+        for part, start in ((images[:split], offset), (images[split:], 0)):
+            codes = [start]
+            for img in part:
+                mults = [0]  # spread codes of c * img, c = 0..p-1
+                for _ in range(p - 1):
+                    z = mults[-1] + img
+                    mults.append(red_lo[z % b_lo] + red_hi[z // b_lo])
+                codes = [red_lo[(z := a + b) % b_lo] + red_hi[z // b_lo] for b in mults for a in codes]
+            out.append(codes)
+        return out[0], out[1]

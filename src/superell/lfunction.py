@@ -193,10 +193,14 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _checksum(key: str, value: dict) -> str:
+def _digest(payload: str) -> str:
     import hashlib  # imported here so runs without a cache do not pay for it
 
-    return hashlib.sha256(_canon({"key": key, "value": value}).encode()).hexdigest()
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _checksum(key: str, value: dict) -> str:
+    return _digest(_canon({"key": key, "value": value}))
 
 
 def cache_key(chi: DirichletChar) -> str:
@@ -287,7 +291,10 @@ class LCache:
                 continue
             value = L.to_json()
             self.table[key] = value
-            lines.append(_canon({"key": key, "value": value, "checksum": _checksum(key, value)}) + "\n")
+            # keys sort as checksum < key < value, so splicing the checksum in
+            # front of the hashed payload gives the canonical line
+            payload = _canon({"key": key, "value": value})
+            lines.append(f'{{"checksum":"{_digest(payload)}",{payload[1:]}\n')
         if lines:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(lines))

@@ -5,20 +5,32 @@ Polynomials are immutable coefficient tuples, low degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  The canonical order
 on polynomials of fixed degree is by the integer value of the coefficient
 vector read low-to-high in base q (each coefficient by its field index), which
-is the same order the field constructor uses for moduli.
+is the same order the field constructor uses for moduli.  The monic of degree
+d with index j has the base-q digits of j as its lower coefficients.
 
-Factorization is squarefree decomposition, then distinct-degree splitting,
-then seeded equal-degree splitting; it is a pure function of (input, seed).
+Enumerations read a per-field factor table (`FactorTable`) built by a sieve
+of Eratosthenes over A: every irreducible P of degree k <= d/2 marks its
+multiples P g of degree d with (P, index of g), unless a smaller prime did, so
+the marks give the smallest prime factor, the cofactor and squarefreeness of
+every monic, and the unmarked entries are the irreducibles.  `irreducibles`,
+`squarefree_monics` and the census conductor enumeration read from it.
+
+Factorization of a single polynomial is squarefree decomposition, then
+distinct-degree splitting, then seeded equal-degree splitting; it is a pure
+function of (input, seed), serves one-off inputs (models, CLI arguments,
+families) and is the test oracle for the table.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from dataclasses import dataclass
 
 from . import limits
 from .errors import InputError, ResourceLimit
-from .ffield import Field, FieldElem, factorize_int
+from .ffield import Field, FieldElem, SpreadCoding, factorize_int
 
 
 class Poly:
@@ -81,6 +93,16 @@ class Poly:
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
+
+    def vector_index(self) -> int:
+        """The coefficient vector read low-to-high as base-q digits, each
+        coefficient by its field index; for a residue mod P (degree < deg P)
+        this is its index among the q^(deg P) residues."""
+        F = self.field
+        out = 0
+        for c in reversed(self.coeffs):
+            out = out * F.q + F.index(c)
+        return out
 
     def norm(self) -> int:
         if self.is_zero():
@@ -405,10 +427,15 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 # -- enumeration -----------------------------------------------------------------
 
 
+def _census_guard(n: int, what: str) -> None:
+    limit = limits.limit_census()
+    if n > limit:
+        raise ResourceLimit(f"{what} needs SUPERELL_LIMIT_CENSUS >= {n}, it is {limit}")
+
+
 def monics(F: Field, d: int):
     """All monic polynomials of degree exactly d, canonical order."""
-    if F.q**d > limits.limit_census():
-        raise ResourceLimit(f"enumerating {F.q}^{d} monic polynomials exceeds the census limit")
+    _census_guard(F.q**d, f"enumerating the {F.q}^{d} monics of degree {d} over {F}")
     for j in range(F.q**d):
         yield Poly.from_index(F, d, j)
 
@@ -454,14 +481,139 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+class _Level:
+    """Level d of a factor table: compact columns with one entry per monic f
+    of degree d, addressed by its canonical index."""
+
+    __slots__ = ("spf_deg", "spf_rank", "cofactor", "squarefree", "primes")
+
+    def __init__(self, size: int):
+        # smallest prime factor P of f: its degree (0 while unmarked) and its
+        # rank among the irreducibles of that degree; the index of f / P one
+        # level of deg P down; and whether f is squarefree
+        self.spf_deg = array("B", bytes(size))
+        self.spf_rank = array("q", [0]) * size
+        self.cofactor = array("q", [0]) * size
+        self.squarefree = bytearray(size)
+        self.primes = array("q")  # indices of the irreducibles, ascending
+
+
+class FactorTable:
+    """The factorization of every monic over one field up to some degree,
+    built level by level with a sieve (one per field, see `factor_table`).
+
+    Level d is built from the lower levels: for each irreducible P of degree
+    k <= d/2 in canonical order and each monic g of degree d - k, the entry
+    of P g is marked with (P, index of g) unless a smaller prime marked it
+    first.  So every mark is the smallest prime factor, the unmarked entries
+    are the irreducibles, and P g is squarefree exactly when g is and P is
+    not g's smallest prime.  Following the marks down the levels lists the
+    prime factors in canonical order.  Multiplication by P is affine in the
+    base-p digits of g's index, so the indices of all P g come from two
+    half tables (`ffield.SpreadCoding`) with no field arithmetic per g.
+    """
+
+    def __init__(self, field: Field):
+        self.field = field
+        one = _Level(1)  # level 0: the monic 1, which has no prime factor
+        one.squarefree[0] = 1
+        self.levels = [one]
+        self.entries = 0  # monics classified so far, for runtime statistics
+
+    def level(self, d: int) -> _Level:
+        """Level d, building it and the levels below it on first use."""
+        if d < 0:
+            raise InputError(f"no monics of negative degree {d}")
+        while len(self.levels) <= d:
+            self._build(len(self.levels))
+        return self.levels[d]
+
+    def _build(self, d: int) -> None:
+        F = self.field
+        q, p = F.q, F.p
+        size = q**d
+        _census_guard(size, f"a factor table of the {q}^{d} monics of degree {d} over {F}")
+        lv = _Level(size)
+        spf_deg, spf_rank, cofactor, squarefree = lv.spf_deg, lv.spf_rank, lv.cofactor, lv.squarefree
+        coding = SpreadCoding(p, d * F.e)
+        norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
+        units = [F.elem_at(p**s) for s in range(F.e)]  # the F_p-basis of F
+        for k in range(1, d // 2 + 1):
+            m = d - k
+            low = self.levels[m]
+            g_deg, g_rank, g_sqf = low.spf_deg, low.spf_rank, low.squarefree
+            for r, (P, jP) in enumerate(zip(irreducibles(F, k), self.levels[k].primes)):
+                # P g = P t^m + sum over i < m of g_i t^i P, whose digit
+                # (i, s) of g contributes u_s t^i P
+                base = [(P * u).vector_index() for u in units]
+                images = [coding.spread(v * q**i) for i in range(m) for v in base]
+                lo, hi = coding.half_tables(images, coding.spread(jP * q**m))
+                products = [norm_lo[(s := a + b) % b_lo] + norm_hi[s // b_lo] for b in hi for a in lo]
+                for g, j in enumerate(products):
+                    if spf_deg[j]:
+                        continue  # a smaller prime divides P g
+                    spf_deg[j] = k
+                    spf_rank[j] = r
+                    cofactor[j] = g
+                    # no prime below P divides g, so P^2 | P g iff P is g's smallest
+                    squarefree[j] = g_sqf[g] and (g_deg[g] != k or g_rank[g] != r)
+        primes = lv.primes
+        for j in range(size):
+            if not spf_deg[j]:
+                spf_deg[j] = d
+                spf_rank[j] = len(primes)
+                squarefree[j] = 1
+                primes.append(j)
+        self.levels.append(lv)
+        self.entries += size
+
+    def _marks(self, d: int, j: int):
+        """(degree, rank) of each prime factor of the monic j of degree d,
+        repeated by multiplicity, in canonical order."""
+        levels = self.levels
+        while d:
+            lv = levels[d]
+            k = lv.spf_deg[j]
+            yield k, lv.spf_rank[j]
+            j = lv.cofactor[j]
+            d -= k
+
+    def factors(self, d: int, j: int) -> tuple[tuple[Poly, int], ...]:
+        """The (prime, exponent) pairs of the monic j of degree d, in the
+        canonical order `factor` gives them."""
+        self.level(d)
+        F = self.field
+        primes = [irreducibles(F, k)[r] for k, r in self._marks(d, j)]
+        return tuple((P, len(list(run))) for P, run in itertools.groupby(primes))
+
+    def squarefree_primes(self, d: int):
+        """The prime factors of every squarefree monic of degree d, one list
+        per monic in index order, each in canonical order.  The primes are the
+        shared objects of `irreducibles`."""
+        flags = self.level(d).squarefree
+        irr = [()] + [irreducibles(self.field, k) for k in range(1, d + 1)]
+        for j, flag in enumerate(flags):
+            if flag:
+                yield [irr[k][r] for k, r in self._marks(d, j)]
+
+
+def factor_table(F: Field) -> FactorTable:
+    """The factor table of F (cached in the field)."""
+    table = F._cache.get("factor_table")
+    if table is None:
+        table = F._cache["factor_table"] = FactorTable(F)
+    return table
+
+
 def irreducibles(F: Field, d: int) -> tuple[Poly, ...]:
-    """All monic irreducibles of degree exactly d in canonical order (cached)."""
+    """All monic irreducibles of degree exactly d in canonical order (cached):
+    the unmarked entries of level d of the factor table."""
     if d < 1:
         raise InputError("irreducible enumeration needs degree >= 1")
     cache = F._cache.setdefault("irreducibles", {})
     got = cache.get(d)
     if got is None:
-        got = tuple(f for f in monics(F, d) if is_irreducible(f))
+        got = tuple(Poly.from_index(F, d, j) for j in factor_table(F).level(d).primes)
         if len(got) != irreducible_count(F.q, d):
             raise AssertionError("irreducible enumeration disagrees with the necklace count")
         cache[d] = got
@@ -469,13 +621,10 @@ def irreducibles(F: Field, d: int) -> tuple[Poly, ...]:
 
 
 def squarefree_monics(F: Field, d: int) -> tuple[Poly, ...]:
-    """All monic squarefree polynomials of degree exactly d (cached)."""
-    cache = F._cache.setdefault("squarefree_monics", {})
-    got = cache.get(d)
-    if got is None:
-        got = tuple(f for f in monics(F, d) if d == 0 or is_squarefree(f))
-        cache[d] = got
-    return got
+    """All monic squarefree polynomials of degree exactly d, in canonical
+    order: the entries of level d of the factor table flagged squarefree."""
+    flags = factor_table(F).level(d).squarefree
+    return tuple(Poly.from_index(F, d, j) for j, flag in enumerate(flags) if flag)
 
 
 # -- text format ------------------------------------------------------------------

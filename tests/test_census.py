@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from superell import InputError, make_field
+from superell import InputError, ResourceLimit, make_field
 from superell.census import (
     decomposition_check,
     family_experiment,
@@ -15,7 +15,7 @@ from superell.census import (
 from superell.characters import enumerate_order_ell
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
-from superell.polyring import Poly
+from superell.polyring import Poly, monics
 
 
 def test_census_small_counts_and_invariants(F7):
@@ -71,15 +71,20 @@ def test_census_runtime_counts(tmp_path):
     # a cold cache: one histogram pass per conductor and degree below its
     # degree, 1 + 7 + ... + 7^(d-1) monics each; the sampled decompositions
     # then reuse the L-polynomials of their conductor, with or without a cache
+    make_field(7, 1)._cache.pop("factor_table", None)  # as in a fresh process
     cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=str(tmp_path / "cold.jsonl"))
     total = cold.runtime_stats["total_counts"]
     assert total["conductors"] == 7 + 42 + 294 + 2058
+    assert total["factor_table_entries"] == 7 + 49 + 343 + 2401
+    assert [cold.runtime_stats[f"degree_{d}_counts"]["factor_table_entries"]
+            for d in (1, 2, 3, 4)] == [7, 49, 343, 2401]
     assert total["histogram_passes"] == 9205
     assert total["monics_scanned"] == 840301
     assert total["generator_candidates"] >= total["symbol_tables_built"]
     assert total["walk_steps"] >= total["generator_candidates"]
     bare = run_census(7, 1, 3, 4, sample_decomp=25)
     assert bare.runtime_stats["total_counts"]["histogram_passes"] == 9205
+    assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
     assert bare.to_json(include_runtime=False) == cold.to_json(include_runtime=False)
     path = str(tmp_path / "lcache.jsonl")
     run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
@@ -279,6 +284,20 @@ def test_cli_census_limit_names_its_variable(monkeypatch, capsys):
     assert cli_main(argv) == 3
     err = capsys.readouterr().err
     assert "SUPERELL_LIMIT_CENSUS" in err and "49" in err
+
+
+def test_cli_density_limit_names_its_variable(monkeypatch, capsys):
+    # the degree-2 primes of the truncated product need all 7^2 monics
+    F7 = make_field(7, 1)
+    for built in ("factor_table", "irreducibles"):
+        F7._cache.pop(built, None)
+    monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", "10")
+    argv = ["density", "--p", "7", "--ell", "3", "--components", "[[0,6,0,1],[1]]",
+            "--deg-max", "2", "--samples", "100"]
+    assert cli_main(argv) == 3
+    assert "SUPERELL_LIMIT_CENSUS >= 49" in capsys.readouterr().err
+    with pytest.raises(ResourceLimit, match="SUPERELL_LIMIT_CENSUS >= 49"):
+        next(monics(F7, 2))
 
 
 @pytest.mark.slow

@@ -247,6 +247,24 @@ def test_enumeration_laws(F7):
         assert n == 2**r
 
 
+def test_conductor_groups_ascend_over_squarefree_monics(F7, F25):
+    # one group per squarefree monic, in ascending canonical index, with the
+    # (ell-1)^r exponent assignments over its r primes
+    F4 = make_field(2, 2)
+    cases = ((F7, 3, 3), (F4, 3, 3), (F25, 3, 2), (extend_field(F4, 2), 5, 2))
+    for F, ell, dmax in cases:
+        for d in range(1, dmax + 1):
+            conductors = []
+            for chars in conductor_groups(F, ell, d):
+                f = chars[0].conductor
+                assert all(chi.conductor == f for chi in chars)
+                assert len(chars) == (ell - 1) ** factor(f).num_prime_factors()
+                conductors.append(f)
+            indices = [f.vector_index() for f in conductors]
+            assert indices == sorted(set(indices))
+            assert conductors == [f for f in monics(F, d) if is_squarefree(f)]
+
+
 def test_power_and_dual(F7):
     t = Poly.x(F7)
     chi = DirichletChar(F7, 3, [(t, 1), (t + Poly.one(F7), 2)])

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from superell import (
@@ -14,6 +16,8 @@ from superell.cyclo import conjugate
 from superell.lfunction import (
     LCache,
     LPoly,
+    _canon,
+    _checksum,
     rescale_by_root,
     trivial_factor_candidates,
 )
@@ -172,9 +176,16 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     cache = LCache(str(path))
     assert cache.get(chi) is None
     L = l_polynomial(chi)
-    cache.put([(chi, L)])
+    cache.put([(chi, L), (chi.dual(), l_polynomial(chi.dual()))])
     cache2 = LCache(str(path))
     assert cache2.get(chi) == L
+    # put splices the checksum into the hashed payload: the canonical record
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        rec = json.loads(line)
+        assert line == _canon({"key": rec["key"], "value": rec["value"], "checksum": rec["checksum"]})
+        assert rec["checksum"] == _checksum(rec["key"], rec["value"])
     # corrupt the line
     text = path.read_text().replace('"checksum":"', '"checksum":"00')
     path.write_text(text)

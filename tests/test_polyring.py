@@ -1,8 +1,10 @@
 import pytest
 
 from superell import InputError, factor, is_squarefree, make_field
+from superell.ffield import extend_field
 from superell.polyring import (
     Poly,
+    factor_table,
     gcd,
     irreducible_count,
     irreducibles,
@@ -112,6 +114,23 @@ def test_irreducible_enumeration_counts(F5, F7):
             assert len(irr) == irreducible_count(F.q, d)
             assert list(irr) == sorted(irr, key=lambda f: f.key())
             assert all(is_irreducible(f) for f in irr)
+
+
+def test_factor_table_oracle(F7, F25):
+    # every monic, not only the squarefree ones: p = 2 and 3, where f' = 0
+    # for the p-th powers, and towers of depth 1 and 2
+    F4 = make_field(2, 2)
+    cases = ((F7, 4), (F4, 4), (make_field(3, 1), 4), (F25, 2), (extend_field(F4, 2), 2))
+    for F, dmax in cases:
+        table = factor_table(F)
+        for d in range(1, dmax + 1):
+            level = table.level(d)
+            irr = irreducibles(F, d)
+            assert len(irr) == irreducible_count(F.q, d)
+            assert list(irr) == [f for f in monics(F, d) if is_irreducible(f)]
+            for j, f in enumerate(monics(F, d)):
+                assert table.factors(d, j) == factor(f).factors, (F, f)
+                assert level.squarefree[j] == is_squarefree(f), (F, f)
 
 
 def test_root_counting_identity(F5, F7):
