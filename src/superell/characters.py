@@ -14,8 +14,9 @@ symbol tables built from a discrete log over (A/P)^*.  The discrete log is a
 walk through the powers of a generator on integer residue indices, where
 multiplication by the generator is an F_p-linear map on base-p digits applied
 by table lookups; candidates whose walk returns to 1 early are skipped.  The
-tables are checked against the direct square-and-multiply symbol in the test
-suite.
+walk is `ffield.SpreadCoding.walk`, the same one that builds the field log
+tables.  The tables are checked against the direct square-and-multiply
+symbol in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from array import array
 from . import limits
 from .cyclo import CycInt, mu_embed
 from .errors import InputError, InvariantViolation, ResourceLimit
-from .ffield import Field, SpreadCoding, is_prime, primitive_root
+from .ffield import Field, is_prime, primitive_root, spread_coding
 from .polyring import (
     Poly,
     factor,
@@ -121,7 +122,6 @@ class CharContext:
         self._symtab_entries = 0
         self._symtab_budget = 4 * 10**6  # total cached table entries before eviction
         self._sc: dict[tuple, list[list[int]]] = {}
-        self._codings: dict[int, SpreadCoding] = {}
         # work done through this context, for runtime statistics
         self.counts = dict.fromkeys(
             (
@@ -155,7 +155,8 @@ class CharContext:
         q = 1 mod ell, so for a generator g of (A/P)^* and r = g^k the exponent
         is k0 * k mod ell, where zeta^k0 = g^(m/ell).  Neither depends on which
         generator is used.  Candidates g are walked through their powers on
-        integer residue indices (see `_walk`); the first whose walk returns to
+        integer residue indices (`ffield.SpreadCoding.walk`, which also builds
+        the log tables of `ffield`); the first whose walk returns to
         1 only after m steps is a generator, and its walk is the discrete log.
         Such a walk also proves P irreducible.  After `_GENERATOR_TRIES` failed
         candidates P is tested once, and a reducible P raises
@@ -176,12 +177,22 @@ class CharContext:
         m = size - 1
         steps = array("q", [-1]) * size  # steps[r] = k with g^k = r
         order = 0
+        coding = spread_coding(F.p, P.degree * F.e)
+        units = [F.elem_at(F.p**i) for i in range(F.e)]  # the F_p-basis of F
+        x = Poly.x(F)
         # neither 1 nor, when deg P > 1, any constant generates (A/P)^*
         for tries, j in enumerate(range(F.q if P.degree > 1 else 2, size)):
             if tries == _GENERATOR_TRIES and not is_irreducible(P):
                 break
             self.counts["generator_candidates"] += 1
-            order = self._walk(self._residue_poly(j, P.degree), P, steps, m)
+            # images under multiplication by g of the unit vectors
+            # p^(k e + i) of the residue index, the residues u_i t^k
+            images = []
+            tj_g = self._residue_poly(j, P.degree)
+            for _ in range(P.degree):
+                images.extend((tj_g * u).vector_index() for u in units)
+                tj_g = (tj_g * x) % P
+            order = coding.walk(images, steps, m)
             self.counts["walk_steps"] += order or m  # no return to 1: all m steps
             if order == m:
                 break
@@ -207,40 +218,6 @@ class CharContext:
         self._symtab_entries += size
         self.counts["symbol_tables_built"] += 1
         return tab
-
-    def _walk(self, g: Poly, P: Poly, steps, m: int) -> int:
-        """Walk g^0 = 1, g, g^2, ... mod P for at most m steps, setting
-        steps[g^k] = k, and return the order of g; 0 when the walk does not
-        come back to 1 (g is then a zero divisor and P reducible).
-
-        Multiplication by g is F_p-linear on the base-p digits of the residue
-        index, so one step is two half-table lookups, a carry-free add and
-        two normalising lookups (see `ffield.SpreadCoding`).
-        """
-        F = self.field
-        p = F.p
-        dim = P.degree * F.e
-        coding = self._codings.get(dim)
-        if coding is None:
-            coding = self._codings[dim] = SpreadCoding(p, dim)
-        # images of the unit vectors p^(j e + i), the residues u_i t^j
-        units = [F.elem_at(p**i) for i in range(F.e)]
-        images = []
-        x = Poly.x(F)
-        tj_g = g
-        for _ in range(P.degree):
-            images.extend(coding.spread((tj_g * u).vector_index()) for u in units)
-            tj_g = (tj_g * x) % P
-        lo_tab, hi_tab = coding.half_tables(images)
-        p_lo, b_lo, norm_lo, norm_hi = coding.p_lo, coding.b_lo, coding.norm_lo, coding.norm_hi
-        cur = 1
-        for k in range(m):
-            steps[cur] = k
-            s = lo_tab[cur % p_lo] + hi_tab[cur // p_lo]
-            cur = norm_lo[s % b_lo] + norm_hi[s // b_lo]
-            if cur == 1:
-                return k + 1
-        return 0
 
     def _residue_poly(self, idx: int, degree: int) -> Poly:
         F = self.field

@@ -25,7 +25,14 @@ from .curves import SuperellipticModel
 from .errors import InputError, ResourceLimit
 from .families import BinaryForm, homogenize
 from .ffield import Field
-from .polyring import Poly, irreducibles, is_squarefree, poly_to_json
+from .polyring import (
+    Poly,
+    _census_guard,
+    irreducibles,
+    is_squarefree,
+    monic_multiples,
+    poly_to_json,
+)
 
 BRUTE_FORCE_LIMIT = 10**8
 
@@ -249,48 +256,18 @@ def squarefree_density_exact(q: int) -> Fraction:
 def exhaustive_squarefree_count(F: Field, degree: int) -> int:
     """Number of squarefree monic polynomials of the given degree, counted by
     marking every product h^2 * m (h monic non-constant) in a table: a direct
-    realisation of the definition, independent of gcd machinery.
-
-    Prime fields only; coefficients are handled as plain int vectors mod p so
-    that degree 8 at q = 7 stays affordable.
+    realisation of the definition, independent of gcd machinery and of the
+    factor table.  The indices of all h^2 * m come from `monic_multiples`.
     """
-    if F.base is not None:
-        raise InputError("the exhaustive squarefree oracle supports prime fields only")
-    p = F.p
-    if p**degree > 2 * 10**7:
-        raise ResourceLimit("exhaustive squarefree count too large")
-    if degree <= 1:
-        return p**degree
-    total = p**degree
+    total = F.q**degree
+    what = f"counting the squarefree monics among the {F.q}^{degree} of degree {degree} over {F}"
+    _census_guard(total, what)
     marked = bytearray(total)
-
-    def decode(j: int, deg: int) -> list[int]:
-        cs = []
-        for _ in range(deg):
-            cs.append(j % p)
-            j //= p
-        cs.append(1)
-        return cs
-
-    def mul(a: list[int], b: list[int]) -> list[int]:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return [v % p for v in out]
-
     for k in range(1, degree // 2 + 1):
-        mdeg = degree - 2 * k
-        for jh in range(p**k):
-            h = decode(jh, k)
-            h2 = mul(h, h)
-            for jm in range(p**mdeg):
-                f = mul(h2, decode(jm, mdeg))
-                code = 0
-                for c in reversed(f[:-1]):
-                    code = code * p + c
-                marked[code] = 1
+        for jh in range(F.q**k):
+            h = Poly.from_index(F, k, jh)
+            for j in monic_multiples(h * h, degree - 2 * k):
+                marked[j] = 1
     return total - sum(marked)
 
 

@@ -11,12 +11,22 @@ Extensions are always built over the field at hand, so subfield elements
 embed as constant coefficient vectors and no embedding search is ever needed.
 
 Elements are immutable; every public value may be shared freely.
+
+Element indices, and indices of polynomials over the field, are vectors of
+base-p digits, and multiplication by a fixed element or polynomial is
+F_p-linear (affine for a monic product) on them.  `SpreadCoding` applies such
+maps by table lookups: its `walk` is the one discrete-log walk, behind both
+the log tables here and the residue-symbol tables of `characters`, and its
+half tables give all products f g of a monic f (`polyring.monic_multiples`),
+behind both the factor-table sieve and the exhaustive squarefree oracle.
 """
 
 from __future__ import annotations
 
+import functools
+
 from . import limits
-from .errors import InputError, ResourceLimit
+from .errors import InputError, InvariantViolation, ResourceLimit
 
 _PRIME_CACHE: dict[int, "Field"] = {}
 
@@ -179,16 +189,6 @@ class Field:
             cs.append(self.base.elem_at(idx % qb))
             idx //= qb
         return FieldElem(self, tuple(cs))
-
-    def elements(self):
-        """All elements in canonical index order (materialised and cached)."""
-        elems = self._cache.get("elements")
-        if elems is None:
-            if self.q > limits.zech_limit():
-                raise ResourceLimit(f"enumeration of {self} exceeds the table limit")
-            elems = tuple(self.elem_at(i) for i in range(self.q))
-            self._cache["elements"] = elems
-        return elems
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -378,41 +378,41 @@ class LogTable:
 
     exp[k] = index of g^k, dlog[index] = k (dlog[0] = -1 for the zero element),
     zech[k] = dlog(1 + g^k) with -1 when 1 + g^k = 0.  All arithmetic on ints.
+    Multiplication by the primitive root g is F_p-linear on the base-p digits
+    of an element index, so dlog is the walk of `SpreadCoding.walk` from the
+    e images g * p^i, and exp is its inverse.
     """
 
-    __slots__ = ("field", "order", "exp", "dlog", "zech")
+    __slots__ = ("field", "exp", "dlog", "zech")
 
     def __init__(self, field: Field):
         q = field.q
-        if q > limits.zech_limit():
-            raise ResourceLimit(f"log table for {field} exceeds SUPERELL_ZECH_LIMIT")
+        limit = limits.zech_limit()
+        if q > limit:
+            raise ResourceLimit(
+                f"log table for {field} needs SUPERELL_ZECH_LIMIT >= {q}, it is {limit}"
+            )
         g = primitive_root(field)
-        m = q - 1
-        exp = [0] * m
+        p, m = field.p, q - 1
+        images = [field.index(field.mul(field.elem_at(p**i), g)) for i in range(field.e)]
         dlog = [-1] * q
-        cur = field.one()
-        for k in range(m):
-            i = field.index(cur)
-            exp[k] = i
-            dlog[i] = k
-            cur = field.mul(cur, g)
-        p = field.p
+        order = spread_coding(p, field.e).walk(images, dlog, m)
+        if order != m:
+            raise InvariantViolation(
+                "log-table-order", f"the primitive root of {field} has order {order}, not {m}"
+            )
+        exp = [0] * m
+        for i in range(1, q):
+            exp[dlog[i]] = i
         zech = [0] * m
         for k in range(m):
             i = exp[k]
             d0 = i % p
             zech[k] = dlog[i - d0 + (d0 + 1) % p]
         self.field = field
-        self.order = m
         self.exp = exp
         self.dlog = dlog
         self.zech = zech
-
-    def log(self, a: FieldElem) -> int:
-        k = self.dlog[self.field.index(a)]
-        if k < 0:
-            raise ZeroDivisionError("log of zero")
-        return k
 
 
 def log_table(F: Field) -> LogTable:
@@ -434,7 +434,7 @@ class SpreadCoding:
     carries; norm_lo[s] + norm_hi[s'] turns the low and high halves s, s' of
     such a sum back into a base-p index with every digit reduced mod p, and
     red_lo, red_hi into a spread code.  The tables are per (p, dim), with
-    (2p - 1)^(dim - dim // 2) entries each."""
+    (2p - 1)^(dim - dim // 2) entries each; `spread_coding` shares them."""
 
     def __init__(self, p: int, dim: int):
         radix = 2 * p - 1
@@ -479,3 +479,30 @@ class SpreadCoding:
                 codes = [red_lo[(z := a + b) % b_lo] + red_hi[z // b_lo] for b in mults for a in codes]
             out.append(codes)
         return out[0], out[1]
+
+    def walk(self, images: list[int], steps, m: int) -> int:
+        """Walk the orbit 1, g, g^2, ... of the index 1 under the F_p-linear
+        map "multiply by g" whose image of the unit vector p^i is the base-p
+        index images[i], i < dim, for at most m steps, setting steps[g^k] = k;
+        return the order of g, or 0 when the walk does not come back to 1
+        within m steps (g is then a zero divisor, or its order exceeds m).
+
+        One step is two half-table lookups, a carry-free add and two
+        normalising lookups.
+        """
+        lo_tab, hi_tab = self.half_tables([self.spread(v) for v in images])
+        p_lo, b_lo, norm_lo, norm_hi = self.p_lo, self.b_lo, self.norm_lo, self.norm_hi
+        cur = 1
+        for k in range(m):
+            steps[cur] = k
+            s = lo_tab[cur % p_lo] + hi_tab[cur // p_lo]
+            cur = norm_lo[s % b_lo] + norm_hi[s // b_lo]
+            if cur == 1:
+                return k + 1
+        return 0
+
+
+@functools.cache
+def spread_coding(p: int, dim: int) -> SpreadCoding:
+    """The shared SpreadCoding for dim base-p digits (built once per process)."""
+    return SpreadCoding(p, dim)

@@ -1,9 +1,11 @@
 """Resource guards.
 
-Defaults keep every exhaustive loop honest at desk scale. The two documented
+Defaults keep every exhaustive loop honest at desk scale. The three
 environment overrides are SUPERELL_LIMIT_POINTS (elements scanned per point
-count) and SUPERELL_LIMIT_CENSUS (monics scanned per character-sum histogram
-pass, and enumeration sizes in the census paths).
+count), SUPERELL_LIMIT_CENSUS (monics scanned per character-sum histogram
+pass, and enumeration sizes in the census paths, the factor table and the
+exhaustive squarefree count) and SUPERELL_ZECH_LIMIT (largest field whose
+log and Zech tables are built).
 """
 
 import os

@@ -13,7 +13,9 @@ of Eratosthenes over A: every irreducible P of degree k <= d/2 marks its
 multiples P g of degree d with (P, index of g), unless a smaller prime did, so
 the marks give the smallest prime factor, the cofactor and squarefreeness of
 every monic, and the unmarked entries are the irreducibles.  `irreducibles`,
-`squarefree_monics` and the census conductor enumeration read from it.
+`squarefree_monics` and the census conductor enumeration read from it.  The
+indices of all multiples f g of a monic f come from `monic_multiples`, which
+the exhaustive squarefree oracle of `density` shares.
 
 Factorization of a single polynomial is squarefree decomposition, then
 distinct-degree splitting, then seeded equal-degree splitting; it is a pure
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 from . import limits
 from .errors import InputError, ResourceLimit
-from .ffield import Field, FieldElem, SpreadCoding, factorize_int
+from .ffield import Field, FieldElem, factorize_int, spread_coding
 
 
 class Poly:
@@ -481,6 +483,25 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+def monic_multiples(f: Poly, m: int) -> list[int]:
+    """The index of f g among the monics of degree deg f + m, for every monic
+    g of degree m in index order; f must be monic.
+
+    f g = f t^m plus the sum over i < m of g_i t^i f, whose base-p digit s of
+    g_i contributes u_s t^i f (u_s the F_p-basis of F).  So g -> f g is affine
+    in the base-p digits of g's index, and all q^m products come from two
+    half tables (`ffield.SpreadCoding`) with no field arithmetic per g.
+    """
+    F = f.field
+    q, k = F.q, f.degree
+    coding = spread_coding(F.p, (k + m) * F.e)
+    base = [(f * F.elem_at(F.p**s)).vector_index() for s in range(F.e)]
+    images = [coding.spread(v * q**i) for i in range(m) for v in base]
+    lo, hi = coding.half_tables(images, coding.spread((f.vector_index() - q**k) * q**m))
+    norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
+    return [norm_lo[(s := a + b) % b_lo] + norm_hi[s // b_lo] for b in hi for a in lo]
+
+
 class _Level:
     """Level d of a factor table: compact columns with one entry per monic f
     of degree d, addressed by its canonical index."""
@@ -508,9 +529,8 @@ class FactorTable:
     first.  So every mark is the smallest prime factor, the unmarked entries
     are the irreducibles, and P g is squarefree exactly when g is and P is
     not g's smallest prime.  Following the marks down the levels lists the
-    prime factors in canonical order.  Multiplication by P is affine in the
-    base-p digits of g's index, so the indices of all P g come from two
-    half tables (`ffield.SpreadCoding`) with no field arithmetic per g.
+    prime factors in canonical order.  The indices of all P g come from
+    `monic_multiples`, with no field arithmetic per g.
     """
 
     def __init__(self, field: Field):
@@ -530,26 +550,16 @@ class FactorTable:
 
     def _build(self, d: int) -> None:
         F = self.field
-        q, p = F.q, F.p
-        size = q**d
-        _census_guard(size, f"a factor table of the {q}^{d} monics of degree {d} over {F}")
+        size = F.q**d
+        _census_guard(size, f"a factor table of the {F.q}^{d} monics of degree {d} over {F}")
         lv = _Level(size)
         spf_deg, spf_rank, cofactor, squarefree = lv.spf_deg, lv.spf_rank, lv.cofactor, lv.squarefree
-        coding = SpreadCoding(p, d * F.e)
-        norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
-        units = [F.elem_at(p**s) for s in range(F.e)]  # the F_p-basis of F
         for k in range(1, d // 2 + 1):
             m = d - k
             low = self.levels[m]
             g_deg, g_rank, g_sqf = low.spf_deg, low.spf_rank, low.squarefree
-            for r, (P, jP) in enumerate(zip(irreducibles(F, k), self.levels[k].primes)):
-                # P g = P t^m + sum over i < m of g_i t^i P, whose digit
-                # (i, s) of g contributes u_s t^i P
-                base = [(P * u).vector_index() for u in units]
-                images = [coding.spread(v * q**i) for i in range(m) for v in base]
-                lo, hi = coding.half_tables(images, coding.spread(jP * q**m))
-                products = [norm_lo[(s := a + b) % b_lo] + norm_hi[s // b_lo] for b in hi for a in lo]
-                for g, j in enumerate(products):
+            for r, P in enumerate(irreducibles(F, k)):
+                for g, j in enumerate(monic_multiples(P, m)):
                     if spf_deg[j]:
                         continue  # a smaller prime divides P g
                     spf_deg[j] = k

@@ -119,6 +119,16 @@ def test_m1_oracle(F7):
 
     direct = sum(1 for f in monics(F7, 3) if is_squarefree(f))
     assert exhaustive_squarefree_count(F7, 3) == direct
+    # over extensions, q^d - q^(d-1) from degree 2 on
+    for F, dmax in ((make_field(2, 2), 5), (make_field(5, 2), 3)):
+        for d in range(2, dmax + 1):
+            assert exhaustive_squarefree_count(F, d) == F.q**d - F.q ** (d - 1), (F, d)
+
+
+def test_m1_oracle_limit_names_its_variable(F7, monkeypatch):
+    monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", "100")
+    with pytest.raises(ResourceLimit, match="SUPERELL_LIMIT_CENSUS >= 343"):
+        exhaustive_squarefree_count(F7, 3)
 
 
 def test_empirical_density_deterministic(F7):

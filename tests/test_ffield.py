@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superell import InputError, ResourceLimit, extend_field, make_field, primitive_root
 from superell.ffield import LogTable, is_prime, log_table
@@ -162,19 +164,73 @@ def test_inverse_and_index_roundtrip(rng):
         assert a * a.inverse() == F.one()
 
 
+def _tower(p, *degrees):
+    F = make_field(p, 1)
+    for n in degrees:
+        F = extend_field(F, n)
+    return F
+
+
 def test_log_table_consistency():
-    F = make_field(7, 2)
+    towers = [(7, ()), (7, (2,)), (2, (4,)), (3, (5,)), (2, (2, 2)), (3, (2, 2)), (5, (2, 2))]
+    for F in (_tower(p, *degrees) for p, degrees in towers):
+        tab = log_table(F)
+        g = primitive_root(F)
+        assert isinstance(tab, LogTable) and tab.field is F
+        m = F.q - 1
+        assert len(tab.exp) == len(tab.zech) == m and len(tab.dlog) == F.q
+        assert tab.dlog[0] == -1
+        # definitional route: g^k by repeated Field.mul
+        cur = F.one()
+        for k in range(m):
+            i = F.index(cur)
+            assert tab.exp[k] == i and tab.dlog[i] == k, (F, k)
+            lhs = F.one() + cur
+            z = tab.zech[k]
+            if z < 0:
+                assert lhs.is_zero()
+            else:
+                assert tab.exp[z] == F.index(lhs), (F, k)
+            cur = F.mul(cur, g)
+        assert cur == F.one()
+
+
+def test_log_table_limit_names_the_value(monkeypatch):
+    monkeypatch.setenv("SUPERELL_ZECH_LIMIT", "10")
+    with pytest.raises(ResourceLimit, match="SUPERELL_ZECH_LIMIT >= 25"):
+        LogTable(make_field(5, 2))
+
+
+_PROPERTY_TOWERS = [(2, (2, 2)), (2, (2, 3)), (2, (2, 2, 2)), (3, (2, 2)), (3, (3, 2)), (3, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("p, degrees", _PROPERTY_TOWERS)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tower_field_axioms(p, degrees, data):
+    F = _tower(p, *degrees)
+    i, j, k = (data.draw(st.integers(0, F.q - 1)) for _ in range(3))
+    a, b, c = F.elem_at(i), F.elem_at(j), F.elem_at(k)
+    assert F.index(a) == i and F.elem_at(F.index(b)) == b
+    zero, one = F.zero(), F.one()
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c) and (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a and a * zero == zero
+    assert a + (-a) == zero and (a - b) + b == a
+    if i:
+        assert a * a.inverse() == one
+
+
+@pytest.mark.parametrize("p, degrees", _PROPERTY_TOWERS)
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_tower_log_homomorphism(p, degrees, data):
+    F = _tower(p, *degrees)
     tab = log_table(F)
-    g = primitive_root(F)
-    assert isinstance(tab, LogTable)
-    for k in range(0, F.q - 1, 5):
-        assert tab.exp[k] == F.index(g**k)
-        lhs = F.one() + g**k
-        z = tab.zech[k]
-        if z < 0:
-            assert lhs.is_zero()
-        else:
-            assert lhs == g**z
+    i, j = (data.draw(st.integers(1, F.q - 1)) for _ in range(2))
+    a, b = F.elem_at(i), F.elem_at(j)
+    assert F.index(a * b) == tab.exp[(tab.dlog[i] + tab.dlog[j]) % (F.q - 1)]
 
 
 def test_is_prime():
