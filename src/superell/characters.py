@@ -17,12 +17,17 @@ by table lookups; candidates whose walk returns to 1 early are skipped.  The
 walk is `ffield.SpreadCoding.walk`, the same one that builds the field log
 tables.  The tables are checked against the direct square-and-multiply
 symbol in the test suite.
+
+Character sums read the residue of every monic g mod P from the half tables
+of the same coding: g -> g mod P is affine in the base-p digits of g's index,
+with the images of `polyring.unit_images` (`CharContext.residue_tables`).
 """
 
 from __future__ import annotations
 
 import itertools
 from array import array
+from collections import Counter, OrderedDict
 
 from . import limits
 from .cyclo import CycInt, mu_embed
@@ -37,6 +42,7 @@ from .polyring import (
     poly_from_json,
     poly_to_json,
     powmod,
+    unit_images,
 )
 
 # symbol-table entry for residues divisible by P; real entries lie in 0..ell-1
@@ -116,12 +122,10 @@ class CharContext:
         for k in range(ell):
             self.zeta_pow_index[field.index(z)] = k
             z = field.mul(z, self.zeta)
-        from collections import OrderedDict
-
         self._symtabs: "OrderedDict[tuple, list[int]]" = OrderedDict()
         self._symtab_entries = 0
         self._symtab_budget = 4 * 10**6  # total cached table entries before eviction
-        self._sc: dict[tuple, list[list[int]]] = {}
+        self._sc: dict[tuple, tuple[list[int], list[int]]] = {}
         # work done through this context, for runtime statistics
         self.counts = dict.fromkeys(
             (
@@ -133,20 +137,6 @@ class CharContext:
             ),
             0,
         )
-
-    def add_table(self):
-        """q x q table of element-index addition (cached per field)."""
-        tab = self.field._cache.get("add_idx")
-        if tab is None:
-            F = self.field
-            if F.q > 2048:
-                raise ResourceLimit(
-                    f"the index add table has a fixed cap of q <= 2048; {F} has q = {F.q}"
-                )
-            elems = [F.elem_at(i) for i in range(F.q)]
-            tab = [[F.index(F.add(a, b)) for b in elems] for a in elems]
-            F._cache["add_idx"] = tab
-        return tab
 
     def symbol_table(self, P: Poly) -> list[int]:
         """s0[residue index] = exponent k with (r/P) = zeta^k; sentinel for P | r.
@@ -178,20 +168,12 @@ class CharContext:
         steps = array("q", [-1]) * size  # steps[r] = k with g^k = r
         order = 0
         coding = spread_coding(F.p, P.degree * F.e)
-        units = [F.elem_at(F.p**i) for i in range(F.e)]  # the F_p-basis of F
-        x = Poly.x(F)
         # neither 1 nor, when deg P > 1, any constant generates (A/P)^*
         for tries, j in enumerate(range(F.q if P.degree > 1 else 2, size)):
             if tries == _GENERATOR_TRIES and not is_irreducible(P):
                 break
             self.counts["generator_candidates"] += 1
-            # images under multiplication by g of the unit vectors
-            # p^(k e + i) of the residue index, the residues u_i t^k
-            images = []
-            tj_g = self._residue_poly(j, P.degree)
-            for _ in range(P.degree):
-                images.extend((tj_g * u).vector_index() for u in units)
-                tj_g = (tj_g * x) % P
+            images = unit_images(self._residue_poly(j, P.degree), P.degree, P)
             order = coding.walk(images, steps, m)
             self.counts["walk_steps"] += order or m  # no return to 1: all m steps
             if order == m:
@@ -227,16 +209,21 @@ class CharContext:
             idx //= F.q
         return Poly(F, cs)
 
-    def scaled_power_residues(self, P: Poly, j: int) -> list[int]:
-        """SC[a] = residue index of a * t^j mod P, for every element index a."""
-        key = (P.key(), j)
-        sc = self._sc.get(key)
-        if sc is None:
+    def residue_tables(self, P: Poly, n: int) -> tuple[list[int], list[int]]:
+        """The `ffield.SpreadCoding` half tables (lo, hi) of g -> g mod P over
+        the monic g of degree n, an affine map on the base-p digits of g's
+        index: the `unit_images` of 1 mod P, plus the residue of t^n.  The
+        residue index of the monic with index a + h len(lo) is lo[a] + hi[h],
+        normalised (cached per (P, n))."""
+        key = (P.key(), n)
+        tabs = self._sc.get(key)
+        if tabs is None:
             F = self.field
-            tj = powmod(Poly.x(F), j, P) if j > 0 else Poly.one(F) % P
-            sc = [(tj * F.elem_at(a)).vector_index() for a in range(F.q)]
-            self._sc[key] = sc
-        return sc
+            coding = spread_coding(F.p, P.degree * F.e)
+            images = unit_images(Poly.one(F), n, P)
+            t_n = (Poly.from_index(F, n, 0) % P).vector_index()
+            tabs = self._sc[key] = coding.half_tables(images, t_n)
+        return tabs
 
 
 def char_context(field: Field, ell: int) -> CharContext:
@@ -378,17 +365,6 @@ def char_from_model(model) -> DirichletChar:
 # -- bulk character sums -----------------------------------------------------------
 
 
-def _full_add(r: int, s: int, q: int, add_tab) -> int:
-    out = 0
-    mult = 1
-    while r or s:
-        out += add_tab[r % q][s % q] * mult
-        r //= q
-        s //= q
-        mult *= q
-    return out
-
-
 def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     """Joint histogram of the residue symbols of the monic g of the given
     degree modulo the primes P_1..P_r.
@@ -396,9 +372,11 @@ def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     For each g, s_i is the exponent k of (g/P_i) = zeta^k, or -1 when P_i | g.
     The tuple (s_1..s_r) is coded as sum_i (s_i + 1) (ell + 1)^(i-1), so a zero
     digit marks a prime dividing g; hist[code] is the number of g with that
-    tuple.  One residue odometer over the coefficients of g serves every
-    character on the conductor P_1 ... P_r: `project_counts` reads the value
-    counts of one exponent assignment from it.
+    tuple.  The residues of every g mod each P_i come from the half tables of
+    `CharContext.residue_tables`: for each low-half index, one pass over the
+    high-half indices per prime codes a block of g.  One histogram serves
+    every character on the conductor P_1 ... P_r: `project_counts` reads the
+    value counts of one exponent assignment from it.
     """
     F = primes[0].field
     ctx = char_context(F, ell)
@@ -412,34 +390,26 @@ def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     ctx.counts["histogram_passes"] += 1
     ctx.counts["monics_scanned"] += q**degree
     weights = [(ell + 1) ** i for i in range(len(primes))]
-    # the odometer adds s_i * weight; the +1 of every digit is added at the end
+    # the codes add s_i * weight; the +1 of every digit is added at the end
     offset = sum(weights)
     if degree == 0:
         return {offset: 1}  # g = 1, whose every symbol is zeta^0
-    add_tab = ctx.add_table()
-    tables = [(ctx.symbol_table(P), w) for P, w in zip(primes, weights)]
-    # scaled[j][i][a] = residue index of a * t^j mod P_i
-    scaled = [[ctx.scaled_power_residues(P, j) for P in primes] for j in range(degree + 1)]
-    hist: dict[int, int] = {}
-    get = hist.get
-
-    def descend(level: int, res: list[int]):
-        if level == 0:
-            # innermost: only the constant digit a of each residue moves, and
-            # the residue of a is a itself, so one add-table row walks all of g
-            codes = [0] * q
-            for (s0, w), r in zip(tables, res):
-                hi = r - r % q
-                codes = [c + w * s0[hi + x] for c, x in zip(codes, add_tab[r % q])]
-            for c in codes:
-                hist[c] = get(c, 0) + 1
-            return
-        row = scaled[level]
-        descend(level - 1, res)
-        for a in range(1, q):
-            descend(level - 1, [_full_add(r, sc[a], q, add_tab) for r, sc in zip(res, row)])
-
-    descend(degree - 1, [sc[1] for sc in scaled[degree]])  # residues of t^degree
+    tables = []
+    for P, w in zip(primes, weights):
+        coding = spread_coding(F.p, P.degree * F.e)
+        lo, hi = ctx.residue_tables(P, degree)
+        tables.append((ctx.symbol_table(P), w, lo, hi, coding.b_lo, coding.norm_lo, coding.norm_hi))
+    hist = Counter()
+    zeros = [0] * len(hi)  # lo and hi have the same lengths for every prime
+    for a in range(len(lo)):
+        codes = zeros
+        for s0, w, lo_i, hi_i, b_lo, norm_lo, norm_hi in tables:
+            x = lo_i[a]
+            codes = [
+                c + w * s0[norm_lo[(s := x + y) % b_lo] + norm_hi[s // b_lo]]
+                for c, y in zip(codes, hi_i)
+            ]
+        hist.update(codes)
     return {code + offset: n for code, n in hist.items()}
 
 

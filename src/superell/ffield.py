@@ -14,11 +14,13 @@ Elements are immutable; every public value may be shared freely.
 
 Element indices, and indices of polynomials over the field, are vectors of
 base-p digits, and multiplication by a fixed element or polynomial is
-F_p-linear (affine for a monic product) on them.  `SpreadCoding` applies such
-maps by table lookups: its `walk` is the one discrete-log walk, behind both
-the log tables here and the residue-symbol tables of `characters`, and its
-half tables give all products f g of a monic f (`polyring.monic_multiples`),
-behind both the factor-table sieve and the exhaustive squarefree oracle.
+F_p-linear (affine for a monic product or remainder) on them.  `SpreadCoding`
+applies such maps by table lookups: its `walk` is the one discrete-log walk,
+behind both the log tables here and the residue-symbol tables of
+`characters`.  Its half tables give all products f g of a monic f
+(`polyring.monic_multiples`), behind both the factor-table sieve and the
+exhaustive squarefree oracle, and all residues g mod P of the monic g of one
+degree, behind the character-sum histograms of `characters`.
 """
 
 from __future__ import annotations
@@ -459,17 +461,18 @@ class SpreadCoding:
         return code
 
     def half_tables(self, images: list[int], offset: int = 0) -> tuple[list[int], list[int]]:
-        """(lo, hi) for the spread codes images[i] of the images of the unit
+        """(lo, hi) for the base-p indices images[i] of the images of the unit
         vectors under a linear map from n = len(images) base-p digits: lo[r]
         is the spread code of offset plus the image of the low-half index r
         (the sum of r_i images[i] over its n // 2 digits r_i), hi[r] that of
         the image of the high-half index r, whose digits are r_(n // 2 + i).
         The image of an index r is then lo[r % p^(n // 2)] + hi[r // p^(n // 2)],
-        normalised; a nonzero spread code `offset` makes the map affine."""
+        normalised; a nonzero index `offset` makes the map affine."""
         p, b_lo, red_lo, red_hi = self.p, self.b_lo, self.red_lo, self.red_hi
+        images = [self.spread(v) for v in images]
         split = len(images) // 2
         out = []
-        for part, start in ((images[:split], offset), (images[split:], 0)):
+        for part, start in ((images[:split], self.spread(offset)), (images[split:], 0)):
             codes = [start]
             for img in part:
                 mults = [0]  # spread codes of c * img, c = 0..p-1
@@ -490,7 +493,7 @@ class SpreadCoding:
         One step is two half-table lookups, a carry-free add and two
         normalising lookups.
         """
-        lo_tab, hi_tab = self.half_tables([self.spread(v) for v in images])
+        lo_tab, hi_tab = self.half_tables(images)
         p_lo, b_lo, norm_lo, norm_hi = self.p_lo, self.b_lo, self.norm_lo, self.norm_hi
         cur = 1
         for k in range(m):

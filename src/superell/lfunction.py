@@ -199,8 +199,10 @@ def _digest(payload: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _checksum(key: str, value: dict) -> str:
-    return _digest(_canon({"key": key, "value": value}))
+# every cache line is this field, the sha256 of the canonical payload
+# {"key":...,"value":...} and '",', then that payload without its "{"; keys
+# sort as checksum < key < value, so the line is itself canonical
+_CHECKSUM_FIELD = '{"checksum":"'
 
 
 def cache_key(chi: DirichletChar) -> str:
@@ -215,8 +217,9 @@ def cache_key(chi: DirichletChar) -> str:
 
 def _read_cache(path) -> tuple[dict, list[str], int]:
     """(key -> value table, verified lines, number of bad lines) of a cache
-    file; a missing file is an empty cache.  A line is bad when it does not
-    decode (a torn append) or its checksum does not match."""
+    file; a missing file is an empty cache.  A line is bad when its checksum
+    does not match the payload it carries (a torn append, or a line not in
+    the canonical form `LCache.put` writes) or the payload does not decode."""
     table: dict[str, dict] = {}
     good: list[str] = []
     bad = 0
@@ -229,12 +232,15 @@ def _read_cache(path) -> tuple[dict, list[str], int]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-                key, value, checksum = rec["key"], rec["value"], rec["checksum"]
-                ok = _checksum(key, value) == checksum
-            except (ValueError, KeyError, TypeError):
-                ok = False
+            head, _, payload = line.partition('",')
+            payload = "{" + payload
+            ok = head == _CHECKSUM_FIELD + _digest(payload)
+            if ok:
+                try:
+                    rec = json.loads(payload)
+                    key, value = rec["key"], rec["value"]
+                except (ValueError, KeyError, TypeError):
+                    ok = False
             if not ok:
                 bad += 1
                 continue
@@ -291,10 +297,8 @@ class LCache:
                 continue
             value = L.to_json()
             self.table[key] = value
-            # keys sort as checksum < key < value, so splicing the checksum in
-            # front of the hashed payload gives the canonical line
             payload = _canon({"key": key, "value": value})
-            lines.append(f'{{"checksum":"{_digest(payload)}",{payload[1:]}\n')
+            lines.append(f'{_CHECKSUM_FIELD}{_digest(payload)}",{payload[1:]}\n')
         if lines:
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write("".join(lines))

@@ -15,7 +15,11 @@ the marks give the smallest prime factor, the cofactor and squarefreeness of
 every monic, and the unmarked entries are the irreducibles.  `irreducibles`,
 `squarefree_monics` and the census conductor enumeration read from it.  The
 indices of all multiples f g of a monic f come from `monic_multiples`, which
-the exhaustive squarefree oracle of `density` shares.
+the exhaustive squarefree oracle of `density` shares.  Multiplication by a
+fixed h modulo a fixed M is F_p-linear on the base-p digits of an index, and
+`unit_images` gives its images of the unit vectors; from them come the
+multiples here, and the residues mod P and the discrete-log walk of
+`characters`.
 
 Factorization of a single polynomial is squarefree decomposition, then
 distinct-degree splitting, then seeded equal-degree splitting; it is a pure
@@ -483,21 +487,36 @@ def is_irreducible(f: Poly) -> bool:
     return True
 
 
+def unit_images(h: Poly, n: int, mod: Poly) -> list[int]:
+    """The indices of u_s t^j h mod `mod` for j < n and s < e, u_s the element
+    with index p^s: the images of the unit vectors p^(j e + s) of the index
+    of a g of degree < n under g -> g h mod `mod`, which is F_p-linear in the
+    base-p digits of g's index."""
+    F = h.field
+    units = [F.elem_at(F.p**s) for s in range(F.e)]
+    x = Poly.x(F)
+    cur = h % mod
+    images = []
+    for _ in range(n):
+        images.extend((cur * u).vector_index() for u in units)
+        cur = (cur * x) % mod
+    return images
+
+
 def monic_multiples(f: Poly, m: int) -> list[int]:
     """The index of f g among the monics of degree deg f + m, for every monic
     g of degree m in index order; f must be monic.
 
-    f g = f t^m plus the sum over i < m of g_i t^i f, whose base-p digit s of
-    g_i contributes u_s t^i f (u_s the F_p-basis of F).  So g -> f g is affine
-    in the base-p digits of g's index, and all q^m products come from two
-    half tables (`ffield.SpreadCoding`) with no field arithmetic per g.
+    f g = f t^m plus the sum over i < m of g_i t^i f, so g -> f g is affine in
+    the base-p digits of g's index, with the `unit_images` of f mod
+    t^(deg f + m), and all q^m products come from two half tables
+    (`ffield.SpreadCoding`) with no field arithmetic per g.
     """
     F = f.field
     q, k = F.q, f.degree
     coding = spread_coding(F.p, (k + m) * F.e)
-    base = [(f * F.elem_at(F.p**s)).vector_index() for s in range(F.e)]
-    images = [coding.spread(v * q**i) for i in range(m) for v in base]
-    lo, hi = coding.half_tables(images, coding.spread((f.vector_index() - q**k) * q**m))
+    images = unit_images(f, m, Poly.from_index(F, k + m, 0))
+    lo, hi = coding.half_tables(images, (f.vector_index() - q**k) * q**m)
     norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
     return [norm_lo[(s := a + b) % b_lo] + norm_hi[s // b_lo] for b in hi for a in lo]
 

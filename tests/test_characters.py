@@ -25,6 +25,7 @@ from superell.characters import (
     project_counts,
     symbol_histogram,
 )
+from superell.ffield import spread_coding
 from superell.polyring import Poly, gcd, irreducibles, is_squarefree, monics
 
 from conftest import poly, rand_poly
@@ -147,6 +148,26 @@ def test_symbol_table_walk_counts(F7):
     assert ctx.counts["generator_candidates"] >= 7 + 21
     # each table needs one walk of all |P| - 1 units, failed candidates add more
     assert ctx.counts["walk_steps"] >= 7 * 6 + 21 * 48
+
+
+def test_residue_tables_match_polynomial_remainder(F7):
+    """The half-table residue of every monic g of degree <= 3 against g mod P,
+    for the first and last primes of each degree 1-3, over F_7, F_4 (p = 2)
+    and the depth-2 tower 2 -> 4 -> 16."""
+    F4 = make_field(2, 2)
+    for F in (F7, F4, extend_field(F4, 2)):
+        ctx = char_context(F, 3)
+        for d in (1, 2, 3):
+            primes = irreducibles(F, d)
+            for P in (primes[0], primes[-1]):
+                coding = spread_coding(F.p, d * F.e)
+                for n in range(4):
+                    lo, hi = ctx.residue_tables(P, n)
+                    assert len(lo) * len(hi) == F.q**n
+                    for j, g in enumerate(monics(F, n)):
+                        s = lo[j % len(lo)] + hi[j // len(lo)]
+                        r = coding.norm_lo[s % coding.b_lo] + coding.norm_hi[s // coding.b_lo]
+                        assert r == (g % P).vector_index(), (F, P, j)
 
 
 def test_mu_value_algebra():
@@ -297,6 +318,16 @@ def test_char_value_counts_zeros_at_large_ell():
         assert chi.eval(g).is_zero()
 
 
+def test_char_value_counts_beyond_q_2048():
+    # q = 2053 is prime and 3 | q - 1; the residues of g need no q x q table
+    F = make_field(2053, 1)
+    t = Poly.x(F)
+    chi = DirichletChar(F, 3, [(t, 1), (t - Poly.one(F), 2)])
+    got = char_value_counts(chi, 1)
+    assert got == _brute_value_counts(chi, 1, {})
+    assert got == ([683, 684, 684], 2)
+
+
 def test_char_sum_matches_direct_eval(F25):
     from superell import CycInt
 
@@ -336,19 +367,32 @@ def _brute_value_counts(chi, degree, symbols):
     return counts, zeros
 
 
-@pytest.mark.parametrize("p, e, max_degree", [(7, 1, 3), (2, 2, 2), (5, 2, 2)])
-def test_symbol_histogram_projection_matches_brute_force(p, e, max_degree):
+# ids: p, the tower's relative degrees, max_degree, and ell when it is not 3
+@pytest.mark.parametrize(
+    "p, tower, ell, max_degree",
+    [
+        pytest.param(7, [1], 3, 3, id="7-1-3"),
+        pytest.param(2, [2], 3, 2, id="2-2-2"),
+        pytest.param(5, [2], 3, 2, id="5-2-2"),
+        pytest.param(2, [2, 2], 3, 2, id="2-2x2-2"),
+        pytest.param(2, [2, 2], 5, 2, id="2-2x2-2-ell5"),
+        pytest.param(11, [1], 5, 2, id="11-1-2-ell5"),
+    ],
+)
+def test_symbol_histogram_projection_matches_brute_force(p, tower, ell, max_degree):
     # every exponent assignment on every conductor, projected from one
     # histogram per degree, against the direct value of chi on every monic
-    F = make_field(p, e)
+    F = make_field(p, tower[0])
+    for n in tower[1:]:
+        F = extend_field(F, n)
     symbols: dict = {}
     for d in range(1, max_degree + 1):
-        for chars in conductor_groups(F, 3, d):
+        for chars in conductor_groups(F, ell, d):
             primes = [P for P, _ in chars[0].exponent_map]
             for n in range(d):
-                hist = symbol_histogram(primes, 3, n)
+                hist = symbol_histogram(primes, ell, n)
                 assert sum(hist.values()) == F.q**n
                 for chi in chars:
                     exponents = [e for _, e in chi.exponent_map]
-                    got = project_counts(hist, exponents, 3)
+                    got = project_counts(hist, exponents, ell)
                     assert got == _brute_value_counts(chi, n, symbols)

@@ -17,7 +17,8 @@ from superell.lfunction import (
     LCache,
     LPoly,
     _canon,
-    _checksum,
+    _digest,
+    _read_cache,
     rescale_by_root,
     trivial_factor_candidates,
 )
@@ -185,7 +186,13 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     for line in lines:
         rec = json.loads(line)
         assert line == _canon({"key": rec["key"], "value": rec["value"], "checksum": rec["checksum"]})
-        assert rec["checksum"] == _checksum(rec["key"], rec["value"])
+        assert rec["checksum"] == _digest(_canon({"key": rec["key"], "value": rec["value"]}))
+    # a line that decodes and whose checksum matches, but that is not in the
+    # canonical form put writes, is bad
+    path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines))
+    assert _read_cache(str(path))[2] == 2
+    path.write_text("".join(line + "\n" for line in lines))
+    assert _read_cache(str(path))[2] == 0
     # corrupt the line
     text = path.read_text().replace('"checksum":"', '"checksum":"00')
     path.write_text(text)
