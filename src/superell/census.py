@@ -8,6 +8,10 @@ computes each L-polynomial exactly, strips the trivial factor of even
 characters, and decides vanishing at the central point.  Per-degree character
 counts are asserted against the generating-series coefficients; vanishing
 counts are reported, never asserted, since no formula for them is known.
+The L-polynomials come from Euler products (`lfunction.l_polynomials`); every
+decomposition-sampled conductor whose L-polynomials the run computed (rather
+than read from the cache) is recomputed by monic character sums, and a
+mismatch raises InvariantViolation.
 
 All list outputs are sorted by (conductor degree, canonical conductor order,
 exponent assignment); reruns with a warm cache are bit-identical apart from
@@ -45,6 +49,7 @@ from .lfunction import (
     central_value_is_zero,
     l_polynomial,
     l_polynomials,
+    monic_sum_l_polynomials,
     repair_cache,
     rescale_by_root,
     strip_trivial_factor,
@@ -90,12 +95,13 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
     return ints == list(P.coeffs)
 
 
-def _l_polys_cached(chars: list, cache: "LCache | None") -> list[LPoly]:
-    """L-polynomials of characters on one conductor.  Every character is looked
-    up first; the misses are then computed together and stored, so a conductor
-    answered from the cache touches no residue-symbol table."""
+def _l_polys_cached(chars: list, cache: "LCache | None") -> tuple[list[LPoly], list[int]]:
+    """L-polynomials of characters on one conductor, and the indices of those
+    computed here rather than read from the cache.  Every character is looked
+    up first; the misses are then computed together and stored, so a
+    conductor answered from the cache touches no residue-symbol table."""
     if cache is None:
-        return l_polynomials(chars)
+        return l_polynomials(chars), list(range(len(chars)))
     found = [cache.get(chi) for chi in chars]
     missing = [i for i, L in enumerate(found) if L is None]
     if missing:
@@ -103,7 +109,17 @@ def _l_polys_cached(chars: list, cache: "LCache | None") -> list[LPoly]:
         for i, L in zip(missing, computed):
             found[i] = L
         cache.put([(chars[i], L) for i, L in zip(missing, computed)])
-    return found
+    return found, missing
+
+
+def _spot_check(chars: list, l_polys: list) -> None:
+    """Recompute L-polynomials by the monic route; a mismatch with the Euler
+    product raises InvariantViolation."""
+    for chi, L, oracle in zip(chars, l_polys, monic_sum_l_polynomials(chars)):
+        if L != oracle:
+            raise InvariantViolation(
+                "euler-product", f"L of {chi!r} differs from its monic character sums"
+            )
 
 
 class CensusReport:
@@ -198,7 +214,7 @@ def run_census(
         entries_before = table.entries
         for chars in conductor_groups(F, ell, d):
             conductors += 1
-            l_polys = _l_polys_cached(chars, cache)
+            l_polys, fresh = _l_polys_cached(chars, cache)
             for chi, L in zip(chars, l_polys):
                 count_a += 1
                 stripped, _k = strip_trivial_factor(L, chi)
@@ -214,6 +230,11 @@ def run_census(
                     vanish_keys.add(chi.key())
                     vanishing.append(chi.to_json())
                 if chi.even and decomp_done < decomp_budget:
+                    # a sampled conductor computed in this run is also
+                    # recomputed by the monic route
+                    if fresh:
+                        _spot_check([chars[i] for i in fresh], [l_polys[i] for i in fresh])
+                        fresh = []
                     # chi's powers are the other characters on its conductor
                     known = {c.key(): Lc for c, Lc in zip(chars, l_polys)}
                     if not decomposition_check(model_from_char(chi), l_polys=known):

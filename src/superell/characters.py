@@ -18,9 +18,16 @@ walk is `ffield.SpreadCoding.walk`, the same one that builds the field log
 tables.  The tables are checked against the direct square-and-multiply
 symbol in the test suite.
 
-Character sums read the residue of every monic g mod P from the half tables
-of the same coding: g -> g mod P is affine in the base-p digits of g's index,
-with the images of `polyring.unit_images` (`CharContext.residue_tables`).
+The L-polynomials of `lfunction` need chi(Q) on the monic irreducibles Q of
+small degree only.  By ell-th power reciprocity (Q/P) = (P/Q), so each symbol
+is read from the table of the smaller of P and Q, at the residue of the other
+(`CharContext.symbol_vector`), and one joint histogram per (conductor, degree)
+serves every character on the conductor (`prime_symbol_histogram`).  The
+residues come from the half tables of the same coding: g -> g mod P is affine
+in the base-p digits of g's index, with the images of `polyring.unit_images`
+(`CharContext.residue_tables`).  Sums over all monics of a degree
+(`symbol_histogram`, `char_value_counts`, `char_sum`) are the definitional
+route, kept as the oracle of the Euler product.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .polyring import (
     factor,
     factor_table,
     irreducible_count,
+    irreducibles,
     is_irreducible,
     poly_from_json,
     poly_to_json,
@@ -122,15 +130,18 @@ class CharContext:
         for k in range(ell):
             self.zeta_pow_index[field.index(z)] = k
             z = field.mul(z, self.zeta)
-        self._symtabs: "OrderedDict[tuple, list[int]]" = OrderedDict()
+        # symbol tables, residue half tables and symbol vectors, least recently
+        # used first, as (value, entries); evicted past _symtab_budget entries
+        self._tables: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._symtab_entries = 0
-        self._symtab_budget = 4 * 10**6  # total cached table entries before eviction
-        self._sc: dict[tuple, tuple[list[int], list[int]]] = {}
+        self._symtab_budget = 4 * 10**6  # total cached entries before eviction
         # work done through this context, for runtime statistics
         self.counts = dict.fromkeys(
             (
                 "histogram_passes",
                 "monics_scanned",
+                "prime_histograms",
+                "primes_scanned",
                 "symbol_tables_built",
                 "generator_candidates",
                 "walk_steps",
@@ -152,10 +163,9 @@ class CharContext:
         candidates P is tested once, and a reducible P raises
         InvariantViolation.
         """
-        key = P.key()
-        tab = self._symtabs.get(key)
+        key = ("symbols", P.key())
+        tab = self._cached(key)
         if tab is not None:
-            self._symtabs.move_to_end(key)
             return tab
         F = self.field
         size = F.q**P.degree
@@ -193,13 +203,23 @@ class CharContext:
         tab = [_ZERO_SENTINEL] * size
         tab[1:] = [(k0 * k) % ell for k in steps[1:]]
         del steps
-        while self._symtabs and self._symtab_entries + size > self._symtab_budget:
-            _, old = self._symtabs.popitem(last=False)
-            self._symtab_entries -= len(old)
-        self._symtabs[key] = tab
-        self._symtab_entries += size
         self.counts["symbol_tables_built"] += 1
-        return tab
+        return self._keep(key, tab, size)
+
+    def _cached(self, key):
+        hit = self._tables.get(key)
+        if hit is None:
+            return None
+        self._tables.move_to_end(key)
+        return hit[0]
+
+    def _keep(self, key, value, entries: int):
+        while self._tables and self._symtab_entries + entries > self._symtab_budget:
+            _, (_, old) = self._tables.popitem(last=False)
+            self._symtab_entries -= old
+        self._tables[key] = (value, entries)
+        self._symtab_entries += entries
+        return value
 
     def _residue_poly(self, idx: int, degree: int) -> Poly:
         F = self.field
@@ -215,15 +235,53 @@ class CharContext:
         index: the `unit_images` of 1 mod P, plus the residue of t^n.  The
         residue index of the monic with index a + h len(lo) is lo[a] + hi[h],
         normalised (cached per (P, n))."""
-        key = (P.key(), n)
-        tabs = self._sc.get(key)
+        key = ("residues", P.key(), n)
+        tabs = self._cached(key)
         if tabs is None:
             F = self.field
             coding = spread_coding(F.p, P.degree * F.e)
             images = unit_images(Poly.one(F), n, P)
             t_n = (Poly.from_index(F, n, 0) % P).vector_index()
-            tabs = self._sc[key] = coding.half_tables(images, t_n)
+            lo, hi = coding.half_tables(images, t_n)
+            tabs = self._keep(key, (lo, hi), len(lo) + len(hi))
         return tabs
+
+    def symbol_vector(self, P: Poly, k: int) -> list[int]:
+        """The exponents s with (P/Q) = zeta^s for the monic irreducibles Q of
+        degree k in canonical order, and -1 for Q = P (cached per (P, k)).
+
+        By the ell-th power reciprocity law (Q/P) = (P/Q) for monic
+        irreducibles P, Q: its sign (-1)^(((q-1)/ell) deg P deg Q) is 1,
+        since (q-1)/ell is even for odd q and -1 = 1 for even q.  So each
+        symbol is read from the table of whichever of P and Q has the smaller
+        degree, P on a tie, at the residue of the other, which comes from the
+        half tables of `residue_tables` with no field arithmetic per Q.
+        """
+        key = ("vector", P.key(), k)
+        vec = self._cached(key)
+        if vec is not None:
+            return vec
+        F = self.field
+        if k >= P.degree:
+            s0 = self.symbol_table(P)
+            coding = spread_coding(F.p, P.degree * F.e)
+            norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
+            lo, hi = self.residue_tables(P, k)
+            n_lo = len(lo)
+            vec = [
+                s0[norm_lo[(s := lo[j % n_lo] + hi[j // n_lo]) % b_lo] + norm_hi[s // b_lo]]
+                for j in factor_table(F).level(k).primes
+            ]
+        else:
+            coding = spread_coding(F.p, k * F.e)
+            norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
+            j = P.vector_index() - F.q**P.degree  # P's index among the monics of its degree
+            vec = []
+            for Q in irreducibles(F, k):
+                lo, hi = self.residue_tables(Q, P.degree)
+                s = lo[j % len(lo)] + hi[j // len(lo)]
+                vec.append(self.symbol_table(Q)[norm_lo[s % b_lo] + norm_hi[s // b_lo]])
+        return self._keep(key, vec, len(vec))
 
 
 def char_context(field: Field, ell: int) -> CharContext:
@@ -413,6 +471,29 @@ def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     return {code + offset: n for code, n in hist.items()}
 
 
+def prime_symbol_histogram(primes, ell: int, k: int) -> dict[int, int]:
+    """Joint histogram of the residue symbols (Q/P_1)..(Q/P_r) over the monic
+    irreducibles Q of degree k, coded as in `symbol_histogram`, with a zero
+    digit for Q = P_i; `project_counts` reads from it the value counts of
+    chi(Q) for every character on the conductor P_1 ... P_r.  The symbols
+    are the `CharContext.symbol_vector`s of the P_i, which the census shares
+    across conductors."""
+    ctx = char_context(primes[0].field, ell)
+    codes = None
+    weight = 1
+    for P in primes:
+        vec = ctx.symbol_vector(P, k)
+        if codes is None:
+            codes = [weight * s for s in vec]
+        else:
+            codes = [c + weight * s for c, s in zip(codes, vec)]
+        weight *= ell + 1
+    offset = (weight - 1) // ell  # the +1 of every digit: sum of (ell + 1)^i
+    ctx.counts["prime_histograms"] += 1
+    ctx.counts["primes_scanned"] += len(codes)
+    return {code + offset: n for code, n in Counter(codes).items()}
+
+
 def project_counts(hist: dict[int, int], exponents, ell: int) -> tuple[list[int], int]:
     """(counts, zeros) of the character with the given exponents on the primes
     of a `symbol_histogram`: each bin adds its count to counts[sum e_i s_i mod
@@ -436,7 +517,7 @@ def project_counts(hist: dict[int, int], exponents, ell: int) -> tuple[list[int]
 
 def char_value_counts(chi: DirichletChar, degree: int) -> tuple[list[int], int]:
     """Over monic g of the given degree: counts[k] = #{g : chi(g) = zeta^k},
-    plus the number of g with chi(g) = 0.  Exact, by residue tracking."""
+    plus the number of g with chi(g) = 0.  Exact, from `symbol_histogram`."""
     primes = [P for P, _ in chi.exponent_map]
     exponents = [e for _, e in chi.exponent_map]
     return project_counts(symbol_histogram(primes, chi.ell, degree), exponents, chi.ell)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import limits
-from .cyclo import central_sum_is_zero
+from .cyclo import central_sum_is_zero, newton_coefficients
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .ffield import Field, FieldElem, extend_field, factorize_int, is_prime, log_table
 from .polyring import Poly, elem_from_json, elem_to_json, is_squarefree, poly_from_json, poly_to_json
@@ -300,19 +300,6 @@ def power_sums(P: ZetaNum, n_max: int) -> list[int]:
     return S[1:]
 
 
-def _poly_from_power_sums(S: list[int]) -> list[int]:
-    """Coefficients a_0..a_n of prod(1 - pi T) from S_1..S_n (S[m-1] = S_m).
-    The Newton divisions must be exact; a remainder signals a counting bug."""
-    n = len(S)
-    a = [1] + [0] * n
-    for k in range(1, n + 1):
-        num = S[k - 1] + sum(a[j] * S[k - j - 1] for j in range(1, k))
-        if num % k != 0:
-            raise InvariantViolation("newton-identities", f"non-integral coefficient at k={k}")
-        a[k] = -(num // k)
-    return a
-
-
 def predicted_count(P: ZetaNum, n: int) -> int:
     """N_n = q^n + 1 - S_n implied by the numerator."""
     return P.q**n + 1 - power_sums(P, n)[n - 1]
@@ -331,7 +318,7 @@ def zeta_numerator(M: SuperellipticModel, *, verify_predictions: bool = False) -
         if (N - q**n - 1) ** 2 > 4 * g * g * q**n:
             raise InvariantViolation("weil-bound", f"N_{n} = {N} violates Weil bounds for {M!r}")
     S = [q**n + 1 - counts[n - 1] for n in range(1, g + 1)]
-    a = _poly_from_power_sums(S)
+    a = newton_coefficients(S)
     coeffs = a[: g + 1] + [0] * g
     for i in range(g):
         coeffs[2 * g - i] = q ** (g - i) * coeffs[i]
@@ -357,7 +344,7 @@ def base_change(P: ZetaNum, m: int) -> ZetaNum:
     deg = len(P.coeffs) - 1
     S = power_sums(P, deg * m)
     Sp = [S[n * m - 1] for n in range(1, deg + 1)]
-    return ZetaNum(P.q**m, _poly_from_power_sums(Sp))
+    return ZetaNum(P.q**m, newton_coefficients(Sp))
 
 
 def is_supersingular_np(P: ZetaNum, p: int, e: int) -> bool:

@@ -1,5 +1,7 @@
-"""Exact arithmetic in Z[zeta_ell] for an odd prime ell, and the exact
-central-point test for polynomials with coefficients in Z[zeta_ell].
+"""Exact arithmetic in Z[zeta_ell] for an odd prime ell: the Galois action
+sigma_j: zeta -> zeta^j, exact division through the norm, and Newton's
+identities over Z and Z[zeta_ell]; and the exact central-point test for
+polynomials with coefficients in Z[zeta_ell].
 
 Elements are stored in the power basis {1, zeta, ..., zeta^{ell-2}} so that
 equality and the zero test are coordinatewise; coordinates are plain Python
@@ -11,7 +13,9 @@ Q(zeta_ell) is Q(sqrt(+-ell)).
 
 from __future__ import annotations
 
-from .errors import InputError
+import functools
+
+from .errors import InputError, InvariantViolation
 from .ffield import factorize_int, is_prime
 
 
@@ -122,13 +126,79 @@ def mu_embed(ell: int, k: int) -> CycInt:
     return CycInt(ell, (-1,) * (ell - 1))
 
 
+def galois(x: CycInt, j: int) -> CycInt:
+    """The automorphism sigma_j: zeta -> zeta^j of Z[zeta_ell], for j prime to
+    ell; sigma_j permutes the powers of zeta, so it is O(ell)."""
+    ell = x.ell
+    if j % ell == 0:
+        raise InputError(f"sigma_{j} is not an automorphism of Z[zeta_{ell}]")
+    counts = [0] * ell
+    for i, c in enumerate(x.coords):
+        counts[i * j % ell] += c
+    return CycInt.from_counts(ell, counts)
+
+
 def conjugate(x: CycInt) -> CycInt:
     """Complex conjugation zeta -> zeta^{-1}; an involution."""
-    out = CycInt.from_int(x.ell, 0)
-    for i, c in enumerate(x.coords):
-        if c:
-            out = out + mu_embed(x.ell, -i) * c
-    return out
+    return galois(x, -1)
+
+
+@functools.cache
+def _unit_generator(ell: int) -> int:
+    """The smallest generator of (Z/ell)^*."""
+    primes = factorize_int(ell - 1)
+    return next(
+        g for g in range(2, ell) if all(pow(g, (ell - 1) // r, ell) != 1 for r in primes)
+    )
+
+
+def other_conjugates(y: CycInt) -> CycInt:
+    """The product of sigma_j(y) over j = 2..ell-1, so that y times it is the
+    norm of y, a rational integer.  With g a generator of (Z/ell)^* and
+    P_m = prod_{i<m} sigma_{g^i}(y), it is sigma_g(P_{ell-2}), and P_m comes
+    from O(log ell) products by doubling: P_2a = P_a sigma_{g^a}(P_a) and
+    P_{a+1} = y sigma_g(P_a)."""
+    ell = y.ell
+    g = _unit_generator(ell)
+    acc, a = y, 1
+    for bit in bin(ell - 2)[3:]:
+        acc, a = acc * galois(acc, pow(g, a, ell)), 2 * a
+        if bit == "1":
+            acc, a = y * galois(acc, g), a + 1
+    return galois(acc, g)
+
+
+def exact_quotient(x, d):
+    """x / d for ints or CycInts x and nonzero d, or None when d does not
+    divide x in Z or Z[zeta_ell].  A CycInt divisor is cleared through its
+    norm: x / d = x d' / N(d), with d' = `other_conjugates`(d)."""
+    if isinstance(d, CycInt):
+        cof = other_conjugates(d)
+        x, d = x * cof, (d * cof).as_int()
+    if isinstance(x, int):
+        quo, rem = divmod(x, d)
+        return None if rem else quo
+    if any(c % d for c in x.coords):
+        return None
+    return CycInt(x.ell, tuple(c // d for c in x.coords))
+
+
+def newton_coefficients(S, one=1) -> list:
+    """Coefficients c_0..c_n of prod (1 - pi T) from the power sums
+    S_m = sum pi^m, m = 1..n (S[m-1] = S_m), over Z or Z[zeta_ell]:
+    k c_k = -sum_{i=1..k} S_i c_{k-i}.  `one` is the unit of the coefficient
+    type.  The divisions must be exact; a remainder signals a counting bug
+    and raises InvariantViolation."""
+    c = [one]
+    for k in range(1, len(S) + 1):
+        num = S[k - 1]  # times c_0 = one
+        for i in range(1, k):
+            num = num + S[i - 1] * c[k - i]
+        ck = exact_quotient(-num, k)
+        if ck is None:
+            raise InvariantViolation("newton-identities", f"non-integral coefficient at k={k}")
+        c.append(ck)
+    return c
 
 
 def central_sum_is_zero(coeffs, q: int) -> bool:

@@ -9,18 +9,41 @@ which the degree bookkeeping deg L* = deg f - 2 and the zeta-function
 decomposition both hold.  The factor is unique because the quotient's inverse
 roots all have absolute value sqrt(q), never 1.
 
+L(u, chi) comes from its Euler product over the monic irreducibles of small
+degree, with Newton's identities for the low coefficients and the functional
+equation of the completed L-function for the rest, once per Galois orbit
+{chi^j} (`l_polynomials`).  The sums of chi over all monics of each degree
+(`monic_sum_l_polynomials`) are the definitional oracle.
+
 The central point is u = q^{-1/2}; the decision is `cyclo.central_sum_is_zero`,
 the same test `curves.has_central_eigenvalue` applies to zeta numerators.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 
-from .characters import DirichletChar, char_context, char_sum, project_counts, symbol_histogram
-from .cyclo import CycInt, central_sum_is_zero, mu_embed
-from .errors import CacheCorrupt, InputError, InvariantViolation
+from . import limits
+from .characters import (
+    DirichletChar,
+    char_context,
+    char_sum,
+    prime_symbol_histogram,
+    project_counts,
+    symbol_histogram,
+)
+from .cyclo import (
+    CycInt,
+    central_sum_is_zero,
+    conjugate,
+    exact_quotient,
+    galois,
+    mu_embed,
+    newton_coefficients,
+)
+from .errors import CacheCorrupt, InputError, InvariantViolation, ResourceLimit
 from .polyring import poly_to_json
 
 
@@ -83,18 +106,152 @@ class LPoly:
 
 
 def l_polynomials(chars) -> list[LPoly]:
-    """L(u, chi) for characters on one conductor, by direct character sums:
-    c_n = sum of chi(g) over monic g of degree n, for n below the conductor
-    degree.  Every character reads them from the same symbol histograms, one
-    per degree."""
+    """L(u, chi) for characters on one conductor, from the Euler product
+    L(u, chi) = prod_Q (1 - chi(Q) u^{deg Q})^{-1} over the monic irreducibles
+    Q of small degree.
+
+    The values chi(Q) over the Q of degree k are read from one joint symbol
+    histogram per degree (`characters.prime_symbol_histogram`), shared by
+    every character on the conductor.  They give the power sums of the
+    inverse roots, S_n = -sum_{k | n} k sum_{deg Q = k} chi(Q)^{n/k}, and
+    Newton's identities give c_0..c_M.  The coefficients above M come from
+    the functional equation (`_complete`), so only primes of degree up to
+    about half the conductor degree enter.  Since chi^j(g) = sigma_j(chi(g)),
+    L(u, chi^j) = sigma_j L(u, chi) coefficient by coefficient, and each
+    Galois orbit {chi^j} is assembled once, from its member whose first
+    exponent is 1.  `monic_sum_l_polynomials` is the definitional oracle.
+    """
+    ell, q = chars[0].ell, chars[0].field.q
+    primes = [P for P, _ in chars[0].exponent_map]
+    keys = [P.key() for P in primes]
+    # the limit bounds the problem, whichever route solves it: the character
+    # sums of c_0..c_{D-1} run over up to q^(D-1) monics
+    size, limit = q ** (chars[0].degree - 1), limits.limit_census()
+    if size > limit:
+        raise ResourceLimit(
+            f"the L-polynomial of a degree-{chars[0].degree} conductor over F_{q} sums over "
+            f"{size} monics, more than SUPERELL_LIMIT_CENSUS = {limit}; set it to at least {size}"
+        )
+    hists: dict[int, dict] = {}  # k -> prime_symbol_histogram over the Q of degree k
+    orbits: dict[tuple, list] = {}  # first-exponent-1 exponents -> coefficients
+    out = []
+    for chi in chars:
+        _check_conductor(chi, ell, keys, chars[0])
+        exponents = [e for _, e in chi.exponent_map]
+        j = exponents[0]
+        inv = pow(j, -1, ell)
+        rep = tuple(e * inv % ell for e in exponents)
+        coeffs = orbits.get(rep)
+        if coeffs is None:
+            coeffs = orbits[rep] = _euler_coefficients(primes, rep, chi.even, ell, hists)
+        if j != 1:
+            coeffs = [galois(c, j) for c in coeffs]
+        out.append(LPoly(ell, q, coeffs, char_ref=chi.to_json()))
+    return out
+
+
+def _check_conductor(chi: DirichletChar, ell: int, keys: list, first: DirichletChar) -> None:
+    if chi.ell != ell or [P.key() for P, _ in chi.exponent_map] != keys:
+        raise InputError(f"{chi!r} is not on the conductor of {first!r}")
+
+
+def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) -> list[CycInt]:
+    """c_0..c_{D-1} of L(u, chi) for the character with the given exponents
+    on the primes (D the conductor degree).  The completed L-function is
+    Lambda = L of degree N = D - 1 for odd chi, and Lambda = L / (1 - u) of
+    degree N = D - 2 for even chi, whose partial sums are Lambda_n =
+    c_0 + ... + c_n.  Lambda_0..Lambda_M with M = ceil(N/2) come from the
+    Euler product; when every overlap coefficient vanishes, M grows by one
+    until `_complete` can pin the root number (at the latest at M = N, where
+    the pair (0, N) is one)."""
+    q = primes[0].field.q
+    N = sum(P.degree for P in primes) - (2 if even else 1)
+    one = CycInt.from_int(ell, 1)
+    counts: dict[int, list[int]] = {}  # k -> value counts of chi(Q) over deg Q = k
+
+    def power_sum(n: int) -> CycInt:
+        tally = [0] * ell
+        for k in range(1, n + 1):
+            if n % k:
+                continue
+            if k not in counts:
+                if k not in hists:
+                    hists[k] = prime_symbol_histogram(primes, ell, k)
+                counts[k] = project_counts(hists[k], exponents, ell)[0]
+            for v, c in enumerate(counts[k]):
+                tally[v * (n // k) % ell] -= k * c
+        return CycInt.from_counts(ell, tally)
+
+    S: list[CycInt] = []
+    for M in range((N + 1) // 2, N + 1):
+        S.extend(power_sum(n) for n in range(len(S) + 1, M + 1))
+        lam = newton_coefficients(S, one)
+        if even:
+            lam = list(itertools.accumulate(lam))
+        full = _complete(lam, N, q)
+        if full is not None:
+            break
+    if not even:
+        return full
+    zero = CycInt.from_int(ell, 0)
+    return [a - b for a, b in zip(full + [zero], [zero] + full)]  # (1 - u) Lambda
+
+
+def _complete(lam: list, N: int, q: int) -> "list | None":
+    """Lambda_0..Lambda_N of a completed L-function of degree N from
+    Lambda_0..Lambda_M, N/2 <= M <= N, by the functional equation
+    Lambda_{N-n} = W conj(Lambda_n) / q^n, where W = Lambda_N.
+
+    W = q^n Lambda_{N-n} / conj(Lambda_n) is pinned by the first overlap pair
+    n in [N-M, M] with Lambda_n != 0, and every overlap pair must agree with
+    it (a pair with Lambda_n = 0 needs Lambda_{N-n} = 0); then
+    W conj(W) = q^N must hold, and the Lambda_{N-m} with m < N - M follow.
+    None when every overlap Lambda_n is 0.  A quotient that is not exact in
+    Z[zeta_ell], or any disagreement, raises InvariantViolation.
+    """
+    M = len(lam) - 1
+    W = None
+    for n in range(N - M, M + 1):
+        a, b = lam[n], lam[N - n] * q**n
+        if a.is_zero():
+            agree = b.is_zero()
+        elif W is None:
+            W = exact_quotient(b, conjugate(a))
+            agree = W is not None
+        else:
+            agree = W * conjugate(a) == b
+        if not agree:
+            raise InvariantViolation(
+                "functional-equation", f"overlap pair ({n}, {N - n}) breaks the functional equation"
+            )
+    if W is None:
+        return None
+    if W * conjugate(W) != q**N:
+        raise InvariantViolation("functional-equation", f"|Lambda_{N}|^2 is not q^{N}")
+    top = []
+    for m in range(N - M - 1, -1, -1):
+        c = exact_quotient(W * conjugate(lam[m]), q**m)
+        if c is None:
+            raise InvariantViolation(
+                "functional-equation", f"Lambda_{N - m} is not in Z[zeta_{W.ell}]"
+            )
+        top.append(c)
+    return lam + top
+
+
+def monic_sum_l_polynomials(chars) -> list[LPoly]:
+    """L(u, chi) for characters on one conductor by the definition:
+    c_n = sum of chi(g) over the monic g of degree n, for n below the
+    conductor degree.  Every character reads them from the same symbol
+    histograms (`characters.symbol_histogram`), one per degree.  This is the
+    oracle of `l_polynomials` in the tests and in the census spot check."""
     primes = [P for P, _ in chars[0].exponent_map]
     ell = chars[0].ell
     keys = [P.key() for P in primes]
     hists = [symbol_histogram(primes, ell, n) for n in range(chars[0].degree)]
     out = []
     for chi in chars:
-        if chi.ell != ell or [P.key() for P, _ in chi.exponent_map] != keys:
-            raise InputError(f"{chi!r} is not on the conductor of {chars[0]!r}")
+        _check_conductor(chi, ell, keys, chars[0])
         exponents = [e for _, e in chi.exponent_map]
         coeffs = [CycInt.from_counts(ell, project_counts(h, exponents, ell)[0]) for h in hists]
         out.append(LPoly(ell, chi.field.q, coeffs, char_ref=chi.to_json()))
@@ -134,17 +291,16 @@ def trivial_factor_candidates(L: LPoly) -> list[int]:
 
 def strip_trivial_factor(L: LPoly, chi: DirichletChar) -> tuple[LPoly, "int | None"]:
     """Remove the unit-circle factor of an even character's L; odd L is returned
-    unchanged with k = None.  When several k divide (never observed; the
-    stripped polynomial has no unit-circle roots), the smallest is taken."""
+    unchanged with k = None.  The factor is (1 - zeta^k u) for the smallest k
+    that divides; several never do, since the stripped polynomial has no
+    unit-circle roots, and k = 0 for every untwisted even character."""
     if not chi.even:
         return L, None
-    ks = trivial_factor_candidates(L)
-    if not ks:
-        raise InvariantViolation(
-            "even-trivial-zero", f"no mu_ell root factor in L of {chi!r}"
-        )
-    k = ks[0]
-    return _divide_unit_root(L, k), k
+    for k in range(L.ell):
+        stripped = _divide_unit_root(L, k)
+        if stripped is not None:
+            return stripped, k
+    raise InvariantViolation("even-trivial-zero", f"no mu_ell root factor in L of {chi!r}")
 
 
 def twist_exponent(model) -> int:

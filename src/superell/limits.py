@@ -3,8 +3,9 @@
 Defaults keep every exhaustive loop honest at desk scale. The three
 environment overrides are SUPERELL_LIMIT_POINTS (elements scanned per point
 count), SUPERELL_LIMIT_CENSUS (monics scanned per character-sum histogram
-pass, and enumeration sizes in the census paths, the factor table and the
-exhaustive squarefree count) and SUPERELL_ZECH_LIMIT (largest field whose
+pass, the q^(D-1) monics the sums defining an L-polynomial of conductor
+degree D run over, and enumeration sizes in the census paths, the factor
+table and the exhaustive squarefree count) and SUPERELL_ZECH_LIMIT (largest field whose
 log and Zech tables are built).
 """
 

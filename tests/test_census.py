@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from superell import InputError, ResourceLimit, make_field
+from superell import InputError, InvariantViolation, ResourceLimit, make_field
 from superell.census import (
     decomposition_check,
     family_experiment,
@@ -13,6 +13,8 @@ from superell.census import (
     seed_model,
 )
 from superell.characters import enumerate_order_ell
+from superell.cyclo import conjugate
+from superell.lfunction import l_polynomials
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.polyring import Poly, monics
@@ -68,9 +70,12 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
 
 
 def test_census_runtime_counts(tmp_path):
-    # a cold cache: one histogram pass per conductor and degree below its
-    # degree, 1 + 7 + ... + 7^(d-1) monics each; the sampled decompositions
-    # then reuse the L-polynomials of their conductor, with or without a cache
+    # a cold cache: the Euler product reads one prime histogram per conductor
+    # and prime degree it needs (about half the conductor degree), and the
+    # spot check recomputes the 25 decomposition-sampled conductors by monic
+    # sums, one histogram pass per degree below the conductor's; the sampled
+    # decompositions reuse the L-polynomials of their conductor, with or
+    # without a cache
     make_field(7, 1)._cache.pop("factor_table", None)  # as in a fresh process
     cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=str(tmp_path / "cold.jsonl"))
     total = cold.runtime_stats["total_counts"]
@@ -78,20 +83,41 @@ def test_census_runtime_counts(tmp_path):
     assert total["factor_table_entries"] == 7 + 49 + 343 + 2401
     assert [cold.runtime_stats[f"degree_{d}_counts"]["factor_table_entries"]
             for d in (1, 2, 3, 4)] == [7, 49, 343, 2401]
-    assert total["histogram_passes"] == 9205
-    assert total["monics_scanned"] == 840301
+    assert total["prime_histograms"] == 4641
+    assert total["primes_scanned"] == 77322
+    assert total["histogram_passes"] == 43
+    assert total["monics_scanned"] == 2995
     assert total["generator_candidates"] >= total["symbol_tables_built"]
     assert total["walk_steps"] >= total["generator_candidates"]
     bare = run_census(7, 1, 3, 4, sample_decomp=25)
-    assert bare.runtime_stats["total_counts"]["histogram_passes"] == 9205
+    for key in ("prime_histograms", "primes_scanned", "histogram_passes", "monics_scanned"):
+        assert bare.runtime_stats["total_counts"][key] == total[key]
     assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
     assert bare.to_json(include_runtime=False) == cold.to_json(include_runtime=False)
     path = str(tmp_path / "lcache.jsonl")
     run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     warm = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path).runtime_stats
     assert warm["total_counts"]["histogram_passes"] == 0
+    assert warm["total_counts"]["prime_histograms"] == 0
     assert warm["total_counts"]["symbol_tables_built"] == 0
     assert warm["degree_2_counts"]["conductors"] == 42
+
+
+def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
+    # conjugated coefficients are the L of the dual character: they keep the
+    # degree law, the trivial factor, duality and every zeta/L product, so
+    # only the recomputation by monic sums can tell
+    from superell import census
+    from superell.lfunction import LPoly
+
+    def conjugated(chars):
+        return [LPoly(L.ell, L.q, [conjugate(c) for c in L.coeffs], L.char_ref)
+                for L in l_polynomials(chars)]
+
+    monkeypatch.setattr(census, "l_polynomials", conjugated)
+    with pytest.raises(InvariantViolation) as err:
+        run_census(7, 1, 3, 3, sample_decomp=10)
+    assert err.value.invariant == "euler-product"
 
 
 def test_model_from_char_roundtrip(F7):

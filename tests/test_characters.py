@@ -22,6 +22,7 @@ from superell.characters import (
     char_sum,
     char_value_counts,
     conductor_groups,
+    prime_symbol_histogram,
     project_counts,
     symbol_histogram,
 )
@@ -168,6 +169,23 @@ def test_residue_tables_match_polynomial_remainder(F7):
                         s = lo[j % len(lo)] + hi[j // len(lo)]
                         r = coding.norm_lo[s % coding.b_lo] + coding.norm_hi[s // coding.b_lo]
                         assert r == (g % P).vector_index(), (F, P, j)
+
+
+def test_symbol_caches_share_one_budget(F7, monkeypatch):
+    # symbol tables, residue half tables and symbol vectors are evicted
+    # together, least recently used first, and rebuilt when needed again
+    from superell.lfunction import l_polynomials, monic_sum_l_polynomials
+
+    ctx = CharContext(F7, 3)
+    ctx._symtab_budget = 400
+    monkeypatch.setitem(F7._cache, ("charctx", 3), ctx)
+    kinds = set()
+    for d in (2, 3):
+        for chars in conductor_groups(F7, 3, d):
+            assert l_polynomials(chars) == monic_sum_l_polynomials(chars)
+            assert ctx._symtab_entries == sum(n for _, n in ctx._tables.values()) <= 400
+            kinds.update(key[0] for key in ctx._tables)
+    assert kinds == {"symbols", "residues", "vector"}
 
 
 def test_mu_value_algebra():
@@ -347,13 +365,14 @@ def test_char_json_roundtrip(F7):
     assert back == chi
 
 
-def _brute_value_counts(chi, degree, symbols):
-    """Value counts of chi over monic g of the given degree, by the definition
-    chi(g) = prod (g/P)^e with every symbol by square-and-multiply; `symbols`
-    memoises them, since many conductors share a prime."""
+def _brute_value_counts(chi, degree, symbols, polys=None):
+    """Value counts of chi over monic g of the given degree (or over `polys`),
+    by the definition chi(g) = prod (g/P)^e with every symbol by
+    square-and-multiply; `symbols` memoises them, since many conductors share
+    a prime."""
     counts = [0] * chi.ell
     zeros = 0
-    for g in monics(chi.field, degree):
+    for g in monics(chi.field, degree) if polys is None else polys:
         v = MuValue.root(chi.ell, 0)
         for P, e in chi.exponent_map:
             key = (g.key(), P.key())
@@ -381,7 +400,9 @@ def _brute_value_counts(chi, degree, symbols):
 )
 def test_symbol_histogram_projection_matches_brute_force(p, tower, ell, max_degree):
     # every exponent assignment on every conductor, projected from one
-    # histogram per degree, against the direct value of chi on every monic
+    # histogram per degree, against the direct value of chi on every monic;
+    # and from one prime histogram per degree, which reads (Q/P) as (P/Q)
+    # from the smaller prime's table, against chi on every irreducible Q
     F = make_field(p, tower[0])
     for n in tower[1:]:
         F = extend_field(F, n)
@@ -396,3 +417,9 @@ def test_symbol_histogram_projection_matches_brute_force(p, tower, ell, max_degr
                     exponents = [e for _, e in chi.exponent_map]
                     got = project_counts(hist, exponents, ell)
                     assert got == _brute_value_counts(chi, n, symbols)
+            for k in range(1, d):  # the degrees an Euler product reads
+                hist = prime_symbol_histogram(primes, ell, k)
+                for chi in chars:
+                    exponents = [e for _, e in chi.exponent_map]
+                    got = project_counts(hist, exponents, ell)
+                    assert got == _brute_value_counts(chi, k, symbols, irreducibles(F, k))

@@ -1,6 +1,7 @@
 import pytest
 
-from superell import CycInt, InputError, conjugate, mu_embed
+from superell import CycInt, InputError, InvariantViolation, conjugate, mu_embed
+from superell.cyclo import exact_quotient, galois, newton_coefficients, other_conjugates
 
 
 def test_mu_embed_examples():
@@ -70,3 +71,61 @@ def test_json_roundtrip():
     x = CycInt(5, (10**30, -(10**25), 3, 0))
     assert CycInt.from_json(x.to_json()) == x
     assert x.to_json()["coords"][0] == str(10**30)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7, 101])
+def test_galois_matches_mu_embed_sum(ell, rng):
+    for _ in range(5):
+        x = CycInt(ell, tuple(rng.randrange(-9, 10) for _ in range(ell - 1)))
+        y = CycInt(ell, tuple(rng.randrange(-9, 10) for _ in range(ell - 1)))
+        for j in rng.sample(range(1, ell), min(ell - 1, 6)):
+            want = CycInt.from_int(ell, 0)
+            for i, c in enumerate(x.coords):
+                want = want + mu_embed(ell, i * j) * c
+            assert galois(x, j) == want
+            assert galois(x * y, j) == galois(x, j) * galois(y, j)
+        assert galois(x, 1) == x
+        assert galois(x, -1) == conjugate(x)
+    with pytest.raises(InputError):
+        galois(x, ell)
+
+
+@pytest.mark.parametrize("ell", [3, 5, 13, 101])
+def test_exact_quotient_through_the_norm(ell, rng):
+    for _ in range(3):
+        x = CycInt(ell, tuple(rng.randrange(-5, 6) for _ in range(ell - 1)))
+        y = CycInt(ell, tuple(rng.randrange(-3, 4) for _ in range(ell - 1)))
+        if y.is_zero():
+            continue
+        norm = y * other_conjugates(y)
+        assert norm.is_int() and norm.as_int() > 0
+        assert exact_quotient(x * y, y) == x
+        assert exact_quotient(x * 7, 7) == x
+    # 1 + zeta is a unit for ell > 2, and 2 divides no coordinate of 1
+    assert exact_quotient(CycInt.from_int(ell, 1), mu_embed(ell, 0) + mu_embed(ell, 1)) is not None
+    assert exact_quotient(CycInt.from_int(ell, 1), CycInt.from_int(ell, 2)) is None
+    assert exact_quotient(CycInt.from_int(ell, 1), 2) is None
+    assert exact_quotient(12, 4) == 3 and exact_quotient(13, 4) is None
+
+
+def test_newton_coefficients_over_z_and_z_zeta():
+    # prod (1 - pi T) for roots 2, 3, -1 over Z
+    roots = [2, 3, -1]
+    S = [sum(r**m for r in roots) for m in range(1, 4)]
+    assert newton_coefficients(S) == [1, -4, 1, 6]
+    # over Z[zeta_5]: roots zeta, 1 + zeta^2
+    ell = 5
+    one = CycInt.from_int(ell, 1)
+    r1, r2 = mu_embed(ell, 1), one + mu_embed(ell, 2)
+    S = [_power(r1, m) + _power(r2, m) for m in (1, 2)]
+    assert newton_coefficients(S, one) == [one, -(r1 + r2), r1 * r2]
+    # power sums 1, 0 would need c_2 = 1/2
+    with pytest.raises(InvariantViolation):
+        newton_coefficients([1, 0])
+
+
+def _power(x, m):
+    out = CycInt.from_int(x.ell, 1)
+    for _ in range(m):
+        out = out * x
+    return out

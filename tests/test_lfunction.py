@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -12,17 +13,22 @@ from superell import (
     mu_embed,
     strip_trivial_factor,
 )
+from superell.characters import conductor_groups, project_counts, symbol_histogram
 from superell.cyclo import conjugate
+from superell.ffield import extend_field, make_field
 from superell.lfunction import (
     LCache,
     LPoly,
     _canon,
+    _complete,
     _digest,
     _read_cache,
+    l_polynomials,
+    monic_sum_l_polynomials,
     rescale_by_root,
     trivial_factor_candidates,
 )
-from superell.polyring import Poly, monics
+from superell.polyring import Poly, is_irreducible, monics
 
 from conftest import poly
 
@@ -209,3 +215,116 @@ def test_orthogonality_full_census_degree4(F7):
 
     for chi in enumerate_order_ell(F7, 3, 4):
         assert char_sum(chi, chi.degree).is_zero()
+
+
+# ids: p, the tower's relative degrees, ell, largest conductor degree
+@pytest.mark.parametrize(
+    "p, tower, ell, max_degree",
+    [
+        pytest.param(7, [1], 3, 3, id="7-1-3"),
+        pytest.param(2, [2], 3, 3, id="2-2-3"),
+        pytest.param(2, [2, 2], 3, 2, id="2-2x2-2"),
+        pytest.param(5, [2], 3, 2, id="5-2-2"),
+        pytest.param(11, [1], 5, 2, id="11-1-2-ell5"),
+    ],
+)
+def test_euler_route_matches_monic_sums(p, tower, ell, max_degree):
+    F = make_field(p, tower[0])
+    for n in tower[1:]:
+        F = extend_field(F, n)
+    for d in range(1, max_degree + 1):
+        for chars in conductor_groups(F, ell, d):
+            assert l_polynomials(chars) == monic_sum_l_polynomials(chars)
+            # any subset, in any order, gives the same polynomials
+            sub = chars[::-2]
+            assert l_polynomials(sub) == monic_sum_l_polynomials(sub)
+
+
+def _completed(L, chi):
+    """Lambda = L, or L / (1 - u) for even chi, from an oracle L."""
+    if not chi.even:
+        return list(L.coeffs)
+    return list(itertools.accumulate(L.coeffs))[:-1]
+
+
+def test_euler_route_when_every_overlap_coefficient_vanishes(F7):
+    # such characters need primes of one more degree than ceil(N/2)
+    seen = 0
+    for d in (3, 4):
+        for chars in conductor_groups(F7, 3, d):
+            for chi, L in zip(chars, monic_sum_l_polynomials(chars)):
+                lam = _completed(L, chi)
+                N = len(lam) - 1
+                M = (N + 1) // 2
+                if all(lam[n].is_zero() for n in range(N - M, M + 1)):
+                    seen += 1
+                    assert _complete(lam[: M + 1], N, 7) is None
+                    assert l_polynomials([chi]) == [L]
+        if d == 3:
+            assert seen == 84  # of the 1,092 characters of degree 3
+    assert seen == 84 + 672  # and of the 9,240 of degree 4
+
+
+def test_functional_equation_completion_rejects_corrupted_coefficient(F7):
+    tested = 0
+    for chars in conductor_groups(F7, 3, 4):
+        for chi, L in zip(chars, monic_sum_l_polynomials(chars)):
+            if chi.even:
+                continue
+            lam = list(L.coeffs)  # N = 3, M = 2: overlap pairs (1, 2) and (2, 1)
+            assert _complete(lam[:3], 3, 7) == lam
+            if lam[1].is_zero() or lam[2].is_zero():
+                continue
+            bad = [lam[0], lam[1] * 2, lam[2]]
+            with pytest.raises(InvariantViolation) as err:
+                _complete(bad, 3, 7)
+            assert err.value.invariant == "functional-equation"
+            off = [lam[0], lam[1] + CycInt.from_int(3, 7), lam[2]]
+            with pytest.raises(InvariantViolation):
+                _complete(off, 3, 7)
+            tested += 1
+        if tested >= 20:
+            break
+    assert tested >= 20
+    # a Lambda_n = 0 whose partner is not 0
+    with pytest.raises(InvariantViolation):
+        _complete(cyc(3, 1, 0, 7), 3, 7)
+
+
+def test_large_ell_lone_characters(monkeypatch):
+    # ell = 101 over GF(607): the norm divisions multiply 99 conjugates; the
+    # limit admits a degree-4 conductor, whose sums run over 607^3 monics
+    monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", str(607**3))
+    F = make_field(607, 1)
+    t = Poly.x(F)
+    lin = [t - Poly.from_ints(F, [a]) for a in (0, 1, 5)]
+    quad = [t * t - Poly.from_ints(F, [r]) for r in range(2, 607) if pow(r, 303, 607) == 606][:2]
+    assert all(is_irreducible(Q) for Q in quad)
+    cases = [
+        [(lin[0], 1), (quad[0], 1)],
+        [(lin[0], 1), (quad[0], 50)],
+        [(lin[0], 1), (lin[1], 3), (lin[2], 97)],
+        [(quad[0], 1), (quad[1], 100)],
+        [(quad[0], 2), (quad[1], 7)],
+        [(lin[0], 1), (lin[1], 99), (quad[0], 1)],
+    ]
+    parities = set()
+    for pairs in cases:
+        chi = DirichletChar(F, 101, pairs)
+        L = l_polynomial(chi)
+        assert L.degree == chi.degree - 1
+        parities.add((chi.degree, chi.even))
+        if chi.degree == 3:
+            assert [L] == monic_sum_l_polynomials([chi])
+        else:
+            # the monic sums of degree 3 would scan 607^3 monics; c_0..c_2
+            # include, for an even character, one the functional equation
+            # derived
+            primes = [P for P, _ in chi.exponent_map]
+            exps = [e for _, e in chi.exponent_map]
+            for n in range(3):
+                counts, _ = project_counts(symbol_histogram(primes, 101, n), exps, 101)
+                assert L.coeffs[n] == CycInt.from_counts(101, counts)
+        stripped, k = strip_trivial_factor(L, chi)
+        assert stripped.degree == chi.degree - (2 if chi.even else 1)
+    assert parities == {(3, False), (3, True), (4, False), (4, True)}
