@@ -204,12 +204,11 @@ def _dispatch(args) -> int:
     if args.command == "density":
         model = _model_from_args(args)
         form = product_form(model)
-        emp = None
+        rep = truncated_density(form, args.deg_max)
         if args.samples:
-            emp = empirical_density(
+            rep.empirical = empirical_density(
                 model, args.h_deg, args.samples, args.seed, coprime_only=args.coprime_only
             )
-        rep = truncated_density(form, args.deg_max, empirical=emp)
         _write_out(rep.to_json(), args.out)
         return 0
 

@@ -14,6 +14,15 @@ shortcut is cross-checked against brute force in the tests.
 
 The single-variable mode (m = 1) exists as a convergence oracle: the density
 of squarefree monic polynomials is exactly 1 - 1/q from degree 2 on.
+
+The seeded sampler draws (numer, denom) from the box of polynomials of degree
+<= h, which holds only q^(h+1) polynomials, so each is drawn many times: it
+keeps the power list [1, g, ..., g^(deg F)] of every polynomial g it draws,
+keyed by g's digits, and evaluates F on the cached powers
+(`BinaryForm.evaluate_powers`).  Over a prime field of at most
+`ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
+evaluation and the squarefree test build no new field elements.
+`passes_squarefree_filter`, which evaluates from scratch, is its test oracle.
 """
 
 from __future__ import annotations
@@ -22,12 +31,13 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .curves import SuperellipticModel
-from .errors import InputError, ResourceLimit
+from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm, homogenize
 from .ffield import Field
 from .polyring import (
     Poly,
     _census_guard,
+    gcd,
     irreducibles,
     is_squarefree,
     monic_multiples,
@@ -35,6 +45,9 @@ from .polyring import (
 )
 
 BRUTE_FORCE_LIMIT = 10**8
+# Most power lists the sampler keeps; beyond this many distinct draws it
+# computes the powers of a new polynomial for each draw.
+POWER_CACHE_LIMIT = 1 << 14
 
 
 def product_form(M0: SuperellipticModel) -> BinaryForm:
@@ -216,18 +229,19 @@ def truncated_density(
     F_form: BinaryForm, deg_max: int, *, empirical: "dict | None" = None
 ) -> DensityReport:
     """Exact product of local factors over non-excluded primes of degree <= deg_max."""
-    excluded = {p.key() for p in excluded_primes(F_form)}
+    if deg_max < 0:
+        raise InputError(f"deg_max (--deg-max) must be at least 0, got {deg_max}")
+    excluded = excluded_primes(F_form)
+    excluded_keys = {p.key() for p in excluded}
     factors = []
     prod = Fraction(1)
     F = F_form.field
     for deg in range(1, deg_max + 1):
         for pi in irreducibles(F, deg):
-            if pi.key() in excluded:
+            if pi.key() in excluded_keys:
                 continue
             lf = local_factor(F_form, pi)
             if lf.flagged_zero:
-                from .errors import InvariantViolation
-
                 raise InvariantViolation(
                     "nonvanishing-local-factor",
                     f"included prime {pi!r} has vanishing local factor",
@@ -237,7 +251,7 @@ def truncated_density(
     return DensityReport(
         form=F_form,
         truncation_degree=deg_max,
-        excluded=[p for p in excluded_primes(F_form)],
+        excluded=excluded,
         factors=factors,
         truncated_product=prod,
         empirical=empirical,
@@ -302,25 +316,28 @@ class _LCG:
         return (self.next_raw() >> 24) % n
 
 
-def _sample_poly(F: Field, max_deg: int, rng: _LCG) -> Poly:
-    return Poly(F, tuple(F.elem_at(rng.below(F.q)) for _ in range(max_deg + 1)))
-
-
 def _strip_excluded(val: Poly, excluded: list[Poly]) -> Poly:
     for pi in excluded:
-        while not val.is_zero() and (val % pi).is_zero():
-            val = val // pi
+        while not val.is_zero():
+            quo, rem = divmod(val, pi)
+            if not rem.is_zero():
+                break
+            val = quo
     return val
+
+
+def _passes_stripped(val: Poly, excluded) -> bool:
+    """The filter on a computed value F(numer, denom)."""
+    if val.is_zero():
+        return False
+    val = _strip_excluded(val, excluded)
+    return val.degree == 0 or is_squarefree(val)
 
 
 def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:
     """True when F(numer, denom) is nonzero and squarefree away from the
     excluded primes (squarefree as an ideal of the localized ring)."""
-    val = F_form.evaluate(numer, denom)
-    if val.is_zero():
-        return False
-    val = _strip_excluded(val, excluded)
-    return val.degree == 0 or is_squarefree(val)
+    return _passes_stripped(F_form.evaluate(numer, denom), excluded)
 
 
 def empirical_density(
@@ -341,26 +358,45 @@ def empirical_density(
     gcd^d divides the product and d >= 2.  With coprime_only=True, non-coprime
     pairs are rejected and resampled, which rescales the frequency by roughly
     the inverse density of coprime pairs, about q/(q-1).
+
+    Each draw is h_deg + 1 digits from the seeded generator, the coefficients
+    of the drawn polynomial low degree first; its powers come from a cache
+    keyed by those digits.
     """
+    if h_deg < 0:
+        raise InputError(f"h_deg (--h-deg) must be at least 0, got {h_deg}")
+    if samples < 0:
+        raise InputError(f"samples (--samples) must be at least 0, got {samples}")
     if samples == 0:
         return None
-    from .polyring import gcd as poly_gcd
-
     F_form = product_form(M0)
     excluded = excluded_primes(F_form)
     F = M0.field
+    q = F.q
     rng = _LCG(seed)
+    cache: dict[tuple, list[Poly]] = {}
+
+    def draw() -> list[Poly]:
+        digits = tuple(rng.below(q) for _ in range(h_deg + 1))
+        pows = cache.get(digits)
+        if pows is None:
+            pows = F_form.powers(Poly(F, [F.elem_at(i) for i in digits]))
+            if len(cache) < POWER_CACHE_LIMIT:
+                cache[digits] = pows
+        return pows
+
     hits = 0
     for _ in range(samples):
         while True:
-            numer = _sample_poly(F, h_deg, rng)
-            denom = _sample_poly(F, h_deg, rng)
+            npows = draw()
+            dpows = draw()
+            numer, denom = npows[1], dpows[1]
             if numer.is_zero() and denom.is_zero():
                 continue
-            if coprime_only and poly_gcd(numer, denom).degree != 0:
+            if coprime_only and gcd(numer, denom).degree != 0:
                 continue
             break
-        if passes_squarefree_filter(F_form, numer, denom, excluded):
+        if _passes_stripped(F_form.evaluate_powers(npows, dpows), excluded):
             hits += 1
     return {
         "samples": samples,

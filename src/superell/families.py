@@ -40,18 +40,25 @@ class BinaryForm:
         """F(x, 1); drops a factor v^{degree - deg} when present."""
         return Poly(self.field, self.coeffs)
 
+    def powers(self, g: Poly) -> list[Poly]:
+        """[1, g, ..., g^degree], the powers `evaluate_powers` reads."""
+        out = [Poly.one(self.field)]
+        for _ in range(self.degree):
+            out.append(out[-1] * g)
+        return out
+
     def evaluate(self, numer: Poly, denom: Poly) -> Poly:
         """F(numer, denom) as a polynomial in t."""
+        return self.evaluate_powers(self.powers(numer), self.powers(denom))
+
+    def evaluate_powers(self, npows: list[Poly], dpows: list[Poly]) -> Poly:
+        """F(numer, denom) from the power lists of numer and denom; only the
+        nonzero terms of F are evaluated."""
         d = self.degree
         out = Poly.zero(self.field)
-        npow = Poly.one(self.field)
-        dpows = [Poly.one(self.field)]
-        for _ in range(d):
-            dpows.append(dpows[-1] * denom)
         for i, c in enumerate(self.coeffs):
             if not c.is_zero():
-                out = out + npow * dpows[d - i] * c
-            npow = npow * numer
+                out = out + npows[i] * dpows[d - i] * c
         return out
 
     def __repr__(self):

@@ -10,7 +10,11 @@ the descriptor (p, tower degrees, modulus vectors) is a stable cache key.
 Extensions are always built over the field at hand, so subfield elements
 embed as constant coefficient vectors and no embedding search is ever needed.
 
-Elements are immutable; every public value may be shared freely.
+Elements are immutable; every public value may be shared freely.  A prime
+field of at most `ELEM_TABLE_CAP` elements builds each of its p elements once,
+and its arithmetic returns these shared objects instead of new ones; above the
+cap, elements are built per result, so memory stays bounded for every p the
+library accepts.  Inversion in a prime field is Fermat's a^(p-2) on ints.
 
 Element indices, and indices of polynomials over the field, are vectors of
 base-p digits, and multiplication by a fixed element or polynomial is
@@ -31,6 +35,9 @@ from . import limits
 from .errors import InputError, InvariantViolation, ResourceLimit
 
 _PRIME_CACHE: dict[int, "Field"] = {}
+
+# Largest prime p whose field keeps a table of its p elements.
+ELEM_TABLE_CAP = 1 << 12
 
 
 def is_prime(n: int) -> bool:
@@ -111,10 +118,25 @@ class FieldElem:
         return f"<{self.field.index(self)} in {self.field}>"
 
 
-class Field:
-    """F_{p^e}, either a prime field or a single extension step over `base`."""
+class _FreshElems:
+    """Stands in for the element table of a prime field above the cap:
+    indexing by a residue builds a new element."""
 
-    __slots__ = ("p", "base", "rel_degree", "e", "q", "modulus", "_cache")
+    __slots__ = ("field",)
+
+    def __init__(self, field: "Field"):
+        self.field = field
+
+    def __getitem__(self, v: int) -> FieldElem:
+        return FieldElem(self.field, (v,))
+
+
+class Field:
+    """F_{p^e}, either a prime field or a single extension step over `base`.
+
+    A prime field's `elems[v]` is the element with residue v, 0 <= v < p."""
+
+    __slots__ = ("p", "base", "rel_degree", "e", "q", "modulus", "_cache", "elems")
 
     def __init__(self, p: int, base: "Field | None", rel_degree: int, modulus):
         self.p = p
@@ -124,6 +146,12 @@ class Field:
         self.q = p**self.e
         self.modulus = modulus  # coefficient tuple over base, length rel_degree+1, monic
         self._cache: dict = {}
+        if base is not None:
+            self.elems = None
+        elif p <= ELEM_TABLE_CAP:
+            self.elems = [FieldElem(self, (v,)) for v in range(p)]
+        else:
+            self.elems = _FreshElems(self)
 
     # -- construction ------------------------------------------------------
 
@@ -157,7 +185,7 @@ class Field:
     def from_int(self, n: int) -> FieldElem:
         """The image of the integer n under Z -> F_p -> F."""
         if self.base is None:
-            return FieldElem(self, (n % self.p,))
+            return self.elems[n % self.p]
         c0 = self.base.from_int(n)
         zero = self.base.zero()
         return FieldElem(self, (c0,) + (zero,) * (self.rel_degree - 1))
@@ -184,7 +212,7 @@ class Field:
     def elem_at(self, idx: int) -> FieldElem:
         """Inverse of index()."""
         if self.base is None:
-            return FieldElem(self, (idx % self.p,))
+            return self.elems[idx % self.p]
         qb = self.base.q
         cs = []
         for _ in range(self.rel_degree):
@@ -196,25 +224,25 @@ class Field:
 
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if self.base is None:
-            return FieldElem(self, ((a.coeffs[0] + b.coeffs[0]) % self.p,))
+            return self.elems[(a.coeffs[0] + b.coeffs[0]) % self.p]
         base = self.base
         return FieldElem(self, tuple(base.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
 
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if self.base is None:
-            return FieldElem(self, ((a.coeffs[0] - b.coeffs[0]) % self.p,))
+            return self.elems[(a.coeffs[0] - b.coeffs[0]) % self.p]
         base = self.base
         return FieldElem(self, tuple(base.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)))
 
     def neg(self, a: FieldElem) -> FieldElem:
         if self.base is None:
-            return FieldElem(self, ((-a.coeffs[0]) % self.p,))
+            return self.elems[-a.coeffs[0] % self.p]
         base = self.base
         return FieldElem(self, tuple(base.neg(x) for x in a.coeffs))
 
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if self.base is None:
-            return FieldElem(self, ((a.coeffs[0] * b.coeffs[0]) % self.p,))
+            return self.elems[a.coeffs[0] * b.coeffs[0] % self.p]
         base = self.base
         n = self.rel_degree
         if base.base is None:
@@ -234,7 +262,8 @@ class Field:
                     row = red[k - n]
                     for j in range(n):
                         prod[j] += c * row[j]
-            return FieldElem(self, tuple(FieldElem(base, (v % p,)) for v in prod[:n]))
+            elems = base.elems
+            return FieldElem(self, tuple(elems[v % p] for v in prod[:n]))
         prod = [base.zero()] * (2 * n - 1)
         for i, x in enumerate(a.coeffs):
             if base.index(x) == 0:
@@ -296,6 +325,8 @@ class Field:
     def inverse(self, a: FieldElem) -> FieldElem:
         if self.index(a) == 0:
             raise ZeroDivisionError("inverse of zero field element")
+        if self.base is None:
+            return self.elems[pow(a.coeffs[0], self.p - 2, self.p)]
         return self.pow(a, self.q - 2)
 
 

@@ -268,6 +268,7 @@ def test_cli_exit_codes(capsys):
 
 _FAMILY = ["family", "--seed-kind", "f25twist", "--p", "5", "--n", "3"]
 _DENSITY = ["density", "--p", "7", "--deg-max", "1"]
+_TRIGONAL = ["--ell", "3", "--components", "[[0,6,0,1],[1]]"]
 
 
 @pytest.mark.parametrize(
@@ -293,6 +294,9 @@ _DENSITY = ["density", "--p", "7", "--deg-max", "1"]
         (_DENSITY + ["--ell", "3", "--components", "[1]"], {}, "--components"),
         (["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[1,0,0,0,1],1]]"], {},
          "--conductor-factors"),
+        (_DENSITY + _TRIGONAL + ["--h-deg", "-1", "--samples", "5"], {}, "--h-deg"),
+        (_DENSITY + _TRIGONAL + ["--samples", "-3"], {}, "--samples"),
+        (["density", "--p", "7", "--deg-max", "-1"] + _TRIGONAL, {}, "--deg-max"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):

@@ -13,16 +13,19 @@ from superell import (
     make_field,
     truncated_density,
 )
+import superell.density as density_mod
 from superell.density import (
     LocalFactor,
+    _LCG,
     exhaustive_squarefree_count,
     local_count_brute,
+    passes_squarefree_filter,
     product_form,
     squarefree_density_exact,
     squarefree_frequency,
 )
 from superell.families import BinaryForm
-from superell.polyring import Poly, irreducibles
+from superell.polyring import Poly, gcd, irreducibles
 
 from conftest import poly
 
@@ -54,8 +57,6 @@ def test_flagged_zero_scenario(F7):
 
 
 def test_truncated_density_rejects_vanishing_factor(F7, monkeypatch):
-    import superell.density as density_mod
-
     form = homogenize(Poly.x(F7) ** 3 - Poly.x(F7))
 
     def fake(F_form, pi):
@@ -176,3 +177,61 @@ def test_brute_force_guard(F7):
     big = BinaryForm(F7, tuple([F7.one()] * 3))
     with pytest.raises(ResourceLimit):
         local_count_brute(big, irreducibles(F7, 4)[0])
+
+
+def _replayed_hits(base, h_deg, samples, seed, coprime_only):
+    """The sampler's hit count recomputed draw by draw: the same digits from
+    the same generator, each pair tested from scratch by
+    `passes_squarefree_filter`."""
+    form = product_form(base)
+    excluded = excluded_primes(form)
+    F = base.field
+    rng = _LCG(seed)
+
+    def draw():
+        return Poly(F, [F.elem_at(rng.below(F.q)) for _ in range(h_deg + 1)])
+
+    hits = 0
+    for _ in range(samples):
+        while True:
+            numer, denom = draw(), draw()
+            if numer.is_zero() and denom.is_zero():
+                continue
+            if coprime_only and gcd(numer, denom).degree != 0:
+                continue
+            break
+        hits += passes_squarefree_filter(form, numer, denom, excluded)
+    return hits
+
+
+def _sampler_bases():
+    F2, F3, F4, F7, F25 = (make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (7, 1), (5, 2)))
+    t2, t3, t4 = Poly.x(F2), Poly.x(F3), Poly.x(F4)
+    return {
+        "F7": (trigonal(F7), 2),
+        # the two primes of degree 1 are excluded, and h = 0 makes (0, 0) draws
+        "F2": (SuperellipticModel(3, F2, F2.one(), (t2 * (t2**2 + t2 + Poly.one(F2)),
+                                                    Poly.one(F2))), 2),
+        "F2-h0": (SuperellipticModel(3, F2, F2.one(), (t2 * (t2 + Poly.one(F2)),
+                                                       Poly.one(F2))), 0),
+        "F3": (SuperellipticModel(2, F3, F3.one(), (t3**3 - t3,)), 2),
+        "F4": (SuperellipticModel(3, F4, F4.one(), (t4**3 + t4 + Poly.one(F4),
+                                                    Poly.one(F4))), 1),
+        "F25": (trigonal(F25), 1),
+    }
+
+
+@pytest.mark.parametrize("coprime_only", [False, True])
+@pytest.mark.parametrize("name", ["F7", "F2", "F2-h0", "F3", "F4", "F25"])
+def test_sampler_matches_per_sample_filter(name, coprime_only):
+    base, h_deg = _sampler_bases()[name]
+    emp = empirical_density(base, h_deg, 300, seed=11, coprime_only=coprime_only)
+    assert emp["hits"] == _replayed_hits(base, h_deg, 300, 11, coprime_only)
+
+
+def test_sampler_past_its_power_cache(F7, monkeypatch):
+    base = trigonal(F7)
+    full = empirical_density(base, 2, 300, seed=3)
+    monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", 4)
+    assert empirical_density(base, 2, 300, seed=3) == full
+

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superell import InputError, ResourceLimit, extend_field, make_field, primitive_root
-from superell.ffield import LogTable, is_prime, log_table
+from superell.ffield import ELEM_TABLE_CAP, LogTable, is_prime, log_table
 
 
 def brute_canonical_modulus(F, n):
@@ -235,3 +235,45 @@ def test_tower_log_homomorphism(p, degrees, data):
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 1013])
+def test_prime_field_inverse_is_fermat(p):
+    F = make_field(p, 1)
+    one = F.one()
+    for v in range(1, p):
+        a = F.elem_at(v)
+        inv = F.inverse(a)
+        assert F.mul(inv, a) == one
+        assert inv == F.pow(a, p - 2)
+    with pytest.raises(ZeroDivisionError):
+        F.inverse(F.zero())
+
+
+def test_prime_field_elements_are_shared():
+    F = make_field(7, 1)
+    a, b = F.elem_at(3), F.from_int(12)
+    assert F.from_int(3) is a and F.elem_at(5) is b
+    assert F.add(a, b) is F.elem_at(1) and F.sub(a, b) is F.elem_at(5)
+    assert F.mul(a, b) is F.elem_at(1) and F.neg(a) is F.elem_at(4)
+    assert F.inverse(a) is F.elem_at(5)
+    F4 = make_field(2, 2)
+    x = F4.elem_at(2)
+    assert all(c is F4.base.elem_at(F4.base.index(c)) for c in F4.mul(x, x).coeffs)
+
+
+def test_prime_field_above_the_cap():
+    p = 2**31 - 1
+    assert p > ELEM_TABLE_CAP
+    F = make_field(p, 1)
+    assert not isinstance(F.elems, list)
+    assert F.from_int(5) == F.from_int(5) and F.from_int(5) is not F.from_int(5)
+    x, y = 123456789, 2**31 - 5
+    a, b = F.from_int(x), F.from_int(y)
+    assert F.index(F.add(a, b)) == (x + y) % p
+    assert F.index(F.sub(a, b)) == (x - y) % p
+    assert F.index(F.mul(a, b)) == x * y % p
+    assert F.index(F.neg(a)) == -x % p
+    inv = F.inverse(a)
+    assert F.mul(inv, a) == F.one()
+    assert inv == F.pow(a, p - 2)
