@@ -170,18 +170,13 @@ def run_census(
     cache_path: "str | None" = None,
 ) -> CensusReport:
     from . import limits
-    from .errors import ResourceLimit
 
     if max_degree < 1:
         raise InputError(f"max_degree must be at least 1, got {max_degree}")
     F = make_field(p, e)
     q = F.q
-    limit = limits.limit_census()
-    if q**max_degree > limit:
-        raise ResourceLimit(
-            f"census at conductor degree {max_degree} over q={q} needs "
-            f"SUPERELL_LIMIT_CENSUS >= {q**max_degree}, it is {limit}"
-        )
+    what = f"census at conductor degree {max_degree} over q={q}"
+    limits.require("SUPERELL_LIMIT_CENSUS", q**max_degree, what)
     ctx = char_context(F, ell)
     report = CensusReport(q, p, e, ell, max_degree)
     cache = None
@@ -206,7 +201,7 @@ def run_census(
         else:
             decomp_budget = min(sample_decomp, decomp_done + per_degree_budget)
         td = time.monotonic()
-        vanishing: list[dict] = []
+        vanishing: list[DirichletChar] = []
         vanish_keys: set = set()
         count_a = 0
         conductors = 0
@@ -228,7 +223,7 @@ def run_census(
                     )
                 if central_value_is_zero(stripped):
                     vanish_keys.add(chi.key())
-                    vanishing.append(chi.to_json())
+                    vanishing.append(chi)
                 if chi.even and decomp_done < decomp_budget:
                     # a sampled conductor computed in this run is also
                     # recomputed by the monic route
@@ -246,8 +241,7 @@ def run_census(
                 "count-formula", f"degree {d}: enumerated {count_a}, formula {expected}"
             )
         # duality closure: the dual of a vanishing character vanishes
-        for chi_json in vanishing:
-            chi = DirichletChar.from_json(F, chi_json)
+        for chi in vanishing:
             if chi.dual().key() not in vanish_keys:
                 report.duality_ok = False
                 raise InvariantViolation("duality", f"dual of {chi!r} does not vanish")
@@ -256,7 +250,7 @@ def run_census(
                 "degree": d,
                 "count_A": count_a,
                 "count_B": len(vanishing),
-                "vanishing": vanishing,
+                "vanishing": [chi.to_json() for chi in vanishing],
             }
         )
         report.runtime_stats[f"degree_{d}_seconds"] = round(time.monotonic() - td, 3)

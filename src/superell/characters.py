@@ -159,9 +159,10 @@ class CharContext:
         integer residue indices (`ffield.SpreadCoding.walk`, which also builds
         the log tables of `ffield`); the first whose walk returns to
         1 only after m steps is a generator, and its walk is the discrete log.
-        Such a walk also proves P irreducible.  After `_GENERATOR_TRIES` failed
-        candidates P is tested once, and a reducible P raises
-        InvariantViolation.
+        Such a walk also proves P irreducible.  A candidate that an earlier
+        failed walk reached is skipped: its order divides that walk's, which is
+        below m.  After `_GENERATOR_TRIES` failed walks P is tested once, and a
+        reducible P raises InvariantViolation.
         """
         key = ("symbols", P.key())
         tab = self._cached(key)
@@ -178,10 +179,14 @@ class CharContext:
         steps = array("q", [-1]) * size  # steps[r] = k with g^k = r
         order = 0
         coding = spread_coding(F.p, P.degree * F.e)
+        tries = 0
         # neither 1 nor, when deg P > 1, any constant generates (A/P)^*
-        for tries, j in enumerate(range(F.q if P.degree > 1 else 2, size)):
+        for j in range(F.q if P.degree > 1 else 2, size):
+            if steps[j] >= 0:
+                continue  # a power of a failed candidate: its order is below m
             if tries == _GENERATOR_TRIES and not is_irreducible(P):
                 break
+            tries += 1
             self.counts["generator_candidates"] += 1
             images = unit_images(self._residue_poly(j, P.degree), P.degree, P)
             order = coding.walk(images, steps, m)
@@ -439,12 +444,8 @@ def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     F = primes[0].field
     ctx = char_context(F, ell)
     q = F.q
-    limit = limits.limit_census()
-    if q**degree > limit:
-        raise ResourceLimit(
-            f"a character-sum pass over {q}^{degree} monics exceeds SUPERELL_LIMIT_CENSUS = "
-            f"{limit}; set it to at least {q**degree}"
-        )
+    what = f"a character-sum pass over {q}^{degree} monics"
+    limits.require("SUPERELL_LIMIT_CENSUS", q**degree, what)
     ctx.counts["histogram_passes"] += 1
     ctx.counts["monics_scanned"] += q**degree
     weights = [(ell + 1) ** i for i in range(len(primes))]
@@ -583,12 +584,7 @@ def conductor_characters(F: Field, ell: int, d: int):
 def enumerate_order_ell(F: Field, ell: int, n: int) -> list[DirichletChar]:
     """All primitive order-ell characters with conductor degree <= n."""
     char_context(F, ell)  # validates q = 1 mod ell
-    limit = limits.limit_census()
-    if F.q**n > limit:
-        raise ResourceLimit(
-            f"enumeration at degree {n} over {F} needs SUPERELL_LIMIT_CENSUS >= {F.q**n}, "
-            f"it is {limit}"
-        )
+    limits.require("SUPERELL_LIMIT_CENSUS", F.q**n, f"enumeration at degree {n} over {F}")
     out: list[DirichletChar] = []
     for d in range(1, n + 1):
         out.extend(conductor_characters(F, ell, d))

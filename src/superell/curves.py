@@ -7,10 +7,10 @@ Point counting is naive and exact: one pass over P^1(F_{q^n}) with the Kummer
 fiber rule.  At a point where the defining polynomial has valuation coprime
 to ell the fiber is the single ramification point; elsewhere the fiber size
 is the number of ell-th roots of the unit part, which is ell or 0 when
-ell | q^n - 1 and exactly 1 otherwise.  Small fields go through shared
-discrete-log tables (pure integer arithmetic in the hot loop); the generic
-tower-arithmetic path computes the same numbers and is used as a cross-check
-oracle in the tests.
+ell | q^n - 1 and exactly 1 otherwise.  Every count goes through the shared
+discrete-log tables of F_{q^n} (pure integer arithmetic in the hot loop), so
+q^n is bounded by SUPERELL_ZECH_LIMIT.  `_count_generic` computes the same
+numbers by tower arithmetic; it is the test oracle only.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import limits
 from .cyclo import central_sum_is_zero, newton_coefficients
-from .errors import InputError, InvariantViolation, ResourceLimit
+from .errors import InputError, InvariantViolation
 from .ffield import Field, FieldElem, extend_field, factorize_int, is_prime, log_table
 from .polyring import Poly, elem_from_json, elem_to_json, is_squarefree, poly_from_json, poly_to_json
 
@@ -228,16 +228,13 @@ def _count_generic(M: SuperellipticModel, E: Field) -> int:
     return total
 
 
-def count_points(M: SuperellipticModel, n: int, *, force_generic: bool = False) -> int:
+def count_points(M: SuperellipticModel, n: int) -> int:
     """Degree-one places of the smooth model over F_{q^n}."""
     if n < 1:
         raise InputError("extension degree must be positive")
-    if M.field.q**n > limits.limit_points():
-        raise ResourceLimit(f"point count over q^{n} = {M.field.q ** n} exceeds SUPERELL_LIMIT_POINTS")
-    E = extend_field(M.field, n)
-    if not force_generic and E.q <= limits.zech_limit():
-        return _count_log_tables(M, E)
-    return _count_generic(M, E)
+    q = M.field.q
+    limits.require("SUPERELL_ZECH_LIMIT", q**n, f"a point count over F_{q}^{n}")
+    return _count_log_tables(M, extend_field(M.field, n))
 
 
 # -- zeta numerators ----------------------------------------------------------------

@@ -30,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
+from . import limits
 from .curves import SuperellipticModel
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm, homogenize
 from .ffield import Field
 from .polyring import (
     Poly,
-    _census_guard,
     gcd,
     irreducibles,
     is_squarefree,
@@ -275,7 +275,7 @@ def exhaustive_squarefree_count(F: Field, degree: int) -> int:
     """
     total = F.q**degree
     what = f"counting the squarefree monics among the {F.q}^{degree} of degree {degree} over {F}"
-    _census_guard(total, what)
+    limits.require("SUPERELL_LIMIT_CENSUS", total, what)
     marked = bytearray(total)
     for k in range(1, degree // 2 + 1):
         for jh in range(F.q**k):

@@ -19,6 +19,9 @@ from .errors import InputError
 from .ffield import Field, FieldElem
 from .polyring import Poly, factor, gcd, is_squarefree, poly_to_json
 
+# a family report lists its members only up to this many distinct models
+MEMBER_LIST_LIMIT = 200
+
 
 class BinaryForm:
     """F(u, v) = sum coeffs[i] u^i v^{degree - i}; homogenize() of a source
@@ -183,7 +186,7 @@ class FamilyReport:
     def distinct_models(self) -> int:
         return len(self.members)
 
-    def to_json(self, member_limit: int = 200) -> dict:
+    def to_json(self) -> dict:
         out = {
             "schema_version": 1,
             "kind": "family",
@@ -197,7 +200,7 @@ class FamilyReport:
             ],
             "caps": self.caps,
         }
-        if self.distinct_models <= member_limit:
+        if self.distinct_models <= MEMBER_LIST_LIMIT:
             out["members"] = [m.to_json() for m in self.members]
         else:
             out["members_elided"] = True

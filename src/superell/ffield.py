@@ -39,6 +39,9 @@ _PRIME_CACHE: dict[int, "Field"] = {}
 # Largest prime p whose field keeps a table of its p elements.
 ELEM_TABLE_CAP = 1 << 12
 
+# Largest trial divisor `factorize_int` tries.
+TRIAL_DIVISION_LIMIT = 2**22
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (fine for n <= 2**40)."""
@@ -56,13 +59,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize_int(n: int, limit: int = 2**22) -> dict[int, int]:
-    """Trial-division factorization of n; raises ResourceLimit beyond the bound."""
+def factorize_int(n: int) -> dict[int, int]:
+    """Trial-division factorization of n; raises ResourceLimit past TRIAL_DIVISION_LIMIT."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if d > limit:
-            raise ResourceLimit(f"cannot factor {n} by trial division up to {limit}")
+        if d > TRIAL_DIVISION_LIMIT:
+            raise ResourceLimit(f"cannot factor {n} by trial division up to {TRIAL_DIVISION_LIMIT}")
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -420,11 +423,7 @@ class LogTable:
 
     def __init__(self, field: Field):
         q = field.q
-        limit = limits.zech_limit()
-        if q > limit:
-            raise ResourceLimit(
-                f"log table for {field} needs SUPERELL_ZECH_LIMIT >= {q}, it is {limit}"
-            )
+        limits.require("SUPERELL_ZECH_LIMIT", q, f"log table for {field}")
         g = primitive_root(field)
         p, m = field.p, q - 1
         images = [field.index(field.mul(field.elem_at(p**i), g)) for i in range(field.e)]

@@ -43,7 +43,7 @@ from .cyclo import (
     mu_embed,
     newton_coefficients,
 )
-from .errors import CacheCorrupt, InputError, InvariantViolation, ResourceLimit
+from .errors import CacheCorrupt, InputError, InvariantViolation
 from .polyring import poly_to_json
 
 
@@ -126,12 +126,8 @@ def l_polynomials(chars) -> list[LPoly]:
     keys = [P.key() for P in primes]
     # the limit bounds the problem, whichever route solves it: the character
     # sums of c_0..c_{D-1} run over up to q^(D-1) monics
-    size, limit = q ** (chars[0].degree - 1), limits.limit_census()
-    if size > limit:
-        raise ResourceLimit(
-            f"the L-polynomial of a degree-{chars[0].degree} conductor over F_{q} sums over "
-            f"{size} monics, more than SUPERELL_LIMIT_CENSUS = {limit}; set it to at least {size}"
-        )
+    what = f"the L-polynomial of a degree-{chars[0].degree} conductor over F_{q}"
+    limits.require("SUPERELL_LIMIT_CENSUS", q ** (chars[0].degree - 1), what)
     hists: dict[int, dict] = {}  # k -> prime_symbol_histogram over the Q of degree k
     orbits: dict[tuple, list] = {}  # first-exponent-1 exponents -> coefficients
     out = []

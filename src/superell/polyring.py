@@ -35,7 +35,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import limits
-from .errors import InputError, ResourceLimit
+from .errors import InputError
 from .ffield import Field, FieldElem, factorize_int, spread_coding
 
 
@@ -433,15 +433,10 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 # -- enumeration -----------------------------------------------------------------
 
 
-def _census_guard(n: int, what: str) -> None:
-    limit = limits.limit_census()
-    if n > limit:
-        raise ResourceLimit(f"{what} needs SUPERELL_LIMIT_CENSUS >= {n}, it is {limit}")
-
-
 def monics(F: Field, d: int):
     """All monic polynomials of degree exactly d, canonical order."""
-    _census_guard(F.q**d, f"enumerating the {F.q}^{d} monics of degree {d} over {F}")
+    what = f"enumerating the {F.q}^{d} monics of degree {d} over {F}"
+    limits.require("SUPERELL_LIMIT_CENSUS", F.q**d, what)
     for j in range(F.q**d):
         yield Poly.from_index(F, d, j)
 
@@ -570,7 +565,8 @@ class FactorTable:
     def _build(self, d: int) -> None:
         F = self.field
         size = F.q**d
-        _census_guard(size, f"a factor table of the {F.q}^{d} monics of degree {d} over {F}")
+        what = f"a factor table of the {F.q}^{d} monics of degree {d} over {F}"
+        limits.require("SUPERELL_LIMIT_CENSUS", size, what)
         lv = _Level(size)
         spf_deg, spf_rank, cofactor, squarefree = lv.spf_deg, lv.spf_rank, lv.cofactor, lv.squarefree
         for k in range(1, d // 2 + 1):

@@ -285,7 +285,7 @@ _TRIGONAL = ["--ell", "3", "--components", "[[0,6,0,1],[1]]"]
         (["census", "--p", "7", "--ell", "3", "--max-degree", "1"],
          {"SUPERELL_LIMIT_CENSUS": "abc"}, "SUPERELL_LIMIT_CENSUS"),
         (["seed-check", "--kind", "thm41", "--p", "5"],
-         {"SUPERELL_LIMIT_POINTS": "1e9"}, "SUPERELL_LIMIT_POINTS"),
+         {"SUPERELL_ZECH_LIMIT": "1e9"}, "SUPERELL_ZECH_LIMIT"),
         (["seed-check", "--kind", "thm41", "--p", "5"],
          {"SUPERELL_ZECH_LIMIT": ""}, "SUPERELL_ZECH_LIMIT"),
         (["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[1]"], {},
@@ -314,6 +314,12 @@ def test_cli_census_limit_names_its_variable(monkeypatch, capsys):
     assert cli_main(argv) == 3
     err = capsys.readouterr().err
     assert "SUPERELL_LIMIT_CENSUS" in err and "49" in err
+
+
+def test_cli_point_count_limit_exits_3(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERELL_ZECH_LIMIT", "10")
+    assert cli_main(["seed-check", "--kind", "thm41", "--p", "5"]) == 3
+    assert "SUPERELL_ZECH_LIMIT >= 25" in capsys.readouterr().err
 
 
 def test_cli_density_limit_names_its_variable(monkeypatch, capsys):

@@ -3,6 +3,7 @@ import pytest
 from superell import (
     InputError,
     InvariantViolation,
+    ResourceLimit,
     SuperellipticModel,
     ZetaNum,
     base_change,
@@ -15,7 +16,8 @@ from superell import (
     numerator_divides,
     zeta_numerator,
 )
-from superell.curves import power_sums, predicted_count
+from superell.curves import _count_generic, power_sums, predicted_count
+from superell.ffield import extend_field
 from superell.polyring import Poly
 
 from conftest import poly
@@ -74,7 +76,13 @@ def test_count_zech_vs_generic(F5, F7):
     models.append(SuperellipticModel(3, F7, F7.elem_at(3), (t, t - Poly.one(F7))))
     for m in models:
         for n in (1, 2, 3):
-            assert count_points(m, n) == count_points(m, n, force_generic=True)
+            assert count_points(m, n) == _count_generic(m, extend_field(m.field, n))
+
+
+def test_count_points_limit_names_the_value(F5, monkeypatch):
+    monkeypatch.setenv("SUPERELL_ZECH_LIMIT", "10")
+    with pytest.raises(ResourceLimit, match="SUPERELL_ZECH_LIMIT >= 25"):
+        count_points(trigonal(F5), 2)
 
 
 def test_zeta_examples(F5, F7):
@@ -215,10 +223,9 @@ def test_model_json_roundtrip(F25):
 
 
 @pytest.mark.slow
-def test_predicted_counts_genus4(F7):
-    import os
-
-    os.environ.setdefault("SUPERELL_ZECH_LIMIT", str(2**23))
+def test_predicted_counts_genus4(F7, monkeypatch):
+    # verify_predictions counts over F_7^8, above the default limit of 2^21
+    monkeypatch.setenv("SUPERELL_ZECH_LIMIT", str(2**23))
     w = Poly.x(F7) ** 2 + poly(F7, 3)
     member = SuperellipticModel(3, F7, F7.one(), (w**3 - w, Poly.one(F7)))
     assert genus(member) == 4
