@@ -5,12 +5,10 @@ families via dominant maps, and squarefree sieve densities."""
 from .census import family_experiment, run_census, seed_check
 from .characters import (
     DirichletChar,
-    MuValue,
     char_from_model,
     count_all_primitive,
     count_order_ell_exact,
     enumerate_order_ell,
-    residue_symbol,
 )
 from .curves import (
     SuperellipticModel,
@@ -48,6 +46,7 @@ from .lfunction import (
     l_polynomial,
     strip_trivial_factor,
 )
+from .oracle import MuValue, residue_symbol
 from .polyring import Factorization, Poly, factor, irreducibles, is_squarefree
 
 __version__ = "0.1.0"

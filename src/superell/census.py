@@ -58,6 +58,8 @@ from .lfunction import (
 from .polyring import Poly, factor_table
 
 SCHEMA_VERSION = 1
+# members of a vanishing-verified family whose zeta/L decomposition is checked
+FAMILY_DECOMPOSITION_SAMPLE = 2
 
 
 def model_from_char(chi: DirichletChar) -> SuperellipticModel:
@@ -173,6 +175,8 @@ def run_census(
 
     if max_degree < 1:
         raise InputError(f"max_degree must be at least 1, got {max_degree}")
+    if sample_decomp < 0:
+        raise InputError(f"sample_decomp (--sample-decomp) must be at least 0, got {sample_decomp}")
     F = make_field(p, e)
     q = F.q
     what = f"census at conductor degree {max_degree} over q={q}"
@@ -451,11 +455,11 @@ def family_experiment(
     verify_vanishing: bool = False,
     max_pairs_per_degree: "int | None" = None,
     max_members_per_degree: "int | None" = None,
-    decomposition_sample: int = 2,
 ) -> dict:
     """Generate the family of a vanishing seed and verify, member by member,
     the numerator divisibility and central-eigenvalue transfer; optionally also
-    the independent character-sum route to central vanishing."""
+    the independent character-sum route to central vanishing, and the zeta/L
+    decomposition of the first FAMILY_DECOMPOSITION_SAMPLE members."""
     base = seed_model(seed_kind, p)
     P0 = zeta_numerator(base)
     if not has_central_eigenvalue(P0):
@@ -489,7 +493,7 @@ def family_experiment(
             L = rescale_by_root(l_polynomial(chi), twist_exponent(member))
             stripped, _ = strip_trivial_factor(L, chi)
             entry["l_central_zero"] = central_value_is_zero(stripped)
-            if decomp_done < decomposition_sample:
+            if decomp_done < FAMILY_DECOMPOSITION_SAMPLE:
                 entry["decomposition"] = decomposition_check(member)
                 decomp_done += 1
         verification.append(entry)

@@ -15,8 +15,8 @@ walk through the powers of a generator on integer residue indices, where
 multiplication by the generator is an F_p-linear map on base-p digits applied
 by table lookups; candidates whose walk returns to 1 early are skipped.  The
 walk is `ffield.SpreadCoding.walk`, the same one that builds the field log
-tables.  The tables are checked against the direct square-and-multiply
-symbol in the test suite.
+tables.  The tests check the tables against the square-and-multiply symbol
+of `oracle.residue_symbol`.
 
 The L-polynomials of `lfunction` need chi(Q) on the monic irreducibles Q of
 small degree only.  By ell-th power reciprocity (Q/P) = (P/Q), so each symbol
@@ -27,7 +27,7 @@ residues come from the half tables of the same coding: g -> g mod P is affine
 in the base-p digits of g's index, with the images of `polyring.unit_images`
 (`CharContext.residue_tables`).  Sums over all monics of a degree
 (`symbol_histogram`, `char_value_counts`, `char_sum`) are the definitional
-route, kept as the oracle of the Euler product.
+route to the same L-polynomials, which the census spot check runs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from array import array
 from collections import Counter, OrderedDict
 
 from . import limits
-from .cyclo import CycInt, mu_embed
+from .cyclo import CycInt
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .ffield import Field, is_prime, primitive_root, spread_coding
 from .polyring import (
@@ -49,7 +49,6 @@ from .polyring import (
     is_irreducible,
     poly_from_json,
     poly_to_json,
-    powmod,
     unit_images,
 )
 
@@ -59,55 +58,6 @@ _ZERO_SENTINEL = -1
 # generator candidates walked before the modulus is tested for irreducibility;
 # a reducible modulus has no generator, so every candidate would fail
 _GENERATOR_TRIES = 8
-
-
-class MuValue:
-    """Zero, or a root of unity zeta^k; multiplicative with Zero absorbing."""
-
-    __slots__ = ("ell", "k")
-
-    def __init__(self, ell: int, k):
-        self.ell = ell
-        self.k = None if k is None else k % ell
-
-    @classmethod
-    def zero(cls, ell: int) -> "MuValue":
-        return cls(ell, None)
-
-    @classmethod
-    def root(cls, ell: int, k: int) -> "MuValue":
-        return cls(ell, k)
-
-    def is_zero(self) -> bool:
-        return self.k is None
-
-    def __mul__(self, other: "MuValue") -> "MuValue":
-        if self.ell != other.ell:
-            raise InputError("mixed orders in MuValue product")
-        if self.k is None or other.k is None:
-            return MuValue.zero(self.ell)
-        return MuValue(self.ell, self.k + other.k)
-
-    def __pow__(self, n: int) -> "MuValue":
-        if self.k is None:
-            return MuValue.zero(self.ell) if n != 0 else MuValue.root(self.ell, 0)
-        return MuValue(self.ell, self.k * n)
-
-    def to_cyc(self) -> CycInt:
-        if self.k is None:
-            return CycInt.from_int(self.ell, 0)
-        return mu_embed(self.ell, self.k)
-
-    def __eq__(self, other):
-        if not isinstance(other, MuValue):
-            return NotImplemented
-        return self.ell == other.ell and self.k == other.k
-
-    def __hash__(self):
-        return hash((self.ell, self.k))
-
-    def __repr__(self):
-        return f"MuValue({'0' if self.k is None else f'zeta^{self.k}'})"
 
 
 # -- per-(field, ell) context ---------------------------------------------------
@@ -188,7 +138,7 @@ class CharContext:
                 break
             tries += 1
             self.counts["generator_candidates"] += 1
-            images = unit_images(self._residue_poly(j, P.degree), P.degree, P)
+            images = unit_images(Poly.from_vector_index(F, j), P.degree, P)
             order = coding.walk(images, steps, m)
             self.counts["walk_steps"] += order or m  # no return to 1: all m steps
             if order == m:
@@ -225,14 +175,6 @@ class CharContext:
         self._tables[key] = (value, entries)
         self._symtab_entries += entries
         return value
-
-    def _residue_poly(self, idx: int, degree: int) -> Poly:
-        F = self.field
-        cs = []
-        for _ in range(degree):
-            cs.append(F.elem_at(idx % F.q))
-            idx //= F.q
-        return Poly(F, cs)
 
     def residue_tables(self, P: Poly, n: int) -> tuple[list[int], list[int]]:
         """The `ffield.SpreadCoding` half tables (lo, hi) of g -> g mod P over
@@ -298,28 +240,6 @@ def char_context(field: Field, ell: int) -> CharContext:
     return ctx
 
 
-# -- the residue symbol ------------------------------------------------------------
-
-
-def residue_symbol(g: Poly, P: Poly, ell: int) -> MuValue:
-    """The order-ell power residue symbol (g/P), computed as g^((|P|-1)/ell) mod P.
-
-    The power is a square-and-multiply on polynomials mod P; the result is
-    asserted to be a constant in mu_ell(F_q).
-    """
-    ctx = char_context(g.field, ell)
-    if (g % P).is_zero():
-        return MuValue.zero(ell)
-    r = powmod(g, (g.field.q**P.degree - 1) // ell, P)
-    if r.degree > 0:
-        raise InvariantViolation("symbol-constant", f"symbol of {g!r} mod {P!r} is not constant")
-    c = r.coeffs[0] if r.coeffs else g.field.zero()
-    k = ctx.zeta_pow_index.get(g.field.index(c))
-    if k is None:
-        raise InvariantViolation("symbol-root", f"symbol value of {g!r} mod {P!r} outside mu_ell")
-    return MuValue.root(ell, k)
-
-
 # -- Dirichlet characters ------------------------------------------------------------
 
 
@@ -363,15 +283,6 @@ class DirichletChar:
     @property
     def degree(self) -> int:
         return sum(P.degree for P, _ in self.exponent_map)
-
-    def eval(self, g: Poly) -> MuValue:
-        """chi(g) = prod of residue symbols; zero when g shares a conductor factor."""
-        out = MuValue.root(self.ell, 0)
-        for P, e in self.exponent_map:
-            out = out * residue_symbol(g, P, self.ell) ** e
-            if out.is_zero():
-                return out
-        return out
 
     def power(self, j: int) -> "DirichletChar":
         if j % self.ell == 0:

@@ -57,16 +57,23 @@ def _is_coeffs(f) -> bool:
 
 
 def _parse_caps(flag: str, raw: "str | None"):
+    """A cap on pairs or members: an int >= 0, or a JSON dict of them keyed
+    by deg h."""
     if raw is None:
         return None
     try:
         if raw.startswith("{"):
-            return {int(k): v for k, v in _json_arg(flag, raw).items()}
-        return int(raw)
+            caps = {int(k): v for k, v in _json_arg(flag, raw).items()}
+        else:
+            caps = int(raw)
     except ValueError:
+        caps = None
+    values = caps.values() if isinstance(caps, dict) else [caps]
+    if not all(type(v) is int and v >= 0 for v in values):
         raise InputError(
-            f"{flag}: expected an int or a JSON dict keyed by deg h, got {raw!r}"
-        ) from None
+            f"{flag}: expected an int >= 0 or a JSON dict of them keyed by deg h, got {raw!r}"
+        )
+    return caps
 
 
 def _model_from_args(args) -> SuperellipticModel:

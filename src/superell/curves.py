@@ -9,8 +9,7 @@ to ell the fiber is the single ramification point; elsewhere the fiber size
 is the number of ell-th roots of the unit part, which is ell or 0 when
 ell | q^n - 1 and exactly 1 otherwise.  Every count goes through the shared
 discrete-log tables of F_{q^n} (pure integer arithmetic in the hot loop), so
-q^n is bounded by SUPERELL_ZECH_LIMIT.  `_count_generic` computes the same
-numbers by tower arithmetic; it is the test oracle only.
+q^n is bounded by SUPERELL_ZECH_LIMIT.
 """
 
 from __future__ import annotations
@@ -189,45 +188,6 @@ def _count_log_tables(M: SuperellipticModel, E: Field) -> int:
     return total
 
 
-def _count_generic(M: SuperellipticModel, E: Field) -> int:
-    ell = M.ell
-    order = E.q - 1
-    ell_divides = order % ell == 0
-    power = order // ell if ell_divides else 0
-    one = E.one()
-    comps = [
-        (i, tuple(E.embed(c) for c in D.coeffs))
-        for i, D in enumerate(M.components, start=1)
-        if D.degree >= 1
-    ]
-    twist = E.embed(M.twist)
-
-    def fiber(u: FieldElem) -> int:
-        if not ell_divides:
-            return 1
-        return ell if E.pow(u, power) == one else 0
-
-    total = 0
-    for idx in range(E.q):
-        x = E.elem_at(idx)
-        val = twist
-        ramified = False
-        for i, coeffs in comps:
-            acc = coeffs[-1]
-            for c in reversed(coeffs[:-1]):
-                acc = E.add(E.mul(acc, x), c)
-            if acc.is_zero():
-                ramified = True
-                break
-            val = E.mul(val, E.pow(acc, i))
-        total += 1 if ramified else fiber(val)
-    if M.weighted_degree % ell == 0:
-        total += fiber(twist)
-    else:
-        total += 1
-    return total
-
-
 def count_points(M: SuperellipticModel, n: int) -> int:
     """Degree-one places of the smooth model over F_{q^n}."""
     if n < 1:
@@ -302,10 +262,9 @@ def predicted_count(P: ZetaNum, n: int) -> int:
     return P.q**n + 1 - power_sums(P, n)[n - 1]
 
 
-def zeta_numerator(M: SuperellipticModel, *, verify_predictions: bool = False) -> ZetaNum:
+def zeta_numerator(M: SuperellipticModel) -> ZetaNum:
     """P(T) from exact counts N_1..N_g: Newton's identities give a_1..a_g, the
-    functional equation fills the top half.  With verify_predictions the counts
-    N_{g+1}..N_{2g} are recomputed from P and compared against direct counting."""
+    functional equation fills the top half."""
     g = genus(M)
     q = M.field.q
     if g == 0:
@@ -319,16 +278,7 @@ def zeta_numerator(M: SuperellipticModel, *, verify_predictions: bool = False) -
     coeffs = a[: g + 1] + [0] * g
     for i in range(g):
         coeffs[2 * g - i] = q ** (g - i) * coeffs[i]
-    P = ZetaNum(q, coeffs)
-    if verify_predictions:
-        for n in range(g + 1, 2 * g + 1):
-            direct = count_points(M, n)
-            pred = predicted_count(P, n)
-            if direct != pred:
-                raise InvariantViolation(
-                    "predicted-counts", f"N_{n}: predicted {pred}, counted {direct} for {M!r}"
-                )
-    return P
+    return ZetaNum(q, coeffs)
 
 
 def base_change(P: ZetaNum, m: int) -> ZetaNum:

@@ -12,9 +12,6 @@ coefficients (split off the u- and v-multiplicities, count the dehomogenized
 roots mod pi^2, and count the locus (u, v) = (0, 0) mod pi separately).  The
 shortcut is cross-checked against brute force in the tests.
 
-The single-variable mode (m = 1) exists as a convergence oracle: the density
-of squarefree monic polynomials is exactly 1 - 1/q from degree 2 on.
-
 The seeded sampler draws (numer, denom) from the box of polynomials of degree
 <= h, which holds only q^(h+1) polynomials, so each is drawn many times: it
 keeps the power list [1, g, ..., g^(deg F)] of every polynomial g it draws,
@@ -22,7 +19,6 @@ keyed by g's digits, and evaluates F on the cached powers
 (`BinaryForm.evaluate_powers`).  Over a prime field of at most
 `ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
 evaluation and the squarefree test build no new field elements.
-`passes_squarefree_filter`, which evaluates from scratch, is its test oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from . import limits
 from .curves import SuperellipticModel
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm, homogenize
@@ -40,7 +35,6 @@ from .polyring import (
     gcd,
     irreducibles,
     is_squarefree,
-    monic_multiples,
     poly_to_json,
 )
 
@@ -122,14 +116,8 @@ def excluded_primes(F_form: BinaryForm) -> list[Poly]:
 
 def _residues(F: Field, degree: int):
     """All polynomials of degree < degree, canonical order."""
-    q = F.q
-    for j in range(q**degree):
-        cs = []
-        k = j
-        for _ in range(degree):
-            cs.append(F.elem_at(k % q))
-            k //= q
-        yield Poly(F, cs)
+    for j in range(F.q**degree):
+        yield Poly.from_vector_index(F, j)
 
 
 def local_count_brute(F_form: BinaryForm, pi: Poly) -> int:
@@ -258,39 +246,6 @@ def truncated_density(
     )
 
 
-# -- m = 1 oracle mode ---------------------------------------------------------------
-
-
-def squarefree_density_exact(q: int) -> Fraction:
-    """The full product over primes of (1 - |pi|^{-2}), telescoped through the
-    zeta function of F_q[t]: exactly 1 - 1/q."""
-    return Fraction(q - 1, q)
-
-
-def exhaustive_squarefree_count(F: Field, degree: int) -> int:
-    """Number of squarefree monic polynomials of the given degree, counted by
-    marking every product h^2 * m (h monic non-constant) in a table: a direct
-    realisation of the definition, independent of gcd machinery and of the
-    factor table.  The indices of all h^2 * m come from `monic_multiples`.
-    """
-    total = F.q**degree
-    what = f"counting the squarefree monics among the {F.q}^{degree} of degree {degree} over {F}"
-    limits.require("SUPERELL_LIMIT_CENSUS", total, what)
-    marked = bytearray(total)
-    for k in range(1, degree // 2 + 1):
-        for jh in range(F.q**k):
-            h = Poly.from_index(F, k, jh)
-            for j in monic_multiples(h * h, degree - 2 * k):
-                marked[j] = 1
-    return total - sum(marked)
-
-
-def squarefree_frequency(F: Field, degree: int) -> Fraction:
-    """Exhaustively counted fraction of squarefree monic polynomials of the
-    given degree; equals 1 - 1/q exactly for degree >= 2."""
-    return Fraction(exhaustive_squarefree_count(F, degree), F.q**degree)
-
-
 # -- seeded sampling -------------------------------------------------------------------
 
 
@@ -332,12 +287,6 @@ def _passes_stripped(val: Poly, excluded) -> bool:
         return False
     val = _strip_excluded(val, excluded)
     return val.degree == 0 or is_squarefree(val)
-
-
-def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:
-    """True when F(numer, denom) is nonzero and squarefree away from the
-    excluded primes (squarefree as an ideal of the localized ring)."""
-    return _passes_stripped(F_form.evaluate(numer, denom), excluded)
 
 
 def empirical_density(

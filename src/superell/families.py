@@ -284,7 +284,7 @@ def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | Non
         for jd in range(q ** (a + 1)):
             if cap_a is not None and emitted >= cap_a:
                 break
-            denom = Poly(F, tuple(F.elem_at((jd // q**k) % q) for k in range(a + 1)))
+            denom = Poly.from_vector_index(F, jd)
             if denom.is_zero():
                 continue
             for jn in range(q**a):
@@ -298,7 +298,7 @@ def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | Non
         for jn in range(q**a):
             if cap_a is not None and emitted >= cap_a:
                 break
-            numer = Poly(F, tuple(F.elem_at((jn // q**k) % q) for k in range(a)))
+            numer = Poly.from_vector_index(F, jn)
             for jd in range(q**a):
                 if cap_a is not None and emitted >= cap_a:
                     break

@@ -410,16 +410,17 @@ def primitive_root(F: Field) -> FieldElem:
 
 
 class LogTable:
-    """Multiplicative log/antilog plus Zech logarithms for a small field.
+    """Multiplicative logs plus Zech logarithms for a small field.
 
-    exp[k] = index of g^k, dlog[index] = k (dlog[0] = -1 for the zero element),
-    zech[k] = dlog(1 + g^k) with -1 when 1 + g^k = 0.  All arithmetic on ints.
-    Multiplication by the primitive root g is F_p-linear on the base-p digits
-    of an element index, so dlog is the walk of `SpreadCoding.walk` from the
-    e images g * p^i, and exp is its inverse.
+    dlog[index] = k with g^k the element of that index (dlog[0] = -1 for the
+    zero element), zech[k] = dlog(1 + g^k) with -1 when 1 + g^k = 0.  All
+    arithmetic on ints.  Multiplication by the primitive root g is F_p-linear
+    on the base-p digits of an element index, so dlog is the walk of
+    `SpreadCoding.walk` from the e images g * p^i; its inverse, built to
+    fill zech, is not kept.
     """
 
-    __slots__ = ("field", "exp", "dlog", "zech")
+    __slots__ = ("field", "dlog", "zech")
 
     def __init__(self, field: Field):
         q = field.q
@@ -442,7 +443,6 @@ class LogTable:
             d0 = i % p
             zech[k] = dlog[i - d0 + (d0 + 1) % p]
         self.field = field
-        self.exp = exp
         self.dlog = dlog
         self.zech = zech
 

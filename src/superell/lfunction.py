@@ -29,7 +29,6 @@ from . import limits
 from .characters import (
     DirichletChar,
     char_context,
-    char_sum,
     prime_symbol_histogram,
     project_counts,
     symbol_histogram,
@@ -254,15 +253,9 @@ def monic_sum_l_polynomials(chars) -> list[LPoly]:
     return out
 
 
-def l_polynomial(chi: DirichletChar, *, verify_orthogonality: bool = False) -> LPoly:
+def l_polynomial(chi: DirichletChar) -> LPoly:
     """L(u, chi) of one character; see `l_polynomials`."""
     (L,) = l_polynomials([chi])
-    if verify_orthogonality:
-        extra = char_sum(chi, chi.degree)
-        if not extra.is_zero():
-            raise InvariantViolation(
-                "orthogonality", f"degree-{chi.degree} character sum is {extra!r}, not 0"
-            )
     return L
 
 

@@ -1,0 +1,198 @@
+"""Definitional routes that only the tests call, as oracles of the fast
+paths: square-and-multiply residue symbols for the symbol tables, point
+counts by tower arithmetic for the log tables, predicted counts for zeta
+numerators, and from-scratch squarefree filters and counts for the density
+sampler and the sieve.  No module of superell imports this one except
+`__init__`, which re-exports `MuValue` and `residue_symbol`.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from . import limits
+from .characters import DirichletChar, char_context
+from .curves import SuperellipticModel, ZetaNum, count_points, predicted_count
+from .cyclo import CycInt, mu_embed
+from .density import _passes_stripped
+from .errors import InputError, InvariantViolation
+from .families import BinaryForm
+from .ffield import Field, FieldElem
+from .polyring import Poly, monic_multiples, powmod
+
+
+class MuValue:
+    """Zero, or a root of unity zeta^k; multiplicative with Zero absorbing."""
+
+    __slots__ = ("ell", "k")
+
+    def __init__(self, ell: int, k):
+        self.ell = ell
+        self.k = None if k is None else k % ell
+
+    @classmethod
+    def zero(cls, ell: int) -> "MuValue":
+        return cls(ell, None)
+
+    @classmethod
+    def root(cls, ell: int, k: int) -> "MuValue":
+        return cls(ell, k)
+
+    def is_zero(self) -> bool:
+        return self.k is None
+
+    def __mul__(self, other: "MuValue") -> "MuValue":
+        if self.ell != other.ell:
+            raise InputError("mixed orders in MuValue product")
+        if self.k is None or other.k is None:
+            return MuValue.zero(self.ell)
+        return MuValue(self.ell, self.k + other.k)
+
+    def __pow__(self, n: int) -> "MuValue":
+        if self.k is None:
+            return MuValue.zero(self.ell) if n != 0 else MuValue.root(self.ell, 0)
+        return MuValue(self.ell, self.k * n)
+
+    def to_cyc(self) -> CycInt:
+        if self.k is None:
+            return CycInt.from_int(self.ell, 0)
+        return mu_embed(self.ell, self.k)
+
+    def __eq__(self, other):
+        if not isinstance(other, MuValue):
+            return NotImplemented
+        return self.ell == other.ell and self.k == other.k
+
+    def __hash__(self):
+        return hash((self.ell, self.k))
+
+    def __repr__(self):
+        return f"MuValue({'0' if self.k is None else f'zeta^{self.k}'})"
+
+
+def residue_symbol(g: Poly, P: Poly, ell: int) -> MuValue:
+    """The order-ell power residue symbol (g/P), computed as g^((|P|-1)/ell) mod P.
+
+    The power is a square-and-multiply on polynomials mod P; the result is
+    asserted to be a constant in mu_ell(F_q).
+    """
+    ctx = char_context(g.field, ell)
+    if (g % P).is_zero():
+        return MuValue.zero(ell)
+    r = powmod(g, (g.field.q**P.degree - 1) // ell, P)
+    if r.degree > 0:
+        raise InvariantViolation("symbol-constant", f"symbol of {g!r} mod {P!r} is not constant")
+    c = r.coeffs[0] if r.coeffs else g.field.zero()
+    k = ctx.zeta_pow_index.get(g.field.index(c))
+    if k is None:
+        raise InvariantViolation("symbol-root", f"symbol value of {g!r} mod {P!r} outside mu_ell")
+    return MuValue.root(ell, k)
+
+
+def char_value(chi: DirichletChar, g: Poly) -> MuValue:
+    """chi(g) = prod of residue symbols; zero when g shares a conductor factor."""
+    out = MuValue.root(chi.ell, 0)
+    for P, e in chi.exponent_map:
+        out = out * residue_symbol(g, P, chi.ell) ** e
+        if out.is_zero():
+            return out
+    return out
+
+
+def count_points_generic(M: SuperellipticModel, E: Field) -> int:
+    """Degree-one places of the smooth model over the extension E of its
+    field, by tower arithmetic: Horner evaluation of every component at every
+    x in E and the Kummer fiber rule, as `curves.count_points` counts them."""
+    ell = M.ell
+    order = E.q - 1
+    ell_divides = order % ell == 0
+    power = order // ell if ell_divides else 0
+    one = E.one()
+    comps = [
+        (i, tuple(E.embed(c) for c in D.coeffs))
+        for i, D in enumerate(M.components, start=1)
+        if D.degree >= 1
+    ]
+    twist = E.embed(M.twist)
+
+    def fiber(u: FieldElem) -> int:
+        if not ell_divides:
+            return 1
+        return ell if E.pow(u, power) == one else 0
+
+    total = 0
+    for idx in range(E.q):
+        x = E.elem_at(idx)
+        val = twist
+        ramified = False
+        for i, coeffs in comps:
+            acc = coeffs[-1]
+            for c in reversed(coeffs[:-1]):
+                acc = E.add(E.mul(acc, x), c)
+            if acc.is_zero():
+                ramified = True
+                break
+            val = E.mul(val, E.pow(acc, i))
+        total += 1 if ramified else fiber(val)
+    if M.weighted_degree % ell == 0:
+        total += fiber(twist)
+    else:
+        total += 1
+    return total
+
+
+def check_predicted_counts(M: SuperellipticModel, P: ZetaNum) -> None:
+    """Raise InvariantViolation("predicted-counts") unless the counts
+    N_{g+1}..N_{2g} that the numerator P of M predicts equal direct counts."""
+    for n in range(P.g + 1, 2 * P.g + 1):
+        direct = count_points(M, n)
+        pred = predicted_count(P, n)
+        if direct != pred:
+            raise InvariantViolation(
+                "predicted-counts", f"N_{n}: predicted {pred}, counted {direct} for {M!r}"
+            )
+
+
+def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:
+    """True when F(numer, denom), evaluated from scratch, is nonzero and
+    squarefree away from the excluded primes (squarefree as an ideal of the
+    localized ring)."""
+    return _passes_stripped(F_form.evaluate(numer, denom), excluded)
+
+
+def squarefree_density_exact(q: int) -> Fraction:
+    """The full product over primes of (1 - |pi|^{-2}), telescoped through the
+    zeta function of F_q[t]: exactly 1 - 1/q."""
+    return Fraction(q - 1, q)
+
+
+def exhaustive_squarefree_count(F: Field, degree: int) -> int:
+    """Number of squarefree monic polynomials of the given degree, counted by
+    marking every product h^2 * m (h monic non-constant) in a table: a direct
+    realisation of the definition, independent of gcd machinery and of the
+    factor table.  The indices of all h^2 * m come from `monic_multiples`.
+    """
+    total = F.q**degree
+    what = f"counting the squarefree monics among the {F.q}^{degree} of degree {degree} over {F}"
+    limits.require("SUPERELL_LIMIT_CENSUS", total, what)
+    marked = bytearray(total)
+    for k in range(1, degree // 2 + 1):
+        for jh in range(F.q**k):
+            h = Poly.from_index(F, k, jh)
+            for j in monic_multiples(h * h, degree - 2 * k):
+                marked[j] = 1
+    return total - sum(marked)
+
+
+def squarefree_frequency(F: Field, degree: int) -> Fraction:
+    """Exhaustively counted fraction of squarefree monic polynomials of the
+    given degree; equals 1 - 1/q exactly for degree >= 2."""
+    return Fraction(exhaustive_squarefree_count(F, degree), F.q**degree)
+
+
+def monics(F: Field, d: int):
+    """All monic polynomials of degree exactly d, canonical order."""
+    what = f"enumerating the {F.q}^{d} monics of degree {d} over {F}"
+    limits.require("SUPERELL_LIMIT_CENSUS", F.q**d, what)
+    for j in range(F.q**d):
+        yield Poly.from_index(F, d, j)

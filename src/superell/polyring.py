@@ -15,16 +15,16 @@ the marks give the smallest prime factor, the cofactor and squarefreeness of
 every monic, and the unmarked entries are the irreducibles.  `irreducibles`,
 `squarefree_monics` and the census conductor enumeration read from it.  The
 indices of all multiples f g of a monic f come from `monic_multiples`, which
-the exhaustive squarefree oracle of `density` shares.  Multiplication by a
+the exhaustive squarefree count of `oracle` shares.  Multiplication by a
 fixed h modulo a fixed M is F_p-linear on the base-p digits of an index, and
 `unit_images` gives its images of the unit vectors; from them come the
 multiples here, and the residues mod P and the discrete-log walk of
 `characters`.
 
 Factorization of a single polynomial is squarefree decomposition, then
-distinct-degree splitting, then seeded equal-degree splitting; it is a pure
-function of (input, seed), serves one-off inputs (models, CLI arguments,
-families) and is the test oracle for the table.
+distinct-degree splitting, then equal-degree splitting seeded from the input;
+it is a pure function of the input, serves one-off inputs (models, CLI
+arguments, families) and is the test oracle for the table.
 """
 
 from __future__ import annotations
@@ -76,14 +76,20 @@ class Poly:
         return cls(field, tuple(field.elem_at(i % field.q) for i in ints))
 
     @classmethod
+    def from_vector_index(cls, field: Field, j: int) -> "Poly":
+        """The polynomial whose coefficients, low degree first, are the base-q
+        digits of j: the inverse of `vector_index`."""
+        q = field.q
+        cs = []
+        while j:
+            cs.append(field.elem_at(j % q))
+            j //= q
+        return cls(field, cs)
+
+    @classmethod
     def from_index(cls, field: Field, degree: int, j: int) -> "Poly":
         """The j-th monic polynomial of the given degree in canonical order."""
-        cs = []
-        for _ in range(degree):
-            cs.append(field.elem_at(j % field.q))
-            j //= field.q
-        cs.append(field.one())
-        return cls(field, tuple(cs))
+        return cls.from_vector_index(field, j + field.q**degree)
 
     # -- basic queries ---------------------------------------------------------
 
@@ -244,20 +250,6 @@ class Poly:
             out.append(F.mul(self.coeffs[i], scale))
         return Poly(F, out)
 
-    def evaluate(self, x: FieldElem) -> FieldElem:
-        """Horner evaluation; x may live in an extension built over self.field."""
-        E = x.field
-        if E is self.field:
-            coeffs = self.coeffs
-        else:
-            coeffs = tuple(E.embed(c) for c in self.coeffs)
-        if not coeffs:
-            return E.zero()
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = E.add(E.mul(acc, x), c)
-        return acc
-
 
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd; gcd(0, 0) = 0."""
@@ -401,8 +393,8 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def _stable_seed(seed: int, key: tuple) -> int:
-    out = seed & 0xFFFFFFFFFFFFFFFF
+def _stable_seed(key: tuple) -> int:
+    out = 0
     for part in key:
         items = part if isinstance(part, tuple) else (part,)
         for v in items:
@@ -410,13 +402,15 @@ def _stable_seed(seed: int, key: tuple) -> int:
     return out
 
 
-def factor(f: Poly, seed: int = 0) -> Factorization:
-    """Complete factorization into monic irreducibles; deterministic given seed."""
+def factor(f: Poly) -> Factorization:
+    """Complete factorization into monic irreducibles.  The random splits of
+    Cantor-Zassenhaus are seeded from the monic part of f, so the result is a
+    pure function of f."""
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
     unit, g = f.monic()
     found: dict[tuple, tuple[Poly, int]] = {}
-    rng = random.Random(_stable_seed(seed, g.key()))
+    rng = random.Random(_stable_seed(g.key()))
     for part, mult in _squarefree_decomposition(g):
         for prod, d in _distinct_degree(part):
             for p in _equal_degree(prod, d, rng):
@@ -431,14 +425,6 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
 
 
 # -- enumeration -----------------------------------------------------------------
-
-
-def monics(F: Field, d: int):
-    """All monic polynomials of degree exactly d, canonical order."""
-    what = f"enumerating the {F.q}^{d} monics of degree {d} over {F}"
-    limits.require("SUPERELL_LIMIT_CENSUS", F.q**d, what)
-    for j in range(F.q**d):
-        yield Poly.from_index(F, d, j)
 
 
 def irreducible_count(q: int, d: int) -> int:

@@ -17,7 +17,8 @@ from superell.cyclo import conjugate
 from superell.lfunction import l_polynomials
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
-from superell.polyring import Poly, monics
+from superell.oracle import monics
+from superell.polyring import Poly
 
 
 def test_census_small_counts_and_invariants(F7):
@@ -190,7 +191,6 @@ def test_family_experiment_thm41_base_member():
         verify_vanishing=True,
         max_pairs_per_degree=1,
         max_members_per_degree=1,
-        decomposition_sample=0,
     )
     assert out["distinct_models"] == 1
     entry = out["verification"][0]
@@ -297,6 +297,12 @@ _TRIGONAL = ["--ell", "3", "--components", "[[0,6,0,1],[1]]"]
         (_DENSITY + _TRIGONAL + ["--h-deg", "-1", "--samples", "5"], {}, "--h-deg"),
         (_DENSITY + _TRIGONAL + ["--samples", "-3"], {}, "--samples"),
         (["density", "--p", "7", "--deg-max", "-1"] + _TRIGONAL, {}, "--deg-max"),
+        (_FAMILY + ["--max-pairs-per-degree", '{"1": "x"}'], {}, "--max-pairs-per-degree"),
+        (_FAMILY + ["--max-pairs-per-degree", '{"1": true}'], {}, "--max-pairs-per-degree"),
+        (_FAMILY + ["--max-pairs-per-degree", '{"1": -2}'], {}, "--max-pairs-per-degree"),
+        (_FAMILY + ["--max-members-per-degree", "-1"], {}, "--max-members-per-degree"),
+        (["census", "--p", "7", "--ell", "3", "--max-degree", "1", "--sample-decomp", "-1"], {},
+         "--sample-decomp"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):

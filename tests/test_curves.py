@@ -14,10 +14,12 @@ from superell import (
     is_supersingular_np,
     make_field,
     numerator_divides,
+    primitive_root,
     zeta_numerator,
 )
-from superell.curves import _count_generic, power_sums, predicted_count
+from superell.curves import power_sums, predicted_count
 from superell.ffield import extend_field
+from superell.oracle import check_predicted_counts, count_points_generic
 from superell.polyring import Poly
 
 from conftest import poly
@@ -70,13 +72,32 @@ def test_count_examples(F5):
     assert count_points(anym, 1) == 6
 
 
-def test_count_zech_vs_generic(F5, F7):
-    models = [trigonal(F5), trigonal(F7)]
+def test_count_zech_vs_generic(F5, F7, F25):
+    # (model, largest extension degree), with q^n <= 729 on the added rows:
+    # p = 2 and 3, ell = 2 and 5, the tower F_25, twisted and non-normalized
     t = Poly.x(F7)
-    models.append(SuperellipticModel(3, F7, F7.elem_at(3), (t, t - Poly.one(F7))))
-    for m in models:
-        for n in (1, 2, 3):
-            assert count_points(m, n) == _count_generic(m, extend_field(m.field, n))
+    rows = [(trigonal(F5), 3), (trigonal(F7), 3),
+            (SuperellipticModel(3, F7, F7.elem_at(3), (t, t - Poly.one(F7))), 3)]
+    F4 = make_field(2, 2)
+    t4 = Poly.x(F4)
+    rows.append((SuperellipticModel(3, F4, F4.elem_at(2), (t4**3 + t4 + Poly.one(F4), t4)), 3))
+    for F, n_max in ((make_field(3, 1), 6), (make_field(3, 2), 3)):
+        t3 = Poly.x(F)
+        # twisted by the primitive root, a non-square
+        y2 = SuperellipticModel(2, F, primitive_root(F), (t3**3 - t3 + Poly.one(F),))
+        assert not y2.normalized
+        rows.append((y2, n_max))
+    t25 = Poly.x(F25)
+    m25 = SuperellipticModel(3, F25, F25.elem_at(7), (t25**3 - t25, t25 - poly(F25, 2)))
+    assert not m25.normalized
+    rows.append((m25, 2))
+    F11 = make_field(11, 1)
+    t11, one11 = Poly.x(F11), Poly.one(F11)
+    m11 = SuperellipticModel(5, F11, F11.elem_at(2), (t11, t11 - one11, one11, t11 + one11))
+    rows.append((m11, 2))
+    for m, n_max in rows:
+        for n in range(1, n_max + 1):
+            assert count_points(m, n) == count_points_generic(m, extend_field(m.field, n)), (m, n)
 
 
 def test_count_points_limit_names_the_value(F5, monkeypatch):
@@ -89,8 +110,10 @@ def test_zeta_examples(F5, F7):
     t = Poly.x(F5)
     one = Poly.one(F5)
     E = SuperellipticModel(2, F5, F5.one(), (t**3 + one,))
-    assert zeta_numerator(E, verify_predictions=True).coeffs == (1, 0, 5)
-    assert zeta_numerator(trigonal(F5), verify_predictions=True).coeffs == (1, 0, 5)
+    for m in (E, trigonal(F5)):
+        P = zeta_numerator(m)
+        assert P.coeffs == (1, 0, 5)
+        check_predicted_counts(m, P)
     # genus 0
     t7 = Poly.x(F7)
     m0 = SuperellipticModel(3, F7, F7.one(), (t7, Poly.one(F7)))
@@ -194,7 +217,8 @@ def test_lemma_style_divisibility(F7):
 
 def test_predicted_counts_match(F7):
     m = trigonal(F7)
-    P = zeta_numerator(m, verify_predictions=True)
+    P = zeta_numerator(m)
+    check_predicted_counts(m, P)
     assert predicted_count(P, 1) == count_points(m, 1)
     S = power_sums(P, 4)
     for n in (1, 2, 3, 4):
@@ -224,9 +248,9 @@ def test_model_json_roundtrip(F25):
 
 @pytest.mark.slow
 def test_predicted_counts_genus4(F7, monkeypatch):
-    # verify_predictions counts over F_7^8, above the default limit of 2^21
+    # the predicted counts are checked over F_7^8, above the default limit of 2^21
     monkeypatch.setenv("SUPERELL_ZECH_LIMIT", str(2**23))
     w = Poly.x(F7) ** 2 + poly(F7, 3)
     member = SuperellipticModel(3, F7, F7.one(), (w**3 - w, Poly.one(F7)))
     assert genus(member) == 4
-    zeta_numerator(member, verify_predictions=True)
+    check_predicted_counts(member, zeta_numerator(member))

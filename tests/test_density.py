@@ -14,17 +14,15 @@ from superell import (
     truncated_density,
 )
 import superell.density as density_mod
-from superell.density import (
-    LocalFactor,
-    _LCG,
+from superell.density import LocalFactor, _LCG, local_count_brute, product_form
+from superell.families import BinaryForm
+from superell.oracle import (
     exhaustive_squarefree_count,
-    local_count_brute,
+    monics,
     passes_squarefree_filter,
-    product_form,
     squarefree_density_exact,
     squarefree_frequency,
 )
-from superell.families import BinaryForm
 from superell.polyring import Poly, gcd, irreducibles
 
 from conftest import poly
@@ -116,7 +114,7 @@ def test_m1_oracle(F7):
         assert squarefree_frequency(F7, d) == Fraction(6, 7)
     assert squarefree_frequency(F7, 1) == 1
     # the sieve count agrees with a direct gcd-based scan
-    from superell.polyring import is_squarefree, monics
+    from superell.polyring import is_squarefree
 
     direct = sum(1 for f in monics(F7, 3) if is_squarefree(f))
     assert exhaustive_squarefree_count(F7, 3) == direct

@@ -1,0 +1,89 @@
+"""Rules about where code lives, checked by reading the source files only."""
+
+import ast
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "superell"
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports_oracle(tree: ast.Module) -> bool:
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "superell.oracle" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in ("oracle", "superell.oracle"):
+                return True
+            if node.module in (None, "superell") and any(a.name == "oracle" for a in node.names):
+                return True
+    return False
+
+
+def test_only_init_imports_oracle():
+    offenders = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and _imports_oracle(_tree(path))
+    ]
+    assert offenders == []
+    assert _imports_oracle(_tree(PACKAGE / "__init__.py"))
+
+
+def _is_generator(fn: ast.FunctionDef) -> bool:
+    """True when fn's own body yields (nested functions do not count)."""
+    todo = list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            todo.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _traced_functions(module: str) -> set:
+    """The functions the perfbench tracer wraps in a module: the public,
+    non-generator functions defined at its top level."""
+    path = PACKAGE / f"{module}.py"
+    if not path.is_file():
+        return set()
+    return {
+        node.name
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and not _is_generator(node)
+    }
+
+
+def _method_spans() -> set:
+    for node in _tree(ROOT / "perfbench" / "tracer.py").body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value).values())
+    raise AssertionError("perfbench/tracer.py defines no METHODS")
+
+
+def test_per_layer_spans_resolve():
+    # a per-layer metric named <module>.<function>.calls or .s reads the span
+    # the tracer names after the function's defining module, so moving or
+    # renaming that function breaks the traced benchmark
+    config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    methods = _method_spans()
+    unresolved = []
+    for metric in config["per_layer"]:
+        name = metric["name"]
+        for suffix in (".calls", ".s"):
+            if name.endswith(suffix):
+                span = name[: -len(suffix)]
+                module, _, function = span.partition(".")
+                if span not in methods and function not in _traced_functions(module):
+                    unresolved.append(name)
+    assert unresolved == []

@@ -9,12 +9,13 @@ from superell.polyring import (
     irreducible_count,
     irreducibles,
     is_irreducible,
-    monics,
     poly_from_json,
     poly_to_json,
     powmod,
     squarefree_monics,
 )
+
+from superell.oracle import monics
 
 from conftest import poly, rand_poly
 
@@ -71,11 +72,8 @@ def test_factor_deterministic_and_extension_fields(F25, rng):
         f = rand_poly(F25, 5, rng)
         if f.is_zero():
             continue
-        a = factor(f, seed=7)
-        b = factor(f, seed=7)
-        assert a == b
-        c = factor(f, seed=8)
-        assert a.factors == c.factors and a.unit == c.unit
+        a = factor(f)
+        assert factor(f) == a
         assert a.expand() == f
 
 
@@ -186,3 +184,16 @@ def test_poly_json_roundtrip(F7, F25):
     t = Poly.x(F25)
     g = t**2 + Poly.constant(F25.elem_at(7))
     assert poly_from_json(F25, poly_to_json(g)) == g
+
+
+def test_vector_index_roundtrip(F7, F25, rng):
+    # from_vector_index inverts vector_index; the monic from_index(F, d, j)
+    # carries the digits of j below t^d
+    for F in (F7, F25):
+        assert Poly.from_vector_index(F, 0).is_zero()
+        for j in range(F.q**2):
+            assert Poly.from_vector_index(F, j).vector_index() == j
+        for _ in range(20):
+            f = rand_poly(F, 4, rng)
+            assert Poly.from_vector_index(F, f.vector_index()) == f
+        assert Poly.from_index(F, 3, 5).vector_index() == 5 + F.q**3
