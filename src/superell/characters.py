@@ -246,7 +246,8 @@ def char_context(field: Field, ell: int) -> CharContext:
 class DirichletChar:
     """An order-ell character given by exponents over its squarefree conductor."""
 
-    __slots__ = ("ell", "field", "exponent_map", "zeta", "even", "_conductor")
+    # _cache_key: the canonical JSON of `lfunction.cache_key`, memoised there
+    __slots__ = ("ell", "field", "exponent_map", "zeta", "even", "_conductor", "_cache_key")
 
     def __init__(self, field: Field, ell: int, exponent_map):
         ctx = char_context(field, ell)
@@ -264,12 +265,25 @@ class DirichletChar:
         if not pairs:
             raise InputError("a primitive order-ell character needs a non-trivial conductor")
         pairs.sort(key=lambda t: (t[0].degree, t[0].key()))
+        self._set(field, ell, ctx.zeta, tuple(pairs))
+
+    def _set(self, field: Field, ell: int, zeta, exponent_map: tuple) -> None:
         self.field = field
         self.ell = ell
-        self.exponent_map = tuple(pairs)
-        self.zeta = ctx.zeta
-        self.even = sum(e * P.degree for P, e in pairs) % ell == 0
+        self.exponent_map = exponent_map
+        self.zeta = zeta
+        self.even = sum(e * P.degree for P, e in exponent_map) % ell == 0
         self._conductor = None
+        self._cache_key = None
+
+    @classmethod
+    def _on_table_primes(cls, field: Field, ell: int, zeta, exponent_map: tuple) -> "DirichletChar":
+        """A character whose primes are monic, distinct and in canonical order
+        and whose exponents lie in 1..ell-1, as `conductor_groups` builds
+        them from the factor table: the checks of `__init__` are skipped."""
+        chi = object.__new__(cls)
+        chi._set(field, ell, zeta, exponent_map)
+        return chi
 
     @property
     def conductor(self) -> Poly:
@@ -478,10 +492,14 @@ def conductor_groups(F: Field, ell: int, d: int):
     assignments over its primes (equivalently, the component tuples
     (D_1, ..., D_{ell-1}) of superelliptic models).  The conductors and their
     primes are read from the field's factor table in index order; no
-    conductor is factored or built as a polynomial."""
+    conductor is factored or built as a polynomial, and since the table's
+    primes are monic, distinct and canonically ordered, the characters are
+    not re-validated."""
+    zeta = char_context(F, ell).zeta
+    make = DirichletChar._on_table_primes
     for primes in factor_table(F).squarefree_primes(d):
         yield [
-            DirichletChar(F, ell, list(zip(primes, assignment)))
+            make(F, ell, zeta, tuple(zip(primes, assignment)))
             for assignment in itertools.product(range(1, ell), repeat=len(primes))
         ]
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .census import family_experiment, run_census, seed_check
@@ -22,6 +23,15 @@ from .lfunction import central_value_is_zero, l_polynomial, strip_trivial_factor
 from .polyring import is_irreducible, poly_from_json, poly_to_json
 
 
+def _open_arg(flag: str, path: str, mode: str):
+    """open(path, mode) for a user-supplied path; an OSError (a missing
+    directory, a directory, no permission) is bad input naming the flag."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"{flag}: cannot open {path!r} ({exc.strerror or exc})") from None
+
+
 def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -> None:
     if out_path is None:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
@@ -30,10 +40,10 @@ def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -
     if out_path.endswith(".csv"):
         if csv_text is None:
             raise InputError("this report has no CSV form")
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _open_arg("--out", out_path, "w") as fh:
             fh.write(csv_text)
         return
-    with open(out_path, "w", encoding="utf-8") as fh:
+    with _open_arg("--out", out_path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -81,7 +91,7 @@ def _model_from_args(args) -> SuperellipticModel:
     if getattr(args, "base", None):
         raw = args.base
         if raw.startswith("@"):
-            with open(raw[1:], encoding="utf-8") as fh:
+            with _open_arg("--base", raw[1:], "r") as fh:
                 raw = fh.read()
         data = _json_arg("--base", raw)
         _expect(
@@ -177,7 +187,17 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def _dispatch(args) -> int:
+    out = getattr(args, "out", None)
+    if out is not None:
+        # refused before the work, not after it
+        folder = os.path.dirname(os.path.abspath(out))
+        if os.path.isdir(out) or not os.path.isdir(folder):
+            raise InputError(f"--out: cannot write a file at {out!r}")
     if args.command == "census":
+        if args.cache is not None:
+            # the census appends to the cache file: refuse a path it cannot
+            # append to before any work is done
+            _open_arg("--cache", args.cache, "a").close()
         rep = run_census(
             args.p,
             args.e,

@@ -1,14 +1,17 @@
 """Exact arithmetic in Z[zeta_ell] for an odd prime ell: the Galois action
 sigma_j: zeta -> zeta^j, exact division through the norm, and Newton's
-identities over Z and Z[zeta_ell]; and the exact central-point test for
-polynomials with coefficients in Z[zeta_ell].
+identities over Z and Z[zeta_ell]; multiplication by a root of unity
+zeta^k, a cyclic shift of the coordinates; and the exact central-point test
+for polynomials with coefficients in Z[zeta_ell].
 
 Elements are stored in the power basis {1, zeta, ..., zeta^{ell-2}} so that
 equality and the zero test are coordinatewise; coordinates are plain Python
 ints and therefore unbounded.  The central test splits a value along 1 and
 sqrt(q), q = p^e; the split is exact when p != ell, which keeps {1, sqrt(q)}
 linearly independent over Q(zeta_ell): the only quadratic subfield of
-Q(zeta_ell) is Q(sqrt(+-ell)).
+Q(zeta_ell) is Q(sqrt(+-ell)).  The central sum is linear in the
+coefficients, so the test runs on their integer coordinates, one Horner pass
+per coordinate, with no products in Z[zeta_ell].
 """
 
 from __future__ import annotations
@@ -111,7 +114,7 @@ class CycInt:
 
     @classmethod
     def from_json(cls, data: dict) -> "CycInt":
-        return cls(int(data["ell"]), tuple(int(c) for c in data["coords"]))
+        return cls(int(data["ell"]), tuple(map(int, data["coords"])))
 
 
 def mu_embed(ell: int, k: int) -> CycInt:
@@ -124,6 +127,15 @@ def mu_embed(ell: int, k: int) -> CycInt:
         coords[k] = 1
         return CycInt(ell, coords)
     return CycInt(ell, (-1,) * (ell - 1))
+
+
+def mul_zeta(x: CycInt, k: int) -> CycInt:
+    """x zeta^k.  Multiplying by zeta^k shifts the counts of the powers of
+    zeta cyclically, so it is O(ell), with no product in Z[zeta_ell]."""
+    ell = x.ell
+    k %= ell
+    counts = [*x.coords, 0]  # x as counts of zeta^0..zeta^{ell-1}
+    return CycInt.from_counts(ell, counts[ell - k:] + counts[: ell - k])
 
 
 def galois(x: CycInt, j: int) -> CycInt:
@@ -208,16 +220,24 @@ def central_sum_is_zero(coeffs, q: int) -> bool:
     Horner's rule runs on the pair (A, B) with value A + B sqrt(q).  For e
     even, sqrt(q) = p^(e/2) and the value is the single element A + B p^(e/2);
     for e odd, A and B must vanish separately, since {1, sqrt(q)} is linearly
-    independent over Q(zeta_ell) whenever p != ell.
+    independent over Q(zeta_ell) whenever p != ell.  The sum is linear in the
+    c_n, so A and B are computed coordinate by coordinate on plain ints.
     """
     fac = factorize_int(q)
     if len(fac) != 1:
         raise InputError(f"{q} is not a prime power")
     (p, e), = fac.items()
-    a = coeffs[0]
-    b = a * 0  # the zero of the coefficient type, int or CycInt
-    for c in coeffs[1:]:
-        a, b = b * q + c, a
-    if e % 2 == 0:
-        return a + b * p ** (e // 2) == 0
-    return a == 0 and b == 0
+    root = p ** (e // 2)  # sqrt(q) when e is even
+    rows = [c.coords if isinstance(c, CycInt) else (c,) for c in coeffs]
+    width = max(map(len, rows))
+    # coordinate i of every coefficient; an int has only the coordinate of 1
+    for column in zip(*(row + (0,) * (width - len(row)) for row in rows)):
+        a = b = 0
+        for c in column:
+            a, b = b * q + c, a
+        if e % 2 == 0:
+            if a + b * root:
+                return False
+        elif a or b:
+            return False
+    return True

@@ -39,7 +39,7 @@ from .cyclo import (
     conjugate,
     exact_quotient,
     galois,
-    mu_embed,
+    mul_zeta,
     newton_coefficients,
 )
 from .errors import CacheCorrupt, InputError, InvariantViolation
@@ -261,12 +261,11 @@ def l_polynomial(chi: DirichletChar) -> LPoly:
 
 def _divide_unit_root(L: LPoly, k: int) -> "LPoly | None":
     """Exact quotient L / (1 - zeta^k u), or None if the division has remainder."""
-    zk = mu_embed(L.ell, k)
     # synthetic division: q_i = c_i + zeta^k * q_{i-1}
     out = []
     acc = CycInt.from_int(L.ell, 0)
-    for i in range(L.degree + 1):
-        acc = L.coeffs[i] + zk * acc
+    for c in L.coeffs:
+        acc = c + mul_zeta(acc, k)
         out.append(acc)
     if not out[-1].is_zero():
         return None
@@ -312,7 +311,7 @@ def rescale_by_root(L: LPoly, k: int) -> LPoly:
     return LPoly(
         L.ell,
         L.q,
-        [c * mu_embed(L.ell, k * n) for n, c in enumerate(L.coeffs)],
+        [mul_zeta(c, k * n) for n, c in enumerate(L.coeffs)],
         char_ref=L.char_ref,
     )
 
@@ -346,18 +345,34 @@ def _digest(payload: str) -> str:
 
 # every cache line is this field, the sha256 of the canonical payload
 # {"key":...,"value":...} and '",', then that payload without its "{"; keys
-# sort as checksum < key < value, so the line is itself canonical
+# sort as checksum < key < value, so the line is itself canonical.  A value's
+# "char" is the character's JSON, so its canonical form is the key.
 _CHECKSUM_FIELD = '{"checksum":"'
 
 
 def cache_key(chi: DirichletChar) -> str:
-    return _canon(
-        {
-            "field": chi.field.descriptor(),
-            "ell": chi.ell,
-            "factors": [[poly_to_json(P), e] for P, e in chi.exponent_map],
-        }
-    )
+    """The character's canonical JSON, byte for byte `_canon(chi.to_json())`:
+    {"ell":...,"factors":[[P,e],...],"field":...}.  It is joined from the
+    canonical JSON of the field and of each prime, encoded once per field
+    and kept in `Field._cache`, and memoised on the character, so `LCache.get`
+    and `LCache.put` share one key per character."""
+    key = chi._cache_key
+    if key is None:
+        F = chi.field
+        frags = F._cache.get("json_fragments")
+        if frags is None:
+            frags = F._cache["json_fragments"] = (_canon(F.descriptor()), {})
+        field_json, prime_json = frags
+        factors = []
+        for P, e in chi.exponent_map:
+            frag = prime_json.get(P.key())
+            if frag is None:
+                frag = prime_json[P.key()] = _canon(poly_to_json(P))
+            factors.append(f"[{frag},{e}]")
+        key = chi._cache_key = (
+            f'{{"ell":{chi.ell},"factors":[{",".join(factors)}],"field":{field_json}}}'
+        )
+    return key
 
 
 def _read_cache(path) -> tuple[dict, list[str], int]:
@@ -369,7 +384,8 @@ def _read_cache(path) -> tuple[dict, list[str], int]:
     good: list[str] = []
     bad = 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # put writes ASCII only: bytes that do not decode make their line bad
+        fh = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return table, good, bad
     with fh:
@@ -434,7 +450,10 @@ class LCache:
 
     def put(self, pairs) -> None:
         """Store the (chi, L) pairs not yet cached, typically those of one
-        conductor, appending their lines to the file in a single write."""
+        conductor, appending their lines to the file in a single write.  Each
+        L is chi's L-polynomial as `l_polynomials` returns it, so the value's
+        "char" is `chi.to_json()`, whose canonical form is the key itself: the
+        payload is assembled around the key, not encoded a second time."""
         lines = []
         for chi, L in pairs:
             key = cache_key(chi)
@@ -442,7 +461,10 @@ class LCache:
                 continue
             value = L.to_json()
             self.table[key] = value
-            payload = _canon({"key": key, "value": value})
+            payload = (
+                f'{{"key":{json.dumps(key)},"value":{{"char":{key},'
+                f'"coeffs":{_canon(value["coeffs"])},"ell":{L.ell},"q":{L.q}}}}}'
+            )
             lines.append(f'{_CHECKSUM_FIELD}{_digest(payload)}",{payload[1:]}\n')
         if lines:
             with open(self.path, "a", encoding="utf-8") as fh:

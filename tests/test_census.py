@@ -68,6 +68,12 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
     assert rep.cache_stats["misses"] == 1
     again = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert again.cache_stats["misses"] == 0 and again.cache_stats["bad_lines"] == 0
+    # a line that is not UTF-8 is a bad line too, not a crash
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\xfe not a cache line\n")
+    binary = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    assert binary.cache_stats["bad_lines"] == 1 and binary.cache_stats["misses"] == 0
+    assert binary.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
 
 
 def test_census_runtime_counts(tmp_path):
@@ -269,6 +275,8 @@ def test_cli_exit_codes(capsys):
 _FAMILY = ["family", "--seed-kind", "f25twist", "--p", "5", "--n", "3"]
 _DENSITY = ["density", "--p", "7", "--deg-max", "1"]
 _TRIGONAL = ["--ell", "3", "--components", "[[0,6,0,1],[1]]"]
+_CENSUS1 = ["census", "--p", "7", "--ell", "3", "--max-degree", "1"]
+_LPOLY = ["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[0,1],1]]"]
 
 
 @pytest.mark.parametrize(
@@ -303,6 +311,16 @@ _TRIGONAL = ["--ell", "3", "--components", "[[0,6,0,1],[1]]"]
         (_FAMILY + ["--max-members-per-degree", "-1"], {}, "--max-members-per-degree"),
         (["census", "--p", "7", "--ell", "3", "--max-degree", "1", "--sample-decomp", "-1"], {},
          "--sample-decomp"),
+        # user-supplied paths that cannot be opened
+        (_CENSUS1 + ["--cache", "/nonexistent/dir/x.jsonl"], {}, "--cache"),
+        (_CENSUS1 + ["--cache", "."], {}, "--cache"),
+        (_CENSUS1 + ["--out", "/nonexistent/x.json"], {}, "--out"),
+        (_CENSUS1 + ["--out", "."], {}, "--out"),
+        (_FAMILY + ["--out", "/nonexistent/x.json"], {}, "--out"),
+        (_DENSITY + _TRIGONAL + ["--out", "/nonexistent/x.json"], {}, "--out"),
+        (_LPOLY + ["--out", "/nonexistent/x.json"], {}, "--out"),
+        (_DENSITY + ["--base", "@/nonexistent.json"], {}, "--base"),
+        (_DENSITY + ["--base", "@."], {}, "--base"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):

@@ -299,6 +299,13 @@ def test_conductor_groups_ascend_over_squarefree_monics(F7, F25):
                 assert all(chi.conductor == f for chi in chars)
                 assert len(chars) == (ell - 1) ** factor(f).num_prime_factors()
                 conductors.append(f)
+                # the unchecked characters equal those the public constructor checks
+                for chi in chars:
+                    checked = DirichletChar(F, ell, chi.exponent_map)
+                    assert chi.key() == checked.key()
+                    assert chi.exponent_map == checked.exponent_map
+                    assert chi.even == checked.even
+                    assert chi == checked and hash(chi) == hash(checked)
             indices = [f.vector_index() for f in conductors]
             assert indices == sorted(set(indices))
             assert conductors == [f for f in monics(F, d) if is_squarefree(f)]

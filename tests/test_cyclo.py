@@ -1,7 +1,14 @@
 import pytest
 
 from superell import CycInt, InputError, InvariantViolation, conjugate, mu_embed
-from superell.cyclo import exact_quotient, galois, newton_coefficients, other_conjugates
+from superell.cyclo import (
+    central_sum_is_zero,
+    exact_quotient,
+    galois,
+    mul_zeta,
+    newton_coefficients,
+    other_conjugates,
+)
 
 
 def test_mu_embed_examples():
@@ -129,3 +136,74 @@ def _power(x, m):
     for _ in range(m):
         out = out * x
     return out
+
+
+@pytest.mark.parametrize("ell", [3, 5, 7])
+def test_mul_zeta_matches_product(ell, rng):
+    for _ in range(20):
+        x = CycInt(ell, tuple(rng.randrange(-50, 51) for _ in range(ell - 1)))
+        for k in range(-1, ell + 1):
+            assert mul_zeta(x, k) == x * mu_embed(ell, k)
+
+
+def _central_by_products(coeffs, q, p, e):
+    """sum c_n sqrt(q)^(deg - n) = 0 by Horner on the pair (A, B) of
+    A + B sqrt(q), with products in Z[zeta_ell]."""
+    ell = coeffs[0].ell
+    zero = CycInt.from_int(ell, 0)
+    Q = CycInt.from_int(ell, q)
+    a = b = zero
+    for c in coeffs:
+        a, b = b * Q + c, a
+    if e % 2 == 0:
+        return (a + b * CycInt.from_int(ell, p ** (e // 2))).is_zero()
+    return a.is_zero() and b.is_zero()
+
+
+def _times(coeffs, factor):
+    """The coefficients of (sum c_n u^n)(sum f_m u^m) for integer f_m."""
+    zero = coeffs[0] * 0
+    out = [zero] * (len(coeffs) + len(factor) - 1)
+    for n, c in enumerate(coeffs):
+        for m, f in enumerate(factor):
+            out[n + m] = out[n + m] + c * f
+    return out
+
+
+# sqrt(q) is not independent of Q(zeta_ell) when p = ell: those pairs are left out
+@pytest.mark.parametrize(
+    "ell, q, p, e",
+    [
+        (ell, q, p, e)
+        for ell in (3, 5, 7)
+        for q, p, e in ((7, 7, 1), (4, 2, 2), (16, 2, 4), (25, 5, 2), (49, 7, 2))
+        if p != ell
+    ],
+)
+def test_central_sum_on_coordinates_matches_products(ell, q, p, e, rng):
+    factors = [[1, 0, -q]]  # 1 - q u^2 vanishes at u = q^(-1/2)
+    if e % 2 == 0:
+        factors.append([1, -(p ** (e // 2))])  # 1 - sqrt(q) u
+    for _ in range(30):
+        coeffs = [
+            CycInt(ell, tuple(rng.randrange(-30, 31) for _ in range(ell - 1)))
+            for _ in range(rng.randrange(1, 7))
+        ]
+        assert central_sum_is_zero(coeffs, q) == _central_by_products(coeffs, q, p, e)
+        for factor in factors:
+            vanishing = _times(coeffs, factor)
+            assert central_sum_is_zero(vanishing, q)
+            assert _central_by_products(vanishing, q, p, e)
+    # integer coefficients, as zeta numerators have, and a mixed list
+    ints = [rng.randrange(-30, 31) for _ in range(5)]
+    as_cyc = [CycInt.from_int(ell, c) for c in ints]
+    assert central_sum_is_zero(ints, q) == _central_by_products(as_cyc, q, p, e)
+    for factor in factors:
+        vanishing = _times(ints, factor)
+        assert central_sum_is_zero(vanishing, q)
+        mixed = [CycInt.from_int(ell, c) if n % 2 else c for n, c in enumerate(vanishing)]
+        assert central_sum_is_zero(mixed, q)
+    if e % 2 == 0:
+        r = p ** (e // 2)
+        assert central_sum_is_zero([1, -2 * r, q], q)  # (1 - sqrt(q) T)^2
+        assert not central_sum_is_zero([1, 0, q], q)

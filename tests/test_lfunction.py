@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -23,6 +24,7 @@ from superell.lfunction import (
     _complete,
     _digest,
     _read_cache,
+    cache_key,
     l_polynomials,
     monic_sum_l_polynomials,
     rescale_by_root,
@@ -208,6 +210,51 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
 
     with pytest.raises(CacheCorrupt):
         LCache(str(path))
+
+
+# ids: p, the tower's relative degrees, ell
+@pytest.mark.parametrize(
+    "p, tower, ell",
+    [
+        pytest.param(7, [1], 3, id="7-1-3"),
+        pytest.param(2, [2], 3, id="2-2-3"),
+        pytest.param(2, [2, 2], 3, id="2-2x2-3"),
+        pytest.param(2, [2, 2], 5, id="2-2x2-5"),
+        pytest.param(5, [2], 3, id="5-2-3"),
+        pytest.param(11, [1], 5, id="11-1-5"),
+    ],
+)
+def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
+    F = make_field(p, tower[0])
+    for n in tower[1:]:
+        F = extend_field(F, n)
+    path = tmp_path / "lcache.jsonl"
+    cache = LCache(str(path))
+    expected = []
+    for d in (1, 2, 3):
+        groups = list(conductor_groups(F, ell, d))
+        # the first conductors, and those with the most primes of mixed degree
+        mixed = [g for g in groups if len({P.degree for P, _ in g[0].exponent_map}) > 1]
+        several = sorted(groups, key=lambda g: -len(g[0].exponent_map))
+        for chars in groups[:2] + mixed[:2] + several[:2]:
+            Ls = l_polynomials(chars)
+            for chi, L in zip(chars, Ls):
+                k = cache_key(chi)
+                assert k == _canon(chi.to_json())
+                # a character built and checked by the public constructor
+                twin = DirichletChar(F, ell, chi.exponent_map[::-1])
+                assert cache_key(twin) == k
+                if k not in cache.table:  # put skips what it already holds
+                    ref = _canon({"key": k, "value": L.to_json()})
+                    checksum = hashlib.sha256(ref.encode()).hexdigest()
+                    expected.append((k, L, f'{{"checksum":"{checksum}",{ref[1:]}'))
+            cache.put(list(zip(chars, Ls)))
+    assert path.read_text().splitlines() == [line for _, _, line in expected]
+    exponents = {e for k, _, _ in expected for _, e in json.loads(k)["factors"]}
+    assert exponents == set(range(1, ell))
+    reloaded = LCache(str(path))
+    for k, L, _ in expected:
+        assert LPoly.from_json(reloaded.table[k]) == L
 
 
 @pytest.mark.slow
