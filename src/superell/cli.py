@@ -37,9 +37,7 @@ def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
         return
-    if out_path.endswith(".csv"):
-        if csv_text is None:
-            raise InputError("this report has no CSV form")
+    if out_path.endswith(".csv"):  # only the census has one; _dispatch refuses the rest
         with _open_arg("--out", out_path, "w") as fh:
             fh.write(csv_text)
         return
@@ -193,6 +191,8 @@ def _dispatch(args) -> int:
         folder = os.path.dirname(os.path.abspath(out))
         if os.path.isdir(out) or not os.path.isdir(folder):
             raise InputError(f"--out: cannot write a file at {out!r}")
+        if out.endswith(".csv") and args.command != "census":
+            raise InputError("this report has no CSV form")
     if args.command == "census":
         if args.cache is not None:
             # the census appends to the cache file: refuse a path it cannot

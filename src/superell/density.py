@@ -16,7 +16,7 @@ The seeded sampler draws (numer, denom) from the box of polynomials of degree
 <= h, which holds only q^(h+1) polynomials, so each is drawn many times: it
 keeps the power list [1, g, ..., g^(deg F)] of every polynomial g it draws,
 keyed by g's digits, and evaluates F on the cached powers
-(`BinaryForm.evaluate_powers`).  Over a prime field of at most
+(`BinaryForm.evaluate_powers`).  Over a field of at most
 `ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
 evaluation and the squarefree test build no new field elements.
 """

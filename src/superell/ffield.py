@@ -10,11 +10,20 @@ the descriptor (p, tower degrees, modulus vectors) is a stable cache key.
 Extensions are always built over the field at hand, so subfield elements
 embed as constant coefficient vectors and no embedding search is ever needed.
 
-Elements are immutable; every public value may be shared freely.  A prime
-field of at most `ELEM_TABLE_CAP` elements builds each of its p elements once,
-and its arithmetic returns these shared objects instead of new ones; above the
-cap, elements are built per result, so memory stays bounded for every p the
-library accepts.  Inversion in a prime field is Fermat's a^(p-2) on ints.
+Elements are immutable; every public value may be shared freely.  Every
+element stores its canonical index, so `index`, `is_zero`, `elem_at`,
+`from_int` and `embed` are slot reads or list lookups.  A field of at most
+`ELEM_TABLE_CAP` elements, prime or a tower level, builds each of its q
+elements once, before it is cached or returned, and its arithmetic returns
+these shared objects instead of new ones; above the cap, elements are built
+per result, so memory stays bounded for every field the library accepts.  A
+prime field computes on ints mod p; inversion is Fermat's a^(p-2).  A tower
+level within the cap multiplies, inverts and takes powers through exp and
+dlog tables from one walk of its canonical primitive root, and adds,
+subtracts and negates by adding the spread codes of indices without carries
+(Lidl & Niederreiter, *Finite Fields*, ch. 9); each of its tables has O(q)
+entries.  Above the cap a tower level multiplies coefficient vectors over the
+base and reduces them mod the modulus.
 
 Element indices, and indices of polynomials over the field, are vectors of
 base-p digits, and multiplication by a fixed element or polynomial is
@@ -30,13 +39,15 @@ degree, behind the character-sum histograms of `characters`.
 from __future__ import annotations
 
 import functools
+import itertools
 
 from . import limits
 from .errors import InputError, InvariantViolation, ResourceLimit
 
 _PRIME_CACHE: dict[int, "Field"] = {}
 
-# Largest prime p whose field keeps a table of its p elements.
+# Largest field size q whose field keeps its q elements, shared by all its
+# arithmetic, and, for a tower level, its exp, dlog and spread-code tables.
 ELEM_TABLE_CAP = 1 << 12
 
 # Largest trial divisor `factorize_int` tries.
@@ -76,17 +87,20 @@ def factorize_int(n: int) -> dict[int, int]:
 
 
 class FieldElem:
-    """An element of a Field, stored as a coefficient vector over the base.
+    """An element of a Field: its coefficient vector over the base and its
+    canonical index.
 
-    For a prime field the vector holds a single int in 0..p-1; for a tower
-    level it holds FieldElems of the base field.
+    For a prime field the vector holds the residue as a single int; for a
+    tower level it holds FieldElems of the base field.  Elements are built
+    only by their field, which sets the index once.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "idx")
 
-    def __init__(self, field: "Field", coeffs: tuple):
+    def __init__(self, field: "Field", coeffs: tuple, idx: int):
         self.field = field
         self.coeffs = coeffs
+        self.idx = idx
 
     def __add__(self, other):
         return self.field.add(self, other)
@@ -107,39 +121,54 @@ class FieldElem:
         return self.field.inverse(self)
 
     def is_zero(self) -> bool:
-        return self.field.index(self) == 0
+        return self.idx == 0
 
     def __eq__(self, other):
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+        return self.field is other.field and self.idx == other.idx
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash((id(self.field), self.idx))
 
     def __repr__(self):
-        return f"<{self.field.index(self)} in {self.field}>"
+        return f"<{self.idx} in {self.field}>"
 
 
 class _FreshElems:
-    """Stands in for the element table of a prime field above the cap:
-    indexing by a residue builds a new element."""
+    """Stands in for the element table of a field above the cap: indexing by
+    a canonical index builds a new element."""
 
     __slots__ = ("field",)
 
     def __init__(self, field: "Field"):
         self.field = field
 
-    def __getitem__(self, v: int) -> FieldElem:
-        return FieldElem(self.field, (v,))
+    def __getitem__(self, idx: int) -> FieldElem:
+        F = self.field
+        if F.base is None:
+            return FieldElem(F, (idx,), idx)
+        base, qb, cs, r = F.base, F.base.q, [], idx
+        for _ in range(F.rel_degree):
+            r, d = divmod(r, qb)
+            cs.append(base.elems[d])
+        return FieldElem(F, tuple(cs), idx)
 
 
 class Field:
     """F_{p^e}, either a prime field or a single extension step over `base`.
 
-    A prime field's `elems[v]` is the element with residue v, 0 <= v < p."""
+    `elems[i]` is the element of canonical index i, 0 <= i < q: a shared
+    element when q <= ELEM_TABLE_CAP, a new one above the cap.  A tower
+    level within the cap also holds its log tables (`_dlog`, `_exp`) and the
+    spread codes of its elements and of their negatives (`_spread`,
+    `_nspread`, with `_neg` and the `_norm` tables of `spread_coding(p, e)`);
+    `_dlog` is None for prime fields and for fields above the cap."""
 
-    __slots__ = ("p", "base", "rel_degree", "e", "q", "modulus", "_cache", "elems")
+    __slots__ = (
+        "p", "base", "rel_degree", "e", "q", "modulus", "_cache", "elems",
+        "_dlog", "_exp", "_spread", "_nspread", "_neg", "_norm",
+    )
 
     def __init__(self, p: int, base: "Field | None", rel_degree: int, modulus):
         self.p = p
@@ -149,12 +178,35 @@ class Field:
         self.q = p**self.e
         self.modulus = modulus  # coefficient tuple over base, length rel_degree+1, monic
         self._cache: dict = {}
-        if base is not None:
-            self.elems = None
-        elif p <= ELEM_TABLE_CAP:
-            self.elems = [FieldElem(self, (v,)) for v in range(p)]
-        else:
+        self._dlog = None
+        if self.q > ELEM_TABLE_CAP:
             self.elems = _FreshElems(self)
+        elif base is None:
+            self.elems = [FieldElem(self, (v,), v) for v in range(p)]
+        else:
+            # the last coefficient varies slowest, so tuples come in index order
+            self.elems = [
+                FieldElem(self, cs[::-1], i)
+                for i, cs in enumerate(itertools.product(base.elems, repeat=rel_degree))
+            ]
+            self._build_tables()
+
+    def _build_tables(self):
+        p, e, q = self.p, self.e, self.q
+        coding = spread_coding(p, e)
+        neg = [0]  # index of -a from the digits of the index of a
+        for i in range(e):
+            w = p**i
+            neg = [x + (-d % p) * w for d in range(p) for x in neg]
+        spread = [coding.spread(i) for i in range(q)]
+        dlog = _walk_dlog(self, primitive_root(self))
+        exp = [0] * (q - 1)
+        for i in range(1, q):
+            exp[dlog[i]] = i
+        self._exp = exp + exp  # a sum of two logs needs no reduction mod q - 1
+        self._spread, self._nspread, self._neg = spread, [spread[i] for i in neg], neg
+        self._norm = (coding.norm_lo, coding.norm_hi, coding.b_lo)
+        self._dlog = dlog  # from here on the arithmetic reads the tables
 
     # -- construction ------------------------------------------------------
 
@@ -168,9 +220,8 @@ class Field:
         moduli = []
         f: Field | None = self
         while f is not None and f.base is not None:
-            base = f.base
-            moduli.append([base.index(c) for c in f.modulus])
-            f = base
+            moduli.append([c.idx for c in f.modulus])
+            f = f.base
         moduli.reverse()
         return {"p": self.p, "tower": self.tower_degrees(), "moduli": moduli}
 
@@ -180,18 +231,27 @@ class Field:
     # -- element plumbing ---------------------------------------------------
 
     def zero(self) -> FieldElem:
-        return self.from_int(0)
+        return self.elems[0]
 
     def one(self) -> FieldElem:
-        return self.from_int(1)
+        return self.elems[1]
 
     def from_int(self, n: int) -> FieldElem:
-        """The image of the integer n under Z -> F_p -> F."""
-        if self.base is None:
-            return self.elems[n % self.p]
-        c0 = self.base.from_int(n)
-        zero = self.base.zero()
-        return FieldElem(self, (c0,) + (zero,) * (self.rel_degree - 1))
+        """The image of the integer n under Z -> F_p -> F: the element whose
+        index is n mod p."""
+        return self.elems[n % self.p]
+
+    def from_coeffs(self, coeffs: tuple) -> FieldElem:
+        """The element with this coefficient vector over the base (a tower
+        level only)."""
+        if len(coeffs) != self.rel_degree:
+            raise InputError(f"{self} takes {self.rel_degree} coefficients, got {len(coeffs)}")
+        qb, idx = self.base.q, 0
+        for c in reversed(coeffs):
+            idx = idx * qb + c.idx
+        if self.q > ELEM_TABLE_CAP:
+            return FieldElem(self, tuple(coeffs), idx)
+        return self.elems[idx]
 
     def embed(self, a: FieldElem) -> FieldElem:
         """Embed an element of the base field as a constant vector."""
@@ -199,99 +259,72 @@ class Field:
             return a
         if self.base is None or a.field is not self.base:
             raise InputError("embed expects an element of the immediate base field")
-        zero = self.base.zero()
-        return FieldElem(self, (a,) + (zero,) * (self.rel_degree - 1))
+        return self.elems[a.idx]
 
     def index(self, a: FieldElem) -> int:
         """Canonical integer of an element: coefficient vector read low-to-high, base p."""
-        if self.base is None:
-            return a.coeffs[0]
-        qb = self.base.q
-        out = 0
-        for c in reversed(a.coeffs):
-            out = out * qb + self.base.index(c)
-        return out
+        return a.idx
 
     def elem_at(self, idx: int) -> FieldElem:
-        """Inverse of index()."""
-        if self.base is None:
-            return self.elems[idx % self.p]
-        qb = self.base.q
-        cs = []
-        for _ in range(self.rel_degree):
-            cs.append(self.base.elem_at(idx % qb))
-            idx //= qb
-        return FieldElem(self, tuple(cs))
+        """Inverse of index(), taking idx mod q."""
+        return self.elems[idx % self.q]
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if self.base is None:
-            return self.elems[(a.coeffs[0] + b.coeffs[0]) % self.p]
-        base = self.base
-        return FieldElem(self, tuple(base.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+            return self.elems[(a.idx + b.idx) % self.p]
+        if self._dlog is None:
+            return self.from_coeffs(tuple(map(self.base.add, a.coeffs, b.coeffs)))
+        spread = self._spread
+        norm_lo, norm_hi, b_lo = self._norm
+        s = spread[a.idx] + spread[b.idx]
+        return self.elems[norm_lo[s % b_lo] + norm_hi[s // b_lo]]
 
     def sub(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if self.base is None:
-            return self.elems[(a.coeffs[0] - b.coeffs[0]) % self.p]
-        base = self.base
-        return FieldElem(self, tuple(base.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+            return self.elems[(a.idx - b.idx) % self.p]
+        if self._dlog is None:
+            return self.from_coeffs(tuple(map(self.base.sub, a.coeffs, b.coeffs)))
+        norm_lo, norm_hi, b_lo = self._norm
+        s = self._spread[a.idx] + self._nspread[b.idx]
+        return self.elems[norm_lo[s % b_lo] + norm_hi[s // b_lo]]
 
     def neg(self, a: FieldElem) -> FieldElem:
         if self.base is None:
-            return self.elems[-a.coeffs[0] % self.p]
-        base = self.base
-        return FieldElem(self, tuple(base.neg(x) for x in a.coeffs))
+            return self.elems[-a.idx % self.p]
+        if self._dlog is None:
+            return self.from_coeffs(tuple(map(self.base.neg, a.coeffs)))
+        return self.elems[self._neg[a.idx]]
 
     def mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
         if self.base is None:
-            return self.elems[a.coeffs[0] * b.coeffs[0] % self.p]
+            return self.elems[a.idx * b.idx % self.p]
+        dlog = self._dlog
+        if dlog is None:
+            return self._schoolbook(a, b)
+        if a.idx and b.idx:
+            return self.elems[self._exp[dlog[a.idx] + dlog[b.idx]]]
+        return self.elems[0]
+
+    def _schoolbook(self, a: FieldElem, b: FieldElem) -> FieldElem:
+        """a b as the product of the coefficient vectors over the base,
+        reduced mod the modulus."""
         base = self.base
         n = self.rel_degree
-        if base.base is None:
-            # one tower step over the prime field: pure int arithmetic
-            p = self.p
-            ac = [c.coeffs[0] for c in a.coeffs]
-            bc = [c.coeffs[0] for c in b.coeffs]
-            prod = [0] * (2 * n - 1)
-            for i, x in enumerate(ac):
-                if x:
-                    for j, y in enumerate(bc):
-                        prod[i + j] += x * y
-            red = self._int_reduction_rows()
-            for k in range(2 * n - 2, n - 1, -1):
-                c = prod[k] % p
-                if c:
-                    row = red[k - n]
-                    for j in range(n):
-                        prod[j] += c * row[j]
-            elems = base.elems
-            return FieldElem(self, tuple(elems[v % p] for v in prod[:n]))
-        prod = [base.zero()] * (2 * n - 1)
+        prod = [base.elems[0]] * (2 * n - 1)
         for i, x in enumerate(a.coeffs):
-            if base.index(x) == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                prod[i + j] = base.add(prod[i + j], base.mul(x, y))
+            if x.idx:
+                for j, y in enumerate(b.coeffs):
+                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
         red = self._reduction_rows()
         for k in range(2 * n - 2, n - 1, -1):
             c = prod[k]
-            if base.index(c) == 0:
-                continue
-            row = red[k - n]
-            for j in range(n):
-                prod[j] = base.add(prod[j], base.mul(c, row[j]))
-        return FieldElem(self, tuple(prod[:n]))
-
-    def _int_reduction_rows(self):
-        rows = self._cache.get("int_red_rows")
-        if rows is None:
-            base = self.base
-            rows = tuple(
-                tuple(base.index(c) for c in row) for row in self._reduction_rows()
-            )
-            self._cache["int_red_rows"] = rows
-        return rows
+            if c.idx:
+                row = red[k - n]
+                for j in range(n):
+                    prod[j] = base.add(prod[j], base.mul(c, row[j]))
+        return self.from_coeffs(tuple(prod[:n]))
 
     def _reduction_rows(self):
         # row k = coefficient vector of t^{n+k} mod modulus, k = 0..n-2
@@ -305,7 +338,7 @@ class Field:
             for _ in range(n - 2):
                 top = cur[-1]
                 cur = [base.zero()] + cur[:-1]
-                if base.index(top) != 0:
+                if top.idx:
                     first = rows[0]
                     cur = [base.add(cur[j], base.mul(top, first[j])) for j in range(n)]
                 rows.append(tuple(cur))
@@ -316,6 +349,13 @@ class Field:
     def pow(self, a: FieldElem, n: int) -> FieldElem:
         if n < 0:
             return self.pow(self.inverse(a), -n)
+        if self.base is None:
+            return self.elems[pow(a.idx, n, self.p)]
+        dlog = self._dlog
+        if dlog is not None:
+            if a.idx:
+                return self.elems[self._exp[dlog[a.idx] * n % (self.q - 1)]]
+            return self.elems[0 if n else 1]
         out = self.one()
         b = a
         while n:
@@ -326,10 +366,12 @@ class Field:
         return out
 
     def inverse(self, a: FieldElem) -> FieldElem:
-        if self.index(a) == 0:
+        if a.idx == 0:
             raise ZeroDivisionError("inverse of zero field element")
         if self.base is None:
-            return self.elems[pow(a.coeffs[0], self.p - 2, self.p)]
+            return self.elems[pow(a.idx, self.p - 2, self.p)]
+        if self._dlog is not None:
+            return self.elems[self._exp[self.q - 1 - self._dlog[a.idx]]]
         return self.pow(a, self.q - 2)
 
 
@@ -377,8 +419,7 @@ def extend_field(F: Field, n: int) -> Field:
     key = ("ext", n)
     ext = F._cache.get(key)
     if ext is None:
-        ext = Field(F.p, F, n, None)
-        ext.modulus = _canonical_modulus(F, n)
+        ext = Field(F.p, F, n, _canonical_modulus(F, n))
         F._cache[key] = ext
     return ext
 
@@ -409,15 +450,30 @@ def primitive_root(F: Field) -> FieldElem:
 # -- discrete-log tables -------------------------------------------------------
 
 
+def _walk_dlog(F: Field, g: FieldElem) -> list[int]:
+    """dlog[index] = k with g^k the element of that index, dlog[0] = -1, for
+    a primitive root g.  Multiplication by g is F_p-linear on the base-p
+    digits of an element index, so dlog is the walk of `SpreadCoding.walk`
+    from the e images g * p^i."""
+    p, m = F.p, F.q - 1
+    images = [F.mul(F.elems[p**i], g).idx for i in range(F.e)]
+    dlog = [-1] * F.q
+    order = spread_coding(p, F.e).walk(images, dlog, m)
+    if order != m:
+        raise InvariantViolation(
+            "log-table-order", f"the primitive root of {F} has order {order}, not {m}"
+        )
+    return dlog
+
+
+
 class LogTable:
     """Multiplicative logs plus Zech logarithms for a small field.
 
     dlog[index] = k with g^k the element of that index (dlog[0] = -1 for the
     zero element), zech[k] = dlog(1 + g^k) with -1 when 1 + g^k = 0.  All
-    arithmetic on ints.  Multiplication by the primitive root g is F_p-linear
-    on the base-p digits of an element index, so dlog is the walk of
-    `SpreadCoding.walk` from the e images g * p^i; its inverse, built to
-    fill zech, is not kept.
+    arithmetic on ints.  A tower level within ELEM_TABLE_CAP already holds
+    dlog and its inverse; any other field walks them (`_walk_dlog`).
     """
 
     __slots__ = ("field", "dlog", "zech")
@@ -425,18 +481,14 @@ class LogTable:
     def __init__(self, field: Field):
         q = field.q
         limits.require("SUPERELL_ZECH_LIMIT", q, f"log table for {field}")
-        g = primitive_root(field)
         p, m = field.p, q - 1
-        images = [field.index(field.mul(field.elem_at(p**i), g)) for i in range(field.e)]
-        dlog = [-1] * q
-        order = spread_coding(p, field.e).walk(images, dlog, m)
-        if order != m:
-            raise InvariantViolation(
-                "log-table-order", f"the primitive root of {field} has order {order}, not {m}"
-            )
-        exp = [0] * m
-        for i in range(1, q):
-            exp[dlog[i]] = i
+        if field._dlog is not None:
+            dlog, exp = field._dlog, field._exp
+        else:
+            dlog = _walk_dlog(field, primitive_root(field))
+            exp = [0] * m
+            for i in range(1, q):
+                exp[dlog[i]] = i
         zech = [0] * m
         for k in range(m):
             i = exp[k]

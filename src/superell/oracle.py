@@ -1,9 +1,10 @@
 """Definitional routes that only the tests call, as oracles of the fast
-paths: square-and-multiply residue symbols for the symbol tables, point
-counts by tower arithmetic for the log tables, predicted counts for zeta
-numerators, and from-scratch squarefree filters and counts for the density
-sampler and the sieve.  No module of superell imports this one except
-`__init__`, which re-exports `MuValue` and `residue_symbol`.
+paths: digit sums and schoolbook products for the field's tables,
+square-and-multiply residue symbols for the symbol tables, point counts by
+tower arithmetic for the log tables, predicted counts for zeta numerators,
+and from-scratch squarefree filters and counts for the density sampler and
+the sieve.  No module of superell imports this one except `__init__`, which
+re-exports `MuValue` and `residue_symbol`.
 """
 
 from __future__ import annotations
@@ -68,6 +69,52 @@ class MuValue:
 
     def __repr__(self):
         return f"MuValue({'0' if self.k is None else f'zeta^{self.k}'})"
+
+
+def _digit_sum(p: int, x: int, y: int, sign: int = 1) -> int:
+    """The index of a + sign * b from the indices x, y of a, b: base-p digit
+    by digit, mod p."""
+    out, w = 0, 1
+    while x or y:
+        x, dx = divmod(x, p)
+        y, dy = divmod(y, p)
+        out += (dx + sign * dy) % p * w
+        w *= p
+    return out
+
+
+def _product_index(F: Field, x: int, y: int) -> int:
+    if F.base is None:
+        return x * y % F.p
+    base, n, qb, p = F.base, F.rel_degree, F.base.q, F.p
+    xs = [x // qb**i % qb for i in range(n)]
+    ys = [y // qb**i % qb for i in range(n)]
+    prod = [0] * (2 * n - 1)
+    for i, u in enumerate(xs):
+        for j, v in enumerate(ys):
+            prod[i + j] = _digit_sum(p, prod[i + j], _product_index(base, u, v))
+    modulus = [c.idx for c in F.modulus]  # monic of degree n
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]  # subtract c t^(k - n) times the modulus
+        for j in range(n + 1):
+            term = _product_index(base, c, modulus[j])
+            prod[k - n + j] = _digit_sum(p, prod[k - n + j], term, -1)
+    return sum(d * qb**i for i, d in enumerate(prod[:n]))
+
+
+def field_add_generic(F: Field, a: FieldElem, b: FieldElem, sign: int = 1) -> FieldElem:
+    """a + sign * b by definition, sign = 1 or -1: base-p digit by digit of
+    the element indices."""
+    return F.elem_at(_digit_sum(F.p, a.idx, b.idx, sign))
+
+
+def field_mul_generic(F: Field, a: FieldElem, b: FieldElem) -> FieldElem:
+    """a b by definition: the schoolbook product of the coefficient vectors
+    over the base, reduced mod the modulus over the base, with products in
+    the base by the same route down to ints mod p and sums digit by digit.
+    It reads only element indices and the modulus, never the field's own
+    arithmetic."""
+    return F.elem_at(_product_index(F, a.idx, b.idx))
 
 
 def residue_symbol(g: Poly, P: Poly, ell: int) -> MuValue:

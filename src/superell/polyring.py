@@ -46,7 +46,7 @@ class Poly:
 
     def __init__(self, field: Field, coeffs):
         cs = list(coeffs)
-        while cs and cs[-1].is_zero():
+        while cs and not cs[-1].idx:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -101,7 +101,7 @@ class Poly:
         return not self.coeffs
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.field.index(self.coeffs[-1]) == 1
+        return bool(self.coeffs) and self.coeffs[-1].idx == 1
 
     def is_constant(self) -> bool:
         return len(self.coeffs) <= 1
@@ -110,10 +110,10 @@ class Poly:
         """The coefficient vector read low-to-high as base-q digits, each
         coefficient by its field index; for a residue mod P (degree < deg P)
         this is its index among the q^(deg P) residues."""
-        F = self.field
+        q = self.field.q
         out = 0
         for c in reversed(self.coeffs):
-            out = out * F.q + F.index(c)
+            out = out * q + c.idx
         return out
 
     def norm(self) -> int:
@@ -125,8 +125,7 @@ class Poly:
         """Hashable key; tuple comparison reproduces the canonical order
         (degree, then integer value of the coefficient vector in base q)."""
         if self._key is None:
-            F = self.field
-            self._key = (self.degree, tuple(F.index(c) for c in reversed(self.coeffs)))
+            self._key = (self.degree, tuple(c.idx for c in reversed(self.coeffs)))
         return self._key
 
     def __eq__(self, other):
@@ -140,10 +139,9 @@ class Poly:
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
-        F = self.field
         terms = []
         for i, c in enumerate(self.coeffs):
-            ci = F.index(c)
+            ci = c.idx
             if ci == 0:
                 continue
             if i == 0:
@@ -188,7 +186,7 @@ class Poly:
             return Poly.zero(F)
         out = [F.zero()] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if x.is_zero():
+            if not x.idx:
                 continue
             for j, y in enumerate(b):
                 out[i + j] = F.add(out[i + j], F.mul(x, y))
@@ -202,7 +200,7 @@ class Poly:
         rem = list(self.coeffs)
         if len(rem) - 1 < db:
             return Poly.zero(F), self
-        monic_div = F.index(other.coeffs[-1]) == 1
+        monic_div = other.coeffs[-1].idx == 1
         inv_lead = None if monic_div else other.coeffs[-1].inverse()
         quo = [F.zero()] * (len(rem) - db)
         bc = other.coeffs
@@ -212,7 +210,7 @@ class Poly:
             quo[k] = c
             for j in range(db + 1):
                 rem[k + j] = F.sub(rem[k + j], F.mul(c, bc[j]))
-            while rem and rem[-1].is_zero():
+            while rem and not rem[-1].idx:
                 rem.pop()
         return Poly(F, quo), Poly(F, rem)
 
@@ -237,7 +235,7 @@ class Poly:
         if self.is_zero():
             raise InputError("zero polynomial has no monic normalisation")
         lead = self.coeffs[-1]
-        if self.field.index(lead) == 1:
+        if lead.idx == 1:
             return lead, self
         inv = lead.inverse()
         return lead, Poly(self.field, tuple(c * inv for c in self.coeffs))
@@ -644,7 +642,7 @@ def squarefree_monics(F: Field, d: int) -> tuple[Poly, ...]:
 def elem_to_json(a: FieldElem):
     """Prime-field elements as ints; tower elements as digit vectors over the base."""
     if a.field.base is None:
-        return a.coeffs[0]
+        return a.idx
     return [elem_to_json(c) for c in a.coeffs]
 
 
@@ -654,7 +652,7 @@ def elem_from_json(F: Field, data) -> FieldElem:
         return F.from_int(data)
     if F.base is None:
         raise InputError("nested coefficient vector given for a prime field")
-    return FieldElem(F, tuple(elem_from_json(F.base, d) for d in data))
+    return F.from_coeffs(tuple(elem_from_json(F.base, d) for d in data))
 
 
 def poly_to_json(f: Poly) -> list:

@@ -321,6 +321,9 @@ _LPOLY = ["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[0,1],1]]
         (_LPOLY + ["--out", "/nonexistent/x.json"], {}, "--out"),
         (_DENSITY + ["--base", "@/nonexistent.json"], {}, "--base"),
         (_DENSITY + ["--base", "@."], {}, "--base"),
+        # an F_25 coefficient is a vector of two F_5 digits
+        (["lpoly", "--p", "5", "--e", "2", "--ell", "3", "--conductor-factors",
+          "[[[[1,2,3],1],1]]"], {}, "GF(5^2) takes 2 coefficients, got 3"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):
@@ -344,6 +347,33 @@ def test_cli_point_count_limit_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("SUPERELL_ZECH_LIMIT", "10")
     assert cli_main(["seed-check", "--kind", "thm41", "--p", "5"]) == 3
     assert "SUPERELL_ZECH_LIMIT >= 25" in capsys.readouterr().err
+
+
+def test_cli_point_count_over_a_tower_below_its_limit_exits_3(monkeypatch, capsys):
+    # F_25 keeps its own log tables; a limit one below q still refuses the count
+    monkeypatch.setenv("SUPERELL_ZECH_LIMIT", "24")
+    assert cli_main(_FAMILY + ["--max-members-per-degree", "1"]) == 3
+    assert "SUPERELL_ZECH_LIMIT >= 25" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (_FAMILY, ["family_experiment"]),
+        (_DENSITY + _TRIGONAL + ["--samples", "5"], ["product_form", "empirical_density"]),
+        (_LPOLY, ["l_polynomial"]),
+    ],
+)
+def test_cli_csv_out_refused_before_the_work(argv, work, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the report was computed")
+
+    for name in work:
+        monkeypatch.setattr(f"superell.cli.{name}", never)
+    out = tmp_path / "report.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 2
+    assert "this report has no CSV form" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_density_limit_names_its_variable(monkeypatch, capsys):

@@ -1,9 +1,13 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superell import InputError, ResourceLimit, extend_field, make_field, primitive_root
-from superell.ffield import ELEM_TABLE_CAP, LogTable, is_prime, log_table
+from superell.ffield import ELEM_TABLE_CAP, LogTable, is_prime, log_table, spread_coding
+from superell.oracle import field_add_generic, field_mul_generic
 
 
 def brute_canonical_modulus(F, n):
@@ -280,3 +284,145 @@ def test_prime_field_above_the_cap():
     inv = F.inverse(a)
     assert F.mul(inv, a) == F.one()
     assert inv == F.pow(a, p - 2)
+
+
+# name: (p, tower degrees, descriptor moduli, index of the primitive root,
+# sha256 prefixes of the dlog and zech lists of its log table), as built by
+# the tower arithmetic before fields within the cap kept tables
+_PINNED_FIELDS = {
+    "F4": (2, (2,), [[1, 1, 1]], 2, "31b1418b59ede511", "0c1d0e6425cd001c"),
+    "F8": (2, (3,), [[1, 1, 0, 1]], 2, "6be27e29bd9c7df0", "b9625f4599a85f2f"),
+    "F9": (3, (2,), [[1, 0, 1]], 4, "0176021f8182021a", "bc90bf22482a1938"),
+    "F16": (2, (2, 2), [[1, 1, 1], [2, 1, 1]], 4, "fd677e87630e53cc", "b865be17bad5da4f"),
+    "F25": (5, (2,), [[2, 0, 1]], 6, "23c15eac9228092d", "737db6e51640e304"),
+    "F27": (3, (3,), [[1, 2, 0, 1]], 3, "4396793e12a50363", "c014ac9d92c9d343"),
+    "F49": (7, (2,), [[1, 0, 1]], 9, "657a93ba9b52f5cb", "40a6be3641f4b1da"),
+    "F256": (2, (2, 2, 2), [[1, 1, 1], [2, 1, 1], [8, 1, 1]], 18,
+             "f9b7bfe1f79fa4f9", "5756c3c16d15aae0"),
+    "F625": (5, (2, 2), [[2, 0, 1], [5, 0, 1]], 26, "6196a1de91d28cda", "479ed427d2fae844"),
+    "F4096": (2, (2, 2, 3), [[1, 1, 1], [2, 1, 1], [2, 0, 0, 1]], 20,
+              "5ae0a326cec66df8", "ec5ee89e755a7928"),
+    "F8192": (2, (13,), [[1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1]], 2,
+              "a340a4ad31b50a5c", "f5f10b40ce491f57"),
+}
+_ALL_PAIRS = ["F4", "F8", "F9", "F16", "F25", "F27", "F49"]
+_SAMPLED = ["F256", "F625", "F4096", "F8192"]
+
+
+def _pinned(name):
+    p, degrees = _PINNED_FIELDS[name][:2]
+    return _tower(p, *degrees)
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", list(_PINNED_FIELDS))
+def test_field_identity_and_index_order_pinned(name):
+    p, degrees, moduli, root, dlog_digest, zech_digest = _PINNED_FIELDS[name]
+    F = _pinned(name)
+    assert F.descriptor() == {"p": p, "tower": list(degrees), "moduli": moduli}
+    assert F.index(primitive_root(F)) == root
+    tab = log_table(F)
+    assert (_digest(tab.dlog), _digest(tab.zech)) == (dlog_digest, zech_digest)
+    # the element of index i has the base-q_b digits of i as its coefficients
+    qb, n = F.base.q, F.rel_degree
+    for i in range(0, F.q, max(1, F.q // 500)):
+        a = F.elem_at(i)
+        assert F.index(a) == i and a.is_zero() == (i == 0)
+        assert [F.base.index(c) for c in a.coeffs] == [i // qb**k % qb for k in range(n)]
+    assert isinstance(F.elems, list) == (F.q <= ELEM_TABLE_CAP)
+
+
+def _check_pair(F, a, b):
+    shared = F.q <= ELEM_TABLE_CAP
+    for got, want in (
+        (F.mul(a, b), field_mul_generic(F, a, b)),
+        (F.add(a, b), field_add_generic(F, a, b)),
+        (F.sub(a, b), field_add_generic(F, a, b, -1)),
+    ):
+        assert got == want, (F, a, b)
+        assert got is want or not shared
+
+
+def _check_unary(F, a, exponents):
+    one = F.one()
+    assert F.neg(a) == field_add_generic(F, F.zero(), a, -1)
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            F.inverse(a)
+        assert F.pow(a, 0) == one and F.pow(a, 3) == a
+        return
+    inv = F.inverse(a)
+    assert field_mul_generic(F, a, inv) == one
+    for k in exponents:
+        want, b, n = one, a, k  # square-and-multiply through the schoolbook product
+        while n:
+            if n & 1:
+                want = field_mul_generic(F, want, b)
+            b, n = field_mul_generic(F, b, b), n >> 1
+        assert F.pow(a, k) == want, (F, a, k)
+        assert F.pow(inv, -k) == want
+
+
+@pytest.mark.parametrize("name", _ALL_PAIRS)
+def test_small_field_arithmetic_matches_schoolbook_on_all_pairs(name):
+    F = _pinned(name)
+    for a in F.elems:
+        for b in F.elems:
+            _check_pair(F, a, b)
+        _check_unary(F, a, (0, 1, 2, 3, F.q - 2, F.q - 1, F.q, 2 * F.q + 1))
+
+
+@pytest.mark.parametrize("name", _SAMPLED)
+def test_field_arithmetic_matches_schoolbook_on_sampled_pairs(name):
+    F = _pinned(name)
+    rng = random.Random(f"field-{name}")
+    picks = [0, 1, F.q - 1] + [rng.randrange(F.q) for _ in range(100)]
+    for i, j in zip(picks, picks[1:] + picks[:1]):
+        _check_pair(F, F.elem_at(i), F.elem_at(j))
+    for i in picks[:12]:
+        _check_unary(F, F.elem_at(i), (0, 1, 2, 5, F.q - 2, F.q - 1, F.q, 3 * F.q + 7))
+
+
+def test_field_above_the_cap_keeps_the_tower_path():
+    F = _pinned("F8192")
+    assert F.q > ELEM_TABLE_CAP >= _pinned("F4096").q
+    assert not isinstance(F.elems, list)
+    a = F.elem_at(12345)
+    assert a == F.elem_at(12345) and a is not F.elem_at(12345)
+    assert all(c is F.base.elem_at(F.base.index(c)) for c in a.coeffs)
+
+
+@pytest.mark.parametrize("name", ["F4", "F16", "F25", "F256", "F625", "F4096"])
+def test_log_table_equals_a_fresh_walk(name):
+    F = _pinned(name)
+    m = F.q - 1
+    g = primitive_root(F)
+    images = [field_mul_generic(F, F.elem_at(F.p**i), g).idx for i in range(F.e)]
+    dlog = [-1] * F.q
+    assert spread_coding(F.p, F.e).walk(images, dlog, m) == m
+    exp = [0] * m
+    for i in range(1, F.q):
+        exp[dlog[i]] = i
+    one = F.one()
+    zech = [dlog[field_add_generic(F, one, F.elem_at(exp[k])).idx] for k in range(m)]
+    tab = LogTable(F)
+    assert tab.dlog == dlog and tab.zech == zech
+
+
+@pytest.mark.parametrize("name", ["F4", "F16", "F625", "F4096"])
+def test_log_table_limit_below_q(name, monkeypatch):
+    F = _pinned(name)
+    monkeypatch.setenv("SUPERELL_ZECH_LIMIT", str(F.q - 1))
+    with pytest.raises(ResourceLimit, match=f"SUPERELL_ZECH_LIMIT >= {F.q}"):
+        LogTable(F)
+
+
+def test_tower_elements_are_shared():
+    F16 = _pinned("F16")
+    a = F16.elem_at(7)
+    for got in (-a, a.inverse(), a**5, a**-2):
+        assert got is F16.elem_at(F16.index(got))
+    assert F16.embed(F16.base.elem_at(3)) is F16.elem_at(3) and F16.from_int(3) is F16.one()

@@ -87,3 +87,27 @@ def test_per_layer_spans_resolve():
                 if span not in methods and function not in _traced_functions(module):
                     unresolved.append(name)
     assert unresolved == []
+
+
+def _constructs(tree: ast.Module, name: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Name) and node.func.id == name)
+            or (isinstance(node.func, ast.Attribute) and node.func.attr == name)
+        )
+        for node in ast.walk(tree)
+    )
+
+
+def test_field_elements_are_built_only_by_their_field():
+    # a FieldElem carries its canonical index and, within the cap, is one of
+    # the field's shared elements, so only ffield may construct one
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    offenders = [
+        path.name
+        for path in files
+        if path.name != "ffield.py" and _constructs(_tree(path), "FieldElem")
+    ]
+    assert offenders == []
+    assert _constructs(_tree(PACKAGE / "ffield.py"), "FieldElem")
