@@ -42,7 +42,7 @@ from .curves import (
 )
 from .errors import CacheCorrupt, InputError, InvariantViolation
 from .families import generate_family, twist_class_index
-from .ffield import Field, make_field
+from .ffield import Field, is_prime, make_field
 from .lfunction import (
     LCache,
     LPoly,
@@ -348,6 +348,8 @@ def thm42_model(F: Field, ell: int) -> SuperellipticModel:
 
 
 def seed_check_thm42(ell: int, p: int, *, d_max: "int | None" = None) -> SeedReport:
+    if ell == 2 or not is_prime(ell):
+        raise InputError(f"this seed needs an odd prime ell, got {ell}")
     if (p + 1) % ell != 0:
         raise InputError("this seed needs p = -1 mod ell")
     rep = SeedReport("thm42", {"p": p, "ell": ell})

@@ -10,11 +10,9 @@ what matters here.
 
 A character is an exponent map over the distinct monic irreducible factors of
 its (squarefree) conductor.  Bulk evaluation goes through per-prime residue
-symbol tables built from a discrete log over (A/P)^*.  The discrete log is a
-walk through the powers of a generator on integer residue indices, where
-multiplication by the generator is an F_p-linear map on base-p digits applied
-by table lookups; candidates whose walk returns to 1 early are skipped.  The
-walk is `ffield.SpreadCoding.walk`, the same one that builds the field log
+symbol tables built from a discrete log over (A/P)^*, which
+`polyring.residue_dlog` finds by walking the powers of candidate generators
+on integer residue indices, the one search that also builds the field log
 tables.  The tests check the tables against the square-and-multiply symbol
 of `oracle.residue_symbol`.
 
@@ -33,7 +31,6 @@ route to the same L-polynomials, which the census spot check runs.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import Counter, OrderedDict
 
 from . import limits
@@ -46,18 +43,14 @@ from .polyring import (
     factor_table,
     irreducible_count,
     irreducibles,
-    is_irreducible,
     poly_from_json,
     poly_to_json,
+    residue_dlog,
     unit_images,
 )
 
 # symbol-table entry for residues divisible by P; real entries lie in 0..ell-1
 _ZERO_SENTINEL = -1
-
-# generator candidates walked before the modulus is tested for irreducibility;
-# a reducible modulus has no generator, so every candidate would fail
-_GENERATOR_TRIES = 8
 
 
 # -- per-(field, ell) context ---------------------------------------------------
@@ -105,14 +98,8 @@ class CharContext:
         (r/P) = r^(m/ell) with m = |P| - 1 lands in mu_ell(F_q) because
         q = 1 mod ell, so for a generator g of (A/P)^* and r = g^k the exponent
         is k0 * k mod ell, where zeta^k0 = g^(m/ell).  Neither depends on which
-        generator is used.  Candidates g are walked through their powers on
-        integer residue indices (`ffield.SpreadCoding.walk`, which also builds
-        the log tables of `ffield`); the first whose walk returns to
-        1 only after m steps is a generator, and its walk is the discrete log.
-        Such a walk also proves P irreducible.  A candidate that an earlier
-        failed walk reached is skipped: its order divides that walk's, which is
-        below m.  After `_GENERATOR_TRIES` failed walks P is tested once, and a
-        reducible P raises InvariantViolation.
+        generator is used; g and its discrete log come from
+        `polyring.residue_dlog`, which also proves P irreducible.
         """
         key = ("symbols", P.key())
         tab = self._cached(key)
@@ -125,29 +112,9 @@ class CharContext:
                 f"symbol table for |P| = {size} exceeds SYMBOL_TABLE_LIMIT = "
                 f"{limits.SYMBOL_TABLE_LIMIT} (superell.limits); it needs at least {size}"
             )
-        m = size - 1
-        steps = array("q", [-1]) * size  # steps[r] = k with g^k = r
-        order = 0
-        coding = spread_coding(F.p, P.degree * F.e)
-        tries = 0
-        # neither 1 nor, when deg P > 1, any constant generates (A/P)^*
-        for j in range(F.q if P.degree > 1 else 2, size):
-            if steps[j] >= 0:
-                continue  # a power of a failed candidate: its order is below m
-            if tries == _GENERATOR_TRIES and not is_irreducible(P):
-                break
-            tries += 1
-            self.counts["generator_candidates"] += 1
-            images = unit_images(Poly.from_vector_index(F, j), P.degree, P)
-            order = coding.walk(images, steps, m)
-            self.counts["walk_steps"] += order or m  # no return to 1: all m steps
-            if order == m:
-                break
-        if order != m:
-            raise InvariantViolation("residue-symbol-modulus", f"{P!r} is reducible: no generator")
-        # zeta' = g^(m/ell) must be the constant zeta^k0; steps[0] is skipped,
-        # since a failed walk through a zero divisor may have reached 0
-        zp = steps.index(m // self.ell, 1)
+        steps = residue_dlog(P, self.counts)[1]  # steps[r] = k with g^k = r
+        # zeta' = g^(m/ell) must be the constant zeta^k0
+        zp = steps.index((size - 1) // self.ell)
         if zp >= F.q:
             raise InvariantViolation("symbol-constant", f"{P!r}: zeta' not constant; P reducible?")
         k0 = self.zeta_pow_index.get(zp)

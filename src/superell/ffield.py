@@ -19,18 +19,23 @@ these shared objects instead of new ones; above the cap, elements are built
 per result, so memory stays bounded for every field the library accepts.  A
 prime field computes on ints mod p; inversion is Fermat's a^(p-2).  A tower
 level within the cap multiplies, inverts and takes powers through exp and
-dlog tables from one walk of its canonical primitive root, and adds,
-subtracts and negates by adding the spread codes of indices without carries
-(Lidl & Niederreiter, *Finite Fields*, ch. 9); each of its tables has O(q)
-entries.  Above the cap a tower level multiplies coefficient vectors over the
-base and reduces them mod the modulus.
+dlog tables, and adds, subtracts and negates by adding the spread codes of
+indices without carries (Lidl & Niederreiter, *Finite Fields*, ch. 9); each
+of its tables has O(q) entries.  Above the cap a tower level multiplies as a
+`polyring.Poly` product over the base, reduced mod the modulus: this module
+keeps no polynomial arithmetic of its own.
+
+A tower level B[t]/(m) is the residue field A/P of A = B[t] at P = m, with
+the same element indices, and a prime field is A/(t) over itself.  So the
+dlog of every log table, and the canonical primitive root of a level within
+the cap, come from the one generator search of `polyring.residue_dlog`,
+which also serves the residue-symbol tables of `characters`.
 
 Element indices, and indices of polynomials over the field, are vectors of
 base-p digits, and multiplication by a fixed element or polynomial is
 F_p-linear (affine for a monic product or remainder) on them.  `SpreadCoding`
-applies such maps by table lookups: its `walk` is the one discrete-log walk,
-behind both the log tables here and the residue-symbol tables of
-`characters`.  Its half tables give all products f g of a monic f
+applies such maps by table lookups: its `walk` is the discrete-log walk of
+that search.  Its half tables give all products f g of a monic f
 (`polyring.monic_multiples`), behind both the factor-table sieve and the
 exhaustive squarefree oracle, and all residues g mod P of the monic g of one
 degree, behind the character-sum histograms of `characters`.
@@ -42,7 +47,7 @@ import functools
 import itertools
 
 from . import limits
-from .errors import InputError, InvariantViolation, ResourceLimit
+from .errors import InputError, ResourceLimit
 
 _PRIME_CACHE: dict[int, "Field"] = {}
 
@@ -199,7 +204,8 @@ class Field:
             w = p**i
             neg = [x + (-d % p) * w for d in range(p) for x in neg]
         spread = [coding.spread(i) for i in range(q)]
-        dlog = _walk_dlog(self, primitive_root(self))
+        g, dlog = _residue_dlog(self)
+        self._cache["primitive_root"] = self.elems[g]
         exp = [0] * (q - 1)
         for i in range(1, q):
             exp[dlog[i]] = i
@@ -302,49 +308,14 @@ class Field:
             return self.elems[a.idx * b.idx % self.p]
         dlog = self._dlog
         if dlog is None:
-            return self._schoolbook(a, b)
+            from .polyring import Poly  # polyring imports this module
+
+            base = self.base
+            r = Poly(base, a.coeffs) * Poly(base, b.coeffs) % Poly(base, self.modulus)
+            return self.elems[r.vector_index()]
         if a.idx and b.idx:
             return self.elems[self._exp[dlog[a.idx] + dlog[b.idx]]]
         return self.elems[0]
-
-    def _schoolbook(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        """a b as the product of the coefficient vectors over the base,
-        reduced mod the modulus."""
-        base = self.base
-        n = self.rel_degree
-        prod = [base.elems[0]] * (2 * n - 1)
-        for i, x in enumerate(a.coeffs):
-            if x.idx:
-                for j, y in enumerate(b.coeffs):
-                    prod[i + j] = base.add(prod[i + j], base.mul(x, y))
-        red = self._reduction_rows()
-        for k in range(2 * n - 2, n - 1, -1):
-            c = prod[k]
-            if c.idx:
-                row = red[k - n]
-                for j in range(n):
-                    prod[j] = base.add(prod[j], base.mul(c, row[j]))
-        return self.from_coeffs(tuple(prod[:n]))
-
-    def _reduction_rows(self):
-        # row k = coefficient vector of t^{n+k} mod modulus, k = 0..n-2
-        rows = self._cache.get("red_rows")
-        if rows is None:
-            base = self.base
-            n = self.rel_degree
-            # t^n = -(m_0 + m_1 t + ... + m_{n-1} t^{n-1})
-            cur = [base.neg(c) for c in self.modulus[:n]]
-            rows = [tuple(cur)]
-            for _ in range(n - 2):
-                top = cur[-1]
-                cur = [base.zero()] + cur[:-1]
-                if top.idx:
-                    first = rows[0]
-                    cur = [base.add(cur[j], base.mul(top, first[j])) for j in range(n)]
-                rows.append(tuple(cur))
-            rows = tuple(rows)
-            self._cache["red_rows"] = rows
-        return rows
 
     def pow(self, a: FieldElem, n: int) -> FieldElem:
         if n < 0:
@@ -425,19 +396,16 @@ def extend_field(F: Field, n: int) -> Field:
 
 
 def primitive_root(F: Field) -> FieldElem:
-    """The canonically smallest generator of F^*; exact order check via q-1 factors."""
+    """The canonically smallest generator of F^*.  A tower level within the
+    cap keeps the one its tables were built from (`_residue_dlog`); any other
+    field tests candidates by their exact order, g^((q-1)/r) != 1 for every
+    prime r | q - 1, which needs no table and so works above
+    SUPERELL_ZECH_LIMIT."""
     cached = F._cache.get("primitive_root")
     if cached is not None:
         return cached
     m = F.q - 1
-    if m == 0:
-        raise InputError("multiplicative group of a 1-element structure")
-    if m == 1:
-        g = F.one()
-        F._cache["primitive_root"] = g
-        return g
-    primes = list(factorize_int(m))
-    cofactors = [m // r for r in primes]
+    cofactors = [m // r for r in factorize_int(m)]
     one = F.one()
     for idx in range(1, F.q):
         g = F.elem_at(idx)
@@ -450,21 +418,14 @@ def primitive_root(F: Field) -> FieldElem:
 # -- discrete-log tables -------------------------------------------------------
 
 
-def _walk_dlog(F: Field, g: FieldElem) -> list[int]:
-    """dlog[index] = k with g^k the element of that index, dlog[0] = -1, for
-    a primitive root g.  Multiplication by g is F_p-linear on the base-p
-    digits of an element index, so dlog is the walk of `SpreadCoding.walk`
-    from the e images g * p^i."""
-    p, m = F.p, F.q - 1
-    images = [F.mul(F.elems[p**i], g).idx for i in range(F.e)]
-    dlog = [-1] * F.q
-    order = spread_coding(p, F.e).walk(images, dlog, m)
-    if order != m:
-        raise InvariantViolation(
-            "log-table-order", f"the primitive root of {F} has order {order}, not {m}"
-        )
-    return dlog
+def _residue_dlog(F: Field) -> tuple[int, list[int]]:
+    """(index of the smallest generator of F^*, dlog list) from
+    `polyring.residue_dlog`: F is the residue field of its modulus over its
+    base, or, for a prime field, of t over F itself."""
+    from .polyring import Poly, residue_dlog  # polyring imports this module
 
+    g, steps = residue_dlog(Poly(F.base or F, F.modulus))
+    return g, steps.tolist()
 
 
 class LogTable:
@@ -473,7 +434,7 @@ class LogTable:
     dlog[index] = k with g^k the element of that index (dlog[0] = -1 for the
     zero element), zech[k] = dlog(1 + g^k) with -1 when 1 + g^k = 0.  All
     arithmetic on ints.  A tower level within ELEM_TABLE_CAP already holds
-    dlog and its inverse; any other field walks them (`_walk_dlog`).
+    dlog and its inverse; any other field takes dlog from `_residue_dlog`.
     """
 
     __slots__ = ("field", "dlog", "zech")
@@ -485,7 +446,7 @@ class LogTable:
         if field._dlog is not None:
             dlog, exp = field._dlog, field._exp
         else:
-            dlog = _walk_dlog(field, primitive_root(field))
+            dlog = _residue_dlog(field)[1]
             exp = [0] * m
             for i in range(1, q):
                 exp[dlog[i]] = i

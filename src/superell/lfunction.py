@@ -376,11 +376,12 @@ def cache_key(chi: DirichletChar) -> str:
 
 
 def _read_cache(path) -> tuple[dict, list[str], int]:
-    """(key -> value table, verified lines, number of bad lines) of a cache
+    """(key -> LPoly table, verified lines, number of bad lines) of a cache
     file; a missing file is an empty cache.  A line is bad when its checksum
     does not match the payload it carries (a torn append, or a line not in
-    the canonical form `LCache.put` writes) or the payload does not decode."""
-    table: dict[str, dict] = {}
+    the canonical form `LCache.put` writes) or the payload, its value
+    included, does not decode."""
+    table: dict[str, LPoly] = {}
     good: list[str] = []
     bad = 0
     try:
@@ -399,8 +400,8 @@ def _read_cache(path) -> tuple[dict, list[str], int]:
             if ok:
                 try:
                     rec = json.loads(payload)
-                    key, value = rec["key"], rec["value"]
-                except (ValueError, KeyError, TypeError):
+                    key, value = rec["key"], LPoly.from_json(rec["value"])
+                except (ValueError, KeyError, TypeError, InputError):
                     ok = False
             if not ok:
                 bad += 1
@@ -428,8 +429,9 @@ class LCache:
     """Append-only JSON-lines cache of L-polynomials keyed by character.
 
     Every line carries a sha256 checksum of its canonical payload; a mismatch,
-    or a line that does not decode (a torn append), raises CacheCorrupt so the
-    caller can `repair_cache` and reload.
+    or a line whose payload or value does not decode (a torn append), raises
+    CacheCorrupt so the caller can `repair_cache` and reload.  Each value is
+    decoded to its LPoly once, at load, and `get` returns that polynomial.
     """
 
     def __init__(self, path):
@@ -441,12 +443,12 @@ class LCache:
             raise CacheCorrupt(f"{bad} undecodable or bad-checksum line(s) in {path}")
 
     def get(self, chi: DirichletChar) -> "LPoly | None":
-        val = self.table.get(cache_key(chi))
-        if val is None:
+        L = self.table.get(cache_key(chi))
+        if L is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        return LPoly.from_json(val)
+        else:
+            self.hits += 1
+        return L
 
     def put(self, pairs) -> None:
         """Store the (chi, L) pairs not yet cached, typically those of one
@@ -459,11 +461,10 @@ class LCache:
             key = cache_key(chi)
             if key in self.table:
                 continue
-            value = L.to_json()
-            self.table[key] = value
+            self.table[key] = L
             payload = (
                 f'{{"key":{json.dumps(key)},"value":{{"char":{key},'
-                f'"coeffs":{_canon(value["coeffs"])},"ell":{L.ell},"q":{L.q}}}}}'
+                f'"coeffs":{_canon([c.to_json() for c in L.coeffs])},"ell":{L.ell},"q":{L.q}}}}}'
             )
             lines.append(f'{_CHECKSUM_FIELD}{_digest(payload)}",{payload[1:]}\n')
         if lines:

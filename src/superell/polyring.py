@@ -18,8 +18,10 @@ indices of all multiples f g of a monic f come from `monic_multiples`, which
 the exhaustive squarefree count of `oracle` shares.  Multiplication by a
 fixed h modulo a fixed M is F_p-linear on the base-p digits of an index, and
 `unit_images` gives its images of the unit vectors; from them come the
-multiples here, and the residues mod P and the discrete-log walk of
-`characters`.
+multiples here, the residues mod P of `characters`, and `residue_dlog`, the
+one search for the smallest generator of (A/P)^* and its discrete log.  That
+search builds the residue-symbol tables of `characters` and, since a tower
+level of `ffield` is the residue field of its modulus, every field log table.
 
 Factorization of a single polynomial is squarefree decomposition, then
 distinct-degree splitting, then equal-degree splitting seeded from the input;
@@ -35,7 +37,7 @@ from array import array
 from dataclasses import dataclass
 
 from . import limits
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .ffield import Field, FieldElem, factorize_int, spread_coding
 
 
@@ -480,6 +482,55 @@ def unit_images(h: Poly, n: int, mod: Poly) -> list[int]:
         images.extend((cur * u).vector_index() for u in units)
         cur = (cur * x) % mod
     return images
+
+
+# generator candidates walked before the modulus is tested for irreducibility;
+# a reducible modulus has no generator, so every candidate would fail
+_GENERATOR_TRIES = 8
+
+
+def residue_dlog(P: Poly, counts: dict | None = None) -> tuple[int, array]:
+    """(index of the smallest generator g of (A/P)^*, steps) with steps[r] = k
+    for g^k the residue of index r, and steps[0] = -1.
+
+    Candidates are walked through their powers on integer residue indices
+    (`ffield.SpreadCoding.walk`, with the `unit_images` of the candidate mod
+    P) in index order, from q when deg P > 1 and from 2 otherwise: no
+    constant generates (A/P)^* when deg P > 1, and 1 does only when
+    |P| = 2, where the search starts at 1.  The first whose walk returns to 1 only after
+    |P| - 1 steps is a generator, and its walk is the discrete log.  Such a
+    walk also proves P irreducible.  A candidate that an earlier failed walk
+    reached is skipped: its order divides that walk's, which is below
+    |P| - 1.  After `_GENERATOR_TRIES` failed walks P is tested once, and a
+    reducible P raises InvariantViolation.  The candidates walked and the
+    steps taken are added to the `generator_candidates` and `walk_steps`
+    entries of `counts`, when given.
+
+    A tower level B[t]/(m) is A/P for A = B[t] and P = m, with the same
+    element indices, and a prime field is A/(t) over itself, so the log
+    tables of `ffield` come from here too.
+    """
+    if counts is None:
+        counts = dict.fromkeys(("generator_candidates", "walk_steps"), 0)
+    F = P.field
+    size = F.q**P.degree
+    m = size - 1
+    steps = array("q", [-1]) * size
+    coding = spread_coding(F.p, P.degree * F.e)
+    tries = 0
+    for j in range(F.q if P.degree > 1 else min(2, m), size):
+        if steps[j] >= 0:
+            continue  # a power of a failed candidate: its order is below m
+        if tries == _GENERATOR_TRIES and not is_irreducible(P):
+            break
+        tries += 1
+        counts["generator_candidates"] += 1
+        images = unit_images(Poly.from_vector_index(F, j), P.degree, P)
+        order = coding.walk(images, steps, m)
+        counts["walk_steps"] += order or m  # no return to 1: all m steps
+        if order == m:
+            return j, steps
+    raise InvariantViolation("residue-symbol-modulus", f"{P!r} is reducible: no generator")
 
 
 def monic_multiples(f: Poly, m: int) -> list[int]:

@@ -14,7 +14,7 @@ from superell.census import (
 )
 from superell.characters import enumerate_order_ell
 from superell.cyclo import conjugate
-from superell.lfunction import l_polynomials
+from superell.lfunction import _canon, _digest, l_polynomials
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.oracle import monics
@@ -74,6 +74,21 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
     binary = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert binary.cache_stats["bad_lines"] == 1 and binary.cache_stats["misses"] == 0
     assert binary.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
+    # a line whose checksum holds but whose value does not decode is bad too:
+    # it is dropped and its character computed again
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    for i, forge in enumerate((lambda v: v["coeffs"][0].update(coords=["x", "0"]),
+                               lambda v: v.update(coeffs=5))):
+        rec = json.loads(lines[i])
+        forge(rec["value"])
+        payload = _canon({"key": rec["key"], "value": rec["value"]})
+        lines[i] = f'{{"checksum":"{_digest(payload)}",{payload[1:]}'
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    forged = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    assert forged.cache_stats["bad_lines"] == 2 and forged.cache_stats["misses"] == 2
+    assert forged.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
 
 
 def test_census_runtime_counts(tmp_path):
@@ -277,6 +292,7 @@ _DENSITY = ["density", "--p", "7", "--deg-max", "1"]
 _TRIGONAL = ["--ell", "3", "--components", "[[0,6,0,1],[1]]"]
 _CENSUS1 = ["census", "--p", "7", "--ell", "3", "--max-degree", "1"]
 _LPOLY = ["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[0,1],1]]"]
+_THM42 = ["seed-check", "--kind", "thm42", "--p", "5"]
 
 
 @pytest.mark.parametrize(
@@ -324,6 +340,12 @@ _LPOLY = ["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[0,1],1]]
         # an F_25 coefficient is a vector of two F_5 digits
         (["lpoly", "--p", "5", "--e", "2", "--ell", "3", "--conductor-factors",
           "[[[[1,2,3],1],1]]"], {}, "GF(5^2) takes 2 coefficients, got 3"),
+        # the thm42 seed needs an odd prime ell
+        (_THM42 + ["--ell", "0"], {}, "odd prime ell, got 0"),
+        (_THM42 + ["--ell", "1"], {}, "odd prime ell, got 1"),
+        (_THM42 + ["--ell", "-1"], {}, "odd prime ell, got -1"),
+        (_THM42 + ["--ell", "2"], {}, "odd prime ell, got 2"),
+        (_THM42 + ["--ell", "9"], {}, "odd prime ell, got 9"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):

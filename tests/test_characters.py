@@ -15,7 +15,6 @@ from superell import (
     residue_symbol,
 )
 from superell.characters import (
-    _GENERATOR_TRIES,
     CharContext,
     char_context,
     char_sum,
@@ -27,7 +26,7 @@ from superell.characters import (
 )
 from superell.ffield import spread_coding
 from superell.oracle import MuValue, char_value, monics
-from superell.polyring import Poly, gcd, irreducibles, is_squarefree
+from superell.polyring import _GENERATOR_TRIES, Poly, gcd, irreducibles, is_squarefree
 
 from conftest import poly, rand_poly
 

@@ -395,9 +395,15 @@ def test_field_above_the_cap_keeps_the_tower_path():
     assert all(c is F.base.elem_at(F.base.index(c)) for c in a.coeffs)
 
 
-@pytest.mark.parametrize("name", ["F4", "F16", "F25", "F256", "F625", "F4096"])
+# fields with no tables of their own: prime fields and levels above the cap
+_UNTABLED = {"F2": (2, ()), "F3": (3, ()), "F8191": (8191, ()), "F5^6": (5, (6,)),
+             "F7^6": (7, (6,))}
+
+
+@pytest.mark.parametrize("name", ["F4", "F16", "F25", "F256", "F625", "F4096"] + list(_UNTABLED))
 def test_log_table_equals_a_fresh_walk(name):
-    F = _pinned(name)
+    p, degrees = _UNTABLED.get(name) or _PINNED_FIELDS[name][:2]
+    F = _tower(p, *degrees)
     m = F.q - 1
     g = primitive_root(F)
     images = [field_mul_generic(F, F.elem_at(F.p**i), g).idx for i in range(F.e)]

@@ -111,3 +111,68 @@ def test_field_elements_are_built_only_by_their_field():
     ]
     assert offenders == []
     assert _constructs(_tree(PACKAGE / "ffield.py"), "FieldElem")
+
+
+def _attribute_calls(tree: ast.AST, attr: str) -> int:
+    return sum(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == attr
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_discrete_log_walk():
+    # every generator search and discrete log, for the symbol tables and the
+    # field log tables alike, is polyring.residue_dlog, the only caller of
+    # SpreadCoding.walk
+    calls = {path.name: _attribute_calls(_tree(path), "walk") for path in PACKAGE.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"polyring.py": 1}
+    search = next(
+        node
+        for node in _tree(PACKAGE / "polyring.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "residue_dlog"
+    )
+    assert _attribute_calls(search, "walk") == 1
+
+
+def _annotation_names(node: ast.AST) -> set:
+    """The names a string annotation ("LCache | None") refers to."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _used_names(tree: ast.Module) -> set:
+    """Every name a module reads, in code, in string annotations or in __all__."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.partition(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}: {name}" for name in names if name not in used]
+    assert unused == []
