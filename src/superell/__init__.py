@@ -25,7 +25,6 @@ from .curves import (
 from .cyclo import CycInt, conjugate, mu_embed
 from .density import empirical_density, excluded_primes, local_factor, truncated_density
 from .errors import (
-    CacheCorrupt,
     InputError,
     InvariantViolation,
     ResourceLimit,
@@ -53,7 +52,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryForm",
-    "CacheCorrupt",
     "CycInt",
     "DirichletChar",
     "Factorization",

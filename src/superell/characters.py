@@ -26,11 +26,15 @@ in the base-p digits of g's index, with the images of `polyring.unit_images`
 (`CharContext.residue_tables`).  Sums over all monics of a degree
 (`symbol_histogram`, `char_value_counts`, `char_sum`) are the definitional
 route to the same L-polynomials, which the census spot check runs.
+
+A character has one JSON encoding, `DirichletChar.canonical_json`: the
+L-cache keys its lines by it, and `to_json` is its parse.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter, OrderedDict
 
 from . import limits
@@ -210,14 +214,19 @@ def char_context(field: Field, ell: int) -> CharContext:
 # -- Dirichlet characters ------------------------------------------------------------
 
 
+def _canon(obj) -> str:
+    """Canonical JSON: sorted keys, no spaces."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
 class DirichletChar:
     """An order-ell character given by exponents over its squarefree conductor."""
 
-    # _cache_key: the canonical JSON of `lfunction.cache_key`, memoised there
-    __slots__ = ("ell", "field", "exponent_map", "zeta", "even", "_conductor", "_cache_key")
+    # _json: the memoised `canonical_json`
+    __slots__ = ("ell", "field", "exponent_map", "even", "_conductor", "_json")
 
     def __init__(self, field: Field, ell: int, exponent_map):
-        ctx = char_context(field, ell)
+        char_context(field, ell)  # validates ell and q = 1 mod ell
         pairs = []
         seen = set()
         for P, e in exponent_map:
@@ -232,24 +241,23 @@ class DirichletChar:
         if not pairs:
             raise InputError("a primitive order-ell character needs a non-trivial conductor")
         pairs.sort(key=lambda t: (t[0].degree, t[0].key()))
-        self._set(field, ell, ctx.zeta, tuple(pairs))
+        self._set(field, ell, tuple(pairs))
 
-    def _set(self, field: Field, ell: int, zeta, exponent_map: tuple) -> None:
+    def _set(self, field: Field, ell: int, exponent_map: tuple) -> None:
         self.field = field
         self.ell = ell
         self.exponent_map = exponent_map
-        self.zeta = zeta
         self.even = sum(e * P.degree for P, e in exponent_map) % ell == 0
         self._conductor = None
-        self._cache_key = None
+        self._json = None
 
     @classmethod
-    def _on_table_primes(cls, field: Field, ell: int, zeta, exponent_map: tuple) -> "DirichletChar":
+    def _on_table_primes(cls, field: Field, ell: int, exponent_map: tuple) -> "DirichletChar":
         """A character whose primes are monic, distinct and in canonical order
         and whose exponents lie in 1..ell-1, as `conductor_groups` builds
         them from the factor table: the checks of `__init__` are skipped."""
         chi = object.__new__(cls)
-        chi._set(field, ell, zeta, exponent_map)
+        chi._set(field, ell, exponent_map)
         return chi
 
     @property
@@ -290,12 +298,32 @@ class DirichletChar:
         parts = ", ".join(f"({P!r})^{e}" for P, e in self.exponent_map)
         return f"DirichletChar(ell={self.ell}, {parts})"
 
+    def canonical_json(self) -> str:
+        """The character's JSON in canonical form, byte for byte
+        {"ell":...,"factors":[[P,e],...],"field":...} with sorted keys and no
+        spaces; the L-cache key.  It is joined from the canonical JSON of the
+        field and of each prime, encoded once per field and kept in
+        `Field._cache`, and memoised on the character."""
+        s = self._json
+        if s is None:
+            F = self.field
+            frags = F._cache.get("json_fragments")
+            if frags is None:
+                frags = F._cache["json_fragments"] = (_canon(F.descriptor()), {})
+            field_json, prime_json = frags
+            factors = []
+            for P, e in self.exponent_map:
+                frag = prime_json.get(P.key())
+                if frag is None:
+                    frag = prime_json[P.key()] = _canon(poly_to_json(P))
+                factors.append(f"[{frag},{e}]")
+            s = self._json = (
+                f'{{"ell":{self.ell},"factors":[{",".join(factors)}],"field":{field_json}}}'
+            )
+        return s
+
     def to_json(self) -> dict:
-        return {
-            "ell": self.ell,
-            "field": self.field.descriptor(),
-            "factors": [[poly_to_json(P), e] for P, e in self.exponent_map],
-        }
+        return json.loads(self.canonical_json())
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "DirichletChar":
@@ -462,11 +490,11 @@ def conductor_groups(F: Field, ell: int, d: int):
     conductor is factored or built as a polynomial, and since the table's
     primes are monic, distinct and canonically ordered, the characters are
     not re-validated."""
-    zeta = char_context(F, ell).zeta
+    char_context(F, ell)  # validates ell and q = 1 mod ell
     make = DirichletChar._on_table_primes
     for primes in factor_table(F).squarefree_primes(d):
         yield [
-            make(F, ell, zeta, tuple(zip(primes, assignment)))
+            make(F, ell, tuple(zip(primes, assignment)))
             for assignment in itertools.product(range(1, ell), repeat=len(primes))
         ]
 

@@ -213,9 +213,7 @@ def local_factor(F_form: BinaryForm, pi: Poly) -> LocalFactor:
     return LocalFactor(prime=pi, c=c, factor=1 - Fraction(c, norm4))
 
 
-def truncated_density(
-    F_form: BinaryForm, deg_max: int, *, empirical: "dict | None" = None
-) -> DensityReport:
+def truncated_density(F_form: BinaryForm, deg_max: int) -> DensityReport:
     """Exact product of local factors over non-excluded primes of degree <= deg_max."""
     if deg_max < 0:
         raise InputError(f"deg_max (--deg-max) must be at least 0, got {deg_max}")
@@ -242,7 +240,6 @@ def truncated_density(
         excluded=excluded,
         factors=factors,
         truncated_product=prod,
-        empirical=empirical,
     )
 
 

@@ -24,7 +24,3 @@ class InvariantViolation(SuperellError):
         self.detail = detail
         msg = invariant if not detail else f"{invariant}: {detail}"
         super().__init__(msg)
-
-
-class CacheCorrupt(SuperellError):
-    """A cache line failed its checksum; the caller should rebuild."""

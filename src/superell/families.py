@@ -124,19 +124,23 @@ def specialize(M0: SuperellipticModel, h: RationalMap) -> "SuperellipticModel | 
     """The family member with components F_i(numer, denom), or None when a
     filter rejects it (non-squarefree product or leading-coefficient drop)."""
     _require_family_base(M0)
-    return _specialize_checked(M0, h)
+    return _specialize_checked(M0, h.numer, h.denom)
 
 
-def _specialize_checked(M0: SuperellipticModel, h: RationalMap) -> "SuperellipticModel | None":
+def _specialize_checked(
+    M0: SuperellipticModel, numer: Poly, denom: Poly
+) -> "SuperellipticModel | None":
+    """`specialize` for a base already checked and a coprime, non-constant
+    pair numer/denom."""
     F = M0.field
-    deg_h = h.degree
+    deg_h = max(numer.degree, denom.degree)
     comps = []
     twist = M0.twist
     for i, f_i in enumerate(M0.components, start=1):
         if f_i.degree < 1:
             comps.append(Poly.one(F))
             continue
-        Di = homogenize(f_i).evaluate(h.numer, h.denom)
+        Di = homogenize(f_i).evaluate(numer, denom)
         if Di.is_zero() or Di.degree != f_i.degree * deg_h:
             return None
         lead, monic = Di.monic()
@@ -245,12 +249,10 @@ def generate_family(
             continue
         if numer.is_constant() and denom.is_constant():
             continue
-        h = RationalMap(numer, denom)
-        deg_stats = report.per_degree.setdefault(
-            h.degree, {"pairs": 0, "valid": 0, "distinct": 0}
-        )
+        deg_h = max(numer.degree, denom.degree)
+        deg_stats = report.per_degree.setdefault(deg_h, {"pairs": 0, "valid": 0, "distinct": 0})
         deg_stats["pairs"] += 1
-        member = _specialize_checked(M0, h)
+        member = _specialize_checked(M0, numer, denom)
         if member is None:
             continue
         report.squarefree_pairs += 1
@@ -261,7 +263,7 @@ def generate_family(
         )
         if key in seen:
             continue
-        member_cap = _cap_for(max_members_per_degree, h.degree)
+        member_cap = _cap_for(max_members_per_degree, deg_h)
         if member_cap is not None and deg_stats["distinct"] >= member_cap:
             continue
         seen.add(key)

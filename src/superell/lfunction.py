@@ -17,6 +17,10 @@ equation of the completed L-function for the rest, once per Galois orbit
 
 The central point is u = q^{-1/2}; the decision is `cyclo.central_sum_is_zero`,
 the same test `curves.has_central_eigenvalue` applies to zeta numerators.
+
+An `LPoly` is its coefficients only.  The L-cache (`LCache`) keys each line
+by the character's `DirichletChar.canonical_json` and writes that key again
+as the value's "char", which the reader does not keep.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import os
 from . import limits
 from .characters import (
     DirichletChar,
+    _canon,
     char_context,
     prime_symbol_histogram,
     project_counts,
@@ -42,16 +47,15 @@ from .cyclo import (
     mul_zeta,
     newton_coefficients,
 )
-from .errors import CacheCorrupt, InputError, InvariantViolation
-from .polyring import poly_to_json
+from .errors import InputError, InvariantViolation
 
 
 class LPoly:
     """L(u, chi) = sum c_n u^n with CycInt coefficients; c_0 = 1."""
 
-    __slots__ = ("ell", "q", "coeffs", "char_ref")
+    __slots__ = ("ell", "q", "coeffs")
 
-    def __init__(self, ell: int, q: int, coeffs, char_ref=None):
+    def __init__(self, ell: int, q: int, coeffs):
         coeffs = list(coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
@@ -60,7 +64,6 @@ class LPoly:
         self.ell = ell
         self.q = q
         self.coeffs = tuple(coeffs)
-        self.char_ref = char_ref
 
     @property
     def degree(self) -> int:
@@ -91,7 +94,6 @@ class LPoly:
             "q": self.q,
             "ell": self.ell,
             "coeffs": [c.to_json() for c in self.coeffs],
-            "char": self.char_ref,
         }
 
     @classmethod
@@ -100,7 +102,6 @@ class LPoly:
             int(data["ell"]),
             int(data["q"]),
             [CycInt.from_json(c) for c in data["coeffs"]],
-            data.get("char"),
         )
 
 
@@ -141,7 +142,7 @@ def l_polynomials(chars) -> list[LPoly]:
             coeffs = orbits[rep] = _euler_coefficients(primes, rep, chi.even, ell, hists)
         if j != 1:
             coeffs = [galois(c, j) for c in coeffs]
-        out.append(LPoly(ell, q, coeffs, char_ref=chi.to_json()))
+        out.append(LPoly(ell, q, coeffs))
     return out
 
 
@@ -249,7 +250,7 @@ def monic_sum_l_polynomials(chars) -> list[LPoly]:
         _check_conductor(chi, ell, keys, chars[0])
         exponents = [e for _, e in chi.exponent_map]
         coeffs = [CycInt.from_counts(ell, project_counts(h, exponents, ell)[0]) for h in hists]
-        out.append(LPoly(ell, chi.field.q, coeffs, char_ref=chi.to_json()))
+        out.append(LPoly(ell, chi.field.q, coeffs))
     return out
 
 
@@ -281,14 +282,26 @@ def strip_trivial_factor(L: LPoly, chi: DirichletChar) -> tuple[LPoly, "int | No
     """Remove the unit-circle factor of an even character's L; odd L is returned
     unchanged with k = None.  The factor is (1 - zeta^k u) for the smallest k
     that divides; several never do, since the stripped polynomial has no
-    unit-circle roots, and k = 0 for every untwisted even character."""
-    if not chi.even:
-        return L, None
-    for k in range(L.ell):
-        stripped = _divide_unit_root(L, k)
-        if stripped is not None:
-            return stripped, k
-    raise InvariantViolation("even-trivial-zero", f"no mu_ell root factor in L of {chi!r}")
+    unit-circle roots, and k = 0 for every untwisted even character.
+
+    The degree law is checked here: the result has degree D - 2 for even chi
+    and D - 1 for odd chi, D the conductor degree."""
+    if chi.even:
+        for k in range(L.ell):
+            stripped = _divide_unit_root(L, k)
+            if stripped is not None:
+                break
+        else:
+            raise InvariantViolation("even-trivial-zero", f"no mu_ell root factor in L of {chi!r}")
+        expected = chi.degree - 2
+    else:
+        stripped, k = L, None
+        expected = chi.degree - 1
+    if stripped.degree != expected:
+        raise InvariantViolation(
+            "degree-law", f"stripped degree {stripped.degree} != {expected} for {chi!r}"
+        )
+    return stripped, k
 
 
 def twist_exponent(model) -> int:
@@ -308,12 +321,7 @@ def rescale_by_root(L: LPoly, k: int) -> LPoly:
     """L(zeta^k u): multiplies c_n by zeta^{kn}; rotates all roots by zeta^{-k}."""
     if k % L.ell == 0:
         return L
-    return LPoly(
-        L.ell,
-        L.q,
-        [mul_zeta(c, k * n) for n, c in enumerate(L.coeffs)],
-        char_ref=L.char_ref,
-    )
+    return LPoly(L.ell, L.q, [mul_zeta(c, k * n) for n, c in enumerate(L.coeffs)])
 
 
 def central_value_is_zero(L: LPoly) -> bool:
@@ -333,10 +341,6 @@ def central_value_is_zero(L: LPoly) -> bool:
 # -- append-only cache -----------------------------------------------------------
 
 
-def _canon(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _digest(payload: str) -> str:
     import hashlib  # imported here so runs without a cache do not pay for it
 
@@ -346,33 +350,8 @@ def _digest(payload: str) -> str:
 # every cache line is this field, the sha256 of the canonical payload
 # {"key":...,"value":...} and '",', then that payload without its "{"; keys
 # sort as checksum < key < value, so the line is itself canonical.  A value's
-# "char" is the character's JSON, so its canonical form is the key.
+# "char" is the key again, the character's canonical JSON.
 _CHECKSUM_FIELD = '{"checksum":"'
-
-
-def cache_key(chi: DirichletChar) -> str:
-    """The character's canonical JSON, byte for byte `_canon(chi.to_json())`:
-    {"ell":...,"factors":[[P,e],...],"field":...}.  It is joined from the
-    canonical JSON of the field and of each prime, encoded once per field
-    and kept in `Field._cache`, and memoised on the character, so `LCache.get`
-    and `LCache.put` share one key per character."""
-    key = chi._cache_key
-    if key is None:
-        F = chi.field
-        frags = F._cache.get("json_fragments")
-        if frags is None:
-            frags = F._cache["json_fragments"] = (_canon(F.descriptor()), {})
-        field_json, prime_json = frags
-        factors = []
-        for P, e in chi.exponent_map:
-            frag = prime_json.get(P.key())
-            if frag is None:
-                frag = prime_json[P.key()] = _canon(poly_to_json(P))
-            factors.append(f"[{frag},{e}]")
-        key = chi._cache_key = (
-            f'{{"ell":{chi.ell},"factors":[{",".join(factors)}],"field":{field_json}}}'
-        )
-    return key
 
 
 def _read_cache(path) -> tuple[dict, list[str], int]:
@@ -411,39 +390,35 @@ def _read_cache(path) -> tuple[dict, list[str], int]:
     return table, good, bad
 
 
-def repair_cache(path) -> int:
-    """Rewrite a cache file with only its verified lines, and return how many
-    lines were dropped.  The new file is written in full and synced before it
-    replaces the old one, so a crash during the rewrite loses nothing."""
-    _, good, bad = _read_cache(path)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in good)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return bad
-
-
 class LCache:
-    """Append-only JSON-lines cache of L-polynomials keyed by character.
+    """Append-only JSON-lines cache of L-polynomials keyed by
+    `DirichletChar.canonical_json`.
 
-    Every line carries a sha256 checksum of its canonical payload; a mismatch,
-    or a line whose payload or value does not decode (a torn append), raises
-    CacheCorrupt so the caller can `repair_cache` and reload.  Each value is
-    decoded to its LPoly once, at load, and `get` returns that polynomial.
+    Every line carries a sha256 checksum of its canonical payload.  A line
+    whose checksum does not match, or whose payload or value does not decode
+    (a torn append), is bad: the load counts it in `bad_lines` and rewrites
+    the file with only its verified lines, so only the bad lines' characters
+    are computed again.  Each value is decoded to its LPoly once, at load,
+    and `get` returns that polynomial.
     """
 
     def __init__(self, path):
         self.path = path
         self.hits = 0
         self.misses = 0
-        self.table, _, bad = _read_cache(path)
-        if bad:
-            raise CacheCorrupt(f"{bad} undecodable or bad-checksum line(s) in {path}")
+        self.table, good, self.bad_lines = _read_cache(path)
+        if self.bad_lines:
+            # written in full and synced before it replaces the old file, so a
+            # crash during the rewrite loses nothing
+            tmp = f"{path}.tmp"
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.writelines(line + "\n" for line in good)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
 
     def get(self, chi: DirichletChar) -> "LPoly | None":
-        L = self.table.get(cache_key(chi))
+        L = self.table.get(chi.canonical_json())
         if L is None:
             self.misses += 1
         else:
@@ -452,13 +427,12 @@ class LCache:
 
     def put(self, pairs) -> None:
         """Store the (chi, L) pairs not yet cached, typically those of one
-        conductor, appending their lines to the file in a single write.  Each
-        L is chi's L-polynomial as `l_polynomials` returns it, so the value's
-        "char" is `chi.to_json()`, whose canonical form is the key itself: the
-        payload is assembled around the key, not encoded a second time."""
+        conductor, appending their lines to the file in a single write.  The
+        value's "char" is the key itself, so the payload is assembled around
+        the key, not encoded a second time."""
         lines = []
         for chi, L in pairs:
-            key = cache_key(chi)
+            key = chi.canonical_json()
             if key in self.table:
                 continue
             self.table[key] = L

@@ -12,13 +12,20 @@ from superell.census import (
     seed_check,
     seed_model,
 )
-from superell.characters import enumerate_order_ell
+from superell.characters import DirichletChar, enumerate_order_ell
 from superell.cyclo import conjugate
 from superell.lfunction import _canon, _digest, l_polynomials
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.oracle import monics
 from superell.polyring import Poly
+
+
+def _answer(rep) -> dict:
+    """The census report without its run-time fields."""
+    out = rep.to_json()
+    del out["runtime_stats"], out["cache"]
+    return out
 
 
 def test_census_small_counts_and_invariants(F7):
@@ -38,8 +45,8 @@ def test_census_cache_warm_rerun_identical(tmp_path):
     cold = run_census(7, 1, 3, 2, sample_decomp=5, cache_path=path)
     warm = run_census(7, 1, 3, 2, sample_decomp=5, cache_path=path)
     assert warm.cache_stats["hits"] > 0
-    a = cold.to_json(include_runtime=False)
-    b = warm.to_json(include_runtime=False)
+    a = _answer(cold)
+    b = _answer(warm)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
@@ -62,7 +69,7 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
         fh.truncate(os.path.getsize(path) - 40)
     rep = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert rep.cache_stats.get("rebuilt") is True
-    assert rep.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
+    assert _answer(rep) == _answer(clean)
     # only the torn line is dropped, so only its character is computed again
     assert rep.cache_stats["bad_lines"] == 1
     assert rep.cache_stats["misses"] == 1
@@ -73,7 +80,7 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
         fh.write(b"\xff\xfe not a cache line\n")
     binary = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert binary.cache_stats["bad_lines"] == 1 and binary.cache_stats["misses"] == 0
-    assert binary.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
+    assert _answer(binary) == _answer(clean)
     # a line whose checksum holds but whose value does not decode is bad too:
     # it is dropped and its character computed again
     with open(path, encoding="utf-8") as fh:
@@ -88,7 +95,7 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
         fh.write("".join(line + "\n" for line in lines))
     forged = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert forged.cache_stats["bad_lines"] == 2 and forged.cache_stats["misses"] == 2
-    assert forged.to_json(include_runtime=False) == clean.to_json(include_runtime=False)
+    assert _answer(forged) == _answer(clean)
 
 
 def test_census_runtime_counts(tmp_path):
@@ -115,7 +122,7 @@ def test_census_runtime_counts(tmp_path):
     for key in ("prime_histograms", "primes_scanned", "histogram_passes", "monics_scanned"):
         assert bare.runtime_stats["total_counts"][key] == total[key]
     assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
-    assert bare.to_json(include_runtime=False) == cold.to_json(include_runtime=False)
+    assert _answer(bare) == _answer(cold)
     path = str(tmp_path / "lcache.jsonl")
     run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     warm = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path).runtime_stats
@@ -133,7 +140,7 @@ def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
     from superell.lfunction import LPoly
 
     def conjugated(chars):
-        return [LPoly(L.ell, L.q, [conjugate(c) for c in L.coeffs], L.char_ref)
+        return [LPoly(L.ell, L.q, [conjugate(c) for c in L.coeffs])
                 for L in l_polynomials(chars)]
 
     monkeypatch.setattr(census, "l_polynomials", conjugated)
@@ -273,13 +280,18 @@ def test_cli_density(capsys):
     assert int(data["truncated_product"]["den"]) > 0
 
 
-def test_cli_lpoly(capsys):
+def test_cli_lpoly(capsys, F7):
     rc = cli_main(["lpoly", "--p", "7", "--ell", "3",
                    "--conductor-factors", "[[[0,1],1],[[6,1],2]]"])
     assert rc == 0
     data = json.loads(capsys.readouterr().out)
     assert data["even"] is True
     assert data["trivial_factor_exponent"] == 0
+    t = Poly.x(F7)
+    chi = DirichletChar(F7, 3, [(t, 1), (t - Poly.one(F7), 2)])
+    assert data["char"] == json.loads(chi.canonical_json())
+    assert "char" not in data["L"] and "char" not in data["stripped"]
+    assert set(data["L"]) == {"q", "ell", "coeffs"}
 
 
 def test_cli_exit_codes(capsys):

@@ -165,7 +165,8 @@ def test_q2_toy_base_with_excluded_primes():
 
 def test_density_report_json(F7):
     form = product_form(trigonal(F7))
-    rep = truncated_density(form, 1, empirical={"samples": 0})
+    rep = truncated_density(form, 1)
+    rep.empirical = {"samples": 0}  # as the CLI sets it
     data = rep.to_json()
     assert data["kind"] == "density"
     assert data["truncated_product"]["den"].isdigit()

@@ -24,14 +24,13 @@ from superell.lfunction import (
     _complete,
     _digest,
     _read_cache,
-    cache_key,
     l_polynomials,
     monic_sum_l_polynomials,
     rescale_by_root,
     trivial_factor_candidates,
 )
 from superell.oracle import char_value, monics
-from superell.polyring import Poly, is_irreducible
+from superell.polyring import Poly, is_irreducible, poly_to_json
 
 from conftest import poly
 
@@ -174,8 +173,20 @@ def test_rescale_by_root():
     assert rescale_by_root(L, 0) == L
 
 
+def test_strip_trivial_factor_enforces_the_degree_law(F7):
+    t = Poly.x(F7)
+    odd = DirichletChar(F7, 3, [(t, 1)])  # L has degree D - 1 = 0
+    even = DirichletChar(F7, 3, [(t, 1), (t - Poly.one(F7), 2)])  # stripped degree 0
+    # 1 + 2u for the odd one; (1 - u)(1 + u), which strips to 1 + u, for the even one
+    for chi, L in ((odd, LPoly(3, 7, cyc(3, 1, 2))), (even, LPoly(3, 7, cyc(3, 1, 0, -1)))):
+        with pytest.raises(InvariantViolation) as err:
+            strip_trivial_factor(L, chi)
+        assert err.value.invariant == "degree-law"
+    assert strip_trivial_factor(LPoly(3, 7, cyc(3, 1, -1)), even)[0].degree == 0
+
+
 def test_lpoly_json_roundtrip():
-    L = LPoly(3, 7, cyc(3, 1, -2, 7), char_ref={"x": 1})
+    L = LPoly(3, 7, cyc(3, 1, -2, 7))
     back = LPoly.from_json(L.to_json())
     assert back == L
 
@@ -203,13 +214,14 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     assert _read_cache(str(path))[2] == 2
     path.write_text("".join(line + "\n" for line in lines))
     assert _read_cache(str(path))[2] == 0
-    # corrupt the line
-    text = path.read_text().replace('"checksum":"', '"checksum":"00')
-    path.write_text(text)
-    from superell import CacheCorrupt
-
-    with pytest.raises(CacheCorrupt):
-        LCache(str(path))
+    # corrupt the first line: the load drops it and rewrites the file with
+    # the other line only
+    path.write_text(path.read_text().replace('"checksum":"', '"checksum":"00', 1))
+    repaired = LCache(str(path))
+    assert repaired.bad_lines == 1
+    assert repaired.get(chi) is None and repaired.get(chi.dual()) == l_polynomial(chi.dual())
+    assert path.read_text().splitlines() == lines[1:]
+    assert LCache(str(path)).bad_lines == 0
 
 
 # ids: p, the tower's relative degrees, ell
@@ -239,18 +251,23 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
         for chars in groups[:2] + mixed[:2] + several[:2]:
             Ls = l_polynomials(chars)
             for chi, L in zip(chars, Ls):
-                k = cache_key(chi)
-                assert k == _canon(chi.to_json())
+                k = chi.canonical_json()
+                assert k == _canon({
+                    "ell": ell,
+                    "field": F.descriptor(),
+                    "factors": [[poly_to_json(P), e] for P, e in chi.exponent_map],
+                })
+                assert chi.to_json() == json.loads(k)
                 # a character built and checked by the public constructor
                 twin = DirichletChar(F, ell, chi.exponent_map[::-1])
-                assert cache_key(twin) == k
+                assert twin.canonical_json() == k
                 if k not in cache.table:  # put skips what it already holds
-                    ref = _canon({"key": k, "value": L.to_json()})
+                    ref = _canon({"key": k, "value": {**L.to_json(), "char": json.loads(k)}})
                     checksum = hashlib.sha256(ref.encode()).hexdigest()
                     expected.append((chi, L, f'{{"checksum":"{checksum}",{ref[1:]}'))
             cache.put(list(zip(chars, Ls)))
     assert path.read_text().splitlines() == [line for _, _, line in expected]
-    exponents = {e for chi, _, _ in expected for _, e in json.loads(cache_key(chi))["factors"]}
+    exponents = {e for chi, _, _ in expected for _, e in json.loads(chi.canonical_json())["factors"]}
     assert exponents == set(range(1, ell))
     reloaded = LCache(str(path))
     for chi, L, _ in expected:
