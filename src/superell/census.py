@@ -180,7 +180,7 @@ def run_census(
     limits.require("SUPERELL_LIMIT_CENSUS", q**max_degree, what)
     ctx = char_context(F, ell)
     report = CensusReport(q, p, e, ell, max_degree)
-    cache = None if cache_path is None else LCache(cache_path)
+    cache = None if cache_path is None else LCache(cache_path, F, ell)
     table = factor_table(F)
     total_counts = dict.fromkeys(("conductors", "factor_table_entries", *ctx.counts), 0)
     t0 = time.monotonic()
@@ -256,6 +256,8 @@ def run_census(
             "hits": cache.hits,
             "misses": cache.misses,
             "bad_lines": cache.bad_lines,
+            "blocks": cache.blocks,
+            "load_seconds": round(cache.load_seconds, 3),
         }
         if cache.bad_lines:
             report.cache_stats["rebuilt"] = True

@@ -27,8 +27,9 @@ in the base-p digits of g's index, with the images of `polyring.unit_images`
 (`symbol_histogram`, `char_value_counts`, `char_sum`) are the definitional
 route to the same L-polynomials, which the census spot check runs.
 
-A character has one JSON encoding, `DirichletChar.canonical_json`: the
-L-cache keys its lines by it, and `to_json` is its parse.
+A character has one JSON encoding, `DirichletChar.canonical_json`, which
+reports use, and `to_json` is its parse.  The L-cache keys it by
+`DirichletChar.int_key`, integers that name its primes within the field.
 """
 
 from __future__ import annotations
@@ -222,8 +223,8 @@ def _canon(obj) -> str:
 class DirichletChar:
     """An order-ell character given by exponents over its squarefree conductor."""
 
-    # _json: the memoised `canonical_json`
-    __slots__ = ("ell", "field", "exponent_map", "even", "_conductor", "_json")
+    # _json, _ints: the memoised `canonical_json` and `int_key`
+    __slots__ = ("ell", "field", "exponent_map", "even", "_conductor", "_json", "_ints")
 
     def __init__(self, field: Field, ell: int, exponent_map):
         char_context(field, ell)  # validates ell and q = 1 mod ell
@@ -250,6 +251,7 @@ class DirichletChar:
         self.even = sum(e * P.degree for P, e in exponent_map) % ell == 0
         self._conductor = None
         self._json = None
+        self._ints = None
 
     @classmethod
     def _on_table_primes(cls, field: Field, ell: int, exponent_map: tuple) -> "DirichletChar":
@@ -301,7 +303,7 @@ class DirichletChar:
     def canonical_json(self) -> str:
         """The character's JSON in canonical form, byte for byte
         {"ell":...,"factors":[[P,e],...],"field":...} with sorted keys and no
-        spaces; the L-cache key.  It is joined from the canonical JSON of the
+        spaces, as reports give it.  It is joined from the canonical JSON of the
         field and of each prime, encoded once per field and kept in
         `Field._cache`, and memoised on the character."""
         s = self._json
@@ -321,6 +323,34 @@ class DirichletChar:
                 f'{{"ell":{self.ell},"factors":[{",".join(factors)}],"field":{field_json}}}'
             )
         return s
+
+    def int_key(self) -> tuple:
+        """The character as integers, its L-cache key: for each conductor prime
+        in canonical order, its degree, its index among the monics of that
+        degree and its exponent.  It names neither the field nor ell, to which
+        an L-cache file is bound.  Each prime's (degree, index) is read from
+        `Poly.key()` once per field and kept in `Field._cache`; the key is
+        memoised on the character."""
+        ints = self._ints
+        if ints is None:
+            F = self.field
+            codes = F._cache.get("prime_codes")
+            if codes is None:
+                codes = F._cache["prime_codes"] = {}
+            out = []
+            for P, e in self.exponent_map:
+                pkey = P.key()
+                code = codes.get(pkey)
+                if code is None:
+                    degree, digits = pkey
+                    index = 0
+                    for c in digits[1:]:  # below the leading 1, high to low
+                        index = index * F.q + c
+                    code = codes[pkey] = (degree, index)
+                out += code
+                out.append(e)
+            ints = self._ints = tuple(out)
+        return ints
 
     def to_json(self) -> dict:
         return json.loads(self.canonical_json())

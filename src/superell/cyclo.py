@@ -6,12 +6,16 @@ for polynomials with coefficients in Z[zeta_ell].
 
 Elements are stored in the power basis {1, zeta, ..., zeta^{ell-2}} so that
 equality and the zero test are coordinatewise; coordinates are plain Python
-ints and therefore unbounded.  The central test splits a value along 1 and
-sqrt(q), q = p^e; the split is exact when p != ell, which keeps {1, sqrt(q)}
-linearly independent over Q(zeta_ell): the only quadratic subfield of
-Q(zeta_ell) is Q(sqrt(+-ell)).  The central sum is linear in the
-coefficients, so the test runs on their integer coordinates, one Horner pass
-per coordinate, with no products in Z[zeta_ell].
+ints and therefore unbounded.  A coordinate row is that tuple of ell - 1
+ints on its own: the row kernels (`zeta_row`, `galois_row`,
+`central_rows_are_zero`) work on rows and build no CycInt, and `mul_zeta`,
+`galois` and `central_sum_is_zero` are their CycInt forms.  The central test
+splits a value along 1 and sqrt(q), q = p^e; the split is exact when
+p != ell, which keeps {1, sqrt(q)} linearly independent over Q(zeta_ell):
+the only quadratic subfield of Q(zeta_ell) is Q(sqrt(+-ell)).  The central
+sum is linear in the coefficients, so the test runs on their integer
+coordinates, one Horner pass per coordinate, with no products in
+Z[zeta_ell].
 """
 
 from __future__ import annotations
@@ -42,8 +46,7 @@ class CycInt:
     def from_counts(cls, ell: int, counts) -> "CycInt":
         """sum_k counts[k] zeta^k, for a list of ell counts: zeta^{ell-1} is
         -(1 + zeta + ... + zeta^{ell-2})."""
-        top = counts[ell - 1]
-        return cls(ell, (c - top for c in counts[: ell - 1]))
+        return cls(ell, row_from_counts(counts))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -129,25 +132,44 @@ def mu_embed(ell: int, k: int) -> CycInt:
     return CycInt(ell, (-1,) * (ell - 1))
 
 
-def mul_zeta(x: CycInt, k: int) -> CycInt:
-    """x zeta^k.  Multiplying by zeta^k shifts the counts of the powers of
-    zeta cyclically, so it is O(ell), with no product in Z[zeta_ell]."""
-    ell = x.ell
+def row_from_counts(counts) -> tuple:
+    """The coordinate row of sum_k counts[k] zeta^k, for a list of ell counts:
+    zeta^{ell-1} is -(1 + zeta + ... + zeta^{ell-2})."""
+    top = counts[-1]
+    return tuple(c - top for c in counts[:-1])
+
+
+def zeta_row(row, k: int) -> tuple:
+    """The row of x zeta^k for the row of x.  Multiplying by zeta^k shifts the
+    counts of the powers of zeta cyclically, so it is O(ell), with no product
+    in Z[zeta_ell]."""
+    ell = len(row) + 1
     k %= ell
-    counts = [*x.coords, 0]  # x as counts of zeta^0..zeta^{ell-1}
-    return CycInt.from_counts(ell, counts[ell - k:] + counts[: ell - k])
+    counts = (*row, 0)  # x as counts of zeta^0..zeta^{ell-1}
+    return row_from_counts(counts[ell - k:] + counts[: ell - k])
+
+
+def mul_zeta(x: CycInt, k: int) -> CycInt:
+    """x zeta^k; see `zeta_row`."""
+    return CycInt(x.ell, zeta_row(x.coords, k))
+
+
+def galois_row(row, j: int) -> tuple:
+    """The row of sigma_j(x) for the row of x, j prime to ell: sigma_j permutes
+    the powers of zeta, so it is O(ell)."""
+    ell = len(row) + 1
+    counts = [0] * ell
+    for i, c in enumerate(row):
+        counts[i * j % ell] += c
+    return row_from_counts(counts)
 
 
 def galois(x: CycInt, j: int) -> CycInt:
     """The automorphism sigma_j: zeta -> zeta^j of Z[zeta_ell], for j prime to
-    ell; sigma_j permutes the powers of zeta, so it is O(ell)."""
-    ell = x.ell
-    if j % ell == 0:
-        raise InputError(f"sigma_{j} is not an automorphism of Z[zeta_{ell}]")
-    counts = [0] * ell
-    for i, c in enumerate(x.coords):
-        counts[i * j % ell] += c
-    return CycInt.from_counts(ell, counts)
+    ell; see `galois_row`."""
+    if j % x.ell == 0:
+        raise InputError(f"sigma_{j} is not an automorphism of Z[zeta_{x.ell}]")
+    return CycInt(x.ell, galois_row(x.coords, j))
 
 
 def conjugate(x: CycInt) -> CycInt:
@@ -213,9 +235,28 @@ def newton_coefficients(S, one=1) -> list:
     return c
 
 
+@functools.cache
+def _prime_power(q: int) -> tuple[int, int]:
+    fac = factorize_int(q)
+    if len(fac) != 1:
+        raise InputError(f"{q} is not a prime power")
+    (p, e), = fac.items()
+    return p, e
+
+
 def central_sum_is_zero(coeffs, q: int) -> bool:
     """Exact decision whether sum c_n sqrt(q)^(deg - n) = 0 for coefficients
-    c_0..c_deg that are ints or CycInts, and q = p^e.
+    c_0..c_deg that are ints or CycInts, and q = p^e; see
+    `central_rows_are_zero`.  An int has only the coordinate of 1."""
+    rows = [c.coords if isinstance(c, CycInt) else (c,) for c in coeffs]
+    width = max(map(len, rows))
+    return central_rows_are_zero([row + (0,) * (width - len(row)) for row in rows], q)
+
+
+def central_rows_are_zero(rows, q: int) -> bool:
+    """Exact decision whether sum c_n sqrt(q)^(deg - n) = 0 for the
+    coefficients c_0..c_deg with the given coordinate rows, all of one width,
+    and q = p^e.
 
     Horner's rule runs on the pair (A, B) with value A + B sqrt(q).  For e
     even, sqrt(q) = p^(e/2) and the value is the single element A + B p^(e/2);
@@ -223,15 +264,9 @@ def central_sum_is_zero(coeffs, q: int) -> bool:
     independent over Q(zeta_ell) whenever p != ell.  The sum is linear in the
     c_n, so A and B are computed coordinate by coordinate on plain ints.
     """
-    fac = factorize_int(q)
-    if len(fac) != 1:
-        raise InputError(f"{q} is not a prime power")
-    (p, e), = fac.items()
+    p, e = _prime_power(q)
     root = p ** (e // 2)  # sqrt(q) when e is even
-    rows = [c.coords if isinstance(c, CycInt) else (c,) for c in coeffs]
-    width = max(map(len, rows))
-    # coordinate i of every coefficient; an int has only the coordinate of 1
-    for column in zip(*(row + (0,) * (width - len(row)) for row in rows)):
+    for column in zip(*rows):  # coordinate i of every coefficient
         a = b = 0
         for c in column:
             a, b = b * q + c, a

@@ -15,19 +15,27 @@ equation of the completed L-function for the rest, once per Galois orbit
 {chi^j} (`l_polynomials`).  The sums of chi over all monics of each degree
 (`monic_sum_l_polynomials`) are the definitional oracle.
 
-The central point is u = q^{-1/2}; the decision is `cyclo.central_sum_is_zero`,
-the same test `curves.has_central_eigenvalue` applies to zeta numerators.
+The central point is u = q^{-1/2}; the decision is `cyclo.central_rows_are_zero`,
+which `curves.has_central_eigenvalue` also runs on zeta numerators.
 
-An `LPoly` is its coefficients only.  The L-cache (`LCache`) keys each line
-by the character's `DirichletChar.canonical_json` and writes that key again
-as the value's "char", which the reader does not keep.
+An `LPoly` is its coefficients only, held as integer coordinate rows: the
+Euler route turns each coefficient into a row once, and stripping, the root
+rescaling and the central test run on the rows.  `LPoly.coeffs` is the
+CycInt view for products, JSON and the oracles.
+
+The L-cache (`LCache`) is a text file bound to one field and ell by its
+first line, a canonical JSON header.  Every later line is one block, the
+characters of one `put` (the census puts one conductor at a time): the
+sha256 of the block's body, a space, and the body, decimal integers only.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
+import time
 
 from . import limits
 from .characters import (
@@ -40,42 +48,63 @@ from .characters import (
 )
 from .cyclo import (
     CycInt,
-    central_sum_is_zero,
+    central_rows_are_zero,
     conjugate,
     exact_quotient,
-    galois,
-    mul_zeta,
+    galois_row,
     newton_coefficients,
+    row_from_counts,
+    zeta_row,
 )
 from .errors import InputError, InvariantViolation
 
 
 class LPoly:
-    """L(u, chi) = sum c_n u^n with CycInt coefficients; c_0 = 1."""
+    """L(u, chi) = sum c_n u^n with c_n in Z[zeta_ell] and c_0 = 1, held as
+    integer rows: rows[n] is the coordinates of c_n in the basis
+    {1, zeta, ..., zeta^{ell-2}}.  The constructor takes CycInt coefficients;
+    `coeffs` gives them back."""
 
-    __slots__ = ("ell", "q", "coeffs")
+    __slots__ = ("ell", "q", "rows")
 
     def __init__(self, ell: int, q: int, coeffs):
         coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs or coeffs[0] != CycInt.from_int(ell, 1):
+        if any(c.ell != ell for c in coeffs):
+            raise InputError("mixed cyclotomic orders")
+        rows = [c.coords for c in coeffs]
+        while len(rows) > 1 and not any(rows[-1]):
+            rows.pop()
+        if not rows or rows[0] != (1,) + (0,) * (ell - 2):
             raise InputError("an L-polynomial has constant coefficient 1")
         self.ell = ell
         self.q = q
-        self.coeffs = tuple(coeffs)
+        self.rows = tuple(rows)
+
+    @classmethod
+    def _from_rows(cls, ell: int, q: int, rows: tuple) -> "LPoly":
+        """An LPoly on rows already known to be canonical: c_0 = 1 and, above
+        degree 0, a nonzero top coefficient."""
+        L = object.__new__(cls)
+        L.ell = ell
+        L.q = q
+        L.rows = rows
+        return L
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(CycInt(self.ell, row) for row in self.rows)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def __eq__(self, other):
         if not isinstance(other, LPoly):
             return NotImplemented
-        return (self.ell, self.q, self.coeffs) == (other.ell, other.q, other.coeffs)
+        return (self.ell, self.q, self.rows) == (other.ell, other.q, other.rows)
 
     def __repr__(self):
-        return f"LPoly(q={self.q}, ell={self.ell}, coeffs={[list(c.coords) for c in self.coeffs]})"
+        return f"LPoly(q={self.q}, ell={self.ell}, coeffs={[list(r) for r in self.rows]})"
 
     def __mul__(self, other: "LPoly") -> "LPoly":
         if self.q != other.q or self.ell != other.ell:
@@ -129,7 +158,7 @@ def l_polynomials(chars) -> list[LPoly]:
     what = f"the L-polynomial of a degree-{chars[0].degree} conductor over F_{q}"
     limits.require("SUPERELL_LIMIT_CENSUS", q ** (chars[0].degree - 1), what)
     hists: dict[int, dict] = {}  # k -> prime_symbol_histogram over the Q of degree k
-    orbits: dict[tuple, list] = {}  # first-exponent-1 exponents -> coefficients
+    orbits: dict[tuple, tuple] = {}  # first-exponent-1 exponents -> rows
     out = []
     for chi in chars:
         _check_conductor(chi, ell, keys, chars[0])
@@ -137,12 +166,15 @@ def l_polynomials(chars) -> list[LPoly]:
         j = exponents[0]
         inv = pow(j, -1, ell)
         rep = tuple(e * inv % ell for e in exponents)
-        coeffs = orbits.get(rep)
-        if coeffs is None:
-            coeffs = orbits[rep] = _euler_coefficients(primes, rep, chi.even, ell, hists)
+        rows = orbits.get(rep)
+        if rows is None:
+            coeffs = _euler_coefficients(primes, rep, chi.even, ell, hists)
+            rows = orbits[rep] = tuple(c.coords for c in coeffs)
         if j != 1:
-            coeffs = [galois(c, j) for c in coeffs]
-        out.append(LPoly(ell, q, coeffs))
+            rows = tuple(galois_row(row, j) for row in rows)
+        # c_0 = 1, and the top coefficient is nonzero: `_complete` checks
+        # |Lambda_N|^2 = q^N
+        out.append(LPoly._from_rows(ell, q, rows))
     return out
 
 
@@ -260,22 +292,30 @@ def l_polynomial(chi: DirichletChar) -> LPoly:
     return L
 
 
-def _divide_unit_root(L: LPoly, k: int) -> "LPoly | None":
-    """Exact quotient L / (1 - zeta^k u), or None if the division has remainder."""
-    # synthetic division: q_i = c_i + zeta^k * q_{i-1}
+def _divide_unit_root(rows: tuple, k: int) -> "tuple | None":
+    """The rows of the exact quotient of the L-polynomial with the given rows
+    by (1 - zeta^k u), or None if the division has a remainder.
+
+    Synthetic division q_i = c_i + zeta^k q_{i-1} runs on counts of
+    zeta^0..zeta^{ell-1}, on which zeta^k is a rotation; a count list is 0
+    when all its counts are equal."""
+    ell = len(rows[0]) + 1
+    cut = ell - k % ell
+    acc = [0] * ell
     out = []
-    acc = CycInt.from_int(L.ell, 0)
-    for c in L.coeffs:
-        acc = c + mul_zeta(acc, k)
+    for row in rows:
+        turned = acc[cut:] + acc[:cut]
+        acc = [a + c for a, c in zip(turned, row)]
+        acc.append(turned[-1])
         out.append(acc)
-    if not out[-1].is_zero():
+    if acc.count(acc[0]) != ell:
         return None
-    return LPoly(L.ell, L.q, out[:-1])
+    return tuple(row_from_counts(counts) for counts in out[:-1])
 
 
 def trivial_factor_candidates(L: LPoly) -> list[int]:
     """All k in Z/ell with (1 - zeta^k u) dividing L exactly."""
-    return [k for k in range(L.ell) if _divide_unit_root(L, k) is not None]
+    return [k for k in range(L.ell) if _divide_unit_root(L.rows, k) is not None]
 
 
 def strip_trivial_factor(L: LPoly, chi: DirichletChar) -> tuple[LPoly, "int | None"]:
@@ -288,11 +328,13 @@ def strip_trivial_factor(L: LPoly, chi: DirichletChar) -> tuple[LPoly, "int | No
     and D - 1 for odd chi, D the conductor degree."""
     if chi.even:
         for k in range(L.ell):
-            stripped = _divide_unit_root(L, k)
-            if stripped is not None:
+            rows = _divide_unit_root(L.rows, k)
+            if rows is not None:
                 break
         else:
             raise InvariantViolation("even-trivial-zero", f"no mu_ell root factor in L of {chi!r}")
+        # the quotient's top coefficient is -zeta^-k times L's, so nonzero
+        stripped = LPoly._from_rows(L.ell, L.q, rows)
         expected = chi.degree - 2
     else:
         stripped, k = L, None
@@ -321,7 +363,7 @@ def rescale_by_root(L: LPoly, k: int) -> LPoly:
     """L(zeta^k u): multiplies c_n by zeta^{kn}; rotates all roots by zeta^{-k}."""
     if k % L.ell == 0:
         return L
-    return LPoly(L.ell, L.q, [mul_zeta(c, k * n) for n, c in enumerate(L.coeffs)])
+    return LPoly._from_rows(L.ell, L.q, tuple(zeta_row(row, k * n) for n, row in enumerate(L.rows)))
 
 
 def central_value_is_zero(L: LPoly) -> bool:
@@ -335,90 +377,184 @@ def central_value_is_zero(L: LPoly) -> bool:
         raise InputError(
             f"q = {L.q} is divisible by ell = {L.ell}; sqrt(q) is not independent of Q(zeta_ell)"
         )
-    return central_sum_is_zero(L.coeffs, L.q)
+    return central_rows_are_zero(L.rows, L.q)
 
 
 # -- append-only cache -----------------------------------------------------------
 
+_FORMAT = "superell-lcache"
+_VERSION = 2
 
-def _digest(payload: str) -> str:
+
+def _digest(body: bytes) -> bytes:
     import hashlib  # imported here so runs without a cache do not pay for it
 
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return hashlib.sha256(body).hexdigest().encode("ascii")
 
 
-# every cache line is this field, the sha256 of the canonical payload
-# {"key":...,"value":...} and '",', then that payload without its "{"; keys
-# sort as checksum < key < value, so the line is itself canonical.  A value's
-# "char" is the key again, the character's canonical JSON.
-_CHECKSUM_FIELD = '{"checksum":"'
+def _header(field, ell: int) -> str:
+    """The header line of an L-cache file for the field and ell."""
+    return _canon({"ell": ell, "field": field.descriptor(), "format": _FORMAT, "version": _VERSION})
 
 
-def _read_cache(path) -> tuple[dict, list[str], int]:
-    """(key -> LPoly table, verified lines, number of bad lines) of a cache
-    file; a missing file is an empty cache.  A line is bad when its checksum
-    does not match the payload it carries (a torn append, or a line not in
-    the canonical form `LCache.put` writes) or the payload, its value
-    included, does not decode."""
-    table: dict[str, LPoly] = {}
-    good: list[str] = []
-    bad = 0
+def _parse_header(line: bytes, path) -> tuple[str, int, int]:
+    """(canonical header, ell, q) of an L-cache file's first line; InputError
+    naming --cache when it is not a version-2 header."""
+    where = f"the L-cache (--cache) {path!r}"
+    if line.startswith(b'{"checksum":'):
+        raise InputError(
+            f"{where} is in the version-1 format, which this version does not read; "
+            "delete it, and a cold run rebuilds it"
+        )
     try:
-        # put writes ASCII only: bytes that do not decode make their line bad
-        fh = open(path, "r", encoding="utf-8", errors="replace")
-    except FileNotFoundError:
-        return table, good, bad
-    with fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            head, _, payload = line.partition('",')
-            payload = "{" + payload
-            ok = head == _CHECKSUM_FIELD + _digest(payload)
-            if ok:
-                try:
-                    rec = json.loads(payload)
-                    key, value = rec["key"], LPoly.from_json(rec["value"])
-                except (ValueError, KeyError, TypeError, InputError):
-                    ok = False
-            if not ok:
-                bad += 1
-                continue
-            table[key] = value
-            good.append(line)
-    return table, good, bad
+        data = json.loads(line)
+        ell, field = data["ell"], data["field"]
+        p, tower = field["p"], field["tower"]
+        ok = (
+            line.endswith(b"\n")
+            and data["format"] == _FORMAT
+            and data["version"] == _VERSION
+            and all(type(n) is int and n > 0 for n in (ell, p, *tower))
+            and ell > 2
+        )
+    except (ValueError, TypeError, KeyError):
+        ok = False
+    if not ok:
+        raise InputError(f"{where} does not start with a version-2 L-cache header")
+    return _canon(data), ell, p ** math.prod(tower)
+
+
+def _decode_block(line: bytes, ell: int, q: int, polys: dict) -> "zip":
+    """The (key, LPoly) pairs of one block line; ValueError when the line is
+    torn (no newline), its checksum does not match its body, or the body does
+    not decode.
+
+    The body is r and c, then one record per character: the 3r ints of its
+    `DirichletChar.int_key` and the ell - 1 coordinates of each of its c
+    coefficients (the characters of one conductor share r and c).  So the
+    fields are read as strided slices; equal coefficient lists share one
+    LPoly, kept in `polys` by their ints."""
+    if not line.endswith(b"\n"):
+        raise ValueError("torn block")
+    digest, _, body = line[:-1].partition(b" ")
+    if digest != _digest(body):
+        raise ValueError("checksum")
+    ints = list(map(int, body.split()))
+    if len(ints) < 3:  # `put` writes no empty block
+        raise ValueError("no record")
+    r, c = ints[0], ints[1]
+    w = ell - 1
+    stride = 3 * r + c * w
+    if r < 1 or c < 1 or (len(ints) - 2) % stride:  # so stride <= len(ints)
+        raise ValueError("truncated record")
+    fields = [ints[2 + j :: stride] for j in range(stride)]
+    flats = list(zip(*fields[3 * r :]))
+    one = (1,) + (0,) * (w - 1)
+    for flat in set(flats).difference(polys):
+        rows = tuple(zip(*[iter(flat)] * w))
+        if rows[0] != one or (c > 1 and not any(rows[-1])):
+            raise ValueError("not an L-polynomial")
+        polys[flat] = LPoly._from_rows(ell, q, rows)
+    return zip(zip(*fields[: 3 * r]), map(polys.__getitem__, flats))
+
+
+def _replace(path, chunks) -> None:
+    """Write the chunks to path through a temporary file, synced before it
+    replaces path, so a crash leaves the old file or the new one."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
+        fh.writelines(chunks)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 class LCache:
-    """Append-only JSON-lines cache of L-polynomials keyed by
-    `DirichletChar.canonical_json`.
+    """Append-only cache of L-polynomials keyed by `DirichletChar.int_key`,
+    in a file bound to one field and ell.
 
-    Every line carries a sha256 checksum of its canonical payload.  A line
-    whose checksum does not match, or whose payload or value does not decode
-    (a torn append), is bad: the load counts it in `bad_lines` and rewrites
-    the file with only its verified lines, so only the bad lines' characters
-    are computed again.  Each value is decoded to its LPoly once, at load,
-    and `get` returns that polynomial.
+    The first line is the header, canonical JSON
+    {"ell":...,"field":<descriptor>,"format":"superell-lcache","version":2}.
+    A missing or zero-byte file is an empty cache, and the first `put` writes
+    the header (through a synced temporary file).  The cache is bound to the
+    field and ell given here, or else to those of the first character it
+    sees.  A header that does not parse, a version-1 file, or a header for
+    another field or ell raises InputError naming --cache, and the file is
+    left as it is.
+
+    Every later line is one block, appended by one `put` in a single write:
+    the sha256 of its body, a space, and the body (see `_decode_block`).  A
+    block that is torn, fails its checksum or does not decode is bad: the
+    load counts it in `bad_lines` and rewrites the file with the header and
+    the verified blocks only, so only the bad blocks' characters are
+    computed again.  A clean load keeps no line text and writes nothing.
+    `blocks` counts the block lines read and `load_seconds` times the load.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, field=None, ell=None):
+        t0 = time.monotonic()
         self.path = path
         self.hits = 0
         self.misses = 0
-        self.table, good, self.bad_lines = _read_cache(path)
-        if self.bad_lines:
-            # written in full and synced before it replaces the old file, so a
-            # crash during the rewrite loses nothing
-            tmp = f"{path}.tmp"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.writelines(line + "\n" for line in good)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
+        self.blocks = 0
+        self.table: dict[tuple, LPoly] = {}
+        # one LPoly per coefficient list, by its ints: a census at q = 16,
+        # n <= 4 has 308,192 characters but 368 distinct L-polynomials
+        self._polys: dict[tuple, LPoly] = {}
+        self.header: "str | None" = None  # canonical; None until read or bound
+        self._header_on_disk = False
+        self.field = None  # the field and ell checked against the header
+        self.ell = None
+        bad = set()
+        try:
+            with open(path, "rb") as fh:
+                bad = self._load(fh, field, ell)
+        except FileNotFoundError:
+            pass
+        if field is not None and self.field is None:
+            self._bind(field, ell)  # an empty cache
+        self.bad_lines = len(bad)
+        if bad:
+            with open(path, "rb") as fh:
+                good = [line for n, line in enumerate(fh) if n and n not in bad]
+            _replace(path, [self.header.encode() + b"\n", *good])
+        self.load_seconds = time.monotonic() - t0
+
+    def _load(self, fh, field, ell) -> set:
+        """Read the file into `table`, after checking its header against the
+        field and ell when they are given; the line numbers of the bad
+        blocks."""
+        bad = set()
+        first = fh.readline()
+        if not first:
+            return bad
+        self.header, file_ell, q = _parse_header(first, self.path)
+        self._header_on_disk = True
+        if field is not None:
+            self._bind(field, ell)
+        for n, line in enumerate(fh, start=1):
+            self.blocks += 1
+            try:
+                self.table.update(_decode_block(line, file_ell, q, self._polys))
+            except ValueError:
+                bad.add(n)
+        return bad
+
+    def _bind(self, field, ell: int) -> None:
+        header = _header(field, ell)
+        if self.header is None:
+            self.header = header
+        elif header != self.header:
+            raise InputError(
+                f"the L-cache (--cache) {self.path!r} is for another field or ell "
+                f"({self.header}), not {field!r} with ell = {ell}"
+            )
+        self.field, self.ell = field, ell
 
     def get(self, chi: DirichletChar) -> "LPoly | None":
-        L = self.table.get(chi.canonical_json())
+        if chi.field is not self.field or chi.ell != self.ell:
+            self._bind(chi.field, chi.ell)
+        L = self.table.get(chi.int_key())
         if L is None:
             self.misses += 1
         else:
@@ -427,20 +563,26 @@ class LCache:
 
     def put(self, pairs) -> None:
         """Store the (chi, L) pairs not yet cached, typically those of one
-        conductor, appending their lines to the file in a single write.  The
-        value's "char" is the key itself, so the payload is assembled around
-        the key, not encoded a second time."""
-        lines = []
+        conductor, appending their block in a single write (one block per
+        number of primes and of coefficients, so one for a conductor)."""
+        blocks: dict[tuple, list] = {}  # (r, c) -> the ints of the records
         for chi, L in pairs:
-            key = chi.canonical_json()
+            if chi.field is not self.field or chi.ell != self.ell:
+                self._bind(chi.field, chi.ell)
+            key = chi.int_key()
             if key in self.table:
                 continue
-            self.table[key] = L
-            payload = (
-                f'{{"key":{json.dumps(key)},"value":{{"char":{key},'
-                f'"coeffs":{_canon([c.to_json() for c in L.coeffs])},"ell":{L.ell},"q":{L.q}}}}}'
-            )
-            lines.append(f'{_CHECKSUM_FIELD}{_digest(payload)}",{payload[1:]}\n')
-        if lines:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(lines))
+            flat = tuple(itertools.chain.from_iterable(L.rows))
+            self.table[key] = self._polys.setdefault(flat, L)
+            blocks.setdefault((len(key) // 3, len(L.rows)), []).extend((*key, *flat))
+        if not blocks:
+            return
+        if not self._header_on_disk:
+            _replace(self.path, [self.header.encode() + b"\n"])
+            self._header_on_disk = True
+        lines = []
+        for head, ints in blocks.items():
+            body = " ".join(map(str, (*head, *ints))).encode("ascii")
+            lines.append(_digest(body) + b" " + body + b"\n")
+        with open(self.path, "ab") as fh:
+            fh.write(b"".join(lines))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -14,7 +15,8 @@ from superell.census import (
 )
 from superell.characters import DirichletChar, enumerate_order_ell
 from superell.cyclo import conjugate
-from superell.lfunction import _canon, _digest, l_polynomials
+from superell.characters import _canon
+from superell.lfunction import l_polynomials
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.oracle import monics
@@ -51,50 +53,54 @@ def test_census_cache_warm_rerun_identical(tmp_path):
 
 
 def test_census_cache_corruption_rebuilds(tmp_path):
-    path = str(tmp_path / "lcache.jsonl")
+    path = str(tmp_path / "lcache.txt")
     run_census(7, 1, 3, 1, sample_decomp=2, cache_path=path)
     with open(path) as fh:
-        text = fh.read()
+        header, *blocks = fh.read().splitlines(keepends=True)
     with open(path, "w") as fh:
-        fh.write(text.replace('"checksum":"', '"checksum":"ff'))
+        fh.write(header + "".join("ff" + block for block in blocks))
     rep = run_census(7, 1, 3, 1, sample_decomp=2, cache_path=path)
     assert rep.cache_stats.get("rebuilt") is True
+    assert rep.cache_stats["bad_lines"] == rep.cache_stats["blocks"] == 7
+
+
+def _reblock(body: str) -> str:
+    """A block line whose checksum holds for the body."""
+    return f"{hashlib.sha256(body.encode()).hexdigest()} {body}"
 
 
 def test_census_cache_torn_line_rebuilds(tmp_path):
-    path = str(tmp_path / "lcache.jsonl")
+    path = str(tmp_path / "lcache.txt")
     clean = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
-    # a crash during append leaves a partial last line
+    # a crash during append leaves a partial last block
     with open(path, "r+b") as fh:
         fh.truncate(os.path.getsize(path) - 40)
     rep = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert rep.cache_stats.get("rebuilt") is True
     assert _answer(rep) == _answer(clean)
-    # only the torn line is dropped, so only its character is computed again
+    # only the torn block is dropped, so only the characters of its conductor
+    # are computed again: the last one, t^2 + 6t + 6, is prime and carries 2
     assert rep.cache_stats["bad_lines"] == 1
-    assert rep.cache_stats["misses"] == 1
+    assert rep.cache_stats["misses"] == 2
     again = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert again.cache_stats["misses"] == 0 and again.cache_stats["bad_lines"] == 0
-    # a line that is not UTF-8 is a bad line too, not a crash
+    # a line that is not UTF-8 is a bad block too, not a crash
     with open(path, "ab") as fh:
         fh.write(b"\xff\xfe not a cache line\n")
     binary = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert binary.cache_stats["bad_lines"] == 1 and binary.cache_stats["misses"] == 0
     assert _answer(binary) == _answer(clean)
-    # a line whose checksum holds but whose value does not decode is bad too:
-    # it is dropped and its character computed again
+    # a block whose checksum holds but whose body does not decode is bad too:
+    # it is dropped and its conductor's characters computed again.  The first
+    # two blocks are the conductors t and t + 1, with 2 characters each.
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    for i, forge in enumerate((lambda v: v["coeffs"][0].update(coords=["x", "0"]),
-                               lambda v: v.update(coeffs=5))):
-        rec = json.loads(lines[i])
-        forge(rec["value"])
-        payload = _canon({"key": rec["key"], "value": rec["value"]})
-        lines[i] = f'{{"checksum":"{_digest(payload)}",{payload[1:]}'
+    for i, forge in ((1, lambda ints: ints[:-1] + ["x"]), (2, lambda ints: ints[:-1])):
+        lines[i] = _reblock(" ".join(forge(lines[i].split()[1:])))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
     forged = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
-    assert forged.cache_stats["bad_lines"] == 2 and forged.cache_stats["misses"] == 2
+    assert forged.cache_stats["bad_lines"] == 2 and forged.cache_stats["misses"] == 4
     assert _answer(forged) == _answer(clean)
 
 
@@ -358,13 +364,42 @@ _THM42 = ["seed-check", "--kind", "thm42", "--p", "5"]
         (_THM42 + ["--ell", "-1"], {}, "odd prime ell, got -1"),
         (_THM42 + ["--ell", "2"], {}, "odd prime ell, got 2"),
         (_THM42 + ["--ell", "9"], {}, "odd prime ell, got 9"),
+        # L-cache files this census cannot use (`_unusable_caches`)
+        (_CENSUS1 + ["--cache", "v1.jsonl"], {}, "--cache"),
+        (_CENSUS1 + ["--cache", "f13.lcache"], {}, "--cache"),
+        (_CENSUS1 + ["--cache", "ell5.lcache"], {}, "--cache"),
+        (_CENSUS1 + ["--cache", "garbled.lcache"], {}, "--cache"),
     ],
 )
-def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys):
+def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys, tmp_path):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    caches = _unusable_caches()
+    for name, text in caches.items():
+        (tmp_path / name).write_text(text)
     assert cli_main(argv) == 2
     assert named in capsys.readouterr().err
+    # a cache file the census cannot use is left as it was
+    for name, text in caches.items():
+        assert (tmp_path / name).read_text() == text
+
+
+def _unusable_caches() -> dict:
+    """L-cache files by name that a census over F_7 with ell = 3 refuses: a
+    version-1 file, headers for another field or ell, and a header that does
+    not parse."""
+    def header(F, ell):
+        return _canon({"ell": ell, "field": F.descriptor(),
+                       "format": "superell-lcache", "version": 2}) + "\n"
+
+    block = _reblock("1 1 1 0 1 1 0") + "\n"  # the character on t, exponent 1: L = 1
+    return {
+        "v1.jsonl": '{"checksum":"' + "0" * 64 + '","key":"{}","value":{}}\n',
+        "f13.lcache": header(make_field(13, 1), 3) + block,
+        "ell5.lcache": header(make_field(7, 1), 5) + block,
+        "garbled.lcache": '{"ell":3,"field":\n' + block,
+    }
 
 
 def test_cli_census_limit_names_its_variable(monkeypatch, capsys):

@@ -14,16 +14,19 @@ from superell import (
     mu_embed,
     strip_trivial_factor,
 )
-from superell.characters import char_sum, conductor_groups, project_counts, symbol_histogram
-from superell.cyclo import conjugate
+from superell.characters import (
+    _canon,
+    char_sum,
+    conductor_groups,
+    project_counts,
+    symbol_histogram,
+)
+from superell.cyclo import central_sum_is_zero, conjugate, mul_zeta
 from superell.ffield import extend_field, make_field
 from superell.lfunction import (
     LCache,
     LPoly,
-    _canon,
     _complete,
-    _digest,
-    _read_cache,
     l_polynomials,
     monic_sum_l_polynomials,
     rescale_by_root,
@@ -191,87 +194,205 @@ def test_lpoly_json_roundtrip():
     assert back == L
 
 
+def _header_line(F, ell) -> str:
+    return _canon({"ell": ell, "field": F.descriptor(), "format": "superell-lcache", "version": 2})
+
+
+def _block_line(pairs) -> str:
+    """The block line of the (chi, L) pairs of one conductor, encoded from the
+    definitions: the number of primes and of coefficients, then per
+    character (degree, index among the monics of that degree, exponent) per
+    prime and every coefficient's coordinates; the body's sha256, a space,
+    the body."""
+    chi, L = pairs[0]
+    ints = [len(chi.exponent_map), len(L.coeffs)]
+    for chi, L in pairs:
+        q = chi.field.q
+        for P, e in chi.exponent_map:
+            ints += [P.degree, P.vector_index() - q**P.degree, e]
+        for c in L.coeffs:
+            ints += c.coords
+    body = " ".join(map(str, ints))
+    return f"{hashlib.sha256(body.encode()).hexdigest()} {body}"
+
+
 def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     t = Poly.x(F7)
     chi = DirichletChar(F7, 3, [(t, 1), (t - Poly.one(F7), 2)])
-    path = tmp_path / "lcache.jsonl"
+    prime = DirichletChar(F7, 3, [(t * t + Poly.one(F7), 1)])  # t^2 + 1 is prime mod 7
+    path = tmp_path / "lcache.txt"
+    path.touch()  # a zero-byte file is an empty cache
     cache = LCache(str(path))
-    assert cache.get(chi) is None
-    L = l_polynomial(chi)
-    cache.put([(chi, L), (chi.dual(), l_polynomial(chi.dual()))])
-    cache2 = LCache(str(path))
-    assert cache2.get(chi) == L
-    # put splices the checksum into the hashed payload: the canonical record
+    assert cache.get(chi) is None and cache.blocks == 0
+    first = [(c, l_polynomial(c)) for c in (chi, chi.dual())]
+    second = [(c, l_polynomial(c)) for c in (prime, prime.dual())]
+    cache.put(first)
+    cache.put(second)
+    cache.put(first)  # nothing new: nothing written
     lines = path.read_text().splitlines()
-    assert len(lines) == 2
-    for line in lines:
-        rec = json.loads(line)
-        assert line == _canon({"key": rec["key"], "value": rec["value"], "checksum": rec["checksum"]})
-        assert rec["checksum"] == _digest(_canon({"key": rec["key"], "value": rec["value"]}))
-    # a line that decodes and whose checksum matches, but that is not in the
-    # canonical form put writes, is bad
-    path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines))
-    assert _read_cache(str(path))[2] == 2
-    path.write_text("".join(line + "\n" for line in lines))
-    assert _read_cache(str(path))[2] == 0
-    # corrupt the first line: the load drops it and rewrites the file with
-    # the other line only
-    path.write_text(path.read_text().replace('"checksum":"', '"checksum":"00', 1))
+    assert lines == [_header_line(F7, 3), _block_line(first), _block_line(second)]
+    cache2 = LCache(str(path))
+    assert (cache2.blocks, cache2.bad_lines) == (2, 0)
+    assert all(cache2.get(c) == L for c, L in first + second)
+    # corrupt the first block's checksum: the load drops that block and
+    # rewrites the file with the header and the other block only
+    path.write_text(f"{lines[0]}\n00{lines[1]}\n{lines[2]}\n")
     repaired = LCache(str(path))
-    assert repaired.bad_lines == 1
-    assert repaired.get(chi) is None and repaired.get(chi.dual()) == l_polynomial(chi.dual())
-    assert path.read_text().splitlines() == lines[1:]
+    assert (repaired.blocks, repaired.bad_lines) == (2, 1)
+    assert repaired.get(chi) is None and repaired.get(chi.dual()) is None
+    assert all(repaired.get(c) == L for c, L in second)
+    assert path.read_text().splitlines() == [lines[0], lines[2]]
     assert LCache(str(path)).bad_lines == 0
+    # a block whose checksum holds but whose L does not start with 1 is bad
+    ints = lines[2].split()[1:]
+    ints[2 + 3 * int(ints[0])] = "2"  # the first coordinate of the first c_0
+    body = " ".join(ints)
+    path.write_text(f"{lines[0]}\n{hashlib.sha256(body.encode()).hexdigest()} {body}\n")
+    assert LCache(str(path)).bad_lines == 1
 
 
-# ids: p, the tower's relative degrees, ell
-@pytest.mark.parametrize(
-    "p, tower, ell",
-    [
-        pytest.param(7, [1], 3, id="7-1-3"),
-        pytest.param(2, [2], 3, id="2-2-3"),
-        pytest.param(2, [2, 2], 3, id="2-2x2-3"),
-        pytest.param(2, [2, 2], 5, id="2-2x2-5"),
-        pytest.param(5, [2], 3, id="5-2-3"),
-        pytest.param(11, [1], 5, id="11-1-5"),
-    ],
-)
-def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
+def test_lcache_is_bound_to_its_field_and_ell(tmp_path, F7):
+    t = Poly.x(F7)
+    chi = DirichletChar(F7, 3, [(t, 1)])
+    F13 = make_field(13, 1)
+    other = DirichletChar(F13, 3, [(Poly.x(F13), 1)])
+    path = tmp_path / "lcache.txt"
+    LCache(str(path), F7, 3).put([(chi, l_polynomial(chi))])
+    text = path.read_text()
+    assert text.splitlines()[0] == _header_line(F7, 3)
+    # another field or ell is refused at the load, or at the first character
+    # of another field, and the file is left as it is
+    for args in ((F13, 3), (F7, 5)):
+        with pytest.raises(InputError, match="--cache"):
+            LCache(str(path), *args)
+    assert path.read_text() == text
+    cache = LCache(str(path))
+    assert cache.get(chi) == l_polynomial(chi)
+    with pytest.raises(InputError, match="another field or ell"):
+        cache.get(other)
+    with pytest.raises(InputError, match="another field or ell"):
+        LCache(str(path)).put([(other, l_polynomial(other))])
+    # an empty cache is bound by its first character
+    empty = LCache(str(tmp_path / "new.txt"))
+    empty.put([(other, l_polynomial(other))])
+    with pytest.raises(InputError, match="another field or ell"):
+        empty.get(chi)
+    # a version-1 file and a header that does not parse are refused too
+    for bad, message in (
+        ('{"checksum":"00","key":"{}","value":{}}\n', "a cold run rebuilds it"),
+        ("not a header\n", "version-2 L-cache header"),
+        (text.replace('"version":2', '"version":3'), "version-2 L-cache header"),
+        (text.splitlines()[0], "version-2 L-cache header"),  # torn: no newline
+    ):
+        path.write_text(bad)
+        with pytest.raises(InputError, match=message):
+            LCache(str(path))
+        assert path.read_text() == bad
+    assert text == _header_line(F7, 3) + "\n" + _block_line([(chi, l_polynomial(chi))]) + "\n"
+
+
+def _sample_groups(F, ell):
+    """Conductor groups of degrees 1 to 3: the first ones, and those with the
+    most primes or primes of mixed degree."""
+    for d in (1, 2, 3):
+        groups = list(conductor_groups(F, ell, d))
+        mixed = [g for g in groups if len({P.degree for P, _ in g[0].exponent_map}) > 1]
+        several = sorted(groups, key=lambda g: -len(g[0].exponent_map))
+        yield from groups[:2] + mixed[:2] + several[:2]
+
+
+_FIELDS = [
+    pytest.param(7, [1], 3, id="7-1-3"),
+    pytest.param(2, [2], 3, id="2-2-3"),
+    pytest.param(2, [2, 2], 3, id="2-2x2-3"),
+    pytest.param(2, [2, 2], 5, id="2-2x2-5"),
+    pytest.param(5, [2], 3, id="5-2-3"),
+    pytest.param(11, [1], 5, id="11-1-5"),
+]
+
+
+def _tower(p, tower):
     F = make_field(p, tower[0])
     for n in tower[1:]:
         F = extend_field(F, n)
-    path = tmp_path / "lcache.jsonl"
-    cache = LCache(str(path))
-    expected = []
-    for d in (1, 2, 3):
-        groups = list(conductor_groups(F, ell, d))
-        # the first conductors, and those with the most primes of mixed degree
-        mixed = [g for g in groups if len({P.degree for P, _ in g[0].exponent_map}) > 1]
-        several = sorted(groups, key=lambda g: -len(g[0].exponent_map))
-        for chars in groups[:2] + mixed[:2] + several[:2]:
-            Ls = l_polynomials(chars)
-            for chi, L in zip(chars, Ls):
-                k = chi.canonical_json()
-                assert k == _canon({
-                    "ell": ell,
-                    "field": F.descriptor(),
-                    "factors": [[poly_to_json(P), e] for P, e in chi.exponent_map],
-                })
-                assert chi.to_json() == json.loads(k)
-                # a character built and checked by the public constructor
-                twin = DirichletChar(F, ell, chi.exponent_map[::-1])
-                assert twin.canonical_json() == k
-                if k not in cache.table:  # put skips what it already holds
-                    ref = _canon({"key": k, "value": {**L.to_json(), "char": json.loads(k)}})
-                    checksum = hashlib.sha256(ref.encode()).hexdigest()
-                    expected.append((chi, L, f'{{"checksum":"{checksum}",{ref[1:]}'))
-            cache.put(list(zip(chars, Ls)))
-    assert path.read_text().splitlines() == [line for _, _, line in expected]
-    exponents = {e for chi, _, _ in expected for _, e in json.loads(chi.canonical_json())["factors"]}
+    return F
+
+
+# ids: p, the tower's relative degrees, ell
+@pytest.mark.parametrize("p, tower, ell", _FIELDS)
+def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
+    F = _tower(p, tower)
+    path = tmp_path / "lcache.txt"
+    cache = LCache(str(path), F, ell)
+    held, blocks, expected = set(), [], []
+    for chars in _sample_groups(F, ell):
+        Ls = l_polynomials(chars)
+        fresh = []
+        for chi, L in zip(chars, Ls):
+            k = chi.canonical_json()
+            assert k == _canon({
+                "ell": ell,
+                "field": F.descriptor(),
+                "factors": [[poly_to_json(P), e] for P, e in chi.exponent_map],
+            })
+            assert chi.to_json() == json.loads(k)
+            # a character built and checked by the public constructor
+            twin = DirichletChar(F, ell, chi.exponent_map[::-1])
+            assert twin.canonical_json() == k and twin.int_key() == chi.int_key()
+            if k not in held:  # put skips what it already holds
+                held.add(k)
+                fresh.append((chi, L))
+        if fresh:
+            blocks.append(_block_line(fresh))
+            expected += fresh
+        cache.put(list(zip(chars, Ls)))
+    assert path.read_text().splitlines() == [_header_line(F, ell)] + blocks
+    assert len({chi.int_key() for chi, _ in expected}) == len(expected)
+    exponents = {e for chi, _ in expected for _, e in json.loads(chi.canonical_json())["factors"]}
     assert exponents == set(range(1, ell))
     reloaded = LCache(str(path))
-    for chi, L, _ in expected:
+    assert (reloaded.blocks, reloaded.bad_lines) == (len(blocks), 0)
+    for chi, L in expected:
         assert reloaded.get(chi) == L
+
+
+def _check_row_kernels(chi, L, ks):
+    """The integer-row kernels against CycInt arithmetic on the `coeffs` view,
+    on L and on its rescalings L(zeta^j u), whose trivial factor is
+    (1 - zeta^(k + j) u)."""
+    ell = L.ell
+    for j in ks:
+        R = rescale_by_root(L, j)
+        assert R.coeffs == tuple(mul_zeta(c, j * n) for n, c in enumerate(L.coeffs))
+        assert R.coeffs == tuple(c * mu_embed(ell, j * n) for n, c in enumerate(L.coeffs))
+        stripped, k = strip_trivial_factor(R, chi)
+        if chi.even:
+            factor = LPoly(ell, L.q, [CycInt.from_int(ell, 1), -mu_embed(ell, k)])
+            assert stripped * factor == R
+            assert k == j % ell  # the census's untwisted L has k = 0
+        else:
+            assert k is None and stripped == R
+        for M in (R, stripped):
+            assert central_value_is_zero(M) == central_sum_is_zero(M.coeffs, M.q)
+
+
+# ids: p, the tower's relative degrees, ell
+@pytest.mark.parametrize("p, tower, ell", _FIELDS)
+def test_integer_row_kernels_match_cycint_arithmetic(p, tower, ell):
+    F = _tower(p, tower)
+    for chars in _sample_groups(F, ell):
+        for chi, L in zip(chars, l_polynomials(chars)):
+            _check_row_kernels(chi, L, range(ell))
+
+
+def test_integer_row_kernels_at_large_ell():
+    F = make_field(607, 1)
+    t = Poly.x(F)
+    quad = next(t * t - Poly.from_ints(F, [r]) for r in range(2, 607) if pow(r, 303, 607) == 606)
+    for e in (1, 50):  # odd, then even: 1 + 2e = 0 mod 101
+        chi = DirichletChar(F, 101, [(t, 1), (quad, e)])
+        assert chi.even == (e == 50)
+        _check_row_kernels(chi, l_polynomial(chi), (0, 1, 2, 50, 100))
 
 
 @pytest.mark.slow
