@@ -8,8 +8,8 @@ Elements are stored in the power basis {1, zeta, ..., zeta^{ell-2}} so that
 equality and the zero test are coordinatewise; coordinates are plain Python
 ints and therefore unbounded.  A coordinate row is that tuple of ell - 1
 ints on its own: the row kernels (`zeta_row`, `galois_row`,
-`central_rows_are_zero`) work on rows and build no CycInt, and `mul_zeta`,
-`galois` and `central_sum_is_zero` are their CycInt forms.  The central test
+`central_rows_are_zero`) work on rows and build no CycInt, and `galois` and
+`central_sum_is_zero` are their CycInt forms.  The central test
 splits a value along 1 and sqrt(q), q = p^e; the split is exact when
 p != ell, which keeps {1, sqrt(q)} linearly independent over Q(zeta_ell):
 the only quadratic subfield of Q(zeta_ell) is Q(sqrt(+-ell)).  The central
@@ -115,10 +115,6 @@ class CycInt:
     def to_json(self) -> dict:
         return {"ell": self.ell, "coords": [str(c) for c in self.coords]}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CycInt":
-        return cls(int(data["ell"]), tuple(map(int, data["coords"])))
-
 
 def mu_embed(ell: int, k: int) -> CycInt:
     """zeta^k in basis form; the fixed embedding of mu_ell into Z[zeta_ell]."""
@@ -147,11 +143,6 @@ def zeta_row(row, k: int) -> tuple:
     k %= ell
     counts = (*row, 0)  # x as counts of zeta^0..zeta^{ell-1}
     return row_from_counts(counts[ell - k:] + counts[: ell - k])
-
-
-def mul_zeta(x: CycInt, k: int) -> CycInt:
-    """x zeta^k; see `zeta_row`."""
-    return CycInt(x.ell, zeta_row(x.coords, k))
 
 
 def galois_row(row, j: int) -> tuple:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 import os
 import time
 
@@ -124,14 +123,6 @@ class LPoly:
             "ell": self.ell,
             "coeffs": [c.to_json() for c in self.coeffs],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LPoly":
-        return cls(
-            int(data["ell"]),
-            int(data["q"]),
-            [CycInt.from_json(c) for c in data["coeffs"]],
-        )
 
 
 def l_polynomials(chars) -> list[LPoly]:
@@ -397,9 +388,10 @@ def _header(field, ell: int) -> str:
     return _canon({"ell": ell, "field": field.descriptor(), "format": _FORMAT, "version": _VERSION})
 
 
-def _parse_header(line: bytes, path) -> tuple[str, int, int]:
-    """(canonical header, ell, q) of an L-cache file's first line; InputError
-    naming --cache when it is not a version-2 header."""
+def _check_header(line: bytes, header: str, path) -> None:
+    """InputError naming --cache unless the first line of an L-cache file is
+    the given canonical header, or one that canonicalises to it.  Nothing is
+    derived from the line beyond that comparison."""
     where = f"the L-cache (--cache) {path!r}"
     if line.startswith(b'{"checksum":'):
         raise InputError(
@@ -408,20 +400,13 @@ def _parse_header(line: bytes, path) -> tuple[str, int, int]:
         )
     try:
         data = json.loads(line)
-        ell, field = data["ell"], data["field"]
-        p, tower = field["p"], field["tower"]
-        ok = (
-            line.endswith(b"\n")
-            and data["format"] == _FORMAT
-            and data["version"] == _VERSION
-            and all(type(n) is int and n > 0 for n in (ell, p, *tower))
-            and ell > 2
-        )
-    except (ValueError, TypeError, KeyError):
+        ok = line.endswith(b"\n") and data["format"] == _FORMAT and data["version"] == _VERSION
+    except (ValueError, TypeError, KeyError, RecursionError):
         ok = False
     if not ok:
         raise InputError(f"{where} does not start with a version-2 L-cache header")
-    return _canon(data), ell, p ** math.prod(tower)
+    if _canon(data) != header:
+        raise InputError(f"{where} is for another field or ell, not the census's {header}")
 
 
 def _decode_block(line: bytes, ell: int, q: int, polys: dict) -> "zip":
@@ -476,11 +461,10 @@ class LCache:
     The first line is the header, canonical JSON
     {"ell":...,"field":<descriptor>,"format":"superell-lcache","version":2}.
     A missing or zero-byte file is an empty cache, and the first `put` writes
-    the header (through a synced temporary file).  The cache is bound to the
-    field and ell given here, or else to those of the first character it
-    sees.  A header that does not parse, a version-1 file, or a header for
-    another field or ell raises InputError naming --cache, and the file is
-    left as it is.
+    the header (through a synced temporary file).  A header that does not
+    parse, a version-1 file, or a header for a field or ell other than those
+    given here raises InputError naming --cache, and the file is left as it
+    is.
 
     Every later line is one block, appended by one `put` in a single write:
     the sha256 of its body, a space, and the body (see `_decode_block`).  A
@@ -491,9 +475,12 @@ class LCache:
     `blocks` counts the block lines read and `load_seconds` times the load.
     """
 
-    def __init__(self, path, field=None, ell=None):
+    def __init__(self, path, field, ell: int):
         t0 = time.monotonic()
         self.path = path
+        self.field = field
+        self.ell = ell
+        self.header = _header(field, ell)
         self.hits = 0
         self.misses = 0
         self.blocks = 0
@@ -501,18 +488,13 @@ class LCache:
         # one LPoly per coefficient list, by its ints: a census at q = 16,
         # n <= 4 has 308,192 characters but 368 distinct L-polynomials
         self._polys: dict[tuple, LPoly] = {}
-        self.header: "str | None" = None  # canonical; None until read or bound
         self._header_on_disk = False
-        self.field = None  # the field and ell checked against the header
-        self.ell = None
         bad = set()
         try:
             with open(path, "rb") as fh:
-                bad = self._load(fh, field, ell)
+                bad = self._load(fh)
         except FileNotFoundError:
             pass
-        if field is not None and self.field is None:
-            self._bind(field, ell)  # an empty cache
         self.bad_lines = len(bad)
         if bad:
             with open(path, "rb") as fh:
@@ -520,40 +502,34 @@ class LCache:
             _replace(path, [self.header.encode() + b"\n", *good])
         self.load_seconds = time.monotonic() - t0
 
-    def _load(self, fh, field, ell) -> set:
-        """Read the file into `table`, after checking its header against the
-        field and ell when they are given; the line numbers of the bad
-        blocks."""
+    def _load(self, fh) -> set:
+        """Check the file's header, then read its blocks into `table`; the
+        line numbers of the bad blocks."""
         bad = set()
         first = fh.readline()
         if not first:
             return bad
-        self.header, file_ell, q = _parse_header(first, self.path)
+        _check_header(first, self.header, self.path)
         self._header_on_disk = True
-        if field is not None:
-            self._bind(field, ell)
+        q = self.field.q
         for n, line in enumerate(fh, start=1):
             self.blocks += 1
             try:
-                self.table.update(_decode_block(line, file_ell, q, self._polys))
+                self.table.update(_decode_block(line, self.ell, q, self._polys))
             except ValueError:
                 bad.add(n)
         return bad
 
-    def _bind(self, field, ell: int) -> None:
-        header = _header(field, ell)
-        if self.header is None:
-            self.header = header
-        elif header != self.header:
-            raise InputError(
-                f"the L-cache (--cache) {self.path!r} is for another field or ell "
-                f"({self.header}), not {field!r} with ell = {ell}"
-            )
-        self.field, self.ell = field, ell
+    def _check(self, chi: DirichletChar) -> None:
+        """InputError unless chi is over the cache's field and ell; the
+        identity test spares the header comparison on every call."""
+        if chi.field is self.field and chi.ell == self.ell:
+            return
+        if _header(chi.field, chi.ell) != self.header:
+            raise InputError(f"{chi!r} is not over the L-cache's field and ell, {self.header}")
 
     def get(self, chi: DirichletChar) -> "LPoly | None":
-        if chi.field is not self.field or chi.ell != self.ell:
-            self._bind(chi.field, chi.ell)
+        self._check(chi)
         L = self.table.get(chi.int_key())
         if L is None:
             self.misses += 1
@@ -562,27 +538,33 @@ class LCache:
         return L
 
     def put(self, pairs) -> None:
-        """Store the (chi, L) pairs not yet cached, typically those of one
-        conductor, appending their block in a single write (one block per
-        number of primes and of coefficients, so one for a conductor)."""
-        blocks: dict[tuple, list] = {}  # (r, c) -> the ints of the records
+        """Store the (chi, L) pairs not yet cached, appending their block in a
+        single write.  The pairs share the block's number of primes and of
+        coefficients, as the characters of one conductor do; a pair that does
+        not raises InvariantViolation before anything is stored."""
+        pairs = list(pairs)
+        if not pairs:
+            return
+        chi, L = pairs[0]
+        shape = (len(chi.exponent_map), len(L.rows))  # r and c of the block
+        records: dict[tuple, tuple] = {}  # key -> (L, its flat coordinates)
         for chi, L in pairs:
-            if chi.field is not self.field or chi.ell != self.ell:
-                self._bind(chi.field, chi.ell)
+            self._check(chi)
+            if (len(chi.exponent_map), len(L.rows)) != shape:
+                raise InvariantViolation(
+                    "lcache-block", f"{chi!r} does not share the block of {pairs[0][0]!r}"
+                )
             key = chi.int_key()
-            if key in self.table:
-                continue
-            flat = tuple(itertools.chain.from_iterable(L.rows))
-            self.table[key] = self._polys.setdefault(flat, L)
-            blocks.setdefault((len(key) // 3, len(L.rows)), []).extend((*key, *flat))
-        if not blocks:
+            if key not in self.table:
+                records[key] = (L, tuple(itertools.chain.from_iterable(L.rows)))
+        if not records:
             return
         if not self._header_on_disk:
             _replace(self.path, [self.header.encode() + b"\n"])
             self._header_on_disk = True
-        lines = []
-        for head, ints in blocks.items():
-            body = " ".join(map(str, (*head, *ints))).encode("ascii")
-            lines.append(_digest(body) + b" " + body + b"\n")
+        ints = itertools.chain(shape, *((*key, *flat) for key, (_, flat) in records.items()))
+        body = " ".join(map(str, ints)).encode("ascii")
         with open(self.path, "ab") as fh:
-            fh.write(b"".join(lines))
+            fh.write(_digest(body) + b" " + body + b"\n")
+        for key, (L, flat) in records.items():
+            self.table[key] = self._polys.setdefault(flat, L)

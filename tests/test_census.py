@@ -369,6 +369,7 @@ _THM42 = ["seed-check", "--kind", "thm42", "--p", "5"]
         (_CENSUS1 + ["--cache", "f13.lcache"], {}, "--cache"),
         (_CENSUS1 + ["--cache", "ell5.lcache"], {}, "--cache"),
         (_CENSUS1 + ["--cache", "garbled.lcache"], {}, "--cache"),
+        (_CENSUS1 + ["--cache", "huge.lcache"], {}, "--cache"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys, tmp_path):
@@ -387,8 +388,8 @@ def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys, tmp_path):
 
 def _unusable_caches() -> dict:
     """L-cache files by name that a census over F_7 with ell = 3 refuses: a
-    version-1 file, headers for another field or ell, and a header that does
-    not parse."""
+    version-1 file, headers for another field or ell (one of a field far too
+    large to build), and a header that does not parse."""
     def header(F, ell):
         return _canon({"ell": ell, "field": F.descriptor(),
                        "format": "superell-lcache", "version": 2}) + "\n"
@@ -399,6 +400,9 @@ def _unusable_caches() -> dict:
         "f13.lcache": header(make_field(13, 1), 3) + block,
         "ell5.lcache": header(make_field(7, 1), 5) + block,
         "garbled.lcache": '{"ell":3,"field":\n' + block,
+        # a field of 7^(10^12) elements: refused before its size is used
+        "huge.lcache": header(make_field(7, 1), 3).replace('"tower":[]', '"tower":[1000000000000]')
+        + block,
     }
 
 

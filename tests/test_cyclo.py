@@ -5,9 +5,9 @@ from superell.cyclo import (
     central_sum_is_zero,
     exact_quotient,
     galois,
-    mul_zeta,
     newton_coefficients,
     other_conjugates,
+    zeta_row,
 )
 
 
@@ -76,7 +76,8 @@ def test_zeta_ell_power_is_one():
 
 def test_json_roundtrip():
     x = CycInt(5, (10**30, -(10**25), 3, 0))
-    assert CycInt.from_json(x.to_json()) == x
+    data = x.to_json()
+    assert CycInt(data["ell"], map(int, data["coords"])) == x
     assert x.to_json()["coords"][0] == str(10**30)
 
 
@@ -140,10 +141,12 @@ def _power(x, m):
 
 @pytest.mark.parametrize("ell", [3, 5, 7])
 def test_mul_zeta_matches_product(ell, rng):
+    """Multiplying by zeta^k on a coordinate row (`zeta_row`) against the
+    CycInt product by mu_embed(ell, k)."""
     for _ in range(20):
         x = CycInt(ell, tuple(rng.randrange(-50, 51) for _ in range(ell - 1)))
         for k in range(-1, ell + 1):
-            assert mul_zeta(x, k) == x * mu_embed(ell, k)
+            assert zeta_row(x.coords, k) == (x * mu_embed(ell, k)).coords
 
 
 def _central_by_products(coeffs, q, p, e):

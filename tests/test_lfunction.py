@@ -21,7 +21,7 @@ from superell.characters import (
     project_counts,
     symbol_histogram,
 )
-from superell.cyclo import central_sum_is_zero, conjugate, mul_zeta
+from superell.cyclo import central_sum_is_zero, conjugate
 from superell.ffield import extend_field, make_field
 from superell.lfunction import (
     LCache,
@@ -190,8 +190,9 @@ def test_strip_trivial_factor_enforces_the_degree_law(F7):
 
 def test_lpoly_json_roundtrip():
     L = LPoly(3, 7, cyc(3, 1, -2, 7))
-    back = LPoly.from_json(L.to_json())
-    assert back == L
+    data = L.to_json()
+    coeffs = [CycInt(c["ell"], map(int, c["coords"])) for c in data["coeffs"]]
+    assert LPoly(data["ell"], data["q"], coeffs) == L
 
 
 def _header_line(F, ell) -> str:
@@ -222,7 +223,7 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     prime = DirichletChar(F7, 3, [(t * t + Poly.one(F7), 1)])  # t^2 + 1 is prime mod 7
     path = tmp_path / "lcache.txt"
     path.touch()  # a zero-byte file is an empty cache
-    cache = LCache(str(path))
+    cache = LCache(str(path), F7, 3)
     assert cache.get(chi) is None and cache.blocks == 0
     first = [(c, l_polynomial(c)) for c in (chi, chi.dual())]
     second = [(c, l_polynomial(c)) for c in (prime, prime.dual())]
@@ -231,24 +232,24 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     cache.put(first)  # nothing new: nothing written
     lines = path.read_text().splitlines()
     assert lines == [_header_line(F7, 3), _block_line(first), _block_line(second)]
-    cache2 = LCache(str(path))
+    cache2 = LCache(str(path), F7, 3)
     assert (cache2.blocks, cache2.bad_lines) == (2, 0)
     assert all(cache2.get(c) == L for c, L in first + second)
     # corrupt the first block's checksum: the load drops that block and
     # rewrites the file with the header and the other block only
     path.write_text(f"{lines[0]}\n00{lines[1]}\n{lines[2]}\n")
-    repaired = LCache(str(path))
+    repaired = LCache(str(path), F7, 3)
     assert (repaired.blocks, repaired.bad_lines) == (2, 1)
     assert repaired.get(chi) is None and repaired.get(chi.dual()) is None
     assert all(repaired.get(c) == L for c, L in second)
     assert path.read_text().splitlines() == [lines[0], lines[2]]
-    assert LCache(str(path)).bad_lines == 0
+    assert LCache(str(path), F7, 3).bad_lines == 0
     # a block whose checksum holds but whose L does not start with 1 is bad
     ints = lines[2].split()[1:]
     ints[2 + 3 * int(ints[0])] = "2"  # the first coordinate of the first c_0
     body = " ".join(ints)
     path.write_text(f"{lines[0]}\n{hashlib.sha256(body.encode()).hexdigest()} {body}\n")
-    assert LCache(str(path)).bad_lines == 1
+    assert LCache(str(path), F7, 3).bad_lines == 1
 
 
 def test_lcache_is_bound_to_its_field_and_ell(tmp_path, F7):
@@ -260,33 +261,43 @@ def test_lcache_is_bound_to_its_field_and_ell(tmp_path, F7):
     LCache(str(path), F7, 3).put([(chi, l_polynomial(chi))])
     text = path.read_text()
     assert text.splitlines()[0] == _header_line(F7, 3)
-    # another field or ell is refused at the load, or at the first character
-    # of another field, and the file is left as it is
+    # another field or ell is refused at the load, and the file is left as
+    # it is
     for args in ((F13, 3), (F7, 5)):
         with pytest.raises(InputError, match="--cache"):
             LCache(str(path), *args)
     assert path.read_text() == text
-    cache = LCache(str(path))
+    cache = LCache(str(path), F7, 3)
     assert cache.get(chi) == l_polynomial(chi)
-    with pytest.raises(InputError, match="another field or ell"):
+    # so is a character over another field, in get and in put
+    with pytest.raises(InputError, match="not over the L-cache's field"):
         cache.get(other)
-    with pytest.raises(InputError, match="another field or ell"):
-        LCache(str(path)).put([(other, l_polynomial(other))])
-    # an empty cache is bound by its first character
-    empty = LCache(str(tmp_path / "new.txt"))
-    empty.put([(other, l_polynomial(other))])
-    with pytest.raises(InputError, match="another field or ell"):
-        empty.get(chi)
-    # a version-1 file and a header that does not parse are refused too
+    with pytest.raises(InputError, match="not over the L-cache's field"):
+        cache.put([(other, l_polynomial(other))])
+    # a block holds the characters of one conductor
+    two = DirichletChar(F7, 3, [(t, 1), (t - Poly.one(F7), 1)])
+    with pytest.raises(InvariantViolation) as err:
+        cache.put([(two, l_polynomial(two)), (chi, l_polynomial(chi))])
+    assert err.value.invariant == "lcache-block"
+    assert path.read_text() == text and cache.get(two) is None
+    # a version-1 file, a header that does not parse and a header for a
+    # field or ell far from any census are refused too, before anything is
+    # derived from them
+    huge_tower = text.replace('"tower":[]', '"tower":[1000000000000]')
+    huge_ell = text.replace('"ell":3', '"ell":1000000000000')
+    assert huge_tower != text and huge_ell != text
     for bad, message in (
         ('{"checksum":"00","key":"{}","value":{}}\n', "a cold run rebuilds it"),
         ("not a header\n", "version-2 L-cache header"),
+        ("[]\n", "version-2 L-cache header"),
         (text.replace('"version":2', '"version":3'), "version-2 L-cache header"),
         (text.splitlines()[0], "version-2 L-cache header"),  # torn: no newline
+        (huge_tower, "another field or ell"),
+        (huge_ell, "another field or ell"),
     ):
         path.write_text(bad)
         with pytest.raises(InputError, match=message):
-            LCache(str(path))
+            LCache(str(path), F7, 3)
         assert path.read_text() == bad
     assert text == _header_line(F7, 3) + "\n" + _block_line([(chi, l_polynomial(chi))]) + "\n"
 
@@ -350,7 +361,7 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
     assert len({chi.int_key() for chi, _ in expected}) == len(expected)
     exponents = {e for chi, _ in expected for _, e in json.loads(chi.canonical_json())["factors"]}
     assert exponents == set(range(1, ell))
-    reloaded = LCache(str(path))
+    reloaded = LCache(str(path), F, ell)
     assert (reloaded.blocks, reloaded.bad_lines) == (len(blocks), 0)
     for chi, L in expected:
         assert reloaded.get(chi) == L
@@ -363,7 +374,6 @@ def _check_row_kernels(chi, L, ks):
     ell = L.ell
     for j in ks:
         R = rescale_by_root(L, j)
-        assert R.coeffs == tuple(mul_zeta(c, j * n) for n, c in enumerate(L.coeffs))
         assert R.coeffs == tuple(c * mu_embed(ell, j * n) for n, c in enumerate(L.coeffs))
         stripped, k = strip_trivial_factor(R, chi)
         if chi.even:
