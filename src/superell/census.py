@@ -8,10 +8,19 @@ computes each L-polynomial exactly, strips the trivial factor of even
 characters, and decides vanishing at the central point.  Per-degree character
 counts are asserted against the generating-series coefficients; vanishing
 counts are reported, never asserted, since no formula for them is known.
-The L-polynomials come from Euler products (`lfunction.l_polynomials`); every
-decomposition-sampled conductor whose L-polynomials the run computed (rather
-than read from the cache) is recomputed by monic character sums, and a
-mismatch raises InvariantViolation.
+The L-polynomials come from Euler products (`lfunction.l_polynomials`), once
+per translation class {f(t + b) : b in F_q} of conductors.  The translation
+tau_b: g -> g(t + b) is an F_q-algebra automorphism of F_q[t] that keeps
+degree and monicity, and residue symbols are constants, so
+(tau g / tau P) = tau((g/P)) = (g/P): the character with exponents e_i on the
+P_i(t + b) takes the value of the one with exponents e_i on the P_i at
+tau^-1 of its argument, and has the same L-function.  So the first conductor
+of a class computes its L-polynomials and every later one reads them, with
+its primes matched to the first one's through P -> P(t + b)
+(`polyring.translations`).  Every decomposition-sampled conductor whose
+L-polynomials the run computed (rather than read from the cache), and in each
+degree the first conductor whose L-polynomials came from its class, is
+recomputed by monic character sums, and a mismatch raises InvariantViolation.
 
 All list outputs are sorted by (conductor degree, canonical conductor order,
 exponent assignment); reruns with a warm cache are bit-identical apart from
@@ -54,7 +63,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly, factor_table
+from .polyring import Poly, factor_table, translations
 
 SCHEMA_VERSION = 1
 # members of a vanishing-verified family whose zeta/L decomposition is checked
@@ -96,21 +105,66 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
     return ints == list(P.coeffs)
 
 
-def _l_polys_cached(chars: list, cache: "LCache | None") -> tuple[list[LPoly], list[int]]:
-    """L-polynomials of characters on one conductor, and the indices of those
-    computed here rather than read from the cache.  Every character is looked
-    up first; the misses are then computed together and stored, so a
-    conductor answered from the cache touches no residue-symbol table."""
-    if cache is None:
-        return l_polynomials(chars), list(range(len(chars)))
-    found = [cache.get(chi) for chi in chars]
-    missing = [i for i, L in enumerate(found) if L is None]
-    if missing:
-        computed = l_polynomials([chars[i] for i in missing])
-        for i, L in zip(missing, computed):
+class _TranslationClasses:
+    """The translation classes {f(t + b) : b in F_q} of the conductors of one
+    degree, in one run.  The first conductor of a class that needs
+    L-polynomials computes them and registers each of its translates with
+    those L-polynomials, keyed by the translate's prime codes, and with the
+    position among the translate's primes of P(t + b) for each of its primes
+    P; a later conductor of the class finds itself there and reads the L of
+    each character from its exponents put in the first conductor's prime
+    order.  `count` is the number of classes met."""
+
+    def __init__(self, F: Field):
+        self.field = F
+        self.table = factor_table(F)
+        self.members: dict = {}  # prime codes -> (L by exponents, positions)
+        self.count = 0
+
+    def fill(self, chars: list, found: list, missing: list) -> bool:
+        """Set found[i] for the indices i in `missing`; True when they were
+        read from the conductor's class rather than computed."""
+        key = chars[0].int_key()
+        codes = tuple(zip(key[0::3], key[1::3]))
+        member = self.members.pop(codes, None)
+        if member is not None:
+            by_exponents, positions = member
+            for i in missing:
+                exponents = chars[i].int_key()[2::3]
+                found[i] = by_exponents[tuple(exponents[n] for n in positions)]
+            return True
+        for i, L in zip(missing, l_polynomials([chars[i] for i in missing])):
             found[i] = L
-        cache.put([(chars[i], L) for i, L in zip(missing, computed)])
-    return found, missing
+        self.count += 1
+        by_exponents = {chi.int_key()[2::3]: L for chi, L in zip(chars, found)}
+        F = self.field
+        ranks = [(k, self.table.level(k).spf_rank[j]) for k, j in codes]
+        maps = {k: translations(F, k) for k, _ in codes}
+        for b in range(1, F.q):
+            moved = sorted((k, maps[k][b][r], n) for n, (k, r) in enumerate(ranks))
+            positions = [0] * len(moved)
+            for pos, (_, _, n) in enumerate(moved):
+                positions[n] = pos
+            # a conductor fixed by some t -> t + c (p | deg) meets a translate
+            # twice, and either matching of its primes is valid
+            self.members.setdefault(tuple((k, j) for k, j, _ in moved), (by_exponents, positions))
+        return False
+
+
+def _l_polys_cached(
+    chars: list, cache: "LCache | None", classes: _TranslationClasses
+) -> tuple[list[LPoly], list[int], bool]:
+    """L-polynomials of characters on one conductor, the indices of those
+    not read from the cache, and whether those came from the conductor's
+    translation class.  Every character is looked up first; the misses then
+    go through the class and are stored, so a conductor answered from the
+    cache touches no residue-symbol table and no translation."""
+    found = [None] * len(chars) if cache is None else [cache.get(chi) for chi in chars]
+    missing = [i for i, L in enumerate(found) if L is None]
+    shared = bool(missing) and classes.fill(chars, found, missing)
+    if missing and cache is not None:
+        cache.put([(chars[i], found[i]) for i in missing])
+    return found, missing, shared
 
 
 def _spot_check(chars: list, l_polys: list) -> None:
@@ -182,7 +236,9 @@ def run_census(
     report = CensusReport(q, p, e, ell, max_degree)
     cache = None if cache_path is None else LCache(cache_path, F, ell)
     table = factor_table(F)
-    total_counts = dict.fromkeys(("conductors", "factor_table_entries", *ctx.counts), 0)
+    total_counts = dict.fromkeys(
+        ("conductors", "translation_classes", "factor_table_entries", *ctx.counts), 0
+    )
     t0 = time.monotonic()
     decomp_done = 0
     decomp_ok = True
@@ -200,9 +256,17 @@ def run_census(
         conductors = 0
         counts_before = dict(ctx.counts)
         entries_before = table.entries
+        classes = _TranslationClasses(F)
+        shared_checked = False
         for chars in conductor_groups(F, ell, d):
             conductors += 1
-            l_polys, fresh = _l_polys_cached(chars, cache)
+            l_polys, fresh, shared = _l_polys_cached(chars, cache, classes)
+            if shared and not shared_checked:
+                # the sampled conductors below are the first met, which are
+                # their classes' first; this checks the translation
+                _spot_check([chars[i] for i in fresh], [l_polys[i] for i in fresh])
+                fresh = []
+                shared_checked = True
             for chi, L in zip(chars, l_polys):
                 count_a += 1
                 stripped, _k = strip_trivial_factor(L, chi)
@@ -240,7 +304,11 @@ def run_census(
         )
         report.runtime_stats[f"degree_{d}_seconds"] = round(time.monotonic() - td, 3)
         # monics the factor table classified; 0 when an earlier run built the level
-        counts = {"conductors": conductors, "factor_table_entries": table.entries - entries_before}
+        counts = {
+            "conductors": conductors,
+            "translation_classes": classes.count,
+            "factor_table_entries": table.entries - entries_before,
+        }
         counts.update((k, n - counts_before[k]) for k, n in ctx.counts.items())
         report.runtime_stats[f"degree_{d}_counts"] = counts
         for k, n in counts.items():

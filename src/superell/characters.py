@@ -254,12 +254,16 @@ class DirichletChar:
         self._ints = None
 
     @classmethod
-    def _on_table_primes(cls, field: Field, ell: int, exponent_map: tuple) -> "DirichletChar":
+    def _on_table_primes(
+        cls, field: Field, ell: int, exponent_map: tuple, int_key: tuple
+    ) -> "DirichletChar":
         """A character whose primes are monic, distinct and in canonical order
         and whose exponents lie in 1..ell-1, as `conductor_groups` builds
-        them from the factor table: the checks of `__init__` are skipped."""
+        them from the factor table: the checks of `__init__` are skipped, and
+        its `int_key` is the one given, read from the table's marks."""
         chi = object.__new__(cls)
         chi._set(field, ell, exponent_map)
+        chi._ints = int_key
         return chi
 
     @property
@@ -328,29 +332,17 @@ class DirichletChar:
         """The character as integers, its L-cache key: for each conductor prime
         in canonical order, its degree, its index among the monics of that
         degree and its exponent.  It names neither the field nor ell, to which
-        an L-cache file is bound.  Each prime's (degree, index) is read from
-        `Poly.key()` once per field and kept in `Field._cache`; the key is
-        memoised on the character."""
-        ints = self._ints
-        if ints is None:
-            F = self.field
-            codes = F._cache.get("prime_codes")
-            if codes is None:
-                codes = F._cache["prime_codes"] = {}
-            out = []
-            for P, e in self.exponent_map:
-                pkey = P.key()
-                code = codes.get(pkey)
-                if code is None:
-                    degree, digits = pkey
-                    index = 0
-                    for c in digits[1:]:  # below the leading 1, high to low
-                        index = index * F.q + c
-                    code = codes[pkey] = (degree, index)
-                out += code
-                out.append(e)
-            ints = self._ints = tuple(out)
-        return ints
+        an L-cache file is bound.  A character of `conductor_groups` is handed
+        its key by the factor table; any other computes it from its primes
+        here, once."""
+        if self._ints is None:
+            q = self.field.q
+            self._ints = tuple(
+                x
+                for P, e in self.exponent_map
+                for x in (P.degree, P.vector_index() - q**P.degree, e)
+            )
+        return self._ints
 
     def to_json(self) -> dict:
         return json.loads(self.canonical_json())
@@ -519,14 +511,17 @@ def conductor_groups(F: Field, ell: int, d: int):
     primes are read from the field's factor table in index order; no
     conductor is factored or built as a polynomial, and since the table's
     primes are monic, distinct and canonically ordered, the characters are
-    not re-validated."""
+    not re-validated.  Each is handed its `int_key` from the table's codes
+    of its primes."""
     char_context(F, ell)  # validates ell and q = 1 mod ell
     make = DirichletChar._on_table_primes
-    for primes in factor_table(F).squarefree_primes(d):
-        yield [
-            make(F, ell, tuple(zip(primes, assignment)))
-            for assignment in itertools.product(range(1, ell), repeat=len(primes))
-        ]
+    for primes, codes in factor_table(F).squarefree_primes(d):
+        key = [x for k, j in codes for x in (k, j, 0)]  # exponents set below
+        chars = []
+        for assignment in itertools.product(range(1, ell), repeat=len(primes)):
+            key[2::3] = assignment
+            chars.append(make(F, ell, tuple(zip(primes, assignment)), tuple(key)))
+        yield chars
 
 
 def conductor_characters(F: Field, ell: int, d: int):

@@ -647,14 +647,17 @@ class FactorTable:
         return tuple((P, len(list(run))) for P, run in itertools.groupby(primes))
 
     def squarefree_primes(self, d: int):
-        """The prime factors of every squarefree monic of degree d, one list
-        per monic in index order, each in canonical order.  The primes are the
-        shared objects of `irreducibles`."""
+        """(primes, codes) for every squarefree monic of degree d, in index
+        order: its prime factors in canonical order, the shared objects of
+        `irreducibles`, and their codes (degree k, index among the monics of
+        degree k), read from the marks."""
         flags = self.level(d).squarefree
         irr = [()] + [irreducibles(self.field, k) for k in range(1, d + 1)]
+        index = [()] + [self.levels[k].primes for k in range(1, d + 1)]
         for j, flag in enumerate(flags):
             if flag:
-                yield [irr[k][r] for k, r in self._marks(d, j)]
+                marks = list(self._marks(d, j))
+                yield [irr[k][r] for k, r in marks], [(k, index[k][r]) for k, r in marks]
 
 
 def factor_table(F: Field) -> FactorTable:
@@ -677,6 +680,41 @@ def irreducibles(F: Field, d: int) -> tuple[Poly, ...]:
         if len(got) != irreducible_count(F.q, d):
             raise AssertionError("irreducible enumeration disagrees with the necklace count")
         cache[d] = got
+    return got
+
+
+def translations(F: Field, k: int) -> tuple[array, ...]:
+    """For each b in F_q, by element index, the index of P(t + b) for the
+    monic irreducibles P of degree k in canonical order (cached per field).
+
+    g -> g(t + b) keeps degree and monicity, and on the lower coefficients of
+    a monic of degree k it is affine in the base-p digits of the index: the
+    unit vector p^(i e + s) goes to u_s (t + b)^i, u_s the element with index
+    p^s, and the offset is (t + b)^k - t^k.  So every image comes from two
+    half tables (`ffield.SpreadCoding`), as in `monic_multiples`, with no
+    composition per prime."""
+    cache = F._cache.setdefault("translations", {})
+    got = cache.get(k)
+    if got is None:
+        primes = factor_table(F).level(k).primes
+        coding = spread_coding(F.p, k * F.e)
+        norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
+        units = [F.elem_at(F.p**s) for s in range(F.e)]
+        got = []
+        for b in range(F.q):
+            shift = Poly(F, (F.elem_at(b), F.one()))
+            power, images = Poly.one(F), []
+            for _ in range(k):
+                images.extend((power * u).vector_index() for u in units)
+                power = power * shift
+            offset = (power - Poly.from_index(F, k, 0)).vector_index()
+            lo, hi = coding.half_tables(images, offset)
+            n_lo = len(lo)
+            got.append(array("q", [
+                norm_lo[(s := lo[j % n_lo] + hi[j // n_lo]) % b_lo] + norm_hi[s // b_lo]
+                for j in primes
+            ]))
+        got = cache[k] = tuple(got)
     return got
 
 

@@ -47,3 +47,13 @@ def poly(F, *ints) -> Poly:
 
 def rand_poly(F, max_deg, rng) -> Poly:
     return Poly(F, tuple(F.elem_at(rng.randrange(F.q)) for _ in range(max_deg + 1)))
+
+
+def translate(P: Poly, b) -> Poly:
+    """P(t + b) by Horner's rule on Poly arithmetic."""
+    F = P.field
+    shift = Poly(F, (b, F.one()))
+    out = Poly.zero(F)
+    for c in reversed(P.coeffs):
+        out = out * shift + Poly.constant(c)
+    return out

@@ -16,7 +16,7 @@ from superell.census import (
 from superell.characters import DirichletChar, enumerate_order_ell
 from superell.cyclo import conjugate
 from superell.characters import _canon
-from superell.lfunction import l_polynomials
+from superell.lfunction import LCache, l_polynomials
 from superell.cli import main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.oracle import monics
@@ -104,28 +104,67 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
     assert _answer(forged) == _answer(clean)
 
 
+def test_census_partial_cache_matches_cold(tmp_path):
+    # only the misses go through the translation classes, so a class whose
+    # first conductor is partly or wholly served by the cache still gives
+    # its later conductors their L-polynomials: drop every second block,
+    # and the first record of every block whose index is 1 mod 4
+    path = str(tmp_path / "lcache.txt")
+    cold = run_census(7, 1, 3, 3, sample_decomp=10, cache_path=path)
+    full = LCache(path, make_field(7, 1), 3).table
+    with open(path, encoding="utf-8") as fh:
+        header, *blocks = fh.read().splitlines()
+    kept, dropped = [], 0
+    for n, line in enumerate(blocks):
+        ints = line.split()[1:]
+        r, c = int(ints[0]), int(ints[1])
+        stride = 3 * r + 2 * c
+        records = (len(ints) - 2) // stride
+        if n % 2 == 0:
+            dropped += records
+        elif n % 4 == 1 and records > 1:
+            kept.append(_reblock(" ".join(ints[:2] + ints[2 + stride:])))
+            dropped += 1
+        else:
+            kept.append(line)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in [header, *kept]))
+    rep = run_census(7, 1, 3, 3, sample_decomp=10, cache_path=path)
+    assert rep.cache_stats["misses"] == dropped > 0
+    assert _answer(rep) == _answer(cold)
+    assert LCache(path, make_field(7, 1), 3).table == full
+
+
 def test_census_runtime_counts(tmp_path):
-    # a cold cache: the Euler product reads one prime histogram per conductor
-    # and prime degree it needs (about half the conductor degree), and the
-    # spot check recomputes the 25 decomposition-sampled conductors by monic
-    # sums, one histogram pass per degree below the conductor's; the sampled
+    # a cold cache: the Euler product runs once per translation class
+    # {f(t + b)}, every class at q = 7 and d <= 4 has 7 members, and it reads
+    # one prime histogram per class and prime degree it needs (about half
+    # the conductor degree).  The spot check recomputes by monic sums, one
+    # histogram pass per degree below the conductor's, the 25
+    # decomposition-sampled conductors, which are their classes' first, and
+    # in each degree the first conductor whose L-polynomials came from its
+    # class: 1 + 2 + 3 + 4 passes over 1 + 8 + 57 + 400 monics.  The sampled
     # decompositions reuse the L-polynomials of their conductor, with or
     # without a cache
     make_field(7, 1)._cache.pop("factor_table", None)  # as in a fresh process
     cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=str(tmp_path / "cold.jsonl"))
     total = cold.runtime_stats["total_counts"]
     assert total["conductors"] == 7 + 42 + 294 + 2058
+    assert total["translation_classes"] == 1 + 6 + 42 + 294
+    assert [cold.runtime_stats[f"degree_{d}_counts"]["translation_classes"]
+            for d in (1, 2, 3, 4)] == [1, 6, 42, 294]
     assert total["factor_table_entries"] == 7 + 49 + 343 + 2401
     assert [cold.runtime_stats[f"degree_{d}_counts"]["factor_table_entries"]
             for d in (1, 2, 3, 4)] == [7, 49, 343, 2401]
-    assert total["prime_histograms"] == 4641
-    assert total["primes_scanned"] == 77322
-    assert total["histogram_passes"] == 43
-    assert total["monics_scanned"] == 2995
+    assert total["prime_histograms"] == 663
+    assert total["primes_scanned"] == 11046
+    assert total["histogram_passes"] == 43 + 10
+    assert total["monics_scanned"] == 2995 + 466
     assert total["generator_candidates"] >= total["symbol_tables_built"]
     assert total["walk_steps"] >= total["generator_candidates"]
     bare = run_census(7, 1, 3, 4, sample_decomp=25)
-    for key in ("prime_histograms", "primes_scanned", "histogram_passes", "monics_scanned"):
+    for key in ("translation_classes", "prime_histograms", "primes_scanned",
+                "histogram_passes", "monics_scanned"):
         assert bare.runtime_stats["total_counts"][key] == total[key]
     assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
     assert _answer(bare) == _answer(cold)
@@ -135,6 +174,7 @@ def test_census_runtime_counts(tmp_path):
     assert warm["total_counts"]["histogram_passes"] == 0
     assert warm["total_counts"]["prime_histograms"] == 0
     assert warm["total_counts"]["symbol_tables_built"] == 0
+    assert warm["total_counts"]["translation_classes"] == 0
     assert warm["degree_2_counts"]["conductors"] == 42
 
 
@@ -150,6 +190,24 @@ def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
                 for L in l_polynomials(chars)]
 
     monkeypatch.setattr(census, "l_polynomials", conjugated)
+    with pytest.raises(InvariantViolation) as err:
+        run_census(7, 1, 3, 3, sample_decomp=10)
+    assert err.value.invariant == "euler-product"
+
+
+def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
+    # every prime sent to the translate of the next prime of its degree: the
+    # classes no longer hold translates, and only the recomputation of each
+    # degree's first conductor whose L-polynomials came from its class, by
+    # monic sums, can tell
+    from superell import census
+    from superell.polyring import translations
+
+    def shifted(F, k):
+        maps = translations(F, k)
+        return (maps[0],) + tuple(m[1:] + m[:1] for m in maps[1:])
+
+    monkeypatch.setattr(census, "translations", shifted)
     with pytest.raises(InvariantViolation) as err:
         run_census(7, 1, 3, 3, sample_decomp=10)
     assert err.value.invariant == "euler-product"

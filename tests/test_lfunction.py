@@ -35,7 +35,7 @@ from superell.lfunction import (
 from superell.oracle import char_value, monics
 from superell.polyring import Poly, is_irreducible, poly_to_json
 
-from conftest import poly
+from conftest import poly, translate
 
 
 def cyc(ell, *ints):
@@ -347,8 +347,17 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
                 "factors": [[poly_to_json(P), e] for P, e in chi.exponent_map],
             })
             assert chi.to_json() == json.loads(k)
+            # the key the factor table handed the character at construction
+            # is the one recomputed from its primes' coefficients
+            recomputed = tuple(
+                x
+                for P, e in chi.exponent_map
+                for x in (P.degree, sum(c.idx * F.q**i for i, c in enumerate(P.coeffs[:-1])), e)
+            )
+            assert chi._ints == recomputed
             # a character built and checked by the public constructor
             twin = DirichletChar(F, ell, chi.exponent_map[::-1])
+            assert twin._ints is None
             assert twin.canonical_json() == k and twin.int_key() == chi.int_key()
             if k not in held:  # put skips what it already holds
                 held.add(k)
@@ -365,6 +374,34 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
     assert (reloaded.blocks, reloaded.bad_lines) == (len(blocks), 0)
     for chi, L in expected:
         assert reloaded.get(chi) == L
+
+
+# ids: q, ell, the largest conductor degree; the shifts b by element index,
+# all nonzero ones unless given
+@pytest.mark.parametrize("p, e, ell, max_d, shifts", [
+    pytest.param(7, 1, 3, 3, None, id="7-3-d3"),
+    pytest.param(2, 2, 3, 3, None, id="4-3-d3"),
+    pytest.param(2, 4, 3, 2, None, id="16-3-d2"),
+    pytest.param(11, 1, 5, 2, None, id="11-5-d2"),
+    pytest.param(5, 2, 3, 2, (1, 6, 24), id="25-3-d2"),
+])
+def test_translated_characters_share_l_polynomials(p, e, ell, max_d, shifts):
+    # g -> g(t + b) is an automorphism of F_q[t] that keeps degree and
+    # monicity and fixes the constant residue symbols, (g(t+b)/P(t+b)) =
+    # (g/P), so exponents e_i on the P_i(t + b) give the L of exponents e_i
+    # on the P_i: the identity the census shares L-polynomials by
+    F = make_field(p, e)
+    shifts = range(1, F.q) if shifts is None else shifts
+    for d in range(1, max_d + 1):
+        for chars in conductor_groups(F, ell, d):
+            Ls = l_polynomials(chars)
+            for b in shifts:
+                c = F.elem_at(b)
+                moved = [
+                    DirichletChar(F, ell, [(translate(P, c), e) for P, e in chi.exponent_map])
+                    for chi in chars
+                ]
+                assert l_polynomials(moved) == Ls
 
 
 def _check_row_kernels(chi, L, ks):

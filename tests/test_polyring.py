@@ -13,11 +13,12 @@ from superell.polyring import (
     poly_to_json,
     powmod,
     squarefree_monics,
+    translations,
 )
 
 from superell.oracle import monics
 
-from conftest import poly, rand_poly
+from conftest import poly, rand_poly, translate
 
 
 def test_squarefree_examples(F5, F7):
@@ -197,3 +198,28 @@ def test_vector_index_roundtrip(F7, F25, rng):
             f = rand_poly(F, 4, rng)
             assert Poly.from_vector_index(F, f.vector_index()) == f
         assert Poly.from_index(F, 3, 5).vector_index() == 5 + F.q**3
+
+
+# ids: the field, p^e or a tower; F_4 has p | 2, so a translate can fix a
+# conductor, and F_16 is both a direct extension and the tower 2 -> 4 -> 16
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_field(7, 1), id="7"),
+    pytest.param(lambda: make_field(2, 2), id="4"),
+    pytest.param(lambda: make_field(2, 4), id="2^4"),
+    pytest.param(lambda: make_field(5, 2), id="25"),
+    pytest.param(lambda: extend_field(make_field(2, 2), 2), id="2-4-16"),
+])
+def test_translations_match_composition(build):
+    F = build()
+    for k in (1, 2, 3):
+        maps = translations(F, k)
+        assert len(maps) == F.q and list(maps[0]) == list(factor_table(F).level(k).primes)
+        for b in range(F.q):
+            moved = [translate(P, F.elem_at(b)).vector_index() - F.q**k for P in irreducibles(F, k)]
+            assert list(maps[b]) == moved
+            assert sorted(moved) == list(maps[0])  # a bijection on the primes
+    if F.q == 4:
+        # t^2 + t = t (t + 1) is fixed by b = 1, which swaps its primes
+        t, one = Poly.x(F), Poly.one(F)
+        assert translate(t * (t + one), F.one()) == t * (t + one)
+        assert list(translations(F, 1)[1]) == [1, 0, 3, 2]
