@@ -100,9 +100,8 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
         L = rescale_by_root(L, (j * kc) % model.ell)
         stripped, _ = strip_trivial_factor(L, chij)
         prod = stripped if prod is None else prod * stripped
-    ints = [c.as_int() for c in prod.coeffs]
-    P = zeta_numerator(model)
-    return ints == list(P.coeffs)
+    pad = (0,) * (model.ell - 2)
+    return list(prod.rows) == [(c, *pad) for c in zeta_numerator(model).coeffs]
 
 
 class _TranslationClasses:
@@ -251,7 +250,7 @@ def run_census(
             decomp_budget = min(sample_decomp, decomp_done + per_degree_budget)
         td = time.monotonic()
         vanishing: list[DirichletChar] = []
-        vanish_keys: set = set()
+        vanish_keys: set = set()  # their `int_key`s
         count_a = 0
         conductors = 0
         counts_before = dict(ctx.counts)
@@ -271,7 +270,7 @@ def run_census(
                 count_a += 1
                 stripped, _k = strip_trivial_factor(L, chi)
                 if central_value_is_zero(stripped):
-                    vanish_keys.add(chi.key())
+                    vanish_keys.add(chi.int_key())
                     vanishing.append(chi)
                 if chi.even and decomp_done < decomp_budget:
                     # a sampled conductor computed in this run is also
@@ -289,9 +288,12 @@ def run_census(
             raise InvariantViolation(
                 "count-formula", f"degree {d}: enumerated {count_a}, formula {expected}"
             )
-        # duality closure: the dual of a vanishing character vanishes
+        # duality closure: the dual of a vanishing character vanishes; its
+        # key is chi's with every exponent e turned into ell - e
         for chi in vanishing:
-            if chi.dual().key() not in vanish_keys:
+            key = list(chi.int_key())
+            key[2::3] = [ell - e for e in key[2::3]]
+            if tuple(key) not in vanish_keys:
                 report.duality_ok = False
                 raise InvariantViolation("duality", f"dual of {chi!r} does not vanish")
         report.per_degree.append(

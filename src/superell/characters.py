@@ -24,8 +24,8 @@ serves every character on the conductor (`prime_symbol_histogram`).  The
 residues come from the half tables of the same coding: g -> g mod P is affine
 in the base-p digits of g's index, with the images of `polyring.unit_images`
 (`CharContext.residue_tables`).  Sums over all monics of a degree
-(`symbol_histogram`, `char_value_counts`, `char_sum`) are the definitional
-route to the same L-polynomials, which the census spot check runs.
+(`symbol_histogram`, `char_value_counts`) are the definitional route to the
+same L-polynomials, which the census spot check runs.
 
 A character has one JSON encoding, `DirichletChar.canonical_json`, which
 reports use, and `to_json` is its parse.  The L-cache keys it by
@@ -39,7 +39,6 @@ import json
 from collections import Counter, OrderedDict
 
 from . import limits
-from .cyclo import CycInt
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .ffield import Field, is_prime, primitive_root, spread_coding
 from .polyring import (
@@ -224,7 +223,9 @@ class DirichletChar:
     """An order-ell character given by exponents over its squarefree conductor."""
 
     # _json, _ints: the memoised `canonical_json` and `int_key`
-    __slots__ = ("ell", "field", "exponent_map", "even", "_conductor", "_json", "_ints")
+    __slots__ = (
+        "ell", "field", "exponent_map", "degree", "even", "_conductor", "_json", "_ints"
+    )
 
     def __init__(self, field: Field, ell: int, exponent_map):
         char_context(field, ell)  # validates ell and q = 1 mod ell
@@ -248,7 +249,14 @@ class DirichletChar:
         self.field = field
         self.ell = ell
         self.exponent_map = exponent_map
-        self.even = sum(e * P.degree for P, e in exponent_map) % ell == 0
+        # the conductor degree, and sum e deg P, which is 0 mod ell exactly
+        # when chi is trivial on the constants
+        degree = sign = 0
+        for P, e in exponent_map:
+            degree += P.degree
+            sign += e * P.degree
+        self.degree = degree
+        self.even = sign % ell == 0
         self._conductor = None
         self._json = None
         self._ints = None
@@ -274,10 +282,6 @@ class DirichletChar:
                 f = f * P
             self._conductor = f
         return self._conductor
-
-    @property
-    def degree(self) -> int:
-        return sum(P.degree for P, _ in self.exponent_map)
 
     def power(self, j: int) -> "DirichletChar":
         if j % self.ell == 0:
@@ -464,11 +468,6 @@ def char_value_counts(chi: DirichletChar, degree: int) -> tuple[list[int], int]:
     primes = [P for P, _ in chi.exponent_map]
     exponents = [e for _, e in chi.exponent_map]
     return project_counts(symbol_histogram(primes, chi.ell, degree), exponents, chi.ell)
-
-
-def char_sum(chi: DirichletChar, degree: int) -> CycInt:
-    """Sum of chi(g) over monic g of exactly the given degree, in Z[zeta_ell]."""
-    return CycInt.from_counts(chi.ell, char_value_counts(chi, degree)[0])
 
 
 # -- counting formulas ----------------------------------------------------------------

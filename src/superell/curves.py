@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import limits
-from .cyclo import central_sum_is_zero, newton_coefficients
+from .cyclo import central_rows_are_zero, newton_coefficients
 from .errors import InputError, InvariantViolation
 from .ffield import Field, FieldElem, extend_field, factorize_int, is_prime, log_table
 from .polyring import Poly, elem_from_json, elem_to_json, is_squarefree, poly_from_json, poly_to_json
@@ -273,9 +273,9 @@ def zeta_numerator(M: SuperellipticModel) -> ZetaNum:
     for n, N in enumerate(counts, start=1):
         if (N - q**n - 1) ** 2 > 4 * g * g * q**n:
             raise InvariantViolation("weil-bound", f"N_{n} = {N} violates Weil bounds for {M!r}")
-    S = [q**n + 1 - counts[n - 1] for n in range(1, g + 1)]
-    a = newton_coefficients(S)
-    coeffs = a[: g + 1] + [0] * g
+    # power sums as rows of width 1: Z = Z[zeta_2]
+    S = [(q**n + 1 - N,) for n, N in enumerate(counts, start=1)]
+    coeffs = [c for (c,) in newton_coefficients(S, 1)] + [0] * g
     for i in range(g):
         coeffs[2 * g - i] = q ** (g - i) * coeffs[i]
     return ZetaNum(q, coeffs)
@@ -290,8 +290,8 @@ def base_change(P: ZetaNum, m: int) -> ZetaNum:
         return P
     deg = len(P.coeffs) - 1
     S = power_sums(P, deg * m)
-    Sp = [S[n * m - 1] for n in range(1, deg + 1)]
-    return ZetaNum(P.q**m, newton_coefficients(Sp))
+    Sp = [(S[n * m - 1],) for n in range(1, deg + 1)]
+    return ZetaNum(P.q**m, [c for (c,) in newton_coefficients(Sp, 1)])
 
 
 def is_supersingular_np(P: ZetaNum, p: int, e: int) -> bool:
@@ -312,7 +312,7 @@ def is_supersingular_np(P: ZetaNum, p: int, e: int) -> bool:
 
 def has_central_eigenvalue(P: ZetaNum) -> bool:
     """Exact test that (1 - sqrt(q) T) divides P, i.e. Z(C, q^{-1/2}) = 0."""
-    return central_sum_is_zero(P.coeffs, P.q)
+    return central_rows_are_zero([(c,) for c in P.coeffs], P.q)
 
 
 def default_extension_bound(g: int) -> int:

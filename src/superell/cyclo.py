@@ -1,20 +1,24 @@
-"""Exact arithmetic in Z[zeta_ell] for an odd prime ell: the Galois action
-sigma_j: zeta -> zeta^j, exact division through the norm, and Newton's
-identities over Z and Z[zeta_ell]; multiplication by a root of unity
-zeta^k, a cyclic shift of the coordinates; and the exact central-point test
-for polynomials with coefficients in Z[zeta_ell].
+"""Exact arithmetic in Z[zeta_ell] for an odd prime ell, on integer
+coordinate rows: the product (`row_mul`), multiplication by a root of unity
+zeta^k, a cyclic shift of the coordinates (`zeta_row`), the Galois action
+sigma_j: zeta -> zeta^j (`galois_row`), exact division through the norm,
+Newton's identities, and the exact central-point test for polynomials with
+coefficients in Z[zeta_ell].
 
-Elements are stored in the power basis {1, zeta, ..., zeta^{ell-2}} so that
-equality and the zero test are coordinatewise; coordinates are plain Python
-ints and therefore unbounded.  A coordinate row is that tuple of ell - 1
-ints on its own: the row kernels (`zeta_row`, `galois_row`,
-`central_rows_are_zero`) work on rows and build no CycInt, and `galois` and
-`central_sum_is_zero` are their CycInt forms.  The central test
-splits a value along 1 and sqrt(q), q = p^e; the split is exact when
-p != ell, which keeps {1, sqrt(q)} linearly independent over Q(zeta_ell):
-the only quadratic subfield of Q(zeta_ell) is Q(sqrt(+-ell)).  The central
-sum is linear in the coefficients, so the test runs on their integer
-coordinates, one Horner pass per coordinate, with no products in
+An element is stored in the power basis {1, zeta, ..., zeta^{ell-2}}, so
+that equality and the zero test are coordinatewise; its coordinate row is
+that tuple of ell - 1 plain Python ints, and so unbounded.  The row is the
+only representation on the computing paths: every kernel here takes and
+returns rows.  A row of width 1 is a rational integer, since Z[zeta_2] = Z
+(zeta = -1), so the zeta numerators of `curves` run on the same kernels.
+`CycInt` wraps a row as the public value type and the tests' oracle; its
+product is `row_mul`.
+
+The central test splits a value along 1 and sqrt(q), q = p^e; the split is
+exact when p != ell, which keeps {1, sqrt(q)} linearly independent over
+Q(zeta_ell): the only quadratic subfield of Q(zeta_ell) is Q(sqrt(+-ell)).
+The central sum is linear in the coefficients, so the test runs on their
+integer coordinates, one Horner pass per coordinate, with no products in
 Z[zeta_ell].
 """
 
@@ -82,20 +86,7 @@ class CycInt:
         if isinstance(other, int):
             return CycInt(self.ell, tuple(a * other for a in self.coords))
         self._check(other)
-        ell = self.ell
-        n = ell - 1
-        conv = [0] * (2 * n - 1)
-        for i, a in enumerate(self.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coords):
-                conv[i + j] += a * b
-        # fold zeta^ell = 1, then expand zeta^{ell-1} = -(1 + ... + zeta^{ell-2})
-        folded = [0] * ell
-        for e, c in enumerate(conv):
-            folded[e % ell] += c
-        top = folded[ell - 1]
-        return CycInt(ell, tuple(folded[i] - top for i in range(n)))
+        return CycInt(self.ell, row_mul(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -128,6 +119,19 @@ def mu_embed(ell: int, k: int) -> CycInt:
     return CycInt(ell, (-1,) * (ell - 1))
 
 
+def row_mul(a, b) -> tuple:
+    """The row of x y for the rows of x and y, of one width: the only product
+    in Z[zeta_ell].  The convolution folds by zeta^ell = 1 and then expands
+    zeta^{ell-1} = -(1 + ... + zeta^{ell-2})."""
+    ell = len(a) + 1
+    folded = [0] * ell
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, start=i):
+                folded[j % ell] += x * y
+    return row_from_counts(folded)
+
+
 def row_from_counts(counts) -> tuple:
     """The coordinate row of sum_k counts[k] zeta^k, for a list of ell counts:
     zeta^{ell-1} is -(1 + zeta + ... + zeta^{ell-2})."""
@@ -155,17 +159,9 @@ def galois_row(row, j: int) -> tuple:
     return row_from_counts(counts)
 
 
-def galois(x: CycInt, j: int) -> CycInt:
-    """The automorphism sigma_j: zeta -> zeta^j of Z[zeta_ell], for j prime to
-    ell; see `galois_row`."""
-    if j % x.ell == 0:
-        raise InputError(f"sigma_{j} is not an automorphism of Z[zeta_{x.ell}]")
-    return CycInt(x.ell, galois_row(x.coords, j))
-
-
 def conjugate(x: CycInt) -> CycInt:
     """Complex conjugation zeta -> zeta^{-1}; an involution."""
-    return galois(x, -1)
+    return CycInt(x.ell, galois_row(x.coords, -1))
 
 
 @functools.cache
@@ -177,49 +173,50 @@ def _unit_generator(ell: int) -> int:
     )
 
 
-def other_conjugates(y: CycInt) -> CycInt:
-    """The product of sigma_j(y) over j = 2..ell-1, so that y times it is the
-    norm of y, a rational integer.  With g a generator of (Z/ell)^* and
-    P_m = prod_{i<m} sigma_{g^i}(y), it is sigma_g(P_{ell-2}), and P_m comes
-    from O(log ell) products by doubling: P_2a = P_a sigma_{g^a}(P_a) and
-    P_{a+1} = y sigma_g(P_a)."""
-    ell = y.ell
+def other_conjugates(y) -> tuple:
+    """The row of the product of sigma_j(y) over j = 2..ell-1, for the row of
+    y, so that y times it is the norm of y, a rational integer.  With g a
+    generator of (Z/ell)^* and P_m = prod_{i<m} sigma_{g^i}(y), it is
+    sigma_g(P_{ell-2}), and P_m comes from O(log ell) products by doubling:
+    P_2a = P_a sigma_{g^a}(P_a) and P_{a+1} = y sigma_g(P_a).  Over Z (width
+    1) the product is empty, 1."""
+    ell = len(y) + 1
+    if ell == 2:
+        return (1,)
     g = _unit_generator(ell)
     acc, a = y, 1
     for bit in bin(ell - 2)[3:]:
-        acc, a = acc * galois(acc, pow(g, a, ell)), 2 * a
+        acc, a = row_mul(acc, galois_row(acc, pow(g, a, ell))), 2 * a
         if bit == "1":
-            acc, a = y * galois(acc, g), a + 1
-    return galois(acc, g)
+            acc, a = row_mul(y, galois_row(acc, g)), a + 1
+    return galois_row(acc, g)
 
 
-def exact_quotient(x, d):
-    """x / d for ints or CycInts x and nonzero d, or None when d does not
-    divide x in Z or Z[zeta_ell].  A CycInt divisor is cleared through its
-    norm: x / d = x d' / N(d), with d' = `other_conjugates`(d)."""
-    if isinstance(d, CycInt):
+def exact_quotient(x, d) -> "tuple | None":
+    """The row of x / d for the row of x and a nonzero int or row d, or None
+    when d does not divide x in Z[zeta_ell].  A row divisor is cleared
+    through its norm: x / d = x d' / N(d), with d' = `other_conjugates`(d)."""
+    if not isinstance(d, int):
         cof = other_conjugates(d)
-        x, d = x * cof, (d * cof).as_int()
-    if isinstance(x, int):
-        quo, rem = divmod(x, d)
-        return None if rem else quo
-    if any(c % d for c in x.coords):
+        x, d = row_mul(x, cof), row_mul(d, cof)[0]
+    if any(c % d for c in x):
         return None
-    return CycInt(x.ell, tuple(c // d for c in x.coords))
+    return tuple(c // d for c in x)
 
 
-def newton_coefficients(S, one=1) -> list:
-    """Coefficients c_0..c_n of prod (1 - pi T) from the power sums
-    S_m = sum pi^m, m = 1..n (S[m-1] = S_m), over Z or Z[zeta_ell]:
-    k c_k = -sum_{i=1..k} S_i c_{k-i}.  `one` is the unit of the coefficient
-    type.  The divisions must be exact; a remainder signals a counting bug
-    and raises InvariantViolation."""
-    c = [one]
+def newton_coefficients(S, width: int) -> list:
+    """The rows of the coefficients c_0..c_n of prod (1 - pi T) from the rows
+    of the power sums S_m = sum pi^m, m = 1..n (S[m-1] = S_m), all of the
+    given width (1 over Z): k c_k = -sum_{i=1..k} S_i c_{k-i}.  The divisions
+    must be exact; a remainder signals a counting bug and raises
+    InvariantViolation."""
+    c = [(1,) + (0,) * (width - 1)]
     for k in range(1, len(S) + 1):
-        num = S[k - 1]  # times c_0 = one
+        num = list(S[k - 1])  # times c_0 = 1
         for i in range(1, k):
-            num = num + S[i - 1] * c[k - i]
-        ck = exact_quotient(-num, k)
+            for t, v in enumerate(row_mul(S[i - 1], c[k - i])):
+                num[t] += v
+        ck = exact_quotient(tuple(-v for v in num), k)
         if ck is None:
             raise InvariantViolation("newton-identities", f"non-integral coefficient at k={k}")
         c.append(ck)
@@ -233,15 +230,6 @@ def _prime_power(q: int) -> tuple[int, int]:
         raise InputError(f"{q} is not a prime power")
     (p, e), = fac.items()
     return p, e
-
-
-def central_sum_is_zero(coeffs, q: int) -> bool:
-    """Exact decision whether sum c_n sqrt(q)^(deg - n) = 0 for coefficients
-    c_0..c_deg that are ints or CycInts, and q = p^e; see
-    `central_rows_are_zero`.  An int has only the coordinate of 1."""
-    rows = [c.coords if isinstance(c, CycInt) else (c,) for c in coeffs]
-    width = max(map(len, rows))
-    return central_rows_are_zero([row + (0,) * (width - len(row)) for row in rows], q)
 
 
 def central_rows_are_zero(rows, q: int) -> bool:

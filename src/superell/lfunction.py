@@ -18,10 +18,10 @@ equation of the completed L-function for the rest, once per Galois orbit
 The central point is u = q^{-1/2}; the decision is `cyclo.central_rows_are_zero`,
 which `curves.has_central_eigenvalue` also runs on zeta numerators.
 
-An `LPoly` is its coefficients only, held as integer coordinate rows: the
-Euler route turns each coefficient into a row once, and stripping, the root
-rescaling and the central test run on the rows.  `LPoly.coeffs` is the
-CycInt view for products, JSON and the oracles.
+Every coefficient is an integer coordinate row (`cyclo`), from the power
+sums through Newton's identities, the functional equation and the partial
+sums of even characters to stripping, the root rescaling and the central
+test; an `LPoly` is its rows only, and nothing on the way converts them.
 
 The L-cache (`LCache`) is a text file bound to one field and ell by its
 first line, a canonical JSON header.  Every later line is one block, the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
 import time
 
@@ -46,13 +47,12 @@ from .characters import (
     symbol_histogram,
 )
 from .cyclo import (
-    CycInt,
     central_rows_are_zero,
-    conjugate,
     exact_quotient,
     galois_row,
     newton_coefficients,
     row_from_counts,
+    row_mul,
     zeta_row,
 )
 from .errors import InputError, InvariantViolation
@@ -61,37 +61,20 @@ from .errors import InputError, InvariantViolation
 class LPoly:
     """L(u, chi) = sum c_n u^n with c_n in Z[zeta_ell] and c_0 = 1, held as
     integer rows: rows[n] is the coordinates of c_n in the basis
-    {1, zeta, ..., zeta^{ell-2}}.  The constructor takes CycInt coefficients;
-    `coeffs` gives them back."""
+    {1, zeta, ..., zeta^{ell-2}}.  The constructor checks, in O(ell), that
+    c_0 = 1 and that the top row is not zero."""
 
     __slots__ = ("ell", "q", "rows")
 
-    def __init__(self, ell: int, q: int, coeffs):
-        coeffs = list(coeffs)
-        if any(c.ell != ell for c in coeffs):
-            raise InputError("mixed cyclotomic orders")
-        rows = [c.coords for c in coeffs]
-        while len(rows) > 1 and not any(rows[-1]):
-            rows.pop()
+    def __init__(self, ell: int, q: int, rows):
+        rows = tuple(rows)
         if not rows or rows[0] != (1,) + (0,) * (ell - 2):
             raise InputError("an L-polynomial has constant coefficient 1")
+        if not any(rows[-1]):
+            raise InputError("an L-polynomial has a nonzero top coefficient")
         self.ell = ell
         self.q = q
-        self.rows = tuple(rows)
-
-    @classmethod
-    def _from_rows(cls, ell: int, q: int, rows: tuple) -> "LPoly":
-        """An LPoly on rows already known to be canonical: c_0 = 1 and, above
-        degree 0, a nonzero top coefficient."""
-        L = object.__new__(cls)
-        L.ell = ell
-        L.q = q
-        L.rows = rows
-        return L
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(CycInt(self.ell, row) for row in self.rows)
+        self.rows = rows
 
     @property
     def degree(self) -> int:
@@ -108,20 +91,17 @@ class LPoly:
     def __mul__(self, other: "LPoly") -> "LPoly":
         if self.q != other.q or self.ell != other.ell:
             raise InputError("mixed L-polynomial products")
-        zero = CycInt.from_int(self.ell, 0)
-        out = [zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
+        out = [(0,) * (self.ell - 1)] * (self.degree + other.degree + 1)
+        for i, a in enumerate(self.rows):
+            for n, b in enumerate(other.rows, start=i):
+                out[n] = _row_add(out[n], row_mul(a, b))
         return LPoly(self.ell, self.q, out)
 
     def to_json(self) -> dict:
         return {
             "q": self.q,
             "ell": self.ell,
-            "coeffs": [c.to_json() for c in self.coeffs],
+            "coeffs": [{"ell": self.ell, "coords": [str(c) for c in row]} for row in self.rows],
         }
 
 
@@ -149,7 +129,7 @@ def l_polynomials(chars) -> list[LPoly]:
     what = f"the L-polynomial of a degree-{chars[0].degree} conductor over F_{q}"
     limits.require("SUPERELL_LIMIT_CENSUS", q ** (chars[0].degree - 1), what)
     hists: dict[int, dict] = {}  # k -> prime_symbol_histogram over the Q of degree k
-    orbits: dict[tuple, tuple] = {}  # first-exponent-1 exponents -> rows
+    orbits: dict[tuple, LPoly] = {}  # first-exponent-1 exponents -> L
     out = []
     for chi in chars:
         _check_conductor(chi, ell, keys, chars[0])
@@ -157,15 +137,12 @@ def l_polynomials(chars) -> list[LPoly]:
         j = exponents[0]
         inv = pow(j, -1, ell)
         rep = tuple(e * inv % ell for e in exponents)
-        rows = orbits.get(rep)
-        if rows is None:
-            coeffs = _euler_coefficients(primes, rep, chi.even, ell, hists)
-            rows = orbits[rep] = tuple(c.coords for c in coeffs)
+        L = orbits.get(rep)
+        if L is None:
+            L = orbits[rep] = LPoly(ell, q, _euler_coefficients(primes, rep, chi.even, ell, hists))
         if j != 1:
-            rows = tuple(galois_row(row, j) for row in rows)
-        # c_0 = 1, and the top coefficient is nonzero: `_complete` checks
-        # |Lambda_N|^2 = q^N
-        out.append(LPoly._from_rows(ell, q, rows))
+            L = LPoly(ell, q, [galois_row(row, j) for row in L.rows])
+        out.append(L)
     return out
 
 
@@ -174,21 +151,20 @@ def _check_conductor(chi: DirichletChar, ell: int, keys: list, first: DirichletC
         raise InputError(f"{chi!r} is not on the conductor of {first!r}")
 
 
-def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) -> list[CycInt]:
-    """c_0..c_{D-1} of L(u, chi) for the character with the given exponents
-    on the primes (D the conductor degree).  The completed L-function is
-    Lambda = L of degree N = D - 1 for odd chi, and Lambda = L / (1 - u) of
-    degree N = D - 2 for even chi, whose partial sums are Lambda_n =
-    c_0 + ... + c_n.  Lambda_0..Lambda_M with M = ceil(N/2) come from the
-    Euler product; when every overlap coefficient vanishes, M grows by one
-    until `_complete` can pin the root number (at the latest at M = N, where
-    the pair (0, N) is one)."""
+def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) -> list:
+    """The rows of c_0..c_{D-1} of L(u, chi) for the character with the
+    given exponents on the primes (D the conductor degree).  The completed
+    L-function is Lambda = L of degree N = D - 1 for odd chi, and
+    Lambda = L / (1 - u) of degree N = D - 2 for even chi, whose partial sums
+    are Lambda_n = c_0 + ... + c_n.  Lambda_0..Lambda_M with M = ceil(N/2)
+    come from the Euler product; when every overlap coefficient vanishes, M
+    grows by one until `_complete` can pin the root number (at the latest at
+    M = N, where the pair (0, N) is one)."""
     q = primes[0].field.q
     N = sum(P.degree for P in primes) - (2 if even else 1)
-    one = CycInt.from_int(ell, 1)
     counts: dict[int, list[int]] = {}  # k -> value counts of chi(Q) over deg Q = k
 
-    def power_sum(n: int) -> CycInt:
+    def power_sum(n: int) -> tuple:
         tally = [0] * ell
         for k in range(1, n + 1):
             if n % k:
@@ -199,27 +175,31 @@ def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) ->
                 counts[k] = project_counts(hists[k], exponents, ell)[0]
             for v, c in enumerate(counts[k]):
                 tally[v * (n // k) % ell] -= k * c
-        return CycInt.from_counts(ell, tally)
+        return row_from_counts(tally)
 
-    S: list[CycInt] = []
+    S: list[tuple] = []
     for M in range((N + 1) // 2, N + 1):
         S.extend(power_sum(n) for n in range(len(S) + 1, M + 1))
-        lam = newton_coefficients(S, one)
+        lam = newton_coefficients(S, ell - 1)
         if even:
-            lam = list(itertools.accumulate(lam))
+            lam = list(itertools.accumulate(lam, _row_add))
         full = _complete(lam, N, q)
         if full is not None:
             break
     if not even:
         return full
-    zero = CycInt.from_int(ell, 0)
-    return [a - b for a, b in zip(full + [zero], [zero] + full)]  # (1 - u) Lambda
+    zero = (0,) * (ell - 1)
+    return [tuple(map(operator.sub, a, b)) for a, b in zip(full + [zero], [zero] + full)]
+
+
+def _row_add(a: tuple, b: tuple) -> tuple:
+    return tuple(map(operator.add, a, b))
 
 
 def _complete(lam: list, N: int, q: int) -> "list | None":
-    """Lambda_0..Lambda_N of a completed L-function of degree N from
-    Lambda_0..Lambda_M, N/2 <= M <= N, by the functional equation
-    Lambda_{N-n} = W conj(Lambda_n) / q^n, where W = Lambda_N.
+    """The rows of Lambda_0..Lambda_N of a completed L-function of degree N
+    from those of Lambda_0..Lambda_M, N/2 <= M <= N, by the functional
+    equation Lambda_{N-n} = W conj(Lambda_n) / q^n, where W = Lambda_N.
 
     W = q^n Lambda_{N-n} / conj(Lambda_n) is pinned by the first overlap pair
     n in [N-M, M] with Lambda_n != 0, and every overlap pair must agree with
@@ -231,28 +211,28 @@ def _complete(lam: list, N: int, q: int) -> "list | None":
     M = len(lam) - 1
     W = None
     for n in range(N - M, M + 1):
-        a, b = lam[n], lam[N - n] * q**n
-        if a.is_zero():
-            agree = b.is_zero()
+        a, b = lam[n], tuple(c * q**n for c in lam[N - n])
+        if not any(a):
+            agree = not any(b)
         elif W is None:
-            W = exact_quotient(b, conjugate(a))
+            W = exact_quotient(b, galois_row(a, -1))
             agree = W is not None
         else:
-            agree = W * conjugate(a) == b
+            agree = row_mul(W, galois_row(a, -1)) == b
         if not agree:
             raise InvariantViolation(
                 "functional-equation", f"overlap pair ({n}, {N - n}) breaks the functional equation"
             )
     if W is None:
         return None
-    if W * conjugate(W) != q**N:
+    if row_mul(W, galois_row(W, -1)) != (q**N,) + (0,) * (len(W) - 1):
         raise InvariantViolation("functional-equation", f"|Lambda_{N}|^2 is not q^{N}")
     top = []
     for m in range(N - M - 1, -1, -1):
-        c = exact_quotient(W * conjugate(lam[m]), q**m)
+        c = exact_quotient(row_mul(W, galois_row(lam[m], -1)), q**m)
         if c is None:
             raise InvariantViolation(
-                "functional-equation", f"Lambda_{N - m} is not in Z[zeta_{W.ell}]"
+                "functional-equation", f"Lambda_{N - m} is not in Z[zeta_{len(W) + 1}]"
             )
         top.append(c)
     return lam + top
@@ -272,8 +252,8 @@ def monic_sum_l_polynomials(chars) -> list[LPoly]:
     for chi in chars:
         _check_conductor(chi, ell, keys, chars[0])
         exponents = [e for _, e in chi.exponent_map]
-        coeffs = [CycInt.from_counts(ell, project_counts(h, exponents, ell)[0]) for h in hists]
-        out.append(LPoly(ell, chi.field.q, coeffs))
+        rows = [row_from_counts(project_counts(h, exponents, ell)[0]) for h in hists]
+        out.append(LPoly(ell, chi.field.q, rows))
     return out
 
 
@@ -324,8 +304,7 @@ def strip_trivial_factor(L: LPoly, chi: DirichletChar) -> tuple[LPoly, "int | No
                 break
         else:
             raise InvariantViolation("even-trivial-zero", f"no mu_ell root factor in L of {chi!r}")
-        # the quotient's top coefficient is -zeta^-k times L's, so nonzero
-        stripped = LPoly._from_rows(L.ell, L.q, rows)
+        stripped = LPoly(L.ell, L.q, rows)
         expected = chi.degree - 2
     else:
         stripped, k = L, None
@@ -354,7 +333,7 @@ def rescale_by_root(L: LPoly, k: int) -> LPoly:
     """L(zeta^k u): multiplies c_n by zeta^{kn}; rotates all roots by zeta^{-k}."""
     if k % L.ell == 0:
         return L
-    return LPoly._from_rows(L.ell, L.q, tuple(zeta_row(row, k * n) for n, row in enumerate(L.rows)))
+    return LPoly(L.ell, L.q, [zeta_row(row, k * n) for n, row in enumerate(L.rows)])
 
 
 def central_value_is_zero(L: LPoly) -> bool:
@@ -412,7 +391,7 @@ def _check_header(line: bytes, header: str, path) -> None:
 def _decode_block(line: bytes, ell: int, q: int, polys: dict) -> "zip":
     """The (key, LPoly) pairs of one block line; ValueError when the line is
     torn (no newline), its checksum does not match its body, or the body does
-    not decode.
+    not decode, or decodes to rows that `LPoly` refuses.
 
     The body is r and c, then one record per character: the 3r ints of its
     `DirichletChar.int_key` and the ell - 1 coordinates of each of its c
@@ -434,12 +413,11 @@ def _decode_block(line: bytes, ell: int, q: int, polys: dict) -> "zip":
         raise ValueError("truncated record")
     fields = [ints[2 + j :: stride] for j in range(stride)]
     flats = list(zip(*fields[3 * r :]))
-    one = (1,) + (0,) * (w - 1)
     for flat in set(flats).difference(polys):
-        rows = tuple(zip(*[iter(flat)] * w))
-        if rows[0] != one or (c > 1 and not any(rows[-1])):
-            raise ValueError("not an L-polynomial")
-        polys[flat] = LPoly._from_rows(ell, q, rows)
+        try:
+            polys[flat] = LPoly(ell, q, zip(*[iter(flat)] * w))
+        except InputError as exc:
+            raise ValueError("not an L-polynomial") from exc
     return zip(zip(*fields[: 3 * r]), map(polys.__getitem__, flats))
 
 

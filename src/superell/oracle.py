@@ -1,10 +1,11 @@
 """Definitional routes that only the tests call, as oracles of the fast
 paths: digit sums and schoolbook products for the field's tables,
 square-and-multiply residue symbols for the symbol tables, point counts by
-tower arithmetic for the log tables, predicted counts for zeta numerators,
-and from-scratch squarefree filters and counts for the density sampler and
-the sieve.  No module of superell imports this one except `__init__`, which
-re-exports `MuValue` and `residue_symbol`.
+tower arithmetic for the log tables, character sums in Z[zeta_ell] for the
+L-polynomials, predicted counts for zeta numerators, and from-scratch
+squarefree filters and counts for the density sampler and the sieve.  No
+module of superell imports this one except `__init__`, which re-exports
+`MuValue` and `residue_symbol`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import limits
-from .characters import DirichletChar, char_context
+from .characters import DirichletChar, char_context, char_value_counts
 from .curves import SuperellipticModel, ZetaNum, count_points, predicted_count
 from .cyclo import CycInt, mu_embed
 from .density import _passes_stripped
@@ -144,6 +145,11 @@ def char_value(chi: DirichletChar, g: Poly) -> MuValue:
         if out.is_zero():
             return out
     return out
+
+
+def char_sum(chi: DirichletChar, degree: int) -> CycInt:
+    """Sum of chi(g) over monic g of exactly the given degree, in Z[zeta_ell]."""
+    return CycInt.from_counts(chi.ell, char_value_counts(chi, degree)[0])
 
 
 def count_points_generic(M: SuperellipticModel, E: Field) -> int:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from superell import make_field
+from superell import CycInt, make_field
 from superell.polyring import Poly
 
 
@@ -57,3 +57,17 @@ def translate(P: Poly, b) -> Poly:
     for c in reversed(P.coeffs):
         out = out * shift + Poly.constant(c)
     return out
+
+
+def central_by_products(coeffs, q, p, e):
+    """sum c_n sqrt(q)^(deg - n) = 0 by Horner on the pair (A, B) of
+    A + B sqrt(q), with products in Z[zeta_ell]."""
+    ell = coeffs[0].ell
+    zero = CycInt.from_int(ell, 0)
+    Q = CycInt.from_int(ell, q)
+    a = b = zero
+    for c in coeffs:
+        a, b = b * Q + c, a
+    if e % 2 == 0:
+        return (a + b * CycInt.from_int(ell, p ** (e // 2))).is_zero()
+    return a.is_zero() and b.is_zero()

@@ -14,7 +14,7 @@ from superell.census import (
     seed_model,
 )
 from superell.characters import DirichletChar, enumerate_order_ell
-from superell.cyclo import conjugate
+from superell.cyclo import galois_row
 from superell.characters import _canon
 from superell.lfunction import LCache, l_polynomials
 from superell.cli import main as cli_main
@@ -186,7 +186,7 @@ def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
     from superell.lfunction import LPoly
 
     def conjugated(chars):
-        return [LPoly(L.ell, L.q, [conjugate(c) for c in L.coeffs])
+        return [LPoly(L.ell, L.q, [galois_row(row, -1) for row in L.rows])
                 for L in l_polynomials(chars)]
 
     monkeypatch.setattr(census, "l_polynomials", conjugated)
@@ -211,6 +211,23 @@ def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         run_census(7, 1, 3, 3, sample_decomp=10)
     assert err.value.invariant == "euler-product"
+
+
+def test_census_duality_check_fires(monkeypatch):
+    # only the first character of degree 1 vanishes, and not its dual
+    from superell import census
+
+    calls = []
+
+    def first_only(L):
+        calls.append(L)
+        return len(calls) == 1
+
+    monkeypatch.setattr(census, "central_value_is_zero", first_only)
+    with pytest.raises(InvariantViolation) as err:
+        run_census(7, 1, 3, 1, sample_decomp=0)
+    assert err.value.invariant == "duality"
+    assert len(calls) == 14  # every character of degree 1 was decided first
 
 
 def test_model_from_char_roundtrip(F7):
@@ -551,7 +568,7 @@ def test_vanishing_characters_confirmed_by_zeta_route(F7):
         assert has_central_eigenvalue(P)
         if not chi.even:
             prod = l_polynomial(chi) * l_polynomial(chi.dual())
-            assert [c.as_int() for c in prod.coeffs] == list(P.coeffs)
+            assert list(prod.rows) == [(c, 0) for c in P.coeffs]  # integers, ell = 3
 
 
 def test_census_count_formula_other_fields():

@@ -17,7 +17,6 @@ from superell import (
 from superell.characters import (
     CharContext,
     char_context,
-    char_sum,
     char_value_counts,
     conductor_groups,
     prime_symbol_histogram,
@@ -25,7 +24,7 @@ from superell.characters import (
     symbol_histogram,
 )
 from superell.ffield import spread_coding
-from superell.oracle import MuValue, char_value, monics
+from superell.oracle import MuValue, char_sum, char_value, monics
 from superell.polyring import _GENERATOR_TRIES, Poly, gcd, irreducibles, is_squarefree
 
 from conftest import poly, rand_poly

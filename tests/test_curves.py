@@ -131,6 +131,9 @@ def test_base_change_examples():
     P = ZetaNum(5, (1, 0, 5))
     assert base_change(P, 4).coeffs == (1, -50, 625)
     assert base_change(P, 1) == P
+    # (1 - 5T)^2 goes to (1 - 125T)^2, and genus 0 has no roots to move
+    assert base_change(ZetaNum(25, (1, -10, 25)), 3).coeffs == (1, -250, 15625)
+    assert base_change(ZetaNum(7, (1,)), 3) == ZetaNum(343, (1,))
 
 
 def test_base_change_composition(rng):

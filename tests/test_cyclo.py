@@ -2,13 +2,20 @@ import pytest
 
 from superell import CycInt, InputError, InvariantViolation, conjugate, mu_embed
 from superell.cyclo import (
-    central_sum_is_zero,
+    central_rows_are_zero,
     exact_quotient,
-    galois,
+    galois_row,
     newton_coefficients,
     other_conjugates,
+    row_mul,
     zeta_row,
 )
+
+from conftest import central_by_products
+
+
+def _rand_row(ell, rng, lo, hi):
+    return tuple(rng.randrange(lo, hi + 1) for _ in range(ell - 1))
 
 
 def test_mu_embed_examples():
@@ -29,11 +36,15 @@ def test_root_sum_vanishes(ell):
     assert s.is_zero()
 
 
-@pytest.mark.parametrize("ell", [3, 5, 7])
-def test_multiplication_is_exponent_addition(ell):
-    for k in range(ell):
-        for m in range(ell):
-            assert mu_embed(ell, k) * mu_embed(ell, m) == mu_embed(ell, k + m)
+@pytest.mark.parametrize("ell", [3, 5, 7, 101])
+def test_multiplication_is_exponent_addition(ell, rng):
+    pairs = [(k, m) for k in range(ell) for m in range(ell)]
+    if ell > 7:
+        pairs = rng.sample(pairs, 60) + [(ell - 1, ell - 1), (ell - 1, 1), (0, ell - 1)]
+    for k, m in pairs:
+        want = mu_embed(ell, k + m).coords
+        assert row_mul(mu_embed(ell, k).coords, mu_embed(ell, m).coords) == want
+        assert mu_embed(ell, k) * mu_embed(ell, m) == mu_embed(ell, k + m)
 
 
 def test_conjugate_examples(rng):
@@ -56,13 +67,21 @@ def test_is_zero_and_as_int():
 
 
 def test_ring_axioms_random(rng):
-    for _ in range(50):
-        x = CycInt(5, tuple(rng.randrange(-9, 10) for _ in range(4)))
-        y = CycInt(5, tuple(rng.randrange(-9, 10) for _ in range(4)))
-        z = CycInt(5, tuple(rng.randrange(-9, 10) for _ in range(4)))
-        assert x * (y + z) == x * y + x * z
-        assert x * y == y * x
-        assert (x * y) * z == x * (y * z)
+    for ell, trials in ((3, 50), (5, 50), (7, 50), (101, 5)):
+        _check_ring_axioms(ell, trials, rng)
+
+
+def _check_ring_axioms(ell, trials, rng):
+    one = mu_embed(ell, 0).coords
+    for _ in range(trials):
+        x, y, z = (_rand_row(ell, rng, -9, 9) for _ in range(3))
+        y_plus_z = tuple(a + b for a, b in zip(y, z))
+        xy, xz = row_mul(x, y), row_mul(x, z)
+        assert row_mul(x, y_plus_z) == tuple(a + b for a, b in zip(xy, xz))
+        assert xy == row_mul(y, x)
+        assert row_mul(xy, z) == row_mul(x, row_mul(y, z))
+        assert row_mul(x, one) == x
+        assert (CycInt(ell, x) * CycInt(ell, y)).coords == xy
 
 
 def test_zeta_ell_power_is_one():
@@ -84,52 +103,81 @@ def test_json_roundtrip():
 @pytest.mark.parametrize("ell", [3, 5, 7, 101])
 def test_galois_matches_mu_embed_sum(ell, rng):
     for _ in range(5):
-        x = CycInt(ell, tuple(rng.randrange(-9, 10) for _ in range(ell - 1)))
-        y = CycInt(ell, tuple(rng.randrange(-9, 10) for _ in range(ell - 1)))
+        x, y = _rand_row(ell, rng, -9, 9), _rand_row(ell, rng, -9, 9)
         for j in rng.sample(range(1, ell), min(ell - 1, 6)):
             want = CycInt.from_int(ell, 0)
-            for i, c in enumerate(x.coords):
+            for i, c in enumerate(x):
                 want = want + mu_embed(ell, i * j) * c
-            assert galois(x, j) == want
-            assert galois(x * y, j) == galois(x, j) * galois(y, j)
-        assert galois(x, 1) == x
-        assert galois(x, -1) == conjugate(x)
-    with pytest.raises(InputError):
-        galois(x, ell)
+            assert galois_row(x, j) == want.coords
+            assert galois_row(row_mul(x, y), j) == row_mul(galois_row(x, j), galois_row(y, j))
+        assert galois_row(x, 1) == x
+        assert galois_row(x, -1) == conjugate(CycInt(ell, x)).coords
 
 
 @pytest.mark.parametrize("ell", [3, 5, 13, 101])
 def test_exact_quotient_through_the_norm(ell, rng):
     for _ in range(3):
-        x = CycInt(ell, tuple(rng.randrange(-5, 6) for _ in range(ell - 1)))
-        y = CycInt(ell, tuple(rng.randrange(-3, 4) for _ in range(ell - 1)))
-        if y.is_zero():
+        x, y = _rand_row(ell, rng, -5, 5), _rand_row(ell, rng, -3, 3)
+        if not any(y):
             continue
-        norm = y * other_conjugates(y)
-        assert norm.is_int() and norm.as_int() > 0
-        assert exact_quotient(x * y, y) == x
-        assert exact_quotient(x * 7, 7) == x
+        norm = row_mul(y, other_conjugates(y))
+        assert not any(norm[1:]) and norm[0] > 0
+        # the norm is the product of all ell - 1 conjugates
+        conjugates = CycInt.from_int(ell, 1)
+        for j in range(1, ell):
+            conjugates = conjugates * CycInt(ell, galois_row(y, j))
+        assert conjugates.coords == norm
+        assert exact_quotient(row_mul(x, y), y) == x
+        assert exact_quotient(tuple(7 * c for c in x), 7) == x
     # 1 + zeta is a unit for ell > 2, and 2 divides no coordinate of 1
-    assert exact_quotient(CycInt.from_int(ell, 1), mu_embed(ell, 0) + mu_embed(ell, 1)) is not None
-    assert exact_quotient(CycInt.from_int(ell, 1), CycInt.from_int(ell, 2)) is None
-    assert exact_quotient(CycInt.from_int(ell, 1), 2) is None
-    assert exact_quotient(12, 4) == 3 and exact_quotient(13, 4) is None
+    one, two = mu_embed(ell, 0).coords, (2,) + (0,) * (ell - 2)
+    assert exact_quotient(one, (mu_embed(ell, 0) + mu_embed(ell, 1)).coords) is not None
+    assert exact_quotient(one, two) is None
+    assert exact_quotient(one, 2) is None
+
+
+def test_exact_quotient_on_width_one_rows():
+    # Z[zeta_2] = Z: the norm of an integer is itself
+    assert other_conjugates((-6,)) == (1,)
+    assert exact_quotient((12,), 4) == (3,) and exact_quotient((13,), 4) is None
+    assert exact_quotient((12,), (-4,)) == (-3,) and exact_quotient((12,), (5,)) is None
 
 
 def test_newton_coefficients_over_z_and_z_zeta():
-    # prod (1 - pi T) for roots 2, 3, -1 over Z
+    # prod (1 - pi T) for roots 2, 3, -1 over Z, on rows of width 1
     roots = [2, 3, -1]
-    S = [sum(r**m for r in roots) for m in range(1, 4)]
-    assert newton_coefficients(S) == [1, -4, 1, 6]
+    S = [(sum(r**m for r in roots),) for m in range(1, 4)]
+    assert newton_coefficients(S, 1) == [(1,), (-4,), (1,), (6,)]
+    assert newton_coefficients([], 1) == [(1,)]  # no roots, as at genus 0
     # over Z[zeta_5]: roots zeta, 1 + zeta^2
     ell = 5
     one = CycInt.from_int(ell, 1)
     r1, r2 = mu_embed(ell, 1), one + mu_embed(ell, 2)
-    S = [_power(r1, m) + _power(r2, m) for m in (1, 2)]
-    assert newton_coefficients(S, one) == [one, -(r1 + r2), r1 * r2]
+    S = [(_power(r1, m) + _power(r2, m)).coords for m in (1, 2)]
+    want = [one, -(r1 + r2), r1 * r2]
+    assert newton_coefficients(S, ell - 1) == [c.coords for c in want]
+    assert newton_coefficients([], ell - 1) == [one.coords]
     # power sums 1, 0 would need c_2 = 1/2
     with pytest.raises(InvariantViolation):
-        newton_coefficients([1, 0])
+        newton_coefficients([(1,), (0,)], 1)
+
+
+def _newton_over_z(S):
+    """k c_k = -sum_{i=1..k} S_i c_{k-i} on plain ints."""
+    c = [1]
+    for k in range(1, len(S) + 1):
+        num = -sum(S[i - 1] * c[k - i] for i in range(1, k + 1))
+        assert num % k == 0
+        c.append(num // k)
+    return c
+
+
+def test_newton_coefficients_on_width_one_rows_is_the_integer_recurrence(rng):
+    for n in range(8):
+        roots = [rng.randrange(-20, 21) for _ in range(n)]
+        S = [sum(r**m for r in roots) for m in range(1, n + 1)]
+        got = [c for (c,) in newton_coefficients([(s,) for s in S], 1)]
+        assert got == _newton_over_z(S)
 
 
 def _power(x, m):
@@ -147,20 +195,6 @@ def test_mul_zeta_matches_product(ell, rng):
         x = CycInt(ell, tuple(rng.randrange(-50, 51) for _ in range(ell - 1)))
         for k in range(-1, ell + 1):
             assert zeta_row(x.coords, k) == (x * mu_embed(ell, k)).coords
-
-
-def _central_by_products(coeffs, q, p, e):
-    """sum c_n sqrt(q)^(deg - n) = 0 by Horner on the pair (A, B) of
-    A + B sqrt(q), with products in Z[zeta_ell]."""
-    ell = coeffs[0].ell
-    zero = CycInt.from_int(ell, 0)
-    Q = CycInt.from_int(ell, q)
-    a = b = zero
-    for c in coeffs:
-        a, b = b * Q + c, a
-    if e % 2 == 0:
-        return (a + b * CycInt.from_int(ell, p ** (e // 2))).is_zero()
-    return a.is_zero() and b.is_zero()
 
 
 def _times(coeffs, factor):
@@ -188,25 +222,25 @@ def test_central_sum_on_coordinates_matches_products(ell, q, p, e, rng):
     if e % 2 == 0:
         factors.append([1, -(p ** (e // 2))])  # 1 - sqrt(q) u
     for _ in range(30):
-        coeffs = [
-            CycInt(ell, tuple(rng.randrange(-30, 31) for _ in range(ell - 1)))
-            for _ in range(rng.randrange(1, 7))
-        ]
-        assert central_sum_is_zero(coeffs, q) == _central_by_products(coeffs, q, p, e)
+        coeffs = [CycInt(ell, _rand_row(ell, rng, -30, 30)) for _ in range(rng.randrange(1, 7))]
+        rows = [c.coords for c in coeffs]
+        assert central_rows_are_zero(rows, q) == central_by_products(coeffs, q, p, e)
         for factor in factors:
             vanishing = _times(coeffs, factor)
-            assert central_sum_is_zero(vanishing, q)
-            assert _central_by_products(vanishing, q, p, e)
-    # integer coefficients, as zeta numerators have, and a mixed list
+            assert central_rows_are_zero([c.coords for c in vanishing], q)
+            assert central_by_products(vanishing, q, p, e)
+    # integer coefficients, as zeta numerators have, on rows of width 1 and
+    # embedded in Z[zeta_ell]
     ints = [rng.randrange(-30, 31) for _ in range(5)]
     as_cyc = [CycInt.from_int(ell, c) for c in ints]
-    assert central_sum_is_zero(ints, q) == _central_by_products(as_cyc, q, p, e)
+    got = central_rows_are_zero([(c,) for c in ints], q)
+    assert got == central_by_products(as_cyc, q, p, e)
+    assert got == central_rows_are_zero([c.coords for c in as_cyc], q)
     for factor in factors:
         vanishing = _times(ints, factor)
-        assert central_sum_is_zero(vanishing, q)
-        mixed = [CycInt.from_int(ell, c) if n % 2 else c for n, c in enumerate(vanishing)]
-        assert central_sum_is_zero(mixed, q)
+        assert central_rows_are_zero([(c,) for c in vanishing], q)
+        assert central_rows_are_zero([CycInt.from_int(ell, c).coords for c in vanishing], q)
     if e % 2 == 0:
         r = p ** (e // 2)
-        assert central_sum_is_zero([1, -2 * r, q], q)  # (1 - sqrt(q) T)^2
-        assert not central_sum_is_zero([1, 0, q], q)
+        assert central_rows_are_zero([(1,), (-2 * r,), (q,)], q)  # (1 - sqrt(q) T)^2
+        assert not central_rows_are_zero([(1,), (0,), (q,)], q)

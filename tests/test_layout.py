@@ -176,3 +176,22 @@ def test_every_import_is_used():
                 continue
             unused += [f"{path.name}: {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_only_cyclo_and_the_boundary_name_cycint():
+    # an element of Z[zeta_ell] is a coordinate row on every computing path;
+    # the CycInt value type lives in cyclo, the oracles and the public API
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in ("cyclo.py", "oracle.py", "__init__.py"):
+            continue
+        tree = _tree(path)
+        names = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {a.asname or a.name for a in node.names}
+        if "CycInt" in names:
+            offenders.append(path.name)
+    assert offenders == []

@@ -16,12 +16,11 @@ from superell import (
 )
 from superell.characters import (
     _canon,
-    char_sum,
     conductor_groups,
     project_counts,
     symbol_histogram,
 )
-from superell.cyclo import central_sum_is_zero, conjugate
+from superell.cyclo import conjugate
 from superell.ffield import extend_field, make_field
 from superell.lfunction import (
     LCache,
@@ -32,20 +31,21 @@ from superell.lfunction import (
     rescale_by_root,
     trivial_factor_candidates,
 )
-from superell.oracle import char_value, monics
+from superell.oracle import char_sum, char_value, monics
 from superell.polyring import Poly, is_irreducible, poly_to_json
 
-from conftest import poly, translate
+from conftest import central_by_products, poly, translate
 
 
-def cyc(ell, *ints):
-    return [CycInt.from_int(ell, n) for n in ints]
+def int_rows(ell, *ints):
+    """The rows of rational-integer coefficients."""
+    return [(n,) + (0,) * (ell - 2) for n in ints]
 
 
 def test_conductor_t_gives_constant_l(F7):
     chi = DirichletChar(F7, 3, [(Poly.x(F7), 1)])
     L = l_polynomial(chi)
-    assert L.degree == 0 and L.coeffs[0] == CycInt.from_int(3, 1)
+    assert L.degree == 0 and L.rows == ((1, 0),)
     assert char_sum(chi, chi.degree).is_zero()
 
 
@@ -58,7 +58,7 @@ def test_degree_two_even_coefficient_by_direct_sum(F7):
     direct = CycInt.from_int(3, 0)
     for a in range(7):
         direct = direct + char_value(chi, t + poly(F7, a)).to_cyc()
-    assert L.coeffs[1] == direct
+    assert L.rows[1] == direct.coords
     assert L.degree <= 1
 
 
@@ -76,9 +76,9 @@ def test_strip_examples(F7):
     assert stripped == L and k is None
     # synthetic 1 - u
     ell = 3
-    syn = LPoly(ell, 7, [CycInt.from_int(ell, 1), CycInt.from_int(ell, -1)])
+    syn = LPoly(ell, 7, int_rows(ell, 1, -1))
     q, k = strip_trivial_factor(syn, _even_stub(F7))
-    assert k == 0 and q.degree == 0 and q.coeffs[0] == CycInt.from_int(ell, 1)
+    assert k == 0 and q.degree == 0 and q.rows == ((1, 0),)
 
 
 def _even_stub(F7):
@@ -97,7 +97,7 @@ def test_strip_even_degree3(F7):
 
 
 def test_strip_missing_root_raises(F7):
-    bad = LPoly(3, 7, cyc(3, 1, 1, 7))  # no mu_3 root: 1 + u + 7u^2
+    bad = LPoly(3, 7, int_rows(3, 1, 1, 7))  # no mu_3 root: 1 + u + 7u^2
     with pytest.raises(InvariantViolation):
         strip_trivial_factor(bad, _even_stub(F7))
 
@@ -119,27 +119,27 @@ def test_trivial_factor_unique_on_census_sample(F7):
 
 
 def test_central_value_examples():
-    one = LPoly(3, 7, cyc(3, 1))
+    one = LPoly(3, 7, int_rows(3, 1))
     assert not central_value_is_zero(one)
     # 1 - q u^2 over a square q: root at u = 1/sqrt(q)
-    sq = LPoly(3, 25, cyc(3, 1, 0, -25))
+    sq = LPoly(3, 25, int_rows(3, 1, 0, -25))
     assert central_value_is_zero(sq)
     # same shape over q = 5 exercises the odd-exponent split
-    odd_q = LPoly(3, 5, cyc(3, 1, 0, -5))
+    odd_q = LPoly(3, 5, int_rows(3, 1, 0, -5))
     assert central_value_is_zero(odd_q)
-    assert not central_value_is_zero(LPoly(3, 5, cyc(3, 1, 0, 5)))
+    assert not central_value_is_zero(LPoly(3, 5, int_rows(3, 1, 0, 5)))
     # (1 - u)(1 - 5u^2) keeps its central root after multiplying in a unit factor
-    mixed = LPoly(3, 5, cyc(3, 1, -1, -5, 5))
+    mixed = LPoly(3, 5, int_rows(3, 1, -1, -5, 5))
     assert central_value_is_zero(mixed)
     # both split components nonzero
-    assert not central_value_is_zero(LPoly(3, 5, cyc(3, 1, 1, 5, 1)))
+    assert not central_value_is_zero(LPoly(3, 5, int_rows(3, 1, 1, 5, 1)))
 
 
 def test_central_value_guard_p_equals_ell():
     # over q = 3^3 with ell = 3, sqrt(q) = 3 sqrt(3) lies in Q(zeta_3, sqrt(3)),
     # so the split along 1 and sqrt(q) would not decide vanishing
     with pytest.raises(InputError):
-        central_value_is_zero(LPoly(3, 27, cyc(3, 1, 0, -27)))
+        central_value_is_zero(LPoly(3, 27, int_rows(3, 1, 0, -27)))
 
 
 def test_dual_coefficients_are_conjugate(F7):
@@ -147,7 +147,7 @@ def test_dual_coefficients_are_conjugate(F7):
     chi = DirichletChar(F7, 3, [(t, 1), (t**2 + poly(F7, 2), 2)])
     L = l_polynomial(chi)
     Ld = l_polynomial(chi.dual())
-    assert [conjugate(c) for c in L.coeffs] == list(Ld.coeffs)
+    assert [conjugate(CycInt(3, row)).coords for row in L.rows] == list(Ld.rows)
 
 
 def test_duality_of_central_vanishing(F7):
@@ -167,12 +167,12 @@ def test_orthogonality_small(F7):
 
 
 def test_rescale_by_root():
-    L = LPoly(3, 7, cyc(3, 1, 2, 3))
+    L = LPoly(3, 7, int_rows(3, 1, 2, 3))
     R = rescale_by_root(L, 1)
     z = mu_embed(3, 1)
-    assert R.coeffs[0] == L.coeffs[0]
-    assert R.coeffs[1] == L.coeffs[1] * z
-    assert R.coeffs[2] == L.coeffs[2] * z * z
+    assert R.rows[0] == L.rows[0]
+    assert R.rows[1] == (CycInt(3, L.rows[1]) * z).coords
+    assert R.rows[2] == (CycInt(3, L.rows[2]) * z * z).coords
     assert rescale_by_root(L, 0) == L
 
 
@@ -181,18 +181,26 @@ def test_strip_trivial_factor_enforces_the_degree_law(F7):
     odd = DirichletChar(F7, 3, [(t, 1)])  # L has degree D - 1 = 0
     even = DirichletChar(F7, 3, [(t, 1), (t - Poly.one(F7), 2)])  # stripped degree 0
     # 1 + 2u for the odd one; (1 - u)(1 + u), which strips to 1 + u, for the even one
-    for chi, L in ((odd, LPoly(3, 7, cyc(3, 1, 2))), (even, LPoly(3, 7, cyc(3, 1, 0, -1)))):
+    for chi, L in ((odd, LPoly(3, 7, int_rows(3, 1, 2))), (even, LPoly(3, 7, int_rows(3, 1, 0, -1)))):
         with pytest.raises(InvariantViolation) as err:
             strip_trivial_factor(L, chi)
         assert err.value.invariant == "degree-law"
-    assert strip_trivial_factor(LPoly(3, 7, cyc(3, 1, -1)), even)[0].degree == 0
+    assert strip_trivial_factor(LPoly(3, 7, int_rows(3, 1, -1)), even)[0].degree == 0
 
 
 def test_lpoly_json_roundtrip():
-    L = LPoly(3, 7, cyc(3, 1, -2, 7))
+    L = LPoly(3, 7, int_rows(3, 1, -2, 7))
     data = L.to_json()
-    coeffs = [CycInt(c["ell"], map(int, c["coords"])) for c in data["coeffs"]]
-    assert LPoly(data["ell"], data["q"], coeffs) == L
+    assert all(c["ell"] == 3 for c in data["coeffs"])
+    rows = [tuple(map(int, c["coords"])) for c in data["coeffs"]]
+    assert LPoly(data["ell"], data["q"], rows) == L
+
+
+def test_lpoly_constructor_checks_constant_and_top_coefficient():
+    assert LPoly(3, 7, [(1, 0), (0, 0), (0, 2)]).degree == 2
+    for rows in ([], [(2, 0), (1, 0)], [(1, 1)], [(1,)], [(1, 0), (0, 0)]):
+        with pytest.raises(InputError):
+            LPoly(3, 7, rows)
 
 
 def _header_line(F, ell) -> str:
@@ -206,13 +214,13 @@ def _block_line(pairs) -> str:
     prime and every coefficient's coordinates; the body's sha256, a space,
     the body."""
     chi, L = pairs[0]
-    ints = [len(chi.exponent_map), len(L.coeffs)]
+    ints = [len(chi.exponent_map), len(L.rows)]
     for chi, L in pairs:
         q = chi.field.q
         for P, e in chi.exponent_map:
             ints += [P.degree, P.vector_index() - q**P.degree, e]
-        for c in L.coeffs:
-            ints += c.coords
+        for row in L.rows:
+            ints += row
     body = " ".join(map(str, ints))
     return f"{hashlib.sha256(body.encode()).hexdigest()} {body}"
 
@@ -247,6 +255,14 @@ def test_lcache_roundtrip_and_corruption(tmp_path, F7):
     # a block whose checksum holds but whose L does not start with 1 is bad
     ints = lines[2].split()[1:]
     ints[2 + 3 * int(ints[0])] = "2"  # the first coordinate of the first c_0
+    body = " ".join(ints)
+    path.write_text(f"{lines[0]}\n{hashlib.sha256(body.encode()).hexdigest()} {body}\n")
+    assert LCache(str(path), F7, 3).bad_lines == 1
+    # so is one whose L has a zero top coefficient
+    ints = lines[2].split()[1:]
+    r, c = int(ints[0]), int(ints[1])
+    assert c > 1
+    ints[2 + 3 * r + 2 * (c - 1) : 2 + 3 * r + 2 * c] = ["0", "0"]  # the first L's top row
     body = " ".join(ints)
     path.write_text(f"{lines[0]}\n{hashlib.sha256(body.encode()).hexdigest()} {body}\n")
     assert LCache(str(path), F7, 3).bad_lines == 1
@@ -405,22 +421,36 @@ def test_translated_characters_share_l_polynomials(p, e, ell, max_d, shifts):
 
 
 def _check_row_kernels(chi, L, ks):
-    """The integer-row kernels against CycInt arithmetic on the `coeffs` view,
-    on L and on its rescalings L(zeta^j u), whose trivial factor is
+    """The integer-row kernels against CycInt arithmetic on L's rows, on L
+    and on its rescalings L(zeta^j u), whose trivial factor is
     (1 - zeta^(k + j) u)."""
-    ell = L.ell
+    ell, F = L.ell, chi.field
     for j in ks:
         R = rescale_by_root(L, j)
-        assert R.coeffs == tuple(c * mu_embed(ell, j * n) for n, c in enumerate(L.coeffs))
+        assert R.rows == tuple(
+            (CycInt(ell, row) * mu_embed(ell, j * n)).coords for n, row in enumerate(L.rows)
+        )
         stripped, k = strip_trivial_factor(R, chi)
         if chi.even:
-            factor = LPoly(ell, L.q, [CycInt.from_int(ell, 1), -mu_embed(ell, k)])
+            factor = LPoly(ell, L.q, [mu_embed(ell, 0).coords, (-mu_embed(ell, k)).coords])
             assert stripped * factor == R
+            assert stripped * factor == _product_by_cycints(stripped, factor)
             assert k == j % ell  # the census's untwisted L has k = 0
         else:
             assert k is None and stripped == R
         for M in (R, stripped):
-            assert central_value_is_zero(M) == central_sum_is_zero(M.coeffs, M.q)
+            coeffs = [CycInt(ell, row) for row in M.rows]
+            assert central_value_is_zero(M) == central_by_products(coeffs, M.q, F.p, F.e)
+
+
+def _product_by_cycints(A, B):
+    """A * B by CycInt products, the oracle of `LPoly.__mul__`."""
+    zero = CycInt.from_int(A.ell, 0)
+    out = [zero] * (A.degree + B.degree + 1)
+    for i, a in enumerate(A.rows):
+        for j, b in enumerate(B.rows):
+            out[i + j] = out[i + j] + CycInt(A.ell, a) * CycInt(A.ell, b)
+    return LPoly(A.ell, A.q, [c.coords for c in out])
 
 
 # ids: p, the tower's relative degrees, ell
@@ -476,8 +506,9 @@ def test_euler_route_matches_monic_sums(p, tower, ell, max_degree):
 def _completed(L, chi):
     """Lambda = L, or L / (1 - u) for even chi, from an oracle L."""
     if not chi.even:
-        return list(L.coeffs)
-    return list(itertools.accumulate(L.coeffs))[:-1]
+        return list(L.rows)
+    sums = itertools.accumulate(CycInt(L.ell, row) for row in L.rows)
+    return [c.coords for c in sums][:-1]
 
 
 def test_euler_route_when_every_overlap_coefficient_vanishes(F7):
@@ -489,7 +520,7 @@ def test_euler_route_when_every_overlap_coefficient_vanishes(F7):
                 lam = _completed(L, chi)
                 N = len(lam) - 1
                 M = (N + 1) // 2
-                if all(lam[n].is_zero() for n in range(N - M, M + 1)):
+                if not any(map(any, lam[N - M : M + 1])):
                     seen += 1
                     assert _complete(lam[: M + 1], N, 7) is None
                     assert l_polynomials([chi]) == [L]
@@ -504,15 +535,15 @@ def test_functional_equation_completion_rejects_corrupted_coefficient(F7):
         for chi, L in zip(chars, monic_sum_l_polynomials(chars)):
             if chi.even:
                 continue
-            lam = list(L.coeffs)  # N = 3, M = 2: overlap pairs (1, 2) and (2, 1)
+            lam = list(L.rows)  # N = 3, M = 2: overlap pairs (1, 2) and (2, 1)
             assert _complete(lam[:3], 3, 7) == lam
-            if lam[1].is_zero() or lam[2].is_zero():
+            if not any(lam[1]) or not any(lam[2]):
                 continue
-            bad = [lam[0], lam[1] * 2, lam[2]]
+            bad = [lam[0], tuple(2 * c for c in lam[1]), lam[2]]
             with pytest.raises(InvariantViolation) as err:
                 _complete(bad, 3, 7)
             assert err.value.invariant == "functional-equation"
-            off = [lam[0], lam[1] + CycInt.from_int(3, 7), lam[2]]
+            off = [lam[0], (lam[1][0] + 7, lam[1][1]), lam[2]]
             with pytest.raises(InvariantViolation):
                 _complete(off, 3, 7)
             tested += 1
@@ -521,7 +552,7 @@ def test_functional_equation_completion_rejects_corrupted_coefficient(F7):
     assert tested >= 20
     # a Lambda_n = 0 whose partner is not 0
     with pytest.raises(InvariantViolation):
-        _complete(cyc(3, 1, 0, 7), 3, 7)
+        _complete(int_rows(3, 1, 0, 7), 3, 7)
 
 
 def test_large_ell_lone_characters(monkeypatch):
@@ -557,7 +588,7 @@ def test_large_ell_lone_characters(monkeypatch):
             exps = [e for _, e in chi.exponent_map]
             for n in range(3):
                 counts, _ = project_counts(symbol_histogram(primes, 101, n), exps, 101)
-                assert L.coeffs[n] == CycInt.from_counts(101, counts)
+                assert L.rows[n] == CycInt.from_counts(101, counts).coords
         stripped, k = strip_trivial_factor(L, chi)
         assert stripped.degree == chi.degree - (2 if chi.even else 1)
     assert parities == {(3, False), (3, True), (4, False), (4, True)}
