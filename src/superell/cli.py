@@ -32,18 +32,31 @@ def _open_arg(flag: str, path: str, mode: str):
         raise InputError(f"{flag}: cannot open {path!r} ({exc.strerror or exc})") from None
 
 
+def _dump_json(payload, fh) -> None:
+    """The bytes of json.dump(payload, fh, indent=2, sort_keys=True) and a
+    newline, written in batches of about 64 KiB of encoder chunks rather
+    than one write per token, and never as one string."""
+    batch, size = [], 0
+    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= 1 << 16:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    batch.append("\n")
+    fh.write("".join(batch))
+
+
 def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -> None:
     if out_path is None:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _dump_json(payload, sys.stdout)
         return
     if out_path.endswith(".csv"):  # only the census has one; _dispatch refuses the rest
         with _open_arg("--out", out_path, "w") as fh:
             fh.write(csv_text)
         return
     with _open_arg("--out", out_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_json(payload, fh)
 
 
 def _json_arg(flag: str, raw: str):

@@ -15,8 +15,11 @@ shortcut is cross-checked against brute force in the tests.
 The seeded sampler draws (numer, denom) from the box of polynomials of degree
 <= h, which holds only q^(h+1) polynomials, so each is drawn many times: it
 keeps the power list [1, g, ..., g^(deg F)] of every polynomial g it draws,
-keyed by g's digits, and evaluates F on the cached powers
-(`BinaryForm.evaluate_powers`).  Over a field of at most
+keyed by g's digits, and evaluates F on the cached powers in one pass
+(`BinaryForm.evaluate_powers`).  The filter is a pure function of the value
+F(numer, denom), and distinct pairs often share a value ((l n, l d) gives
+l^(deg F) F(n, d) for a constant l), so it keeps one verdict per value, keyed
+by the value's `vector_index`.  Over a field of at most
 `ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
 evaluation and the squarefree test build no new field elements.
 """
@@ -39,8 +42,8 @@ from .polyring import (
 )
 
 BRUTE_FORCE_LIMIT = 10**8
-# Most power lists the sampler keeps; beyond this many distinct draws it
-# computes the powers of a new polynomial for each draw.
+# Most power lists, and most verdicts, the sampler keeps; beyond this many
+# distinct draws (values) it computes the powers (verdict) afresh each time.
 POWER_CACHE_LIMIT = 1 << 14
 
 
@@ -307,7 +310,8 @@ def empirical_density(
 
     Each draw is h_deg + 1 digits from the seeded generator, the coefficients
     of the drawn polynomial low degree first; its powers come from a cache
-    keyed by those digits.
+    keyed by those digits, and the verdict on a value from a cache keyed by
+    its `vector_index`.
     """
     if h_deg < 0:
         raise InputError(f"h_deg (--h-deg) must be at least 0, got {h_deg}")
@@ -321,6 +325,7 @@ def empirical_density(
     q = F.q
     rng = _LCG(seed)
     cache: dict[tuple, list[Poly]] = {}
+    verdicts: dict[int, bool] = {}
 
     def draw() -> list[Poly]:
         digits = tuple(rng.below(q) for _ in range(h_deg + 1))
@@ -342,8 +347,14 @@ def empirical_density(
             if coprime_only and gcd(numer, denom).degree != 0:
                 continue
             break
-        if _passes_stripped(F_form.evaluate_powers(npows, dpows), excluded):
-            hits += 1
+        val = F_form.evaluate_powers(npows, dpows)
+        key = val.vector_index()
+        ok = verdicts.get(key)
+        if ok is None:
+            ok = _passes_stripped(val, excluded)
+            if len(verdicts) < POWER_CACHE_LIMIT:
+                verdicts[key] = ok
+        hits += ok
     return {
         "samples": samples,
         "hits": hits,

@@ -55,14 +55,26 @@ class BinaryForm:
         return self.evaluate_powers(self.powers(numer), self.powers(denom))
 
     def evaluate_powers(self, npows: list[Poly], dpows: list[Poly]) -> Poly:
-        """F(numer, denom) from the power lists of numer and denom; only the
-        nonzero terms of F are evaluated."""
+        """F(numer, denom) from the power lists of numer and denom, in one
+        pass: each c_i numer^i denom^(d - i) with c_i nonzero is added into
+        one coefficient list, with no intermediate polynomial."""
+        F = self.field
+        add, mul = F.add, F.mul
         d = self.degree
-        out = Poly.zero(self.field)
+        # every term has degree at most d * max(deg numer, deg denom)
+        out = [F.zero()] * max(len(npows[d].coeffs), len(dpows[d].coeffs))
         for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + npows[i] * dpows[d - i] * c
-        return out
+            if not c.idx:
+                continue
+            ys = dpows[d - i].coeffs
+            for k, x in enumerate(npows[i].coeffs):
+                if not x.idx:
+                    continue
+                cx = mul(c, x)
+                for j, y in enumerate(ys, k):
+                    if y.idx:
+                        out[j] = add(out[j], mul(cx, y))
+        return Poly(F, out)
 
     def __repr__(self):
         return f"BinaryForm(deg {self.degree}, f = {self.dehomogenized()!r})"

@@ -16,11 +16,10 @@ from . import limits
 from .characters import DirichletChar, char_context, char_value_counts
 from .curves import SuperellipticModel, ZetaNum, count_points, predicted_count
 from .cyclo import CycInt, mu_embed
-from .density import _passes_stripped
 from .errors import InputError, InvariantViolation
 from .families import BinaryForm
 from .ffield import Field, FieldElem
-from .polyring import Poly, monic_multiples, powmod
+from .polyring import Poly, factor_table, monic_multiples, powmod
 
 
 class MuValue:
@@ -207,10 +206,21 @@ def check_predicted_counts(M: SuperellipticModel, P: ZetaNum) -> None:
 
 
 def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:
-    """True when F(numer, denom), evaluated from scratch, is nonzero and
-    squarefree away from the excluded primes (squarefree as an ideal of the
-    localized ring)."""
-    return _passes_stripped(F_form.evaluate(numer, denom), excluded)
+    """True when F(numer, denom) is nonzero and squarefree away from the
+    excluded primes (squarefree as an ideal of the localized ring).  The
+    value is the sum of the terms c_i numer^i denom^(d - i) as `Poly`
+    powers, products and sums, and the verdict reads the exponents of its
+    monic part in the factor table: no gcd and no division."""
+    d = F_form.degree
+    val = Poly.zero(F_form.field)
+    for i, c in enumerate(F_form.coeffs):
+        val = val + numer**i * denom ** (d - i) * Poly.constant(c)
+    if val.is_zero():
+        return False
+    monic = val.monic()[1]
+    skip = {P.key() for P in excluded}
+    factors = factor_table(monic.field).factors(monic.degree, monic.vector_index() - monic.norm())
+    return all(e == 1 for P, e in factors if P.key() not in skip)
 
 
 def squarefree_density_exact(q: int) -> Fraction:

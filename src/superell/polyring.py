@@ -23,6 +23,11 @@ one search for the smallest generator of (A/P)^* and its discrete log.  That
 search builds the residue-symbol tables of `characters` and, since a tower
 level of `ffield` is the residue field of its modulus, every field log table.
 
+Every remainder, in `%`, `gcd` and the products of a large tower level of
+`ffield`, is one loop against a monic divisor (`_remainder`): each step is a
+multiply-subtract with no inverse, and only `divmod` collects a quotient.
+`gcd` makes each remainder monic before it divides.
+
 Factorization of a single polynomial is squarefree decomposition, then
 distinct-degree splitting, then equal-degree splitting seeded from the input;
 it is a pure function of the input, serves one-off inputs (models, CLI
@@ -195,32 +200,24 @@ class Poly:
         return Poly(F, out)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
+        """(quotient, remainder), against the monic associate of `other`; the
+        quotient is then scaled back by its leading coefficient."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         F = self.field
-        db = other.degree
-        rem = list(self.coeffs)
-        if len(rem) - 1 < db:
-            return Poly.zero(F), self
-        monic_div = other.coeffs[-1].idx == 1
-        inv_lead = None if monic_div else other.coeffs[-1].inverse()
-        quo = [F.zero()] * (len(rem) - db)
-        bc = other.coeffs
-        while len(rem) - 1 >= db and rem:
-            k = len(rem) - 1 - db
-            c = rem[-1] if monic_div else F.mul(rem[-1], inv_lead)
-            quo[k] = c
-            for j in range(db + 1):
-                rem[k + j] = F.sub(rem[k + j], F.mul(c, bc[j]))
-            while rem and not rem[-1].idx:
-                rem.pop()
-        return Poly(F, quo), Poly(F, rem)
+        lead, m = other.monic()
+        quo = [F.zero()] * max(0, len(self.coeffs) - m.degree)
+        rem = _remainder(F, list(self.coeffs), m.coeffs, quo)
+        q = Poly(F, quo)
+        return (q if lead.idx == 1 else q * lead.inverse()), Poly(F, rem)
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return Poly(self.field, _remainder(self.field, list(self.coeffs), other.monic()[1].coeffs))
 
     def __pow__(self, n: int) -> "Poly":
         out = Poly.one(self.field)
@@ -239,8 +236,7 @@ class Poly:
         lead = self.coeffs[-1]
         if lead.idx == 1:
             return lead, self
-        inv = lead.inverse()
-        return lead, Poly(self.field, tuple(c * inv for c in self.coeffs))
+        return lead, Poly(self.field, _made_monic(self.field, self.coeffs))
 
     def derivative(self) -> "Poly":
         F = self.field
@@ -251,13 +247,48 @@ class Poly:
         return Poly(F, out)
 
 
+def _remainder(F: Field, rem: list, mc: tuple, quo: "list | None" = None) -> list:
+    """rem mod the monic polynomial with coefficients mc, in place, for a
+    coefficient list rem with no trailing zeros.  The divisor is monic, so
+    each step subtracts the leading coefficient times a shift of it, with no
+    inverse; the quotient's coefficients go into `quo` only when it is given
+    (for `//`)."""
+    db = len(mc) - 1
+    sub, mul = F.sub, F.mul
+    while len(rem) > db:
+        c = rem.pop()
+        k = len(rem) - db
+        if quo is not None:
+            quo[k] = c
+        for j in range(db):
+            if mc[j].idx:
+                rem[k + j] = sub(rem[k + j], mul(c, mc[j]))
+        while rem and not rem[-1].idx:
+            rem.pop()
+    return rem
+
+
+def _made_monic(F: Field, cs):
+    """The coefficients cs (no trailing zeros) divided by the last one."""
+    lead = cs[-1]
+    if lead.idx == 1:
+        return cs
+    inv, mul = F.inverse(lead), F.mul
+    return [mul(c, inv) for c in cs]
+
+
 def gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(0, 0) = 0."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()[1]
+    """Monic gcd; gcd(0, 0) = 0.  Euclid on monic remainders: each remainder
+    is made monic before it divides, so every reduction is `_remainder`."""
+    F = a.field
+    if b.is_zero():
+        return a if a.is_zero() else a.monic()[1]
+    x, y = list(a.coeffs), _made_monic(F, list(b.coeffs))
+    while True:
+        x = _remainder(F, x, y)
+        if not x:
+            return Poly(F, y)
+        x, y = y, _made_monic(F, x)
 
 
 def powmod(base: Poly, n: int, mod: Poly) -> Poly:

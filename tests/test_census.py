@@ -17,7 +17,7 @@ from superell.characters import DirichletChar, enumerate_order_ell
 from superell.cyclo import galois_row
 from superell.characters import _canon
 from superell.lfunction import LCache, l_polynomials
-from superell.cli import main as cli_main
+from superell.cli import _write_out, main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.oracle import monics
 from superell.polyring import Poly
@@ -585,3 +585,14 @@ def test_census_count_formula_other_fields():
     for chi in enumerate_order_ell(F25, 3, 2):
         by_deg[chi.degree] = by_deg.get(chi.degree, 0) + 1
     assert by_deg == {1: 50, 2: count_order_ell_exact(25, 3, 2)}
+
+
+def test_write_out_is_json_dump(tmp_path, capsys):
+    # several 64 KiB write batches, with unicode, floats and nulls
+    payload = {"b": [{"x": i, "y": [f"ζ{i}"] * 3, "z": i / 7} for i in range(4000)], "a": None}
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert len(expected) > 3 * (1 << 16)
+    _write_out(payload, str(tmp_path / "r.json"))
+    assert (tmp_path / "r.json").read_text(encoding="utf-8") == expected
+    _write_out(payload, None)
+    assert capsys.readouterr().out == expected

@@ -228,9 +228,34 @@ def test_sampler_matches_per_sample_filter(name, coprime_only):
     assert emp["hits"] == _replayed_hits(base, h_deg, 300, 11, coprime_only)
 
 
-def test_sampler_past_its_power_cache(F7, monkeypatch):
-    base = trigonal(F7)
-    full = empirical_density(base, 2, 300, seed=3)
-    monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", 4)
-    assert empirical_density(base, 2, 300, seed=3) == full
+def test_sampler_past_its_power_cache(monkeypatch):
+    powers, verdicts = [], []
+    real_powers, real_verdict = BinaryForm.powers, density_mod._passes_stripped
+    limit = density_mod.POWER_CACHE_LIMIT
 
+    def counted_powers(form, g):
+        powers.append(g.vector_index())
+        return real_powers(form, g)
+
+    def counted_verdict(val, excluded):
+        verdicts.append(val.vector_index())
+        return real_verdict(val, excluded)
+
+    monkeypatch.setattr(BinaryForm, "powers", counted_powers)
+    monkeypatch.setattr(density_mod, "_passes_stripped", counted_verdict)
+    # F2 has excluded primes, F25 is an extension field
+    for name in ("F7", "F25", "F2"):
+        base, h_deg = _sampler_bases()[name]
+        monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", limit)
+        powers.clear()
+        verdicts.clear()
+        full = empirical_density(base, h_deg, 300, seed=3)
+        # one power list per distinct draw and one verdict per distinct value
+        drawn, values = len(powers), len(verdicts)
+        assert drawn == len(set(powers)) > 4 and values == len(set(verdicts)) > 4, name
+        powers.clear()
+        verdicts.clear()
+        monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", 4)
+        assert empirical_density(base, h_deg, 300, seed=3) == full, name
+        # past the bound both are computed again for what the caches could not keep
+        assert len(powers) > drawn and len(verdicts) > values, name

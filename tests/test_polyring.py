@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from superell import InputError, factor, is_squarefree, make_field
@@ -223,3 +225,40 @@ def test_translations_match_composition(build):
         t, one = Poly.x(F), Poly.one(F)
         assert translate(t * (t + one), F.one()) == t * (t + one)
         assert list(translations(F, 1)[1]) == [1, 0, 3, 2]
+
+
+def _random_monic(F, degree, rng) -> Poly:
+    return Poly(F, [F.elem_at(rng.randrange(F.q)) for _ in range(degree)] + [F.one()])
+
+
+# GF(7^6) is a tower level above ELEM_TABLE_CAP, whose own products run
+# through the remainder loop under test
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_field(2, 1), id="2"),
+    pytest.param(lambda: make_field(3, 1), id="3"),
+    pytest.param(lambda: make_field(2, 2), id="4"),
+    pytest.param(lambda: make_field(5, 2), id="25"),
+    pytest.param(lambda: extend_field(make_field(2, 2), 2), id="2-4-16"),
+    pytest.param(lambda: extend_field(make_field(7, 3), 2), id="7^3-7^6"),
+])
+def test_gcd_and_remainder_at_the_edges(build):
+    F = build()
+    rng = random.Random(F.q)
+    t = Poly.x(F)
+    for _ in range(12):
+        # a = c g (t - alpha) w and b = c' g (t - beta) w with alpha != beta:
+        # gcd(a, b) = g w by construction, with no gcd machinery
+        gw = _random_monic(F, rng.randrange(4), rng) * _random_monic(F, rng.randrange(3), rng)
+        alpha, beta = (Poly.constant(F.elem_at(i)) for i in rng.sample(range(F.q), 2))
+        c, c2 = (Poly.constant(F.elem_at(rng.randrange(1, F.q))) for _ in range(2))
+        a, b = c * gw * (t - alpha), c2 * gw * (t - beta)
+        assert gcd(a, b) == gw and gcd(b, a) == gw
+        assert gcd(a, Poly.zero(F)) == gcd(Poly.zero(F), a) == gw * (t - alpha)
+        longer = a * _random_monic(F, 2, rng) + c2
+        for x, y in ((a, b), (b, a), (longer, b), (longer, c * gw), (a, c), (c, a)):
+            quo, rem = divmod(x, y)
+            assert x % y == rem and rem.degree < y.degree
+            assert quo * y + rem == x and x // y == quo
+    assert gcd(Poly.zero(F), Poly.zero(F)) == Poly.zero(F)
+    with pytest.raises(ZeroDivisionError):
+        t % Poly.zero(F)
