@@ -9,18 +9,33 @@ characters, and decides vanishing at the central point.  Per-degree character
 counts are asserted against the generating-series coefficients; vanishing
 counts are reported, never asserted, since no formula for them is known.
 The L-polynomials come from Euler products (`lfunction.l_polynomials`), once
-per translation class {f(t + b) : b in F_q} of conductors.  The translation
-tau_b: g -> g(t + b) is an F_q-algebra automorphism of F_q[t] that keeps
-degree and monicity, and residue symbols are constants, so
-(tau g / tau P) = tau((g/P)) = (g/P): the character with exponents e_i on the
-P_i(t + b) takes the value of the one with exponents e_i on the P_i at
-tau^-1 of its argument, and has the same L-function.  So the first conductor
-of a class computes its L-polynomials and every later one reads them, with
-its primes matched to the first one's through P -> P(t + b)
-(`polyring.translations`).  Every decomposition-sampled conductor whose
-L-polynomials the run computed (rather than read from the cache), and in each
-degree the first conductor whose L-polynomials came from its class, is
-recomputed by monic character sums, and a mismatch raises InvariantViolation.
+per affine class {sigma_c(f(t + b)) : c in F_q^*, b in F_q} of conductors,
+where sigma_c(g) = c^-deg g g(ct).  The maps g -> g(t + b) and g -> g(ct) are
+F_q-algebra automorphisms of F_q[t] that keep degree, and residue symbols
+are constants, so (phi g / phi P) = phi((g/P)) = (g/P) for either map phi:
+the character chi' with exponents e_i on the primes sigma_c(P_i(t + b))
+takes at phi(g) the value chi takes at g, chi having exponents e_i on the
+P_i.  A translation keeps monics monic, so L(u, chi') = L(u, chi).  A
+dilation sends the monic g of degree n to c^n sigma_c(g), and a constant c
+has (c/P) = zeta^(z_c deg P), where c^((q - 1)/ell) = zeta^z_c; so chi'
+sums to zeta^(-n z_c D) times chi over the monics of degree n,
+D = sum e_i deg P_i, and L(u, chi') = L(zeta^(-z_c D) u, chi)
+(`lfunction.rescale_by_root`).  An even character has D = 0 mod ell and
+shares L unchanged (Rosen, Number Theory in Function Fields, ch. 4).  So
+the first conductor of a class computes its L-polynomials and every later
+one reads them, with its primes matched to the first one's through
+P -> sigma_c(P(t + b)) (`polyring.translations`, `polyring.dilations`).
+Every decomposition-sampled conductor whose L-polynomials the run computed
+or read from its class (rather than from the cache), and in each degree the
+first conductor served through a translation and the first served through a
+dilation that twists an odd character, is recomputed by monic character
+sums, and a mismatch raises InvariantViolation.
+
+Stripping, the degree law and the central test read only the L-polynomial,
+the parity and the conductor degree, so they run once per distinct
+(L, parity, degree) of a degree and every character with that triple gets
+the decision.  The duality check stays independent: the dual of chi has the
+conjugate L, decided from its own coefficients.
 
 All list outputs are sorted by (conductor degree, canonical conductor order,
 exponent assignment); reruns with a warm cache are bit-identical apart from
@@ -29,6 +44,7 @@ runtime statistics.
 
 from __future__ import annotations
 
+import operator
 import time
 
 from .characters import (
@@ -63,7 +79,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly, factor_table, translations
+from .polyring import Poly, dilations, factor_table, translations
 
 SCHEMA_VERSION = 1
 # members of a vanishing-verified family whose zeta/L decomposition is checked
@@ -104,66 +120,93 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
     return list(prod.rows) == [(c, *pad) for c in zeta_numerator(model).coeffs]
 
 
-class _TranslationClasses:
-    """The translation classes {f(t + b) : b in F_q} of the conductors of one
-    degree, in one run.  The first conductor of a class that needs
-    L-polynomials computes them and registers each of its translates with
-    those L-polynomials, keyed by the translate's prime codes, and with the
-    position among the translate's primes of P(t + b) for each of its primes
-    P; a later conductor of the class finds itself there and reads the L of
-    each character from its exponents put in the first conductor's prime
-    order.  `count` is the number of classes met."""
+class _AffineClasses:
+    """The affine classes {sigma_c(f(t + b)) : c in F_q^*, b in F_q} of the
+    conductors of one degree, in one run, sigma_c(g) = c^-deg g g(ct).  The
+    first conductor of a class that needs L-polynomials computes them and
+    registers each other member with them, keyed by the member's prime codes,
+    with the position among the member's primes of sigma_c(P(t + b)) for
+    each of its primes P, and with the member's twist z_c; a later conductor
+    of the class finds itself there.  The character with exponents e_i on
+    the sigma_c(P_i(t + b)) has the L of the one with exponents e_i on the
+    P_i, rescaled by zeta^(-z_c D), D = sum e_i deg P_i (see the module
+    docstring), and each class rescales each of its L once per shift.
+    `count` is the number of classes met."""
 
-    def __init__(self, F: Field):
+    def __init__(self, F: Field, ell: int):
         self.field = F
+        self.ell = ell
         self.table = factor_table(F)
-        self.members: dict = {}  # prime codes -> (L by exponents, positions)
+        # z_c with c^((q - 1)/ell) = zeta^z_c, by the element index of c
+        zeta_pow_index = char_context(F, ell).zeta_pow_index
+        self.twists = [None] + [
+            zeta_pow_index[F.pow(F.elem_at(c), (F.q - 1) // ell).idx] for c in range(1, F.q)
+        ]
+        self.members: dict = {}  # prime codes -> (class Ls, positions, c, z_c)
         self.count = 0
 
-    def fill(self, chars: list, found: list, missing: list) -> bool:
-        """Set found[i] for the indices i in `missing`; True when they were
-        read from the conductor's class rather than computed."""
+    def fill(self, chars: list, found: list, missing: list) -> "str | None":
+        """Set found[i] for the indices i in `missing`.  None when they were
+        computed; else how they were read from the conductor's class:
+        "translation" (c = 1), "twist" (z_c != 0 and one of them is odd, so
+        its L was rescaled) or "dilation"."""
         key = chars[0].int_key()
         codes = tuple(zip(key[0::3], key[1::3]))
         member = self.members.pop(codes, None)
         if member is not None:
-            by_exponents, positions = member
+            ls, positions, c, z = member
+            degrees, ell = key[0::3], self.ell
+            twisted = False
             for i in missing:
                 exponents = chars[i].int_key()[2::3]
-                found[i] = by_exponents[tuple(exponents[n] for n in positions)]
-            return True
+                shift = z and -z * sum(map(operator.mul, exponents, degrees)) % ell
+                twisted = twisted or shift != 0
+                at = (tuple([exponents[n] for n in positions]), shift)
+                L = ls.get(at)
+                if L is None:
+                    L = ls[at] = rescale_by_root(ls[at[0], 0], shift)
+                found[i] = L
+            return "translation" if c == 1 else "twist" if twisted else "dilation"
         for i, L in zip(missing, l_polynomials([chars[i] for i in missing])):
             found[i] = L
         self.count += 1
-        by_exponents = {chi.int_key()[2::3]: L for chi, L in zip(chars, found)}
+        ls = {(chi.int_key()[2::3], 0): L for chi, L in zip(chars, found)}
         F = self.field
-        ranks = [(k, self.table.level(k).spf_rank[j]) for k, j in codes]
-        maps = {k: translations(F, k) for k, _ in codes}
-        for b in range(1, F.q):
-            moved = sorted((k, maps[k][b][r], n) for n, (k, r) in enumerate(ranks))
-            positions = [0] * len(moved)
-            for pos, (_, _, n) in enumerate(moved):
+        # the code of sigma_c(P(t + b)) for each prime P, by (c, b) in the
+        # order c = 1, ..., q - 1 and b = 0, ..., q - 1: translations first
+        images = []
+        for k, j in codes:
+            rank = self.table.levels[k].spf_rank
+            moved = [rank[image[rank[j]]] for image in translations(F, k)]
+            images.append([(k, image[r]) for image in dilations(F, k)[1:] for r in moved])
+        for m in range(1, (F.q - 1) * F.q):  # m = (c - 1) q + b; m = 0 is the identity
+            met = sorted((image[m], n) for n, image in enumerate(images))
+            positions = [0] * len(met)
+            for pos, (_, n) in enumerate(met):
                 positions[n] = pos
-            # a conductor fixed by some t -> t + c (p | deg) meets a translate
+            # a conductor fixed by a non-trivial affine map meets a member
             # twice, and either matching of its primes is valid
-            self.members.setdefault(tuple((k, j) for k, j, _ in moved), (by_exponents, positions))
-        return False
+            c = 1 + m // F.q
+            member = (ls, positions, c, self.twists[c])
+            self.members.setdefault(tuple(code for code, _ in met), member)
+        return None
 
 
 def _l_polys_cached(
-    chars: list, cache: "LCache | None", classes: _TranslationClasses
-) -> tuple[list[LPoly], list[int], bool]:
+    chars: list, cache: "LCache | None", classes: _AffineClasses
+) -> tuple[list[LPoly], list[int], "str | None"]:
     """L-polynomials of characters on one conductor, the indices of those
-    not read from the cache, and whether those came from the conductor's
-    translation class.  Every character is looked up first; the misses then
-    go through the class and are stored, so a conductor answered from the
-    cache touches no residue-symbol table and no translation."""
+    not read from the cache, and how those came from the conductor's affine
+    class (`_AffineClasses.fill`; None when computed or none missing).
+    Every character is looked up first; the misses then go through the class
+    and are stored, so a conductor answered from the cache touches no
+    residue-symbol table and no affine map."""
     found = [None] * len(chars) if cache is None else [cache.get(chi) for chi in chars]
     missing = [i for i, L in enumerate(found) if L is None]
-    shared = bool(missing) and classes.fill(chars, found, missing)
+    route = classes.fill(chars, found, missing) if missing else None
     if missing and cache is not None:
         cache.put([(chars[i], found[i]) for i in missing])
-    return found, missing, shared
+    return found, missing, route
 
 
 def _spot_check(chars: list, l_polys: list) -> None:
@@ -236,7 +279,7 @@ def run_census(
     cache = None if cache_path is None else LCache(cache_path, F, ell)
     table = factor_table(F)
     total_counts = dict.fromkeys(
-        ("conductors", "translation_classes", "factor_table_entries", *ctx.counts), 0
+        ("conductors", "affine_classes", "factor_table_entries", *ctx.counts), 0
     )
     t0 = time.monotonic()
     decomp_done = 0
@@ -255,21 +298,28 @@ def run_census(
         conductors = 0
         counts_before = dict(ctx.counts)
         entries_before = table.entries
-        classes = _TranslationClasses(F)
-        shared_checked = False
+        classes = _AffineClasses(F, ell)
+        unchecked = {"translation", "twist"}
+        decisions: dict = {}  # (L.rows, chi.even, chi.degree) -> vanishes
         for chars in conductor_groups(F, ell, d):
             conductors += 1
-            l_polys, fresh, shared = _l_polys_cached(chars, cache, classes)
-            if shared and not shared_checked:
-                # the sampled conductors below are the first met, which are
-                # their classes' first; this checks the translation
+            l_polys, fresh, route = _l_polys_cached(chars, cache, classes)
+            if route in unchecked:
+                # the first conductor of the degree served through a
+                # translation, and the first through a dilation that twists
+                # an odd character: these check the maps and the twist
                 _spot_check([chars[i] for i in fresh], [l_polys[i] for i in fresh])
                 fresh = []
-                shared_checked = True
+                unchecked.discard(route)
             for chi, L in zip(chars, l_polys):
                 count_a += 1
-                stripped, _k = strip_trivial_factor(L, chi)
-                if central_value_is_zero(stripped):
+                # the strip, its degree law and the central test read only these
+                at = (L.rows, chi.even, chi.degree)
+                vanishes = decisions.get(at)
+                if vanishes is None:
+                    stripped, _k = strip_trivial_factor(L, chi)
+                    vanishes = decisions[at] = central_value_is_zero(stripped)
+                if vanishes:
                     vanish_keys.add(chi.int_key())
                     vanishing.append(chi)
                 if chi.even and decomp_done < decomp_budget:
@@ -308,7 +358,7 @@ def run_census(
         # monics the factor table classified; 0 when an earlier run built the level
         counts = {
             "conductors": conductors,
-            "translation_classes": classes.count,
+            "affine_classes": classes.count,
             "factor_table_entries": table.entries - entries_before,
         }
         counts.update((k, n - counts_before[k]) for k, n in ctx.counts.items())

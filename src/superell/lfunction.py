@@ -36,6 +36,7 @@ import json
 import operator
 import os
 import time
+import weakref
 
 from . import limits
 from .characters import (
@@ -466,7 +467,11 @@ class LCache:
         # one LPoly per coefficient list, by its ints: a census at q = 16,
         # n <= 4 has 308,192 characters but 368 distinct L-polynomials
         self._polys: dict[tuple, LPoly] = {}
+        # the coordinate text of each coefficient list `put` has written, by
+        # its rows, with its shared LPoly
+        self._texts: dict[tuple, tuple] = {}
         self._header_on_disk = False
+        self._out = None  # the file, open for appending from the first block `put` writes
         bad = set()
         try:
             with open(path, "rb") as fh:
@@ -519,13 +524,14 @@ class LCache:
         """Store the (chi, L) pairs not yet cached, appending their block in a
         single write.  The pairs share the block's number of primes and of
         coefficients, as the characters of one conductor do; a pair that does
-        not raises InvariantViolation before anything is stored."""
+        not raises InvariantViolation before anything is stored.  The text of
+        each distinct coefficient list is encoded once per cache and reused."""
         pairs = list(pairs)
         if not pairs:
             return
         chi, L = pairs[0]
         shape = (len(chi.exponent_map), len(L.rows))  # r and c of the block
-        records: dict[tuple, tuple] = {}  # key -> (L, its flat coordinates)
+        records: dict[tuple, LPoly] = {}
         for chi, L in pairs:
             self._check(chi)
             if (len(chi.exponent_map), len(L.rows)) != shape:
@@ -534,15 +540,27 @@ class LCache:
                 )
             key = chi.int_key()
             if key not in self.table:
-                records[key] = (L, tuple(itertools.chain.from_iterable(L.rows)))
+                records[key] = L
         if not records:
             return
         if not self._header_on_disk:
             _replace(self.path, [self.header.encode() + b"\n"])
             self._header_on_disk = True
-        ints = itertools.chain(shape, *((*key, *flat) for key, (_, flat) in records.items()))
-        body = " ".join(map(str, ints)).encode("ascii")
-        with open(self.path, "ab") as fh:
-            fh.write(_digest(body) + b" " + body + b"\n")
-        for key, (L, flat) in records.items():
-            self.table[key] = self._polys.setdefault(flat, L)
+        texts = [f"{shape[0]} {shape[1]}"]
+        for key, L in records.items():
+            got = self._texts.get(L.rows)
+            if got is None:
+                flat = tuple(itertools.chain.from_iterable(L.rows))
+                text = " ".join(map(str, flat))
+                got = self._texts[L.rows] = (text, self._polys.setdefault(flat, L))
+            texts.append(" ".join(map(str, key)))
+            texts.append(got[0])
+            records[key] = got[1]
+        body = " ".join(texts).encode("ascii")
+        if self._out is None:
+            # opened once, after the header is on disk, and closed with the cache
+            self._out = open(self.path, "ab")
+            weakref.finalize(self, self._out.close)
+        self._out.write(_digest(body) + b" " + body + b"\n")
+        self._out.flush()
+        self.table.update(records)

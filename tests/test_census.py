@@ -13,7 +13,7 @@ from superell.census import (
     seed_check,
     seed_model,
 )
-from superell.characters import DirichletChar, enumerate_order_ell
+from superell.characters import DirichletChar, conductor_groups, enumerate_order_ell
 from superell.cyclo import galois_row
 from superell.characters import _canon
 from superell.lfunction import LCache, l_polynomials
@@ -136,34 +136,36 @@ def test_census_partial_cache_matches_cold(tmp_path):
 
 
 def test_census_runtime_counts(tmp_path):
-    # a cold cache: the Euler product runs once per translation class
-    # {f(t + b)}, every class at q = 7 and d <= 4 has 7 members, and it reads
-    # one prime histogram per class and prime degree it needs (about half
-    # the conductor degree).  The spot check recomputes by monic sums, one
-    # histogram pass per degree below the conductor's, the 25
-    # decomposition-sampled conductors, which are their classes' first, and
-    # in each degree the first conductor whose L-polynomials came from its
-    # class: 1 + 2 + 3 + 4 passes over 1 + 8 + 57 + 400 monics.  The sampled
-    # decompositions reuse the L-polynomials of their conductor, with or
-    # without a cache
+    # a cold cache: the Euler product runs once per affine class
+    # {c^-d f(ct + b)}, 70 classes for the 2,401 conductors at q = 7 and
+    # d <= 4, and it reads one prime histogram per class and prime degree it
+    # needs (about half the conductor degree).  The spot check recomputes by
+    # monic sums, one histogram pass per degree below the conductor's, each
+    # decomposition-sampled conductor whose L-polynomials this run computed
+    # or read from its class, and in each degree the first conductor served
+    # through a translation and the first served through a dilation that
+    # twists an odd character: 1 + 5 + 5 + 8 conductors of degrees 1 to 4,
+    # so 1 + 10 + 15 + 32 passes over 1 + 5 * 8 + 5 * 57 + 8 * 400 monics.
+    # The sampled decompositions reuse the L-polynomials of their conductor,
+    # with or without a cache
     make_field(7, 1)._cache.pop("factor_table", None)  # as in a fresh process
     cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=str(tmp_path / "cold.jsonl"))
     total = cold.runtime_stats["total_counts"]
     assert total["conductors"] == 7 + 42 + 294 + 2058
-    assert total["translation_classes"] == 1 + 6 + 42 + 294
-    assert [cold.runtime_stats[f"degree_{d}_counts"]["translation_classes"]
-            for d in (1, 2, 3, 4)] == [1, 6, 42, 294]
+    assert total["affine_classes"] == 1 + 2 + 10 + 57
+    assert [cold.runtime_stats[f"degree_{d}_counts"]["affine_classes"]
+            for d in (1, 2, 3, 4)] == [1, 2, 10, 57]
     assert total["factor_table_entries"] == 7 + 49 + 343 + 2401
     assert [cold.runtime_stats[f"degree_{d}_counts"]["factor_table_entries"]
             for d in (1, 2, 3, 4)] == [7, 49, 343, 2401]
-    assert total["prime_histograms"] == 663
-    assert total["primes_scanned"] == 11046
-    assert total["histogram_passes"] == 43 + 10
-    assert total["monics_scanned"] == 2995 + 466
+    assert total["prime_histograms"] == 133
+    assert total["primes_scanned"] == 2373
+    assert total["histogram_passes"] == 1 + 10 + 15 + 32
+    assert total["monics_scanned"] == 1 + 5 * 8 + 5 * 57 + 8 * 400
     assert total["generator_candidates"] >= total["symbol_tables_built"]
     assert total["walk_steps"] >= total["generator_candidates"]
     bare = run_census(7, 1, 3, 4, sample_decomp=25)
-    for key in ("translation_classes", "prime_histograms", "primes_scanned",
+    for key in ("affine_classes", "prime_histograms", "primes_scanned",
                 "histogram_passes", "monics_scanned"):
         assert bare.runtime_stats["total_counts"][key] == total[key]
     assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
@@ -174,8 +176,30 @@ def test_census_runtime_counts(tmp_path):
     assert warm["total_counts"]["histogram_passes"] == 0
     assert warm["total_counts"]["prime_histograms"] == 0
     assert warm["total_counts"]["symbol_tables_built"] == 0
-    assert warm["total_counts"]["translation_classes"] == 0
+    assert warm["total_counts"]["affine_classes"] == 0
     assert warm["degree_2_counts"]["conductors"] == 42
+
+
+# (p, e, ell, n): q = 7 and 13; F_4, where p | deg lets a translation fix a
+# conductor; ell = 5 over F_11 and over F_16 = 2^4, the smallest field of
+# the theorem, with ell = 3 too
+@pytest.mark.parametrize("p, e, ell, n", [
+    (7, 1, 3, 3), (2, 2, 3, 4), (13, 1, 3, 3), (11, 1, 5, 2), (2, 4, 3, 3), (2, 4, 5, 3),
+])
+def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_path):
+    # every L a cold census caches, most of them read from an affine class,
+    # equals the Euler product of its own conductor
+    path = str(tmp_path / "lcache.txt")
+    run_census(p, e, ell, n, sample_decomp=0, cache_path=path)
+    F = make_field(p, e)
+    table = LCache(path, F, ell).table
+    checked = 0
+    for d in range(1, n + 1):
+        for chars in conductor_groups(F, ell, d):
+            for chi, L in zip(chars, l_polynomials(chars)):
+                assert table[chi.int_key()] == L, chi
+                checked += 1
+    assert checked == len(table)
 
 
 def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
@@ -198,8 +222,8 @@ def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
 def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
     # every prime sent to the translate of the next prime of its degree: the
     # classes no longer hold translates, and only the recomputation of each
-    # degree's first conductor whose L-polynomials came from its class, by
-    # monic sums, can tell
+    # degree's first conductor served through a translation, by monic sums,
+    # can tell
     from superell import census
     from superell.polyring import translations
 
@@ -213,21 +237,49 @@ def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
     assert err.value.invariant == "euler-product"
 
 
+def test_census_spot_check_catches_a_wrong_twist(monkeypatch):
+    # an odd character on c^-d f(ct) has the L of its class's character
+    # rescaled by zeta^(-z_c D); with the sign flipped the L keeps its
+    # degree, parity and trivial factor, and with no decomposition sample
+    # only the recomputation of each degree's first conductor served through
+    # a twisting dilation, by monic sums, can tell
+    from superell import census
+    from superell.lfunction import rescale_by_root
+
+    monkeypatch.setattr(census, "rescale_by_root", lambda L, k: rescale_by_root(L, -k))
+    with pytest.raises(InvariantViolation) as err:
+        run_census(7, 1, 3, 3, sample_decomp=0)
+    assert err.value.invariant == "euler-product"
+
+
 def test_census_duality_check_fires(monkeypatch):
-    # only the first character of degree 1 vanishes, and not its dual
+    # one stripped L that is not its own conjugate vanishes; the duals of its
+    # characters have the conjugate L, decided from its own rows, so they do
+    # not vanish.  Every distinct (L, parity, degree) is decided once
     from superell import census
 
+    F7 = make_field(7, 1)
+    distinct = {
+        (L.rows, chi.even, chi.degree)
+        for d in (1, 2)
+        for chars in conductor_groups(F7, 3, d)
+        for chi, L in zip(chars, l_polynomials(chars))
+    }
+    faulty = []
     calls = []
 
-    def first_only(L):
+    def one_vanishes(L):
         calls.append(L)
-        return len(calls) == 1
+        if not faulty and L.rows != tuple(galois_row(row, -1) for row in L.rows):
+            faulty.append(L)
+        return L == faulty[0] if faulty else False
 
-    monkeypatch.setattr(census, "central_value_is_zero", first_only)
+    monkeypatch.setattr(census, "central_value_is_zero", one_vanishes)
     with pytest.raises(InvariantViolation) as err:
-        run_census(7, 1, 3, 1, sample_decomp=0)
+        run_census(7, 1, 3, 2, sample_decomp=0)
     assert err.value.invariant == "duality"
-    assert len(calls) == 14  # every character of degree 1 was decided first
+    assert faulty and faulty[0].degree == 1  # an odd character of degree 2
+    assert len(calls) == len(distinct) > 2
 
 
 def test_model_from_char_roundtrip(F7):

@@ -15,6 +15,7 @@ from superell.polyring import (
     poly_to_json,
     powmod,
     squarefree_monics,
+    dilations,
     translations,
 )
 
@@ -225,6 +226,36 @@ def test_translations_match_composition(build):
         t, one = Poly.x(F), Poly.one(F)
         assert translate(t * (t + one), F.one()) == t * (t + one)
         assert list(translations(F, 1)[1]) == [1, 0, 3, 2]
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_field(7, 1), id="7"),
+    pytest.param(lambda: make_field(13, 1), id="13"),
+    pytest.param(lambda: make_field(2, 2), id="4"),
+    pytest.param(lambda: make_field(5, 2), id="25"),
+    pytest.param(lambda: extend_field(make_field(2, 2), 2), id="2-4-16"),
+])
+def test_dilations_match_composition(build):
+    F = build()
+    primes = {k: list(factor_table(F).level(k).primes) for k in (1, 2, 3)}
+    for k in (1, 2, 3):
+        maps = dilations(F, k)
+        assert len(maps) == F.q and maps[0] is None and list(maps[1]) == primes[k]
+        for ci in range(1, F.q):
+            c = F.elem_at(ci)
+            # c^-k P(ct), by substituting the polynomial c t into P
+            scaled = Poly(F, (F.zero(), c))
+            inverse = Poly.constant(F.inverse(F.pow(c, k)))
+            moved = []
+            for P in irreducibles(F, k):
+                image = Poly.zero(F)
+                for a in reversed(P.coeffs):
+                    image = image * scaled + Poly.constant(a)
+                image = image * inverse
+                assert image.is_monic() and image.degree == k
+                moved.append(image.vector_index() - F.q**k)
+            assert list(maps[ci]) == moved
+            assert sorted(moved) == primes[k]  # a bijection on the primes
 
 
 def _random_monic(F, degree, rng) -> Poly:
