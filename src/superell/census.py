@@ -123,15 +123,18 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
 class _AffineClasses:
     """The affine classes {sigma_c(f(t + b)) : c in F_q^*, b in F_q} of the
     conductors of one degree, in one run, sigma_c(g) = c^-deg g g(ct).  The
-    first conductor of a class that needs L-polynomials computes them and
-    registers each other member with them, keyed by the member's prime codes,
-    with the position among the member's primes of sigma_c(P(t + b)) for
-    each of its primes P, and with the member's twist z_c; a later conductor
-    of the class finds itself there.  The character with exponents e_i on
-    the sigma_c(P_i(t + b)) has the L of the one with exponents e_i on the
-    P_i, rescaled by zeta^(-z_c D), D = sum e_i deg P_i (see the module
-    docstring), and each class rescales each of its L once per shift.
-    `count` is the number of classes met."""
+    first conductor of a class, once its L-polynomials are at hand (computed
+    or read from the L-cache), registers each other member with them
+    (`register`), keyed by the member's prime codes, with the position among
+    the member's primes of sigma_c(P(t + b)) for each of its primes P, and
+    with the member's twist z_c; a later conductor of the class finds itself
+    there (`serve`).  The character with exponents e_i on the
+    sigma_c(P_i(t + b)) has the L of the one with exponents e_i on the P_i,
+    rescaled by zeta^(-z_c D), D = sum e_i deg P_i (see the module
+    docstring).  Each class rescales each of its L once per shift, and
+    matches its L-polynomials to a member's exponents once per distinct
+    (positions, z_c).  `count` is the number of classes whose L-polynomials
+    the run computed."""
 
     def __init__(self, F: Field, ell: int):
         self.field = F
@@ -142,40 +145,55 @@ class _AffineClasses:
         self.twists = [None] + [
             zeta_pow_index[F.pow(F.elem_at(c), (F.q - 1) // ell).idx] for c in range(1, F.q)
         ]
-        self.members: dict = {}  # prime codes -> (class Ls, positions, c, z_c)
+        # prime codes -> ((class Ls, matched), positions, c, z_c); the class
+        # Ls are keyed by (exponents, shift), `matched` by (positions, z_c)
+        self.members: dict = {}
         self.count = 0
 
-    def fill(self, chars: list, found: list, missing: list) -> "str | None":
-        """Set found[i] for the indices i in `missing`.  None when they were
-        computed; else how they were read from the conductor's class:
-        "translation" (c = 1), "twist" (z_c != 0 and one of them is odd, so
-        its L was rescaled) or "dilation"."""
+    def serve(self, chars: list) -> "tuple[list, str] | None":
+        """The L-polynomials of the characters on a member of a registered
+        class, and how they were read: "translation" (c = 1), "twist"
+        (z_c != 0 and one of them is odd, so its L was rescaled) or
+        "dilation".  None when the conductor is not such a member."""
         key = chars[0].int_key()
-        codes = tuple(zip(key[0::3], key[1::3]))
-        member = self.members.pop(codes, None)
-        if member is not None:
-            ls, positions, c, z = member
-            degrees, ell = key[0::3], self.ell
-            twisted = False
-            for i in missing:
-                exponents = chars[i].int_key()[2::3]
-                shift = z and -z * sum(map(operator.mul, exponents, degrees)) % ell
-                twisted = twisted or shift != 0
-                at = (tuple([exponents[n] for n in positions]), shift)
-                L = ls.get(at)
-                if L is None:
-                    L = ls[at] = rescale_by_root(ls[at[0], 0], shift)
-                found[i] = L
-            return "translation" if c == 1 else "twist" if twisted else "dilation"
-        for i, L in zip(missing, l_polynomials([chars[i] for i in missing])):
-            found[i] = L
-        self.count += 1
-        ls = {(chi.int_key()[2::3], 0): L for chi, L in zip(chars, found)}
+        member = self.members.pop(tuple(zip(key[0::3], key[1::3])), None)
+        if member is None:
+            return None
+        (ls, matched), positions, c, z = member
+        got = matched.get((positions, z))
+        if got is None:
+            got = matched[positions, z] = self._match(ls, key[0::3], positions, z)
+        by_exponents, twisted = got
+        found = [by_exponents[chi.int_key()[2::3]] for chi in chars]
+        return found, "translation" if c == 1 else "twist" if twisted else "dilation"
+
+    def _match(self, ls: dict, degrees: tuple, positions: tuple, z: int) -> tuple[dict, bool]:
+        """The L-polynomials of a class's members with these positions and
+        twist, by the member's exponents, and whether one was rescaled."""
+        out = {}
+        twisted = False
+        for x in [x for x, shift in ls if not shift]:
+            shift = z and -z * sum(map(operator.mul, x, degrees)) % self.ell
+            twisted = twisted or shift != 0
+            L = ls.get((x, shift))
+            if L is None:
+                L = ls[x, shift] = rescale_by_root(ls[x, 0], shift)
+            exponents = [0] * len(x)
+            for e, n in zip(x, positions):
+                exponents[n] = e
+            out[tuple(exponents)] = L
+        return out, twisted
+
+    def register(self, chars: list, l_polys: list) -> None:
+        """Register every other member of the class of the conductor of
+        `chars`, whose L-polynomials are `l_polys`, with them."""
+        group = ({(chi.int_key()[2::3], 0): L for chi, L in zip(chars, l_polys)}, {})
+        key = chars[0].int_key()
         F = self.field
         # the code of sigma_c(P(t + b)) for each prime P, by (c, b) in the
         # order c = 1, ..., q - 1 and b = 0, ..., q - 1: translations first
         images = []
-        for k, j in codes:
+        for k, j in zip(key[0::3], key[1::3]):
             rank = self.table.levels[k].spf_rank
             moved = [rank[image[rank[j]]] for image in translations(F, k)]
             images.append([(k, image[r]) for image in dilations(F, k)[1:] for r in moved])
@@ -187,9 +205,8 @@ class _AffineClasses:
             # a conductor fixed by a non-trivial affine map meets a member
             # twice, and either matching of its primes is valid
             c = 1 + m // F.q
-            member = (ls, positions, c, self.twists[c])
+            member = (group, tuple(positions), c, self.twists[c])
             self.members.setdefault(tuple(code for code, _ in met), member)
-        return None
 
 
 def _l_polys_cached(
@@ -197,16 +214,25 @@ def _l_polys_cached(
 ) -> tuple[list[LPoly], list[int], "str | None"]:
     """L-polynomials of characters on one conductor, the indices of those
     not read from the cache, and how those came from the conductor's affine
-    class (`_AffineClasses.fill`; None when computed or none missing).
-    Every character is looked up first; the misses then go through the class
-    and are stored, so a conductor answered from the cache touches no
-    residue-symbol table and no affine map."""
+    class (`_AffineClasses.serve`; None when the conductor is the first of
+    its class).  A member of a class registered in this degree is served
+    through the class maps and never looked up in the cache.  The first
+    conductor of a class is looked up, its misses are computed and stored,
+    and its class is registered; so the cache holds the first conductors of
+    the classes only, and a warm run computes no Euler product."""
+    served = classes.serve(chars)
+    if served is not None:
+        return served[0], list(range(len(chars))), served[1]
     found = [None] * len(chars) if cache is None else [cache.get(chi) for chi in chars]
     missing = [i for i, L in enumerate(found) if L is None]
-    route = classes.fill(chars, found, missing) if missing else None
-    if missing and cache is not None:
-        cache.put([(chars[i], found[i]) for i in missing])
-    return found, missing, route
+    if missing:
+        for i, L in zip(missing, l_polynomials([chars[i] for i in missing])):
+            found[i] = L
+        classes.count += 1
+        if cache is not None:
+            cache.put([(chars[i], found[i]) for i in missing])
+    classes.register(chars, found)
+    return found, missing, None
 
 
 def _spot_check(chars: list, l_polys: list) -> None:

@@ -28,7 +28,7 @@ in the base-p digits of g's index, with the images of `polyring.unit_images`
 same L-polynomials, which the census spot check runs.
 
 A character has one JSON encoding, `DirichletChar.canonical_json`, which
-reports use, and `to_json` is its parse.  The L-cache keys it by
+reports use, and `to_json` is the object it encodes.  The L-cache keys it by
 `DirichletChar.int_key`, integers that name its primes within the field.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from collections import Counter, OrderedDict
 
 from . import limits
@@ -243,23 +244,24 @@ class DirichletChar:
         if not pairs:
             raise InputError("a primitive order-ell character needs a non-trivial conductor")
         pairs.sort(key=lambda t: (t[0].degree, t[0].key()))
-        self._set(field, ell, tuple(pairs))
+        degree = sum(P.degree for P, _ in pairs)
+        sign = sum(e * P.degree for P, e in pairs)
+        self._set(field, ell, tuple(pairs), degree, sign, None)
 
-    def _set(self, field: Field, ell: int, exponent_map: tuple) -> None:
+    def _set(
+        self, field: Field, ell: int, exponent_map: tuple, degree: int, sign: int, ints
+    ) -> None:
+        """Fill the slots: `degree` is the conductor degree, and `sign` is
+        sum e deg P, which is 0 mod ell exactly when chi is trivial on the
+        constants."""
         self.field = field
         self.ell = ell
         self.exponent_map = exponent_map
-        # the conductor degree, and sum e deg P, which is 0 mod ell exactly
-        # when chi is trivial on the constants
-        degree = sign = 0
-        for P, e in exponent_map:
-            degree += P.degree
-            sign += e * P.degree
         self.degree = degree
         self.even = sign % ell == 0
         self._conductor = None
         self._json = None
-        self._ints = None
+        self._ints = ints
 
     @classmethod
     def _on_table_primes(
@@ -268,10 +270,13 @@ class DirichletChar:
         """A character whose primes are monic, distinct and in canonical order
         and whose exponents lie in 1..ell-1, as `conductor_groups` builds
         them from the factor table: the checks of `__init__` are skipped, and
-        its `int_key` is the one given, read from the table's marks."""
+        its `int_key` is the one given, read from the table's marks.  The key
+        holds each prime's degree and exponent, so the conductor degree and
+        the parity are read from it."""
         chi = object.__new__(cls)
-        chi._set(field, ell, exponent_map)
-        chi._ints = int_key
+        degrees = int_key[0::3]
+        sign = sum(map(operator.mul, degrees, int_key[2::3]))
+        chi._set(field, ell, exponent_map, sum(degrees), sign, int_key)
         return chi
 
     @property
@@ -349,7 +354,13 @@ class DirichletChar:
         return self._ints
 
     def to_json(self) -> dict:
-        return json.loads(self.canonical_json())
+        """The object that `canonical_json` encodes, built from the field's
+        descriptor and its primes' `poly_to_json`, not parsed."""
+        return {
+            "ell": self.ell,
+            "factors": [[poly_to_json(P), e] for P, e in self.exponent_map],
+            "field": self.field.descriptor(),
+        }
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "DirichletChar":

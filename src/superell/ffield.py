@@ -168,11 +168,13 @@ class Field:
     level within the cap also holds its log tables (`_dlog`, `_exp`) and the
     spread codes of its elements and of their negatives (`_spread`,
     `_nspread`, with `_neg` and the `_norm` tables of `spread_coding(p, e)`);
-    `_dlog` is None for prime fields and for fields above the cap."""
+    `_dlog` is None for prime fields and for fields above the cap.  A tower
+    level above the cap holds its modulus as a `polyring.Poly` (`_mpoly`),
+    built once, for its products."""
 
     __slots__ = (
         "p", "base", "rel_degree", "e", "q", "modulus", "_cache", "elems",
-        "_dlog", "_exp", "_spread", "_nspread", "_neg", "_norm",
+        "_dlog", "_exp", "_spread", "_nspread", "_neg", "_norm", "_mpoly",
     )
 
     def __init__(self, p: int, base: "Field | None", rel_degree: int, modulus):
@@ -186,6 +188,10 @@ class Field:
         self._dlog = None
         if self.q > ELEM_TABLE_CAP:
             self.elems = _FreshElems(self)
+            if base is not None:
+                from .polyring import Poly  # polyring imports this module
+
+                self._mpoly = Poly(base, modulus)
         elif base is None:
             self.elems = [FieldElem(self, (v,), v) for v in range(p)]
         else:
@@ -308,11 +314,10 @@ class Field:
             return self.elems[a.idx * b.idx % self.p]
         dlog = self._dlog
         if dlog is None:
-            from .polyring import Poly  # polyring imports this module
-
-            base = self.base
-            r = Poly(base, a.coeffs) * Poly(base, b.coeffs) % Poly(base, self.modulus)
-            return self.elems[r.vector_index()]
+            m = self._mpoly
+            Poly, base = type(m), self.base  # polyring.Poly, which imports this module
+            r = (Poly(base, a.coeffs) * Poly(base, b.coeffs) % m).coeffs
+            return self.from_coeffs(r + (base.zero(),) * (self.rel_degree - len(r)))
         if a.idx and b.idx:
             return self.elems[self._exp[dlog[a.idx] + dlog[b.idx]]]
         return self.elems[0]

@@ -25,8 +25,11 @@ test; an `LPoly` is its rows only, and nothing on the way converts them.
 
 The L-cache (`LCache`) is a text file bound to one field and ell by its
 first line, a canonical JSON header.  Every later line is one block, the
-characters of one `put` (the census puts one conductor at a time): the
-sha256 of the block's body, a space, and the body, decimal integers only.
+characters of one `put`: the sha256 of the block's body, a space, and the
+body, decimal integers only.  The census puts only the conductors whose
+L-polynomials the Euler product computed, the first of each affine class,
+and looks up only those; the other members of a class read theirs through
+the class maps, warm or cold, and are never looked up.
 """
 
 from __future__ import annotations
@@ -354,7 +357,10 @@ def central_value_is_zero(L: LPoly) -> bool:
 # -- append-only cache -----------------------------------------------------------
 
 _FORMAT = "superell-lcache"
-_VERSION = 2
+_VERSION = 3
+# earlier formats, refused with a message to delete the file: version 1 held
+# JSON lines, version 2 a block for every conductor of a census
+_OLD_VERSIONS = (1, 2)
 
 
 def _digest(body: bytes) -> bytes:
@@ -370,21 +376,25 @@ def _header(field, ell: int) -> str:
 
 def _check_header(line: bytes, header: str, path) -> None:
     """InputError naming --cache unless the first line of an L-cache file is
-    the given canonical header, or one that canonicalises to it.  Nothing is
-    derived from the line beyond that comparison."""
+    the given canonical header, or one that canonicalises to it; an earlier
+    format version is named in the message.  Nothing is derived from the
+    line beyond its version and that comparison."""
     where = f"the L-cache (--cache) {path!r}"
     if line.startswith(b'{"checksum":'):
+        version = 1
+    else:
+        try:
+            data = json.loads(line)
+            version = data["version"] if data["format"] == _FORMAT else None
+        except (ValueError, TypeError, KeyError, RecursionError):
+            version = None
+    if version in _OLD_VERSIONS:
         raise InputError(
-            f"{where} is in the version-1 format, which this version does not read; "
+            f"{where} is in the version-{version} format, which this version does not read; "
             "delete it, and a cold run rebuilds it"
         )
-    try:
-        data = json.loads(line)
-        ok = line.endswith(b"\n") and data["format"] == _FORMAT and data["version"] == _VERSION
-    except (ValueError, TypeError, KeyError, RecursionError):
-        ok = False
-    if not ok:
-        raise InputError(f"{where} does not start with a version-2 L-cache header")
+    if version != _VERSION or not line.endswith(b"\n"):
+        raise InputError(f"{where} does not start with a version-{_VERSION} L-cache header")
     if _canon(data) != header:
         raise InputError(f"{where} is for another field or ell, not the census's {header}")
 
@@ -438,12 +448,17 @@ class LCache:
     in a file bound to one field and ell.
 
     The first line is the header, canonical JSON
-    {"ell":...,"field":<descriptor>,"format":"superell-lcache","version":2}.
+    {"ell":...,"field":<descriptor>,"format":"superell-lcache","version":3}.
     A missing or zero-byte file is an empty cache, and the first `put` writes
     the header (through a synced temporary file).  A header that does not
-    parse, a version-1 file, or a header for a field or ell other than those
-    given here raises InputError naming --cache, and the file is left as it
-    is.
+    parse, a version-1 or version-2 file, or a header for a field or ell
+    other than those given here raises InputError naming --cache, and the
+    file is left as it is.  Version 2 differs from version 3 in what the
+    census stores, not in the encoding: it held a block for every
+    conductor, and version 3 holds one for the first conductor of each
+    affine class whose L-polynomials the census computed
+    (`census._l_polys_cached`), so a file of 2,401 blocks at q = 7, n <= 4
+    becomes one of 70.
 
     Every later line is one block, appended by one `put` in a single write:
     the sha256 of its body, a space, and the body (see `_decode_block`).  A

@@ -53,15 +53,22 @@ def test_census_cache_warm_rerun_identical(tmp_path):
 
 
 def test_census_cache_corruption_rebuilds(tmp_path):
+    # the 7 conductors of degree 1 form one affine class, so the cache holds
+    # one block, that of t with its 2 characters
     path = str(tmp_path / "lcache.txt")
-    run_census(7, 1, 3, 1, sample_decomp=2, cache_path=path)
+    clean = run_census(7, 1, 3, 1, sample_decomp=2, cache_path=path)
     with open(path) as fh:
         header, *blocks = fh.read().splitlines(keepends=True)
     with open(path, "w") as fh:
         fh.write(header + "".join("ff" + block for block in blocks))
     rep = run_census(7, 1, 3, 1, sample_decomp=2, cache_path=path)
     assert rep.cache_stats.get("rebuilt") is True
-    assert rep.cache_stats["bad_lines"] == rep.cache_stats["blocks"] == 7
+    assert rep.cache_stats["bad_lines"] == rep.cache_stats["blocks"] == 1
+    assert rep.cache_stats["misses"] == 2
+    assert rep.runtime_stats["total_counts"]["affine_classes"] == 1
+    assert _answer(rep) == _answer(clean)
+    with open(path) as fh:
+        assert fh.read().splitlines(keepends=True) == [header, *blocks]
 
 
 def _reblock(body: str) -> str:
@@ -79,9 +86,13 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
     assert rep.cache_stats.get("rebuilt") is True
     assert _answer(rep) == _answer(clean)
     # only the torn block is dropped, so only the characters of its conductor
-    # are computed again: the last one, t^2 + 6t + 6, is prime and carries 2
+    # are computed again.  The blocks are the first conductors of the
+    # classes: t, the prime t^2 + 1 and the last one, (t + 2)(t + 5), which
+    # carries 4; the other conductors are served through their classes and
+    # never looked up
     assert rep.cache_stats["bad_lines"] == 1
-    assert rep.cache_stats["misses"] == 2
+    assert rep.cache_stats["misses"] == 4
+    assert rep.runtime_stats["total_counts"]["affine_classes"] == 1
     again = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert again.cache_stats["misses"] == 0 and again.cache_stats["bad_lines"] == 0
     # a line that is not UTF-8 is a bad block too, not a crash
@@ -92,7 +103,7 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
     assert _answer(binary) == _answer(clean)
     # a block whose checksum holds but whose body does not decode is bad too:
     # it is dropped and its conductor's characters computed again.  The first
-    # two blocks are the conductors t and t + 1, with 2 characters each.
+    # two blocks are the conductors t and t^2 + 1, with 2 characters each.
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     for i, forge in ((1, lambda ints: ints[:-1] + ["x"]), (2, lambda ints: ints[:-1])):
@@ -101,14 +112,15 @@ def test_census_cache_torn_line_rebuilds(tmp_path):
         fh.write("".join(line + "\n" for line in lines))
     forged = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
     assert forged.cache_stats["bad_lines"] == 2 and forged.cache_stats["misses"] == 4
+    assert forged.runtime_stats["total_counts"]["affine_classes"] == 2
     assert _answer(forged) == _answer(clean)
 
 
 def test_census_partial_cache_matches_cold(tmp_path):
-    # only the misses go through the translation classes, so a class whose
-    # first conductor is partly or wholly served by the cache still gives
-    # its later conductors their L-polynomials: drop every second block,
-    # and the first record of every block whose index is 1 mod 4
+    # a class whose first conductor is partly or wholly served by the cache
+    # still gives its later conductors their L-polynomials, and only the
+    # first conductor's misses are computed: drop every second block, and
+    # the first record of every block whose index is 1 mod 4
     path = str(tmp_path / "lcache.txt")
     cold = run_census(7, 1, 3, 3, sample_decomp=10, cache_path=path)
     full = LCache(path, make_field(7, 1), 3).table
@@ -170,14 +182,33 @@ def test_census_runtime_counts(tmp_path):
         assert bare.runtime_stats["total_counts"][key] == total[key]
     assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
     assert _answer(bare) == _answer(cold)
+    # a warm run reads the first conductor of each of the 1 + 2 classes at
+    # q = 7, d <= 2 from the cache, 2 + 2 + 4 characters, and serves the
+    # other conductors through their classes, so it runs no Euler product
+    # but the same route spot checks as a cold run: the first translation
+    # of degree 1 (one pass) and the first translation and first odd twist
+    # of degree 2 (two passes each).  The sampled even conductor is the
+    # first of its class, read from the cache, so it is not recomputed.
+    # With the symbol tables of the cold run gone, as in a fresh process, it
+    # builds the tables of the two spot-checked degree-2 conductors, both
+    # prime, and no other: the degree-1 check reads only the degree-0 pass
     path = str(tmp_path / "lcache.jsonl")
     run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
-    warm = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path).runtime_stats
-    assert warm["total_counts"]["histogram_passes"] == 0
+    with open(path, "rb") as fh:
+        filled = fh.read()
+    make_field(7, 1)._cache.pop(("charctx", 3), None)
+    warm_rep = run_census(7, 1, 3, 2, sample_decomp=2, cache_path=path)
+    warm = warm_rep.runtime_stats
+    assert warm_rep.cache_stats["blocks"] == 3
+    assert (warm_rep.cache_stats["hits"], warm_rep.cache_stats["misses"]) == (8, 0)
+    assert warm["total_counts"]["histogram_passes"] == 1 + 2 + 2
+    assert warm["total_counts"]["monics_scanned"] == 1 + 2 * (1 + 7)
     assert warm["total_counts"]["prime_histograms"] == 0
-    assert warm["total_counts"]["symbol_tables_built"] == 0
+    assert warm["total_counts"]["symbol_tables_built"] == 2
     assert warm["total_counts"]["affine_classes"] == 0
     assert warm["degree_2_counts"]["conductors"] == 42
+    with open(path, "rb") as fh:
+        assert fh.read() == filled
 
 
 # (p, e, ell, n): q = 7 and 13; F_4, where p | deg lets a translation fix a
@@ -186,20 +217,44 @@ def test_census_runtime_counts(tmp_path):
 @pytest.mark.parametrize("p, e, ell, n", [
     (7, 1, 3, 3), (2, 2, 3, 4), (13, 1, 3, 3), (11, 1, 5, 2), (2, 4, 3, 3), (2, 4, 5, 3),
 ])
-def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_path):
-    # every L a cold census caches, most of them read from an affine class,
-    # equals the Euler product of its own conductor
+def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_path, monkeypatch):
+    # every L a census hands a character, cold and warm, most of them read
+    # from an affine class, equals the Euler product of its own conductor;
+    # the cache holds one block per class the cold run computed, and only
+    # the characters of those blocks' conductors
+    from superell import census
+
+    through_classes = census._l_polys_cached
+    handed = []  # (chars, their L-polynomials) as the census received them
+
+    def recorded(chars, cache, classes):
+        out = through_classes(chars, cache, classes)
+        handed.append((chars, out[0]))
+        return out
+
+    monkeypatch.setattr(census, "_l_polys_cached", recorded)
     path = str(tmp_path / "lcache.txt")
-    run_census(p, e, ell, n, sample_decomp=0, cache_path=path)
-    F = make_field(p, e)
-    table = LCache(path, F, ell).table
-    checked = 0
-    for d in range(1, n + 1):
-        for chars in conductor_groups(F, ell, d):
-            for chi, L in zip(chars, l_polynomials(chars)):
-                assert table[chi.int_key()] == L, chi
+    expected: dict = {}  # int_key -> l_polynomials of its own conductor
+    for run in ("cold", "warm"):
+        handed.clear()
+        rep = run_census(p, e, ell, n, sample_decomp=0, cache_path=path)
+        checked = 0
+        for chars, Ls in handed:
+            if chars[0].int_key() not in expected:
+                expected.update((chi.int_key(), L) for chi, L in zip(chars, l_polynomials(chars)))
+            for chi, L in zip(chars, Ls):
+                assert L == expected[chi.int_key()], (run, chi)
                 checked += 1
-    assert checked == len(table)
+        assert checked == sum(row["count_A"] for row in rep.per_degree)
+        if run == "cold":
+            classes = rep.runtime_stats["total_counts"]["affine_classes"]
+        else:
+            assert rep.cache_stats["misses"] == 0
+            assert rep.runtime_stats["total_counts"]["affine_classes"] == 0
+    cache = LCache(path, make_field(p, e), ell)
+    assert cache.blocks == classes == rep.cache_stats["blocks"]
+    assert len(cache.table) == rep.cache_stats["hits"] < checked
+    assert all(L == expected[key] for key, L in cache.table.items())
 
 
 def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):
@@ -497,6 +552,7 @@ _THM42 = ["seed-check", "--kind", "thm42", "--p", "5"]
         (_CENSUS1 + ["--cache", "ell5.lcache"], {}, "--cache"),
         (_CENSUS1 + ["--cache", "garbled.lcache"], {}, "--cache"),
         (_CENSUS1 + ["--cache", "huge.lcache"], {}, "--cache"),
+        (_CENSUS1 + ["--cache", "v2.lcache"], {}, "--cache"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys, tmp_path):
@@ -515,15 +571,17 @@ def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys, tmp_path):
 
 def _unusable_caches() -> dict:
     """L-cache files by name that a census over F_7 with ell = 3 refuses: a
-    version-1 file, headers for another field or ell (one of a field far too
-    large to build), and a header that does not parse."""
-    def header(F, ell):
+    version-1 file, a version-2 file (a block per conductor), headers for
+    another field or ell (one of a field far too large to build), and a
+    header that does not parse."""
+    def header(F, ell, version=3):
         return _canon({"ell": ell, "field": F.descriptor(),
-                       "format": "superell-lcache", "version": 2}) + "\n"
+                       "format": "superell-lcache", "version": version}) + "\n"
 
     block = _reblock("1 1 1 0 1 1 0") + "\n"  # the character on t, exponent 1: L = 1
     return {
         "v1.jsonl": '{"checksum":"' + "0" * 64 + '","key":"{}","value":{}}\n',
+        "v2.lcache": header(make_field(7, 1), 3, version=2) + block,
         "f13.lcache": header(make_field(13, 1), 3) + block,
         "ell5.lcache": header(make_field(7, 1), 5) + block,
         "garbled.lcache": '{"ell":3,"field":\n' + block,

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from superell import (
@@ -368,6 +370,34 @@ def test_char_json_roundtrip(F7):
     chi = DirichletChar(F7, 3, [(t, 1), (t**2 + poly(F7, 2), 2)])
     back = DirichletChar.from_json(F7, chi.to_json())
     assert back == chi
+
+
+# ids: q, ell; F_16 as the tower 2 -> 4 -> 16
+@pytest.mark.parametrize("p, tower, ell", [
+    pytest.param(7, [1], 3, id="7-3"),
+    pytest.param(2, [2], 3, id="4-3"),
+    pytest.param(2, [2, 2], 3, id="16-3"),
+    pytest.param(11, [1], 5, id="11-5"),
+])
+def test_char_to_json_is_its_canonical_json(p, tower, ell):
+    # to_json builds the object its canonical JSON encodes, with no parse,
+    # and a character of `conductor_groups` takes its degree and parity from
+    # its key: both agree with a character built and checked by the public
+    # constructor
+    F = make_field(p, tower[0])
+    for n in tower[1:]:
+        F = extend_field(F, n)
+    for d in (1, 2):
+        for chars in conductor_groups(F, ell, d):
+            for chi in chars:
+                data = chi.to_json()
+                assert data == json.loads(chi.canonical_json())
+                assert json.dumps(data, sort_keys=True, separators=(",", ":")) == chi.canonical_json()
+                twin = DirichletChar(F, ell, chi.exponent_map[::-1])
+                assert (twin.degree, twin.even) == (chi.degree, chi.even) == (
+                    d, sum(e * P.degree for P, e in chi.exponent_map) % ell == 0
+                )
+                assert twin.to_json() == data
 
 
 def _brute_value_counts(chi, degree, symbols, polys=None):

@@ -204,7 +204,7 @@ def test_lpoly_constructor_checks_constant_and_top_coefficient():
 
 
 def _header_line(F, ell) -> str:
-    return _canon({"ell": ell, "field": F.descriptor(), "format": "superell-lcache", "version": 2})
+    return _canon({"ell": ell, "field": F.descriptor(), "format": "superell-lcache", "version": 3})
 
 
 def _block_line(pairs) -> str:
@@ -296,18 +296,19 @@ def test_lcache_is_bound_to_its_field_and_ell(tmp_path, F7):
         cache.put([(two, l_polynomial(two)), (chi, l_polynomial(chi))])
     assert err.value.invariant == "lcache-block"
     assert path.read_text() == text and cache.get(two) is None
-    # a version-1 file, a header that does not parse and a header for a
-    # field or ell far from any census are refused too, before anything is
-    # derived from them
+    # a version-1 or version-2 file, a header that does not parse and a
+    # header for a field or ell far from any census are refused too, before
+    # anything is derived from them
     huge_tower = text.replace('"tower":[]', '"tower":[1000000000000]')
     huge_ell = text.replace('"ell":3', '"ell":1000000000000')
     assert huge_tower != text and huge_ell != text
     for bad, message in (
         ('{"checksum":"00","key":"{}","value":{}}\n', "a cold run rebuilds it"),
-        ("not a header\n", "version-2 L-cache header"),
-        ("[]\n", "version-2 L-cache header"),
-        (text.replace('"version":2', '"version":3'), "version-2 L-cache header"),
-        (text.splitlines()[0], "version-2 L-cache header"),  # torn: no newline
+        (text.replace('"version":3', '"version":2'), "version-2 format.*a cold run rebuilds it"),
+        ("not a header\n", "version-3 L-cache header"),
+        ("[]\n", "version-3 L-cache header"),
+        (text.replace('"version":3', '"version":4'), "version-3 L-cache header"),
+        (text.splitlines()[0], "version-3 L-cache header"),  # torn: no newline
         (huge_tower, "another field or ell"),
         (huge_ell, "another field or ell"),
     ):
