@@ -31,11 +31,21 @@ first conductor served through a translation and the first served through a
 dilation that twists an odd character, is recomputed by monic character
 sums, and a mismatch raises InvariantViolation.
 
-Stripping, the degree law and the central test read only the L-polynomial,
-the parity and the conductor degree, so they run once per distinct
-(L, parity, degree) of a degree and every character with that triple gets
-the decision.  The duality check stays independent: the dual of chi has the
-conjugate L, decided from its own coefficients.
+The census walks the conductors as the factor table's prime codes with
+their exponent assignments (`characters.squarefree_conductors`) and builds
+a `DirichletChar` only where something reads one: every character of the
+first conductor of a class (the Euler route and the L-cache keys), of the
+spot-checked and decomposition-sampled conductors, and each vanishing
+character the report lists.  Stripping, the degree law and the central
+test read only the L-polynomial, the parity and the conductor degree, so
+they run once per distinct (L, parity, degree) of a degree.  A member of a
+class has the parity and degree of the class character whose L it shares,
+so a class matches its L-polynomials and their decisions to a member's
+exponent assignments once per distinct matching of the primes and twist,
+and every other member with that matching reads both with no character
+built (`_AffineClasses`).  The duality check stays independent: the dual
+of chi has the conjugate L, decided from its own coefficients, and its key
+is looked up among the vanishing characters' `int_key`s.
 
 All list outputs are sorted by (conductor degree, canonical conductor order,
 exponent assignment); reruns with a warm cache are bit-identical apart from
@@ -51,8 +61,8 @@ from .characters import (
     DirichletChar,
     char_context,
     char_from_model,
-    conductor_groups,
     count_order_ell_exact,
+    squarefree_conductors,
 )
 from .curves import (
     SuperellipticModel,
@@ -122,19 +132,21 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
 
 class _AffineClasses:
     """The affine classes {sigma_c(f(t + b)) : c in F_q^*, b in F_q} of the
-    conductors of one degree, in one run, sigma_c(g) = c^-deg g g(ct).  The
-    first conductor of a class, once its L-polynomials are at hand (computed
-    or read from the L-cache), registers each other member with them
-    (`register`), keyed by the member's prime codes, with the position among
-    the member's primes of sigma_c(P(t + b)) for each of its primes P, and
-    with the member's twist z_c; a later conductor of the class finds itself
-    there (`serve`).  The character with exponents e_i on the
+    conductors of one degree, in one run, sigma_c(g) = c^-deg g g(ct), with
+    the decisions of that degree.  The first conductor of a class, once its
+    L-polynomials are at hand (computed or read from the L-cache), registers
+    each other member (`register`), keyed by the member's prime codes, with
+    the codes of the sigma_c(P(t + b)) for its own primes P, in their
+    order, and with c; a later conductor of the class finds itself there
+    and reads the positions of those images among its primes (`serve`).  The character with exponents e_i on the
     sigma_c(P_i(t + b)) has the L of the one with exponents e_i on the P_i,
     rescaled by zeta^(-z_c D), D = sum e_i deg P_i (see the module
-    docstring).  Each class rescales each of its L once per shift, and
-    matches its L-polynomials to a member's exponents once per distinct
-    (positions, z_c).  `count` is the number of classes whose L-polynomials
-    the run computed."""
+    docstring), and the same parity and degree.  So each class rescales each
+    of its L once per shift, and matches its L-polynomials and decisions to
+    a member's exponents once per distinct (positions, z_c) (`_match`).
+    A decision is made once per distinct (L, parity, degree) (`decide`).
+    `count` is the number of classes whose L-polynomials the run computed,
+    and `built` the number of characters built (`chars`)."""
 
     def __init__(self, F: Field, ell: int):
         self.field = F
@@ -145,84 +157,126 @@ class _AffineClasses:
         self.twists = [None] + [
             zeta_pow_index[F.pow(F.elem_at(c), (F.q - 1) // ell).idx] for c in range(1, F.q)
         ]
-        # prime codes -> ((class Ls, matched), positions, c, z_c); the class
-        # Ls are keyed by (exponents, shift), `matched` by (positions, z_c)
+        # prime codes -> (class, the codes of the images of its first
+        # conductor's primes, c); a class is (its Ls by (exponents, shift),
+        # its first conductor's characters by exponents, its matches by
+        # (positions, z_c))
         self.members: dict = {}
+        self.decisions: dict = {}  # (L.rows, chi.even, chi.degree) -> vanishes
         self.count = 0
+        self.built = 0
 
-    def serve(self, chars: list) -> "tuple[list, str] | None":
-        """The L-polynomials of the characters on a member of a registered
-        class, and how they were read: "translation" (c = 1), "twist"
-        (z_c != 0 and one of them is odd, so its L was rescaled) or
-        "dilation".  None when the conductor is not such a member."""
-        key = chars[0].int_key()
-        member = self.members.pop(tuple(zip(key[0::3], key[1::3])), None)
+    def chars(self, primes: tuple, codes: tuple, assignments) -> list[DirichletChar]:
+        """The characters with these exponent assignments on a conductor of
+        `squarefree_conductors`."""
+        self.built += len(assignments)
+        make = DirichletChar._on_table_primes
+        return [make(self.field, self.ell, primes, codes, x) for x in assignments]
+
+    def decide(self, L: LPoly, chi: DirichletChar) -> bool:
+        """Whether L, the L-polynomial of chi, vanishes at the centre once
+        stripped.  The strip, its degree law and the central test read only
+        L, the parity and the degree, so each distinct triple is decided once."""
+        at = (L.rows, chi.even, chi.degree)
+        vanishes = self.decisions.get(at)
+        if vanishes is None:
+            stripped, _k = strip_trivial_factor(L, chi)
+            vanishes = self.decisions[at] = central_value_is_zero(stripped)
+        return vanishes
+
+    def serve(self, codes: tuple) -> "tuple[tuple, tuple, str] | None":
+        """For a member of a registered class, with these prime codes: the
+        L-polynomials of its characters in `squarefree_conductors` order, the
+        indices of those that vanish, and how they were read: "translation"
+        (c = 1), "twist" (z_c != 0 and one of them is odd, so its L was
+        rescaled) or "dilation".  None when the conductor is not such a
+        member."""
+        member = self.members.pop(codes, None)
         if member is None:
             return None
-        (ls, matched), positions, c, z = member
-        got = matched.get((positions, z))
+        group, column, c = member
+        # positions[n]: where the image of the class's n-th prime sits among
+        # the member's primes
+        positions = tuple(map(codes.index, column))
+        z = self.twists[c]
+        got = group[2].get((positions, z))
         if got is None:
-            got = matched[positions, z] = self._match(ls, key[0::3], positions, z)
-        by_exponents, twisted = got
-        found = [by_exponents[chi.int_key()[2::3]] for chi in chars]
-        return found, "translation" if c == 1 else "twist" if twisted else "dilation"
+            got = group[2][positions, z] = self._match(group, positions, z)
+        l_polys, vanishing, twisted = got
+        return l_polys, vanishing, "translation" if c == 1 else "twist" if twisted else "dilation"
 
-    def _match(self, ls: dict, degrees: tuple, positions: tuple, z: int) -> tuple[dict, bool]:
+    def _match(self, group: tuple, positions: tuple, z: int) -> tuple[tuple, tuple, bool]:
         """The L-polynomials of a class's members with these positions and
-        twist, by the member's exponents, and whether one was rescaled."""
-        out = {}
+        twist, in the order of their exponent assignments, the indices of
+        those that vanish, and whether one was rescaled."""
+        ls, reps, _ = group
+        ell = self.ell
+        r = len(positions)
+        # the index of an exponent tuple in itertools.product order
+        weights = [(ell - 1) ** (r - 1 - n) for n in range(r)]
+        out = [None] * (ell - 1) ** r
+        vanishing = []
         twisted = False
-        for x in [x for x, shift in ls if not shift]:
-            shift = z and -z * sum(map(operator.mul, x, degrees)) % self.ell
+        for x, chi in reps.items():
+            key = chi.int_key()
+            shift = z and -z * sum(map(operator.mul, key[0::3], x)) % ell
             twisted = twisted or shift != 0
             L = ls.get((x, shift))
             if L is None:
                 L = ls[x, shift] = rescale_by_root(ls[x, 0], shift)
-            exponents = [0] * len(x)
-            for e, n in zip(x, positions):
-                exponents[n] = e
-            out[tuple(exponents)] = L
-        return out, twisted
+            # the member's exponent on its prime at positions[n] is x[n]
+            i = sum((e - 1) * weights[n] for e, n in zip(x, positions))
+            out[i] = L
+            if self.decide(L, chi):  # the member's character has chi's parity and degree
+                vanishing.append(i)
+        vanishing.sort()
+        return tuple(out), tuple(vanishing), twisted
 
-    def register(self, chars: list, l_polys: list) -> None:
-        """Register every other member of the class of the conductor of
-        `chars`, whose L-polynomials are `l_polys`, with them."""
-        group = ({(chi.int_key()[2::3], 0): L for chi, L in zip(chars, l_polys)}, {})
-        key = chars[0].int_key()
+    def register(self, codes: tuple, assignments, chars: list, l_polys: list) -> None:
+        """Register every other member of the class of the conductor with
+        these prime codes, whose characters, with these exponent
+        assignments, have the L-polynomials `l_polys`."""
+        group = ({(x, 0): L for x, L in zip(assignments, l_polys)}, dict(zip(assignments, chars)), {})
         F = self.field
+        q = F.q
+        members = self.members
         # the code of sigma_c(P(t + b)) for each prime P, by (c, b) in the
-        # order c = 1, ..., q - 1 and b = 0, ..., q - 1: translations first
+        # order c = 1, ..., q - 1 and b = 0, ..., q - 1: translations first;
+        # m = (c - 1) q + b, and m = 0 is the identity.  A conductor fixed by
+        # a non-trivial affine map meets a member twice, and either matching
+        # of its primes is valid
         images = []
-        for k, j in zip(key[0::3], key[1::3]):
+        for k, j in codes:
             rank = self.table.levels[k].spf_rank
             moved = [rank[image[rank[j]]] for image in translations(F, k)]
             images.append([(k, image[r]) for image in dilations(F, k)[1:] for r in moved])
-        for m in range(1, (F.q - 1) * F.q):  # m = (c - 1) q + b; m = 0 is the identity
-            met = sorted((image[m], n) for n, image in enumerate(images))
-            positions = [0] * len(met)
-            for pos, (_, n) in enumerate(met):
-                positions[n] = pos
-            # a conductor fixed by a non-trivial affine map meets a member
-            # twice, and either matching of its primes is valid
-            c = 1 + m // F.q
-            member = (group, tuple(positions), c, self.twists[c])
-            self.members.setdefault(tuple(code for code, _ in met), member)
+        for m, column in enumerate(zip(*images)):
+            if m:
+                # a member's codes are its primes' images in canonical order
+                key = column if len(column) == 1 else tuple(sorted(column))
+                members.setdefault(key, (group, column, 1 + m // q))
 
 
 def _l_polys_cached(
-    chars: list, cache: "LCache | None", classes: _AffineClasses
-) -> tuple[list[LPoly], list[int], "str | None"]:
-    """L-polynomials of characters on one conductor, the indices of those
-    not read from the cache, and how those came from the conductor's affine
-    class (`_AffineClasses.serve`; None when the conductor is the first of
-    its class).  A member of a class registered in this degree is served
-    through the class maps and never looked up in the cache.  The first
-    conductor of a class is looked up, its misses are computed and stored,
-    and its class is registered; so the cache holds the first conductors of
-    the classes only, and a warm run computes no Euler product."""
-    served = classes.serve(chars)
+    primes: tuple, codes: tuple, assignments: tuple, cache: "LCache | None", classes: _AffineClasses
+) -> tuple:
+    """(l_polys, vanishing, fresh, route, chars) for the characters of one
+    conductor of `squarefree_conductors`: their L-polynomials in the order of
+    `assignments`, the indices of those that vanish, the indices of those not
+    read from the cache, how they came from the conductor's affine class
+    (`_AffineClasses.serve`; None when the conductor is the first of its
+    class), and the characters built, or None.  A member of a class
+    registered in this degree is served through the class maps, with no
+    character built, and never looked up in the cache.  The first conductor
+    of a class builds its characters, looks them up, computes and stores
+    its misses and registers its class; so the cache holds the first
+    conductors of the classes only, and a warm run computes no Euler
+    product."""
+    served = classes.serve(codes)
     if served is not None:
-        return served[0], list(range(len(chars))), served[1]
+        l_polys, vanishing, route = served
+        return l_polys, vanishing, range(len(l_polys)), route, None
+    chars = classes.chars(primes, codes, assignments)
     found = [None] * len(chars) if cache is None else [cache.get(chi) for chi in chars]
     missing = [i for i, L in enumerate(found) if L is None]
     if missing:
@@ -231,8 +285,9 @@ def _l_polys_cached(
         classes.count += 1
         if cache is not None:
             cache.put([(chars[i], found[i]) for i in missing])
-    classes.register(chars, found)
-    return found, missing, None
+    classes.register(codes, assignments, chars, found)
+    vanishing = [i for i, (chi, L) in enumerate(zip(chars, found)) if classes.decide(L, chi)]
+    return found, vanishing, missing, None, chars
 
 
 def _spot_check(chars: list, l_polys: list) -> None:
@@ -305,7 +360,8 @@ def run_census(
     cache = None if cache_path is None else LCache(cache_path, F, ell)
     table = factor_table(F)
     total_counts = dict.fromkeys(
-        ("conductors", "affine_classes", "factor_table_entries", *ctx.counts), 0
+        ("conductors", "affine_classes", "characters_built", "factor_table_entries", *ctx.counts),
+        0,
     )
     t0 = time.monotonic()
     decomp_done = 0
@@ -326,39 +382,42 @@ def run_census(
         entries_before = table.entries
         classes = _AffineClasses(F, ell)
         unchecked = {"translation", "twist"}
-        decisions: dict = {}  # (L.rows, chi.even, chi.degree) -> vanishes
-        for chars in conductor_groups(F, ell, d):
+        for primes, codes, assignments in squarefree_conductors(F, ell, d):
             conductors += 1
-            l_polys, fresh, route = _l_polys_cached(chars, cache, classes)
+            l_polys, vanishes, fresh, route, chars = _l_polys_cached(
+                primes, codes, assignments, cache, classes
+            )
+            count_a += len(l_polys)
             if route in unchecked:
                 # the first conductor of the degree served through a
                 # translation, and the first through a dilation that twists
                 # an odd character: these check the maps and the twist
-                _spot_check([chars[i] for i in fresh], [l_polys[i] for i in fresh])
-                fresh = []
+                chars = classes.chars(primes, codes, assignments)
+                _spot_check(chars, l_polys)
+                fresh = ()
                 unchecked.discard(route)
-            for chi, L in zip(chars, l_polys):
-                count_a += 1
-                # the strip, its degree law and the central test read only these
-                at = (L.rows, chi.even, chi.degree)
-                vanishes = decisions.get(at)
-                if vanishes is None:
-                    stripped, _k = strip_trivial_factor(L, chi)
-                    vanishes = decisions[at] = central_value_is_zero(stripped)
-                if vanishes:
-                    vanish_keys.add(chi.int_key())
-                    vanishing.append(chi)
-                if chi.even and decomp_done < decomp_budget:
-                    # a sampled conductor computed in this run is also
-                    # recomputed by the monic route
-                    if fresh:
-                        _spot_check([chars[i] for i in fresh], [l_polys[i] for i in fresh])
-                        fresh = []
-                    # chi's powers are the other characters on its conductor
-                    known = {c.key(): Lc for c, Lc in zip(chars, l_polys)}
-                    if not decomposition_check(model_from_char(chi), l_polys=known):
-                        decomp_ok = False
-                    decomp_done += 1
+            # the decomposition sample: the first even characters of the degree
+            for i, x in enumerate(assignments):
+                if decomp_done == decomp_budget:
+                    break
+                if sum(k * e for (k, _), e in zip(codes, x)) % ell:
+                    continue  # odd
+                if chars is None:
+                    chars = classes.chars(primes, codes, assignments)
+                # a sampled conductor computed in this run is also
+                # recomputed by the monic route
+                if fresh:
+                    _spot_check([chars[j] for j in fresh], [l_polys[j] for j in fresh])
+                    fresh = ()
+                # chi's powers are the other characters on its conductor
+                known = {c.key(): Lc for c, Lc in zip(chars, l_polys)}
+                if not decomposition_check(model_from_char(chars[i]), l_polys=known):
+                    decomp_ok = False
+                decomp_done += 1
+            for i in vanishes:
+                chi = chars[i] if chars else classes.chars(primes, codes, assignments[i : i + 1])[0]
+                vanish_keys.add(chi.int_key())
+                vanishing.append(chi)
         expected = count_order_ell_exact(q, ell, d)
         if count_a != expected:
             raise InvariantViolation(
@@ -385,6 +444,7 @@ def run_census(
         counts = {
             "conductors": conductors,
             "affine_classes": classes.count,
+            "characters_built": classes.built,
             "factor_table_entries": table.entries - entries_before,
         }
         counts.update((k, n - counts_before[k]) for k, n in ctx.counts.items())

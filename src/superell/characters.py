@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
 from collections import Counter, OrderedDict
 
 from . import limits
@@ -220,6 +219,24 @@ def _canon(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _json_parts(F: Field) -> tuple:
+    """(canonical JSON of F's descriptor, the descriptor, {prime key: (its
+    canonical JSON, its `poly_to_json`)}), kept in `Field._cache` and filled
+    as characters meet their primes (`_prime_json`)."""
+    parts = F._cache.get("json_fragments")
+    if parts is None:
+        field_obj = F.descriptor()
+        parts = F._cache["json_fragments"] = (_canon(field_obj), field_obj, {})
+    return parts
+
+
+def _prime_json(primes: dict, P: Poly) -> tuple:
+    """Enter P's canonical JSON and `poly_to_json` in the `_json_parts` dict."""
+    obj = poly_to_json(P)
+    part = primes[P.key()] = (_canon(obj), obj)
+    return part
+
+
 class DirichletChar:
     """An order-ell character given by exponents over its squarefree conductor."""
 
@@ -265,18 +282,19 @@ class DirichletChar:
 
     @classmethod
     def _on_table_primes(
-        cls, field: Field, ell: int, exponent_map: tuple, int_key: tuple
+        cls, field: Field, ell: int, primes, codes: tuple, exponents: tuple
     ) -> "DirichletChar":
-        """A character whose primes are monic, distinct and in canonical order
-        and whose exponents lie in 1..ell-1, as `conductor_groups` builds
-        them from the factor table: the checks of `__init__` are skipped, and
-        its `int_key` is the one given, read from the table's marks.  The key
-        holds each prime's degree and exponent, so the conductor degree and
-        the parity are read from it."""
+        """The character with the given exponents, in 1..ell-1, on a conductor
+        of `squarefree_conductors`: its primes are monic, distinct and in
+        canonical order, and `codes` holds each one's degree and index among
+        the monics of that degree, read from the factor table's marks.  The
+        checks of `__init__` are skipped; the `int_key`, the conductor degree
+        and the parity are read from the codes."""
         chi = object.__new__(cls)
-        degrees = int_key[0::3]
-        sign = sum(map(operator.mul, degrees, int_key[2::3]))
-        chi._set(field, ell, exponent_map, sum(degrees), sign, int_key)
+        key = tuple(x for (k, j), e in zip(codes, exponents) for x in (k, j, e))
+        sign = sum(k * e for (k, _), e in zip(codes, exponents))
+        degree = sum(k for k, _ in codes)
+        chi._set(field, ell, tuple(zip(primes, exponents)), degree, sign, key)
         return chi
 
     @property
@@ -317,21 +335,14 @@ class DirichletChar:
         """The character's JSON in canonical form, byte for byte
         {"ell":...,"factors":[[P,e],...],"field":...} with sorted keys and no
         spaces, as reports give it.  It is joined from the canonical JSON of the
-        field and of each prime, encoded once per field and kept in
-        `Field._cache`, and memoised on the character."""
+        field and of each prime (`_json_parts`) and memoised on the character."""
         s = self._json
         if s is None:
-            F = self.field
-            frags = F._cache.get("json_fragments")
-            if frags is None:
-                frags = F._cache["json_fragments"] = (_canon(F.descriptor()), {})
-            field_json, prime_json = frags
+            field_json, _, primes = _json_parts(self.field)
             factors = []
             for P, e in self.exponent_map:
-                frag = prime_json.get(P.key())
-                if frag is None:
-                    frag = prime_json[P.key()] = _canon(poly_to_json(P))
-                factors.append(f"[{frag},{e}]")
+                part = primes.get(P.key()) or _prime_json(primes, P)
+                factors.append(f"[{part[0]},{e}]")
             s = self._json = (
                 f'{{"ell":{self.ell},"factors":[{",".join(factors)}],"field":{field_json}}}'
             )
@@ -341,9 +352,9 @@ class DirichletChar:
         """The character as integers, its L-cache key: for each conductor prime
         in canonical order, its degree, its index among the monics of that
         degree and its exponent.  It names neither the field nor ell, to which
-        an L-cache file is bound.  A character of `conductor_groups` is handed
-        its key by the factor table; any other computes it from its primes
-        here, once."""
+        an L-cache file is bound.  A character built on the factor table's
+        codes (`_on_table_primes`) is handed its key; any other computes it
+        from its primes here, once."""
         if self._ints is None:
             q = self.field.q
             self._ints = tuple(
@@ -354,13 +365,16 @@ class DirichletChar:
         return self._ints
 
     def to_json(self) -> dict:
-        """The object that `canonical_json` encodes, built from the field's
-        descriptor and its primes' `poly_to_json`, not parsed."""
-        return {
-            "ell": self.ell,
-            "factors": [[poly_to_json(P), e] for P, e in self.exponent_map],
-            "field": self.field.descriptor(),
-        }
+        """The object that `canonical_json` encodes, not parsed.  The field's
+        descriptor and each prime's coefficient lists are built once per field
+        (`_json_parts`) and shared by every character's object: they are never
+        mutated, and a caller that wants to change one copies it first."""
+        _, field_obj, primes = _json_parts(self.field)
+        factors = []
+        for P, e in self.exponent_map:
+            part = primes.get(P.key()) or _prime_json(primes, P)
+            factors.append([part[1], e])
+        return {"ell": self.ell, "factors": factors, "field": field_obj}
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "DirichletChar":
@@ -513,25 +527,42 @@ def count_order_ell_exact(q: int, ell: int, d: int) -> int:
     return coeffs[d]
 
 
+def squarefree_conductors(F: Field, ell: int, d: int):
+    """(primes, codes, assignments) for every squarefree monic conductor of
+    degree d, in canonical order: its primes, the shared objects of
+    `irreducibles`, their codes (degree, index among the monics of that
+    degree) from the factor table's marks, and the (ell-1)^r exponent
+    assignments over its r primes in `itertools.product` order.  The
+    conductors and their primes are read from the field's factor table; no
+    conductor is factored or built as a polynomial, and no character is
+    built here."""
+    char_context(F, ell)  # validates ell and q = 1 mod ell
+    assignments: dict[int, tuple] = {}  # r -> the exponent tuples over r primes
+    for primes, codes in factor_table(F).squarefree_primes(d):
+        r = len(codes)
+        got = assignments.get(r)
+        if got is None:
+            got = assignments[r] = tuple(itertools.product(range(1, ell), repeat=r))
+        yield primes, codes, got
+
+
 def conductor_groups(F: Field, ell: int, d: int):
     """All primitive order-ell characters with conductor degree exactly d, in
     canonical order, one list per squarefree monic conductor: the exponent
     assignments over its primes (equivalently, the component tuples
-    (D_1, ..., D_{ell-1}) of superelliptic models).  The conductors and their
-    primes are read from the field's factor table in index order; no
-    conductor is factored or built as a polynomial, and since the table's
-    primes are monic, distinct and canonically ordered, the characters are
-    not re-validated.  Each is handed its `int_key` from the table's codes
-    of its primes."""
-    char_context(F, ell)  # validates ell and q = 1 mod ell
+    (D_1, ..., D_{ell-1}) of superelliptic models).  A thin wrapper over
+    `squarefree_conductors`, the one enumeration, which builds every
+    character: since the table's primes are monic, distinct and canonically
+    ordered, none is re-validated, and each is handed its `int_key`, degree
+    and parity from the table's codes (`DirichletChar._on_table_primes`).
+    The census walks the same enumeration but builds a character only where
+    something reads one: the first conductor of each affine class, the spot
+    checks, the decomposition samples and the vanishing characters it
+    reports.  Every other character gets its L-polynomial and its decision
+    from its class, once per class match (`census._AffineClasses`)."""
     make = DirichletChar._on_table_primes
-    for primes, codes in factor_table(F).squarefree_primes(d):
-        key = [x for k, j in codes for x in (k, j, 0)]  # exponents set below
-        chars = []
-        for assignment in itertools.product(range(1, ell), repeat=len(primes)):
-            key[2::3] = assignment
-            chars.append(make(F, ell, tuple(zip(primes, assignment)), tuple(key)))
-        yield chars
+    for primes, codes, assignments in squarefree_conductors(F, ell, d):
+        yield [make(F, ell, primes, codes, x) for x in assignments]
 
 
 def conductor_characters(F: Field, ell: int, d: int):

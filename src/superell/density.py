@@ -26,7 +26,6 @@ evaluation and the squarefree test build no new field elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .curves import SuperellipticModel
@@ -55,11 +54,24 @@ def product_form(M0: SuperellipticModel) -> BinaryForm:
     return homogenize(f)
 
 
-@dataclass(frozen=True)
 class LocalFactor:
-    prime: Poly
-    c: int
-    factor: Fraction
+    """The local factor 1 - c/|prime|^4 of the density at one prime; equal
+    when prime, c and factor are."""
+
+    __slots__ = ("prime", "c", "factor")
+
+    def __init__(self, prime: Poly, c: int, factor: Fraction):
+        self.prime = prime
+        self.c = c
+        self.factor = factor
+
+    def __eq__(self, other):
+        if not isinstance(other, LocalFactor):
+            return NotImplemented
+        return (self.prime, self.c, self.factor) == (other.prime, other.c, other.factor)
+
+    def __repr__(self):
+        return f"LocalFactor(prime={self.prime!r}, c={self.c}, factor={self.factor!r})"
 
     @property
     def flagged_zero(self) -> bool:
@@ -75,14 +87,40 @@ class LocalFactor:
         }
 
 
-@dataclass
 class DensityReport:
-    form: BinaryForm
-    truncation_degree: int
-    excluded: list[Poly]
-    factors: list[LocalFactor]
-    truncated_product: Fraction
-    empirical: "dict | None" = dc_field(default=None)
+    """The truncated density product of a form, with the excluded primes and
+    the local factors it multiplies, and the empirical density once sampled;
+    equal when every field is."""
+
+    __slots__ = ("form", "truncation_degree", "excluded", "factors", "truncated_product", "empirical")
+
+    def __init__(
+        self,
+        form: BinaryForm,
+        truncation_degree: int,
+        excluded: list[Poly],
+        factors: list[LocalFactor],
+        truncated_product: Fraction,
+        empirical: "dict | None" = None,
+    ):
+        self.form = form
+        self.truncation_degree = truncation_degree
+        self.excluded = excluded
+        self.factors = factors
+        self.truncated_product = truncated_product
+        self.empirical = empirical
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if not isinstance(other, DensityReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"DensityReport({fields})"
 
     def to_json(self) -> dict:
         out = {

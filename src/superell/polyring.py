@@ -43,7 +43,6 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from dataclasses import dataclass
 
 from . import limits
 from .errors import InputError, InvariantViolation
@@ -325,10 +324,23 @@ def is_squarefree(f: Poly) -> bool:
     return gcd(f, fp).degree == 0
 
 
-@dataclass(frozen=True)
 class Factorization:
-    unit: FieldElem
-    factors: tuple[tuple[Poly, int], ...]  # (monic irreducible, exponent), canonical order
+    """f = unit * prod P^e over `factors`, the (monic irreducible P, e) pairs
+    in canonical order; equal when unit and factors are."""
+
+    __slots__ = ("unit", "factors")
+
+    def __init__(self, unit: FieldElem, factors: tuple[tuple[Poly, int], ...]):
+        self.unit = unit
+        self.factors = factors
+
+    def __eq__(self, other):
+        if not isinstance(other, Factorization):
+            return NotImplemented
+        return (self.unit, self.factors) == (other.unit, other.factors)
+
+    def __repr__(self):
+        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
     def expand(self) -> Poly:
         out = Poly.constant(self.unit)
@@ -685,14 +697,27 @@ class FactorTable:
         """(primes, codes) for every squarefree monic of degree d, in index
         order: its prime factors in canonical order, the shared objects of
         `irreducibles`, and their codes (degree k, index among the monics of
-        degree k), read from the marks."""
-        flags = self.level(d).squarefree
+        degree k), both as tuples.  A squarefree f = P g, P its smallest
+        prime, has P's prime and code ahead of g's, so each level below d
+        is walked once and its rows kept for the walk of the next."""
+        self.level(d)
         irr = [()] + [irreducibles(self.field, k) for k in range(1, d + 1)]
-        index = [()] + [self.levels[k].primes for k in range(1, d + 1)]
-        for j, flag in enumerate(flags):
-            if flag:
-                marks = list(self._marks(d, j))
-                yield [irr[k][r] for k, r in marks], [(k, index[k][r]) for k, r in marks]
+        codes = [()] + [[(k, j) for j in self.levels[k].primes] for k in range(1, d + 1)]
+        rows = [[((), ())]]  # rows[m][j]: (primes, codes) of the monic j of degree m
+        for m in range(1, d + 1):
+            lv = self.levels[m]
+            spf_deg, spf_rank, cofactor = lv.spf_deg, lv.spf_rank, lv.cofactor
+            kept = [None] * len(lv.squarefree) if m < d else None
+            for j, flag in enumerate(lv.squarefree):
+                if flag:
+                    k, r = spf_deg[j], spf_rank[j]
+                    primes, rest = rows[m - k][cofactor[j]]
+                    row = ((irr[k][r],) + primes, (codes[k][r],) + rest)
+                    if kept is None:
+                        yield row
+                    else:
+                        kept[j] = row
+            rows.append(kept)
 
 
 def factor_table(F: Field) -> FactorTable:

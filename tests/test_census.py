@@ -16,7 +16,7 @@ from superell.census import (
 from superell.characters import DirichletChar, conductor_groups, enumerate_order_ell
 from superell.cyclo import galois_row
 from superell.characters import _canon
-from superell.lfunction import LCache, l_polynomials
+from superell.lfunction import LCache, central_value_is_zero, l_polynomials, strip_trivial_factor
 from superell.cli import _write_out, main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
 from superell.oracle import monics
@@ -176,8 +176,18 @@ def test_census_runtime_counts(tmp_path):
     assert total["monics_scanned"] == 1 + 5 * 8 + 5 * 57 + 8 * 400
     assert total["generator_candidates"] >= total["symbol_tables_built"]
     assert total["walk_steps"] >= total["generator_candidates"]
+    # a character object is built only where something reads one: the 316
+    # characters on the first conductors of the 70 classes, 30 on the
+    # route spot-checked conductors, 28 on the decomposition-sampled ones
+    # and 244 of the 252 vanishing characters (the other 8 lie on
+    # conductors already built); the other members of the classes get their
+    # L-polynomials and decisions through the class maps
+    assert total["characters_built"] == 316 + 30 + 28 + 244
+    assert [cold.runtime_stats[f"degree_{d}_counts"]["characters_built"]
+            for d in (1, 2, 3, 4)] == [4, 18, 82, 514]
+    assert 10 * total["characters_built"] < sum(row["count_A"] for row in cold.per_degree)
     bare = run_census(7, 1, 3, 4, sample_decomp=25)
-    for key in ("affine_classes", "prime_histograms", "primes_scanned",
+    for key in ("affine_classes", "characters_built", "prime_histograms", "primes_scanned",
                 "histogram_passes", "monics_scanned"):
         assert bare.runtime_stats["total_counts"][key] == total[key]
     assert bare.runtime_stats["total_counts"]["factor_table_entries"] == 0  # table reused
@@ -214,22 +224,26 @@ def test_census_runtime_counts(tmp_path):
 # (p, e, ell, n): q = 7 and 13; F_4, where p | deg lets a translation fix a
 # conductor; ell = 5 over F_11 and over F_16 = 2^4, the smallest field of
 # the theorem, with ell = 3 too
-@pytest.mark.parametrize("p, e, ell, n", [
+_CENSUS_FIELDS = [
     (7, 1, 3, 3), (2, 2, 3, 4), (13, 1, 3, 3), (11, 1, 5, 2), (2, 4, 3, 3), (2, 4, 5, 3),
-])
+]
+
+
+@pytest.mark.parametrize("p, e, ell, n", _CENSUS_FIELDS)
 def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_path, monkeypatch):
     # every L a census hands a character, cold and warm, most of them read
-    # from an affine class, equals the Euler product of its own conductor;
-    # the cache holds one block per class the cold run computed, and only
-    # the characters of those blocks' conductors
+    # from an affine class with no character built, equals the Euler product
+    # of its own conductor, whose characters are built here by the checking
+    # constructor; the cache holds one block per class the cold run
+    # computed, and only the characters of those blocks' conductors
     from superell import census
 
     through_classes = census._l_polys_cached
-    handed = []  # (chars, their L-polynomials) as the census received them
+    handed = []  # (primes, codes, assignments, their L-polynomials) as handed out
 
-    def recorded(chars, cache, classes):
-        out = through_classes(chars, cache, classes)
-        handed.append((chars, out[0]))
+    def recorded(primes, codes, assignments, cache, classes):
+        out = through_classes(primes, codes, assignments, cache, classes)
+        handed.append((primes, codes, assignments, out[0]))
         return out
 
     monkeypatch.setattr(census, "_l_polys_cached", recorded)
@@ -239,9 +253,16 @@ def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_pa
         handed.clear()
         rep = run_census(p, e, ell, n, sample_decomp=0, cache_path=path)
         checked = 0
-        for chars, Ls in handed:
+        for primes, codes, assignments, Ls in handed:
+            F = primes[0].field
+            chars = [DirichletChar(F, ell, list(zip(primes, x))) for x in assignments]
+            # the codes are the primes' (degree, index) pairs
+            assert [chi.int_key() for chi in chars] == [
+                tuple(v for (k, j), x_i in zip(codes, x) for v in (k, j, x_i)) for x in assignments
+            ]
             if chars[0].int_key() not in expected:
                 expected.update((chi.int_key(), L) for chi, L in zip(chars, l_polynomials(chars)))
+            assert len(Ls) == len(chars)
             for chi, L in zip(chars, Ls):
                 assert L == expected[chi.int_key()], (run, chi)
                 checked += 1
@@ -255,6 +276,25 @@ def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_pa
     assert cache.blocks == classes == rep.cache_stats["blocks"]
     assert len(cache.table) == rep.cache_stats["hits"] < checked
     assert all(L == expected[key] for key, L in cache.table.items())
+
+
+@pytest.mark.parametrize("p, e, ell, n", _CENSUS_FIELDS)
+def test_census_vanishing_matches_a_character_by_character_decision(p, e, ell, n):
+    # the census decides most characters through their affine class's
+    # match, with no character built; the oracle builds every character with
+    # the checking constructor, computes its L from its own conductor, and
+    # strips and tests it alone: the vanishing lists agree degree by degree
+    rep = run_census(p, e, ell, n, sample_decomp=0)
+    F = make_field(p, e)
+    for row in rep.per_degree:
+        expected = []
+        for group in conductor_groups(F, ell, row["degree"]):
+            chars = [DirichletChar(F, ell, chi.exponent_map) for chi in group]
+            for chi, L in zip(chars, l_polynomials(chars)):
+                if central_value_is_zero(strip_trivial_factor(L, chi)[0]):
+                    expected.append(chi.to_json())
+        assert row["vanishing"] == expected, row["degree"]
+        assert row["count_B"] == len(expected)
 
 
 def test_census_spot_check_catches_a_wrong_euler_result(monkeypatch):

@@ -1,7 +1,11 @@
-"""Rules about where code lives, checked by reading the source files only."""
+"""Rules about where code lives, checked by reading the source files, and
+what importing the CLI loads, checked in a fresh interpreter."""
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -195,3 +199,13 @@ def test_only_cyclo_and_the_boundary_name_cycint():
         if "CycInt" in names:
             offenders.append(path.name)
     assert offenders == []
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    # every CLI run pays for its imports, and nothing the CLI runs needs
+    # dataclasses or the inspect module it loads
+    code = "import sys, superell.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
