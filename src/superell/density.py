@@ -13,13 +13,19 @@ roots mod pi^2, and count the locus (u, v) = (0, 0) mod pi separately).  The
 shortcut is cross-checked against brute force in the tests.
 
 The seeded sampler draws (numer, denom) from the box of polynomials of degree
-<= h, which holds only q^(h+1) polynomials, so each is drawn many times: it
-keeps the power list [1, g, ..., g^(deg F)] of every polynomial g it draws,
-keyed by g's digits, and evaluates F on the cached powers in one pass
-(`BinaryForm.evaluate_powers`).  The filter is a pure function of the value
-F(numer, denom), and distinct pairs often share a value ((l n, l d) gives
-l^(deg F) F(n, d) for a constant l), so it keeps one verdict per value, keyed
-by the value's `vector_index`.  Over a field of at most
+<= h, which holds only q^(h+1) polynomials, so each is drawn many times.  It
+decides a pair on the factors of F = c prod G_k, the homogenized monic
+irreducible factors of F(t, 1), found by one `polyring.factor` call: F(n, d)
+is squarefree away from the excluded primes exactly when (i) every G_k(n, d)
+is nonzero and squarefree away from them and (ii), when F has two or more
+factors, no other prime divides both n and d.  Each drawn g keeps one row:
+its powers up to the largest degree of a nonlinear G_k, the bitmask of the
+primes dividing it (from the factorization of its monic associate), and the
+spread codes that make the value n + a d of a linear factor t + a one
+carry-free integer add.  Each factor keeps one verdict per value, keyed by the
+value's `vector_index`, since distinct pairs often share one; so rule (ii) is
+one `&` of two masks, and the squarefree tests run on values of degree at most
+h times the largest factor degree, not h deg F.  Over a field of at most
 `ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
 evaluation and the squarefree test build no new field elements.
 """
@@ -31,18 +37,18 @@ from fractions import Fraction
 from .curves import SuperellipticModel
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm, homogenize
-from .ffield import Field
+from .ffield import Field, spread_coding
 from .polyring import (
     Poly,
-    gcd,
+    factor,
     irreducibles,
     is_squarefree,
     poly_to_json,
 )
 
 BRUTE_FORCE_LIMIT = 10**8
-# Most power lists, and most verdicts, the sampler keeps; beyond this many
-# distinct draws (values) it computes the powers (verdict) afresh each time.
+# Most draw rows, and most verdicts per factor, the sampler keeps; beyond this
+# many distinct draws (factor values) it computes the row (verdict) afresh.
 POWER_CACHE_LIMIT = 1 << 14
 
 
@@ -288,7 +294,8 @@ def truncated_density(F_form: BinaryForm, deg_max: int) -> DensityReport:
 
 
 class _LCG:
-    """64-bit linear congruential generator; platform-independent."""
+    """64-bit linear congruential generator; platform-independent.  The
+    sampler takes the steps of `below` inline."""
 
     __slots__ = ("state",)
 
@@ -320,11 +327,119 @@ def _strip_excluded(val: Poly, excluded: list[Poly]) -> Poly:
 
 
 def _passes_stripped(val: Poly, excluded) -> bool:
-    """The filter on a computed value F(numer, denom)."""
+    """The filter on a computed value: nonzero and squarefree away from the
+    excluded primes."""
     if val.is_zero():
         return False
     val = _strip_excluded(val, excluded)
     return val.degree == 0 or is_squarefree(val)
+
+
+class _FactorFilter:
+    """The squarefree filter on F(numer, denom), decided on the factors of
+    F = c prod G_k, for draws of degree <= h_deg; F is the homogenization of
+    F(t, 1), as `product_form` makes it.
+
+    A draw g, by its box index (`vector_index`), has a row (mask, powers,
+    code, codes): the bitmask of the monic primes dividing g (every bit for
+    g = 0), from the `polyring.factor` of its monic associate; the powers
+    [1, g, ...] up to the largest degree of a nonlinear G_k; the
+    coefficient-wise spread code of g, and that of a g for each linear
+    factor t + a.  The value n + a d of a linear factor is then the
+    carry-free sum of two codes, normalised coefficient by coefficient with
+    the field's `spread_coding(p, e)` tables; a nonlinear factor's value comes
+    from `BinaryForm.evaluate_powers`.  Each factor keeps one verdict per
+    value, keyed by its `vector_index`.  At most `POWER_CACHE_LIMIT` rows, and
+    as many verdicts per factor, are kept."""
+
+    def __init__(self, F_form: BinaryForm, h_deg: int):
+        F = F_form.field
+        parts = factor(F_form.dehomogenized()).factors
+        if any(e != 1 for _, e in parts):
+            raise InvariantViolation(
+                "squarefree-product-form", f"{F_form!r} has a repeated factor"
+            )
+        self.field = F
+        self.excluded = excluded_primes(F_form)
+        # primes get bits as draws meet them, the excluded ones first
+        self.bits = {P.key(): 1 << i for i, P in enumerate(self.excluded)}
+        # rule (ii) needs two factors; no bit of an excluded prime counts
+        self.coprime_bits = ~((1 << len(self.excluded)) - 1) if len(parts) > 1 else 0
+        self.shifts = [P.coeffs[0] for P, _ in parts if P.degree == 1]
+        self.forms = [homogenize(P) for P, _ in parts if P.degree > 1]
+        self.widest = max(self.forms, key=lambda G: G.degree, default=None)
+        coding = spread_coding(F.p, F.e)
+        self.coding = coding
+        self.slot = coding.radix**F.e  # a coefficient's place in a code
+        self.places = [self.slot**k for k in range(h_deg + 1)]
+        self.weights = [F.q**k for k in range(h_deg + 1)]
+        self.rows: dict[int, tuple] = {}
+        self.verdicts: list[dict[int, bool]] = [{} for _ in parts]
+
+    def row(self, index: int) -> tuple:
+        row = self.rows.get(index)
+        if row is None:
+            row = self._new_row(index)
+            if len(self.rows) < POWER_CACHE_LIMIT:
+                self.rows[index] = row
+        return row
+
+    def _new_row(self, index: int) -> tuple:
+        F, bits, spread = self.field, self.bits, self.coding.spread
+        g = Poly.from_vector_index(F, index)
+        if g.is_zero():
+            mask = -1
+        elif not g.is_monic():  # the primes of its monic associate
+            mask = self.row(g.monic()[1].vector_index())[0]
+        else:
+            mask = 0
+            for P, _ in factor(g).factors:
+                mask |= bits.setdefault(P.key(), 1 << len(bits))
+        powers = None if self.widest is None else self.widest.powers(g)
+        code = sum(spread(c.idx) * w for c, w in zip(g.coeffs, self.places))
+        codes = [
+            sum(spread(F.mul(a, c).idx) * w for c, w in zip(g.coeffs, self.places))
+            for a in self.shifts
+        ]
+        return mask, powers, code, codes
+
+    def _verdict(self, k: int, key: int, val: Poly) -> bool:
+        """The filter on the value val of factor k, kept while there is room."""
+        ok = _passes_stripped(val, self.excluded)
+        if len(self.verdicts[k]) < POWER_CACHE_LIMIT:
+            self.verdicts[k][key] = ok
+        return ok
+
+    def passes(self, nrow: tuple, drow: tuple) -> bool:
+        """True when F(numer, denom) is nonzero and squarefree away from the
+        excluded primes, given the rows of numer and denom: (ii) no
+        non-excluded prime divides both when F has two or more factors, and
+        (i) every factor value passes the filter."""
+        nmask, npows, ncode, _ = nrow
+        dmask, dpows, _, dcodes = drow
+        if nmask & dmask & self.coprime_bits:
+            return False
+        verdicts, slot, weights = self.verdicts, self.slot, self.weights
+        norm_lo, norm_hi, b_lo = self.coding.norm_lo, self.coding.norm_hi, self.coding.b_lo
+        for k, acode in enumerate(dcodes):
+            s, key = ncode + acode, 0
+            for w in weights:
+                s, c = divmod(s, slot)
+                key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * w
+            ok = verdicts[k].get(key)
+            if ok is None:
+                ok = self._verdict(k, key, Poly.from_vector_index(self.field, key))
+            if not ok:
+                return False
+        for k, G in enumerate(self.forms, len(dcodes)):
+            val = G.evaluate_powers(npows, dpows)
+            key = val.vector_index()
+            ok = verdicts[k].get(key)
+            if ok is None:
+                ok = self._verdict(k, key, val)
+            if not ok:
+                return False
+        return True
 
 
 def empirical_density(
@@ -340,16 +455,20 @@ def empirical_density(
     excluded primes; deterministic given seed.
 
     By default pairs are drawn uniformly from the full box (all pairs of degree
-    <= h_deg), the regime in which the local-factor product is the limit; when
-    no prime is excluded, a non-coprime pair never passes the filter, since
-    gcd^d divides the product and d >= 2.  With coprime_only=True, non-coprime
-    pairs are rejected and resampled, which rescales the frequency by roughly
-    the inverse density of coprime pairs, about q/(q-1).
+    <= h_deg), the regime in which the local-factor product is the limit.
+    With coprime_only=True, pairs with a common prime factor are rejected and
+    resampled, which rescales the frequency by roughly the inverse density of
+    coprime pairs, about q/(q-1).
 
     Each draw is h_deg + 1 digits from the seeded generator, the coefficients
-    of the drawn polynomial low degree first; its powers come from a cache
-    keyed by those digits, and the verdict on a value from a cache keyed by
-    its `vector_index`.
+    of the drawn polynomial low degree first.  A pair is decided on the
+    factors G_k of F (`_FactorFilter.passes`): F(n, d) passes exactly when
+    (i) every G_k(n, d) is nonzero and squarefree away from the excluded
+    primes and (ii), when F has two or more factors, no non-excluded prime
+    divides both n and d.  (ii) holds because the resultant of two distinct
+    factors is a nonzero constant R, and R n^N, R d^N lie in the ideal of the
+    two forms, so a prime dividing two factor values divides n and d; and a
+    prime dividing n and d divides every factor value.
     """
     if h_deg < 0:
         raise InputError(f"h_deg (--h-deg) must be at least 0, got {h_deg}")
@@ -357,42 +476,27 @@ def empirical_density(
         raise InputError(f"samples (--samples) must be at least 0, got {samples}")
     if samples == 0:
         return None
-    F_form = product_form(M0)
-    excluded = excluded_primes(F_form)
-    F = M0.field
-    q = F.q
-    rng = _LCG(seed)
-    cache: dict[tuple, list[Poly]] = {}
-    verdicts: dict[int, bool] = {}
-
-    def draw() -> list[Poly]:
-        digits = tuple(rng.below(q) for _ in range(h_deg + 1))
-        pows = cache.get(digits)
-        if pows is None:
-            pows = F_form.powers(Poly(F, [F.elem_at(i) for i in digits]))
-            if len(cache) < POWER_CACHE_LIMIT:
-                cache[digits] = pows
-        return pows
-
+    rule = _FactorFilter(product_form(M0), h_deg)
+    row, passes, weights, q = rule.row, rule.passes, rule.weights, M0.field.q
+    mult, inc, mask = _LCG.MULT, _LCG.INC, _LCG.MASK
+    state = _LCG(seed).state
     hits = 0
     for _ in range(samples):
         while True:
-            npows = draw()
-            dpows = draw()
-            numer, denom = npows[1], dpows[1]
-            if numer.is_zero() and denom.is_zero():
+            n = d = 0
+            for w in weights:
+                state = (state * mult + inc) & mask
+                n += (state >> 24) % q * w
+            for w in weights:
+                state = (state * mult + inc) & mask
+                d += (state >> 24) % q * w
+            if not (n or d):
                 continue
-            if coprime_only and gcd(numer, denom).degree != 0:
+            nrow, drow = row(n), row(d)
+            if coprime_only and nrow[0] & drow[0]:
                 continue
             break
-        val = F_form.evaluate_powers(npows, dpows)
-        key = val.vector_index()
-        ok = verdicts.get(key)
-        if ok is None:
-            ok = _passes_stripped(val, excluded)
-            if len(verdicts) < POWER_CACHE_LIMIT:
-                verdicts[key] = ok
-        hits += ok
+        hits += passes(nrow, drow)
     return {
         "samples": samples,
         "hits": hits,

@@ -35,7 +35,8 @@ multiply-subtract with no inverse, and only `divmod` collects a quotient.
 Factorization of a single polynomial is squarefree decomposition, then
 distinct-degree splitting, then equal-degree splitting seeded from the input;
 it is a pure function of the input, serves one-off inputs (models, CLI
-arguments, families) and is the test oracle for the table.
+arguments, families, the monic associates of the density sampler's draws)
+and is the test oracle for the table.
 """
 
 from __future__ import annotations

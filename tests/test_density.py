@@ -205,7 +205,9 @@ def _replayed_hits(base, h_deg, samples, seed, coprime_only):
 
 def _sampler_bases():
     F2, F3, F4, F7, F25 = (make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (7, 1), (5, 2)))
-    t2, t3, t4 = Poly.x(F2), Poly.x(F3), Poly.x(F4)
+    t2, t3, t4, t7 = Poly.x(F2), Poly.x(F3), Poly.x(F4), Poly.x(F7)
+    one4, one7 = Poly.one(F4), Poly.one(F7)
+    w4 = Poly.constant(F4.elem_at(2))
     return {
         "F7": (trigonal(F7), 2),
         # the two primes of degree 1 are excluded, and h = 0 makes (0, 0) draws
@@ -214,48 +216,92 @@ def _sampler_bases():
         "F2-h0": (SuperellipticModel(3, F2, F2.one(), (t2 * (t2 + Poly.one(F2)),
                                                        Poly.one(F2))), 0),
         "F3": (SuperellipticModel(2, F3, F3.one(), (t3**3 - t3,)), 2),
-        "F4": (SuperellipticModel(3, F4, F4.one(), (t4**3 + t4 + Poly.one(F4),
-                                                    Poly.one(F4))), 1),
+        "F4": (SuperellipticModel(3, F4, F4.one(), (t4**3 + t4 + one4, one4)), 1),
         "F25": (trigonal(F25), 1),
+        # a linear factor times an irreducible quadratic
+        "F7-lin-quad": (SuperellipticModel(3, F7, F7.one(), (t7 * (t7**2 + one7), one7)), 2),
+        # irreducible: no coprimality rule
+        "F7-cubic": (SuperellipticModel(3, F7, F7.one(), (t7**3 + poly(F7, 2), one7)), 2),
+        "F7-two-comp": (SuperellipticModel(3, F7, F7.one(),
+                                           ((t7**2 + one7) * (t7 + poly(F7, 3)), t7)), 1),
+        # the three primes of degree 1 are excluded
+        "F3-ell2": (SuperellipticModel(2, F3, F3.one(), (t3 * (t3**2 + Poly.one(F3)),)), 2),
+        "F4-lines": (SuperellipticModel(3, F4, F4.one(), (t4 * (t4 + one4) * (t4 + w4), one4)), 2),
+        "F7-t": (SuperellipticModel(3, F7, F7.one(), (t7, one7)), 2),
+        # at h = 2 the oracle's factor table would pass the census limit
+        "F25-h0": (trigonal(F25), 0),
     }
 
 
 @pytest.mark.parametrize("coprime_only", [False, True])
-@pytest.mark.parametrize("name", ["F7", "F2", "F2-h0", "F3", "F4", "F25"])
+@pytest.mark.parametrize("name", ["F7", "F2", "F2-h0", "F3", "F4", "F25", "F7-lin-quad",
+                                  "F7-cubic", "F7-two-comp", "F3-ell2", "F4-lines", "F7-t",
+                                  "F25-h0"])
 def test_sampler_matches_per_sample_filter(name, coprime_only):
     base, h_deg = _sampler_bases()[name]
     emp = empirical_density(base, h_deg, 300, seed=11, coprime_only=coprime_only)
     assert emp["hits"] == _replayed_hits(base, h_deg, 300, 11, coprime_only)
 
 
+@pytest.mark.parametrize("name,h_deg", [
+    ("F3", 0), ("F3", 1), ("F3-ell2", 0), ("F3-ell2", 1), ("F4", 0), ("F4", 1), ("F4-lines", 0),
+    ("F4-lines", 1), ("F7", 1), ("F7-lin-quad", 1), ("F7-cubic", 1), ("F7-two-comp", 1),
+    ("F7-t", 1),
+])
+def test_factor_rule_on_every_pair_of_the_box(name, h_deg):
+    """The per-pair decision on factor values and prime masks against the
+    oracle on the full value, and the masks against gcd, on every pair."""
+    base = _sampler_bases()[name][0]
+    form = product_form(base)
+    excluded = excluded_primes(form)
+    F = base.field
+    rule = density_mod._FactorFilter(form, h_deg)
+    box = [Poly.from_vector_index(F, j) for j in range(F.q ** (h_deg + 1))]
+    for j, numer in enumerate(box):
+        for k, denom in enumerate(box):
+            if not (j or k):
+                continue
+            nrow, drow = rule.row(j), rule.row(k)
+            assert rule.passes(nrow, drow) == passes_squarefree_filter(
+                form, numer, denom, excluded), (numer, denom)
+            assert bool(nrow[0] & drow[0]) == (gcd(numer, denom).degree != 0), (numer, denom)
+
+
+def test_factor_rule_needs_a_squarefree_form(F7):
+    t = Poly.x(F7)
+    with pytest.raises(InvariantViolation, match="squarefree-product-form"):
+        density_mod._FactorFilter(homogenize(t**2 * (t + Poly.one(F7))), 1)
+
+
 def test_sampler_past_its_power_cache(monkeypatch):
-    powers, verdicts = [], []
-    real_powers, real_verdict = BinaryForm.powers, density_mod._passes_stripped
+    rows, verdicts = [], []
+    real_row, real_verdict = density_mod._FactorFilter._new_row, density_mod._FactorFilter._verdict
     limit = density_mod.POWER_CACHE_LIMIT
 
-    def counted_powers(form, g):
-        powers.append(g.vector_index())
-        return real_powers(form, g)
+    def counted_row(rule, index):
+        rows.append(index)
+        return real_row(rule, index)
 
-    def counted_verdict(val, excluded):
-        verdicts.append(val.vector_index())
-        return real_verdict(val, excluded)
+    def counted_verdict(rule, k, key, val):
+        verdicts.append((k, key))
+        return real_verdict(rule, k, key, val)
 
-    monkeypatch.setattr(BinaryForm, "powers", counted_powers)
-    monkeypatch.setattr(density_mod, "_passes_stripped", counted_verdict)
-    # F2 has excluded primes, F25 is an extension field
-    for name in ("F7", "F25", "F2"):
+    monkeypatch.setattr(density_mod._FactorFilter, "_new_row", counted_row)
+    monkeypatch.setattr(density_mod._FactorFilter, "_verdict", counted_verdict)
+    # F2 has excluded primes, F25 is an extension field, F7-lin-quad has a
+    # factor of degree 2
+    for name in ("F7", "F25", "F2", "F7-lin-quad"):
         base, h_deg = _sampler_bases()[name]
         monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", limit)
-        powers.clear()
+        rows.clear()
         verdicts.clear()
         full = empirical_density(base, h_deg, 300, seed=3)
-        # one power list per distinct draw and one verdict per distinct value
-        drawn, values = len(powers), len(verdicts)
-        assert drawn == len(set(powers)) > 4 and values == len(set(verdicts)) > 4, name
-        powers.clear()
+        # one row per distinct draw and one verdict per distinct factor value
+        drawn, values = len(rows), len(verdicts)
+        assert drawn == len(set(rows)) > 4 and values == len(set(verdicts)) > 4, name
+        rows.clear()
         verdicts.clear()
         monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", 4)
         assert empirical_density(base, h_deg, 300, seed=3) == full, name
         # past the bound both are computed again for what the caches could not keep
-        assert len(powers) > drawn and len(verdicts) > values, name
+        assert len(rows) > drawn and len(verdicts) > values, name
