@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from collections import Counter, OrderedDict
+from collections import Counter
 
 from . import limits
 from .errors import InputError, InvariantViolation, ResourceLimit
@@ -77,11 +77,12 @@ class CharContext:
         for k in range(ell):
             self.zeta_pow_index[field.index(z)] = k
             z = field.mul(z, self.zeta)
-        # symbol tables, residue half tables and symbol vectors, least recently
-        # used first, as (value, entries); evicted past _symtab_budget entries
-        self._tables: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._symtab_entries = 0
-        self._symtab_budget = 4 * 10**6  # total cached entries before eviction
+        # symbol tables by P.key(), residue half tables and symbol vectors by
+        # (P.key(), degree): each built once and kept for the life of the
+        # context, which is the life of the field's `_cache`
+        self._symbols: dict[tuple, list[int]] = {}
+        self._residues: dict[tuple, tuple[list[int], list[int]]] = {}
+        self._vectors: dict[tuple, list[int]] = {}
         # work done through this context, for runtime statistics
         self.counts = dict.fromkeys(
             (
@@ -105,8 +106,7 @@ class CharContext:
         generator is used; g and its discrete log come from
         `polyring.residue_dlog`, which also proves P irreducible.
         """
-        key = ("symbols", P.key())
-        tab = self._cached(key)
+        tab = self._symbols.get(P.key())
         if tab is not None:
             return tab
         F = self.field
@@ -130,22 +130,8 @@ class CharContext:
         tab[1:] = [(k0 * k) % ell for k in steps[1:]]
         del steps
         self.counts["symbol_tables_built"] += 1
-        return self._keep(key, tab, size)
-
-    def _cached(self, key):
-        hit = self._tables.get(key)
-        if hit is None:
-            return None
-        self._tables.move_to_end(key)
-        return hit[0]
-
-    def _keep(self, key, value, entries: int):
-        while self._tables and self._symtab_entries + entries > self._symtab_budget:
-            _, (_, old) = self._tables.popitem(last=False)
-            self._symtab_entries -= old
-        self._tables[key] = (value, entries)
-        self._symtab_entries += entries
-        return value
+        self._symbols[P.key()] = tab
+        return tab
 
     def residue_tables(self, P: Poly, n: int) -> tuple[list[int], list[int]]:
         """The `ffield.SpreadCoding` half tables (lo, hi) of g -> g mod P over
@@ -153,15 +139,14 @@ class CharContext:
         index: the `unit_images` of 1 mod P, plus the residue of t^n.  The
         residue index of the monic with index a + h len(lo) is lo[a] + hi[h],
         normalised (cached per (P, n))."""
-        key = ("residues", P.key(), n)
-        tabs = self._cached(key)
+        key = (P.key(), n)
+        tabs = self._residues.get(key)
         if tabs is None:
             F = self.field
             coding = spread_coding(F.p, P.degree * F.e)
             images = unit_images(Poly.one(F), n, P)
             t_n = (Poly.from_index(F, n, 0) % P).vector_index()
-            lo, hi = coding.half_tables(images, t_n)
-            tabs = self._keep(key, (lo, hi), len(lo) + len(hi))
+            tabs = self._residues[key] = coding.half_tables(images, t_n)
         return tabs
 
     def symbol_vector(self, P: Poly, k: int) -> list[int]:
@@ -175,8 +160,8 @@ class CharContext:
         degree, P on a tie, at the residue of the other, which comes from the
         half tables of `residue_tables` with no field arithmetic per Q.
         """
-        key = ("vector", P.key(), k)
-        vec = self._cached(key)
+        key = (P.key(), k)
+        vec = self._vectors.get(key)
         if vec is not None:
             return vec
         F = self.field
@@ -199,7 +184,8 @@ class CharContext:
                 lo, hi = self.residue_tables(Q, P.degree)
                 s = lo[j % len(lo)] + hi[j // len(lo)]
                 vec.append(self.symbol_table(Q)[norm_lo[s % b_lo] + norm_hi[s // b_lo]])
-        return self._keep(key, vec, len(vec))
+        self._vectors[key] = vec
+        return vec
 
 
 def char_context(field: Field, ell: int) -> CharContext:

@@ -6,11 +6,13 @@ factor is 1 - c_pi / |pi|^4.  Products of these factors over pi (with the
 finitely many primes of norm <= deg F excluded, where a factor could vanish)
 converge to the density of squarefree specializations F(numer, denom).
 
-Two exact routes to c_pi are implemented: a literal brute force over |pi|^4
-pairs, and a valuation-structured shortcut for forms with constant
-coefficients (split off the u- and v-multiplicities, count the dehomogenized
-roots mod pi^2, and count the locus (u, v) = (0, 0) mod pi separately).  The
-shortcut is cross-checked against brute force in the tests.
+c_pi is counted from the factor degrees of f = F(t, 1) = c prod G^e and of
+the v-multiplicity s_v = deg F - deg f, with no arithmetic mod pi
+(`local_count`): a pair with v a unit is (w v, v) for a root w of f mod
+pi^2, a pair with u a unit and pi | v needs v = 0 mod pi^2 when s_v = 1,
+and the pairs with u = v = 0 mod pi count by deg F alone.  The literal
+brute force over the |pi|^4 pairs, `oracle.local_count_brute`, is its
+oracle in the tests.
 
 The seeded sampler draws (numer, denom) from the box of polynomials of degree
 <= h, which holds only q^(h+1) polynomials, so each is drawn many times.  It
@@ -35,9 +37,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .curves import SuperellipticModel
-from .errors import InputError, InvariantViolation, ResourceLimit
+from .errors import InputError, InvariantViolation
 from .families import BinaryForm, homogenize
-from .ffield import Field, spread_coding
+from .ffield import spread_coding
 from .polyring import (
     Poly,
     factor,
@@ -46,7 +48,6 @@ from .polyring import (
     poly_to_json,
 )
 
-BRUTE_FORCE_LIMIT = 10**8
 # Most draw rows, and most verdicts per factor, the sampler keeps; beyond this
 # many distinct draws (factor values) it computes the row (verdict) afresh.
 POWER_CACHE_LIMIT = 1 << 14
@@ -161,95 +162,37 @@ def excluded_primes(F_form: BinaryForm) -> list[Poly]:
 # -- local counts ----------------------------------------------------------------
 
 
-def _residues(F: Field, degree: int):
-    """All polynomials of degree < degree, canonical order."""
-    for j in range(F.q**degree):
-        yield Poly.from_vector_index(F, j)
-
-
-def local_count_brute(F_form: BinaryForm, pi: Poly) -> int:
-    F = F_form.field
-    pi2 = pi * pi
-    size = F.q ** (2 * pi.degree)
-    if size * size > BRUTE_FORCE_LIMIT:
-        raise ResourceLimit(f"brute-force local count at |pi|^4 = {size * size}")
-    res = list(_residues(F, 2 * pi.degree))
-    d = F_form.degree
-    count = 0
-    for u in res:
-        upows = [Poly.one(F)]
-        for _ in range(d):
-            upows.append((upows[-1] * u) % pi2)
-        for v in res:
-            vpows = [Poly.one(F)]
-            for _ in range(d):
-                vpows.append((vpows[-1] * v) % pi2)
-            acc = Poly.zero(F)
-            for i, c in enumerate(F_form.coeffs):
-                if c.is_zero():
-                    continue
-                acc = acc + upows[i] * vpows[d - i] * c
-            if (acc % pi2).is_zero():
-                count += 1
-    return count
-
-
-def _root_count_mod_pi2(g: Poly, pi: Poly) -> int:
-    """Number of w in A/pi^2 with g(w) = 0 mod pi^2, by root scan plus lifting:
-    a simple root mod pi lifts uniquely; a critical root lifts |pi| ways or 0."""
-    F = g.field
-    pi2 = pi * pi
-    gp = g.derivative()
-    total = 0
-    for r in _residues(F, pi.degree):
-        if not _eval_mod(g, r, pi).is_zero():
-            continue
-        if not _eval_mod(gp, r, pi).is_zero():
-            total += 1
-        elif _eval_mod(g, r, pi2).is_zero():
-            total += F.q**pi.degree
-    return total
-
-
-def _eval_mod(g: Poly, r: Poly, mod: Poly) -> Poly:
-    """g(r) mod `mod` by Horner on polynomial residues."""
-    F = g.field
-    acc = Poly.zero(F)
-    for c in reversed(g.coeffs):
-        acc = (acc * r + Poly.constant(c)) % mod
-    return acc
-
-
-def _split_uv_multiplicity(F_form: BinaryForm) -> tuple[int, int]:
-    """(mult of u, mult of v) in F: v-multiplicity is deg F - deg f, and
-    u-multiplicity is the valuation of f at 0."""
-    f = F_form.dehomogenized()
-    s_v = F_form.degree - f.degree
-    s_u = 0
-    for c in f.coeffs:
-        if c.is_zero():
-            s_u += 1
-        else:
-            break
-    return s_u, s_v
+def _factor_degrees(F_form: BinaryForm) -> tuple:
+    """((deg G, e) for the monic irreducible factors G^e of f = F(t, 1), the
+    v-multiplicity deg F - deg f), from one `polyring.factor` of f per form,
+    kept in the field's `_cache`."""
+    field = F_form.field
+    key = ("factor_degrees", F_form.degree, tuple(c.idx for c in F_form.coeffs))
+    got = field._cache.get(key)
+    if got is None:
+        f = F_form.dehomogenized()
+        parts = tuple((G.degree, e) for G, e in factor(f).factors)
+        got = field._cache[key] = (parts, F_form.degree - f.degree)
+    return got
 
 
 def local_count(F_form: BinaryForm, pi: Poly) -> int:
-    """c_pi via the valuation-structured shortcut when applicable, else brute
-    force.  Applicable: constant coefficients, squarefree-form multiplicity
-    pattern (u- and v-multiplicities at most 1) and total degree >= 2."""
-    d = F_form.degree
-    s_u, s_v = _split_uv_multiplicity(F_form)
-    if d < 2 or s_u > 1 or s_v > 1:
-        return local_count_brute(F_form, pi)
-    F = F_form.field
-    size = F.q**pi.degree
-    g = F_form.dehomogenized()  # F(x, 1)
-    count = _root_count_mod_pi2(g, pi) * (size * size - size)
-    if s_v == 1:
-        count += size * size - size  # pi | v needs v = 0 mod pi^2, u a unit
-    count += size * size  # (u, v) = (0, 0) mod pi: valuation >= d >= 2
-    return count
+    """c_pi = (|pi|^2 - |pi|) (R + V) + Z, from the factor degrees of f.
+
+    R counts the roots of f mod pi^2: a factor G^e with deg G | deg pi has
+    deg G roots mod pi, each a simple root of f that lifts once when e = 1
+    and a root that lifts |pi| ways when e >= 2; every pair with v a unit is
+    (w v, v) for one such root w.  V counts v/u mod pi^2 for u a unit and
+    pi | v: none when s_v = 0, only 0 when s_v = 1, all |pi| multiples of
+    pi when s_v >= 2.  Z counts the |pi|^2 pairs with u = v = 0 mod pi:
+    all of them when deg F >= 2, the |pi| zeros of a linear form in
+    (u/pi, v/pi) when deg F = 1, none when F is a constant."""
+    size = F_form.field.q**pi.degree
+    parts, s_v = _factor_degrees(F_form)
+    roots = sum(k * (1 if e == 1 else size) for k, e in parts if pi.degree % k == 0)
+    at_v = (0, 1, size)[min(s_v, 2)]
+    at_zero = (0, size, size * size)[min(F_form.degree, 2)]
+    return (size * size - size) * (roots + at_v) + at_zero
 
 
 def local_factor(F_form: BinaryForm, pi: Poly) -> LocalFactor:

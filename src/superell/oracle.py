@@ -2,8 +2,9 @@
 paths: digit sums and schoolbook products for the field's tables,
 square-and-multiply residue symbols for the symbol tables, point counts by
 tower arithmetic for the log tables, character sums in Z[zeta_ell] for the
-L-polynomials, predicted counts for zeta numerators, and from-scratch
-squarefree filters and counts for the density sampler and the sieve.  No
+L-polynomials, predicted counts for zeta numerators, from-scratch
+squarefree filters and counts for the density sampler and the sieve, and
+brute-force local counts for the density's local factors.  No
 module of superell imports this one except `__init__`, which re-exports
 `MuValue` and `residue_symbol`.
 """
@@ -16,7 +17,7 @@ from . import limits
 from .characters import DirichletChar, char_context, char_value_counts
 from .curves import SuperellipticModel, ZetaNum, count_points, predicted_count
 from .cyclo import CycInt, mu_embed
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm
 from .ffield import Field, FieldElem
 from .polyring import Poly, factor_table, monic_multiples, powmod
@@ -221,6 +222,44 @@ def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, exclu
     skip = {P.key() for P in excluded}
     factors = factor_table(monic.field).factors(monic.degree, monic.vector_index() - monic.norm())
     return all(e == 1 for P, e in factors if P.key() not in skip)
+
+
+BRUTE_FORCE_LIMIT = 10**8
+
+
+def _residues(F: Field, degree: int):
+    """All polynomials of degree < degree, canonical order."""
+    for j in range(F.q**degree):
+        yield Poly.from_vector_index(F, j)
+
+
+def local_count_brute(F_form: BinaryForm, pi: Poly) -> int:
+    """c_pi by its definition: the pairs (u, v) in (A/pi^2)^2 with
+    F(u, v) = 0 mod pi^2, each evaluated, at most `BRUTE_FORCE_LIMIT` pairs."""
+    F = F_form.field
+    pi2 = pi * pi
+    size = F.q ** (2 * pi.degree)
+    if size * size > BRUTE_FORCE_LIMIT:
+        raise ResourceLimit(f"brute-force local count at |pi|^4 = {size * size}")
+    res = list(_residues(F, 2 * pi.degree))
+    d = F_form.degree
+    count = 0
+    for u in res:
+        upows = [Poly.one(F)]
+        for _ in range(d):
+            upows.append((upows[-1] * u) % pi2)
+        for v in res:
+            vpows = [Poly.one(F)]
+            for _ in range(d):
+                vpows.append((vpows[-1] * v) % pi2)
+            acc = Poly.zero(F)
+            for i, c in enumerate(F_form.coeffs):
+                if c.is_zero():
+                    continue
+                acc = acc + upows[i] * vpows[d - i] * c
+            if (acc % pi2).is_zero():
+                count += 1
+    return count
 
 
 def squarefree_density_exact(q: int) -> Fraction:

@@ -508,6 +508,17 @@ def test_cli_density(capsys):
     assert int(data["truncated_product"]["den"]) > 0
 
 
+def test_cli_density_of_a_linear_form(capsys):
+    # y^3 = t: the linear form F = u, once counted by a brute force over the
+    # |pi|^4 pairs of each of the 21 degree-2 primes; F(u, v) = 0 mod pi^2
+    # exactly when u = 0, with v free, so c_pi = |pi|^2
+    rc = cli_main(["density", "--p", "7", "--ell", "3", "--components", "[[0,1],[1]]",
+                   "--deg-max", "2", "--samples", "10"])
+    assert rc == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [f["c"] for f in data["factors"]] == [7**2] * 7 + [7**4] * 21
+
+
 def test_cli_lpoly(capsys, F7):
     rc = cli_main(["lpoly", "--p", "7", "--ell", "3",
                    "--conductor-factors", "[[[0,1],1],[[6,1],2]]"])
@@ -697,6 +708,16 @@ def test_census_f25_degree3_includes_seed_vanishing():
     # the trivial-twist quadratic-partner conductors of the f25twist seed live
     # at degree 3; the census flags some vanishing conductor there
     assert rep.per_degree[2]["count_B"] > 0
+
+
+@pytest.mark.slow
+def test_census_f16_degree5_builds_each_symbol_table_once():
+    # the paper-scale reference run: 5.86M characters over F_16, one symbol
+    # table per monic irreducible of degree <= 3
+    rep = run_census(2, 4, 3, 5)
+    assert rep.per_degree[4]["count_A"] == 5551200
+    assert rep.per_degree[4]["count_B"] == 274880
+    assert rep.runtime_stats["total_counts"]["symbol_tables_built"] == 16 + 120 + 1360
 
 
 def test_vanishing_characters_confirmed_by_zeta_route(F7):

@@ -15,6 +15,7 @@ from superell import (
     factor,
     make_field,
     residue_symbol,
+    run_census,
 )
 from superell.characters import (
     CharContext,
@@ -171,21 +172,28 @@ def test_residue_tables_match_polynomial_remainder(F7):
                         assert r == (g % P).vector_index(), (F, P, j)
 
 
-def test_symbol_caches_share_one_budget(F7, monkeypatch):
-    # symbol tables, residue half tables and symbol vectors are evicted
-    # together, least recently used first, and rebuilt when needed again
-    from superell.lfunction import l_polynomials, monic_sum_l_polynomials
+def test_symbol_tables_built_once_per_field(monkeypatch):
+    # over F_16, the theorem's smallest field: the census builds one symbol
+    # table per distinct prime it reads, keeps it, and a second census over
+    # the same field builds none
+    F16 = make_field(2, 4)
+    ctx = CharContext(F16, 3)  # fresh counts and tables
+    monkeypatch.setitem(F16._cache, ("charctx", 3), ctx)
+    read = set()
+    real = CharContext.symbol_table
 
-    ctx = CharContext(F7, 3)
-    ctx._symtab_budget = 400
-    monkeypatch.setitem(F7._cache, ("charctx", 3), ctx)
-    kinds = set()
-    for d in (2, 3):
-        for chars in conductor_groups(F7, 3, d):
-            assert l_polynomials(chars) == monic_sum_l_polynomials(chars)
-            assert ctx._symtab_entries == sum(n for _, n in ctx._tables.values()) <= 400
-            kinds.update(key[0] for key in ctx._tables)
-    assert kinds == {"symbols", "residues", "vector"}
+    def recorded(self, P):
+        read.add(P.key())
+        return real(self, P)
+
+    monkeypatch.setattr(CharContext, "symbol_table", recorded)
+    rep = run_census(2, 4, 3, 4)
+    assert [r["count_A"] for r in rep.per_degree] == [32, 720, 14880, 292560]
+    assert [r["count_B"] for r in rep.per_degree] == [0, 80, 640, 21600]
+    assert ctx.counts["symbol_tables_built"] == len(read) == 149
+    again = run_census(2, 4, 3, 4)
+    assert again.runtime_stats["total_counts"]["symbol_tables_built"] == 0
+    assert [r["count_B"] for r in again.per_degree] == [0, 80, 640, 21600]
 
 
 def test_mu_value_algebra():

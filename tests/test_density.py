@@ -14,10 +14,11 @@ from superell import (
     truncated_density,
 )
 import superell.density as density_mod
-from superell.density import LocalFactor, _LCG, local_count_brute, product_form
+from superell.density import LocalFactor, _LCG, product_form
 from superell.families import BinaryForm
 from superell.oracle import (
     exhaustive_squarefree_count,
+    local_count_brute,
     monics,
     passes_squarefree_filter,
     squarefree_density_exact,
@@ -77,6 +78,30 @@ def test_shortcut_matches_brute_force(F7):
     for pi in list(irreducibles(F3, 1)) + list(irreducibles(F3, 2))[:2]:
         assert local_count_brute(cubic3, pi) == local_factor(cubic3, pi).c
         assert local_count_brute(uvw, pi) == local_factor(uvw, pi).c
+
+    # u- and v-multiplicities up to 3, repeated factors, deg F = 0 and 1, at
+    # the primes of degree 1 to 3 with at most 5,000 pairs mod pi^2
+    F2, F4 = make_field(2, 1), make_field(2, 2)
+    forms = [
+        (F3, (0, 0, 1, 1), 5),  # u^2 v^2 (u + v): s_u = s_v = 2
+        (F3, (0, 0, 0, 1), 3),  # u^3
+        (F3, (1,), 3),  # v^3
+        (F3, (1, 2, 2, 2, 1), 6),  # (u + v)^2 (u^2 + v^2) v^2
+        (F3, (2,), None),  # deg F = 0
+        (F3, (1, 1), None),  # u + v
+        (F3, (0, 1), None),  # u
+        (F3, (1,), 1),  # v
+        (F2, (1, 1, 1, 0, 0, 1), 7),  # (u + v)^2 (u^3 + u v^2 + v^3) v^2
+        (F2, (0, 0, 1, 0, 1), 4),  # u^2 (u + v)^2: no simple root
+        (F4, (0, 1, 2, 3), 4),  # a unit times u (u + v) (u + w v) v
+    ]
+    for F, ints, degree in forms:
+        form = BinaryForm(F, poly(F, *ints).coeffs, degree)
+        for k in range(1, 4):
+            if F.q ** (4 * k) > 5000:
+                break
+            for pi in irreducibles(F, k)[:2]:
+                assert local_count_brute(form, pi) == local_factor(form, pi).c, (form, pi)
 
 
 def test_unit_scaling_invariance(F7):
