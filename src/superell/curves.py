@@ -14,8 +14,6 @@ q^n is bounded by SUPERELL_ZECH_LIMIT.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import limits
 from .cyclo import central_rows_are_zero, newton_coefficients
 from .errors import InputError, InvariantViolation
@@ -349,18 +347,20 @@ def find_central_extension(P: ZetaNum, d_max: "int | None" = None) -> "int | Non
 
 
 def numerator_divides(P0: ZetaNum, P: ZetaNum) -> bool:
-    """Exact polynomial divisibility over Q (same q required)."""
+    """Exact polynomial divisibility over Q (same q required).  P0 has
+    constant term 1, so it is primitive and, by Gauss's lemma, divides P over
+    Q exactly when it does over Z: the quotient's coefficients come from the
+    constant term up, in integers, and P0 divides P when what is left above
+    them is zero."""
     if P0.q != P.q:
         raise InputError("numerator divisibility needs matching base fields")
-    rem = [Fraction(c) for c in P.coeffs]
-    div = [Fraction(c) for c in P0.coeffs]
-    while len(rem) >= len(div):
-        lead = rem[-1] / div[-1]
-        off = len(rem) - len(div)
-        for i, c in enumerate(div):
-            rem[off + i] -= lead * c
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if not rem:
-            return True
-    return not rem
+    div, rem = P0.coeffs, list(P.coeffs)
+    n = len(rem) - len(div) + 1  # terms of the quotient
+    if n <= 0:
+        return False
+    for k in range(n):
+        c = rem[k]  # the quotient's T^k coefficient, as div[0] = 1
+        if c:
+            for i in range(1, len(div)):
+                rem[k + i] -= c * div[i]
+    return not any(rem[n:])

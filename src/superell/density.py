@@ -24,10 +24,13 @@ factors, no other prime divides both n and d.  Each drawn g keeps one row:
 its powers up to the largest degree of a nonlinear G_k, the bitmask of the
 primes dividing it (from the factorization of its monic associate), and the
 spread codes that make the value n + a d of a linear factor t + a one
-carry-free integer add.  Each factor keeps one verdict per value, keyed by the
-value's `vector_index`, since distinct pairs often share one; so rule (ii) is
-one `&` of two masks, and the squarefree tests run on values of degree at most
-h times the largest factor degree, not h deg F.  Over a field of at most
+carry-free integer add, normalised back to an index by table lookups on
+chunks of its base-p digits (two lookups when the whole value fits one
+chunk).  The filter on a value depends on the value alone, so the factors
+share one verdict per value, keyed by its `vector_index`, since distinct pairs
+and distinct factors often meet the same one; so rule (ii) is one `&` of two
+masks, and the squarefree tests run on values of degree at most h times the
+largest factor degree, not h deg F.  Over a field of at most
 `ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
 evaluation and the squarefree test build no new field elements.
 """
@@ -48,8 +51,9 @@ from .polyring import (
     poly_to_json,
 )
 
-# Most draw rows, and most verdicts per factor, the sampler keeps; beyond this
-# many distinct draws (factor values) it computes the row (verdict) afresh.
+# Most draw rows, and most verdicts in the one pool all factors share, the
+# sampler keeps; beyond this many distinct draws (factor values) it computes
+# the row (verdict) afresh.  No spread table the sampler reads has more entries.
 POWER_CACHE_LIMIT = 1 << 14
 
 
@@ -286,14 +290,18 @@ class _FactorFilter:
     A draw g, by its box index (`vector_index`), has a row (mask, powers,
     code, codes): the bitmask of the monic primes dividing g (every bit for
     g = 0), from the `polyring.factor` of its monic associate; the powers
-    [1, g, ...] up to the largest degree of a nonlinear G_k; the
-    coefficient-wise spread code of g, and that of a g for each linear
-    factor t + a.  The value n + a d of a linear factor is then the
-    carry-free sum of two codes, normalised coefficient by coefficient with
-    the field's `spread_coding(p, e)` tables; a nonlinear factor's value comes
-    from `BinaryForm.evaluate_powers`.  Each factor keeps one verdict per
-    value, keyed by its `vector_index`.  At most `POWER_CACHE_LIMIT` rows, and
-    as many verdicts per factor, are kept."""
+    [1, g, ...] up to the largest degree of a nonlinear G_k; the spread code
+    of g's index, all of its e (h_deg + 1) base-p digits, and that of a g for
+    each linear factor t + a.  The value n + a d of a linear factor is then
+    the carry-free sum of two codes, normalised in chunks of base-p digits
+    with the `norm_lo`/`norm_hi` tables of `spread_coding(p, width)`, each
+    chunk as wide as tables of at most `POWER_CACHE_LIMIT` entries allow: one
+    chunk, two lookups, when the whole value fits, digit by digit with no
+    table when not even one digit's tables fit.  A nonlinear factor's value
+    comes from `BinaryForm.evaluate_powers`.  The filter on a value depends
+    only on the value, so all factors share one verdict per value, keyed by
+    its `vector_index`.  At most `POWER_CACHE_LIMIT` rows, and as many
+    verdicts, are kept."""
 
     def __init__(self, F_form: BinaryForm, h_deg: int):
         F = F_form.field
@@ -311,13 +319,24 @@ class _FactorFilter:
         self.shifts = [P.coeffs[0] for P, _ in parts if P.degree == 1]
         self.forms = [homogenize(P) for P, _ in parts if P.degree > 1]
         self.widest = max(self.forms, key=lambda G: G.degree, default=None)
-        coding = spread_coding(F.p, F.e)
-        self.coding = coding
-        self.slot = coding.radix**F.e  # a coefficient's place in a code
-        self.places = [self.slot**k for k in range(h_deg + 1)]
         self.weights = [F.q**k for k in range(h_deg + 1)]
+        # the widest chunk whose tables, (2p - 1)^(w - w // 2) entries each,
+        # fit; 0 when even one digit's do not
+        p, radix, digits = F.p, 2 * F.p - 1, F.e * (h_deg + 1)
+        width = 0
+        while width < digits and radix ** ((width + 2) // 2) <= POWER_CACHE_LIMIT:
+            width += 1
+        self.p, self.radix = p, radix
+        self.spread = spread_coding(p, width).spread  # the method reads no table
+        self.chunks = []  # (radix^w, norm_lo, norm_hi, b_lo, p^start) per chunk of w digits
+        for start in range(0, digits, width) if width else ():
+            w = min(width, digits - start)
+            coding = spread_coding(p, w)
+            self.chunks.append((radix**w, coding.norm_lo, coding.norm_hi, coding.b_lo, p**start))
+        # the tables of a value that fits in one chunk, for two lookups and no loop
+        self.norm = self.chunks[0][1:4] if len(self.chunks) == 1 else None
         self.rows: dict[int, tuple] = {}
-        self.verdicts: list[dict[int, bool]] = [{} for _ in parts]
+        self.verdicts: dict[int, bool] = {}
 
     def row(self, index: int) -> tuple:
         row = self.rows.get(index)
@@ -328,7 +347,7 @@ class _FactorFilter:
         return row
 
     def _new_row(self, index: int) -> tuple:
-        F, bits, spread = self.field, self.bits, self.coding.spread
+        F, bits, spread, weights = self.field, self.bits, self.spread, self.weights
         g = Poly.from_vector_index(F, index)
         if g.is_zero():
             mask = -1
@@ -339,18 +358,31 @@ class _FactorFilter:
             for P, _ in factor(g).factors:
                 mask |= bits.setdefault(P.key(), 1 << len(bits))
         powers = None if self.widest is None else self.widest.powers(g)
-        code = sum(spread(c.idx) * w for c, w in zip(g.coeffs, self.places))
         codes = [
-            sum(spread(F.mul(a, c).idx) * w for c, w in zip(g.coeffs, self.places))
+            spread(sum(F.mul(a, c).idx * w for c, w in zip(g.coeffs, weights)))
             for a in self.shifts
         ]
-        return mask, powers, code, codes
+        return mask, powers, spread(index), codes
 
-    def _verdict(self, k: int, key: int, val: Poly) -> bool:
-        """The filter on the value val of factor k, kept while there is room."""
+    def _sum_index(self, s: int) -> int:
+        """The vector index of the value whose spread code is s, a sum of two
+        codes, normalised chunk by chunk."""
+        key = 0
+        for size, norm_lo, norm_hi, b_lo, place in self.chunks:
+            s, c = divmod(s, size)
+            key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * place
+        p, radix, place = self.p, self.radix, 1
+        while s:  # left only when there are no chunks: one digit at a time
+            s, c = divmod(s, radix)
+            key += c % p * place
+            place *= p
+        return key
+
+    def _verdict(self, key: int, val: Poly) -> bool:
+        """The filter on the value val, kept while there is room."""
         ok = _passes_stripped(val, self.excluded)
-        if len(self.verdicts[k]) < POWER_CACHE_LIMIT:
-            self.verdicts[k][key] = ok
+        if len(self.verdicts) < POWER_CACHE_LIMIT:
+            self.verdicts[key] = ok
         return ok
 
     def passes(self, nrow: tuple, drow: tuple) -> bool:
@@ -362,24 +394,23 @@ class _FactorFilter:
         dmask, dpows, _, dcodes = drow
         if nmask & dmask & self.coprime_bits:
             return False
-        verdicts, slot, weights = self.verdicts, self.slot, self.weights
-        norm_lo, norm_hi, b_lo = self.coding.norm_lo, self.coding.norm_hi, self.coding.b_lo
-        for k, acode in enumerate(dcodes):
-            s, key = ncode + acode, 0
-            for w in weights:
-                s, c = divmod(s, slot)
-                key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * w
-            ok = verdicts[k].get(key)
+        verdicts, norm = self.verdicts, self.norm
+        if norm is not None:
+            norm_lo, norm_hi, b_lo = norm
+        for acode in dcodes:
+            s = ncode + acode
+            key = self._sum_index(s) if norm is None else norm_lo[s % b_lo] + norm_hi[s // b_lo]
+            ok = verdicts.get(key)
             if ok is None:
-                ok = self._verdict(k, key, Poly.from_vector_index(self.field, key))
+                ok = self._verdict(key, Poly.from_vector_index(self.field, key))
             if not ok:
                 return False
-        for k, G in enumerate(self.forms, len(dcodes)):
+        for G in self.forms:
             val = G.evaluate_powers(npows, dpows)
             key = val.vector_index()
-            ok = verdicts[k].get(key)
+            ok = verdicts.get(key)
             if ok is None:
-                ok = self._verdict(k, key, val)
+                ok = self._verdict(key, val)
             if not ok:
                 return False
         return True

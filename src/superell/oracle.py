@@ -2,11 +2,11 @@
 paths: digit sums and schoolbook products for the field's tables,
 square-and-multiply residue symbols for the symbol tables, point counts by
 tower arithmetic for the log tables, character sums in Z[zeta_ell] for the
-L-polynomials, predicted counts for zeta numerators, from-scratch
-squarefree filters and counts for the density sampler and the sieve, and
-brute-force local counts for the density's local factors.  No
-module of superell imports this one except `__init__`, which re-exports
-`MuValue` and `residue_symbol`.
+L-polynomials, predicted counts and long division over Q for zeta
+numerators, from-scratch squarefree filters and counts for the density
+sampler and the sieve, and brute-force local counts for the density's local
+factors.  No module of superell imports this one except `__init__`, which
+re-exports `MuValue` and `residue_symbol`.
 """
 
 from __future__ import annotations
@@ -204,6 +204,25 @@ def check_predicted_counts(M: SuperellipticModel, P: ZetaNum) -> None:
             raise InvariantViolation(
                 "predicted-counts", f"N_{n}: predicted {pred}, counted {direct} for {M!r}"
             )
+
+
+def numerator_divides_rational(P0: ZetaNum, P: ZetaNum) -> bool:
+    """P0 | P by long division over Q from the leading terms, in `Fraction`s:
+    the oracle of `curves.numerator_divides`."""
+    if P0.q != P.q:
+        raise InputError("numerator divisibility needs matching base fields")
+    rem = [Fraction(c) for c in P.coeffs]
+    div = [Fraction(c) for c in P0.coeffs]
+    while len(rem) >= len(div):
+        lead = rem[-1] / div[-1]
+        off = len(rem) - len(div)
+        for i, c in enumerate(div):
+            rem[off + i] -= lead * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            return True
+    return not rem
 
 
 def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from superell import (
@@ -19,7 +21,7 @@ from superell import (
 )
 from superell.curves import power_sums, predicted_count
 from superell.ffield import extend_field
-from superell.oracle import check_predicted_counts, count_points_generic
+from superell.oracle import check_predicted_counts, count_points_generic, numerator_divides_rational
 from superell.polyring import Poly
 
 from conftest import poly
@@ -206,6 +208,41 @@ def test_numerator_divides(F7):
     assert not numerator_divides(ZetaNum(5, (1, -2, 5)), ZetaNum(5, (1, 0, 5)))
     with pytest.raises(InputError):
         numerator_divides(ZetaNum(5, (1, 0, 5)), ZetaNum(7, (1, 0, 7)))
+
+
+def _random_weil(rng, q, g):
+    """A random list a_0 = 1, a_1..a_g, completed by the functional equation."""
+    low = [1] + [rng.randint(-3 * q, 3 * q) for _ in range(g)]
+    return tuple(low + [q ** (g - i) * low[i] for i in range(g - 1, -1, -1)])
+
+
+def test_numerator_divides_matches_division_over_q():
+    """The integer division against long division in Fractions, on random
+    pairs: P a multiple of P0, a multiple with one coefficient pair moved,
+    or an unrelated list, P0 of any genus up to 3 (also above P's)."""
+    rng = random.Random(2025)
+    kinds = {True: 0, False: 0}
+    for _ in range(3000):
+        q = rng.choice((2, 3, 5, 7, 25))
+        g0 = rng.randint(0, 3)
+        P0 = ZetaNum(q, _random_weil(rng, q, g0))
+        R = _random_weil(rng, q, rng.randint(0, 3))
+        how = rng.randrange(3)
+        if how == 2:
+            P = ZetaNum(q, R)
+        else:
+            coeffs = _mul_weil([P0.coeffs, R], q).coeffs
+            if how == 1 and len(coeffs) > 1:
+                g, i, step = len(coeffs) // 2, rng.randint(1, len(coeffs) // 2), rng.choice((-1, 1))
+                coeffs = list(coeffs)
+                coeffs[i] += step
+                if i != g:
+                    coeffs[2 * g - i] += q ** (g - i) * step
+            P = ZetaNum(q, coeffs)
+        got = numerator_divides(P0, P)
+        assert got == numerator_divides_rational(P0, P), (P0, P)
+        kinds[got] += 1
+    assert min(kinds.values()) > 500, kinds
 
 
 def test_lemma_style_divisibility(F7):

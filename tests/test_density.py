@@ -229,8 +229,9 @@ def _replayed_hits(base, h_deg, samples, seed, coprime_only):
 
 
 def _sampler_bases():
-    F2, F3, F4, F7, F25 = (make_field(p, e) for p, e in ((2, 1), (3, 1), (2, 2), (7, 1), (5, 2)))
-    t2, t3, t4, t7 = Poly.x(F2), Poly.x(F3), Poly.x(F4), Poly.x(F7)
+    F2, F3, F4, F7, F25, F101 = (make_field(p, e) for p, e in
+                                 ((2, 1), (3, 1), (2, 2), (7, 1), (5, 2), (101, 1)))
+    t2, t3, t4, t7, t101 = Poly.x(F2), Poly.x(F3), Poly.x(F4), Poly.x(F7), Poly.x(F101)
     one4, one7 = Poly.one(F4), Poly.one(F7)
     w4 = Poly.constant(F4.elem_at(2))
     return {
@@ -255,13 +256,17 @@ def _sampler_bases():
         "F7-t": (SuperellipticModel(3, F7, F7.one(), (t7, one7)), 2),
         # at h = 2 the oracle's factor table would pass the census limit
         "F25-h0": (trigonal(F25), 0),
+        # 201^2 > POWER_CACHE_LIMIT: a value is normalised in chunks of 2 and 1
+        # digits; the oracle reads factor table level 2 (10,201 monics)
+        "F101": (SuperellipticModel(3, F101, F101.one(), (t101 + Poly.one(F101),
+                                                          Poly.one(F101))), 2),
     }
 
 
 @pytest.mark.parametrize("coprime_only", [False, True])
 @pytest.mark.parametrize("name", ["F7", "F2", "F2-h0", "F3", "F4", "F25", "F7-lin-quad",
                                   "F7-cubic", "F7-two-comp", "F3-ell2", "F4-lines", "F7-t",
-                                  "F25-h0"])
+                                  "F25-h0", "F101"])
 def test_sampler_matches_per_sample_filter(name, coprime_only):
     base, h_deg = _sampler_bases()[name]
     emp = empirical_density(base, h_deg, 300, seed=11, coprime_only=coprime_only)
@@ -307,21 +312,22 @@ def test_sampler_past_its_power_cache(monkeypatch):
         rows.append(index)
         return real_row(rule, index)
 
-    def counted_verdict(rule, k, key, val):
-        verdicts.append((k, key))
-        return real_verdict(rule, k, key, val)
+    def counted_verdict(rule, key, val):
+        verdicts.append(val.vector_index())
+        return real_verdict(rule, key, val)
 
     monkeypatch.setattr(density_mod._FactorFilter, "_new_row", counted_row)
     monkeypatch.setattr(density_mod._FactorFilter, "_verdict", counted_verdict)
     # F2 has excluded primes, F25 is an extension field, F7-lin-quad has a
-    # factor of degree 2
+    # factor of degree 2, and F7, F2 and F7-lin-quad have several factors
     for name in ("F7", "F25", "F2", "F7-lin-quad"):
         base, h_deg = _sampler_bases()[name]
         monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", limit)
         rows.clear()
         verdicts.clear()
         full = empirical_density(base, h_deg, 300, seed=3)
-        # one row per distinct draw and one verdict per distinct factor value
+        # one row per distinct draw and one verdict per distinct value, whichever
+        # factors produce it
         drawn, values = len(rows), len(verdicts)
         assert drawn == len(set(rows)) > 4 and values == len(set(verdicts)) > 4, name
         rows.clear()
@@ -330,3 +336,31 @@ def test_sampler_past_its_power_cache(monkeypatch):
         assert empirical_density(base, h_deg, 300, seed=3) == full, name
         # past the bound both are computed again for what the caches could not keep
         assert len(rows) > drawn and len(verdicts) > values, name
+
+
+def test_sampler_spread_tables_fit_the_cache_limit(monkeypatch):
+    """At F_4093 and F_625, h = 2, every spread table the filter reads has at
+    most POWER_CACHE_LIMIT entries and a value takes two chunks; with the
+    limit at 4 no digit's tables fit, values are normalised digit by digit,
+    and 200 samples give the same hits."""
+    real, full_limit = density_mod.spread_coding, density_mod.POWER_CACHE_LIMIT
+    codings = []
+
+    def recorded(p, dim):
+        codings.append(real(p, dim))
+        return codings[-1]
+
+    monkeypatch.setattr(density_mod, "spread_coding", recorded)
+    for p, e in ((4093, 1), (5, 4)):
+        base = trigonal(make_field(p, e))
+        for limit in (full_limit, 4):
+            monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", limit)
+            codings.clear()
+            rule = density_mod._FactorFilter(product_form(base), 2)
+            assert len(rule.chunks) == (2 if limit == full_limit else 0), (p, e, limit)
+            hits = empirical_density(base, 2, 200, seed=4)["hits"]
+            assert codings and all(max(len(c.norm_lo), len(c.norm_hi)) <= limit
+                                   for c in codings), (p, e, limit)
+            if limit == full_limit:
+                full = hits
+            assert hits == full, (p, e)
