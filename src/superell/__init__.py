@@ -3,13 +3,7 @@ functions of superelliptic curves, central-point vanishing tests, vanishing
 families via dominant maps, and squarefree sieve densities."""
 
 from .census import family_experiment, run_census, seed_check
-from .characters import (
-    DirichletChar,
-    char_from_model,
-    count_all_primitive,
-    count_order_ell_exact,
-    enumerate_order_ell,
-)
+from .characters import DirichletChar, char_from_model, count_order_ell_exact
 from .curves import (
     SuperellipticModel,
     ZetaNum,
@@ -34,7 +28,6 @@ from .families import (
     BinaryForm,
     RationalMap,
     generate_family,
-    genus_bound_degree,
     homogenize,
     specialize,
 )
@@ -45,7 +38,13 @@ from .lfunction import (
     l_polynomial,
     strip_trivial_factor,
 )
-from .oracle import MuValue, residue_symbol
+from .oracle import (
+    MuValue,
+    count_all_primitive,
+    enumerate_order_ell,
+    genus_bound_degree,
+    residue_symbol,
+)
 from .polyring import Factorization, Poly, factor, irreducibles, is_squarefree
 
 __version__ = "0.1.0"

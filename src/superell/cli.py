@@ -9,6 +9,7 @@ resource guard refused the computation.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -32,19 +33,79 @@ def _open_arg(flag: str, path: str, mode: str):
         raise InputError(f"{flag}: cannot open {path!r} ({exc.strerror or exc})") from None
 
 
+_ENCODE_STR = json.encoder.encode_basestring_ascii  # the C encoder
+_BATCH = 1 << 16
+
+
+def _json_key(key) -> str:
+    """A non-str dict key as json converts it: numbers, bools and None."""
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
 def _dump_json(payload, fh) -> None:
     """The bytes of json.dump(payload, fh, indent=2, sort_keys=True) and a
-    newline, written in batches of about 64 KiB of encoder chunks rather
-    than one write per token, and never as one string."""
-    batch, size = [], 0
-    for chunk in json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload):
-        batch.append(chunk)
-        size += len(chunk)
-        if size >= 1 << 16:
-            fh.write("".join(batch))
-            batch, size = [], 0
-    batch.append("\n")
-    fh.write("".join(batch))
+    newline, from one recursive pass with no encoder generators (the
+    indenting encoder is pure Python, one generator hop per token).
+
+    Strings go through the C `encode_basestring_ascii`, ints through
+    `int.__repr__` (an all-int list in one join), and floats and every other
+    leaf through `json.dumps`; dict items are sorted before their keys are
+    converted, as json does, so mixed key types raise TypeError.  Each leaf
+    is one piece with the separator, indent and key before it; the pieces
+    are written in batches of about 64 KiB, never as one string."""
+    parts: list = []
+    size = 0
+
+    def put(o, head: str, nl: str) -> None:
+        # head: what precedes o on its line; nl: newline and o's indent
+        nonlocal size
+        if size >= _BATCH:
+            fh.write("".join(parts))
+            parts.clear()
+            size = 0
+        if isinstance(o, str):
+            text = head + _ENCODE_STR(o)
+        elif type(o) is int:
+            text = head + int.__repr__(o)
+        elif isinstance(o, dict):
+            if not o:
+                text = head + "{}"
+            else:
+                inner = nl + "  "
+                parts.append(head + "{")
+                size += len(head) + 1
+                sep = inner
+                for key, value in sorted(o.items()):
+                    if not isinstance(key, str):
+                        key = _json_key(key)
+                    put(value, sep + _ENCODE_STR(key) + ": ", inner)
+                    sep = "," + inner
+                text = nl + "}"
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                text = head + "[]"
+            elif all(type(x) is int for x in o):
+                inner = nl + "  "
+                text = head + "[" + inner + ("," + inner).join(map(int.__repr__, o)) + nl + "]"
+            else:
+                inner = nl + "  "
+                parts.append(head + "[")
+                size += len(head) + 1
+                sep = inner
+                for x in o:
+                    put(x, sep, inner)
+                    sep = "," + inner
+                text = nl + "]"
+        else:
+            text = head + json.dumps(o)
+        parts.append(text)
+        size += len(text)
+
+    put(payload, "", "\n")
+    parts.append("\n")
+    fh.write("".join(parts))
 
 
 def _write_out(payload, out_path: "str | None", csv_text: "str | None" = None) -> None:
@@ -286,5 +347,17 @@ def _dispatch(args) -> int:
     raise InputError(f"unknown command {args.command!r}")  # pragma: no cover
 
 
+def run() -> None:
+    """The console entry point: main(), then exit with its code.  The heap is
+    frozen first, so the collection at interpreter shutdown skips every
+    object the run left alive; os._exit would skip that collection too, but
+    also the atexit handlers and the L-cache's close."""
+    try:
+        code = main()
+    finally:  # argparse's --help and usage errors exit from inside main
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    run()

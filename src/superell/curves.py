@@ -255,11 +255,6 @@ def power_sums(P: ZetaNum, n_max: int) -> list[int]:
     return S[1:]
 
 
-def predicted_count(P: ZetaNum, n: int) -> int:
-    """N_n = q^n + 1 - S_n implied by the numerator."""
-    return P.q**n + 1 - power_sums(P, n)[n - 1]
-
-
 def zeta_numerator(M: SuperellipticModel) -> ZetaNum:
     """P(T) from exact counts N_1..N_g: Newton's identities give a_1..a_g, the
     functional equation fills the top half."""

@@ -116,13 +116,6 @@ class RationalMap:
         return f"RationalMap(({self.numer!r}) / ({self.denom!r}))"
 
 
-def genus_bound_degree(g_target: int, g0: int, ell: int) -> int:
-    """Largest deg h keeping the pulled-back genus at most g_target."""
-    if g0 < 0:
-        raise InputError("negative genus")
-    return (g_target + ell - 1) // (g0 + ell - 1)
-
-
 def _require_family_base(M0: SuperellipticModel) -> None:
     if M0.ell == 2 or M0.ell % 2 == 0:
         raise InputError("family bases need odd prime ell")

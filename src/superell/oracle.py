@@ -2,11 +2,13 @@
 paths: digit sums and schoolbook products for the field's tables,
 square-and-multiply residue symbols for the symbol tables, point counts by
 tower arithmetic for the log tables, character sums in Z[zeta_ell] for the
-L-polynomials, predicted counts and long division over Q for zeta
+L-polynomials, character counts and the full enumeration of order-ell
+characters for the census, predicted counts and long division over Q for zeta
 numerators, from-scratch squarefree filters and counts for the density
 sampler and the sieve, and brute-force local counts for the density's local
 factors.  No module of superell imports this one except `__init__`, which
-re-exports `MuValue` and `residue_symbol`.
+re-exports `MuValue`, `residue_symbol`, `count_all_primitive`,
+`enumerate_order_ell` and `genus_bound_degree`.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import limits
-from .characters import DirichletChar, char_context, char_value_counts
-from .curves import SuperellipticModel, ZetaNum, count_points, predicted_count
+from .characters import DirichletChar, char_context, char_value_counts, conductor_groups
+from .curves import SuperellipticModel, ZetaNum, count_points, power_sums
 from .cyclo import CycInt, mu_embed
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm
@@ -137,6 +139,28 @@ def residue_symbol(g: Poly, P: Poly, ell: int) -> MuValue:
     return MuValue.root(ell, k)
 
 
+def count_all_primitive(q: int, d: int) -> int:
+    """Number of primitive Dirichlet characters (all orders) with conductor degree d."""
+    if d < 0:
+        raise InputError("negative conductor degree")
+    if d == 0:
+        return 1
+    if d == 1:
+        return q * q - 2 * q
+    return q ** (2 * d - 2) * (q - 1) ** 2
+
+
+def enumerate_order_ell(F: Field, ell: int, n: int) -> list[DirichletChar]:
+    """All primitive order-ell characters with conductor degree <= n."""
+    char_context(F, ell)  # validates q = 1 mod ell
+    limits.require("SUPERELL_LIMIT_CENSUS", F.q**n, f"enumeration at degree {n} over {F}")
+    out: list[DirichletChar] = []
+    for d in range(1, n + 1):
+        for chars in conductor_groups(F, ell, d):
+            out.extend(chars)
+    return out
+
+
 def char_value(chi: DirichletChar, g: Poly) -> MuValue:
     """chi(g) = prod of residue symbols; zero when g shares a conductor factor."""
     out = MuValue.root(chi.ell, 0)
@@ -194,6 +218,11 @@ def count_points_generic(M: SuperellipticModel, E: Field) -> int:
     return total
 
 
+def predicted_count(P: ZetaNum, n: int) -> int:
+    """N_n = q^n + 1 - S_n implied by the numerator."""
+    return P.q**n + 1 - power_sums(P, n)[n - 1]
+
+
 def check_predicted_counts(M: SuperellipticModel, P: ZetaNum) -> None:
     """Raise InvariantViolation("predicted-counts") unless the counts
     N_{g+1}..N_{2g} that the numerator P of M predicts equal direct counts."""
@@ -223,6 +252,13 @@ def numerator_divides_rational(P0: ZetaNum, P: ZetaNum) -> bool:
         if not rem:
             return True
     return not rem
+
+
+def genus_bound_degree(g_target: int, g0: int, ell: int) -> int:
+    """Largest deg h keeping the pulled-back genus at most g_target."""
+    if g0 < 0:
+        raise InputError("negative genus")
+    return (g_target + ell - 1) // (g0 + ell - 1)
 
 
 def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:

@@ -27,12 +27,15 @@ from superell.census import (
     run_census,
     seed_check,
 )
-from superell.characters import count_all_primitive
-from superell.curves import predicted_count
 from superell.density import empirical_density, local_factor, product_form, truncated_density
 from superell.families import BinaryForm, generate_family
 from superell.lfunction import central_value_is_zero, rescale_by_root, twist_exponent
-from superell.oracle import squarefree_density_exact, squarefree_frequency
+from superell.oracle import (
+    count_all_primitive,
+    predicted_count,
+    squarefree_density_exact,
+    squarefree_frequency,
+)
 from superell.polyring import Poly, factor
 
 from test_characters import primitive_count_oracle

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -13,13 +14,13 @@ from superell.census import (
     seed_check,
     seed_model,
 )
-from superell.characters import DirichletChar, conductor_groups, enumerate_order_ell
+from superell.characters import DirichletChar, conductor_groups
 from superell.cyclo import galois_row
 from superell.characters import _canon
 from superell.lfunction import LCache, central_value_is_zero, l_polynomials, strip_trivial_factor
-from superell.cli import _write_out, main as cli_main
+from superell.cli import _dump_json, _write_out, main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
-from superell.oracle import monics
+from superell.oracle import enumerate_order_ell, monics
 from superell.polyring import Poly
 
 
@@ -758,6 +759,14 @@ def test_census_count_formula_other_fields():
     assert by_deg == {1: 50, 2: count_order_ell_exact(25, 3, 2)}
 
 
+class _RecordingFile:
+    def __init__(self):
+        self.writes: list = []
+
+    def write(self, text: str) -> None:
+        self.writes.append(text)
+
+
 def test_write_out_is_json_dump(tmp_path, capsys):
     # several 64 KiB write batches, with unicode, floats and nulls
     payload = {"b": [{"x": i, "y": [f"ζ{i}"] * 3, "z": i / 7} for i in range(4000)], "a": None}
@@ -767,3 +776,42 @@ def test_write_out_is_json_dump(tmp_path, capsys):
     assert (tmp_path / "r.json").read_text(encoding="utf-8") == expected
     _write_out(payload, None)
     assert capsys.readouterr().out == expected
+    # batches of about 64 KiB: none is larger than 64 KiB and one leaf (its
+    # line, and the brackets it closes), and the report is never one write
+    fh = _RecordingFile()
+    _dump_json(payload, fh)
+    assert "".join(fh.writes) == expected
+    leaf = max(map(len, expected.splitlines())) + 1
+    assert len(fh.writes) > 3
+    assert max(map(len, fh.writes)) <= (1 << 16) + 2 * leaf
+
+
+def test_run_census_pauses_the_collector_and_restores_it(monkeypatch):
+    collections = []
+
+    def hook(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(hook)
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            run_census(7, 1, 3, 3)
+            assert gc.isenabled() is enabled
+        assert collections == []
+        # the hook does see the collections an allocation burst triggers
+        gc.enable()
+        junk = [[] for _ in range(20 * gc.get_threshold()[0])]
+        assert collections and junk
+        # a census refused after the pause began restores the state too
+        monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", "10")
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with pytest.raises(ResourceLimit):
+                run_census(7, 1, 3, 3)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(hook)
+        (gc.enable if was_enabled else gc.disable)()

@@ -1,0 +1,98 @@
+"""The CLI's report writer against json, and the `python -m superell.cli`
+entry point in fresh processes."""
+
+import io
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superell.census import run_census
+from superell.cli import _dump_json
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _dumped(payload) -> str:
+    buf = io.StringIO()
+    _dump_json(payload, buf)
+    return buf.getvalue()
+
+
+_AWKWARD = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "é", "ζ", " ", "\ud800", "😀", "a"]
+_TEXT = st.text(alphabet=st.sampled_from(_AWKWARD), max_size=6) | st.text(max_size=6)
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+    | _TEXT
+)
+_NUMBER_KEYS = st.integers() | st.booleans() | st.floats()
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.lists(st.integers(), max_size=4)
+        | st.dictionaries(_TEXT, children, max_size=4)
+        | st.dictionaries(_NUMBER_KEYS, children, max_size=4)
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(payload=st.recursive(_LEAVES, _containers, max_leaves=30))
+def test_dump_json_writes_the_bytes_of_json_dump(payload):
+    assert _dumped(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {None: 1},
+        {True: [], False: {}, 2: ()},
+        {10: 0, 9: 1, -1.5: 2},
+        [{}, [], (), "", 0, -0.0],
+    ],
+)
+def test_dump_json_converts_keys_after_sorting(payload):
+    assert _dumped(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{1: 0, "a": 1}, [{"b": {(1, 2): 0}}], {"x": {1, 2}}])
+def test_dump_json_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        _dumped(payload)
+
+
+def _module_cli(*argv) -> subprocess.CompletedProcess:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("SUPERELL_")}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    return subprocess.run([sys.executable, "-m", "superell.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_exit_codes():
+    census = _module_cli("census", "--p", "7", "--ell", "3", "--max-degree", "2")
+    assert census.returncode == 0, census.stderr
+    report = json.loads(census.stdout)
+    expected = json.loads(json.dumps(run_census(7, 1, 3, 2).to_json()))
+    del report["runtime_stats"], expected["runtime_stats"]
+    assert report == expected
+    bad = _module_cli("census", "--p", "7", "--ell", "3", "--max-degree", "0")
+    assert bad.returncode == 2 and "max_degree" in bad.stderr
+    guard = _module_cli("census", "--p", "7", "--ell", "3", "--max-degree", "12")
+    assert guard.returncode == 3 and "SUPERELL_LIMIT_CENSUS" in guard.stderr
+    for run in (census, bad, guard):
+        assert "Traceback" not in run.stderr

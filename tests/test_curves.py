@@ -19,9 +19,14 @@ from superell import (
     primitive_root,
     zeta_numerator,
 )
-from superell.curves import power_sums, predicted_count
+from superell.curves import power_sums
 from superell.ffield import extend_field
-from superell.oracle import check_predicted_counts, count_points_generic, numerator_divides_rational
+from superell.oracle import (
+    check_predicted_counts,
+    count_points_generic,
+    numerator_divides_rational,
+    predicted_count,
+)
 from superell.polyring import Poly
 
 from conftest import poly

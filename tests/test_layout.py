@@ -39,6 +39,18 @@ def test_only_init_imports_oracle():
     assert _imports_oracle(_tree(PACKAGE / "__init__.py"))
 
 
+def test_test_only_helpers_live_in_oracle():
+    # helpers that only the tests read are oracles, re-exported by __init__
+    helpers = {"count_all_primitive", "enumerate_order_ell", "predicted_count", "genus_bound_degree"}
+    defined = {
+        (path.name, node.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and node.name in helpers
+    }
+    assert defined == {("oracle.py", name) for name in helpers}
+
+
 def _is_generator(fn: ast.FunctionDef) -> bool:
     """True when fn's own body yields (nested functions do not count)."""
     todo = list(fn.body)
