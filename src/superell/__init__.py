@@ -29,7 +29,6 @@ from .families import (
     RationalMap,
     generate_family,
     homogenize,
-    specialize,
 )
 from .ffield import Field, FieldElem, extend_field, make_field, primitive_root
 from .lfunction import (
@@ -44,6 +43,7 @@ from .oracle import (
     enumerate_order_ell,
     genus_bound_degree,
     residue_symbol,
+    specialize,
 )
 from .polyring import Factorization, Poly, factor, irreducibles, is_squarefree
 

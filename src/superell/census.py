@@ -24,7 +24,7 @@ D = sum e_i deg P_i, and L(u, chi') = L(zeta^(-z_c D) u, chi)
 shares L unchanged (Rosen, Number Theory in Function Fields, ch. 4).  So
 the first conductor of a class computes its L-polynomials and every later
 one reads them, with its primes matched to the first one's through
-P -> sigma_c(P(t + b)) (`polyring.translations`, `polyring.dilations`).
+P -> sigma_c(P(t + b)) (`polyring.affine_maps`, `polyring.monic_images`).
 Every decomposition-sampled conductor whose L-polynomials the run computed
 or read from its class (rather than from the cache), and in each degree the
 first conductor served through a translation and the first served through a
@@ -90,7 +90,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly, dilations, factor_table, translations
+from .polyring import Poly, affine_maps, factor_table, monic_images
 
 SCHEMA_VERSION = 1
 # members of a vanishing-verified family whose zeta/L decomposition is checked
@@ -152,7 +152,6 @@ class _AffineClasses:
     def __init__(self, F: Field, ell: int):
         self.field = F
         self.ell = ell
-        self.table = factor_table(F)
         # z_c with c^((q - 1)/ell) = zeta^z_c, by the element index of c
         zeta_pow_index = char_context(F, ell).zeta_pow_index
         self.twists = [None] + [
@@ -248,9 +247,9 @@ class _AffineClasses:
         # of its primes is valid
         images = []
         for k, j in codes:
-            rank = self.table.levels[k].spf_rank
-            moved = [rank[image[rank[j]]] for image in translations(F, k)]
-            images.append([(k, image[r]) for image in dilations(F, k)[1:] for r in moved])
+            shifts, scales = affine_maps(F, k)
+            moved = monic_images(F, k, shifts, [j])
+            images.append([(k, r) for r in monic_images(F, k, scales[1:], moved)])
         for m, column in enumerate(zip(*images)):
             if m:
                 # a member's codes are its primes' images in canonical order
@@ -515,13 +514,18 @@ def _trigonal_model(F: Field) -> SuperellipticModel:
     return SuperellipticModel(3, F, F.one(), (t**3 - t, Poly.one(F)))
 
 
+def _require_thm41_prime(p: int) -> None:
+    """The thm41 seed's requirement on p, for its seed check and its family."""
+    if p % 3 != 2 or p == 2:
+        raise InputError(f"the thm41 seed needs an odd prime p = 2 mod 3, got p = {p}")
+
+
 def seed_check_thm41(p: int) -> SeedReport:
     """The elliptic seed: y^2 = x^3 + 1 over F_p with p = 2 mod 3 is
     supersingular; after base change to F_{p^4} the numerator is (1 - p^2 T)^2,
     so the central eigenvalue appears.  The trigonal model y^3 = x^3 - x is
     compared against it over F_p, F_{p^2} and F_{p^4}."""
-    if p % 3 != 2 or p == 2:
-        raise InputError("this seed needs an odd prime p = 2 mod 3")
+    _require_thm41_prime(p)
     rep = SeedReport("thm41", {"p": p})
     F = make_field(p, 1)
     t = Poly.x(F)
@@ -658,6 +662,7 @@ def seed_model(seed_kind: str, p: int) -> SuperellipticModel:
         F = make_field(p, 2)
         return SuperellipticModel.from_json(F, rep.data["found"])
     if seed_kind == "thm41":
+        _require_thm41_prime(p)
         F4 = make_field(p, 4)
         return _trigonal_model(F4)
     raise InputError(f"unknown family seed kind {seed_kind!r}")

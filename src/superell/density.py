@@ -37,11 +37,9 @@ evaluation and the squarefree test build no new field elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .curves import SuperellipticModel
 from .errors import InputError, InvariantViolation
-from .families import BinaryForm, homogenize
+from .families import POWER_CACHE_LIMIT, BinaryForm, homogenize
 from .ffield import spread_coding
 from .polyring import (
     Poly,
@@ -50,11 +48,6 @@ from .polyring import (
     is_squarefree,
     poly_to_json,
 )
-
-# Most draw rows, and most verdicts in the one pool all factors share, the
-# sampler keeps; beyond this many distinct draws (factor values) it computes
-# the row (verdict) afresh.  No spread table the sampler reads has more entries.
-POWER_CACHE_LIMIT = 1 << 14
 
 
 def product_form(M0: SuperellipticModel) -> BinaryForm:
@@ -202,6 +195,8 @@ def local_count(F_form: BinaryForm, pi: Poly) -> int:
 def local_factor(F_form: BinaryForm, pi: Poly) -> LocalFactor:
     if not pi.is_monic() or pi.degree < 1:
         raise InputError("local factors need a monic irreducible prime")
+    from fractions import Fraction  # here, so census and family runs never load it
+
     c = local_count(F_form, pi)
     norm4 = F_form.field.q ** (4 * pi.degree)
     return LocalFactor(prime=pi, c=c, factor=1 - Fraction(c, norm4))
@@ -209,6 +204,8 @@ def local_factor(F_form: BinaryForm, pi: Poly) -> LocalFactor:
 
 def truncated_density(F_form: BinaryForm, deg_max: int) -> DensityReport:
     """Exact product of local factors over non-excluded primes of degree <= deg_max."""
+    from fractions import Fraction
+
     if deg_max < 0:
         raise InputError(f"deg_max (--deg-max) must be at least 0, got {deg_max}")
     excluded = excluded_primes(F_form)

@@ -10,6 +10,19 @@ Specializations are filtered, never repaired: a candidate is dropped when the
 product of components is not squarefree, when a leading-coefficient degeneracy
 lowers some deg D_i below deg f_i * deg h, or (equivalently, given the degree
 filter) when the result would not be normalized.
+
+`generate_family` decides each coprime pair on the monic irreducible factors
+G_k of the base components, one `polyring.factor` per component: F_i is the
+product of the homogenized G_k, so D_i is the product of the values
+G_k(numer, denom).  deg D_i = deg f_i * deg h exactly when every value has
+degree deg G_k * deg h, and, numer and denom being coprime, the product of
+the D_i is squarefree exactly when every value is: two distinct factors have
+a nonzero constant resultant R, and R numer^N, R denom^N lie in the ideal of
+the two forms, so a prime dividing two values would divide numer and denom.
+Each value gets one squarefree verdict, kept by value, and each numer and
+denom its powers once; a model is built only for a member the run keeps.
+The per-pair route, which multiplies the D_i and tests their product, is
+`oracle.specialize`, the definitional route the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,6 +34,12 @@ from .polyring import Poly, factor, gcd, is_squarefree, poly_to_json
 
 # a family report lists its members only up to this many distinct models
 MEMBER_LIST_LIMIT = 200
+
+# Most power rows and most squarefree verdicts the family generator, and the
+# density sampler, keep; beyond this many distinct polynomials (values) they
+# compute the row (verdict) afresh.  No spread table the sampler reads has
+# more entries.
+POWER_CACHE_LIMIT = 1 << 14
 
 
 class BinaryForm:
@@ -125,43 +144,6 @@ def _require_family_base(M0: SuperellipticModel) -> None:
         raise InputError("family base must not be a power of an irreducible polynomial")
 
 
-def specialize(M0: SuperellipticModel, h: RationalMap) -> "SuperellipticModel | None":
-    """The family member with components F_i(numer, denom), or None when a
-    filter rejects it (non-squarefree product or leading-coefficient drop)."""
-    _require_family_base(M0)
-    return _specialize_checked(M0, h.numer, h.denom)
-
-
-def _specialize_checked(
-    M0: SuperellipticModel, numer: Poly, denom: Poly
-) -> "SuperellipticModel | None":
-    """`specialize` for a base already checked and a coprime, non-constant
-    pair numer/denom."""
-    F = M0.field
-    deg_h = max(numer.degree, denom.degree)
-    comps = []
-    twist = M0.twist
-    for i, f_i in enumerate(M0.components, start=1):
-        if f_i.degree < 1:
-            comps.append(Poly.one(F))
-            continue
-        Di = homogenize(f_i).evaluate(numer, denom)
-        if Di.is_zero() or Di.degree != f_i.degree * deg_h:
-            return None
-        lead, monic = Di.monic()
-        twist = F.mul(twist, F.pow(lead, i))
-        comps.append(monic)
-    prod = Poly.one(F)
-    for D in comps:
-        prod = prod * D
-    if prod.degree < 1 or not is_squarefree(prod):
-        return None
-    member = SuperellipticModel(M0.ell, F, twist, comps)
-    if not member.normalized:  # cannot happen once degrees are exact, kept as a guard
-        return None
-    return member
-
-
 def twist_class_index(F: Field, c: FieldElem, ell: int) -> int:
     """Canonical representative index of c modulo ell-th powers of constants."""
     reps = F._cache.setdefault("twist_reps", {}).get(ell)
@@ -236,6 +218,13 @@ def generate_family(
     deterministically; pairs are visited in canonical order.  They exist
     because the full pair count ~ q^(2 deg h + 1) is infeasible for larger
     fields.  Reported raw/filtered counts refer to the pairs actually visited.
+
+    A coprime pair is decided on the factor values G_k(numer, denom)
+    (`_factor_values`, see the module docstring), from the powers of numer
+    and denom kept by vector index; the dedupe key comes from the monic D_i
+    and the twist, and a `SuperellipticModel` is built only for a kept
+    member.  At most `POWER_CACHE_LIMIT` power rows, and as many verdicts,
+    are kept.
     """
     _require_family_base(M0)
     d = M0.d
@@ -247,25 +236,47 @@ def generate_family(
     if n < d:
         report.caps["note"] = "n below base degree; family is empty"
         return report
-    max_h = n // d
+    F, ell = M0.field, M0.ell
+    # (i, homogenized monic irreducible factors of f_i) per non-constant f_i
+    parts = [
+        (i, [homogenize(G) for G, _ in factor(f_i).factors])
+        for i, f_i in enumerate(M0.components, start=1)
+        if f_i.degree >= 1
+    ]
+    widest = max((G for _, forms in parts for G in forms), key=lambda G: G.degree)
+    rows: dict[int, tuple] = {}  # vector index of g -> (g, [1, g, ..., g^top])
+    verdicts: dict[int, bool] = {}  # vector index of a factor value -> squarefree
+    one = Poly.one(F)
     seen: set = set()
-    for numer, denom in _pairs_by_degree(M0.field, max_h, report, max_pairs_per_degree):
-        if gcd(numer, denom).degree != 0:
+    for jn, jd in _pairs_by_degree(F, n // d, report, max_pairs_per_degree):
+        numer, npows = rows.get(jn) or _power_row(rows, F, jn, widest)
+        denom, dpows = rows.get(jd) or _power_row(rows, F, jd, widest)
+        # denom is never zero, and a nonzero constant is coprime to anything
+        if numer.is_zero() or numer.degree and denom.degree and gcd(numer, denom).degree:
             continue
         if numer.is_constant() and denom.is_constant():
             continue
         deg_h = max(numer.degree, denom.degree)
         deg_stats = report.per_degree.setdefault(deg_h, {"pairs": 0, "valid": 0, "distinct": 0})
         deg_stats["pairs"] += 1
-        member = _specialize_checked(M0, numer, denom)
-        if member is None:
+        values = _factor_values(parts, npows, dpows, deg_h, verdicts)
+        if values is None:
+            continue
+        comps = [one] * (ell - 1)
+        twist = M0.twist
+        for i, vals in values:
+            D = vals[0]
+            for val in vals[1:]:
+                D = D * val
+            lead, comps[i - 1] = D.monic()
+            twist = F.mul(twist, F.pow(lead, i))
+        degrees = [D.degree for D in comps]
+        # cannot fail once every value has its full degree, kept as guards
+        if sum(degrees) < 1 or sum(i * k for i, k in enumerate(degrees, start=1)) % ell:
             continue
         report.squarefree_pairs += 1
         deg_stats["valid"] += 1
-        key = (
-            tuple(D.key() for D in member.components),
-            twist_class_index(M0.field, member.twist, M0.ell),
-        )
+        key = (tuple(D.key() for D in comps), twist_class_index(F, twist, ell))
         if key in seen:
             continue
         member_cap = _cap_for(max_members_per_degree, deg_h)
@@ -273,43 +284,74 @@ def generate_family(
             continue
         seen.add(key)
         deg_stats["distinct"] += 1
-        report.members.append(member)
+        report.members.append(SuperellipticModel(ell, F, twist, comps))
     report.members.sort(key=lambda m: (m.d, m.key()))
     return report
 
 
+def _power_row(rows: dict, F: Field, index: int, widest: BinaryForm) -> tuple:
+    """(g, its powers up to the degree of `widest`) for the g with this
+    vector index, kept in `rows` while there is room."""
+    g = Poly.from_vector_index(F, index)
+    row = (g, widest.powers(g))
+    if len(rows) < POWER_CACHE_LIMIT:
+        rows[index] = row
+    return row
+
+
+def _factor_values(parts: list, npows: list, dpows: list, deg_h: int, verdicts: dict):
+    """[(i, [G_k(numer, denom) for the factors G_k of f_i])] for a coprime
+    pair, from the powers of numer and denom; None when a value has degree
+    below deg G_k * deg h (zero included) or is not squarefree.  Verdicts
+    are kept in `verdicts` by the value's vector index while there is room."""
+    out = []
+    for i, forms in parts:
+        vals = []
+        for G in forms:
+            val = G.evaluate_powers(npows, dpows)
+            if val.degree != G.degree * deg_h:
+                return None
+            key = val.vector_index()
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = is_squarefree(val)
+                if len(verdicts) < POWER_CACHE_LIMIT:
+                    verdicts[key] = ok
+            if not ok:
+                return None
+            vals.append(val)
+        out.append((i, vals))
+    return out
+
+
 def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | None"):
-    """Unit-normalised pairs grouped by deg h ascending, stopping each degree
-    after `cap` visited pairs if given.  Within a degree the denominator index
-    advances in the outer loop (constants first), so capped runs still sweep
-    the full range of monic numerators."""
+    """Vector indices (numer, denom) of the unit-normalised pairs, grouped by
+    deg h ascending, stopping each degree after `cap` visited pairs if given.
+    Within a degree the denominator index advances in the outer loop
+    (constants first), so capped runs still sweep the full range of monic
+    numerators."""
     q = F.q
     for a in range(1, max_h + 1):
         cap_a = _cap_for(cap, a)
         emitted = 0
+        monic = q**a  # the vector index of t^a, the first monic of degree a
         # numer monic of degree a, denom arbitrary nonzero of degree <= a
-        for jd in range(q ** (a + 1)):
+        for jd in range(1, q ** (a + 1)):
             if cap_a is not None and emitted >= cap_a:
                 break
-            denom = Poly.from_vector_index(F, jd)
-            if denom.is_zero():
-                continue
-            for jn in range(q**a):
+            for jn in range(monic, 2 * monic):
                 if cap_a is not None and emitted >= cap_a:
                     break
-                numer = Poly.from_index(F, a, jn)
                 report.raw_pairs += 1
                 emitted += 1
-                yield numer, denom
+                yield jn, jd
         # denom monic of degree a, numer arbitrary of degree < a
-        for jn in range(q**a):
+        for jn in range(monic):
             if cap_a is not None and emitted >= cap_a:
                 break
-            numer = Poly.from_vector_index(F, jn)
-            for jd in range(q**a):
+            for jd in range(monic, 2 * monic):
                 if cap_a is not None and emitted >= cap_a:
                     break
-                denom = Poly.from_index(F, a, jd)
                 report.raw_pairs += 1
                 emitted += 1
-                yield numer, denom
+                yield jn, jd

@@ -34,6 +34,7 @@ the class maps, warm or cold, and are never looked up.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import operator
@@ -363,10 +364,25 @@ _VERSION = 3
 _OLD_VERSIONS = (1, 2)
 
 
-def _digest(body: bytes) -> bytes:
-    import hashlib  # imported here so runs without a cache do not pay for it
+@functools.cache
+def _sha256():
+    """The interpreter's own sha256 constructor: `_sha2` from Python 3.12,
+    `_sha256` before, and `hashlib`'s only when neither exists.  The digest
+    is the same, but importing hashlib loads OpenSSL's libcrypto, about 6 ms
+    in a fresh process.  Found on first use, so runs without a cache load
+    none of them."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
-    return hashlib.sha256(body).hexdigest().encode("ascii")
+
+def _digest(body: bytes) -> bytes:
+    return _sha256()(body).hexdigest().encode("ascii")
 
 
 def _header(field, ell: int) -> str:

@@ -4,25 +4,24 @@ square-and-multiply residue symbols for the symbol tables, point counts by
 tower arithmetic for the log tables, character sums in Z[zeta_ell] for the
 L-polynomials, character counts and the full enumeration of order-ell
 characters for the census, predicted counts and long division over Q for zeta
-numerators, from-scratch squarefree filters and counts for the density
-sampler and the sieve, and brute-force local counts for the density's local
-factors.  No module of superell imports this one except `__init__`, which
-re-exports `MuValue`, `residue_symbol`, `count_all_primitive`,
+numerators, the per-pair specialization for the family generator,
+from-scratch squarefree filters and counts for the density sampler and the
+sieve, and brute-force local counts for the density's local factors.  No
+module of superell imports this one except `__init__`, which re-exports
+`MuValue`, `residue_symbol`, `specialize`, `count_all_primitive`,
 `enumerate_order_ell` and `genus_bound_degree`.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from . import limits
 from .characters import DirichletChar, char_context, char_value_counts, conductor_groups
 from .curves import SuperellipticModel, ZetaNum, count_points, power_sums
 from .cyclo import CycInt, mu_embed
 from .errors import InputError, InvariantViolation, ResourceLimit
-from .families import BinaryForm
+from .families import BinaryForm, RationalMap, _require_family_base, homogenize
 from .ffield import Field, FieldElem
-from .polyring import Poly, factor_table, monic_multiples, powmod
+from .polyring import Poly, factor_table, is_squarefree, monic_multiples, powmod
 
 
 class MuValue:
@@ -238,6 +237,8 @@ def check_predicted_counts(M: SuperellipticModel, P: ZetaNum) -> None:
 def numerator_divides_rational(P0: ZetaNum, P: ZetaNum) -> bool:
     """P0 | P by long division over Q from the leading terms, in `Fraction`s:
     the oracle of `curves.numerator_divides`."""
+    from fractions import Fraction  # here, as in `density`: the CLI imports this module
+
     if P0.q != P.q:
         raise InputError("numerator divisibility needs matching base fields")
     rem = [Fraction(c) for c in P.coeffs]
@@ -259,6 +260,45 @@ def genus_bound_degree(g_target: int, g0: int, ell: int) -> int:
     if g0 < 0:
         raise InputError("negative genus")
     return (g_target + ell - 1) // (g0 + ell - 1)
+
+
+def specialize(M0: SuperellipticModel, h: RationalMap) -> "SuperellipticModel | None":
+    """The family member with components F_i(numer, denom), or None when a
+    filter rejects it (non-squarefree product or leading-coefficient drop):
+    the oracle of `families.generate_family`."""
+    _require_family_base(M0)
+    return _specialize_checked(M0, h.numer, h.denom)
+
+
+def _specialize_checked(
+    M0: SuperellipticModel, numer: Poly, denom: Poly
+) -> "SuperellipticModel | None":
+    """`specialize` for a base already checked and a coprime, non-constant
+    pair numer/denom: each D_i = F_i(numer, denom) in full, then the
+    squarefree test on their product."""
+    F = M0.field
+    deg_h = max(numer.degree, denom.degree)
+    comps = []
+    twist = M0.twist
+    for i, f_i in enumerate(M0.components, start=1):
+        if f_i.degree < 1:
+            comps.append(Poly.one(F))
+            continue
+        Di = homogenize(f_i).evaluate(numer, denom)
+        if Di.is_zero() or Di.degree != f_i.degree * deg_h:
+            return None
+        lead, monic = Di.monic()
+        twist = F.mul(twist, F.pow(lead, i))
+        comps.append(monic)
+    prod = Poly.one(F)
+    for D in comps:
+        prod = prod * D
+    if prod.degree < 1 or not is_squarefree(prod):
+        return None
+    member = SuperellipticModel(M0.ell, F, twist, comps)
+    if not member.normalized:  # cannot happen once degrees are exact, kept as a guard
+        return None
+    return member
 
 
 def passes_squarefree_filter(F_form: BinaryForm, numer: Poly, denom: Poly, excluded) -> bool:
@@ -320,6 +360,8 @@ def local_count_brute(F_form: BinaryForm, pi: Poly) -> int:
 def squarefree_density_exact(q: int) -> Fraction:
     """The full product over primes of (1 - |pi|^{-2}), telescoped through the
     zeta function of F_q[t]: exactly 1 - 1/q."""
+    from fractions import Fraction
+
     return Fraction(q - 1, q)
 
 
@@ -344,6 +386,8 @@ def exhaustive_squarefree_count(F: Field, degree: int) -> int:
 def squarefree_frequency(F: Field, degree: int) -> Fraction:
     """Exhaustively counted fraction of squarefree monic polynomials of the
     given degree; equals 1 - 1/q exactly for degree >= 2."""
+    from fractions import Fraction
+
     return Fraction(exhaustive_squarefree_count(F, degree), F.q**degree)
 
 

@@ -23,9 +23,10 @@ one search for the smallest generator of (A/P)^* and its discrete log.  That
 search builds the residue-symbol tables of `characters` and, since a tower
 level of `ffield` is the residue field of its modulus, every field log table.
 The translations g -> g(t + b) and the dilations g -> c^-deg g g(ct) keep
-degree and monicity and are affine in the same digits, so `translations` and
-`dilations` give the image of every irreducible of a degree under each of
-them from two half tables; the census composes them into its affine classes.
+degree and monicity and are affine in the same digits, so `affine_maps`
+keeps two half tables per map and degree, and `monic_images` maps the
+indices the census asks for through them when it composes its affine
+classes.
 
 Every remainder, in `%`, `gcd` and the products of a large tower level of
 `ffield`, is one loop against a monic divisor (`_remainder`): each step is a
@@ -744,36 +745,24 @@ def irreducibles(F: Field, d: int) -> tuple[Poly, ...]:
     return got
 
 
-def _prime_images(F: Field, k: int, images: list[int], offset: int) -> array:
-    """The index among the monics of degree k of the image of every monic
-    irreducible P of degree k, in canonical order, under a map of the monics
-    of degree k that keeps monicity and is affine in the base-p digits of
-    their lower coefficients, with the given images of the unit vectors and
-    offset: two half tables (`ffield.SpreadCoding`), as in
-    `monic_multiples`, with no arithmetic per prime."""
-    coding = spread_coding(F.p, k * F.e)
-    norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
-    lo, hi = coding.half_tables(images, offset)
-    n_lo = len(lo)
-    return array("q", [
-        norm_lo[(s := lo[j % n_lo] + hi[j // n_lo]) % b_lo] + norm_hi[s // b_lo]
-        for j in factor_table(F).level(k).primes
-    ])
+def affine_maps(F: Field, k: int) -> tuple[tuple, tuple]:
+    """(translations, dilations) on the monics of degree k, each map as the
+    half tables of `ffield.SpreadCoding.half_tables` on the base-p digits of
+    the lower coefficients (cached per field): translations[b], for b in F_q
+    by element index, is g -> g(t + b), and dilations[c], for c in F_q^*
+    by element index, is sigma_c(g) = c^-k g(ct), None at index 0.
+    `monic_images` applies them.
 
-
-def translations(F: Field, k: int) -> tuple[array, ...]:
-    """For each b in F_q, by element index, the index of P(t + b) for the
-    monic irreducibles P of degree k in canonical order (cached per field).
-
-    g -> g(t + b) keeps degree and monicity, and on the lower coefficients of
-    a monic of degree k it is affine in the base-p digits of the index: the
-    unit vector p^(i e + s) goes to u_s (t + b)^i, u_s the element with index
-    p^s, and the offset is (t + b)^k - t^k (`_prime_images`)."""
-    cache = F._cache.setdefault("translations", {})
+    Both maps keep degree and monicity.  On the lower coefficients of a monic
+    of degree k, g -> g(t + b) is affine: the unit vector p^(i e + s) goes to
+    u_s (t + b)^i, u_s the element with index p^s, and the offset is
+    (t + b)^k - t^k.  sigma_c is linear: p^(i e + s) goes to u_s c^(i - k) t^i."""
+    cache = F._cache.setdefault("affine_maps", {})
     got = cache.get(k)
     if got is None:
+        coding = spread_coding(F.p, k * F.e)
         units = [F.elem_at(F.p**s) for s in range(F.e)]
-        got = []
+        shifts = []
         for b in range(F.q):
             shift = Poly(F, (F.elem_at(b), F.one()))
             power, images = Poly.one(F), []
@@ -781,34 +770,31 @@ def translations(F: Field, k: int) -> tuple[array, ...]:
                 images.extend((power * u).vector_index() for u in units)
                 power = power * shift
             offset = (power - Poly.from_index(F, k, 0)).vector_index()
-            got.append(_prime_images(F, k, images, offset))
-        got = cache[k] = tuple(got)
-    return got
-
-
-def dilations(F: Field, k: int) -> tuple["array | None", ...]:
-    """For each c in F_q^*, by element index, the index of
-    sigma_c(P) = c^-k P(ct) for the monic irreducibles P of degree k in
-    canonical order, and None at index 0 (cached per field).
-
-    sigma_c keeps degree and monicity, and on the lower coefficients of a
-    monic of degree k it is linear in the base-p digits of the index: the
-    unit vector p^(i e + s) goes to u_s c^(i - k) t^i, u_s the element with
-    index p^s (`_prime_images`)."""
-    cache = F._cache.setdefault("dilations", {})
-    got = cache.get(k)
-    if got is None:
-        units = [F.elem_at(F.p**s) for s in range(F.e)]
-        got = [None]
+            shifts.append(coding.half_tables(images, offset))
+        scales = [None]
         for ci in range(1, F.q):
             c = F.elem_at(ci)
             scale, images = F.inverse(F.pow(c, k)), []  # c^(i - k) at i = 0
             for i in range(k):
                 images.extend(F.mul(u, scale).idx * F.q**i for u in units)
                 scale = F.mul(scale, c)
-            got.append(_prime_images(F, k, images, 0))
-        got = cache[k] = tuple(got)
+            scales.append(coding.half_tables(images))
+        got = cache[k] = (tuple(shifts), tuple(scales))
     return got
+
+
+def monic_images(F: Field, k: int, maps, indices: list[int]) -> list[int]:
+    """The index among the monics of degree k of the image of the monic with
+    each of these indices under each of these maps of `affine_maps`, map by
+    map: two table lookups and a normalisation per image, with no arithmetic
+    on polynomials."""
+    coding = spread_coding(F.p, k * F.e)
+    p_lo, b_lo, norm_lo, norm_hi = coding.p_lo, coding.b_lo, coding.norm_lo, coding.norm_hi
+    return [
+        norm_lo[(s := lo[j % p_lo] + hi[j // p_lo]) % b_lo] + norm_hi[s // b_lo]
+        for lo, hi in maps
+        for j in indices
+    ]
 
 
 def squarefree_monics(F: Field, d: int) -> tuple[Poly, ...]:

@@ -321,13 +321,16 @@ def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
     # degree's first conductor served through a translation, by monic sums,
     # can tell
     from superell import census
-    from superell.polyring import translations
+    from superell.polyring import affine_maps, factor_table, monic_images
 
-    def shifted(F, k):
-        maps = translations(F, k)
-        return (maps[0],) + tuple(m[1:] + m[:1] for m in maps[1:])
+    def shifted(F, k, maps, indices):
+        if maps is not affine_maps(F, k)[0]:
+            return monic_images(F, k, maps, indices)
+        primes = list(factor_table(F).level(k).primes)
+        after = [primes[(primes.index(j) + 1) % len(primes)] for j in indices]
+        return monic_images(F, k, maps[:1], indices) + monic_images(F, k, maps[1:], after)
 
-    monkeypatch.setattr(census, "translations", shifted)
+    monkeypatch.setattr(census, "monic_images", shifted)
     with pytest.raises(InvariantViolation) as err:
         run_census(7, 1, 3, 3, sample_decomp=10)
     assert err.value.invariant == "euler-product"

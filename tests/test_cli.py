@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superell.census import run_census
-from superell.cli import _dump_json
+from superell.cli import _dump_json, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,3 +96,13 @@ def test_module_entry_point_exit_codes():
     assert guard.returncode == 3 and "SUPERELL_LIMIT_CENSUS" in guard.stderr
     for run in (census, bad, guard):
         assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_family_thm41_names_its_requirement_on_p(p, capsys):
+    # p = 2 once failed on the components, p = 3 on ell against the
+    # characteristic and p = 7 on the central eigenvalue, none naming the seed
+    assert main(["family", "--seed-kind", "thm41", "--p", str(p), "--n", "3"]) == 2
+    err = capsys.readouterr().err
+    assert f"thm41 seed needs an odd prime p = 2 mod 3, got p = {p}" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from superell import (
@@ -12,8 +14,11 @@ from superell import (
     specialize,
     zeta_numerator,
 )
-from superell.families import BinaryForm, twist_class_index
-from superell.polyring import Poly
+from superell import families
+from superell.census import seed_model
+from superell.families import BinaryForm, FamilyReport, twist_class_index
+from superell.ffield import make_field
+from superell.polyring import Poly, gcd
 
 from conftest import poly
 
@@ -168,3 +173,132 @@ def test_member_divisibility_exhaustive_q7(F7):
     for m in rep.members:
         assert genus(m) <= g_bound
         assert numerator_divides(P0, zeta_numerator(m))
+
+
+def _cap(cap, degree):
+    return cap if cap is None or isinstance(cap, int) else cap.get(degree)
+
+
+def _pairs(F, max_h, cap):
+    """The unit-normalised pairs (numer, denom) of each deg h in canonical
+    order, cut after `cap` pairs of that degree: monic numerators of degree
+    a over every nonzero denominator of degree <= a (denominator outer),
+    then monic denominators of degree a under every numerator of degree < a
+    (numerator outer)."""
+    q = F.q
+    for a in range(1, max_h + 1):
+        first = (
+            (Poly.from_index(F, a, jn), Poly.from_vector_index(F, jd))
+            for jd in range(1, q ** (a + 1))
+            for jn in range(q**a)
+        )
+        second = (
+            (Poly.from_vector_index(F, jn), Poly.from_index(F, a, jd))
+            for jn in range(q**a)
+            for jd in range(q**a)
+        )
+        yield from itertools.islice(itertools.chain(first, second), _cap(cap, a))
+
+
+def _family_by_pairs(M0, n, *, max_pairs_per_degree=None, max_members_per_degree=None):
+    """The report of `generate_family` by the definitional route:
+    `oracle.specialize` on every coprime, non-constant pair in canonical
+    order, deduplicated by (components, twist class) and capped per deg h."""
+    report = FamilyReport(M0, n)
+    report.caps = {
+        "max_pairs_per_degree": str(max_pairs_per_degree),
+        "max_members_per_degree": str(max_members_per_degree),
+    }
+    if n < M0.d:
+        report.caps["note"] = "n below base degree; family is empty"
+        return report
+    seen = set()
+    for numer, denom in _pairs(M0.field, n // M0.d, max_pairs_per_degree):
+        report.raw_pairs += 1
+        if gcd(numer, denom).degree != 0 or (numer.is_constant() and denom.is_constant()):
+            continue
+        deg_h = max(numer.degree, denom.degree)
+        stats = report.per_degree.setdefault(deg_h, {"pairs": 0, "valid": 0, "distinct": 0})
+        stats["pairs"] += 1
+        member = specialize(M0, RationalMap(numer, denom))
+        if member is None:
+            continue
+        report.squarefree_pairs += 1
+        stats["valid"] += 1
+        key = (tuple(D.key() for D in member.components),
+               twist_class_index(M0.field, member.twist, M0.ell))
+        cap = _cap(max_members_per_degree, deg_h)
+        if key in seen or (cap is not None and stats["distinct"] >= cap):
+            continue
+        seen.add(key)
+        stats["distinct"] += 1
+        report.members.append(member)
+    report.members.sort(key=lambda m: (m.d, m.key()))
+    return report
+
+
+def _model(F, ell, *components):
+    """y^ell = prod D_i^i over F from the coefficient lists of the D_i."""
+    return SuperellipticModel(ell, F, F.one(), [Poly.from_ints(F, c) for c in components])
+
+
+def _f16_base():
+    F = make_field(2, 4)
+    t = Poly.x(F)
+    return SuperellipticModel(3, F, F.one(), (t**3 + Poly.one(F), Poly.one(F)))
+
+
+_F7 = make_field(7, 1)
+_F4 = make_field(2, 2)
+
+
+def _f4_split_cubic():
+    # t (t + 1)(t + w), w a root of t^2 + t + 1, which splits over F_4
+    t, w = Poly.x(_F4), Poly.constant(_F4.elem_at(2))
+    D = t * (t + Poly.one(_F4)) * (t + w)
+    return SuperellipticModel(3, _F4, _F4.one(), (D, Poly.one(_F4)))
+_WORKLOAD_CAPS = {"max_pairs_per_degree": {1: 60, 2: 60}, "max_members_per_degree": {1: 12, 2: 0}}
+
+# (base, n, caps): y^3 = t^3 - t over F_7 for n = 3..6; the f25 seed with the
+# family-f25-g1 caps; a base over F_4; a base with a D_2 component; a base
+# with the nonlinear irreducible factor t^2 + 1 mod 7; ell = 5 over F_3; and
+# y^3 = t (t + 1)^2 over F_2 up to deg h = 3.  A specialization loses degree
+# in one factor value only, by at most deg h, and a loss not divisible by
+# ell leaves the model not normalized; so only the last base, with
+# deg h = ell, has members that the degree law alone rejects
+FAMILY_CASES = {
+    **{f"f7-t3-t-n{n}": (lambda: _model(_F7, 3, [0, 6, 0, 1], [1]), n, {}) for n in (3, 4, 5, 6)},
+    "f25-workload": (lambda: seed_model("f25twist", 5), 6, _WORKLOAD_CAPS),
+    "f4-split-cubic": (_f4_split_cubic, 6, {}),
+    "f7-d2-component": (lambda: _model(_F7, 3, [0, 1], [1, 1]), 4, {"max_pairs_per_degree": {2: 4000}}),
+    "f7-nonlinear-factor": (lambda: _model(_F7, 3, [0, 1, 0, 1], [1]), 6, {"max_pairs_per_degree": {2: 4000}}),
+    "f3-ell5": (lambda: _model(make_field(3, 1), 5, [0, 1], [1], [1], [1, 1]), 4, {}),
+    "f2-deg-h-3": (lambda: _model(make_field(2, 1), 3, [0, 1], [1, 1]), 6, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_generate_family_matches_the_per_pair_oracle(case):
+    make, n, caps = FAMILY_CASES[case]
+    base = make()
+    got = generate_family(base, n, **caps)
+    assert got.to_json() == _family_by_pairs(base, n, **caps).to_json()
+    assert got.raw_pairs > got.squarefree_pairs >= got.distinct_models > 0
+
+
+def test_generate_family_f16_matches_the_oracle_with_560_members(monkeypatch):
+    # y^3 = x^3 + 1 over F_16 at n = 3, uncapped: 4,336 raw pairs, 3,360
+    # valid, 560 distinct members, and a model built only for each of those
+    base = _f16_base()
+    built = []
+
+    def counted(*args):
+        built.append(SuperellipticModel(*args))
+        return built[-1]
+
+    monkeypatch.setattr(families, "SuperellipticModel", counted)
+    got = generate_family(base, 3)
+    assert (got.raw_pairs, got.squarefree_pairs, got.distinct_models) == (4336, 3360, 560)
+    assert len(built) == 560
+    monkeypatch.undo()
+    assert got.to_json() == _family_by_pairs(base, 3).to_json()

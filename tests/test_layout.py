@@ -215,8 +215,12 @@ def test_only_cyclo_and_the_boundary_name_cycint():
 
 def test_cli_import_loads_no_dataclasses_or_inspect():
     # every CLI run pays for its imports, and nothing the CLI runs needs
-    # dataclasses or the inspect module it loads
-    code = "import sys, superell.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # dataclasses or the inspect module it loads; fractions (with decimal and
+    # numbers) loads only where a Fraction is built, and hashlib (with
+    # OpenSSL's _hashlib) not at all, since the L-cache checksum uses the
+    # interpreter's own sha256
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "numbers", "hashlib", "_hashlib"}
+    code = f"import sys, superell.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)

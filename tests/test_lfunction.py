@@ -1,6 +1,9 @@
 import hashlib
+import importlib.util
 import itertools
 import json
+import random
+import sys
 
 import pytest
 
@@ -26,6 +29,8 @@ from superell.lfunction import (
     LCache,
     LPoly,
     _complete,
+    _digest,
+    _sha256,
     l_polynomials,
     monic_sum_l_polynomials,
     rescale_by_root,
@@ -223,6 +228,19 @@ def _block_line(pairs) -> str:
             ints += row
     body = " ".join(map(str, ints))
     return f"{hashlib.sha256(body.encode()).hexdigest()} {body}"
+
+
+def test_digest_is_hashlib_sha256():
+    # the checksum of a block comes from the interpreter's own sha256, not
+    # from hashlib's OpenSSL one, and must be the same digest, so files
+    # written either way load unchanged
+    rng = random.Random(20261020)
+    bodies = [b"", b"1 2 3"] + [rng.randbytes(rng.randrange(1, 300)) for _ in range(200)]
+    for body in bodies:
+        assert _digest(body) == hashlib.sha256(body).hexdigest().encode("ascii")
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    if importlib.util.find_spec(builtin) is not None:  # absent only from unusual builds
+        assert _sha256().__module__ == builtin
 
 
 def test_lcache_roundtrip_and_corruption(tmp_path, F7):

@@ -15,8 +15,8 @@ from superell.polyring import (
     poly_to_json,
     powmod,
     squarefree_monics,
-    dilations,
-    translations,
+    affine_maps,
+    monic_images,
 )
 
 from superell.oracle import monics
@@ -215,17 +215,23 @@ def test_vector_index_roundtrip(F7, F25, rng):
 def test_translations_match_composition(build):
     F = build()
     for k in (1, 2, 3):
-        maps = translations(F, k)
-        assert len(maps) == F.q and list(maps[0]) == list(factor_table(F).level(k).primes)
+        maps = affine_maps(F, k)[0]
+        primes = list(factor_table(F).level(k).primes)
+        assert len(maps) == F.q and monic_images(F, k, maps[:1], primes) == primes
         for b in range(F.q):
             moved = [translate(P, F.elem_at(b)).vector_index() - F.q**k for P in irreducibles(F, k)]
-            assert list(maps[b]) == moved
-            assert sorted(moved) == list(maps[0])  # a bijection on the primes
+            assert monic_images(F, k, maps[b:b + 1], primes) == moved
+            assert sorted(moved) == primes  # a bijection on the primes
+        # every monic of the degree, not only the primes, by index
+        assert monic_images(F, k, maps, [0]) == [
+            translate(Poly.from_index(F, k, 0), F.elem_at(b)).vector_index() - F.q**k
+            for b in range(F.q)
+        ]
     if F.q == 4:
         # t^2 + t = t (t + 1) is fixed by b = 1, which swaps its primes
         t, one = Poly.x(F), Poly.one(F)
         assert translate(t * (t + one), F.one()) == t * (t + one)
-        assert list(translations(F, 1)[1]) == [1, 0, 3, 2]
+        assert monic_images(F, 1, affine_maps(F, 1)[0][1:2], [0, 1, 2, 3]) == [1, 0, 3, 2]
 
 
 @pytest.mark.parametrize("build", [
@@ -239,8 +245,9 @@ def test_dilations_match_composition(build):
     F = build()
     primes = {k: list(factor_table(F).level(k).primes) for k in (1, 2, 3)}
     for k in (1, 2, 3):
-        maps = dilations(F, k)
-        assert len(maps) == F.q and maps[0] is None and list(maps[1]) == primes[k]
+        maps = affine_maps(F, k)[1]
+        assert len(maps) == F.q and maps[0] is None
+        assert monic_images(F, k, maps[1:2], primes[k]) == primes[k]
         for ci in range(1, F.q):
             c = F.elem_at(ci)
             # c^-k P(ct), by substituting the polynomial c t into P
@@ -254,7 +261,7 @@ def test_dilations_match_composition(build):
                 image = image * inverse
                 assert image.is_monic() and image.degree == k
                 moved.append(image.vector_index() - F.q**k)
-            assert list(maps[ci]) == moved
+            assert monic_images(F, k, maps[ci:ci + 1], primes[k]) == moved
             assert sorted(moved) == primes[k]  # a bijection on the primes
 
 
