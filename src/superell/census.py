@@ -110,9 +110,9 @@ def model_from_char(chi: DirichletChar) -> SuperellipticModel:
 def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = None) -> bool:
     """Exact identity P(T) = prod over j of the stripped L(u, chi^j), with the
     twist acting as the coefficient rotation u -> zeta^{k_c} u.  `l_polys`
-    may hold the untwisted L(u, chi^j) already at hand, keyed by character
-    key (the census passes those of the conductor it has just computed);
-    otherwise they are computed here."""
+    may hold the untwisted L(u, chi^j) already at hand, keyed by
+    `DirichletChar.int_key` (the census passes those of the conductor it has
+    just computed); otherwise they are computed here."""
     if not model.normalized:
         raise InputError("the zeta/L decomposition is asserted for normalized models only")
     chi = char_from_model(model)
@@ -121,7 +121,7 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
     if l_polys is None:
         Ls = l_polynomials(powers)
     else:
-        Ls = [l_polys[chij.key()] for chij in powers]
+        Ls = [l_polys[chij.int_key()] for chij in powers]
     prod = None
     for j, (chij, L) in enumerate(zip(powers, Ls), start=1):
         L = rescale_by_root(L, (j * kc) % model.ell)
@@ -428,7 +428,7 @@ def _census(
                     _spot_check([chars[j] for j in fresh], [l_polys[j] for j in fresh])
                     fresh = ()
                 # chi's powers are the other characters on its conductor
-                known = {c.key(): Lc for c, Lc in zip(chars, l_polys)}
+                known = {c.int_key(): Lc for c, Lc in zip(chars, l_polys)}
                 if not decomposition_check(model_from_char(chars[i]), l_polys=known):
                     decomp_ok = False
                 decomp_done += 1
@@ -497,6 +497,7 @@ class SeedReport:
         self.params = params
         self.data: dict = {}
         self.verdicts: dict = {}
+        self.model = None  # the model a search found, which `seed_model` returns
 
     def to_json(self) -> dict:
         return {
@@ -514,10 +515,12 @@ def _trigonal_model(F: Field) -> SuperellipticModel:
     return SuperellipticModel(3, F, F.one(), (t**3 - t, Poly.one(F)))
 
 
-def _require_thm41_prime(p: int) -> None:
-    """The thm41 seed's requirement on p, for its seed check and its family."""
-    if p % 3 != 2 or p == 2:
-        raise InputError(f"the thm41 seed needs an odd prime p = 2 mod 3, got p = {p}")
+def _require_seed_prime(kind: str, p: int, ell: int = 3) -> None:
+    """A seed's requirement on p, for its seed check and its family: an odd
+    p = -1 mod ell (at p = 2 the thm42 model's x - 2 is x)."""
+    if p == 2 or p % ell != ell - 1:
+        need = f"an odd prime p = {ell - 1} mod {ell}"
+        raise InputError(f"the {kind} seed needs {need}, got p = {p}")
 
 
 def seed_check_thm41(p: int) -> SeedReport:
@@ -525,7 +528,7 @@ def seed_check_thm41(p: int) -> SeedReport:
     supersingular; after base change to F_{p^4} the numerator is (1 - p^2 T)^2,
     so the central eigenvalue appears.  The trigonal model y^3 = x^3 - x is
     compared against it over F_p, F_{p^2} and F_{p^4}."""
-    _require_thm41_prime(p)
+    _require_seed_prime("thm41", p)
     rep = SeedReport("thm41", {"p": p})
     F = make_field(p, 1)
     t = Poly.x(F)
@@ -568,8 +571,7 @@ def thm42_model(F: Field, ell: int) -> SuperellipticModel:
 def seed_check_thm42(ell: int, p: int) -> SeedReport:
     if ell == 2 or not is_prime(ell):
         raise InputError(f"this seed needs an odd prime ell, got {ell}")
-    if (p + 1) % ell != 0:
-        raise InputError("this seed needs p = -1 mod ell")
+    _require_seed_prime("thm42", p, ell)
     rep = SeedReport("thm42", {"p": p, "ell": ell})
     F = make_field(p, 1)
     M = thm42_model(F, ell)
@@ -590,8 +592,7 @@ def seed_check_f25twist(p: int) -> SeedReport:
     numerator (1 - pT)^2: models y^3 = c * x * (x^2 - b) with c over cube-class
     representatives and b over {1, smallest non-square}, which together realise
     the full sextic-twist family of y^3 = x^3 - x."""
-    if p % 3 != 2 or p == 2:
-        raise InputError("this seed needs an odd prime p = 2 mod 3")
+    _require_seed_prime("f25twist", p)
     rep = SeedReport("f25twist", {"p": p})
     F = make_field(p, 2)
     q = F.q
@@ -628,6 +629,7 @@ def seed_check_f25twist(p: int) -> SeedReport:
                 found = M
     rep.data["candidates"] = candidates
     rep.data["traces"] = sorted(c["trace"] for c in candidates)
+    rep.model = found
     if found is not None:
         rep.data["found"] = found.to_json()
         rep.verdicts["found"] = True
@@ -656,13 +658,12 @@ def seed_check(kind: str, p: int, ell: "int | None" = None) -> SeedReport:
 def seed_model(seed_kind: str, p: int) -> SuperellipticModel:
     """The base model a family experiment starts from."""
     if seed_kind == "f25twist":
-        rep = seed_check_f25twist(p)
-        if not rep.verdicts.get("found"):
+        found = seed_check_f25twist(p).model
+        if found is None:
             raise InputError("twist search found no model with a central eigenvalue")
-        F = make_field(p, 2)
-        return SuperellipticModel.from_json(F, rep.data["found"])
+        return found
     if seed_kind == "thm41":
-        _require_thm41_prime(p)
+        _require_seed_prime("thm41", p)
         F4 = make_field(p, 4)
         return _trigonal_model(F4)
     raise InputError(f"unknown family seed kind {seed_kind!r}")

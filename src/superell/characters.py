@@ -27,15 +27,17 @@ in the base-p digits of g's index, with the images of `polyring.unit_images`
 (`symbol_histogram`, `char_value_counts`) are the definitional route to the
 same L-polynomials, which the census spot check runs.
 
-A character has one JSON encoding, `DirichletChar.canonical_json`, which
-reports use, and `to_json` is the object it encodes.  The L-cache keys it by
-`DirichletChar.int_key`, integers that name its primes within the field.
+A character has one identity, `DirichletChar.int_key`: the integer codes
+(degree, index among the monics of that degree) of its conductor primes with
+their exponents.  Equality, hashing, the L-cache, the census's duality check
+and its affine-class matches all read it.  Every character fills its slots
+through one call, from validated primes and their codes, and `to_json` is
+the object that reports give.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from collections import Counter
 
 from . import limits
@@ -200,87 +202,66 @@ def char_context(field: Field, ell: int) -> CharContext:
 # -- Dirichlet characters ------------------------------------------------------------
 
 
-def _canon(obj) -> str:
-    """Canonical JSON: sorted keys, no spaces."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def _json_parts(F: Field) -> tuple:
-    """(canonical JSON of F's descriptor, the descriptor, {prime key: (its
-    canonical JSON, its `poly_to_json`)}), kept in `Field._cache` and filled
-    as characters meet their primes (`_prime_json`)."""
+    """(F's descriptor, {prime key: its `poly_to_json`}), kept in
+    `Field._cache` and filled as characters meet their primes."""
     parts = F._cache.get("json_fragments")
     if parts is None:
-        field_obj = F.descriptor()
-        parts = F._cache["json_fragments"] = (_canon(field_obj), field_obj, {})
+        parts = F._cache["json_fragments"] = (F.descriptor(), {})
     return parts
-
-
-def _prime_json(primes: dict, P: Poly) -> tuple:
-    """Enter P's canonical JSON and `poly_to_json` in the `_json_parts` dict."""
-    obj = poly_to_json(P)
-    part = primes[P.key()] = (_canon(obj), obj)
-    return part
 
 
 class DirichletChar:
     """An order-ell character given by exponents over its squarefree conductor."""
 
-    # _json, _ints: the memoised `canonical_json` and `int_key`
-    __slots__ = (
-        "ell", "field", "exponent_map", "degree", "even", "_conductor", "_json", "_ints"
-    )
+    # _ints: `int_key`, the character's identity
+    __slots__ = ("ell", "field", "exponent_map", "degree", "even", "_conductor", "_ints")
 
     def __init__(self, field: Field, ell: int, exponent_map):
         char_context(field, ell)  # validates ell and q = 1 mod ell
-        pairs = []
-        seen = set()
+        q = field.q
+        coded = {}  # (degree, index among the monics of that degree) -> (P, e)
         for P, e in exponent_map:
+            if P.field is not field:  # the codes index the monics over `field`
+                raise InputError(f"conductor factor {P!r} is not over {field}")
             if not P.is_monic() or P.degree < 1:
                 raise InputError("conductor factors must be monic and non-constant")
             if e % ell == 0:
                 raise InputError("exponents must be nonzero mod ell")
-            if P.key() in seen:
+            code = (P.degree, P.vector_index() - q**P.degree)
+            if code in coded:
                 raise InputError("repeated conductor factor")
-            seen.add(P.key())
-            pairs.append((P, e % ell))
-        if not pairs:
+            coded[code] = (P, e % ell)
+        if not coded:
             raise InputError("a primitive order-ell character needs a non-trivial conductor")
-        pairs.sort(key=lambda t: (t[0].degree, t[0].key()))
-        degree = sum(P.degree for P, _ in pairs)
-        sign = sum(e * P.degree for P, e in pairs)
-        self._set(field, ell, tuple(pairs), degree, sign, None)
+        codes = tuple(sorted(coded))
+        primes, exponents = zip(*(coded[c] for c in codes))
+        self._set(field, ell, primes, codes, exponents)
 
-    def _set(
-        self, field: Field, ell: int, exponent_map: tuple, degree: int, sign: int, ints
-    ) -> None:
-        """Fill the slots: `degree` is the conductor degree, and `sign` is
-        sum e deg P, which is 0 mod ell exactly when chi is trivial on the
-        constants."""
+    def _set(self, field: Field, ell: int, primes, codes: tuple, exponents) -> None:
+        """Fill the slots from the conductor primes, monic, distinct and in
+        canonical order, each one's code (degree, index among the monics of
+        that degree) and its exponent in 1..ell-1.  The `int_key`, the
+        conductor degree and the parity (chi is even when sum e deg P is 0
+        mod ell, that is, trivial on the constants) are read from the codes."""
         self.field = field
         self.ell = ell
-        self.exponent_map = exponent_map
-        self.degree = degree
-        self.even = sign % ell == 0
+        self.exponent_map = tuple(zip(primes, exponents))
+        self.degree = sum(k for k, _ in codes)
+        self.even = sum(k * e for (k, _), e in zip(codes, exponents)) % ell == 0
         self._conductor = None
-        self._json = None
-        self._ints = ints
+        self._ints = tuple(x for (k, j), e in zip(codes, exponents) for x in (k, j, e))
 
     @classmethod
     def _on_table_primes(
         cls, field: Field, ell: int, primes, codes: tuple, exponents: tuple
     ) -> "DirichletChar":
-        """The character with the given exponents, in 1..ell-1, on a conductor
-        of `squarefree_conductors`: its primes are monic, distinct and in
-        canonical order, and `codes` holds each one's degree and index among
-        the monics of that degree, read from the factor table's marks.  The
-        checks of `__init__` are skipped; the `int_key`, the conductor degree
-        and the parity are read from the codes."""
+        """The character with the given exponents, in 1..ell-1, on primes
+        already validated, such as a conductor of `squarefree_conductors`,
+        whose `codes` are read from the factor table's marks.  The checks of
+        `__init__` are skipped."""
         chi = object.__new__(cls)
-        key = tuple(x for (k, j), e in zip(codes, exponents) for x in (k, j, e))
-        sign = sum(k * e for (k, _), e in zip(codes, exponents))
-        degree = sum(k for k, _ in codes)
-        chi._set(field, ell, tuple(zip(primes, exponents)), degree, sign, key)
+        chi._set(field, ell, primes, codes, exponents)
         return chi
 
     @property
@@ -293,73 +274,53 @@ class DirichletChar:
         return self._conductor
 
     def power(self, j: int) -> "DirichletChar":
-        if j % self.ell == 0:
+        ell = self.ell
+        if j % ell == 0:
             raise InputError("power would be the principal character")
-        return DirichletChar(
-            self.field, self.ell, [(P, (e * j) % self.ell) for P, e in self.exponent_map]
+        ints = self._ints
+        return DirichletChar._on_table_primes(
+            self.field,
+            ell,
+            [P for P, _ in self.exponent_map],
+            tuple(zip(ints[0::3], ints[1::3])),
+            tuple(e * j % ell for e in ints[2::3]),
         )
 
     def dual(self) -> "DirichletChar":
         return self.power(self.ell - 1)
 
-    def key(self) -> tuple:
-        return (self.ell, tuple((P.key(), e) for P, e in self.exponent_map))
-
     def __eq__(self, other):
         if not isinstance(other, DirichletChar):
             return NotImplemented
-        return self.field is other.field and self.key() == other.key()
+        return self.field is other.field and (self.ell, self._ints) == (other.ell, other._ints)
 
     def __hash__(self):
-        return hash((id(self.field),) + self.key())
+        return hash((id(self.field), self.ell) + self._ints)
 
     def __repr__(self):
         parts = ", ".join(f"({P!r})^{e}" for P, e in self.exponent_map)
         return f"DirichletChar(ell={self.ell}, {parts})"
 
-    def canonical_json(self) -> str:
-        """The character's JSON in canonical form, byte for byte
-        {"ell":...,"factors":[[P,e],...],"field":...} with sorted keys and no
-        spaces, as reports give it.  It is joined from the canonical JSON of the
-        field and of each prime (`_json_parts`) and memoised on the character."""
-        s = self._json
-        if s is None:
-            field_json, _, primes = _json_parts(self.field)
-            factors = []
-            for P, e in self.exponent_map:
-                part = primes.get(P.key()) or _prime_json(primes, P)
-                factors.append(f"[{part[0]},{e}]")
-            s = self._json = (
-                f'{{"ell":{self.ell},"factors":[{",".join(factors)}],"field":{field_json}}}'
-            )
-        return s
-
     def int_key(self) -> tuple:
-        """The character as integers, its L-cache key: for each conductor prime
-        in canonical order, its degree, its index among the monics of that
-        degree and its exponent.  It names neither the field nor ell, to which
-        an L-cache file is bound.  A character built on the factor table's
-        codes (`_on_table_primes`) is handed its key; any other computes it
-        from its primes here, once."""
-        if self._ints is None:
-            q = self.field.q
-            self._ints = tuple(
-                x
-                for P, e in self.exponent_map
-                for x in (P.degree, P.vector_index() - q**P.degree, e)
-            )
+        """The character's identity as integers, and its L-cache key: for each
+        conductor prime in canonical order, its degree, its index among the
+        monics of that degree and its exponent.  It names neither the field
+        nor ell, to which an L-cache file is bound."""
         return self._ints
 
     def to_json(self) -> dict:
-        """The object that `canonical_json` encodes, not parsed.  The field's
-        descriptor and each prime's coefficient lists are built once per field
-        (`_json_parts`) and shared by every character's object: they are never
-        mutated, and a caller that wants to change one copies it first."""
-        _, field_obj, primes = _json_parts(self.field)
+        """{"ell": ..., "factors": [[P, e], ...], "field": ...}, which reports
+        give with sorted keys.  The field's descriptor and each prime's
+        coefficient lists are built once per field (`_json_parts`) and shared
+        by every character's object: they are never mutated, and a caller
+        that wants to change one copies it first."""
+        field_obj, primes = _json_parts(self.field)
         factors = []
         for P, e in self.exponent_map:
-            part = primes.get(P.key()) or _prime_json(primes, P)
-            factors.append([part[1], e])
+            obj = primes.get(P.key())
+            if obj is None:
+                obj = primes[P.key()] = poly_to_json(P)
+            factors.append([obj, e])
         return {"ell": self.ell, "factors": factors, "field": field_obj}
 
     @classmethod
@@ -519,22 +480,3 @@ def squarefree_conductors(F: Field, ell: int, d: int):
         if got is None:
             got = assignments[r] = tuple(itertools.product(range(1, ell), repeat=r))
         yield primes, codes, got
-
-
-def conductor_groups(F: Field, ell: int, d: int):
-    """All primitive order-ell characters with conductor degree exactly d, in
-    canonical order, one list per squarefree monic conductor: the exponent
-    assignments over its primes (equivalently, the component tuples
-    (D_1, ..., D_{ell-1}) of superelliptic models).  A thin wrapper over
-    `squarefree_conductors`, the one enumeration, which builds every
-    character: since the table's primes are monic, distinct and canonically
-    ordered, none is re-validated, and each is handed its `int_key`, degree
-    and parity from the table's codes (`DirichletChar._on_table_primes`).
-    The census walks the same enumeration but builds a character only where
-    something reads one: the first conductor of each affine class, the spot
-    checks, the decomposition samples and the vanishing characters it
-    reports.  Every other character gets its L-polynomial and its decision
-    from its class, once per class match (`census._AffineClasses`)."""
-    make = DirichletChar._on_table_primes
-    for primes, codes, assignments in squarefree_conductors(F, ell, d):
-        yield [make(F, ell, primes, codes, x) for x in assignments]

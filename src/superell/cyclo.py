@@ -46,22 +46,11 @@ class CycInt:
     def from_int(cls, ell: int, n: int) -> "CycInt":
         return cls(ell, (n,) + (0,) * (ell - 2))
 
-    @classmethod
-    def from_counts(cls, ell: int, counts) -> "CycInt":
-        """sum_k counts[k] zeta^k, for a list of ell counts: zeta^{ell-1} is
-        -(1 + zeta + ... + zeta^{ell-2})."""
-        return cls(ell, row_from_counts(counts))
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
     def is_int(self) -> bool:
         return all(c == 0 for c in self.coords[1:])
-
-    def as_int(self) -> int:
-        if not self.is_int():
-            raise InputError(f"{self} is not a rational integer")
-        return self.coords[0]
 
     def _check(self, other: "CycInt"):
         if self.ell != other.ell:

@@ -226,6 +226,8 @@ def generate_family(
     member.  At most `POWER_CACHE_LIMIT` power rows, and as many verdicts,
     are kept.
     """
+    if n < 0:
+        raise InputError(f"n (--n) must be at least 0, got {n}")
     _require_family_base(M0)
     d = M0.d
     report = FamilyReport(M0, n)

@@ -3,10 +3,11 @@ paths: digit sums and schoolbook products for the field's tables,
 square-and-multiply residue symbols for the symbol tables, point counts by
 tower arithmetic for the log tables, character sums in Z[zeta_ell] for the
 L-polynomials, character counts and the full enumeration of order-ell
-characters for the census, predicted counts and long division over Q for zeta
-numerators, the per-pair specialization for the family generator,
-from-scratch squarefree filters and counts for the density sampler and the
-sieve, and brute-force local counts for the density's local factors.  No
+characters, conductor by conductor, for the census, predicted counts and long
+division over Q for zeta numerators, the per-pair specialization for the
+family generator, from-scratch squarefree filters and counts for the density
+sampler and the sieve, brute-force local counts for the density's local
+factors, and the expansion of a factorization for the factorizer.  No
 module of superell imports this one except `__init__`, which re-exports
 `MuValue`, `residue_symbol`, `specialize`, `count_all_primitive`,
 `enumerate_order_ell` and `genus_bound_degree`.
@@ -15,13 +16,13 @@ module of superell imports this one except `__init__`, which re-exports
 from __future__ import annotations
 
 from . import limits
-from .characters import DirichletChar, char_context, char_value_counts, conductor_groups
+from .characters import DirichletChar, char_context, char_value_counts, squarefree_conductors
 from .curves import SuperellipticModel, ZetaNum, count_points, power_sums
-from .cyclo import CycInt, mu_embed
+from .cyclo import CycInt, mu_embed, row_from_counts
 from .errors import InputError, InvariantViolation, ResourceLimit
 from .families import BinaryForm, RationalMap, _require_family_base, homogenize
 from .ffield import Field, FieldElem
-from .polyring import Poly, factor_table, is_squarefree, monic_multiples, powmod
+from .polyring import Factorization, Poly, factor_table, is_squarefree, monic_multiples, powmod
 
 
 class MuValue:
@@ -149,6 +150,20 @@ def count_all_primitive(q: int, d: int) -> int:
     return q ** (2 * d - 2) * (q - 1) ** 2
 
 
+def conductor_groups(F: Field, ell: int, d: int):
+    """All primitive order-ell characters with conductor degree exactly d, in
+    canonical order, one list per squarefree monic conductor: the exponent
+    assignments over its primes (equivalently, the component tuples
+    (D_1, ..., D_{ell-1}) of superelliptic models).  It builds every
+    character of `characters.squarefree_conductors`, the one enumeration, on
+    the table's codes (`DirichletChar._on_table_primes`); the census walks
+    the same enumeration but builds a character only where something reads
+    one."""
+    make = DirichletChar._on_table_primes
+    for primes, codes, assignments in squarefree_conductors(F, ell, d):
+        yield [make(F, ell, primes, codes, x) for x in assignments]
+
+
 def enumerate_order_ell(F: Field, ell: int, n: int) -> list[DirichletChar]:
     """All primitive order-ell characters with conductor degree <= n."""
     char_context(F, ell)  # validates q = 1 mod ell
@@ -172,7 +187,7 @@ def char_value(chi: DirichletChar, g: Poly) -> MuValue:
 
 def char_sum(chi: DirichletChar, degree: int) -> CycInt:
     """Sum of chi(g) over monic g of exactly the given degree, in Z[zeta_ell]."""
-    return CycInt.from_counts(chi.ell, char_value_counts(chi, degree)[0])
+    return CycInt(chi.ell, row_from_counts(char_value_counts(chi, degree)[0]))
 
 
 def count_points_generic(M: SuperellipticModel, E: Field) -> int:
@@ -389,6 +404,14 @@ def squarefree_frequency(F: Field, degree: int) -> Fraction:
     from fractions import Fraction
 
     return Fraction(exhaustive_squarefree_count(F, degree), F.q**degree)
+
+
+def expand(fac: Factorization) -> Poly:
+    """The polynomial unit * prod P^e that a factorization stands for."""
+    out = Poly.constant(fac.unit)
+    for P, e in fac.factors:
+        out = out * P**e
+    return out
 
 
 def monics(F: Field, d: int):

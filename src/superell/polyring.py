@@ -344,12 +344,6 @@ class Factorization:
     def __repr__(self):
         return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
-    def expand(self) -> Poly:
-        out = Poly.constant(self.unit)
-        for p, e in self.factors:
-            out = out * p**e
-        return out
-
     def num_prime_factors(self) -> int:
         return len(self.factors)
 

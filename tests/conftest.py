@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from superell import CycInt, make_field
+from superell import CycInt, SuperellipticModel, extend_field, make_field
 from superell.polyring import Poly
 
 
@@ -43,6 +43,20 @@ def rng():
 def poly(F, *ints) -> Poly:
     """Polynomial from low-to-high integer coefficients."""
     return Poly.from_ints(F, ints)
+
+
+def tower_field(p, *degrees):
+    """The tower over F_p with the given relative degrees."""
+    F = make_field(p, 1)
+    for n in degrees:
+        F = extend_field(F, n)
+    return F
+
+
+def trigonal(F) -> SuperellipticModel:
+    """y^3 = t^3 - t, the trigonal seed model."""
+    t = Poly.x(F)
+    return SuperellipticModel(3, F, F.one(), (t**3 - t, Poly.one(F)))
 
 
 def rand_poly(F, max_deg, rng) -> Poly:

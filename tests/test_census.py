@@ -14,13 +14,18 @@ from superell.census import (
     seed_check,
     seed_model,
 )
-from superell.characters import DirichletChar, conductor_groups
+from superell.characters import DirichletChar
 from superell.cyclo import galois_row
-from superell.characters import _canon
-from superell.lfunction import LCache, central_value_is_zero, l_polynomials, strip_trivial_factor
+from superell.lfunction import (
+    LCache,
+    _canon,
+    central_value_is_zero,
+    l_polynomials,
+    strip_trivial_factor,
+)
 from superell.cli import _dump_json, _write_out, main as cli_main
 from superell.curves import SuperellipticModel, has_central_eigenvalue, zeta_numerator
-from superell.oracle import enumerate_order_ell, monics
+from superell.oracle import conductor_groups, enumerate_order_ell, monics
 from superell.polyring import Poly
 
 
@@ -436,6 +441,8 @@ def test_seed_check_f25twist():
 def test_seed_model_f25twist():
     m = seed_model("f25twist", 5)
     assert m.field.q == 25 and m.normalized
+    # the model the twist search found, not one rebuilt from its report
+    assert m.to_json() == seed_check("f25twist", 5).data["found"]
 
 
 def test_family_experiment_vacuous():
@@ -532,7 +539,9 @@ def test_cli_lpoly(capsys, F7):
     assert data["trivial_factor_exponent"] == 0
     t = Poly.x(F7)
     chi = DirichletChar(F7, 3, [(t, 1), (t - Poly.one(F7), 2)])
-    assert data["char"] == json.loads(chi.canonical_json())
+    # the report's character is chi's JSON, byte for byte once canonical
+    expected = '{"ell":3,"factors":[[[0,1],1],[[6,1],2]],"field":{"moduli":[],"p":7,"tower":[]}}'
+    assert _canon(data["char"]) == _canon(chi.to_json()) == expected
     assert "char" not in data["L"] and "char" not in data["stripped"]
     assert set(data["L"]) == {"q", "ell", "coeffs"}
 
@@ -608,6 +617,18 @@ _THM42 = ["seed-check", "--kind", "thm42", "--p", "5"]
         (_CENSUS1 + ["--cache", "garbled.lcache"], {}, "--cache"),
         (_CENSUS1 + ["--cache", "huge.lcache"], {}, "--cache"),
         (_CENSUS1 + ["--cache", "v2.lcache"], {}, "--cache"),
+        # a negative n once gave the empty family and exit 0
+        (_FAMILY[:-1] + ["-3"], {}, "n (--n) must be at least 0, got -3"),
+        # each seed's requirement on p: at p = 2 the thm42 model's x - 2 is
+        # x, which once failed as "components must be squarefree ..."
+        (_THM42[:-1] + ["2", "--ell", "3"], {},
+         "thm42 seed needs an odd prime p = 2 mod 3, got p = 2"),
+        (_THM42[:-1] + ["7", "--ell", "3"], {},
+         "thm42 seed needs an odd prime p = 2 mod 3, got p = 7"),
+        (_THM42[:-1] + ["3", "--ell", "5"], {},
+         "thm42 seed needs an odd prime p = 4 mod 5, got p = 3"),
+        (["seed-check", "--kind", "f25twist", "--p", "2"], {},
+         "f25twist seed needs an odd prime p = 2 mod 3, got p = 2"),
     ],
 )
 def test_cli_bad_input_exits_2(argv, env, named, monkeypatch, capsys, tmp_path):

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from superell import (
@@ -21,16 +19,16 @@ from superell.characters import (
     CharContext,
     char_context,
     char_value_counts,
-    conductor_groups,
     prime_symbol_histogram,
     project_counts,
     symbol_histogram,
 )
 from superell.ffield import spread_coding
-from superell.oracle import MuValue, char_sum, char_value, monics
-from superell.polyring import _GENERATOR_TRIES, Poly, gcd, irreducibles, is_squarefree
+from superell.lfunction import _canon
+from superell.oracle import MuValue, char_sum, char_value, conductor_groups, monics
+from superell.polyring import _GENERATOR_TRIES, Poly, gcd, irreducibles, is_squarefree, poly_to_json
 
-from conftest import poly, rand_poly
+from conftest import poly, rand_poly, tower_field
 
 
 # -- brute-force oracle for primitive character counts (all orders) ------------
@@ -310,7 +308,7 @@ def test_conductor_groups_ascend_over_squarefree_monics(F7, F25):
                 # the unchecked characters equal those the public constructor checks
                 for chi in chars:
                     checked = DirichletChar(F, ell, chi.exponent_map)
-                    assert chi.key() == checked.key()
+                    assert chi.int_key() == checked.int_key()
                     assert chi.exponent_map == checked.exponent_map
                     assert chi.even == checked.even
                     assert chi == checked and hash(chi) == hash(checked)
@@ -319,11 +317,34 @@ def test_conductor_groups_ascend_over_squarefree_monics(F7, F25):
             assert conductors == [f for f in monics(F, d) if is_squarefree(f)]
 
 
+def test_constructor_checks_and_canonical_order(F7):
+    t, one = Poly.x(F7), Poly.one(F7)
+    chi = DirichletChar(F7, 3, [(t + one, 2), (t, 4)])
+    assert chi.int_key() == (1, 0, 1, 1, 1, 2)
+    assert chi == DirichletChar(F7, 3, [(t, 1), (t + one, 2)])
+    bad = [
+        (3, []),  # no conductor
+        (3, [(one, 1)]),  # constant
+        (3, [(poly(F7, 0, 3), 1)]),  # not monic
+        (3, [(t, 3)]),  # exponent 0 mod ell
+        (3, [(t, 1), (t, 2)]),  # repeated prime
+        (3, [(Poly.x(make_field(13, 1)), 1)]),  # a prime over another field
+        (5, [(t, 1)]),  # q = 7 is not 1 mod 5
+    ]
+    for ell, pairs in bad:
+        with pytest.raises(InputError):
+            DirichletChar(F7, ell, pairs)
+
+
 def test_power_and_dual(F7):
     t = Poly.x(F7)
     chi = DirichletChar(F7, 3, [(t, 1), (t + Poly.one(F7), 2)])
     assert chi.dual().exponent_map[0][1] == 2
     assert chi.dual().dual() == chi
+    # a power reuses chi's primes and codes, with no checks run again
+    checked = DirichletChar(F7, 3, [(t, 2), (t + Poly.one(F7), 4)])
+    assert chi.power(5) == checked and hash(chi.power(5)) == hash(checked)
+    assert (chi.power(5).degree, chi.power(5).even) == (checked.degree, checked.even)
     with pytest.raises(InputError):
         chi.power(3)
 
@@ -388,19 +409,18 @@ def test_char_json_roundtrip(F7):
     pytest.param(11, [1], 5, id="11-5"),
 ])
 def test_char_to_json_is_its_canonical_json(p, tower, ell):
-    # to_json builds the object its canonical JSON encodes, with no parse,
-    # and a character of `conductor_groups` takes its degree and parity from
-    # its key: both agree with a character built and checked by the public
-    # constructor
-    F = make_field(p, tower[0])
-    for n in tower[1:]:
-        F = extend_field(F, n)
+    # to_json, in canonical form, is the report's bytes
+    # {"ell":...,"factors":[[P,e],...],"field":...}, and a character of
+    # `conductor_groups` takes its degree and parity from its codes: both
+    # agree with a character built and checked by the public constructor
+    F = tower_field(p, *tower)
     for d in (1, 2):
         for chars in conductor_groups(F, ell, d):
             for chi in chars:
                 data = chi.to_json()
-                assert data == json.loads(chi.canonical_json())
-                assert json.dumps(data, sort_keys=True, separators=(",", ":")) == chi.canonical_json()
+                factors = ",".join(f"[{_canon(poly_to_json(P))},{e}]" for P, e in chi.exponent_map)
+                expected = f'{{"ell":{ell},"factors":[{factors}],"field":{_canon(F.descriptor())}}}'
+                assert _canon(data) == expected
                 twin = DirichletChar(F, ell, chi.exponent_map[::-1])
                 assert (twin.degree, twin.even) == (chi.degree, chi.even) == (
                     d, sum(e * P.degree for P, e in chi.exponent_map) % ell == 0
@@ -446,9 +466,7 @@ def test_symbol_histogram_projection_matches_brute_force(p, tower, ell, max_degr
     # histogram per degree, against the direct value of chi on every monic;
     # and from one prime histogram per degree, which reads (Q/P) as (P/Q)
     # from the smaller prime's table, against chi on every irreducible Q
-    F = make_field(p, tower[0])
-    for n in tower[1:]:
-        F = extend_field(F, n)
+    F = tower_field(p, *tower)
     symbols: dict = {}
     for d in range(1, max_degree + 1):
         for chars in conductor_groups(F, ell, d):

@@ -29,12 +29,7 @@ from superell.oracle import (
 )
 from superell.polyring import Poly
 
-from conftest import poly
-
-
-def trigonal(F):
-    t = Poly.x(F)
-    return SuperellipticModel(3, F, F.one(), (t**3 - t, Poly.one(F)))
+from conftest import poly, trigonal
 
 
 def test_model_validation(F5, F7):

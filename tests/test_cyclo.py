@@ -58,12 +58,11 @@ def test_conjugate_examples(rng):
     assert conjugate(CycInt.from_int(7, -12)) == CycInt.from_int(7, -12)
 
 
-def test_is_zero_and_as_int():
+def test_is_zero_and_is_int():
     assert CycInt(3, (0, 0)).is_zero()
     assert not mu_embed(3, 1).is_zero()
-    assert CycInt.from_int(3, 9).as_int() == 9
-    with pytest.raises(InputError):
-        mu_embed(3, 1).as_int()
+    assert CycInt.from_int(3, 9).is_int() and CycInt.from_int(3, 9).coords == (9, 0)
+    assert not mu_embed(3, 1).is_int()
 
 
 def test_ring_axioms_random(rng):

@@ -26,12 +26,7 @@ from superell.oracle import (
 )
 from superell.polyring import Poly, gcd, irreducibles
 
-from conftest import poly
-
-
-def trigonal(F):
-    t = Poly.x(F)
-    return SuperellipticModel(3, F, F.one(), (t**3 - t, Poly.one(F)))
+from conftest import poly, trigonal
 
 
 def test_local_factor_uv_example(F7):

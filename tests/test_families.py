@@ -20,12 +20,7 @@ from superell.families import BinaryForm, FamilyReport, twist_class_index
 from superell.ffield import make_field
 from superell.polyring import Poly, gcd
 
-from conftest import poly
-
-
-def trigonal(F):
-    t = Poly.x(F)
-    return SuperellipticModel(3, F, F.one(), (t**3 - t, Poly.one(F)))
+from conftest import poly, trigonal
 
 
 def test_homogenize_examples(F7):
@@ -126,6 +121,8 @@ def test_generate_family_contains_base_and_monotone(F7):
 def test_generate_family_below_degree_is_empty(F7):
     rep = generate_family(trigonal(F7), 2)
     assert rep.distinct_models == 0 and "note" in rep.caps
+    with pytest.raises(InputError, match="--n"):
+        generate_family(trigonal(F7), -1)
 
 
 def test_member_invariants_sample(F7):

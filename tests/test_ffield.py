@@ -9,6 +9,8 @@ from superell import InputError, ResourceLimit, extend_field, make_field, primit
 from superell.ffield import ELEM_TABLE_CAP, LogTable, is_prime, log_table, spread_coding
 from superell.oracle import field_add_generic, field_mul_generic
 
+from conftest import tower_field
+
 
 def brute_canonical_modulus(F, n):
     """Independent oracle: scan monic degree-n polynomials in canonical order,
@@ -168,16 +170,9 @@ def test_inverse_and_index_roundtrip(rng):
         assert a * a.inverse() == F.one()
 
 
-def _tower(p, *degrees):
-    F = make_field(p, 1)
-    for n in degrees:
-        F = extend_field(F, n)
-    return F
-
-
 def test_log_table_consistency():
     towers = [(7, ()), (7, (2,)), (2, (4,)), (3, (5,)), (2, (2, 2)), (3, (2, 2)), (5, (2, 2))]
-    for F in (_tower(p, *degrees) for p, degrees in towers):
+    for F in (tower_field(p, *degrees) for p, degrees in towers):
         tab = log_table(F)
         g = primitive_root(F)
         assert isinstance(tab, LogTable) and tab.field is F
@@ -215,7 +210,7 @@ _PROPERTY_TOWERS = [(2, (2, 2)), (2, (2, 3)), (2, (2, 2, 2)), (3, (2, 2)), (3, (
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tower_field_axioms(p, degrees, data):
-    F = _tower(p, *degrees)
+    F = tower_field(p, *degrees)
     i, j, k = (data.draw(st.integers(0, F.q - 1)) for _ in range(3))
     a, b, c = F.elem_at(i), F.elem_at(j), F.elem_at(k)
     assert F.index(a) == i and F.elem_at(F.index(b)) == b
@@ -233,7 +228,7 @@ def test_tower_field_axioms(p, degrees, data):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(data=st.data())
 def test_tower_log_homomorphism(p, degrees, data):
-    F = _tower(p, *degrees)
+    F = tower_field(p, *degrees)
     tab = log_table(F)
     i, j = (data.draw(st.integers(1, F.q - 1)) for _ in range(2))
     a, b = F.elem_at(i), F.elem_at(j)
@@ -311,7 +306,7 @@ _SAMPLED = ["F256", "F625", "F4096", "F8192"]
 
 def _pinned(name):
     p, degrees = _PINNED_FIELDS[name][:2]
-    return _tower(p, *degrees)
+    return tower_field(p, *degrees)
 
 
 def _digest(values) -> str:
@@ -403,7 +398,7 @@ _UNTABLED = {"F2": (2, ()), "F3": (3, ()), "F8191": (8191, ()), "F5^6": (5, (6,)
 @pytest.mark.parametrize("name", ["F4", "F16", "F25", "F256", "F625", "F4096"] + list(_UNTABLED))
 def test_log_table_equals_a_fresh_walk(name):
     p, degrees = _UNTABLED.get(name) or _PINNED_FIELDS[name][:2]
-    F = _tower(p, *degrees)
+    F = tower_field(p, *degrees)
     m = F.q - 1
     g = primitive_root(F)
     images = [field_mul_generic(F, F.elem_at(F.p**i), g).idx for i in range(F.e)]

@@ -41,7 +41,14 @@ def test_only_init_imports_oracle():
 
 def test_test_only_helpers_live_in_oracle():
     # helpers that only the tests read are oracles, re-exported by __init__
-    helpers = {"count_all_primitive", "enumerate_order_ell", "predicted_count", "genus_bound_degree"}
+    helpers = {
+        "count_all_primitive",
+        "enumerate_order_ell",
+        "predicted_count",
+        "genus_bound_degree",
+        "expand",
+        "conductor_groups",
+    }
     defined = {
         (path.name, node.name)
         for path in sorted(PACKAGE.glob("*.py"))

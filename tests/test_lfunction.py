@@ -1,7 +1,6 @@
 import hashlib
 import importlib.util
 import itertools
-import json
 import random
 import sys
 
@@ -17,17 +16,12 @@ from superell import (
     mu_embed,
     strip_trivial_factor,
 )
-from superell.characters import (
-    _canon,
-    conductor_groups,
-    project_counts,
-    symbol_histogram,
-)
 from superell.cyclo import conjugate
-from superell.ffield import extend_field, make_field
+from superell.ffield import make_field
 from superell.lfunction import (
     LCache,
     LPoly,
+    _canon,
     _complete,
     _digest,
     _sha256,
@@ -36,10 +30,10 @@ from superell.lfunction import (
     rescale_by_root,
     trivial_factor_candidates,
 )
-from superell.oracle import char_sum, char_value, monics
+from superell.oracle import char_sum, char_value, conductor_groups, monics
 from superell.polyring import Poly, is_irreducible, poly_to_json
 
-from conftest import central_by_products, poly, translate
+from conftest import central_by_products, poly, tower_field, translate
 
 
 def int_rows(ell, *ints):
@@ -357,17 +351,10 @@ _FIELDS = [
 ]
 
 
-def _tower(p, tower):
-    F = make_field(p, tower[0])
-    for n in tower[1:]:
-        F = extend_field(F, n)
-    return F
-
-
 # ids: p, the tower's relative degrees, ell
 @pytest.mark.parametrize("p, tower, ell", _FIELDS)
 def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
-    F = _tower(p, tower)
+    F = tower_field(p, *tower)
     path = tmp_path / "lcache.txt"
     cache = LCache(str(path), F, ell)
     held, blocks, expected = set(), [], []
@@ -375,13 +362,12 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
         Ls = l_polynomials(chars)
         fresh = []
         for chi, L in zip(chars, Ls):
-            k = chi.canonical_json()
+            k = _canon(chi.to_json())
             assert k == _canon({
                 "ell": ell,
                 "field": F.descriptor(),
                 "factors": [[poly_to_json(P), e] for P, e in chi.exponent_map],
             })
-            assert chi.to_json() == json.loads(k)
             # the key the factor table handed the character at construction
             # is the one recomputed from its primes' coefficients
             recomputed = tuple(
@@ -389,11 +375,10 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
                 for P, e in chi.exponent_map
                 for x in (P.degree, sum(c.idx * F.q**i for i, c in enumerate(P.coeffs[:-1])), e)
             )
-            assert chi._ints == recomputed
+            assert chi.int_key() == recomputed
             # a character built and checked by the public constructor
             twin = DirichletChar(F, ell, chi.exponent_map[::-1])
-            assert twin._ints is None
-            assert twin.canonical_json() == k and twin.int_key() == chi.int_key()
+            assert _canon(twin.to_json()) == k and twin.int_key() == recomputed
             if k not in held:  # put skips what it already holds
                 held.add(k)
                 fresh.append((chi, L))
@@ -403,7 +388,7 @@ def test_cache_keys_and_lines_are_canonical_json(tmp_path, p, tower, ell):
         cache.put(list(zip(chars, Ls)))
     assert path.read_text().splitlines() == [_header_line(F, ell)] + blocks
     assert len({chi.int_key() for chi, _ in expected}) == len(expected)
-    exponents = {e for chi, _ in expected for _, e in json.loads(chi.canonical_json())["factors"]}
+    exponents = {e for chi, _ in expected for _, e in chi.to_json()["factors"]}
     assert exponents == set(range(1, ell))
     reloaded = LCache(str(path), F, ell)
     assert (reloaded.blocks, reloaded.bad_lines) == (len(blocks), 0)
@@ -475,7 +460,7 @@ def _product_by_cycints(A, B):
 # ids: p, the tower's relative degrees, ell
 @pytest.mark.parametrize("p, tower, ell", _FIELDS)
 def test_integer_row_kernels_match_cycint_arithmetic(p, tower, ell):
-    F = _tower(p, tower)
+    F = tower_field(p, *tower)
     for chars in _sample_groups(F, ell):
         for chi, L in zip(chars, l_polynomials(chars)):
             _check_row_kernels(chi, L, range(ell))
@@ -511,9 +496,7 @@ def test_orthogonality_full_census_degree4(F7):
     ],
 )
 def test_euler_route_matches_monic_sums(p, tower, ell, max_degree):
-    F = make_field(p, tower[0])
-    for n in tower[1:]:
-        F = extend_field(F, n)
+    F = tower_field(p, *tower)
     for d in range(1, max_degree + 1):
         for chars in conductor_groups(F, ell, d):
             assert l_polynomials(chars) == monic_sum_l_polynomials(chars)
@@ -603,11 +586,8 @@ def test_large_ell_lone_characters(monkeypatch):
             # the monic sums of degree 3 would scan 607^3 monics; c_0..c_2
             # include, for an even character, one the functional equation
             # derived
-            primes = [P for P, _ in chi.exponent_map]
-            exps = [e for _, e in chi.exponent_map]
             for n in range(3):
-                counts, _ = project_counts(symbol_histogram(primes, 101, n), exps, 101)
-                assert L.rows[n] == CycInt.from_counts(101, counts).coords
+                assert L.rows[n] == char_sum(chi, n).coords
         stripped, k = strip_trivial_factor(L, chi)
         assert stripped.degree == chi.degree - (2 if chi.even else 1)
     assert parities == {(3, False), (3, True), (4, False), (4, True)}
