@@ -78,7 +78,7 @@ from .curves import (
 )
 from .errors import InputError, InvariantViolation
 from .families import generate_family, twist_class_index
-from .ffield import Field, is_prime, make_field
+from .ffield import Field, is_prime, make_field, power_classes
 from .lfunction import (
     LCache,
     LPoly,
@@ -153,10 +153,7 @@ class _AffineClasses:
         self.field = F
         self.ell = ell
         # z_c with c^((q - 1)/ell) = zeta^z_c, by the element index of c
-        zeta_pow_index = char_context(F, ell).zeta_pow_index
-        self.twists = [None] + [
-            zeta_pow_index[F.pow(F.elem_at(c), (F.q - 1) // ell).idx] for c in range(1, F.q)
-        ]
+        self.twists = power_classes(F, ell)
         # prime codes -> (class, the codes of the images of its first
         # conductor's primes, c); a class is (its Ls by (exponents, shift),
         # its first conductor's characters by exponents, its matches by

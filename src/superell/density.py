@@ -16,38 +16,23 @@ oracle in the tests.
 
 The seeded sampler draws (numer, denom) from the box of polynomials of degree
 <= h, which holds only q^(h+1) polynomials, so each is drawn many times.  It
-decides a pair on the factors of F = c prod G_k, the homogenized monic
-irreducible factors of F(t, 1), found by one `polyring.factor` call: F(n, d)
-is squarefree away from the excluded primes exactly when (i) every G_k(n, d)
-is nonzero and squarefree away from them and (ii), when F has two or more
-factors, no other prime divides both n and d.  Each drawn g keeps one row:
-its powers up to the largest degree of a nonlinear G_k, the bitmask of the
-primes dividing it (from the factorization of its monic associate), and the
-spread codes that make the value n + a d of a linear factor t + a one
-carry-free integer add, normalised back to an index by table lookups on
-chunks of its base-p digits (two lookups when the whole value fits one
-chunk).  The filter on a value depends on the value alone, so the factors
-share one verdict per value, keyed by its `vector_index`, since distinct pairs
-and distinct factors often meet the same one; so rule (ii) is one `&` of two
-masks, and the squarefree tests run on values of degree at most h times the
-largest factor degree, not h deg F.  Over a field of at most
-`ffield.ELEM_TABLE_CAP` elements all coefficients are shared elements, so the
-evaluation and the squarefree test build no new field elements.
+decides a pair on the factors G_k of F, the factorization of F(t, 1) the
+local counts read, through `families.FactorValues` (the `families` module
+docstring proves the rule): every G_k(n, d) is nonzero and squarefree away
+from the excluded primes, and, when F has two or more factors, no other
+prime divides both n and d.  The second rule is data here, the mask bits a
+pair may not share (none for one factor), so it and `--coprime-only` are
+each one `&` of two masks.  Over a field of at most `ffield.ELEM_TABLE_CAP`
+elements all coefficients are shared elements, so the evaluation and the
+squarefree test build no new field elements.
 """
 
 from __future__ import annotations
 
 from .curves import SuperellipticModel
 from .errors import InputError, InvariantViolation
-from .families import POWER_CACHE_LIMIT, BinaryForm, homogenize
-from .ffield import spread_coding
-from .polyring import (
-    Poly,
-    factor,
-    irreducibles,
-    is_squarefree,
-    poly_to_json,
-)
+from .families import BinaryForm, FactorValues, homogenize
+from .polyring import Poly, factor, irreducibles, poly_to_json
 
 
 def product_form(M0: SuperellipticModel) -> BinaryForm:
@@ -159,17 +144,15 @@ def excluded_primes(F_form: BinaryForm) -> list[Poly]:
 # -- local counts ----------------------------------------------------------------
 
 
-def _factor_degrees(F_form: BinaryForm) -> tuple:
-    """((deg G, e) for the monic irreducible factors G^e of f = F(t, 1), the
-    v-multiplicity deg F - deg f), from one `polyring.factor` of f per form,
-    kept in the field's `_cache`."""
+def _form_factors(F_form: BinaryForm) -> tuple:
+    """(the factors (G, e) of f = F(t, 1), the v-multiplicity deg F - deg f),
+    from one `polyring.factor` of f per form, kept in the field's `_cache`."""
     field = F_form.field
-    key = ("factor_degrees", F_form.degree, tuple(c.idx for c in F_form.coeffs))
+    key = ("form_factors", F_form.degree, tuple(c.idx for c in F_form.coeffs))
     got = field._cache.get(key)
     if got is None:
         f = F_form.dehomogenized()
-        parts = tuple((G.degree, e) for G, e in factor(f).factors)
-        got = field._cache[key] = (parts, F_form.degree - f.degree)
+        got = field._cache[key] = (factor(f).factors, F_form.degree - f.degree)
     return got
 
 
@@ -185,8 +168,8 @@ def local_count(F_form: BinaryForm, pi: Poly) -> int:
     all of them when deg F >= 2, the |pi| zeros of a linear form in
     (u/pi, v/pi) when deg F = 1, none when F is a constant."""
     size = F_form.field.q**pi.degree
-    parts, s_v = _factor_degrees(F_form)
-    roots = sum(k * (1 if e == 1 else size) for k, e in parts if pi.degree % k == 0)
+    parts, s_v = _form_factors(F_form)
+    roots = sum(G.degree * (1 if e == 1 else size) for G, e in parts if pi.degree % G.degree == 0)
     at_v = (0, 1, size)[min(s_v, 2)]
     at_zero = (0, size, size * size)[min(F_form.degree, 2)]
     return (size * size - size) * (roots + at_v) + at_zero
@@ -260,157 +243,15 @@ class _LCG:
         return (self.next_raw() >> 24) % n
 
 
-def _strip_excluded(val: Poly, excluded: list[Poly]) -> Poly:
-    for pi in excluded:
-        while not val.is_zero():
-            quo, rem = divmod(val, pi)
-            if not rem.is_zero():
-                break
-            val = quo
-    return val
-
-
-def _passes_stripped(val: Poly, excluded) -> bool:
-    """The filter on a computed value: nonzero and squarefree away from the
-    excluded primes."""
-    if val.is_zero():
-        return False
-    val = _strip_excluded(val, excluded)
-    return val.degree == 0 or is_squarefree(val)
-
-
-class _FactorFilter:
-    """The squarefree filter on F(numer, denom), decided on the factors of
-    F = c prod G_k, for draws of degree <= h_deg; F is the homogenization of
-    F(t, 1), as `product_form` makes it.
-
-    A draw g, by its box index (`vector_index`), has a row (mask, powers,
-    code, codes): the bitmask of the monic primes dividing g (every bit for
-    g = 0), from the `polyring.factor` of its monic associate; the powers
-    [1, g, ...] up to the largest degree of a nonlinear G_k; the spread code
-    of g's index, all of its e (h_deg + 1) base-p digits, and that of a g for
-    each linear factor t + a.  The value n + a d of a linear factor is then
-    the carry-free sum of two codes, normalised in chunks of base-p digits
-    with the `norm_lo`/`norm_hi` tables of `spread_coding(p, width)`, each
-    chunk as wide as tables of at most `POWER_CACHE_LIMIT` entries allow: one
-    chunk, two lookups, when the whole value fits, digit by digit with no
-    table when not even one digit's tables fit.  A nonlinear factor's value
-    comes from `BinaryForm.evaluate_powers`.  The filter on a value depends
-    only on the value, so all factors share one verdict per value, keyed by
-    its `vector_index`.  At most `POWER_CACHE_LIMIT` rows, and as many
-    verdicts, are kept."""
-
-    def __init__(self, F_form: BinaryForm, h_deg: int):
-        F = F_form.field
-        parts = factor(F_form.dehomogenized()).factors
-        if any(e != 1 for _, e in parts):
-            raise InvariantViolation(
-                "squarefree-product-form", f"{F_form!r} has a repeated factor"
-            )
-        self.field = F
-        self.excluded = excluded_primes(F_form)
-        # primes get bits as draws meet them, the excluded ones first
-        self.bits = {P.key(): 1 << i for i, P in enumerate(self.excluded)}
-        # rule (ii) needs two factors; no bit of an excluded prime counts
-        self.coprime_bits = ~((1 << len(self.excluded)) - 1) if len(parts) > 1 else 0
-        self.shifts = [P.coeffs[0] for P, _ in parts if P.degree == 1]
-        self.forms = [homogenize(P) for P, _ in parts if P.degree > 1]
-        self.widest = max(self.forms, key=lambda G: G.degree, default=None)
-        self.weights = [F.q**k for k in range(h_deg + 1)]
-        # the widest chunk whose tables, (2p - 1)^(w - w // 2) entries each,
-        # fit; 0 when even one digit's do not
-        p, radix, digits = F.p, 2 * F.p - 1, F.e * (h_deg + 1)
-        width = 0
-        while width < digits and radix ** ((width + 2) // 2) <= POWER_CACHE_LIMIT:
-            width += 1
-        self.p, self.radix = p, radix
-        self.spread = spread_coding(p, width).spread  # the method reads no table
-        self.chunks = []  # (radix^w, norm_lo, norm_hi, b_lo, p^start) per chunk of w digits
-        for start in range(0, digits, width) if width else ():
-            w = min(width, digits - start)
-            coding = spread_coding(p, w)
-            self.chunks.append((radix**w, coding.norm_lo, coding.norm_hi, coding.b_lo, p**start))
-        # the tables of a value that fits in one chunk, for two lookups and no loop
-        self.norm = self.chunks[0][1:4] if len(self.chunks) == 1 else None
-        self.rows: dict[int, tuple] = {}
-        self.verdicts: dict[int, bool] = {}
-
-    def row(self, index: int) -> tuple:
-        row = self.rows.get(index)
-        if row is None:
-            row = self._new_row(index)
-            if len(self.rows) < POWER_CACHE_LIMIT:
-                self.rows[index] = row
-        return row
-
-    def _new_row(self, index: int) -> tuple:
-        F, bits, spread, weights = self.field, self.bits, self.spread, self.weights
-        g = Poly.from_vector_index(F, index)
-        if g.is_zero():
-            mask = -1
-        elif not g.is_monic():  # the primes of its monic associate
-            mask = self.row(g.monic()[1].vector_index())[0]
-        else:
-            mask = 0
-            for P, _ in factor(g).factors:
-                mask |= bits.setdefault(P.key(), 1 << len(bits))
-        powers = None if self.widest is None else self.widest.powers(g)
-        codes = [
-            spread(sum(F.mul(a, c).idx * w for c, w in zip(g.coeffs, weights)))
-            for a in self.shifts
-        ]
-        return mask, powers, spread(index), codes
-
-    def _sum_index(self, s: int) -> int:
-        """The vector index of the value whose spread code is s, a sum of two
-        codes, normalised chunk by chunk."""
-        key = 0
-        for size, norm_lo, norm_hi, b_lo, place in self.chunks:
-            s, c = divmod(s, size)
-            key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * place
-        p, radix, place = self.p, self.radix, 1
-        while s:  # left only when there are no chunks: one digit at a time
-            s, c = divmod(s, radix)
-            key += c % p * place
-            place *= p
-        return key
-
-    def _verdict(self, key: int, val: Poly) -> bool:
-        """The filter on the value val, kept while there is room."""
-        ok = _passes_stripped(val, self.excluded)
-        if len(self.verdicts) < POWER_CACHE_LIMIT:
-            self.verdicts[key] = ok
-        return ok
-
-    def passes(self, nrow: tuple, drow: tuple) -> bool:
-        """True when F(numer, denom) is nonzero and squarefree away from the
-        excluded primes, given the rows of numer and denom: (ii) no
-        non-excluded prime divides both when F has two or more factors, and
-        (i) every factor value passes the filter."""
-        nmask, npows, ncode, _ = nrow
-        dmask, dpows, _, dcodes = drow
-        if nmask & dmask & self.coprime_bits:
-            return False
-        verdicts, norm = self.verdicts, self.norm
-        if norm is not None:
-            norm_lo, norm_hi, b_lo = norm
-        for acode in dcodes:
-            s = ncode + acode
-            key = self._sum_index(s) if norm is None else norm_lo[s % b_lo] + norm_hi[s // b_lo]
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = self._verdict(key, Poly.from_vector_index(self.field, key))
-            if not ok:
-                return False
-        for G in self.forms:
-            val = G.evaluate_powers(npows, dpows)
-            key = val.vector_index()
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = self._verdict(key, val)
-            if not ok:
-                return False
-        return True
+def _pair_rule(F_form: BinaryForm, h_deg: int) -> tuple:
+    """(the `FactorValues` of F's factors for draws of degree <= h_deg, the
+    mask bits two draws may not share): the bits of the primes outside the
+    excluded ones when F has two or more factors, none when one."""
+    parts, _ = _form_factors(F_form)
+    if any(e != 1 for _, e in parts):
+        raise InvariantViolation("squarefree-product-form", f"{F_form!r} has a repeated factor")
+    rule = FactorValues([G for G, _ in parts], h_deg, excluded_primes(F_form))
+    return rule, rule.outside if len(parts) > 1 else 0
 
 
 def empirical_density(
@@ -433,13 +274,7 @@ def empirical_density(
 
     Each draw is h_deg + 1 digits from the seeded generator, the coefficients
     of the drawn polynomial low degree first.  A pair is decided on the
-    factors G_k of F (`_FactorFilter.passes`): F(n, d) passes exactly when
-    (i) every G_k(n, d) is nonzero and squarefree away from the excluded
-    primes and (ii), when F has two or more factors, no non-excluded prime
-    divides both n and d.  (ii) holds because the resultant of two distinct
-    factors is a nonzero constant R, and R n^N, R d^N lie in the ideal of the
-    two forms, so a prime dividing two factor values divides n and d; and a
-    prime dividing n and d divides every factor value.
+    factors of F (`_pair_rule`, and the `families` module docstring).
     """
     if h_deg < 0:
         raise InputError(f"h_deg (--h-deg) must be at least 0, got {h_deg}")
@@ -447,27 +282,27 @@ def empirical_density(
         raise InputError(f"samples (--samples) must be at least 0, got {samples}")
     if samples == 0:
         return None
-    rule = _FactorFilter(product_form(M0), h_deg)
-    row, passes, weights, q = rule.row, rule.passes, rule.weights, M0.field.q
-    mult, inc, mask = _LCG.MULT, _LCG.INC, _LCG.MASK
+    rule, shared = _pair_rule(product_form(M0), h_deg)
+    mask, values, weights, q = rule.mask, rule.values, rule.weights, M0.field.q
+    mult, inc, low64 = _LCG.MULT, _LCG.INC, _LCG.MASK
     state = _LCG(seed).state
     hits = 0
     for _ in range(samples):
         while True:
             n = d = 0
             for w in weights:
-                state = (state * mult + inc) & mask
+                state = (state * mult + inc) & low64
                 n += (state >> 24) % q * w
             for w in weights:
-                state = (state * mult + inc) & mask
+                state = (state * mult + inc) & low64
                 d += (state >> 24) % q * w
             if not (n or d):
                 continue
-            nrow, drow = row(n), row(d)
-            if coprime_only and nrow[0] & drow[0]:
+            if coprime_only and mask(n) & mask(d):
                 continue
             break
-        hits += passes(nrow, drow)
+        if not (shared and mask(n) & mask(d) & shared):
+            hits += values(n, d) is not None
     return {
         "samples": samples,
         "hits": hits,

@@ -11,34 +11,42 @@ product of components is not squarefree, when a leading-coefficient degeneracy
 lowers some deg D_i below deg f_i * deg h, or (equivalently, given the degree
 filter) when the result would not be normalized.
 
-`generate_family` decides each coprime pair on the monic irreducible factors
-G_k of the base components, one `polyring.factor` per component: F_i is the
-product of the homogenized G_k, so D_i is the product of the values
-G_k(numer, denom).  deg D_i = deg f_i * deg h exactly when every value has
-degree deg G_k * deg h, and, numer and denom being coprime, the product of
-the D_i is squarefree exactly when every value is: two distinct factors have
-a nonzero constant resultant R, and R numer^N, R denom^N lie in the ideal of
-the two forms, so a prime dividing two values would divide numer and denom.
-Each value gets one squarefree verdict, kept by value, and each numer and
-denom its powers once; a model is built only for a member the run keeps.
-The per-pair route, which multiplies the D_i and tests their product, is
-`oracle.specialize`, the definitional route the tests compare against.
+The family generator and the density sampler decide a pair (numer, denom)
+on the factors of a form, through `FactorValues`.  Let F = c prod G_k, the
+G_k distinct homogenized monic irreducibles.  F(numer, denom) is nonzero and
+squarefree away from a set S of excluded primes exactly when (i) every value
+G_k(numer, denom) is, and (ii), when F has two or more factors, no prime
+outside S divides both numer and denom.  Two distinct factors have a nonzero
+constant resultant R, and R numer^N, R denom^N lie in the ideal of the two
+forms, so a prime dividing two factor values divides numer and denom; and a
+prime dividing numer and denom divides every factor value.  So each value
+gets one verdict, whichever pair or factor produces it, and the squarefree
+tests run on values of degree at most deg h times the largest factor degree,
+not deg h deg F.
+
+`generate_family` takes the G_k of every base component, one
+`polyring.factor` per component, with S empty: F_i is the product of its
+homogenized G_k, so D_i is the product of the values G_k(numer, denom), and
+the pairs it decides are coprime, so (ii) holds.  deg D_i = deg f_i * deg h
+exactly when every value has degree deg G_k * deg h.  A model is built only
+for a member the run keeps.  The per-pair route, which multiplies the D_i
+and tests their product, is `oracle.specialize`, the definitional route the
+tests compare against.
 """
 
 from __future__ import annotations
 
 from .curves import SuperellipticModel
 from .errors import InputError
-from .ffield import Field, FieldElem
+from .ffield import Field, FieldElem, power_classes, spread_coding
 from .polyring import Poly, factor, gcd, is_squarefree, poly_to_json
 
 # a family report lists its members only up to this many distinct models
 MEMBER_LIST_LIMIT = 200
 
-# Most power rows and most squarefree verdicts the family generator, and the
-# density sampler, keep; beyond this many distinct polynomials (values) they
-# compute the row (verdict) afresh.  No spread table the sampler reads has
-# more entries.
+# Most rows, masks and verdicts a `FactorValues` keeps; beyond this many
+# distinct draws (values) it computes a row or mask (verdict) afresh.  No spread
+# table it reads has more entries.
 POWER_CACHE_LIMIT = 1 << 14
 
 
@@ -145,20 +153,156 @@ def _require_family_base(M0: SuperellipticModel) -> None:
 
 
 def twist_class_index(F: Field, c: FieldElem, ell: int) -> int:
-    """Canonical representative index of c modulo ell-th powers of constants."""
-    reps = F._cache.setdefault("twist_reps", {}).get(ell)
-    if reps is None:
-        q = F.q
-        powers = {F.index(F.pow(F.elem_at(i), ell)) for i in range(1, q)}
-        reps = [0] * q
-        # ascending scan: the first index met in a coset is its minimum
-        for i in range(1, q):
-            if reps[i] == 0:
-                e = F.elem_at(i)
-                for j in powers:
-                    reps[F.index(F.mul(e, F.elem_at(j)))] = i
-        F._cache["twist_reps"][ell] = reps
-    return reps[F.index(c)]
+    """The smallest index of a constant in the class of c modulo ell-th
+    powers of constants (`ffield.power_classes`)."""
+    classes = power_classes(F, ell)
+    return classes.index(classes[c.idx], 1)
+
+
+class FactorValues:
+    """The values G_k(numer, denom) of distinct monic irreducibles G_k,
+    homogenized, at pairs of draws of degree <= h_deg, each draw given by its
+    `vector_index`, with one verdict per value: nonzero and squarefree away
+    from the `excluded` primes (see the module docstring).
+
+    A draw g has a row (powers, code, codes): powers is [1, g, ...] up to
+    the largest degree of a nonlinear G_k, for `BinaryForm.evaluate_powers`;
+    code is the spread code of g's index, all of its e (h_deg + 1) base-p
+    digits, and codes holds that of a g for each linear factor t + a.  The
+    value n + a d of a linear factor is then the carry-free sum of two
+    codes, normalised in chunks of base-p digits with the `norm_lo`/`norm_hi`
+    tables of `spread_coding(p, width)`, each chunk as wide as tables of at
+    most `POWER_CACHE_LIMIT` entries allow: one chunk, two lookups, when the
+    whole value fits, digit by digit with no table when not even one digit's
+    tables fit.  All factors share one verdict per value, keyed by its
+    `vector_index`.  A draw's mask, the bitmask of the primes dividing it,
+    is made only when a rule reads it (`mask`).  At most `POWER_CACHE_LIMIT`
+    rows, as many masks and as many verdicts are kept.  `factors` lists the
+    G_k in the order `values` gives them: the linear ones first."""
+
+    def __init__(self, factors: list[Poly], h_deg: int, excluded: list[Poly]):
+        F = factors[0].field
+        self.field = F
+        self.factors = [G for G in factors if G.degree == 1] + [G for G in factors if G.degree > 1]
+        self.excluded = excluded
+        # primes get bits as draws meet them, the excluded ones first
+        self.bits = {P.key(): 1 << i for i, P in enumerate(excluded)}
+        self.outside = ~((1 << len(excluded)) - 1)  # the bits of every other prime
+        self.shifts = [G.coeffs[0] for G in self.factors if G.degree == 1]
+        self.forms = [homogenize(G) for G in self.factors if G.degree > 1]
+        self.widest = max(self.forms, key=lambda G: G.degree, default=None)
+        self.weights = [F.q**k for k in range(h_deg + 1)]
+        # the widest chunk whose tables, (2p - 1)^(w - w // 2) entries each,
+        # fit; 0 when even one digit's do not
+        p, radix, digits = F.p, 2 * F.p - 1, F.e * (h_deg + 1)
+        width = 0
+        while width < digits and radix ** ((width + 2) // 2) <= POWER_CACHE_LIMIT:
+            width += 1
+        self.p, self.radix = p, radix
+        self.spread = spread_coding(p, width).spread  # the method reads no table
+        self.chunks = []  # (radix^w, norm_lo, norm_hi, b_lo, p^start) per chunk of w digits
+        for start in range(0, digits, width) if width else ():
+            w = min(width, digits - start)
+            coding = spread_coding(p, w)
+            self.chunks.append((radix**w, coding.norm_lo, coding.norm_hi, coding.b_lo, p**start))
+        # the tables of a value that fits in one chunk, for two lookups and no loop
+        self.norm = self.chunks[0][1:4] if len(self.chunks) == 1 else None
+        self.rows: dict[int, tuple] = {}
+        self.masks: dict[int, int] = {}
+        self.verdicts: dict[int, bool] = {}
+
+    def _row(self, index: int) -> tuple:
+        """The row of the draw with this index, kept while there is room."""
+        F, spread, weights = self.field, self.spread, self.weights
+        g = Poly.from_vector_index(F, index)
+        powers = None if self.widest is None else self.widest.powers(g)
+        codes = [
+            spread(sum(F.mul(a, c).idx * w for c, w in zip(g.coeffs, weights)))
+            for a in self.shifts
+        ]
+        row = powers, spread(index), codes
+        if len(self.rows) < POWER_CACHE_LIMIT:
+            self.rows[index] = row
+        return row
+
+    def mask(self, index: int) -> int:
+        """The bitmask of the primes dividing the draw with this index (every
+        bit for 0), from the `polyring.factor` of its monic associate."""
+        mask = self.masks.get(index)
+        if mask is None:
+            g = Poly.from_vector_index(self.field, index)
+            if g.is_zero():
+                mask = -1
+            elif not g.is_monic():
+                mask = self.mask(g.monic()[1].vector_index())
+            else:
+                mask, bits = 0, self.bits
+                for P, _ in factor(g).factors:
+                    mask |= bits.setdefault(P.key(), 1 << len(bits))
+            if len(self.masks) < POWER_CACHE_LIMIT:
+                self.masks[index] = mask
+        return mask
+
+    def _sum_index(self, s: int) -> int:
+        """The vector index of the value whose spread code is s, a sum of two
+        codes, normalised chunk by chunk."""
+        key = 0
+        for size, norm_lo, norm_hi, b_lo, place in self.chunks:
+            s, c = divmod(s, size)
+            key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * place
+        p, radix, place = self.p, self.radix, 1
+        while s:  # left only when there are no chunks: one digit at a time
+            s, c = divmod(s, radix)
+            key += c % p * place
+            place *= p
+        return key
+
+    def _verdict(self, key: int, val: Poly) -> bool:
+        """Whether val is nonzero and squarefree away from the excluded
+        primes, kept while there is room."""
+        ok = not val.is_zero()
+        if ok:
+            for pi in self.excluded:
+                while True:
+                    quo, rem = divmod(val, pi)
+                    if not rem.is_zero():
+                        break
+                    val = quo
+            ok = val.degree == 0 or is_squarefree(val)
+        if len(self.verdicts) < POWER_CACHE_LIMIT:
+            self.verdicts[key] = ok
+        return ok
+
+    def values(self, jn: int, jd: int) -> "list[int] | None":
+        """The vector indices of the values G_k(numer, denom), in the order
+        of `factors`, for the draws numer and denom with these indices; None
+        as soon as one fails its verdict."""
+        rows = self.rows
+        npows, ncode, _ = rows.get(jn) or self._row(jn)
+        dpows, _, dcodes = rows.get(jd) or self._row(jd)
+        verdicts, norm = self.verdicts, self.norm
+        if norm is not None:
+            norm_lo, norm_hi, b_lo = norm
+        out = []
+        for acode in dcodes:
+            s = ncode + acode
+            key = self._sum_index(s) if norm is None else norm_lo[s % b_lo] + norm_hi[s // b_lo]
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = self._verdict(key, Poly.from_vector_index(self.field, key))
+            if not ok:
+                return None
+            out.append(key)
+        for G in self.forms:
+            val = G.evaluate_powers(npows, dpows)
+            key = val.vector_index()
+            ok = verdicts.get(key)
+            if ok is None:
+                ok = self._verdict(key, val)
+            if not ok:
+                return None
+            out.append(key)
+        return out
 
 
 class FamilyReport:
@@ -219,12 +363,11 @@ def generate_family(
     because the full pair count ~ q^(2 deg h + 1) is infeasible for larger
     fields.  Reported raw/filtered counts refer to the pairs actually visited.
 
-    A coprime pair is decided on the factor values G_k(numer, denom)
-    (`_factor_values`, see the module docstring), from the powers of numer
-    and denom kept by vector index; the dedupe key comes from the monic D_i
-    and the twist, and a `SuperellipticModel` is built only for a kept
-    member.  At most `POWER_CACHE_LIMIT` power rows, and as many verdicts,
-    are kept.
+    A pair is decided by `FactorValues` (see the module docstring): numer
+    and denom must share no prime, by their masks, and every factor value
+    must pass its verdict and have its full degree, read from its index.
+    The dedupe key comes from the monic D_i and the twist, and a
+    `SuperellipticModel` is built only for a kept member.
     """
     if n < 0:
         raise InputError(f"n (--n) must be at least 0, got {n}")
@@ -238,39 +381,41 @@ def generate_family(
     if n < d:
         report.caps["note"] = "n below base degree; family is empty"
         return report
-    F, ell = M0.field, M0.ell
-    # (i, homogenized monic irreducible factors of f_i) per non-constant f_i
+    F, ell, q = M0.field, M0.ell, M0.field.q
+    max_h = n // d
+    # (G, i) for the monic irreducible factors G of each non-constant f_i
     parts = [
-        (i, [homogenize(G) for G, _ in factor(f_i).factors])
+        (G, i)
         for i, f_i in enumerate(M0.components, start=1)
         if f_i.degree >= 1
+        for G, _ in factor(f_i).factors
     ]
-    widest = max((G for _, forms in parts for G in forms), key=lambda G: G.degree)
-    rows: dict[int, tuple] = {}  # vector index of g -> (g, [1, g, ..., g^top])
-    verdicts: dict[int, bool] = {}  # vector index of a factor value -> squarefree
+    rule = FactorValues([G for G, _ in parts], max_h, [])
+    mask, values = rule.mask, rule.values
+    owners = {G.key(): i for G, i in parts}
+    owner = [owners[G.key()] for G in rule.factors]
+    nonconstant = sorted(set(owner))
+    # a value has degree deg G_k * deg h exactly when its index reaches this
+    floors = {a: [q ** (G.degree * a) for G in rule.factors] for a in range(1, max_h + 1)}
     one = Poly.one(F)
     seen: set = set()
-    for jn, jd in _pairs_by_degree(F, n // d, report, max_pairs_per_degree):
-        numer, npows = rows.get(jn) or _power_row(rows, F, jn, widest)
-        denom, dpows = rows.get(jd) or _power_row(rows, F, jd, widest)
-        # denom is never zero, and a nonzero constant is coprime to anything
-        if numer.is_zero() or numer.degree and denom.degree and gcd(numer, denom).degree:
+    for deg_h, jn, jd in _pairs_by_degree(F, max_h, report, max_pairs_per_degree):
+        # numer and denom share no prime; a constant denom has no bit, so the
+        # numer's mask is not made, and a zero numer has every bit
+        dmask = mask(jd)
+        if dmask and dmask & mask(jn):
             continue
-        if numer.is_constant() and denom.is_constant():
-            continue
-        deg_h = max(numer.degree, denom.degree)
         deg_stats = report.per_degree.setdefault(deg_h, {"pairs": 0, "valid": 0, "distinct": 0})
         deg_stats["pairs"] += 1
-        values = _factor_values(parts, npows, dpows, deg_h, verdicts)
-        if values is None:
+        keys = values(jn, jd)
+        if keys is None or any(key < floor for key, floor in zip(keys, floors[deg_h])):
             continue
         comps = [one] * (ell - 1)
+        for i, key in zip(owner, keys):
+            comps[i - 1] = comps[i - 1] * Poly.from_vector_index(F, key)
         twist = M0.twist
-        for i, vals in values:
-            D = vals[0]
-            for val in vals[1:]:
-                D = D * val
-            lead, comps[i - 1] = D.monic()
+        for i in nonconstant:
+            lead, comps[i - 1] = comps[i - 1].monic()
             twist = F.mul(twist, F.pow(lead, i))
         degrees = [D.degree for D in comps]
         # cannot fail once every value has its full degree, kept as guards
@@ -291,45 +436,10 @@ def generate_family(
     return report
 
 
-def _power_row(rows: dict, F: Field, index: int, widest: BinaryForm) -> tuple:
-    """(g, its powers up to the degree of `widest`) for the g with this
-    vector index, kept in `rows` while there is room."""
-    g = Poly.from_vector_index(F, index)
-    row = (g, widest.powers(g))
-    if len(rows) < POWER_CACHE_LIMIT:
-        rows[index] = row
-    return row
-
-
-def _factor_values(parts: list, npows: list, dpows: list, deg_h: int, verdicts: dict):
-    """[(i, [G_k(numer, denom) for the factors G_k of f_i])] for a coprime
-    pair, from the powers of numer and denom; None when a value has degree
-    below deg G_k * deg h (zero included) or is not squarefree.  Verdicts
-    are kept in `verdicts` by the value's vector index while there is room."""
-    out = []
-    for i, forms in parts:
-        vals = []
-        for G in forms:
-            val = G.evaluate_powers(npows, dpows)
-            if val.degree != G.degree * deg_h:
-                return None
-            key = val.vector_index()
-            ok = verdicts.get(key)
-            if ok is None:
-                ok = is_squarefree(val)
-                if len(verdicts) < POWER_CACHE_LIMIT:
-                    verdicts[key] = ok
-            if not ok:
-                return None
-            vals.append(val)
-        out.append((i, vals))
-    return out
-
-
 def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | None"):
-    """Vector indices (numer, denom) of the unit-normalised pairs, grouped by
-    deg h ascending, stopping each degree after `cap` visited pairs if given.
-    Within a degree the denominator index advances in the outer loop
+    """(deg h, numer, denom), numer and denom by vector index, for the
+    unit-normalised pairs, grouped by deg h ascending, stopping each degree
+    after `cap` visited pairs if given.  Within a degree the denominator index advances in the outer loop
     (constants first), so capped runs still sweep the full range of monic
     numerators."""
     q = F.q
@@ -346,7 +456,7 @@ def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | Non
                     break
                 report.raw_pairs += 1
                 emitted += 1
-                yield jn, jd
+                yield a, jn, jd
         # denom monic of degree a, numer arbitrary of degree < a
         for jn in range(monic):
             if cap_a is not None and emitted >= cap_a:
@@ -356,4 +466,4 @@ def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | Non
                     break
                 report.raw_pairs += 1
                 emitted += 1
-                yield jn, jd
+                yield a, jn, jd

@@ -420,6 +420,26 @@ def primitive_root(F: Field) -> FieldElem:
     raise AssertionError("multiplicative group of a finite field is cyclic")  # pragma: no cover
 
 
+def power_classes(F: Field, ell: int) -> list:
+    """k_c with c^((q - 1)/ell) = zeta^(k_c), by the index of c (None for
+    c = 0), where zeta = g^((q - 1)/ell) for the primitive root g: the class
+    of c modulo ell-th powers of constants.  c = g^m has k_c = m mod ell.
+    When ell does not divide q - 1 every constant is an ell-th power and
+    k_c = 0.  Built once per (F, ell)."""
+    key = ("power_classes", ell)
+    classes = F._cache.get(key)
+    if classes is None:
+        q = F.q
+        classes = [None] + [0] * (q - 1)
+        if (q - 1) % ell == 0:
+            g, x = primitive_root(F), F.one()
+            for m in range(q - 1):
+                classes[x.idx] = m % ell
+                x = F.mul(x, g)
+        F._cache[key] = classes
+    return classes
+
+
 # -- discrete-log tables -------------------------------------------------------
 
 

@@ -45,7 +45,6 @@ import weakref
 from . import limits
 from .characters import (
     DirichletChar,
-    char_context,
     prime_symbol_histogram,
     project_counts,
     symbol_histogram,
@@ -60,6 +59,7 @@ from .cyclo import (
     zeta_row,
 )
 from .errors import InputError, InvariantViolation
+from .ffield import power_classes
 
 
 class LPoly:
@@ -324,15 +324,10 @@ def strip_trivial_factor(L: LPoly, chi: DirichletChar) -> tuple[LPoly, "int | No
 
 def twist_exponent(model) -> int:
     """The exponent k_c with c^((q-1)/ell) = zeta^{k_c} for the model's twist
-    constant c.  The curve's L-data is that of the untwisted character with u
-    replaced by zeta^{k_c} u, because (c/P) = zeta^{k_c deg P}."""
-    F = model.field
-    ctx = char_context(F, model.ell)
-    val = F.pow(model.twist, (F.q - 1) // model.ell)
-    k = ctx.zeta_pow_index.get(F.index(val))
-    if k is None:  # pragma: no cover - twist is a unit
-        raise InvariantViolation("twist-class", "twist constant outside the unit group")
-    return k
+    constant c (`ffield.power_classes`).  The curve's L-data is that of the
+    untwisted character with u replaced by zeta^{k_c} u, because
+    (c/P) = zeta^{k_c deg P}."""
+    return power_classes(model.field, model.ell)[model.twist.idx]
 
 
 def rescale_by_root(L: LPoly, k: int) -> LPoly:

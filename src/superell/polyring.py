@@ -436,24 +436,16 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
     return _equal_degree(g, d, rng) + _equal_degree(f // g, d, rng)
 
 
-def _stable_seed(key: tuple) -> int:
-    out = 0
-    for part in key:
-        items = part if isinstance(part, tuple) else (part,)
-        for v in items:
-            out = (out * 1000003 + v + 0x9E3779B9) & 0xFFFFFFFFFFFFFFFF
-    return out
-
-
 def factor(f: Poly) -> Factorization:
-    """Complete factorization into monic irreducibles.  The random splits of
-    Cantor-Zassenhaus are seeded from the monic part of f, so the result is a
-    pure function of f."""
+    """Complete factorization into monic irreducibles, sorted by key.  The
+    random splits of Cantor-Zassenhaus are seeded from the `vector_index` of
+    the monic part of f, so the work done is a pure function of f; the
+    factors, being unique, do not depend on the seed."""
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
     unit, g = f.monic()
     found: dict[tuple, tuple[Poly, int]] = {}
-    rng = random.Random(_stable_seed(g.key()))
+    rng = random.Random(g.vector_index())
     for part, mult in _squarefree_decomposition(g):
         for prod, d in _distinct_degree(part):
             for p in _equal_degree(prod, d, rng):

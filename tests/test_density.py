@@ -15,7 +15,8 @@ from superell import (
 )
 import superell.density as density_mod
 from superell.density import LocalFactor, _LCG, product_form
-from superell.families import BinaryForm
+import superell.families as families_mod
+from superell.families import BinaryForm, FactorValues
 from superell.oracle import (
     exhaustive_squarefree_count,
     local_count_brute,
@@ -274,34 +275,53 @@ def test_sampler_matches_per_sample_filter(name, coprime_only):
     ("F7-t", 1),
 ])
 def test_factor_rule_on_every_pair_of_the_box(name, h_deg):
-    """The per-pair decision on factor values and prime masks against the
-    oracle on the full value, and the masks against gcd, on every pair."""
+    """The sampler's per-pair decision on factor values and prime masks
+    against the oracle on the full value, and the masks against gcd, on
+    every pair."""
     base = _sampler_bases()[name][0]
     form = product_form(base)
     excluded = excluded_primes(form)
     F = base.field
-    rule = density_mod._FactorFilter(form, h_deg)
+    rule, shared = density_mod._pair_rule(form, h_deg)
     box = [Poly.from_vector_index(F, j) for j in range(F.q ** (h_deg + 1))]
     for j, numer in enumerate(box):
         for k, denom in enumerate(box):
             if not (j or k):
                 continue
-            nrow, drow = rule.row(j), rule.row(k)
-            assert rule.passes(nrow, drow) == passes_squarefree_filter(
-                form, numer, denom, excluded), (numer, denom)
-            assert bool(nrow[0] & drow[0]) == (gcd(numer, denom).degree != 0), (numer, denom)
+            common = rule.mask(j) & rule.mask(k)
+            passes = not common & shared and rule.values(j, k) is not None
+            assert passes == passes_squarefree_filter(form, numer, denom, excluded), (numer, denom)
+            assert bool(common) == (gcd(numer, denom).degree != 0), (numer, denom)
+
+
+def test_density_run_factors_its_form_once(monkeypatch, F7):
+    # the local counts and the sampler read one factorization of F(t, 1)
+    t = Poly.x(F7)
+    base = SuperellipticModel(3, F7, F7.one(), (t * (t + poly(F7, 2)) * (t + poly(F7, 5)), Poly.one(F7)))
+    forms = []
+
+    def recorded(f):
+        forms.append(f)
+        return real(f)
+
+    real = density_mod.factor
+    monkeypatch.setattr(density_mod, "factor", recorded)
+    monkeypatch.setattr(F7, "_cache", {})  # nothing factored yet
+    truncated_density(product_form(base), 2)
+    empirical_density(base, 1, 50, seed=1)
+    assert forms == [product_form(base).dehomogenized()]
 
 
 def test_factor_rule_needs_a_squarefree_form(F7):
     t = Poly.x(F7)
     with pytest.raises(InvariantViolation, match="squarefree-product-form"):
-        density_mod._FactorFilter(homogenize(t**2 * (t + Poly.one(F7))), 1)
+        density_mod._pair_rule(homogenize(t**2 * (t + Poly.one(F7))), 1)
 
 
 def test_sampler_past_its_power_cache(monkeypatch):
     rows, verdicts = [], []
-    real_row, real_verdict = density_mod._FactorFilter._new_row, density_mod._FactorFilter._verdict
-    limit = density_mod.POWER_CACHE_LIMIT
+    real_row, real_verdict = FactorValues._row, FactorValues._verdict
+    limit = families_mod.POWER_CACHE_LIMIT
 
     def counted_row(rule, index):
         rows.append(index)
@@ -311,13 +331,13 @@ def test_sampler_past_its_power_cache(monkeypatch):
         verdicts.append(val.vector_index())
         return real_verdict(rule, key, val)
 
-    monkeypatch.setattr(density_mod._FactorFilter, "_new_row", counted_row)
-    monkeypatch.setattr(density_mod._FactorFilter, "_verdict", counted_verdict)
+    monkeypatch.setattr(FactorValues, "_row", counted_row)
+    monkeypatch.setattr(FactorValues, "_verdict", counted_verdict)
     # F2 has excluded primes, F25 is an extension field, F7-lin-quad has a
     # factor of degree 2, and F7, F2 and F7-lin-quad have several factors
     for name in ("F7", "F25", "F2", "F7-lin-quad"):
         base, h_deg = _sampler_bases()[name]
-        monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", limit)
+        monkeypatch.setattr(families_mod, "POWER_CACHE_LIMIT", limit)
         rows.clear()
         verdicts.clear()
         full = empirical_density(base, h_deg, 300, seed=3)
@@ -327,31 +347,31 @@ def test_sampler_past_its_power_cache(monkeypatch):
         assert drawn == len(set(rows)) > 4 and values == len(set(verdicts)) > 4, name
         rows.clear()
         verdicts.clear()
-        monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", 4)
+        monkeypatch.setattr(families_mod, "POWER_CACHE_LIMIT", 4)
         assert empirical_density(base, h_deg, 300, seed=3) == full, name
         # past the bound both are computed again for what the caches could not keep
         assert len(rows) > drawn and len(verdicts) > values, name
 
 
 def test_sampler_spread_tables_fit_the_cache_limit(monkeypatch):
-    """At F_4093 and F_625, h = 2, every spread table the filter reads has at
-    most POWER_CACHE_LIMIT entries and a value takes two chunks; with the
+    """At F_4093 and F_625, h = 2, every spread table the sampler reads has
+    at most POWER_CACHE_LIMIT entries and a value takes two chunks; with the
     limit at 4 no digit's tables fit, values are normalised digit by digit,
     and 200 samples give the same hits."""
-    real, full_limit = density_mod.spread_coding, density_mod.POWER_CACHE_LIMIT
+    real, full_limit = families_mod.spread_coding, families_mod.POWER_CACHE_LIMIT
     codings = []
 
     def recorded(p, dim):
         codings.append(real(p, dim))
         return codings[-1]
 
-    monkeypatch.setattr(density_mod, "spread_coding", recorded)
+    monkeypatch.setattr(families_mod, "spread_coding", recorded)
     for p, e in ((4093, 1), (5, 4)):
         base = trigonal(make_field(p, e))
         for limit in (full_limit, 4):
-            monkeypatch.setattr(density_mod, "POWER_CACHE_LIMIT", limit)
+            monkeypatch.setattr(families_mod, "POWER_CACHE_LIMIT", limit)
             codings.clear()
-            rule = density_mod._FactorFilter(product_form(base), 2)
+            rule, _ = density_mod._pair_rule(product_form(base), 2)
             assert len(rule.chunks) == (2 if limit == full_limit else 0), (p, e, limit)
             hits = empirical_density(base, 2, 200, seed=4)["hits"]
             assert codings and all(max(len(c.norm_lo), len(c.norm_hi)) <= limit

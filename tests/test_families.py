@@ -150,6 +150,19 @@ def test_twist_class_dedup(F7):
     assert c != a
 
 
+@pytest.mark.parametrize("p,e,ell", [(7, 1, 3), (2, 4, 3), (2, 4, 5), (5, 2, 3), (5, 1, 3), (2, 3, 5)])
+def test_twist_class_index_is_the_least_index_of_its_coset(p, e, ell):
+    # the coset of c modulo ell-th powers of constants, by brute force; when
+    # ell does not divide q - 1 (F_5 and F_8 here) there is one coset
+    F = make_field(p, e)
+    powers = {F.pow(F.elem_at(i), ell).idx for i in range(1, F.q)}
+    for i in range(1, F.q):
+        coset = {F.mul(F.elem_at(i), F.elem_at(j)).idx for j in powers}
+        assert twist_class_index(F, F.elem_at(i), ell) == min(coset)
+    if (F.q - 1) % ell:
+        assert powers == set(range(1, F.q))
+
+
 def test_family_report_json(F7):
     rep = generate_family(trigonal(F7), 3)
     data = rep.to_json()
@@ -299,3 +312,41 @@ def test_generate_family_f16_matches_the_oracle_with_560_members(monkeypatch):
     assert len(built) == 560
     monkeypatch.undo()
     assert got.to_json() == _family_by_pairs(base, 3).to_json()
+
+
+# (base, n, caps): three linear factors over F_4, whose indices have 6 base-2
+# digits up to deg h = 2, and over F_7, 3 base-7 digits
+_LINEAR_CASES = {
+    "f4": (_f4_split_cubic, 6, {}),
+    "f7": (lambda: _model(_F7, 3, [0, 6, 0, 1], [1]), 6, {"max_pairs_per_degree": {2: 3000}}),
+}
+
+
+@pytest.mark.parametrize("case,limit,chunks", [("f4", 4, 3), ("f4", 2, 0), ("f7", 20, 2), ("f7", 4, 0)])
+def test_generate_family_linear_factors_past_the_cache_limit(monkeypatch, case, limit, chunks):
+    """With POWER_CACHE_LIMIT lowered, a linear factor's value is normalised
+    in several chunks of digits, or digit by digit with no table, and rows
+    and verdicts overflow their caches; the family still matches the
+    per-pair oracle, and still skips the pairs whose numer and denom share a
+    non-constant factor and those with a zero numerator."""
+    make, n, caps = _LINEAR_CASES[case]
+    base = make()
+    rules = []
+    real_init = families.FactorValues.__init__
+
+    def recorded(rule, *args):
+        real_init(rule, *args)
+        rules.append(rule)
+
+    monkeypatch.setattr(families.FactorValues, "__init__", recorded)
+    monkeypatch.setattr(families, "POWER_CACHE_LIMIT", limit)
+    got = generate_family(base, n, **caps)
+    assert [len(rule.chunks) for rule in rules] == [chunks]
+    assert len(rules[0].rows) == limit and len(rules[0].verdicts) == limit
+    monkeypatch.undo()
+    assert got.to_json() == _family_by_pairs(base, n, **caps).to_json()
+    pairs = list(_pairs(base.field, n // base.d, caps.get("max_pairs_per_degree")))
+    zero = sum(numer.is_zero() for numer, _ in pairs)
+    shared = sum(gcd(numer, denom).degree > 0 for numer, denom in pairs if not numer.is_zero())
+    assert zero > 0 and shared > 0
+    assert sum(s["pairs"] for s in got.per_degree.values()) == got.raw_pairs - zero - shared

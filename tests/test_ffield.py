@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superell import InputError, ResourceLimit, extend_field, make_field, primitive_root
-from superell.ffield import ELEM_TABLE_CAP, LogTable, is_prime, log_table, spread_coding
+from superell.characters import char_context
+from superell.ffield import (
+    ELEM_TABLE_CAP,
+    LogTable,
+    is_prime,
+    log_table,
+    power_classes,
+    spread_coding,
+)
 from superell.oracle import field_add_generic, field_mul_generic
 
 from conftest import tower_field
@@ -427,3 +435,19 @@ def test_tower_elements_are_shared():
     for got in (-a, a.inverse(), a**5, a**-2):
         assert got is F16.elem_at(F16.index(got))
     assert F16.embed(F16.base.elem_at(3)) is F16.elem_at(3) and F16.from_int(3) is F16.one()
+
+
+@pytest.mark.parametrize("p,e,ell", [(7, 1, 3), (2, 4, 3), (2, 4, 5), (2, 8, 5), (5, 2, 3), (3, 4, 5)])
+def test_power_classes_match_the_character_zeta(p, e, ell):
+    # c^((q - 1)/ell) = zeta^(k_c) for the zeta of the character context
+    F = make_field(p, e)
+    zeta_pow_index = char_context(F, ell).zeta_pow_index
+    classes = power_classes(F, ell)
+    assert classes[0] is None
+    for i in range(1, F.q):
+        assert classes[i] == zeta_pow_index[F.pow(F.elem_at(i), (F.q - 1) // ell).idx]
+
+
+def test_power_classes_are_one_class_when_ell_does_not_divide_q_minus_1():
+    for p, e, ell in ((5, 1, 3), (2, 3, 5), (3, 2, 5)):
+        assert power_classes(make_field(p, e), ell)[1:] == [0] * (p**e - 1)

@@ -159,6 +159,38 @@ def test_one_discrete_log_walk():
     assert _attribute_calls(search, "walk") == 1
 
 
+def _callers(attr: str) -> set:
+    """(module, class, function) of every call of a method named attr in the
+    package, by the innermost enclosing class and function."""
+    found = set()
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, fn)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+            else:
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and child.func.attr == attr):
+                    found.add((path.name, cls, fn))
+                visit(child, cls, fn)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(_tree(path), None, None)
+    return found
+
+
+def test_one_factor_value_decider():
+    # the family generator and the density sampler decide pairs through
+    # families.FactorValues, the only place besides the one-shot
+    # BinaryForm.evaluate that evaluates a form from power lists
+    assert _callers("evaluate_powers") == {
+        ("families.py", "BinaryForm", "evaluate"),
+        ("families.py", "FactorValues", "values"),
+    }
+
+
 def _annotation_names(node: ast.AST) -> set:
     """The names a string annotation ("LCache | None") refers to."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
