@@ -24,7 +24,7 @@ D = sum e_i deg P_i, and L(u, chi') = L(zeta^(-z_c D) u, chi)
 shares L unchanged (Rosen, Number Theory in Function Fields, ch. 4).  So
 the first conductor of a class computes its L-polynomials and every later
 one reads them, with its primes matched to the first one's through
-P -> sigma_c(P(t + b)) (`polyring.affine_maps`, `polyring.monic_images`).
+P -> sigma_c(P(t + b)), the index maps of `polyring.affine_maps`.
 Every decomposition-sampled conductor whose L-polynomials the run computed
 or read from its class (rather than from the cache), and in each degree the
 first conductor served through a translation and the first served through a
@@ -90,7 +90,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly, affine_maps, factor_table, monic_images
+from .polyring import Poly, affine_maps, factor_table
 
 SCHEMA_VERSION = 1
 # members of a vanishing-verified family whose zeta/L decomposition is checked
@@ -245,8 +245,8 @@ class _AffineClasses:
         images = []
         for k, j in codes:
             shifts, scales = affine_maps(F, k)
-            moved = monic_images(F, k, shifts, [j])
-            images.append([(k, r) for r in monic_images(F, k, scales[1:], moved)])
+            moved = [shift(j) for shift in shifts]
+            images.append([(k, r) for scale in scales[1:] for r in scale.images(moved)])
         for m, column in enumerate(zip(*images)):
             if m:
                 # a member's codes are its primes' images in canonical order
@@ -369,7 +369,7 @@ def _census(
     F = make_field(p, e)
     q = F.q
     what = f"census at conductor degree {max_degree} over q={q}"
-    limits.require("SUPERELL_LIMIT_CENSUS", q**max_degree, what)
+    limits.require_power("SUPERELL_LIMIT_CENSUS", q, max_degree, what)
     ctx = char_context(F, ell)
     report = CensusReport(q, p, e, ell, max_degree)
     cache = None if cache_path is None else LCache(cache_path, F, ell)

@@ -21,9 +21,10 @@ small degree only.  By ell-th power reciprocity (Q/P) = (P/Q), so each symbol
 is read from the table of the smaller of P and Q, at the residue of the other
 (`CharContext.symbol_vector`), and one joint histogram per (conductor, degree)
 serves every character on the conductor (`prime_symbol_histogram`).  The
-residues come from the half tables of the same coding: g -> g mod P is affine
-in the base-p digits of g's index, with the images of `polyring.unit_images`
-(`CharContext.residue_tables`).  Sums over all monics of a degree
+residues come from an `ffield.AffineIndexMap`: g -> g mod P is affine in the
+base-p digits of g's index, with the images of `polyring.unit_images`
+(`CharContext.residue_map`), and a symbol vector reads it in bulk, a
+histogram row by row.  Sums over all monics of a degree
 (`symbol_histogram`, `char_value_counts`) are the definitional route to the
 same L-polynomials, which the census spot check runs.
 
@@ -42,7 +43,7 @@ from collections import Counter
 
 from . import limits
 from .errors import InputError, InvariantViolation, ResourceLimit
-from .ffield import Field, is_prime, primitive_root, spread_coding
+from .ffield import AffineIndexMap, Field, is_prime, primitive_root
 from .polyring import (
     Poly,
     factor,
@@ -79,11 +80,11 @@ class CharContext:
         for k in range(ell):
             self.zeta_pow_index[field.index(z)] = k
             z = field.mul(z, self.zeta)
-        # symbol tables by P.key(), residue half tables and symbol vectors by
+        # symbol tables by P.key(), residue maps and symbol vectors by
         # (P.key(), degree): each built once and kept for the life of the
         # context, which is the life of the field's `_cache`
         self._symbols: dict[tuple, list[int]] = {}
-        self._residues: dict[tuple, tuple[list[int], list[int]]] = {}
+        self._residues: dict[tuple, AffineIndexMap] = {}
         self._vectors: dict[tuple, list[int]] = {}
         # work done through this context, for runtime statistics
         self.counts = dict.fromkeys(
@@ -135,21 +136,19 @@ class CharContext:
         self._symbols[P.key()] = tab
         return tab
 
-    def residue_tables(self, P: Poly, n: int) -> tuple[list[int], list[int]]:
-        """The `ffield.SpreadCoding` half tables (lo, hi) of g -> g mod P over
-        the monic g of degree n, an affine map on the base-p digits of g's
-        index: the `unit_images` of 1 mod P, plus the residue of t^n.  The
-        residue index of the monic with index a + h len(lo) is lo[a] + hi[h],
-        normalised (cached per (P, n))."""
+    def residue_map(self, P: Poly, n: int) -> AffineIndexMap:
+        """The map g -> g mod P from the index of a monic g of degree n to
+        the index of its residue, affine in the base-p digits of g's index:
+        the `unit_images` of 1 mod P, plus the residue of t^n (cached per
+        (P, n))."""
         key = (P.key(), n)
-        tabs = self._residues.get(key)
-        if tabs is None:
+        residues = self._residues.get(key)
+        if residues is None:
             F = self.field
-            coding = spread_coding(F.p, P.degree * F.e)
             images = unit_images(Poly.one(F), n, P)
             t_n = (Poly.from_index(F, n, 0) % P).vector_index()
-            tabs = self._residues[key] = coding.half_tables(images, t_n)
-        return tabs
+            residues = self._residues[key] = AffineIndexMap(F.p, P.degree * F.e, images, t_n)
+        return residues
 
     def symbol_vector(self, P: Poly, k: int) -> list[int]:
         """The exponents s with (P/Q) = zeta^s for the monic irreducibles Q of
@@ -159,8 +158,8 @@ class CharContext:
         irreducibles P, Q: its sign (-1)^(((q-1)/ell) deg P deg Q) is 1,
         since (q-1)/ell is even for odd q and -1 = 1 for even q.  So each
         symbol is read from the table of whichever of P and Q has the smaller
-        degree, P on a tie, at the residue of the other, which comes from the
-        half tables of `residue_tables` with no field arithmetic per Q.
+        degree, P on a tie, at the residue of the other, which comes from
+        `residue_map` with no field arithmetic per Q.
         """
         key = (P.key(), k)
         vec = self._vectors.get(key)
@@ -168,24 +167,12 @@ class CharContext:
             return vec
         F = self.field
         if k >= P.degree:
-            s0 = self.symbol_table(P)
-            coding = spread_coding(F.p, P.degree * F.e)
-            norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
-            lo, hi = self.residue_tables(P, k)
-            n_lo = len(lo)
-            vec = [
-                s0[norm_lo[(s := lo[j % n_lo] + hi[j // n_lo]) % b_lo] + norm_hi[s // b_lo]]
-                for j in factor_table(F).level(k).primes
-            ]
+            residues = self.residue_map(P, k).images(factor_table(F).level(k).primes)
+            vec = list(map(self.symbol_table(P).__getitem__, residues))
         else:
-            coding = spread_coding(F.p, k * F.e)
-            norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
             j = P.vector_index() - F.q**P.degree  # P's index among the monics of its degree
-            vec = []
-            for Q in irreducibles(F, k):
-                lo, hi = self.residue_tables(Q, P.degree)
-                s = lo[j % len(lo)] + hi[j // len(lo)]
-                vec.append(self.symbol_table(Q)[norm_lo[s % b_lo] + norm_hi[s // b_lo]])
+            vec = [self.symbol_table(Q)[self.residue_map(Q, P.degree)(j)]
+                   for Q in irreducibles(F, k)]
         self._vectors[key] = vec
         return vec
 
@@ -353,9 +340,9 @@ def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     For each g, s_i is the exponent k of (g/P_i) = zeta^k, or -1 when P_i | g.
     The tuple (s_1..s_r) is coded as sum_i (s_i + 1) (ell + 1)^(i-1), so a zero
     digit marks a prime dividing g; hist[code] is the number of g with that
-    tuple.  The residues of every g mod each P_i come from the half tables of
-    `CharContext.residue_tables`: for each low-half index, one pass over the
-    high-half indices per prime codes a block of g.  One histogram serves
+    tuple.  The residues of every g mod each P_i come from the rows of
+    `CharContext.residue_map`: for each low-half index of g, one pass per
+    prime over its row codes a block of g.  One histogram serves
     every character on the conductor P_1 ... P_r: `project_counts` reads the
     value counts of one exponent assignment from it.
     """
@@ -371,21 +358,13 @@ def symbol_histogram(primes, ell: int, degree: int) -> dict[int, int]:
     offset = sum(weights)
     if degree == 0:
         return {offset: 1}  # g = 1, whose every symbol is zeta^0
-    tables = []
-    for P, w in zip(primes, weights):
-        coding = spread_coding(F.p, P.degree * F.e)
-        lo, hi = ctx.residue_tables(P, degree)
-        tables.append((ctx.symbol_table(P), w, lo, hi, coding.b_lo, coding.norm_lo, coding.norm_hi))
+    tables = [(ctx.symbol_table(P), w) for P, w in zip(primes, weights)]
     hist = Counter()
-    zeros = [0] * len(hi)  # lo and hi have the same lengths for every prime
-    for a in range(len(lo)):
-        codes = zeros
-        for s0, w, lo_i, hi_i, b_lo, norm_lo, norm_hi in tables:
-            x = lo_i[a]
-            codes = [
-                c + w * s0[norm_lo[(s := x + y) % b_lo] + norm_hi[s // b_lo]]
-                for c, y in zip(codes, hi_i)
-            ]
+    # the rows of every prime's map run over the same low and high halves
+    for rows in zip(*(ctx.residue_map(P, degree).rows() for P in primes)):
+        codes = itertools.repeat(0)
+        for (s0, w), row in zip(tables, rows):
+            codes = [c + w * s0[r] for c, r in zip(codes, row)]
         hist.update(codes)
     return {code + offset: n for code, n in hist.items()}
 

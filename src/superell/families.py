@@ -22,7 +22,7 @@ forms, so a prime dividing two factor values divides numer and denom; and a
 prime dividing numer and denom divides every factor value.  So each value
 gets one verdict, whichever pair or factor produces it, and the squarefree
 tests run on values of degree at most deg h times the largest factor degree,
-not deg h deg F.
+not deg h deg F.  A linear factor's value n + a d is added by `ffield.IndexSums`.
 
 `generate_family` takes the G_k of every base component, one
 `polyring.factor` per component, with S empty: F_i is the product of its
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from .curves import SuperellipticModel
 from .errors import InputError
-from .ffield import Field, FieldElem, power_classes, spread_coding
+from .ffield import Field, FieldElem, IndexSums, power_classes
 from .polyring import Poly, factor, gcd, is_squarefree, poly_to_json
 
 # a family report lists its members only up to this many distinct models
@@ -167,14 +167,11 @@ class FactorValues:
 
     A draw g has a row (powers, code, codes): powers is [1, g, ...] up to
     the largest degree of a nonlinear G_k, for `BinaryForm.evaluate_powers`;
-    code is the spread code of g's index, all of its e (h_deg + 1) base-p
-    digits, and codes holds that of a g for each linear factor t + a.  The
-    value n + a d of a linear factor is then the carry-free sum of two
-    codes, normalised in chunks of base-p digits with the `norm_lo`/`norm_hi`
-    tables of `spread_coding(p, width)`, each chunk as wide as tables of at
-    most `POWER_CACHE_LIMIT` entries allow: one chunk, two lookups, when the
-    whole value fits, digit by digit with no table when not even one digit's
-    tables fit.  All factors share one verdict per value, keyed by its
+    code is the `ffield.IndexSums` code of g's index, all of its
+    e (h_deg + 1) base-p digits, and codes holds that of a g for each linear
+    factor t + a.  The value n + a d of a linear factor is then the
+    `IndexSums.add` of two codes, with tables of at most `POWER_CACHE_LIMIT`
+    entries.  All factors share one verdict per value, keyed by its
     `vector_index`.  A draw's mask, the bitmask of the primes dividing it,
     is made only when a rule reads it (`mask`).  At most `POWER_CACHE_LIMIT`
     rows, as many masks and as many verdicts are kept.  `factors` lists the
@@ -192,35 +189,21 @@ class FactorValues:
         self.forms = [homogenize(G) for G in self.factors if G.degree > 1]
         self.widest = max(self.forms, key=lambda G: G.degree, default=None)
         self.weights = [F.q**k for k in range(h_deg + 1)]
-        # the widest chunk whose tables, (2p - 1)^(w - w // 2) entries each,
-        # fit; 0 when even one digit's do not
-        p, radix, digits = F.p, 2 * F.p - 1, F.e * (h_deg + 1)
-        width = 0
-        while width < digits and radix ** ((width + 2) // 2) <= POWER_CACHE_LIMIT:
-            width += 1
-        self.p, self.radix = p, radix
-        self.spread = spread_coding(p, width).spread  # the method reads no table
-        self.chunks = []  # (radix^w, norm_lo, norm_hi, b_lo, p^start) per chunk of w digits
-        for start in range(0, digits, width) if width else ():
-            w = min(width, digits - start)
-            coding = spread_coding(p, w)
-            self.chunks.append((radix**w, coding.norm_lo, coding.norm_hi, coding.b_lo, p**start))
-        # the tables of a value that fits in one chunk, for two lookups and no loop
-        self.norm = self.chunks[0][1:4] if len(self.chunks) == 1 else None
+        self.sums = IndexSums(F.p, F.e * (h_deg + 1), POWER_CACHE_LIMIT)
         self.rows: dict[int, tuple] = {}
         self.masks: dict[int, int] = {}
         self.verdicts: dict[int, bool] = {}
 
     def _row(self, index: int) -> tuple:
         """The row of the draw with this index, kept while there is room."""
-        F, spread, weights = self.field, self.spread, self.weights
+        F, code, weights = self.field, self.sums.code, self.weights
         g = Poly.from_vector_index(F, index)
         powers = None if self.widest is None else self.widest.powers(g)
         codes = [
-            spread(sum(F.mul(a, c).idx * w for c, w in zip(g.coeffs, weights)))
+            code(sum(F.mul(a, c).idx * w for c, w in zip(g.coeffs, weights)))
             for a in self.shifts
         ]
-        row = powers, spread(index), codes
+        row = powers, code(index), codes
         if len(self.rows) < POWER_CACHE_LIMIT:
             self.rows[index] = row
         return row
@@ -242,20 +225,6 @@ class FactorValues:
             if len(self.masks) < POWER_CACHE_LIMIT:
                 self.masks[index] = mask
         return mask
-
-    def _sum_index(self, s: int) -> int:
-        """The vector index of the value whose spread code is s, a sum of two
-        codes, normalised chunk by chunk."""
-        key = 0
-        for size, norm_lo, norm_hi, b_lo, place in self.chunks:
-            s, c = divmod(s, size)
-            key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * place
-        p, radix, place = self.p, self.radix, 1
-        while s:  # left only when there are no chunks: one digit at a time
-            s, c = divmod(s, radix)
-            key += c % p * place
-            place *= p
-        return key
 
     def _verdict(self, key: int, val: Poly) -> bool:
         """Whether val is nonzero and squarefree away from the excluded
@@ -280,13 +249,10 @@ class FactorValues:
         rows = self.rows
         npows, ncode, _ = rows.get(jn) or self._row(jn)
         dpows, _, dcodes = rows.get(jd) or self._row(jd)
-        verdicts, norm = self.verdicts, self.norm
-        if norm is not None:
-            norm_lo, norm_hi, b_lo = norm
+        verdicts, add = self.verdicts, self.sums.add
         out = []
         for acode in dcodes:
-            s = ncode + acode
-            key = self._sum_index(s) if norm is None else norm_lo[s % b_lo] + norm_hi[s // b_lo]
+            key = add(ncode, acode)
             ok = verdicts.get(key)
             if ok is None:
                 ok = self._verdict(key, Poly.from_vector_index(self.field, key))

@@ -33,12 +33,11 @@ which also serves the residue-symbol tables of `characters`.
 
 Element indices, and indices of polynomials over the field, are vectors of
 base-p digits, and multiplication by a fixed element or polynomial is
-F_p-linear (affine for a monic product or remainder) on them.  `SpreadCoding`
-applies such maps by table lookups: its `walk` is the discrete-log walk of
-that search.  Its half tables give all products f g of a monic f
-(`polyring.monic_multiples`), behind both the factor-table sieve and the
-exhaustive squarefree oracle, and all residues g mod P of the monic g of one
-degree, behind the character-sum histograms of `characters`.
+F_p-linear (affine for a monic product or remainder) on them.  Only this
+module knows how such maps are coded: `AffineIndexMap` applies one by table
+lookups (products f g, residues g mod P, the census's affine maps), and its
+`walk` is the discrete-log walk of that search; `IndexSums` adds indices
+through the same codes, for the linear factors of `families.FactorValues`.
 """
 
 from __future__ import annotations
@@ -60,7 +59,10 @@ TRIAL_DIVISION_LIMIT = 2**22
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test (fine for n <= 2**40)."""
+    """Deterministic trial-division primality test, for n <= FIELD_SIZE_LIMIT:
+    no p or character order ell (a divisor of q - 1) is larger."""
+    if n > (limit := limits.FIELD_SIZE_LIMIT):
+        raise ResourceLimit(f"{n} exceeds FIELD_SIZE_LIMIT = {limit}: not tested for primality")
     if n < 2:
         return False
     if n < 4:
@@ -205,10 +207,7 @@ class Field:
     def _build_tables(self):
         p, e, q = self.p, self.e, self.q
         coding = spread_coding(p, e)
-        neg = [0]  # index of -a from the digits of the index of a
-        for i in range(e):
-            w = p**i
-            neg = [x + (-d % p) * w for d in range(p) for x in neg]
+        neg = AffineIndexMap(p, e, [(p - 1) * p**i for i in range(e)]).table()  # a -> -a
         spread = [coding.spread(i) for i in range(q)]
         g, dlog = _residue_dlog(self)
         self._cache["primitive_root"] = self.elems[g]
@@ -366,13 +365,12 @@ def _canonical_modulus(F: Field, n: int) -> tuple:
 
 
 def make_field(p: int, e: int) -> Field:
-    """The canonical field with p^e elements; deterministic across runs."""
+    """The canonical field with p^e elements; deterministic across runs.
+    `is_prime` bounds p, and `extend_field` the size p^e."""
     if e < 1:
         raise InputError(f"extension degree must be positive, got {e}")
     if not is_prime(p):
         raise InputError(f"{p} is not prime")
-    if p**e > limits.FIELD_SIZE_LIMIT:
-        raise ResourceLimit(f"field size {p}^{e} exceeds limit {limits.FIELD_SIZE_LIMIT}")
     prime = _PRIME_CACHE.get(p)
     if prime is None:
         # modulus (t - 0): the conventional marker for a prime field
@@ -390,8 +388,9 @@ def extend_field(F: Field, n: int) -> Field:
         raise InputError(f"extension degree must be positive, got {n}")
     if n == 1:
         return F
-    if F.q**n > limits.FIELD_SIZE_LIMIT:
-        raise ResourceLimit(f"field size {F.q}^{n} exceeds limit {limits.FIELD_SIZE_LIMIT}")
+    # q^n >= 2^n: an exponent of the limit's bit length is refused unpowered
+    if n >= (limit := limits.FIELD_SIZE_LIMIT).bit_length() or F.q**n > limit:
+        raise ResourceLimit(f"field size {F.q}^{n} exceeds limit {limit}")
     key = ("ext", n)
     ext = F._cache.get(key)
     if ext is None:
@@ -493,7 +492,7 @@ def log_table(F: Field) -> LogTable:
     return tab
 
 
-# -- integer-coded F_p-linear maps on base-p digit vectors ----------------------
+# -- integer-coded affine maps on base-p digit vectors ------------------------
 
 
 class SpreadCoding:
@@ -514,9 +513,8 @@ class SpreadCoding:
             w, v = p**i, radix**i
             norm = [x + (c % p) * w for c in range(radix) for x in norm]
             red = [x + (c % p) * v for c in range(radix) for x in red]
-        self.p, self.radix, self.n_lo = p, radix, n_lo
-        self.p_lo, self.b_lo = p**n_lo, radix**n_lo
-        self.norm_lo, self.norm_hi = norm, [x * self.p_lo for x in norm]
+        self.p, self.radix, self.b_lo = p, radix, radix**n_lo
+        self.norm_lo, self.norm_hi = norm, [x * p**n_lo for x in norm]
         self.red_lo, self.red_hi = red, [x * self.b_lo for x in red]
 
     def spread(self, r: int) -> int:
@@ -528,19 +526,32 @@ class SpreadCoding:
             w *= self.radix
         return code
 
-    def half_tables(self, images: list[int], offset: int = 0) -> tuple[list[int], list[int]]:
-        """(lo, hi) for the base-p indices images[i] of the images of the unit
-        vectors under a linear map from n = len(images) base-p digits: lo[r]
-        is the spread code of offset plus the image of the low-half index r
-        (the sum of r_i images[i] over its n // 2 digits r_i), hi[r] that of
-        the image of the high-half index r, whose digits are r_(n // 2 + i).
-        The image of an index r is then lo[r % p^(n // 2)] + hi[r // p^(n // 2)],
-        normalised; a nonzero index `offset` makes the map affine."""
-        p, b_lo, red_lo, red_hi = self.p, self.b_lo, self.red_lo, self.red_hi
-        images = [self.spread(v) for v in images]
+
+@functools.cache
+def spread_coding(p: int, dim: int) -> SpreadCoding:
+    """The shared SpreadCoding for dim base-p digits (built once per process)."""
+    return SpreadCoding(p, dim)
+
+
+class AffineIndexMap:
+    """An affine map r -> A r + offset from n base-p digits to `dim` base-p
+    digits, on indices, from the indices images[i] of the images of the unit
+    vectors p^i, i < n = len(images), and the index of the offset.  An index
+    r = a + h p^(n // 2) maps to lo[a] + hi[h], normalised: lo[a] is the
+    spread code of the offset plus the image of a, hi[h] that of the image of
+    h p^(n // 2).  So it applies with no field arithmetic, to one index (a
+    call), a list (`images`), each row with the low half fixed (`rows`),
+    every index (`table`), or the powers of 1 (`walk`)."""
+
+    __slots__ = ("lo", "hi", "norm_lo", "norm_hi", "b_lo")
+
+    def __init__(self, p: int, dim: int, images: list[int], offset: int = 0):
+        coding = spread_coding(p, dim)
+        b_lo, red_lo, red_hi = coding.b_lo, coding.red_lo, coding.red_hi
+        images = [coding.spread(v) for v in images]
         split = len(images) // 2
-        out = []
-        for part, start in ((images[:split], self.spread(offset)), (images[split:], 0)):
+        halves = []
+        for part, start in ((images[:split], coding.spread(offset)), (images[split:], 0)):
             codes = [start]
             for img in part:
                 mults = [0]  # spread codes of c * img, c = 0..p-1
@@ -548,32 +559,84 @@ class SpreadCoding:
                     z = mults[-1] + img
                     mults.append(red_lo[z % b_lo] + red_hi[z // b_lo])
                 codes = [red_lo[(z := a + b) % b_lo] + red_hi[z // b_lo] for b in mults for a in codes]
-            out.append(codes)
-        return out[0], out[1]
+            halves.append(codes)
+        self.lo, self.hi = halves
+        self.norm_lo, self.norm_hi, self.b_lo = coding.norm_lo, coding.norm_hi, b_lo
 
-    def walk(self, images: list[int], steps, m: int) -> int:
-        """Walk the orbit 1, g, g^2, ... of the index 1 under the F_p-linear
-        map "multiply by g" whose image of the unit vector p^i is the base-p
-        index images[i], i < dim, for at most m steps, setting steps[g^k] = k;
+    def __call__(self, r: int) -> int:
+        lo = self.lo
+        s = lo[r % len(lo)] + self.hi[r // len(lo)]
+        return self.norm_lo[s % self.b_lo] + self.norm_hi[s // self.b_lo]
+
+    def images(self, indices) -> list[int]:
+        lo, hi, norm_lo, norm_hi, b_lo = self.lo, self.hi, self.norm_lo, self.norm_hi, self.b_lo
+        n = len(lo)
+        return [norm_lo[(s := lo[r % n] + hi[r // n]) % b_lo] + norm_hi[s // b_lo] for r in indices]
+
+    def rows(self):
+        """For each a < p^(n // 2) in turn, the images of a + h p^(n // 2) for
+        every h."""
+        hi, norm_lo, norm_hi, b_lo = self.hi, self.norm_lo, self.norm_hi, self.b_lo
+        for x in self.lo:
+            yield [norm_lo[(s := x + y) % b_lo] + norm_hi[s // b_lo] for y in hi]
+
+    def table(self) -> list[int]:
+        """The images of the indices 0, 1, ..., p^n - 1."""
+        norm_lo, norm_hi, b_lo = self.norm_lo, self.norm_hi, self.b_lo
+        return [norm_lo[(s := a + b) % b_lo] + norm_hi[s // b_lo] for b in self.hi for a in self.lo]
+
+    def walk(self, steps, m: int) -> int:
+        """Walk the orbit 1, g, g^2, ... of the index 1 under this map, read
+        as "multiply by g", for at most m steps, setting steps[g^k] = k;
         return the order of g, or 0 when the walk does not come back to 1
-        within m steps (g is then a zero divisor, or its order exceeds m).
-
-        One step is two half-table lookups, a carry-free add and two
-        normalising lookups.
-        """
-        lo_tab, hi_tab = self.half_tables(images)
-        p_lo, b_lo, norm_lo, norm_hi = self.p_lo, self.b_lo, self.norm_lo, self.norm_hi
+        within m steps (g is then a zero divisor, or its order exceeds m)."""
+        lo, hi, norm_lo, norm_hi, b_lo = self.lo, self.hi, self.norm_lo, self.norm_hi, self.b_lo
+        n = len(lo)
         cur = 1
         for k in range(m):
             steps[cur] = k
-            s = lo_tab[cur % p_lo] + hi_tab[cur // p_lo]
+            s = lo[cur % n] + hi[cur // n]
             cur = norm_lo[s % b_lo] + norm_hi[s // b_lo]
             if cur == 1:
                 return k + 1
         return 0
 
 
-@functools.cache
-def spread_coding(p: int, dim: int) -> SpreadCoding:
-    """The shared SpreadCoding for dim base-p digits (built once per process)."""
-    return SpreadCoding(p, dim)
+class IndexSums:
+    """Digit-wise sums mod p of indices of `dim` base-p digits, from their
+    spread codes (`code`), normalised in chunks of digits as wide as tables
+    of at most `limit` entries allow: two lookups when one chunk holds them
+    all, digit by digit when not even one digit's tables fit."""
+
+    __slots__ = ("p", "radix", "code", "chunks", "norm")
+
+    def __init__(self, p: int, dim: int, limit: int):
+        radix = 2 * p - 1
+        width = 0  # a chunk of w digits has tables of radix^(w - w // 2) entries
+        while width < dim and radix ** ((width + 2) // 2) <= limit:
+            width += 1
+        self.p, self.radix = p, radix
+        self.code = spread_coding(p, width).spread  # the method reads no table
+        self.chunks = []  # (radix^w, norm_lo, norm_hi, b_lo, p^start) per chunk of w digits
+        for start in range(0, dim, width) if width else ():
+            w = min(width, dim - start)
+            coding = spread_coding(p, w)
+            self.chunks.append((radix**w, coding.norm_lo, coding.norm_hi, coding.b_lo, p**start))
+        self.norm = self.chunks[0][1:4] if len(self.chunks) == 1 else None
+
+    def add(self, x: int, y: int) -> int:
+        """The index of the sum of the indices coded x and y."""
+        s = x + y
+        if self.norm is not None:
+            norm_lo, norm_hi, b_lo = self.norm
+            return norm_lo[s % b_lo] + norm_hi[s // b_lo]
+        key = 0
+        for size, norm_lo, norm_hi, b_lo, place in self.chunks:
+            s, c = divmod(s, size)
+            key += (norm_lo[c % b_lo] + norm_hi[c // b_lo]) * place
+        p, radix, place = self.p, self.radix, 1
+        while s:  # left only when there are no chunks: one digit at a time
+            s, c = divmod(s, radix)
+            key += c % p * place
+            place *= p
+        return key

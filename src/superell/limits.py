@@ -7,7 +7,7 @@ L-polynomial of conductor degree D run over, and enumeration sizes in the
 census paths, the factor table and the exhaustive squarefree count) and
 SUPERELL_ZECH_LIMIT (largest field whose log and Zech tables are built, and
 so the largest field a point count runs over).  Every guard on them goes
-through `require`.
+through `require` or `require_power`.
 """
 
 import os
@@ -44,3 +44,11 @@ def require(var: str, needed: int, what: str) -> None:
     limit = _env_int(var, _DEFAULTS[var])
     if needed > limit:
         raise ResourceLimit(f"{what} needs {var} >= {needed}, it is {limit}")
+
+
+def require_power(var: str, base: int, exp: int, what: str) -> None:
+    """`require` for base^exp, base >= 2, refusing a huge exp unpowered."""
+    limit = _env_int(var, _DEFAULTS[var])
+    if exp >= limit.bit_length():
+        raise ResourceLimit(f"{what} needs {var} >= {base}^{exp}, it is {limit}")
+    require(var, base**exp, what)

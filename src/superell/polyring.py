@@ -17,16 +17,16 @@ every monic, and the unmarked entries are the irreducibles.  `irreducibles`,
 indices of all multiples f g of a monic f come from `monic_multiples`, which
 the exhaustive squarefree count of `oracle` shares.  Multiplication by a
 fixed h modulo a fixed M is F_p-linear on the base-p digits of an index, and
-`unit_images` gives its images of the unit vectors; from them come the
-multiples here, the residues mod P of `characters`, and `residue_dlog`, the
-one search for the smallest generator of (A/P)^* and its discrete log.  That
-search builds the residue-symbol tables of `characters` and, since a tower
-level of `ffield` is the residue field of its modulus, every field log table.
-The translations g -> g(t + b) and the dilations g -> c^-deg g g(ct) keep
-degree and monicity and are affine in the same digits, so `affine_maps`
-keeps two half tables per map and degree, and `monic_images` maps the
-indices the census asks for through them when it composes its affine
-classes.
+`unit_images` gives its images of the unit vectors, from which
+`ffield.AffineIndexMap` builds the map; from them come the multiples here,
+the residues mod P of `characters`, and `residue_dlog`, the one search for
+the smallest generator of (A/P)^* and its discrete log.  That search builds
+the residue-symbol tables of `characters` and, since a tower level of
+`ffield` is the residue field of its modulus, every field log table.  The
+translations g -> g(t + b) and the dilations g -> c^-deg g g(ct) keep degree
+and monicity and are affine in the same digits, so `affine_maps` keeps one
+`AffineIndexMap` per map and degree, which the census applies when it
+composes its affine classes.
 
 Every remainder, in `%`, `gcd` and the products of a large tower level of
 `ffield`, is one loop against a monic divisor (`_remainder`): each step is a
@@ -48,7 +48,7 @@ from array import array
 
 from . import limits
 from .errors import InputError, InvariantViolation
-from .ffield import Field, FieldElem, factorize_int, spread_coding
+from .ffield import AffineIndexMap, Field, FieldElem, factorize_int
 
 
 class Poly:
@@ -529,8 +529,8 @@ def residue_dlog(P: Poly, counts: dict | None = None) -> tuple[int, array]:
     for g^k the residue of index r, and steps[0] = -1.
 
     Candidates are walked through their powers on integer residue indices
-    (`ffield.SpreadCoding.walk`, with the `unit_images` of the candidate mod
-    P) in index order, from q when deg P > 1 and from 2 otherwise: no
+    (`ffield.AffineIndexMap.walk`, with the `unit_images` of the candidate
+    mod P) in index order, from q when deg P > 1 and from 2 otherwise: no
     constant generates (A/P)^* when deg P > 1, and 1 does only when
     |P| = 2, where the search starts at 1.  The first whose walk returns to 1 only after
     |P| - 1 steps is a generator, and its walk is the discrete log.  Such a
@@ -551,7 +551,6 @@ def residue_dlog(P: Poly, counts: dict | None = None) -> tuple[int, array]:
     size = F.q**P.degree
     m = size - 1
     steps = array("q", [-1]) * size
-    coding = spread_coding(F.p, P.degree * F.e)
     tries = 0
     for j in range(F.q if P.degree > 1 else min(2, m), size):
         if steps[j] >= 0:
@@ -561,7 +560,7 @@ def residue_dlog(P: Poly, counts: dict | None = None) -> tuple[int, array]:
         tries += 1
         counts["generator_candidates"] += 1
         images = unit_images(Poly.from_vector_index(F, j), P.degree, P)
-        order = coding.walk(images, steps, m)
+        order = AffineIndexMap(F.p, P.degree * F.e, images).walk(steps, m)
         counts["walk_steps"] += order or m  # no return to 1: all m steps
         if order == m:
             return j, steps
@@ -574,16 +573,14 @@ def monic_multiples(f: Poly, m: int) -> list[int]:
 
     f g = f t^m plus the sum over i < m of g_i t^i f, so g -> f g is affine in
     the base-p digits of g's index, with the `unit_images` of f mod
-    t^(deg f + m), and all q^m products come from two half tables
-    (`ffield.SpreadCoding`) with no field arithmetic per g.
+    t^(deg f + m), and all q^m products are the table of its
+    `ffield.AffineIndexMap`, with no field arithmetic per g.
     """
     F = f.field
     q, k = F.q, f.degree
-    coding = spread_coding(F.p, (k + m) * F.e)
     images = unit_images(f, m, Poly.from_index(F, k + m, 0))
-    lo, hi = coding.half_tables(images, (f.vector_index() - q**k) * q**m)
-    norm_lo, norm_hi, b_lo = coding.norm_lo, coding.norm_hi, coding.b_lo
-    return [norm_lo[(s := a + b) % b_lo] + norm_hi[s // b_lo] for b in hi for a in lo]
+    offset = (f.vector_index() - q**k) * q**m
+    return AffineIndexMap(F.p, (k + m) * F.e, images, offset).table()
 
 
 class _Level:
@@ -732,12 +729,11 @@ def irreducibles(F: Field, d: int) -> tuple[Poly, ...]:
 
 
 def affine_maps(F: Field, k: int) -> tuple[tuple, tuple]:
-    """(translations, dilations) on the monics of degree k, each map as the
-    half tables of `ffield.SpreadCoding.half_tables` on the base-p digits of
-    the lower coefficients (cached per field): translations[b], for b in F_q
-    by element index, is g -> g(t + b), and dilations[c], for c in F_q^*
-    by element index, is sigma_c(g) = c^-k g(ct), None at index 0.
-    `monic_images` applies them.
+    """(translations, dilations) on the monics of degree k, each map an
+    `ffield.AffineIndexMap` on the base-p digits of their index (cached per
+    field): translations[b], for b in F_q by element index, is g -> g(t + b),
+    and dilations[c], for c in F_q^* by element index, is sigma_c(g) =
+    c^-k g(ct), None at index 0.
 
     Both maps keep degree and monicity.  On the lower coefficients of a monic
     of degree k, g -> g(t + b) is affine: the unit vector p^(i e + s) goes to
@@ -746,7 +742,6 @@ def affine_maps(F: Field, k: int) -> tuple[tuple, tuple]:
     cache = F._cache.setdefault("affine_maps", {})
     got = cache.get(k)
     if got is None:
-        coding = spread_coding(F.p, k * F.e)
         units = [F.elem_at(F.p**s) for s in range(F.e)]
         shifts = []
         for b in range(F.q):
@@ -756,7 +751,7 @@ def affine_maps(F: Field, k: int) -> tuple[tuple, tuple]:
                 images.extend((power * u).vector_index() for u in units)
                 power = power * shift
             offset = (power - Poly.from_index(F, k, 0)).vector_index()
-            shifts.append(coding.half_tables(images, offset))
+            shifts.append(AffineIndexMap(F.p, k * F.e, images, offset))
         scales = [None]
         for ci in range(1, F.q):
             c = F.elem_at(ci)
@@ -764,23 +759,9 @@ def affine_maps(F: Field, k: int) -> tuple[tuple, tuple]:
             for i in range(k):
                 images.extend(F.mul(u, scale).idx * F.q**i for u in units)
                 scale = F.mul(scale, c)
-            scales.append(coding.half_tables(images))
+            scales.append(AffineIndexMap(F.p, k * F.e, images))
         got = cache[k] = (tuple(shifts), tuple(scales))
     return got
-
-
-def monic_images(F: Field, k: int, maps, indices: list[int]) -> list[int]:
-    """The index among the monics of degree k of the image of the monic with
-    each of these indices under each of these maps of `affine_maps`, map by
-    map: two table lookups and a normalisation per image, with no arithmetic
-    on polynomials."""
-    coding = spread_coding(F.p, k * F.e)
-    p_lo, b_lo, norm_lo, norm_hi = coding.p_lo, coding.b_lo, coding.norm_lo, coding.norm_hi
-    return [
-        norm_lo[(s := lo[j % p_lo] + hi[j // p_lo]) % b_lo] + norm_hi[s // b_lo]
-        for lo, hi in maps
-        for j in indices
-    ]
 
 
 def squarefree_monics(F: Field, d: int) -> tuple[Poly, ...]:

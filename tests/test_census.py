@@ -326,16 +326,15 @@ def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
     # degree's first conductor served through a translation, by monic sums,
     # can tell
     from superell import census
-    from superell.polyring import affine_maps, factor_table, monic_images
+    from superell.polyring import affine_maps, factor_table
 
-    def shifted(F, k, maps, indices):
-        if maps is not affine_maps(F, k)[0]:
-            return monic_images(F, k, maps, indices)
+    def shifted(F, k):
+        shifts, scales = affine_maps(F, k)
         primes = list(factor_table(F).level(k).primes)
-        after = [primes[(primes.index(j) + 1) % len(primes)] for j in indices]
-        return monic_images(F, k, maps[:1], indices) + monic_images(F, k, maps[1:], after)
+        after = {j: primes[(i + 1) % len(primes)] for i, j in enumerate(primes)}
+        return shifts[:1] + tuple(lambda j, b=b: b(after[j]) for b in shifts[1:]), scales
 
-    monkeypatch.setattr(census, "monic_images", shifted)
+    monkeypatch.setattr(census, "affine_maps", shifted)
     with pytest.raises(InvariantViolation) as err:
         run_census(7, 1, 3, 3, sample_decomp=10)
     assert err.value.invariant == "euler-product"

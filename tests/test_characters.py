@@ -23,7 +23,6 @@ from superell.characters import (
     project_counts,
     symbol_histogram,
 )
-from superell.ffield import spread_coding
 from superell.lfunction import _canon
 from superell.oracle import MuValue, char_sum, char_value, conductor_groups, monics
 from superell.polyring import _GENERATOR_TRIES, Poly, gcd, irreducibles, is_squarefree, poly_to_json
@@ -151,23 +150,20 @@ def test_symbol_table_walk_counts(F7):
 
 
 def test_residue_tables_match_polynomial_remainder(F7):
-    """The half-table residue of every monic g of degree <= 3 against g mod P,
-    for the first and last primes of each degree 1-3, over F_7, F_4 (p = 2)
-    and the depth-2 tower 2 -> 4 -> 16."""
+    """The residue map's image of every monic g of degree <= 3 against g mod
+    P, for the first and last primes of each degree 1-3, over F_7, F_4
+    (p = 2) and the depth-2 tower 2 -> 4 -> 16."""
     F4 = make_field(2, 2)
     for F in (F7, F4, extend_field(F4, 2)):
         ctx = char_context(F, 3)
         for d in (1, 2, 3):
             primes = irreducibles(F, d)
             for P in (primes[0], primes[-1]):
-                coding = spread_coding(F.p, d * F.e)
                 for n in range(4):
-                    lo, hi = ctx.residue_tables(P, n)
-                    assert len(lo) * len(hi) == F.q**n
-                    for j, g in enumerate(monics(F, n)):
-                        s = lo[j % len(lo)] + hi[j // len(lo)]
-                        r = coding.norm_lo[s % coding.b_lo] + coding.norm_hi[s // coding.b_lo]
-                        assert r == (g % P).vector_index(), (F, P, j)
+                    residues = ctx.residue_map(P, n)
+                    expected = [(g % P).vector_index() for g in monics(F, n)]
+                    assert residues.table() == expected, (F, P, n)
+                    assert [residues(j) for j in range(F.q**n)] == expected, (F, P, n)
 
 
 def test_symbol_tables_built_once_per_field(monkeypatch):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,25 @@ def test_family_thm41_names_its_requirement_on_p(p, capsys):
     err = capsys.readouterr().err
     assert f"thm41 seed needs an odd prime p = 2 mod 3, got p = {p}" in err
     assert "Traceback" not in err
+
+
+_HUGE = "2305843009213693951"  # 2^61 - 1: a prime whose trial division would take hours
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["census", "--p", _HUGE, "--ell", "3", "--max-degree", "2"], "FIELD_SIZE_LIMIT"),
+    (["census", "--p", "7", "--ell", _HUGE, "--max-degree", "2"], "FIELD_SIZE_LIMIT"),
+    (["lpoly", "--p", "7", "--ell", _HUGE, "--conductor-factors", "[[[0, 1], 1]]"], "FIELD_SIZE_LIMIT"),
+    (["seed-check", "--kind", "thm42", "--p", "5", "--ell", _HUGE], "FIELD_SIZE_LIMIT"),
+    (["census", "--p", "3", "--e", "100000000", "--ell", "3", "--max-degree", "2"], "3^100000000"),
+    (["census", "--p", "7", "--ell", "3", "--max-degree", "100000000"],
+     "SUPERELL_LIMIT_CENSUS >= 7^100000000"),
+])
+def test_huge_inputs_are_refused_before_any_work(argv, named, capsys):
+    # a huge prime meets the primality test's range and a huge exponent its
+    # limit's bit length, before trial division or the power is computed
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err

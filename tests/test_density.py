@@ -16,6 +16,7 @@ from superell import (
 import superell.density as density_mod
 from superell.density import LocalFactor, _LCG, product_form
 import superell.families as families_mod
+import superell.ffield as ffield_mod
 from superell.families import BinaryForm, FactorValues
 from superell.oracle import (
     exhaustive_squarefree_count,
@@ -358,21 +359,21 @@ def test_sampler_spread_tables_fit_the_cache_limit(monkeypatch):
     at most POWER_CACHE_LIMIT entries and a value takes two chunks; with the
     limit at 4 no digit's tables fit, values are normalised digit by digit,
     and 200 samples give the same hits."""
-    real, full_limit = families_mod.spread_coding, families_mod.POWER_CACHE_LIMIT
+    real, full_limit = ffield_mod.spread_coding, families_mod.POWER_CACHE_LIMIT
     codings = []
 
     def recorded(p, dim):
         codings.append(real(p, dim))
         return codings[-1]
 
-    monkeypatch.setattr(families_mod, "spread_coding", recorded)
+    monkeypatch.setattr(ffield_mod, "spread_coding", recorded)
     for p, e in ((4093, 1), (5, 4)):
         base = trigonal(make_field(p, e))
         for limit in (full_limit, 4):
             monkeypatch.setattr(families_mod, "POWER_CACHE_LIMIT", limit)
             codings.clear()
             rule, _ = density_mod._pair_rule(product_form(base), 2)
-            assert len(rule.chunks) == (2 if limit == full_limit else 0), (p, e, limit)
+            assert len(rule.sums.chunks) == (2 if limit == full_limit else 0), (p, e, limit)
             hits = empirical_density(base, 2, 200, seed=4)["hits"]
             assert codings and all(max(len(c.norm_lo), len(c.norm_hi)) <= limit
                                    for c in codings), (p, e, limit)

@@ -341,7 +341,7 @@ def test_generate_family_linear_factors_past_the_cache_limit(monkeypatch, case, 
     monkeypatch.setattr(families.FactorValues, "__init__", recorded)
     monkeypatch.setattr(families, "POWER_CACHE_LIMIT", limit)
     got = generate_family(base, n, **caps)
-    assert [len(rule.chunks) for rule in rules] == [chunks]
+    assert [len(rule.sums.chunks) for rule in rules] == [chunks]
     assert len(rules[0].rows) == limit and len(rules[0].verdicts) == limit
     monkeypatch.undo()
     assert got.to_json() == _family_by_pairs(base, n, **caps).to_json()

@@ -9,13 +9,15 @@ from superell import InputError, ResourceLimit, extend_field, make_field, primit
 from superell.characters import char_context
 from superell.ffield import (
     ELEM_TABLE_CAP,
+    AffineIndexMap,
+    IndexSums,
     LogTable,
     is_prime,
     log_table,
     power_classes,
-    spread_coding,
 )
 from superell.oracle import field_add_generic, field_mul_generic
+from superell.polyring import Poly
 
 from conftest import tower_field
 
@@ -24,8 +26,6 @@ def brute_canonical_modulus(F, n):
     """Independent oracle: scan monic degree-n polynomials in canonical order,
     return the first with no roots/factors, testing irreducibility by trial
     division against all monic polynomials of degree <= n//2."""
-    from superell.polyring import Poly
-
     q = F.q
     for j in range(q**n):
         cand = Poly.from_index(F, n, j)
@@ -86,6 +86,11 @@ def test_make_field_errors():
         make_field(5, 0)
     with pytest.raises(ResourceLimit):
         make_field(2, 64)
+    # refused by the exponent, with the power never computed
+    with pytest.raises(ResourceLimit, match=r"3\^100000000 exceeds"):
+        make_field(3, 10**8)
+    with pytest.raises(ResourceLimit, match=r"16\^100000000 exceeds"):
+        extend_field(make_field(2, 4), 10**8)
 
 
 def test_descriptor_deterministic():
@@ -245,6 +250,10 @@ def test_tower_log_homomorphism(p, degrees, data):
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert is_prime(2**40 - 87) and not is_prime(2**40)
+    # past its range the test refuses at once rather than divide for hours
+    with pytest.raises(ResourceLimit, match="FIELD_SIZE_LIMIT"):
+        is_prime(2**61 - 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, 1013])
@@ -411,7 +420,7 @@ def test_log_table_equals_a_fresh_walk(name):
     g = primitive_root(F)
     images = [field_mul_generic(F, F.elem_at(F.p**i), g).idx for i in range(F.e)]
     dlog = [-1] * F.q
-    assert spread_coding(F.p, F.e).walk(images, dlog, m) == m
+    assert AffineIndexMap(F.p, F.e, images).walk(dlog, m) == m
     exp = [0] * m
     for i in range(1, F.q):
         exp[dlog[i]] = i
@@ -451,3 +460,68 @@ def test_power_classes_match_the_character_zeta(p, e, ell):
 def test_power_classes_are_one_class_when_ell_does_not_divide_q_minus_1():
     for p, e, ell in ((5, 1, 3), (2, 3, 5), (3, 2, 5)):
         assert power_classes(make_field(p, e), ell)[1:] == [0] * (p**e - 1)
+
+
+# p = 2, 3, 5, 7 and two towers, 2 -> 4 -> 16 and 3 -> 9
+_MAP_FIELDS = {"2": (2,), "3": (3,), "5": (5,), "7": (7,), "2-4-16": (2, 2, 2), "3-9": (3, 2)}
+
+
+def _draw_poly(F, data, degree, monic=False):
+    coeffs = data.draw(st.lists(st.integers(0, F.q - 1), min_size=degree, max_size=degree))
+    return Poly(F, [F.elem_at(c) for c in coeffs] + ([F.one()] if monic else []))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(name=st.sampled_from(list(_MAP_FIELDS)), data=st.data())
+def test_affine_index_map_matches_polynomial_arithmetic(name, data):
+    """g -> (g h + c) mod M from the g of degree < n to the residues mod M,
+    applied to one index, a list, row by row and to every index, against
+    Poly arithmetic; n and deg M differ, and c is an offset.  With n = deg M
+    and c = 0 the map is multiplication by h in A/M, whose walk is the orbit
+    of 1 by Poly products."""
+    F = tower_field(*_MAP_FIELDS[name])
+    dm = data.draw(st.integers(1, 3).filter(lambda d: F.q**d <= 4096), label="deg M")
+    n = data.draw(st.integers(0, 3).filter(lambda d: F.q**d <= 4096), label="n")
+    M = _draw_poly(F, data, dm, monic=True)
+    h = _draw_poly(F, data, data.draw(st.integers(0, dm + 1), label="deg h + 1"))
+    c = _draw_poly(F, data, dm)
+    units = [Poly.from_vector_index(F, F.p**i) for i in range(n * F.e)]  # u_s t^j at p^(j e + s)
+    images = [(u * h % M).vector_index() for u in units]
+    mapped = AffineIndexMap(F.p, dm * F.e, images, c.vector_index())
+    expected = [((Poly.from_vector_index(F, j) * h + c) % M).vector_index() for j in range(F.q**n)]
+    assert mapped.table() == expected
+    picks = data.draw(st.lists(st.integers(0, F.q**n - 1), max_size=20), label="indices")
+    assert mapped.images(picks) == [expected[j] for j in picks]
+    assert [mapped(j) for j in picks] == [expected[j] for j in picks]
+    rows = list(mapped.rows())
+    assert len(rows) == F.p ** (n * F.e // 2)
+    assert rows == [expected[a::len(rows)] for a in range(len(rows))]
+
+    basis = [Poly.from_vector_index(F, F.p**i) for i in range(dm * F.e)]
+    times_h = AffineIndexMap(F.p, dm * F.e, [(u * h % M).vector_index() for u in basis])
+    m = F.q**dm - 1
+    steps, want = [-1] * (m + 1), [-1] * (m + 1)
+    cur, one, order = Poly.one(F), Poly.one(F), 0
+    for k in range(m):
+        want[cur.vector_index()] = k
+        cur = cur * h % M
+        if cur == one:
+            order = k + 1
+            break
+    assert times_h.walk(steps, m) == order and steps == want
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(name=st.sampled_from(list(_MAP_FIELDS)), limit=st.sampled_from([2, 4, 20, 1 << 14]),
+       data=st.data())
+def test_index_sums_match_polynomial_addition(name, limit, data):
+    # with a small limit the sums take several chunks, or one digit at a time
+    F = tower_field(*_MAP_FIELDS[name])
+    n = data.draw(st.integers(1, 4), label="coefficients")
+    adder = IndexSums(F.p, n * F.e, limit)
+    x = _draw_poly(F, data, n)
+    ys = [_draw_poly(F, data, n) for _ in range(data.draw(st.integers(0, 4), label="terms"))]
+    x_code = adder.code(x.vector_index())
+    assert [adder.add(x_code, adder.code(y.vector_index())) for y in ys] == [
+        (x + y).vector_index() for y in ys
+    ]

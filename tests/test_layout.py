@@ -148,7 +148,7 @@ def _attribute_calls(tree: ast.AST, attr: str) -> int:
 def test_one_discrete_log_walk():
     # every generator search and discrete log, for the symbol tables and the
     # field log tables alike, is polyring.residue_dlog, the only caller of
-    # SpreadCoding.walk
+    # AffineIndexMap.walk
     calls = {path.name: _attribute_calls(_tree(path), "walk") for path in PACKAGE.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"polyring.py": 1}
     search = next(
@@ -157,6 +157,30 @@ def test_one_discrete_log_walk():
         if isinstance(node, ast.FunctionDef) and node.name == "residue_dlog"
     )
     assert _attribute_calls(search, "walk") == 1
+
+
+_SPREAD_TABLES = {"norm_lo", "norm_hi", "b_lo", "p_lo", "red_lo", "red_hi"}
+
+
+def test_only_ffield_reads_the_spread_code():
+    # other modules build and apply index maps through ffield.AffineIndexMap
+    # and IndexSums, and never the coding's tables
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "monic_images":
+                offenders.append(f"{path.name}: defines monic_images")
+        if path.name == "ffield.py":
+            continue
+        if _constructs(tree, "spread_coding"):
+            offenders.append(f"{path.name}: calls spread_coding")
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in _SPREAD_TABLES:
+                offenders.append(f"{path.name}: names {name}")
+    assert offenders == []
+    assert _constructs(_tree(PACKAGE / "ffield.py"), "spread_coding")
 
 
 def _callers(attr: str) -> set:

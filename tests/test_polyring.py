@@ -16,7 +16,6 @@ from superell.polyring import (
     powmod,
     squarefree_monics,
     affine_maps,
-    monic_images,
 )
 
 from superell.oracle import expand, monics
@@ -217,13 +216,13 @@ def test_translations_match_composition(build):
     for k in (1, 2, 3):
         maps = affine_maps(F, k)[0]
         primes = list(factor_table(F).level(k).primes)
-        assert len(maps) == F.q and monic_images(F, k, maps[:1], primes) == primes
+        assert len(maps) == F.q and maps[0].images(primes) == primes
         for b in range(F.q):
             moved = [translate(P, F.elem_at(b)).vector_index() - F.q**k for P in irreducibles(F, k)]
-            assert monic_images(F, k, maps[b:b + 1], primes) == moved
+            assert maps[b].images(primes) == moved
             assert sorted(moved) == primes  # a bijection on the primes
         # every monic of the degree, not only the primes, by index
-        assert monic_images(F, k, maps, [0]) == [
+        assert [shift(0) for shift in maps] == [
             translate(Poly.from_index(F, k, 0), F.elem_at(b)).vector_index() - F.q**k
             for b in range(F.q)
         ]
@@ -231,7 +230,7 @@ def test_translations_match_composition(build):
         # t^2 + t = t (t + 1) is fixed by b = 1, which swaps its primes
         t, one = Poly.x(F), Poly.one(F)
         assert translate(t * (t + one), F.one()) == t * (t + one)
-        assert monic_images(F, 1, affine_maps(F, 1)[0][1:2], [0, 1, 2, 3]) == [1, 0, 3, 2]
+        assert affine_maps(F, 1)[0][1].images([0, 1, 2, 3]) == [1, 0, 3, 2]
 
 
 @pytest.mark.parametrize("build", [
@@ -247,7 +246,7 @@ def test_dilations_match_composition(build):
     for k in (1, 2, 3):
         maps = affine_maps(F, k)[1]
         assert len(maps) == F.q and maps[0] is None
-        assert monic_images(F, k, maps[1:2], primes[k]) == primes[k]
+        assert maps[1].images(primes[k]) == primes[k]
         for ci in range(1, F.q):
             c = F.elem_at(ci)
             # c^-k P(ct), by substituting the polynomial c t into P
@@ -261,7 +260,7 @@ def test_dilations_match_composition(build):
                 image = image * inverse
                 assert image.is_monic() and image.degree == k
                 moved.append(image.vector_index() - F.q**k)
-            assert monic_images(F, k, maps[ci:ci + 1], primes[k]) == moved
+            assert maps[ci].images(primes[k]) == moved
             assert sorted(moved) == primes[k]  # a bijection on the primes
 
 
