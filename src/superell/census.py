@@ -22,30 +22,36 @@ sums to zeta^(-n z_c D) times chi over the monics of degree n,
 D = sum e_i deg P_i, and L(u, chi') = L(zeta^(-z_c D) u, chi)
 (`lfunction.rescale_by_root`).  An even character has D = 0 mod ell and
 shares L unchanged (Rosen, Number Theory in Function Fields, ch. 4).  So
-the first conductor of a class computes its L-polynomials and every later
-one reads them, with its primes matched to the first one's through
-P -> sigma_c(P(t + b)), the index maps of `polyring.affine_maps`.
-Every decomposition-sampled conductor whose L-polynomials the run computed
-or read from its class (rather than from the cache), and in each degree the
-first conductor served through a translation and the first served through a
-dilation that twists an odd character, is recomputed by monic character
-sums, and a mismatch raises InvariantViolation.
+the first conductor of a class computes its L-polynomials, and its members,
+the indices that the degree-d maps of `polyring.affine_orbit` take its own
+index to, are marked and counted with no row, character or match: the walk
+(`characters.squarefree_conductors`) passes a marked index over before it
+reads its primes.  The marks must partition the squarefree monics of each
+degree (no index marked twice, none that is not squarefree), or
+InvariantViolation names the degree; count_A, summed over the classes, stays
+asserted against `count_order_ell_exact`.  Every decomposition-sampled
+conductor whose L-polynomials the run computed or read from its class
+(rather than from the cache), and in each degree the first member reached
+through a translation and the first reached through a dilation that twists
+an odd character, is recomputed by monic character sums, and a mismatch
+raises InvariantViolation.
 
-The census walks the conductors as the factor table's prime codes with
-their exponent assignments (`characters.squarefree_conductors`) and builds
-a `DirichletChar` only where something reads one: every character of the
-first conductor of a class (the Euler route and the L-cache keys), of the
-spot-checked and decomposition-sampled conductors, and each vanishing
-character the report lists.  Stripping, the degree law and the central
-test read only the L-polynomial, the parity and the conductor degree, so
-they run once per distinct (L, parity, degree) of a degree.  A member of a
-class has the parity and degree of the class character whose L it shares,
-so a class matches its L-polynomials and their decisions to a member's
-exponent assignments once per distinct matching of the primes and twist,
-and every other member with that matching reads both with no character
-built (`_AffineClasses`).  The duality check stays independent: the dual
-of chi has the conjugate L, decided from its own coefficients, and its key
-is looked up among the vanishing characters' `int_key`s.
+The census builds a `DirichletChar` only where something reads one: every
+character of the first conductor of a class (the Euler route and the
+L-cache keys), of the spot-checked and decomposition-sampled conductors,
+and each vanishing character the report lists.  Stripping, the degree law
+and the central test read only the L-polynomial, the parity and the
+conductor degree, so they run once per distinct (L, parity, degree) of a
+degree.  A member of a class has the parity and degree of the class
+character whose L it shares, so a class decides its L-polynomials once per
+twist class z_c.  A member is expanded to its primes, the images of the
+class's primes under P -> sigma_c(P(t + b)) (the index maps of
+`polyring.affine_maps`), only where something reads it: when one of its
+characters vanishes, or it is sampled or spot-checked (`_AffineClasses`).
+The vanishing characters are sorted into canonical order at the end of the
+degree.  The duality check stays independent: the dual of chi has the
+conjugate L, decided from its own coefficients, and its key is looked up
+among the vanishing characters' `int_key`s.
 
 All list outputs are sorted by (conductor degree, canonical conductor order,
 exponent assignment); reruns with a warm cache are bit-identical apart from
@@ -55,6 +61,7 @@ runtime statistics.
 from __future__ import annotations
 
 import gc
+import heapq
 import operator
 import time
 
@@ -90,7 +97,7 @@ from .lfunction import (
     strip_trivial_factor,
     twist_exponent,
 )
-from .polyring import Poly, affine_maps, factor_table
+from .polyring import Poly, affine_maps, affine_orbit, factor_table
 
 SCHEMA_VERSION = 1
 # members of a vanishing-verified family whose zeta/L decomposition is checked
@@ -131,37 +138,79 @@ def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = N
     return list(prod.rows) == [(c, *pad) for c in zeta_numerator(model).coeffs]
 
 
+class _Class:
+    """One affine class of conductors: its first conductor's prime codes,
+    exponent assignments and characters, their L-polynomials by (assignment
+    index, shift), D = sum e_i deg P_i mod ell for each assignment (`dsums`,
+    0 for an even character), and its other members by conductor index,
+    each with the first m = (c - 1) q + b that reaches it."""
+
+    __slots__ = ("codes", "assignments", "chars", "ls", "dsums", "members")
+
+    def __init__(self, codes: tuple, assignments, chars: list, l_polys: list, ell: int, members):
+        self.codes = codes
+        self.assignments = assignments
+        self.chars = chars
+        self.ls = {(xi, 0): L for xi, L in enumerate(l_polys)}
+        self.dsums = [sum(k * e for (k, _), e in zip(codes, x)) % ell for x in assignments]
+        self.members = members
+
+
 class _AffineClasses:
     """The affine classes {sigma_c(f(t + b)) : c in F_q^*, b in F_q} of the
-    conductors of one degree, in one run, sigma_c(g) = c^-deg g g(ct), with
+    conductors of degree d, in one run, sigma_c(g) = c^-deg g g(ct), with
     the decisions of that degree.  The first conductor of a class, once its
     L-polynomials are at hand (computed or read from the L-cache), registers
-    each other member (`register`), keyed by the member's prime codes, with
-    the codes of the sigma_c(P(t + b)) for its own primes P, in their
-    order, and with c; a later conductor of the class finds itself there
-    and reads the positions of those images among its primes (`serve`).  The character with exponents e_i on the
-    sigma_c(P_i(t + b)) has the L of the one with exponents e_i on the P_i,
-    rescaled by zeta^(-z_c D), D = sum e_i deg P_i (see the module
-    docstring), and the same parity and degree.  So each class rescales each
-    of its L once per shift, and matches its L-polynomials and decisions to
-    a member's exponents once per distinct (positions, z_c) (`_match`).
-    A decision is made once per distinct (L, parity, degree) (`decide`).
-    `count` is the number of classes whose L-polynomials the run computed,
-    and `built` the number of characters built (`chars`)."""
+    the class (`register`): its members are the indices of
+    `polyring.affine_orbit` applied to its own index, and each is marked in
+    `marks`, which the walk reads, so a member is passed over before its
+    primes are read.  The marks keep the classes a partition of the
+    squarefree monics of the degree: an index marked twice, or a mark on a
+    monic that is not squarefree, raises InvariantViolation.
 
-    def __init__(self, F: Field, ell: int):
+    The character with exponents e_i on the sigma_c(P_i(t + b)) has the L
+    of the one with exponents e_i on the P_i, rescaled by zeta^(-z_c D),
+    D = sum e_i deg P_i (see the module docstring), and the same parity and
+    degree.  So each class counts its members' characters in bulk and
+    decides its L-polynomials once per twist class z_c (`_vanishing`); a
+    decision is made once per distinct (L, parity, degree) (`decide`).  A
+    member is expanded to its primes (`_expand`), the images of the class's
+    primes under the maps of `polyring.affine_maps`, only where something
+    reads it: its vanishing characters (`vanishing`, listed in canonical
+    order by `listed`), and the characters and L-polynomials (`member`) of
+    the decomposition sample and of the first member reached through a
+    translation (`translation`) and through a dilation that twists an odd
+    character (`twist`).  `count` is the number of classes whose
+    L-polynomials the run computed, `built` the number of characters built
+    (`chars`), `firsts` the number of classes, and `expanded` the members
+    expanded."""
+
+    def __init__(self, F: Field, ell: int, d: int):
         self.field = F
         self.ell = ell
+        self.degree = d
         # z_c with c^((q - 1)/ell) = zeta^z_c, by the element index of c
         self.twists = power_classes(F, ell)
-        # prime codes -> (class, the codes of the images of its first
-        # conductor's primes, c); a class is (its Ls by (exponents, shift),
-        # its first conductor's characters by exponents, its matches by
-        # (positions, z_c))
-        self.members: dict = {}
+        self.twist_classes = set(self.twists[1:])
+        self.table = factor_table(F)
+        self.squarefree = self.table.level(d).squarefree
+        self.marks = bytearray(len(self.squarefree))  # the first conductors and their members
         self.decisions: dict = {}  # (L.rows, chi.even, chi.degree) -> vanishes
         self.count = 0
         self.built = 0
+        self.firsts = 0
+        self.conductors = 0
+        self.characters = 0
+        self.expanded: set = set()
+        # (conductor index, assignment index, primes, codes, exponents) of
+        # each vanishing character, and the characters of the conductors
+        # that built theirs, by index
+        self.vanishing: list = []
+        self.chars_at: dict = {}
+        # (index, class, m) of the first member of the degree reached through
+        # a translation, and through a dilation that twists an odd character
+        self.translation = None
+        self.twist = None
 
     def chars(self, primes: tuple, codes: tuple, assignments) -> list[DirichletChar]:
         """The characters with these exponent assignments on a conductor of
@@ -181,98 +230,182 @@ class _AffineClasses:
             vanishes = self.decisions[at] = central_value_is_zero(stripped)
         return vanishes
 
-    def serve(self, codes: tuple) -> "tuple[tuple, tuple, str] | None":
-        """For a member of a registered class, with these prime codes: the
-        L-polynomials of its characters in `squarefree_conductors` order, the
-        indices of those that vanish, and how they were read: "translation"
-        (c = 1), "twist" (z_c != 0 and one of them is odd, so its L was
-        rescaled) or "dilation".  None when the conductor is not such a
-        member."""
-        member = self.members.pop(codes, None)
-        if member is None:
-            return None
-        group, column, c = member
-        # positions[n]: where the image of the class's n-th prime sits among
-        # the member's primes
-        positions = tuple(map(codes.index, column))
-        z = self.twists[c]
-        got = group[2].get((positions, z))
-        if got is None:
-            got = group[2][positions, z] = self._match(group, positions, z)
-        l_polys, vanishing, twisted = got
-        return l_polys, vanishing, "translation" if c == 1 else "twist" if twisted else "dilation"
+    def _l_poly(self, cls: _Class, xi: int, z: int) -> LPoly:
+        """The L of the class's character with assignment xi moved by a
+        dilation of twist class z."""
+        shift = z and -z * cls.dsums[xi] % self.ell
+        L = cls.ls.get((xi, shift))
+        if L is None:
+            L = cls.ls[xi, shift] = rescale_by_root(cls.ls[xi, 0], shift)
+        return L
 
-    def _match(self, group: tuple, positions: tuple, z: int) -> tuple[tuple, tuple, bool]:
-        """The L-polynomials of a class's members with these positions and
-        twist, in the order of their exponent assignments, the indices of
-        those that vanish, and whether one was rescaled."""
-        ls, reps, _ = group
-        ell = self.ell
-        r = len(positions)
-        # the index of an exponent tuple in itertools.product order
-        weights = [(ell - 1) ** (r - 1 - n) for n in range(r)]
-        out = [None] * (ell - 1) ** r
-        vanishing = []
-        twisted = False
-        for x, chi in reps.items():
-            key = chi.int_key()
-            shift = z and -z * sum(map(operator.mul, key[0::3], x)) % ell
-            twisted = twisted or shift != 0
-            L = ls.get((x, shift))
-            if L is None:
-                L = ls[x, shift] = rescale_by_root(ls[x, 0], shift)
-            # the member's exponent on its prime at positions[n] is x[n]
-            i = sum((e - 1) * weights[n] for e, n in zip(x, positions))
-            out[i] = L
-            if self.decide(L, chi):  # the member's character has chi's parity and degree
-                vanishing.append(i)
-        vanishing.sort()
-        return tuple(out), tuple(vanishing), twisted
+    def _vanishing(self, cls: _Class, z: int) -> list[int]:
+        """The assignments of the class's characters that vanish once moved
+        by a dilation of twist class z (the member's character has the
+        class character's parity and degree)."""
+        decide, l_poly = self.decide, self._l_poly
+        return [xi for xi, chi in enumerate(cls.chars) if decide(l_poly(cls, xi, z), chi)]
 
-    def register(self, codes: tuple, assignments, chars: list, l_polys: list) -> None:
-        """Register every other member of the class of the conductor with
-        these prime codes, whose characters, with these exponent
-        assignments, have the L-polynomials `l_polys`."""
-        group = ({(x, 0): L for x, L in zip(assignments, l_polys)}, dict(zip(assignments, chars)), {})
+    def register(
+        self, j: int, primes: tuple, codes: tuple, assignments, chars: list, l_polys: list
+    ) -> _Class:
+        """Register the class of the conductor with index j, these primes and
+        codes, whose characters, with these exponent assignments, have the
+        L-polynomials `l_polys`: mark and count its members, and list its
+        vanishing characters."""
+        F, q, d, twists = self.field, self.field.q, self.degree, self.twists
+        images = affine_orbit(F, d, j)
+        # each member's index with the first m that reaches it: a conductor
+        # fixed by a non-trivial affine map is reached more than once, and
+        # either matching of its primes is valid
+        members = dict(zip(reversed(images), range(len(images) - 1, -1, -1)))
+        members.pop(j, None)
+        marks, squarefree = self.marks, self.squarefree
+        marks[j] = 1
+        for i in members:
+            if marks[i] or not squarefree[i]:
+                what = "already counted" if marks[i] else "not squarefree"
+                raise InvariantViolation(
+                    "affine-partition",
+                    f"degree {d}: the class of conductor {j} reaches monic {i}, {what}",
+                )
+            marks[i] = 1
+        self.firsts += 1
+        self.conductors += 1 + len(members)
+        self.characters += (1 + len(members)) * len(assignments)
+        cls = _Class(codes, assignments, chars, l_polys, self.ell, members)
+        # z = 0 is the class's own twist class (c = 1)
+        by_z = {z: self._vanishing(cls, z) for z in self.twist_classes}
+        if by_z[0]:
+            self.chars_at[j] = chars
+            self.vanishing.extend((j, xi, primes, codes, assignments[xi]) for xi in by_z[0])
+        if any(by_z.values()):
+            for i, m in members.items():
+                got = by_z[twists[1 + m // q]]
+                if got:
+                    primes_i, codes_i, weights = self._expand(cls, i, m)
+                    for xi in got:
+                        at = _at(assignments[xi], weights)
+                        self.vanishing.append((i, at, primes_i, codes_i, assignments[at]))
+        # the first members of the degree reached through a translation and
+        # through a dilation that twists an odd character; a later class has
+        # all its members above its first conductor, so one below j stays
+        # the first
+        if self.translation is None or self.translation[0] > j:
+            reached = ((i, m) for i, m in members.items() if m < q)
+            self.translation = _first(self.translation, cls, reached)
+        if any(cls.dsums) and (self.twist is None or self.twist[0] > j):
+            reached = ((i, m) for i, m in members.items() if m >= q and twists[1 + m // q])
+            self.twist = _first(self.twist, cls, reached)
+        return cls
+
+    def _expand(self, cls: _Class, i: int, m: int) -> tuple[tuple, tuple, list]:
+        """The primes and codes, in canonical order, of the member i of the
+        class, which the map m = (c - 1) q + b takes the first conductor to,
+        and the weight in `itertools.product` order of the member's exponent
+        on the image of each of the class's primes (`_at`)."""
+        self.expanded.add(i)
         F = self.field
-        q = F.q
-        members = self.members
-        # the code of sigma_c(P(t + b)) for each prime P, by (c, b) in the
-        # order c = 1, ..., q - 1 and b = 0, ..., q - 1: translations first;
-        # m = (c - 1) q + b, and m = 0 is the identity.  A conductor fixed by
-        # a non-trivial affine map meets a member twice, and either matching
-        # of its primes is valid
-        images = []
-        for k, j in codes:
+        b, c = m % F.q, 1 + m // F.q
+        moved = []
+        for n, (k, jp) in enumerate(cls.codes):
             shifts, scales = affine_maps(F, k)
-            moved = [shift(j) for shift in shifts]
-            images.append([(k, r) for scale in scales[1:] for r in scale.images(moved)])
-        for m, column in enumerate(zip(*images)):
-            if m:
-                # a member's codes are its primes' images in canonical order
-                key = column if len(column) == 1 else tuple(sorted(column))
-                members.setdefault(key, (group, column, 1 + m // q))
+            moved.append(((k, scales[c](shifts[b](jp))), n))
+        moved.sort()
+        codes = tuple(code for code, _ in moved)
+        primes = tuple(self.table.prime(k, jp) for k, jp in codes)
+        r = len(codes)
+        weights = [0] * r
+        for at, (_, n) in enumerate(moved):
+            weights[n] = (self.ell - 1) ** (r - 1 - at)
+        return primes, codes, weights
+
+    def member(self, cls: _Class, i: int, m: int) -> tuple[list, list]:
+        """The characters of the member i of the class, which m reaches, and
+        their L-polynomials, in `squarefree_conductors` order."""
+        primes, codes, weights = self._expand(cls, i, m)
+        z = self.twists[1 + m // self.field.q]
+        l_polys = [None] * len(cls.assignments)
+        for xi, x in enumerate(cls.assignments):
+            l_polys[_at(x, weights)] = self._l_poly(cls, xi, z)
+        chars = self.chars_at.get(i)
+        if chars is None:
+            chars = self.chars_at[i] = self.chars(primes, codes, cls.assignments)
+        return chars, l_polys
+
+    def listed(self) -> list[DirichletChar]:
+        """The vanishing characters of the degree in canonical order, each
+        built unless its conductor built its characters."""
+        self.vanishing.sort(key=operator.itemgetter(0, 1))
+        out = []
+        for i, xi, primes, codes, x in self.vanishing:
+            chars = self.chars_at.get(i)
+            out.append(chars[xi] if chars else self.chars(primes, codes, (x,))[0])
+        return out
+
+
+def _at(x: tuple, weights: list) -> int:
+    """The index in `itertools.product` order of the member's exponent tuple
+    that puts the exponents x of a class assignment on the images of the
+    class's primes, each with its weight from `_AffineClasses._expand`."""
+    return sum(map(operator.mul, x, weights)) - sum(weights)
+
+
+def _first(best: "tuple | None", cls: _Class, reached) -> "tuple | None":
+    """`best`, an (index, class, m), or the member (index, m) of `reached`
+    with the smallest index, as (index, cls, m), if it comes before `best`."""
+    got = min(reached, default=None)
+    if got is None or best is not None and best[0] < got[0]:
+        return best
+    return got[0], cls, got[1]
+
+
+class _Sample:
+    """The zeta/L decomposition sample: the first even characters of the
+    census in canonical order, up to `budget` by the end of each degree."""
+
+    def __init__(self):
+        self.budget = 0
+        self.done = 0
+        self.ok = True
+
+    def take(self, chars: list, l_polys: list, fresh) -> bool:
+        """Sample the even characters on one conductor while the budget
+        lasts; a sampled conductor whose L-polynomials at `fresh` this run
+        computed or read from its class is also recomputed by the monic
+        route.  Whether it was."""
+        known = None
+        for chi in chars:
+            if self.done == self.budget:
+                break
+            if not chi.even:
+                continue
+            if known is None:
+                if fresh:
+                    _spot_check([chars[j] for j in fresh], [l_polys[j] for j in fresh])
+                # chi's powers are the other characters on its conductor
+                known = {c.int_key(): Lc for c, Lc in zip(chars, l_polys)}
+            if not decomposition_check(model_from_char(chi), l_polys=known):
+                self.ok = False
+            self.done += 1
+        return known is not None and bool(fresh)
+
+    @property
+    def open(self) -> bool:
+        return self.done < self.budget
 
 
 def _l_polys_cached(
-    primes: tuple, codes: tuple, assignments: tuple, cache: "LCache | None", classes: _AffineClasses
+    j: int, primes: tuple, codes: tuple, assignments, cache: "LCache | None", classes
 ) -> tuple:
-    """(l_polys, vanishing, fresh, route, chars) for the characters of one
-    conductor of `squarefree_conductors`: their L-polynomials in the order of
-    `assignments`, the indices of those that vanish, the indices of those not
-    read from the cache, how they came from the conductor's affine class
-    (`_AffineClasses.serve`; None when the conductor is the first of its
-    class), and the characters built, or None.  A member of a class
-    registered in this degree is served through the class maps, with no
-    character built, and never looked up in the cache.  The first conductor
-    of a class builds its characters, looks them up, computes and stores
-    its misses and registers its class; so the cache holds the first
-    conductors of the classes only, and a warm run computes no Euler
-    product."""
-    served = classes.serve(codes)
-    if served is not None:
-        l_polys, vanishing, route = served
-        return l_polys, vanishing, range(len(l_polys)), route, None
+    """(chars, l_polys, fresh, class) for the first conductor of an affine
+    class, with index j, of `squarefree_conductors`: its characters, their
+    L-polynomials in the order of `assignments`, the indices of those not
+    read from the cache, and the class it registers.  It looks its
+    characters up in the cache, computes and stores its misses; so the cache
+    holds the first conductors of the classes only, and a warm run computes
+    no Euler product.  The other members of the class are never looked up
+    in the cache."""
     chars = classes.chars(primes, codes, assignments)
     found = [None] * len(chars) if cache is None else [cache.get(chi) for chi in chars]
     missing = [i for i, L in enumerate(found) if L is None]
@@ -282,9 +415,8 @@ def _l_polys_cached(
         classes.count += 1
         if cache is not None:
             cache.put([(chars[i], found[i]) for i in missing])
-    classes.register(codes, assignments, chars, found)
-    vanishing = [i for i, (chi, L) in enumerate(zip(chars, found)) if classes.decide(L, chi)]
-    return found, vanishing, missing, None, chars
+    cls = classes.register(j, primes, codes, assignments, chars, found)
+    return chars, found, missing, cls
 
 
 def _spot_check(chars: list, l_polys: list) -> None:
@@ -375,69 +507,68 @@ def _census(
     cache = None if cache_path is None else LCache(cache_path, F, ell)
     table = factor_table(F)
     total_counts = dict.fromkeys(
-        ("conductors", "affine_classes", "characters_built", "factor_table_entries", *ctx.counts),
+        ("conductors", "conductors_counted_by_class", "affine_classes", "characters_built",
+         "factor_table_entries", *ctx.counts),
         0,
     )
     t0 = time.monotonic()
-    decomp_done = 0
-    decomp_ok = True
+    sample = _Sample()
     per_degree_budget = max(1, sample_decomp // max_degree) if sample_decomp else 0
     for d in range(1, max_degree + 1):
         # spread the decomposition sample across degrees, topping up at the end
         if d == max_degree:
-            decomp_budget = sample_decomp
+            sample.budget = sample_decomp
         else:
-            decomp_budget = min(sample_decomp, decomp_done + per_degree_budget)
+            sample.budget = min(sample_decomp, sample.done + per_degree_budget)
         td = time.monotonic()
-        vanishing: list[DirichletChar] = []
-        vanish_keys: set = set()  # their `int_key`s
-        count_a = 0
-        conductors = 0
         counts_before = dict(ctx.counts)
         entries_before = table.entries
-        classes = _AffineClasses(F, ell)
-        unchecked = {"translation", "twist"}
-        for primes, codes, assignments in squarefree_conductors(F, ell, d):
-            conductors += 1
-            l_polys, vanishes, fresh, route, chars = _l_polys_cached(
-                primes, codes, assignments, cache, classes
+        classes = _AffineClasses(F, ell, d)
+        # (index, m, class) of the members with even characters, sampled in
+        # index order among the first conductors while the sample is open,
+        # and the members the sample recomputed by the monic route
+        pending: list = []
+        checked: set = set()
+
+        def sample_members(below: int) -> None:
+            while pending and pending[0][0] < below and sample.open:
+                i, m, cls = heapq.heappop(pending)
+                if sample.take(*classes.member(cls, i, m), range(len(cls.assignments))):
+                    checked.add(i)
+
+        for j, primes, codes, assignments in squarefree_conductors(F, ell, d, classes.marks):
+            sample_members(j)
+            chars, l_polys, fresh, cls = _l_polys_cached(
+                j, primes, codes, assignments, cache, classes
             )
-            count_a += len(l_polys)
-            if route in unchecked:
-                # the first conductor of the degree served through a
-                # translation, and the first through a dilation that twists
-                # an odd character: these check the maps and the twist
-                chars = classes.chars(primes, codes, assignments)
-                _spot_check(chars, l_polys)
-                fresh = ()
-                unchecked.discard(route)
-            # the decomposition sample: the first even characters of the degree
-            for i, x in enumerate(assignments):
-                if decomp_done == decomp_budget:
-                    break
-                if sum(k * e for (k, _), e in zip(codes, x)) % ell:
-                    continue  # odd
-                if chars is None:
-                    chars = classes.chars(primes, codes, assignments)
-                # a sampled conductor computed in this run is also
-                # recomputed by the monic route
-                if fresh:
-                    _spot_check([chars[j] for j in fresh], [l_polys[j] for j in fresh])
-                    fresh = ()
-                # chi's powers are the other characters on its conductor
-                known = {c.int_key(): Lc for c, Lc in zip(chars, l_polys)}
-                if not decomposition_check(model_from_char(chars[i]), l_polys=known):
-                    decomp_ok = False
-                decomp_done += 1
-            for i in vanishes:
-                chi = chars[i] if chars else classes.chars(primes, codes, assignments[i : i + 1])[0]
-                vanish_keys.add(chi.int_key())
-                vanishing.append(chi)
+            if sample.open:
+                sample.take(chars, l_polys, fresh)
+                if sample.open and 0 in cls.dsums:
+                    for i, m in cls.members.items():
+                        heapq.heappush(pending, (i, m, cls))
+        sample_members(len(classes.marks))
+        # the first member of the degree reached through a translation, and
+        # the first through a dilation that twists an odd character: these
+        # check the maps and the twist
+        for found in (classes.translation, classes.twist):
+            if found is not None and found[0] not in checked:
+                i, cls, m = found
+                _spot_check(*classes.member(cls, i, m))
+        squarefree = classes.squarefree.count(1)
+        if classes.conductors != squarefree:
+            raise InvariantViolation(
+                "affine-partition",
+                f"degree {d}: the classes hold {classes.conductors} conductors"
+                f" of {squarefree} squarefree monics",
+            )
+        count_a = classes.characters
         expected = count_order_ell_exact(q, ell, d)
         if count_a != expected:
             raise InvariantViolation(
                 "count-formula", f"degree {d}: enumerated {count_a}, formula {expected}"
             )
+        vanishing = classes.listed()
+        vanish_keys = {chi.int_key() for chi in vanishing}
         # duality closure: the dual of a vanishing character vanishes; its
         # key is chi's with every exponent e turned into ell - e
         for chi in vanishing:
@@ -457,7 +588,11 @@ def _census(
         report.runtime_stats[f"degree_{d}_seconds"] = round(time.monotonic() - td, 3)
         # monics the factor table classified; 0 when an earlier run built the level
         counts = {
-            "conductors": conductors,
+            "conductors": classes.conductors,
+            # members counted with no row, character or match
+            "conductors_counted_by_class": (
+                classes.conductors - classes.firsts - len(classes.expanded)
+            ),
             "affine_classes": classes.count,
             "characters_built": classes.built,
             "factor_table_entries": table.entries - entries_before,
@@ -466,8 +601,8 @@ def _census(
         report.runtime_stats[f"degree_{d}_counts"] = counts
         for k, n in counts.items():
             total_counts[k] += n
-    report.decomposition = {"sampled": decomp_done, "all_match": decomp_ok}
-    if not decomp_ok:
+    report.decomposition = {"sampled": sample.done, "all_match": sample.ok}
+    if not sample.ok:
         raise InvariantViolation("zeta-decomposition", "a sampled model failed the product identity")
     report.runtime_stats["total_seconds"] = round(time.monotonic() - t0, 3)
     report.runtime_stats["total_counts"] = total_counts

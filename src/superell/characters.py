@@ -442,20 +442,22 @@ def count_order_ell_exact(q: int, ell: int, d: int) -> int:
     return coeffs[d]
 
 
-def squarefree_conductors(F: Field, ell: int, d: int):
-    """(primes, codes, assignments) for every squarefree monic conductor of
-    degree d, in canonical order: its primes, the shared objects of
-    `irreducibles`, their codes (degree, index among the monics of that
-    degree) from the factor table's marks, and the (ell-1)^r exponent
-    assignments over its r primes in `itertools.product` order.  The
-    conductors and their primes are read from the field's factor table; no
-    conductor is factored or built as a polynomial, and no character is
-    built here."""
+def squarefree_conductors(F: Field, ell: int, d: int, skip=None):
+    """(j, primes, codes, assignments) for every squarefree monic conductor of
+    degree d, in canonical order: its index j among the monics of degree d,
+    its primes, the shared objects of `irreducibles`, their codes (degree,
+    index among the monics of that degree) from the factor table's marks,
+    and the (ell-1)^r exponent assignments over its r primes in
+    `itertools.product` order.  The conductors and their primes are read
+    from the field's factor table; no conductor is factored or built as a
+    polynomial, and no character is built here.  A conductor whose index
+    has `skip[j]` set is passed over before its primes are read (see
+    `FactorTable.squarefree_primes`)."""
     char_context(F, ell)  # validates ell and q = 1 mod ell
     assignments: dict[int, tuple] = {}  # r -> the exponent tuples over r primes
-    for primes, codes in factor_table(F).squarefree_primes(d):
+    for j, primes, codes in factor_table(F).squarefree_primes(d, skip):
         r = len(codes)
         got = assignments.get(r)
         if got is None:
             got = assignments[r] = tuple(itertools.product(range(1, ell), repeat=r))
-        yield primes, codes, got
+        yield j, primes, codes, got

@@ -29,6 +29,7 @@ squarefree test build no new field elements.
 
 from __future__ import annotations
 
+from . import limits
 from .curves import SuperellipticModel
 from .errors import InputError, InvariantViolation
 from .families import BinaryForm, FactorValues, homogenize
@@ -191,11 +192,13 @@ def truncated_density(F_form: BinaryForm, deg_max: int) -> DensityReport:
 
     if deg_max < 0:
         raise InputError(f"deg_max (--deg-max) must be at least 0, got {deg_max}")
+    F = F_form.field
+    what = f"the local factors at the primes of degree <= {deg_max} over {F}"
+    limits.require_power("SUPERELL_LIMIT_CENSUS", F.q, deg_max, what)  # its factor-table level
     excluded = excluded_primes(F_form)
     excluded_keys = {p.key() for p in excluded}
     factors = []
     prod = Fraction(1)
-    F = F_form.field
     for deg in range(1, deg_max + 1):
         for pi in irreducibles(F, deg):
             if pi.key() in excluded_keys:
@@ -282,6 +285,10 @@ def empirical_density(
         raise InputError(f"samples (--samples) must be at least 0, got {samples}")
     if samples == 0:
         return None
+    # each sample draws two polynomials of h_deg + 1 coefficients, and its
+    # values multiply them: (h_deg + 1)^2 coefficient products each
+    what = f"{samples} samples of draws of degree <= {h_deg} over {M0.field}"
+    limits.require("SUPERELL_LIMIT_CENSUS", samples * (h_deg + 1) ** 2, what)
     rule, shared = _pair_rule(product_form(M0), h_deg)
     mask, values, weights, q = rule.mask, rule.values, rule.weights, M0.field.q
     mult, inc, low64 = _LCG.MULT, _LCG.INC, _LCG.MASK

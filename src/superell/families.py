@@ -36,6 +36,7 @@ tests compare against.
 
 from __future__ import annotations
 
+from . import limits
 from .curves import SuperellipticModel
 from .errors import InputError
 from .ffield import Field, FieldElem, IndexSums, power_classes
@@ -314,6 +315,35 @@ def _cap_for(cap, degree: int) -> "int | None":
     return cap.get(degree)
 
 
+def _require_pairs(q: int, max_h: int, cap, what: str) -> int:
+    """The highest deg h <= max_h with a pair to visit, 0 when none has;
+    first refuse, through `limits.require`, a family whose pairs to visit,
+    the sum over deg h = a of min(cap_a, pairs_a), pass
+    SUPERELL_LIMIT_CENSUS.  pairs_a = q^a (q^(a+1) - 1) + q^(2a) are the
+    pairs of `_pairs_by_degree` at degree a.  An uncapped degree is refused
+    by q^(2a) < pairs_a before pairs_a is computed, and a cap below
+    4^a <= pairs_a is the degree's count, so no power above the limit or
+    the caps is taken."""
+    total = top = 0
+    for a in range(1, max_h + 1):
+        cap_a = _cap_for(cap, a)
+        if cap_a is None:
+            limits.require_power("SUPERELL_LIMIT_CENSUS", q, 2 * a, what)
+        elif cap_a.bit_length() <= 2 * a:
+            if isinstance(cap, int):  # and so at every later degree
+                total += cap * (max_h - a + 1)
+                top = max_h if cap else top
+                break
+            total += cap_a
+            top = a if cap_a else top
+            continue
+        pairs = q**a * (q ** (a + 1) + q**a - 1)
+        total += pairs if cap_a is None else min(cap_a, pairs)
+        top = a
+    limits.require("SUPERELL_LIMIT_CENSUS", total, what)
+    return top
+
+
 def generate_family(
     M0: SuperellipticModel,
     n: int,
@@ -348,7 +378,8 @@ def generate_family(
         report.caps["note"] = "n below base degree; family is empty"
         return report
     F, ell, q = M0.field, M0.ell, M0.field.q
-    max_h = n // d
+    what = f"the (numer, denom) pairs of a family of deg h <= {n // d} over {F}"
+    max_h = _require_pairs(q, n // d, max_pairs_per_degree, what)
     # (G, i) for the monic irreducible factors G of each non-constant f_i
     parts = [
         (G, i)

@@ -28,8 +28,8 @@ first line, a canonical JSON header.  Every later line is one block, the
 characters of one `put`: the sha256 of the block's body, a space, and the
 body, decimal integers only.  The census puts only the conductors whose
 L-polynomials the Euler product computed, the first of each affine class,
-and looks up only those; the other members of a class read theirs through
-the class maps, warm or cold, and are never looked up.
+and looks up only those; the other members of a class are counted through
+it, warm or cold, and never looked up.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .cyclo import (
 )
 from .errors import InputError, InvariantViolation
 from .ffield import power_classes
+from .polyring import irreducible_count
 
 
 class LPoly:
@@ -127,10 +128,6 @@ def l_polynomials(chars) -> list[LPoly]:
     """
     ell, q = chars[0].ell, chars[0].field.q
     primes = [P for P, _ in chars[0].exponent_map]
-    # the limit bounds the problem, whichever route solves it: the character
-    # sums of c_0..c_{D-1} run over up to q^(D-1) monics
-    what = f"the L-polynomial of a degree-{chars[0].degree} conductor over F_{q}"
-    limits.require("SUPERELL_LIMIT_CENSUS", q ** (chars[0].degree - 1), what)
     hists: dict[int, dict] = {}  # k -> prime_symbol_histogram over the Q of degree k
     orbits: dict[tuple, LPoly] = {}  # first-exponent-1 exponents -> L
     out = []
@@ -168,7 +165,8 @@ def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) ->
     grows by one until `_complete` can pin the root number (at the latest at
     M = N, where the pair (0, N) is one)."""
     q = primes[0].field.q
-    N = sum(P.degree for P in primes) - (2 if even else 1)
+    degrees = [P.degree for P in primes]
+    N = sum(degrees) - (2 if even else 1)
     counts: dict[int, list[int]] = {}  # k -> value counts of chi(Q) over deg Q = k
 
     def power_sum(n: int) -> tuple:
@@ -178,6 +176,7 @@ def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) ->
                 continue
             if k not in counts:
                 if k not in hists:
+                    _require_primes(primes[0].field, k, degrees)
                     hists[k] = prime_symbol_histogram(primes, ell, k)
                 counts[k] = project_counts(hists[k], exponents, ell)[0]
             for v, c in enumerate(counts[k]):
@@ -197,6 +196,20 @@ def _euler_coefficients(primes, exponents, even: bool, ell: int, hists: dict) ->
         return full
     zero = (0,) * (ell - 1)
     return [tuple(map(operator.sub, a, b)) for a, b in zip(full + [zero], [zero] + full)]
+
+
+def _require_primes(F, k: int, degrees: list) -> None:
+    """Refuse, through `limits.require`, reading the primes Q of degree k for
+    a conductor whose primes have these degrees.  The q^k monics of that
+    factor-table level list them.  For each conductor prime P of higher
+    degree, (P/Q) is read from Q's own table, of q^k entries, at the residue
+    of P, which a map of Q's with two tables of at most p^ceil(e deg P / 2)
+    entries gives (`CharContext.symbol_vector`)."""
+    q, p, e = F.q, F.p, F.e
+    per_prime = sum(2 * p ** -(-e * d // 2) for d in degrees if d > k)
+    needed = q**k + (irreducible_count(q, k) * (q**k + per_prime) if per_prime else 0)
+    what = f"the Euler product over the primes of degree {k} over {F}"
+    limits.require("SUPERELL_LIMIT_CENSUS", needed, what)
 
 
 def _row_add(a: tuple, b: tuple) -> tuple:

@@ -2,12 +2,12 @@
 
 Defaults keep every exhaustive loop honest at desk scale. The two
 environment overrides are SUPERELL_LIMIT_CENSUS (monics scanned per
-character-sum histogram pass, the q^(D-1) monics the sums defining an
-L-polynomial of conductor degree D run over, and enumeration sizes in the
-census paths, the factor table and the exhaustive squarefree count) and
-SUPERELL_ZECH_LIMIT (largest field whose log and Zech tables are built, and
-so the largest field a point count runs over).  Every guard on them goes
-through `require` or `require_power`.
+character-sum histogram pass; the primes an Euler product reads at each
+degree, with the tables it builds for them; enumeration sizes in the census
+paths, the factor table and the exhaustive squarefree count; a family's
+pairs and a density sampler's draws) and SUPERELL_ZECH_LIMIT (largest field
+whose log and Zech tables are built, and so the largest field a point count
+runs over).  Every guard on them goes through `require` or `require_power`.
 """
 
 import os

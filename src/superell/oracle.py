@@ -160,7 +160,7 @@ def conductor_groups(F: Field, ell: int, d: int):
     the same enumeration but builds a character only where something reads
     one."""
     make = DirichletChar._on_table_primes
-    for primes, codes, assignments in squarefree_conductors(F, ell, d):
+    for _, primes, codes, assignments in squarefree_conductors(F, ell, d):
         yield [make(F, ell, primes, codes, x) for x in assignments]
 
 

@@ -25,8 +25,9 @@ the residue-symbol tables of `characters` and, since a tower level of
 `ffield` is the residue field of its modulus, every field log table.  The
 translations g -> g(t + b) and the dilations g -> c^-deg g g(ct) keep degree
 and monicity and are affine in the same digits, so `affine_maps` keeps one
-`AffineIndexMap` per map and degree, which the census applies when it
-composes its affine classes.
+`AffineIndexMap` per map and degree; the census takes a conductor's class
+through them at the conductor's own degree (`affine_orbit`), and a member's
+primes through them at the primes' degrees.
 
 Every remainder, in `%`, `gcd` and the products of a large tower level of
 `ffield`, is one loop against a monic divisor (`_remainder`): each step is a
@@ -678,31 +679,49 @@ class FactorTable:
         primes = [irreducibles(F, k)[r] for k, r in self._marks(d, j)]
         return tuple((P, len(list(run))) for P, run in itertools.groupby(primes))
 
-    def squarefree_primes(self, d: int):
-        """(primes, codes) for every squarefree monic of degree d, in index
-        order: its prime factors in canonical order, the shared objects of
-        `irreducibles`, and their codes (degree k, index among the monics of
-        degree k), both as tuples.  A squarefree f = P g, P its smallest
-        prime, has P's prime and code ahead of g's, so each level below d
-        is walked once and its rows kept for the walk of the next."""
+    def squarefree_primes(self, d: int, skip=None):
+        """(j, primes, codes) for every squarefree monic of degree d, in index
+        order: its index j, its prime factors in canonical order, the shared
+        objects of `irreducibles`, and their codes (degree k, index among the
+        monics of degree k), both as tuples.  A squarefree f = P g, P its
+        smallest prime, has P's prime and code ahead of g's, so each level
+        below d is walked once and its rows kept for the walk of the next.
+        An index j of degree d with `skip[j]` set is passed over before its
+        row is built; the flags are read as the walk reaches them, so the
+        caller may set them while it runs."""
         self.level(d)
         irr = [()] + [irreducibles(self.field, k) for k in range(1, d + 1)]
         codes = [()] + [[(k, j) for j in self.levels[k].primes] for k in range(1, d + 1)]
         rows = [[((), ())]]  # rows[m][j]: (primes, codes) of the monic j of degree m
         for m in range(1, d + 1):
             lv = self.levels[m]
-            spf_deg, spf_rank, cofactor = lv.spf_deg, lv.spf_rank, lv.cofactor
-            kept = [None] * len(lv.squarefree) if m < d else None
-            for j, flag in enumerate(lv.squarefree):
-                if flag:
-                    k, r = spf_deg[j], spf_rank[j]
-                    primes, rest = rows[m - k][cofactor[j]]
-                    row = ((irr[k][r],) + primes, (codes[k][r],) + rest)
-                    if kept is None:
-                        yield row
-                    else:
-                        kept[j] = row
+            spf_deg, spf_rank, cofactor, flags = lv.spf_deg, lv.spf_rank, lv.cofactor, lv.squarefree
+            top = m == d
+            if top and skip is None:
+                skip = bytes(len(flags))
+            kept = None if top else [None] * len(flags)
+            for j in itertools.compress(range(len(flags)), flags):
+                if top and skip[j]:
+                    continue
+                k, r = spf_deg[j], spf_rank[j]
+                primes, rest = rows[m - k][cofactor[j]]
+                row = ((irr[k][r],) + primes, (codes[k][r],) + rest)
+                if top:
+                    yield j, *row
+                else:
+                    kept[j] = row
             rows.append(kept)
+
+    def prime(self, k: int, j: int) -> Poly:
+        """The irreducible with index j among the monics of degree k, the
+        shared object of `irreducibles`; InvariantViolation when that monic
+        is not irreducible."""
+        lv = self.level(k)
+        if lv.spf_deg[j] != k:
+            raise InvariantViolation(
+                "irreducible-index", f"monic {j} of degree {k} is not irreducible"
+            )
+        return irreducibles(self.field, k)[lv.spf_rank[j]]
 
 
 def factor_table(F: Field) -> FactorTable:
@@ -762,6 +781,17 @@ def affine_maps(F: Field, k: int) -> tuple[tuple, tuple]:
             scales.append(AffineIndexMap(F.p, k * F.e, images))
         got = cache[k] = (tuple(shifts), tuple(scales))
     return got
+
+
+def affine_orbit(F: Field, k: int, j: int) -> list[int]:
+    """The index of sigma_c(g(t + b)) for the monic g of degree k with index
+    j, for each (c, b), c in F_q^* and b in F_q by element index, at
+    m = (c - 1) q + b: translations first, and m = 0 is g itself.  The maps
+    are those of `affine_maps`; an orbit with a non-trivial stabiliser
+    repeats its indices."""
+    shifts, scales = affine_maps(F, k)
+    moved = [shift(j) for shift in shifts]
+    return [r for scale in scales[1:] for r in scale.images(moved)]
 
 
 def squarefree_monics(F: Field, d: int) -> tuple[Poly, ...]:

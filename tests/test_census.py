@@ -227,6 +227,76 @@ def test_census_runtime_counts(tmp_path):
         assert fh.read() == filled
 
 
+def test_census_counts_members_through_their_class(monkeypatch):
+    # the walk reads the primes of the first conductor of each class only,
+    # and a member is expanded to its primes only when one of its characters
+    # vanishes or it is sampled or spot-checked; every other member is
+    # counted through its class: at q = 7, d <= 4 that is 2,218 of the
+    # 2,401 conductors, and the two add up to `conductors` in every degree
+    from superell import census
+
+    rows = dict.fromkeys(range(1, 5), 0)  # conductors whose primes the walk read
+    expanded = set()  # (degree, index) of the members expanded
+    walk, expand = census.squarefree_conductors, census._AffineClasses._expand
+
+    def counted_walk(F, ell, d, skip=None):
+        for row in walk(F, ell, d, skip):
+            rows[d] += 1
+            yield row
+
+    def counted_expand(self, cls, i, m):
+        expanded.add((self.degree, i))
+        return expand(self, cls, i, m)
+
+    monkeypatch.setattr(census, "squarefree_conductors", counted_walk)
+    monkeypatch.setattr(census._AffineClasses, "_expand", counted_expand)
+    rep = run_census(7, 1, 3, 4, sample_decomp=25)
+    stats = rep.runtime_stats
+    for d in range(1, 5):
+        counts = stats[f"degree_{d}_counts"]
+        visited = rows[d] + sum(1 for k, _ in expanded if k == d)
+        assert counts["conductors_counted_by_class"] + visited == counts["conductors"], d
+    assert sum(rows.values()) == stats["total_counts"]["affine_classes"] == 70
+    assert stats["total_counts"]["conductors_counted_by_class"] == 2218
+
+
+@pytest.mark.parametrize("wrong", ["not squarefree", "already counted", "missed"])
+def test_census_partition_check_catches_a_wrong_conductor_map(wrong, monkeypatch):
+    # the conductor-level maps send the last member of the second class of
+    # degree 2 to t^2, which is not squarefree, or to the first conductor of
+    # the degree; or the walk misses the one class of degree 1:
+    # the classes no longer partition the squarefree monics of the degree,
+    # and the census says which degree before anything reads the classes
+    from superell import census
+    from superell.polyring import affine_orbit
+
+    firsts = []  # the first conductors of degree 2 so far
+
+    def wrong_orbit(F, k, j):
+        images = affine_orbit(F, k, j)
+        if k == 2:
+            firsts.append(j)
+            if len(firsts) == 2 and wrong != "missed":
+                images[-1] = 0 if wrong == "not squarefree" else firsts[0]
+        return images
+
+    walk = census.squarefree_conductors
+
+    def missing_walk(F, ell, d, skip=None):
+        if d > 1:
+            yield from walk(F, ell, d, skip)
+
+    monkeypatch.setattr(census, "affine_orbit", wrong_orbit)
+    if wrong == "missed":
+        monkeypatch.setattr(census, "squarefree_conductors", missing_walk)
+    with pytest.raises(InvariantViolation) as err:
+        run_census(7, 1, 3, 3, sample_decomp=0)
+    assert err.value.invariant == "affine-partition"
+    assert f"degree {1 if wrong == 'missed' else 2}:" in str(err.value)
+    if wrong != "missed":
+        assert wrong in str(err.value)
+
+
 # (p, e, ell, n): q = 7 and 13; F_4, where p | deg lets a translation fix a
 # conductor; ell = 5 over F_11 and over F_16 = 2^4, the smallest field of
 # the theorem, with ell = 3 too
@@ -237,35 +307,46 @@ _CENSUS_FIELDS = [
 
 @pytest.mark.parametrize("p, e, ell, n", _CENSUS_FIELDS)
 def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_path, monkeypatch):
-    # every L a census hands a character, cold and warm, most of them read
-    # from an affine class with no character built, equals the Euler product
-    # of its own conductor, whose characters are built here by the checking
-    # constructor; the cache holds one block per class the cold run
+    # every L a census gives a character, cold and warm, equals the Euler
+    # product of its own conductor, whose characters are built here by the
+    # checking constructor: a first conductor's as `_l_polys_cached` hands
+    # them out, and every member's as its class gives them, most of them
+    # never read by the run; a member's primes multiply to its own
+    # conductor.  The cache holds one block per class the cold run
     # computed, and only the characters of those blocks' conductors
     from superell import census
 
-    through_classes = census._l_polys_cached
-    handed = []  # (primes, codes, assignments, their L-polynomials) as handed out
+    through_cache = census._l_polys_cached
+    handed = []  # (degree, index, characters as handed out, their L-polynomials)
 
-    def recorded(primes, codes, assignments, cache, classes):
-        out = through_classes(primes, codes, assignments, cache, classes)
-        handed.append((primes, codes, assignments, out[0]))
+    def recorded(j, primes, codes, assignments, cache, classes):
+        out = through_cache(j, primes, codes, assignments, cache, classes)
+        chars, Ls, _, cls = out
+        # the codes are the primes' (degree, index) pairs
+        assert [chi.int_key() for chi in chars] == [
+            tuple(v for (k, i), x_i in zip(codes, x) for v in (k, i, x_i)) for x in assignments
+        ]
+        handed.append((classes.degree, j, chars, Ls))
+        for i, m in cls.members.items():
+            handed.append((classes.degree, i, *classes.member(cls, i, m)))
         return out
 
     monkeypatch.setattr(census, "_l_polys_cached", recorded)
     path = str(tmp_path / "lcache.txt")
+    F = make_field(p, e)
     expected: dict = {}  # int_key -> l_polynomials of its own conductor
     for run in ("cold", "warm"):
         handed.clear()
         rep = run_census(p, e, ell, n, sample_decomp=0, cache_path=path)
         checked = 0
-        for primes, codes, assignments, Ls in handed:
-            F = primes[0].field
-            chars = [DirichletChar(F, ell, list(zip(primes, x))) for x in assignments]
-            # the codes are the primes' (degree, index) pairs
-            assert [chi.int_key() for chi in chars] == [
-                tuple(v for (k, j), x_i in zip(codes, x) for v in (k, j, x_i)) for x in assignments
-            ]
+        for d, i, handed_chars, Ls in handed:
+            primes = [P for P, _ in handed_chars[0].exponent_map]
+            product = Poly.one(F)
+            for P in primes:
+                product = product * P
+            assert product == Poly.from_index(F, d, i), (run, d, i)
+            chars = [DirichletChar(F, ell, chi.exponent_map) for chi in handed_chars]
+            assert [chi.int_key() for chi in chars] == [chi.int_key() for chi in handed_chars]
             if chars[0].int_key() not in expected:
                 expected.update((chi.int_key(), L) for chi, L in zip(chars, l_polynomials(chars)))
             assert len(Ls) == len(chars)
@@ -278,7 +359,7 @@ def test_census_cached_l_polynomials_match_their_conductors(p, e, ell, n, tmp_pa
         else:
             assert rep.cache_stats["misses"] == 0
             assert rep.runtime_stats["total_counts"]["affine_classes"] == 0
-    cache = LCache(path, make_field(p, e), ell)
+    cache = LCache(path, F, ell)
     assert cache.blocks == classes == rep.cache_stats["blocks"]
     assert len(cache.table) == rep.cache_stats["hits"] < checked
     assert all(L == expected[key] for key, L in cache.table.items())
@@ -338,6 +419,48 @@ def test_census_spot_check_catches_a_wrong_translation(monkeypatch):
     with pytest.raises(InvariantViolation) as err:
         run_census(7, 1, 3, 3, sample_decomp=10)
     assert err.value.invariant == "euler-product"
+
+
+@pytest.mark.parametrize("p, e, n", [(7, 1, 3), (19, 1, 2), (2, 4, 3)])
+def test_census_route_checks_read_the_first_translation_and_twist(p, e, n, monkeypatch):
+    # with no decomposition sample, a member is expanded to its characters
+    # and L-polynomials only for the route checks of its degree: the member
+    # of least index reached through a translation (m < q), and the one of
+    # least index reached through a dilation c with z_c != 0 whose class has
+    # an odd character, each with the first m that reaches it.  At q = 19,
+    # d = 2 a dilation by a cube, z_c = 0, reaches a member of lower index
+    from superell import census
+    from superell.ffield import power_classes
+
+    F = make_field(p, e)
+    q, twists = F.q, power_classes(F, 3)
+    classes_of = {}  # degree -> [class] in registration order
+    checked = []  # (degree, index, m) of the members read
+    register, member = census._AffineClasses.register, census._AffineClasses.member
+
+    def recorded_register(self, *args):
+        cls = register(self, *args)
+        classes_of.setdefault(self.degree, []).append(cls)
+        return cls
+
+    def recorded_member(self, cls, i, m):
+        checked.append((self.degree, i, m))
+        return member(self, cls, i, m)
+
+    monkeypatch.setattr(census._AffineClasses, "register", recorded_register)
+    monkeypatch.setattr(census._AffineClasses, "member", recorded_member)
+    run_census(p, e, 3, n, sample_decomp=0)
+    for d, classes in classes_of.items():
+        reached = [(i, m, cls) for cls in classes for i, m in cls.members.items()]
+        expected = set()
+        translations = [(i, m) for i, m, _ in reached if m < q]
+        twisting = [(i, m) for i, m, cls in reached
+                    if m >= q and twists[1 + m // q] and any(cls.dsums)]
+        for found in (translations, twisting):
+            if found:
+                expected.add((d, *min(found)))
+        assert {c for c in checked if c[0] == d} == expected, d
+        assert d == 1 or len(expected) == 2
 
 
 def test_census_spot_check_catches_a_wrong_twist(monkeypatch):
@@ -668,12 +791,14 @@ def _unusable_caches() -> dict:
 
 def test_cli_census_limit_names_its_variable(monkeypatch, capsys):
     monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", "10")
-    # a degree-3 conductor needs 7^2 = 49 evaluations at degree 2
-    argv = ["lpoly", "--p", "7", "--ell", "3",
-            "--conductor-factors", "[[[0,1],1],[[6,1],2],[[5,1],1]]"]
+    # the Euler product of the prime conductor P = t^3 - 2 lists the 7
+    # primes Q of degree 1 among the 7 monics of degree 1 and reads each
+    # (P/Q) from Q's table of 7 entries, at the residue of P through a map of
+    # Q's with two tables of 7^2 entries: 7 + 7 (7 + 2 * 49) = 742
+    argv = ["lpoly", "--p", "7", "--ell", "3", "--conductor-factors", "[[[5,0,0,1],1]]"]
     assert cli_main(argv) == 3
     err = capsys.readouterr().err
-    assert "SUPERELL_LIMIT_CENSUS" in err and "49" in err
+    assert "SUPERELL_LIMIT_CENSUS >= 742" in err
 
 
 def test_cli_point_count_limit_exits_3(monkeypatch, capsys):

@@ -109,6 +109,7 @@ def test_family_thm41_names_its_requirement_on_p(p, capsys):
     assert "Traceback" not in err
 
 
+_DENSITY = ["density", "--p", "7", "--ell", "3", "--components", "[[0,6,0,1],[1]]"]
 _HUGE = "2305843009213693951"  # 2^61 - 1: a prime whose trial division would take hours
 
 
@@ -120,10 +121,17 @@ _HUGE = "2305843009213693951"  # 2^61 - 1: a prime whose trial division would ta
     (["census", "--p", "3", "--e", "100000000", "--ell", "3", "--max-degree", "2"], "3^100000000"),
     (["census", "--p", "7", "--ell", "3", "--max-degree", "100000000"],
      "SUPERELL_LIMIT_CENSUS >= 7^100000000"),
+    (["family", "--seed-kind", "f25twist", "--p", "5", "--n", "100000000"],
+     "SUPERELL_LIMIT_CENSUS"),
+    (_DENSITY + ["--deg-max", "100000000"], "SUPERELL_LIMIT_CENSUS >= 7^100000000"),
+    (_DENSITY + ["--deg-max", "2", "--h-deg", "100000000", "--samples", "1"],
+     "SUPERELL_LIMIT_CENSUS"),
 ])
 def test_huge_inputs_are_refused_before_any_work(argv, named, capsys):
     # a huge prime meets the primality test's range and a huge exponent its
-    # limit's bit length, before trial division or the power is computed
+    # limit's bit length, before trial division or the power is computed; a
+    # family's pairs, a truncated product's factor-table level and a
+    # sampler's draws are bounded before any of them is built
     start = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - start < 2

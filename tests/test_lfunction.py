@@ -11,11 +11,13 @@ from superell import (
     DirichletChar,
     InputError,
     InvariantViolation,
+    ResourceLimit,
     central_value_is_zero,
     l_polynomial,
     mu_embed,
     strip_trivial_factor,
 )
+from superell.characters import char_context
 from superell.cyclo import conjugate
 from superell.ffield import make_field
 from superell.lfunction import (
@@ -557,10 +559,27 @@ def test_functional_equation_completion_rejects_corrupted_coefficient(F7):
         _complete(int_rows(3, 1, 0, 7), 3, 7)
 
 
-def test_large_ell_lone_characters(monkeypatch):
-    # ell = 101 over GF(607): the norm divisions multiply 99 conjugates; the
-    # limit admits a degree-4 conductor, whose sums run over 607^3 monics
-    monkeypatch.setenv("SUPERELL_LIMIT_CENSUS", str(607**3))
+def test_euler_route_refuses_the_tables_of_the_primes_it_reads():
+    # a prime conductor P of degree 4 over GF(607) reads (P/Q) from the
+    # table of each of the 607 primes Q of degree 1, at the residue of P,
+    # through a map of Q's with two tables of 607^2 entries: the limit
+    # refuses it before any of those tables is built
+    F = make_field(607, 1)
+    t = Poly.x(F)
+    P = next(Q for a in range(1, 607) if is_irreducible(Q := t**4 + t + Poly.from_ints(F, [a])))
+    chi = DirichletChar(F, 101, [(P, 1)])
+    before = char_context(F, 101).counts["symbol_tables_built"]
+    with pytest.raises(ResourceLimit, match="SUPERELL_LIMIT_CENSUS") as err:
+        l_polynomial(chi)
+    assert "primes of degree 1" in str(err.value)
+    assert char_context(F, 101).counts["symbol_tables_built"] == before
+
+
+def test_large_ell_lone_characters():
+    # ell = 101 over GF(607): the norm divisions multiply 99 conjugates.  A
+    # conductor of degree 4 whose primes have degree <= 2 reads the primes
+    # of degree <= 2 and the tables of those of degree 1, within the
+    # default limit, though its monic sums would run over 607^3 monics
     F = make_field(607, 1)
     t = Poly.x(F)
     lin = [t - Poly.from_ints(F, [a]) for a in (0, 1, 5)]
