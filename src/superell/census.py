@@ -38,8 +38,10 @@ raises InvariantViolation.
 
 The census builds a `DirichletChar` only where something reads one: every
 character of the first conductor of a class (the Euler route and the
-L-cache keys), of the spot-checked and decomposition-sampled conductors,
-and each vanishing character the report lists.  Stripping, the degree law
+L-cache keys), and of the spot-checked and decomposition-sampled
+conductors.  A vanishing character is listed by its `int_key` and its
+report object, both built from its primes, codes and exponents
+(`characters.char_key`, `characters.char_json`).  Stripping, the degree law
 and the central test read only the L-polynomial, the parity and the
 conductor degree, so they run once per distinct (L, parity, degree) of a
 degree.  A member of a class has the parity and degree of the class
@@ -69,6 +71,8 @@ from .characters import (
     DirichletChar,
     char_context,
     char_from_model,
+    char_json,
+    char_key,
     count_order_ell_exact,
     squarefree_conductors,
 )
@@ -90,7 +94,6 @@ from .lfunction import (
     LCache,
     LPoly,
     central_value_is_zero,
-    l_polynomial,
     l_polynomials,
     monic_sum_l_polynomials,
     rescale_by_root,
@@ -114,25 +117,19 @@ def model_from_char(chi: DirichletChar) -> SuperellipticModel:
     return SuperellipticModel(chi.ell, F, F.one(), comps)
 
 
-def decomposition_check(model: SuperellipticModel, *, l_polys: "dict | None" = None) -> bool:
+def decomposition_check(model: SuperellipticModel, chi: DirichletChar, l_polys: list) -> bool:
     """Exact identity P(T) = prod over j of the stripped L(u, chi^j), with the
-    twist acting as the coefficient rotation u -> zeta^{k_c} u.  `l_polys`
-    may hold the untwisted L(u, chi^j) already at hand, keyed by
-    `DirichletChar.int_key` (the census passes those of the conductor it has
-    just computed); otherwise they are computed here."""
+    twist acting as the coefficient rotation u -> zeta^{k_c} u: chi is the
+    model's character and `l_polys` holds the untwisted L(u, chi^j) for
+    j = 1..ell-1, as the caller has them.  P(T) comes from the model's point
+    counts; no character or L-polynomial is built here.  Each chi^j has
+    chi's parity and conductor degree, all that the strip reads of it."""
     if not model.normalized:
         raise InputError("the zeta/L decomposition is asserted for normalized models only")
-    chi = char_from_model(model)
     kc = twist_exponent(model)
-    powers = [chi.power(j) for j in range(1, model.ell)]
-    if l_polys is None:
-        Ls = l_polynomials(powers)
-    else:
-        Ls = [l_polys[chij.int_key()] for chij in powers]
     prod = None
-    for j, (chij, L) in enumerate(zip(powers, Ls), start=1):
-        L = rescale_by_root(L, (j * kc) % model.ell)
-        stripped, _ = strip_trivial_factor(L, chij)
+    for j, L in enumerate(l_polys, start=1):
+        stripped, _ = strip_trivial_factor(rescale_by_root(L, j * kc % model.ell), chi)
         prod = stripped if prod is None else prod * stripped
     pad = (0,) * (model.ell - 2)
     return list(prod.rows) == [(c, *pad) for c in zeta_numerator(model).coeffs]
@@ -177,13 +174,13 @@ class _AffineClasses:
     member is expanded to its primes (`_expand`), the images of the class's
     primes under the maps of `polyring.affine_maps`, only where something
     reads it: its vanishing characters (`vanishing`, listed in canonical
-    order by `listed`), and the characters and L-polynomials (`member`) of
-    the decomposition sample and of the first member reached through a
-    translation (`translation`) and through a dilation that twists an odd
-    character (`twist`).  `count` is the number of classes whose
-    L-polynomials the run computed, `built` the number of characters built
-    (`chars`), `firsts` the number of classes, and `expanded` the members
-    expanded."""
+    order, with no character built, by `listed`), and the characters and
+    L-polynomials (`member`) of the decomposition sample and of the first
+    member reached through a translation (`translation`) and through a
+    dilation that twists an odd character (`twist`).  `count` is the number
+    of classes whose L-polynomials the run computed, `built` the number of
+    characters built (`chars`), `firsts` the number of classes, and
+    `expanded` the members expanded."""
 
     def __init__(self, F: Field, ell: int, d: int):
         self.field = F
@@ -203,10 +200,8 @@ class _AffineClasses:
         self.characters = 0
         self.expanded: set = set()
         # (conductor index, assignment index, primes, codes, exponents) of
-        # each vanishing character, and the characters of the conductors
-        # that built theirs, by index
+        # each vanishing character
         self.vanishing: list = []
-        self.chars_at: dict = {}
         # (index, class, m) of the first member of the degree reached through
         # a translation, and through a dilation that twists an odd character
         self.translation = None
@@ -277,7 +272,6 @@ class _AffineClasses:
         # z = 0 is the class's own twist class (c = 1)
         by_z = {z: self._vanishing(cls, z) for z in self.twist_classes}
         if by_z[0]:
-            self.chars_at[j] = chars
             self.vanishing.extend((j, xi, primes, codes, assignments[xi]) for xi in by_z[0])
         if any(by_z.values()):
             for i, m in members.items():
@@ -328,20 +322,15 @@ class _AffineClasses:
         l_polys = [None] * len(cls.assignments)
         for xi, x in enumerate(cls.assignments):
             l_polys[_at(x, weights)] = self._l_poly(cls, xi, z)
-        chars = self.chars_at.get(i)
-        if chars is None:
-            chars = self.chars_at[i] = self.chars(primes, codes, cls.assignments)
-        return chars, l_polys
+        return self.chars(primes, codes, cls.assignments), l_polys
 
-    def listed(self) -> list[DirichletChar]:
-        """The vanishing characters of the degree in canonical order, each
-        built unless its conductor built its characters."""
+    def listed(self) -> list[tuple]:
+        """(`int_key`, report object) of each vanishing character of the
+        degree in canonical order, from its primes, codes and exponents."""
         self.vanishing.sort(key=operator.itemgetter(0, 1))
-        out = []
-        for i, xi, primes, codes, x in self.vanishing:
-            chars = self.chars_at.get(i)
-            out.append(chars[xi] if chars else self.chars(primes, codes, (x,))[0])
-        return out
+        F, ell = self.field, self.ell
+        return [(char_key(codes, x), char_json(F, ell, zip(primes, x)))
+                for _, _, primes, codes, x in self.vanishing]
 
 
 def _at(x: tuple, weights: list) -> int:
@@ -349,6 +338,15 @@ def _at(x: tuple, weights: list) -> int:
     that puts the exponents x of a class assignment on the images of the
     class's primes, each with its weight from `_AffineClasses._expand`."""
     return sum(map(operator.mul, x, weights)) - sum(weights)
+
+
+def _power_at(exponents, j: int, ell: int) -> int:
+    """The index in `itertools.product` order, over 1..ell-1, of the
+    exponents of chi^j on the conductor of chi, which has these exponents."""
+    at = 0
+    for e in exponents:
+        at = at * (ell - 1) + e * j % ell - 1
+    return at
 
 
 def _first(best: "tuple | None", cls: _Class, reached) -> "tuple | None":
@@ -373,22 +371,23 @@ class _Sample:
         """Sample the even characters on one conductor while the budget
         lasts; a sampled conductor whose L-polynomials at `fresh` this run
         computed or read from its class is also recomputed by the monic
-        route.  Whether it was."""
-        known = None
+        route.  Whether it was.  chi's powers are the characters on its
+        conductor at `_power_at`."""
+        sampled = False
         for chi in chars:
             if self.done == self.budget:
                 break
             if not chi.even:
                 continue
-            if known is None:
-                if fresh:
-                    _spot_check([chars[j] for j in fresh], [l_polys[j] for j in fresh])
-                # chi's powers are the other characters on its conductor
-                known = {c.int_key(): Lc for c, Lc in zip(chars, l_polys)}
-            if not decomposition_check(model_from_char(chi), l_polys=known):
+            if not sampled and fresh:
+                _spot_check([chars[j] for j in fresh], [l_polys[j] for j in fresh])
+            sampled = True
+            ell, exponents = chi.ell, [e for _, e in chi.exponent_map]
+            powers = [l_polys[_power_at(exponents, j, ell)] for j in range(1, ell)]
+            if not decomposition_check(model_from_char(chi), chi, powers):
                 self.ok = False
             self.done += 1
-        return known is not None and bool(fresh)
+        return sampled and bool(fresh)
 
     @property
     def open(self) -> bool:
@@ -568,21 +567,21 @@ def _census(
                 "count-formula", f"degree {d}: enumerated {count_a}, formula {expected}"
             )
         vanishing = classes.listed()
-        vanish_keys = {chi.int_key() for chi in vanishing}
+        vanish_keys = {key for key, _ in vanishing}
         # duality closure: the dual of a vanishing character vanishes; its
         # key is chi's with every exponent e turned into ell - e
-        for chi in vanishing:
-            key = list(chi.int_key())
-            key[2::3] = [ell - e for e in key[2::3]]
-            if tuple(key) not in vanish_keys:
+        for key, _ in vanishing:
+            dual = list(key)
+            dual[2::3] = [ell - e for e in key[2::3]]
+            if tuple(dual) not in vanish_keys:
                 report.duality_ok = False
-                raise InvariantViolation("duality", f"dual of {chi!r} does not vanish")
+                raise InvariantViolation("duality", f"dual of int_key {key} does not vanish")
         report.per_degree.append(
             {
                 "degree": d,
                 "count_A": count_a,
                 "count_B": len(vanishing),
-                "vanishing": [chi.to_json() for chi in vanishing],
+                "vanishing": [obj for _, obj in vanishing],
             }
         )
         report.runtime_stats[f"degree_{d}_seconds"] = round(time.monotonic() - td, 3)
@@ -844,11 +843,12 @@ def family_experiment(
         }
         if verify_vanishing:
             chi = char_from_model(member)
-            L = rescale_by_root(l_polynomial(chi), twist_exponent(member))
+            l_polys = l_polynomials([chi, *(chi.power(j) for j in range(2, member.ell))])
+            L = rescale_by_root(l_polys[0], twist_exponent(member))
             stripped, _ = strip_trivial_factor(L, chi)
             entry["l_central_zero"] = central_value_is_zero(stripped)
             if decomp_done < FAMILY_DECOMPOSITION_SAMPLE:
-                entry["decomposition"] = decomposition_check(member)
+                entry["decomposition"] = decomposition_check(member, chi, l_polys)
                 decomp_done += 1
         verification.append(entry)
         all_ok = all_ok and all(v for k, v in entry.items() if isinstance(v, bool))

@@ -30,10 +30,10 @@ same L-polynomials, which the census spot check runs.
 
 A character has one identity, `DirichletChar.int_key`: the integer codes
 (degree, index among the monics of that degree) of its conductor primes with
-their exponents.  Equality, hashing, the L-cache, the census's duality check
-and its affine-class matches all read it.  Every character fills its slots
-through one call, from validated primes and their codes, and `to_json` is
-the object that reports give.
+their exponents.  Equality, hashing, the L-cache and the census's duality
+check all read it.  Every character fills its slots through one call, from
+validated primes and their codes.  The key and the report object
+(`to_json`) come from `char_key` and `char_json`, which need no character.
 """
 
 from __future__ import annotations
@@ -189,13 +189,30 @@ def char_context(field: Field, ell: int) -> CharContext:
 # -- Dirichlet characters ------------------------------------------------------------
 
 
-def _json_parts(F: Field) -> tuple:
-    """(F's descriptor, {prime key: its `poly_to_json`}), kept in
-    `Field._cache` and filled as characters meet their primes."""
-    parts = F._cache.get("json_fragments")
+def char_key(codes, exponents) -> tuple:
+    """The `DirichletChar.int_key` of the character with these exponents on
+    the primes with these codes, in canonical order."""
+    return tuple(x for (k, j), e in zip(codes, exponents) for x in (k, j, e))
+
+
+def char_json(field: Field, ell: int, exponent_map) -> dict:
+    """{"ell": ..., "factors": [[P, e], ...], "field": ...}, the report object
+    of the character with the (P, e) pairs in canonical order, which reports
+    give with sorted keys.  The field's descriptor and each prime's
+    coefficient lists are built once per field, kept in `Field._cache`, and
+    shared by every character's object: they are never mutated, and a
+    caller that wants to change one copies it first."""
+    parts = field._cache.get("json_fragments")
     if parts is None:
-        parts = F._cache["json_fragments"] = (F.descriptor(), {})
-    return parts
+        parts = field._cache["json_fragments"] = (field.descriptor(), {})
+    field_obj, primes = parts
+    factors = []
+    for P, e in exponent_map:
+        obj = primes.get(P.key())
+        if obj is None:
+            obj = primes[P.key()] = poly_to_json(P)
+        factors.append([obj, e])
+    return {"ell": ell, "factors": factors, "field": field_obj}
 
 
 class DirichletChar:
@@ -237,7 +254,7 @@ class DirichletChar:
         self.degree = sum(k for k, _ in codes)
         self.even = sum(k * e for (k, _), e in zip(codes, exponents)) % ell == 0
         self._conductor = None
-        self._ints = tuple(x for (k, j), e in zip(codes, exponents) for x in (k, j, e))
+        self._ints = char_key(codes, exponents)
 
     @classmethod
     def _on_table_primes(
@@ -296,19 +313,8 @@ class DirichletChar:
         return self._ints
 
     def to_json(self) -> dict:
-        """{"ell": ..., "factors": [[P, e], ...], "field": ...}, which reports
-        give with sorted keys.  The field's descriptor and each prime's
-        coefficient lists are built once per field (`_json_parts`) and shared
-        by every character's object: they are never mutated, and a caller
-        that wants to change one copies it first."""
-        field_obj, primes = _json_parts(self.field)
-        factors = []
-        for P, e in self.exponent_map:
-            obj = primes.get(P.key())
-            if obj is None:
-                obj = primes[P.key()] = poly_to_json(P)
-            factors.append([obj, e])
-        return {"ell": self.ell, "factors": factors, "field": field_obj}
+        """The object that reports give (`char_json`)."""
+        return char_json(self.field, self.ell, self.exponent_map)
 
     @classmethod
     def from_json(cls, field: Field, data: dict) -> "DirichletChar":

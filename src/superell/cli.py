@@ -270,7 +270,9 @@ def _dispatch(args) -> int:
     if args.command == "census":
         if args.cache is not None:
             # the census appends to the cache file: refuse a path it cannot
-            # append to before any work is done
+            # append to, or (before opening it: a FIFO blocks) no regular file
+            if os.path.exists(args.cache) and not os.path.isfile(args.cache):
+                raise InputError(f"--cache: {args.cache!r} is not a regular file")
             _open_arg("--cache", args.cache, "a").close()
         rep = run_census(
             args.p,

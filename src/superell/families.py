@@ -36,6 +36,8 @@ tests compare against.
 
 from __future__ import annotations
 
+import itertools
+
 from . import limits
 from .curves import SuperellipticModel
 from .errors import InputError
@@ -436,31 +438,16 @@ def generate_family(
 def _pairs_by_degree(F: Field, max_h: int, report: FamilyReport, cap: "int | None"):
     """(deg h, numer, denom), numer and denom by vector index, for the
     unit-normalised pairs, grouped by deg h ascending, stopping each degree
-    after `cap` visited pairs if given.  Within a degree the denominator index advances in the outer loop
-    (constants first), so capped runs still sweep the full range of monic
-    numerators."""
+    after `cap` visited pairs if given.  Within a degree the denominator
+    index advances in the outer loop (constants first), so capped runs still
+    sweep the full range of monic numerators."""
     q = F.q
     for a in range(1, max_h + 1):
-        cap_a = _cap_for(cap, a)
-        emitted = 0
         monic = q**a  # the vector index of t^a, the first monic of degree a
-        # numer monic of degree a, denom arbitrary nonzero of degree <= a
-        for jd in range(1, q ** (a + 1)):
-            if cap_a is not None and emitted >= cap_a:
-                break
-            for jn in range(monic, 2 * monic):
-                if cap_a is not None and emitted >= cap_a:
-                    break
-                report.raw_pairs += 1
-                emitted += 1
-                yield a, jn, jd
-        # denom monic of degree a, numer arbitrary of degree < a
-        for jn in range(monic):
-            if cap_a is not None and emitted >= cap_a:
-                break
-            for jd in range(monic, 2 * monic):
-                if cap_a is not None and emitted >= cap_a:
-                    break
-                report.raw_pairs += 1
-                emitted += 1
-                yield a, jn, jd
+        # numer monic of degree a, denom arbitrary nonzero of degree <= a;
+        # then denom monic of degree a, numer arbitrary of degree < a
+        sweep_1 = ((jn, jd) for jd in range(1, q ** (a + 1)) for jn in range(monic, 2 * monic))
+        sweep_2 = ((jn, jd) for jn in range(monic) for jd in range(monic, 2 * monic))
+        for jn, jd in itertools.islice(itertools.chain(sweep_1, sweep_2), _cap_for(cap, a)):
+            report.raw_pairs += 1
+            yield a, jn, jd

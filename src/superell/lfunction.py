@@ -464,7 +464,10 @@ def _decode_block(line: bytes, ell: int, q: int, polys: dict) -> "zip":
 
 def _replace(path, chunks) -> None:
     """Write the chunks to path through a temporary file, synced before it
-    replaces path, so a crash leaves the old file or the new one."""
+    replaces path, so a crash leaves the old file or the new one.  A
+    symbolic link is written through: its resolved target is replaced, by a
+    temporary file beside the target, and the link stays a link."""
+    path = os.path.realpath(path)
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
         fh.writelines(chunks)

@@ -29,7 +29,12 @@ from superell.census import (
 )
 from superell.density import empirical_density, local_factor, product_form, truncated_density
 from superell.families import BinaryForm, generate_family
-from superell.lfunction import central_value_is_zero, rescale_by_root, twist_exponent
+from superell.lfunction import (
+    central_value_is_zero,
+    l_polynomials,
+    rescale_by_root,
+    twist_exponent,
+)
 from superell.oracle import (
     count_all_primitive,
     predicted_count,
@@ -81,7 +86,8 @@ def test_criterion_2_order_ell_counts_exact():
 def test_criterion_3_zeta_l_decomposition():
     t0 = time.time()
     F7 = make_field(7, 1)
-    # >= 25 normalized cubic models over F_7 with d <= 5, spread over degrees
+    # >= 25 normalized cubic models over F_7 with d <= 5, spread over
+    # degrees, each with its character
     models = []
     per_degree_quota = {2: 6, 3: 7, 4: 7, 5: 7}
     for d in range(2, 6):
@@ -89,16 +95,17 @@ def test_criterion_3_zeta_l_decomposition():
         for chi in enumerate_order_ell(F7, 3, d):
             if chi.degree != d or not chi.even:
                 continue
-            models.append(model_from_char(chi))
+            models.append((model_from_char(chi), chi))
             found += 1
             if found >= per_degree_quota[d]:
                 break
     assert len(models) >= 25
-    for m in models:
+    for m, chi in models:
         # decomposition_check recomputes P by counting and multiplies the
-        # stripped L-polynomials; ZetaNum construction enforces the functional
-        # equation and zeta_numerator enforces the Weil bounds.
-        assert decomposition_check(m), m
+        # stripped L-polynomials of chi and chi^2, computed here; ZetaNum
+        # construction enforces the functional equation and zeta_numerator
+        # enforces the Weil bounds.
+        assert decomposition_check(m, chi, l_polynomials([chi, chi.power(2)])), m
         P = zeta_numerator(m)
         g = P.g
         for i in range(g + 1):

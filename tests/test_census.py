@@ -6,6 +6,7 @@ import os
 import pytest
 
 from superell import InputError, InvariantViolation, ResourceLimit, make_field
+from superell import census
 from superell.census import (
     decomposition_check,
     family_experiment,
@@ -14,7 +15,7 @@ from superell.census import (
     seed_check,
     seed_model,
 )
-from superell.characters import DirichletChar
+from superell.characters import DirichletChar, char_from_model
 from superell.cyclo import galois_row
 from superell.lfunction import (
     LCache,
@@ -184,13 +185,14 @@ def test_census_runtime_counts(tmp_path):
     assert total["walk_steps"] >= total["generator_candidates"]
     # a character object is built only where something reads one: the 316
     # characters on the first conductors of the 70 classes, 30 on the
-    # route spot-checked conductors, 28 on the decomposition-sampled ones
-    # and 244 of the 252 vanishing characters (the other 8 lie on
-    # conductors already built); the other members of the classes get their
+    # route spot-checked conductors and 28 on the decomposition-sampled
+    # ones.  The 252 vanishing characters are listed by their int_keys and
+    # report objects, built from their primes, codes and exponents with no
+    # character, and the other members of the classes get their
     # L-polynomials and decisions through the class maps
-    assert total["characters_built"] == 316 + 30 + 28 + 244
+    assert total["characters_built"] == 316 + 30 + 28
     assert [cold.runtime_stats[f"degree_{d}_counts"]["characters_built"]
-            for d in (1, 2, 3, 4)] == [4, 18, 82, 514]
+            for d in (1, 2, 3, 4)] == [4, 18, 56, 296]
     assert 10 * total["characters_built"] < sum(row["count_A"] for row in cold.per_degree)
     bare = run_census(7, 1, 3, 4, sample_decomp=25)
     for key in ("affine_classes", "characters_built", "prime_histograms", "primes_scanned",
@@ -517,18 +519,78 @@ def test_model_from_char_roundtrip(F7):
         assert char_from_model(model) == chi
 
 
+def _char_and_l_polys(model):
+    """The model's character and L(u, chi^j) for j = 1..ell-1."""
+    chi = char_from_model(model)
+    return chi, l_polynomials([chi.power(j) for j in range(1, model.ell)])
+
+
 def test_decomposition_check_requires_normalized(F7):
     t = Poly.x(F7)
     odd_model = SuperellipticModel(3, F7, F7.one(), (t, Poly.one(F7)))
     with pytest.raises(InputError):
-        decomposition_check(odd_model)
+        decomposition_check(odd_model, *_char_and_l_polys(odd_model))
 
 
 def test_decomposition_check_twisted_models(F7):
     t = Poly.x(F7)
     for ci in (2, 3):
         m = SuperellipticModel(3, F7, F7.elem_at(ci), (t**3 - t, Poly.one(F7)))
-        assert decomposition_check(m)
+        assert decomposition_check(m, *_char_and_l_polys(m))
+
+
+def test_decomposition_check_fails_on_wrong_l_polynomials(F7):
+    # the identity holds with the L-polynomials of the model's own
+    # character and fails with those of an even character of the same
+    # conductor degree whose curve has another zeta numerator, or with
+    # L(chi) in place of L(chi^2)
+    models = [model_from_char(chi) for chi in enumerate_order_ell(F7, 3, 3)
+              if chi.even and chi.degree == 3]
+    model = models[0]
+    chi, ls = _char_and_l_polys(model)
+    _, other = _char_and_l_polys(
+        next(m for m in models if zeta_numerator(m) != zeta_numerator(model))
+    )
+    assert decomposition_check(model, chi, ls)
+    assert not decomposition_check(model, chi, other)
+    assert not decomposition_check(model, chi, [ls[0], ls[0]])
+
+
+def test_census_decomposition_failure_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(census, "decomposition_check", lambda model, chi, l_polys: False)
+    with pytest.raises(InvariantViolation) as err:
+        run_census(7, 1, 3, 2, sample_decomp=3)
+    assert err.value.invariant == "zeta-decomposition"
+    assert cli_main(["census", "--p", "7", "--ell", "3", "--max-degree", "2"]) == 2
+    assert json.loads(capsys.readouterr().err)["invariant"] == "zeta-decomposition"
+
+
+def test_census_builds_no_character_from_a_model(tmp_path, monkeypatch):
+    # the sampled decompositions read the character the census built the
+    # model from, so no census factors a model's components, cold or warm
+    # (the round trip itself: test_model_from_char_roundtrip)
+    from superell import characters, polyring
+
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(census, "char_from_model", counted("char_from_model", char_from_model))
+    monkeypatch.setattr(characters, "char_from_model",
+                        counted("char_from_model", char_from_model))
+    for module in (polyring, characters, census):
+        if getattr(module, "factor", None) is polyring.factor:
+            monkeypatch.setattr(module, "factor", counted("factor", polyring.factor))
+    path = str(tmp_path / "lcache")
+    cold = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=path)
+    warm = run_census(7, 1, 3, 4, sample_decomp=25, cache_path=path)
+    assert cold.decomposition == warm.decomposition == {"sampled": 25, "all_match": True}
+    assert warm.cache_stats["misses"] == 0
+    assert calls == []
 
 
 def test_seed_check_thm41():

@@ -77,11 +77,11 @@ def test_dump_json_refuses_what_json_refuses(payload):
         _dumped(payload)
 
 
-def _module_cli(*argv) -> subprocess.CompletedProcess:
+def _module_cli(*argv, timeout: float = 120) -> subprocess.CompletedProcess:
     env = {k: v for k, v in os.environ.items() if not k.startswith("SUPERELL_")}
     env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run([sys.executable, "-m", "superell.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_module_entry_point_exit_codes():
@@ -137,3 +137,44 @@ def test_huge_inputs_are_refused_before_any_work(argv, named, capsys):
     assert time.perf_counter() - start < 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+def test_census_cache_through_a_symlink_stays_a_link(tmp_path):
+    # a cold, a warm and a rebuilding run write through the link to its
+    # target, which holds the header and the blocks, and leave the link a link
+    real, link, out = tmp_path / "real.lcache", tmp_path / "link.lcache", tmp_path / "r.json"
+    real.touch()
+    link.symlink_to(real)
+    argv = ["census", "--p", "7", "--ell", "3", "--max-degree", "2", "--cache", str(link),
+            "--out", str(out)]
+    assert main(argv) == 0
+    cold = json.loads(out.read_text())
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    lines = real.read_bytes().splitlines()
+    # the header, and one block for each of the 1 + 2 affine classes
+    assert b'"format":"superell-lcache"' in lines[0] and len(lines) == 1 + 3
+    assert cold["cache"]["misses"] > 0
+    assert not (tmp_path / "link.lcache.tmp").exists()
+    assert main(argv) == 0
+    warm = json.loads(out.read_text())
+    assert warm["cache"]["misses"] == 0 and warm["cache"]["blocks"] == 3
+    assert warm["per_degree"] == cold["per_degree"]
+    with open(real, "ab") as fh:
+        fh.write(b"garbled block\n")
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["cache"]["rebuilt"]
+    assert link.is_symlink() and real.read_bytes().splitlines() == lines
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_census_cache_that_is_a_fifo_is_refused(tmp_path):
+    # opening a FIFO to append would block until a reader came
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    start = time.perf_counter()
+    run = _module_cli("census", "--p", "7", "--ell", "3", "--max-degree", "2",
+                      "--cache", str(fifo), timeout=10)
+    assert time.perf_counter() - start < 2
+    assert run.returncode == 2
+    assert "--cache" in run.stderr and "not a regular file" in run.stderr
+    assert "Traceback" not in run.stderr

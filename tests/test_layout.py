@@ -183,10 +183,11 @@ def test_only_ffield_reads_the_spread_code():
     assert _constructs(_tree(PACKAGE / "ffield.py"), "spread_coding")
 
 
-def _callers(attr: str) -> set:
-    """(module, class, function) of every call of a method named attr in the
-    package, by the innermost enclosing class and function."""
-    found = set()
+def _callers(name: str) -> list:
+    """(module, class, function) of every call, one entry per call, of a
+    function or method named `name` in the package, by the innermost
+    enclosing class and function."""
+    found = []
 
     def visit(node, cls, fn):
         for child in ast.iter_child_nodes(node):
@@ -195,9 +196,10 @@ def _callers(attr: str) -> set:
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, cls, child.name)
             else:
-                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                        and child.func.attr == attr):
-                    found.add((path.name, cls, fn))
+                if isinstance(child, ast.Call) and name in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)
+                ):
+                    found.append((path.name, cls, fn))
                 visit(child, cls, fn)
 
     for path in sorted(PACKAGE.glob("*.py")):
@@ -209,10 +211,37 @@ def test_one_factor_value_decider():
     # the family generator and the density sampler decide pairs through
     # families.FactorValues, the only place besides the one-shot
     # BinaryForm.evaluate that evaluates a form from power lists
-    assert _callers("evaluate_powers") == {
+    assert set(_callers("evaluate_powers")) == {
         ("families.py", "BinaryForm", "evaluate"),
         ("families.py", "FactorValues", "values"),
     }
+
+
+def test_only_the_family_experiment_builds_a_character_from_a_model():
+    # a census holds the character of every model it checks, so the one
+    # caller that factors a model's components is the family experiment
+    assert _callers("char_from_model") == [("census.py", None, "family_experiment")]
+
+
+def test_one_builder_of_a_character_report_object():
+    # DirichletChar.to_json and the census's vanishing list share
+    # characters.char_json, the only place that makes an {"ell", "factors",
+    # "field"} object
+    keys = {"ell", "factors", "field"}
+    makers = [
+        (path.name, fn.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for fn in ast.walk(_tree(path))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Dict)
+        and {getattr(k, "value", None) for k in node.keys} == keys
+    ]
+    assert makers == [("characters.py", "char_json")]
+    assert sorted(_callers("char_json")) == [
+        ("census.py", "_AffineClasses", "listed"),
+        ("characters.py", "DirichletChar", "to_json"),
+    ]
 
 
 def _annotation_names(node: ast.AST) -> set:
